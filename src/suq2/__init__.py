@@ -53,7 +53,6 @@ from .qspecial import (
 from .quadrature import (
     PlaneIntegral,
     QuadratureConfig,
-    RadialMap,
     angular_node_count,
     integrate_plane,
     radial_integral,
@@ -68,7 +67,7 @@ __all__ = [
     "QFunctionMethod", "l_function", "norm_constant", "psi",
     "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
     "r_polynomial", "vilenkin",
-    "PlaneIntegral", "QuadratureConfig", "RadialMap", "angular_node_count",
+    "PlaneIntegral", "QuadratureConfig", "angular_node_count",
     "integrate_plane", "radial_integral", "radial_rule",
     "IrrepMatrices", "PlaneFamily", "RealizationParams", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q2h3", "apply_q_h3_power",

@@ -60,7 +60,7 @@ def _grid(args, flag: str) -> np.ndarray:
         if n < 1:
             raise SystemExit(_fail("--grid needs n >= 1"))
         return np.linspace(lo, hi, n)
-    value = getattr(args, flag if flag != "rho" else "rho", None)
+    value = getattr(args, flag, None)
     if value is None:
         raise SystemExit(_fail(f"--fn {args.fn} needs --{flag} or --grid"))
     return np.array([value], dtype=float)

@@ -36,8 +36,8 @@ class QParam:
 
     @staticmethod
     def positive_real(q: float) -> "QParam":
-        if not (q > 0) or q == 1.0:
-            raise ValueError(f"positive-real regime needs q > 0, q != 1, got {q}")
+        if not (q > 0 and math.isfinite(q)) or q == 1.0:
+            raise ValueError(f"positive-real regime needs finite q > 0, q != 1, got {q}")
         return QParam(Regime.POSITIVE_REAL, float(q))
 
     @staticmethod

@@ -40,8 +40,6 @@ from .qops import (
 )
 from .quadrature import QuadratureConfig, integrate_plane, radial_integral
 
-GRAM_TOL = 1e-6
-
 
 class InnerProductKind(Enum):
     CLASSICAL = "Classical"

@@ -29,8 +29,6 @@ from .qcore import (
 )
 from .qspecial import psi
 
-MATRIX_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PlaneFamily:

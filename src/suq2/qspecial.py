@@ -33,12 +33,18 @@ from .qcore import (
     q_factorial,
     validate_triple,
 )
+from .quadrature import gauss_legendre
 
 L_ABS_TOL = 1e-12
 PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
 PRODUCT_MAX_FACTORS = 100_000
 BRANCH_CUT_MARGIN = 1e-6
+L_MEMO_MAX_BYTES = 4 * 2**20
+
+# l_function results keyed on their exact input, oldest first; see its Notes
+_l_memo: dict = {}
+_l_memo_bytes = 0
 
 
 class QFunctionMethod(Enum):
@@ -126,7 +132,7 @@ def q_infinite_product(J, p: QParam, eta):
 
 
 def _panel_nodes(breaks, n):
-    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = gauss_legendre(n)
     nodes, weights = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         nodes.append(0.5 * (b - a) * xs + 0.5 * (a + b))
@@ -165,17 +171,49 @@ def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
     tails, so panelized Gauss nodes with global node doubling converge
     geometrically; the raw split keeps an algebraic t^(tau/pi - 1)
     endpoint singularity that defeats plain node doubling for small tau.
+
+    Results are memoized on the exact input: the key is (p, abs_tol,
+    eta's shape, eta's complex bytes), so p and p.inverse(), two
+    tolerances, or a scalar and a (1,)-shaped eta never share an entry.
+    Every call returns a fresh copy, so callers may mutate it.  A result
+    whose evaluation emitted the branch-cut warning is never stored, nor is
+    a failed one, so the warning and the errors recur on every call.  The
+    stored keys and values stay under L_MEMO_MAX_BYTES, evicting the oldest
+    entry first; a larger result is not stored at all.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
+    arr, scalar = _as_complex(eta)
+    key = (p, abs_tol, arr.shape, arr.tobytes())
+    val = _l_memo.get(key)
+    if val is None:
+        val, warned = _l_quadrature(p, arr.reshape(-1), abs_tol)
+        val = val.reshape(arr.shape)
+        if not warned:
+            _l_memo_store(key, val)
+    return _ret(val.copy(), scalar)
+
+
+def _l_memo_store(key, val):
+    global _l_memo_bytes
+    size = len(key[-1]) + val.nbytes
+    if size > L_MEMO_MAX_BYTES:
+        return
+    while _l_memo_bytes + size > L_MEMO_MAX_BYTES:
+        oldest = next(iter(_l_memo))
+        _l_memo_bytes -= len(oldest[-1]) + _l_memo.pop(oldest).nbytes
+    _l_memo[key] = val
+    _l_memo_bytes += size
+
+
+def _l_quadrature(p: QParam, flat, abs_tol):
+    """L on the flat complex array; returns (values, whether it warned)."""
     tau = p.value
     alpha = abs(tau) / math.pi
     sigma = 1.0 if tau > 0 else -1.0
-    arr, scalar = _as_complex(eta)
-    flat = arr.reshape(-1)
     amax = float(np.max(np.abs(flat))) if flat.size else 0.0
     if amax == 0.0:
-        return _ret(np.zeros_like(arr), scalar)
+        return np.zeros_like(flat), False
 
     u_low = max(30.0, (math.log(amax) + 40.0) / alpha)
     b_low = _low_breaks(alpha, u_low)
@@ -193,13 +231,13 @@ def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
                         float(np.min(math.pi - np.abs(np.angle(arg2)))))
             if worst < BRANCH_CUT_MARGIN:
                 warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                              RuntimeWarning, stacklevel=2)
+                              RuntimeWarning, stacklevel=3)
                 warned = True
         total = (np.log(arg1) / (1.0 + np.exp(-u1))[None, :]) @ w1 \
               + (np.log(arg2) / (1.0 + np.exp(u2))[None, :]) @ w2
         val = sigma * total / (2j * math.pi)
         if prev is not None and np.max(np.abs(val - prev)) < abs_tol:
-            return _ret(val.reshape(arr.shape), scalar)
+            return val, warned
         prev = val
     raise RuntimeError("l_function quadrature did not converge")
 
@@ -312,8 +350,6 @@ def vilenkin(J, M, N, p: QParam, xi):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
     eta = (1.0 + xi_arr) / (1.0 - xi_arr)
     expo = 2 * J.twice - M.twice - N.twice
-    if expo % 2:
-        raise ValueError("inconsistent triple")  # unreachable for valid triples
     phase = 1j ** (expo // 2)
     rad = (q_factorial((J + M).to_int(), p) * q_factorial((J + N).to_int(), p)
            / (q_factorial((J - M).to_int(), p) * q_factorial((J - N).to_int(), p)))

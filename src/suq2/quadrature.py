@@ -12,7 +12,7 @@ here decay rationally and one well-tested map beats configurability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,17 +22,12 @@ from .qcore import HalfInt
 DEFAULT_ABS_TOL = 1e-10
 
 
-class RadialMap(Enum):
-    RATIONAL_TO_UNIT = "RationalToUnit"
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     radial_nodes: int = 16
     angular_nodes: int = 16
     abs_tol: float = DEFAULT_ABS_TOL
     max_refinements: int = 6
-    radial_map: RadialMap = RadialMap.RATIONAL_TO_UNIT
 
     def __post_init__(self):
         if self.radial_nodes < 8:
@@ -48,13 +43,27 @@ class PlaneIntegral(NamedTuple):
     error: float
 
 
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), built once per n.
+
+    The arrays are shared between callers and therefore read-only.  The
+    cache keeps the 64 most recently used n, far more than the node counts
+    one refinement ladder visits.
+    """
+    s, w = np.polynomial.legendre.leggauss(n)
+    s.flags.writeable = False
+    w.flags.writeable = False
+    return s, w
+
+
 def radial_rule(n: int):
     """Nodes rho_i and weights w_i with sum w_i F(rho_i) ~ int_0^inf F(rho) rho drho.
 
     Uses eta = (1+s)/(1-s) on Gauss-Legendre s in (-1,1); rho drho = deta/2
     and deta/ds = 2/(1-s)^2 fold the Jacobian into the weights.
     """
-    s, w = np.polynomial.legendre.leggauss(n)
+    s, w = gauss_legendre(n)
     eta = (1.0 + s) / (1.0 - s)
     return np.sqrt(eta), w / (1.0 - s) ** 2
 

@@ -124,6 +124,12 @@ class TestEvalErrors:
         code, _, err = run(["eval", "--fn", "qnum", "--x", "1", "--q", "-2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_q_rejected(self, q, capsys):
+        code, out, err = run(["eval", "--fn", "Q", "--J", "0.5", "--q", q,
+                              "--eta", "1"], capsys)
+        assert code == 2 and out == "" and "finite" in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

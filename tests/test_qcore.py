@@ -38,6 +38,13 @@ class TestQParam:
         with pytest.raises(ValueError):
             QParam.unit_circle(3.5)
 
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            QParam.positive_real(q)
+        with pytest.raises(ValueError):
+            QParam.from_q(q)
+
     def test_complex_value_and_inverse(self):
         p = QParam.unit_circle(math.pi / 5)
         assert p.complex_value() == pytest.approx(np.exp(1j * math.pi / 5))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from suq2 import qspecial
 from suq2 import (
     HalfInt,
     QParam,
@@ -195,6 +196,107 @@ class TestLFunction:
         with pytest.warns(RuntimeWarning, match="branch cut"):
             with pytest.raises(RuntimeError):
                 l_function(p, -0.5 + 1e-9j)
+
+
+@pytest.fixture
+def l_quadratures(monkeypatch):
+    """Empty the l_function memo; count the quadratures that run afterwards."""
+    monkeypatch.setattr(qspecial, "_l_memo", {})
+    monkeypatch.setattr(qspecial, "_l_memo_bytes", 0)
+    calls = []
+    uncached = qspecial._l_quadrature
+
+    def counted(p, flat, abs_tol):
+        calls.append((p, abs_tol, flat.size))
+        return uncached(p, flat, abs_tol)
+
+    monkeypatch.setattr(qspecial, "_l_quadrature", counted)
+    return calls
+
+
+class TestLFunctionMemo:
+    ETA = np.array([0.3, 1.0 + 0.5j, 4.0])
+
+    def test_mutating_a_result_leaves_the_memo_intact(self, l_quadratures):
+        first = l_function(P_CIRC, self.ETA)
+        want = first.copy()
+        first[:] = 0.0
+        second = l_function(P_CIRC, self.ETA)
+        assert second.tobytes() == want.tobytes()
+        second[:] = 0.0
+        assert l_function(P_CIRC, self.ETA).tobytes() == want.tobytes()
+        assert len(l_quadratures) == 1
+
+    def test_hit_equals_fresh_computation_bitwise(self, l_quadratures):
+        miss = l_function(P_CIRC, self.ETA)
+        hit = l_function(P_CIRC, self.ETA)
+        assert len(l_quadratures) == 1
+        fresh, warned = qspecial._l_quadrature(P_CIRC, self.ETA.astype(complex), qspecial.L_ABS_TOL)
+        assert not warned
+        assert hit.tobytes() == miss.tobytes() == fresh.tobytes()
+
+    def test_distinct_inputs_never_share_an_entry(self, l_quadratures):
+        calls = [
+            lambda: l_function(P_CIRC, 0.7),
+            lambda: l_function(P_CIRC.inverse(), 0.7),
+            lambda: l_function(P_CIRC, 0.7, abs_tol=1e-10),
+            lambda: l_function(P_CIRC, np.array([0.7])),
+            lambda: l_function(P_CIRC, np.array([[0.7]])),
+        ]
+        first = [call() for call in calls]
+        assert len(l_quadratures) == len(calls)
+        again = [call() for call in calls]
+        assert len(l_quadratures) == len(calls)
+        assert isinstance(first[0], complex) and isinstance(again[0], complex)
+        assert abs(first[0] + first[1]) < 1e-12  # the inverse really is -L here
+        assert [np.shape(v) for v in again] == [(), (), (), (1,), (1, 1)]
+        for a, b in zip(first, again):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_real_and_complex_dtypes_share_the_exact_value(self, l_quadratures):
+        a = l_function(P_CIRC, np.array([0.5, 2.0]))
+        b = l_function(P_CIRC, np.array([0.5 + 0j, 2.0 + 0j]))
+        assert len(l_quadratures) == 1
+        assert a.tobytes() == b.tobytes()
+
+    def test_branch_cut_warning_and_error_on_every_call(self, l_quadratures):
+        p = QParam.unit_circle(math.pi / 5)
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="branch cut"):
+                with pytest.raises(RuntimeError):
+                    l_function(p, -0.5 + 1e-9j)
+        assert len(l_quadratures) == 3
+        assert qspecial._l_memo == {}
+
+    def test_warned_result_is_never_stored(self, l_quadratures, monkeypatch):
+        # a margin wider than pi makes every evaluation warn, converged or not
+        monkeypatch.setattr(qspecial, "BRANCH_CUT_MARGIN", 4.0)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="branch cut"):
+                l_function(P_CIRC, 0.7)
+        assert len(l_quadratures) == 2
+        assert qspecial._l_memo == {}
+
+    def test_byte_bound_evicts_oldest_first(self, l_quadratures, monkeypatch):
+        # one 8-point entry holds 2 * 8 * 16 bytes (key bytes plus values)
+        monkeypatch.setattr(qspecial, "L_MEMO_MAX_BYTES", 3 * 256)
+        grids = [np.linspace(0.1, 1.0, 8) * (k + 1) for k in range(4)]
+        want = [l_function(P_CIRC, g) for g in grids]
+        assert len(qspecial._l_memo) == 3
+        assert qspecial._l_memo_bytes == 3 * 256
+        assert len(l_quadratures) == 4
+        assert l_function(P_CIRC, grids[3]).tobytes() == want[3].tobytes()
+        assert len(l_quadratures) == 4
+        assert l_function(P_CIRC, grids[0]).tobytes() == want[0].tobytes()
+        assert len(l_quadratures) == 5  # grids[0] was the oldest, evicted
+
+    def test_oversized_result_is_not_stored(self, l_quadratures, monkeypatch):
+        # ETA's entry needs 2 * 3 * 16 = 96 bytes
+        monkeypatch.setattr(qspecial, "L_MEMO_MAX_BYTES", 95)
+        l_function(P_CIRC, self.ETA)
+        l_function(P_CIRC, self.ETA)
+        assert len(l_quadratures) == 2
+        assert qspecial._l_memo == {} and qspecial._l_memo_bytes == 0
 
 
 class TestNormConstant:

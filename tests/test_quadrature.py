@@ -5,6 +5,7 @@ from suq2.quadrature import (
     PlaneIntegral,
     QuadratureConfig,
     angular_node_count,
+    gauss_legendre,
     integrate_plane,
     radial_integral,
     radial_rule,
@@ -82,6 +83,16 @@ def test_radial_rule_weights_positive():
     rho, w = radial_rule(32)
     assert np.all(w > 0)
     assert np.all(np.diff(rho) > 0)
+
+
+def test_gauss_legendre_cached_read_only_and_exact():
+    s, w = gauss_legendre(24)
+    assert gauss_legendre(24)[0] is s
+    assert not s.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+    s_ref, w_ref = np.polynomial.legendre.leggauss(24)
+    assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
 
 
 def test_returns_named_tuple():
