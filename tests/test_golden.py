@@ -1,11 +1,15 @@
 """Golden CLI outputs: every byte except runtime_ms must match the recording.
 
-The files under tests/golden/ were written by the CLI before l_function
-memoized its results and before the Gauss-Legendre rules were cached, so
-this test proves those caches change no printed number.  Regenerate a file
-only for a deliberate change of output, with
+Each file under tests/golden/ was written by the CLI before the source
+change it guards (the l_function memo and cached Gauss-Legendre rules, then
+the merge of the duplicated evaluators), so this test proves those changes
+alter no printed number.  Running
 
     PYTHONPATH=src python tests/test_golden.py
+
+writes only the recordings that do not exist yet; an existing file is never
+overwritten.  To re-record one after a deliberate change of output, delete
+it first.
 """
 import contextlib
 import io
@@ -24,6 +28,26 @@ CASES = {
     "eval_L_tau0.2.csv": ["eval", "--fn", "L", "--tau", "0.2", "--grid", "0.25:4:7"],
     "eval_Q_J0.5_tau-0.3.csv": ["eval", "--fn", "Q", "--J", "0.5", "--tau", "-0.3",
                                 "--grid", "0.25:4:7"],
+    "gram_N0_Jmax2_q1.2.csv": ["gram", "--N", "0", "--J-max", "2", "--q", "1.2"],
+    "gram_N0.5_Jmax1.5_tau0.2.json": ["gram", "--N", "0.5", "--J-max", "1.5", "--tau", "0.2",
+                                      "--format", "json"],
+    "verify_all_q1.2.json": ["verify", "--suite", "all", "--q", "1.2"],
+    "verify_all_q0.7_N0.5_Jmax2.5.json": ["verify", "--suite", "all", "--q", "0.7",
+                                          "--N", "0.5", "--J-max", "2.5"],
+    "verify_all_tau0.25_Jmax1.5.json": ["verify", "--suite", "all", "--tau", "0.25",
+                                        "--J-max", "1.5"],
+    "verify_ladder_tau0.2_Jmax1.5_tol1e-9.json": ["verify", "--suite", "ladder", "--tau", "0.2",
+                                                  "--J-max", "1.5", "--tol", "1e-9"],
+    "verify_funceq_q0.8_J1.5.json": ["verify", "--suite", "funceq", "--q", "0.8", "--J", "1.5"],
+    "verify_limit_q1.2_tol0.5.json": ["verify", "--suite", "limit", "--q", "1.2", "--tol", "0.5"],
+    "verify_hermiticity_q1.3_N0.5_seed3.json": ["verify", "--suite", "hermiticity", "--q", "1.3",
+                                                "--N", "0.5", "--seed", "3"],
+    "eval_R_J2_M1_N0_q1.5.csv": ["eval", "--fn", "R", "--J", "2", "--M", "1", "--N", "0",
+                                 "--q", "1.5", "--grid", "0.25:4:7"],
+    "eval_psi_J1.5_M0.5_N0.5_tau0.2.csv": ["eval", "--fn", "psi", "--J", "1.5", "--M", "0.5",
+                                           "--N", "0.5", "--tau", "0.2", "--grid", "0.25:3:7"],
+    "eval_vilenkin_J2_M1_N0_q1.5.csv": ["eval", "--fn", "vilenkin", "--J", "2", "--M", "1",
+                                        "--N", "0", "--q", "1.5", "--grid=-0.8:0.8:7"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
@@ -46,4 +70,7 @@ def test_output_matches_golden(name):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN_DIR / name).write_text(render(argv))
+        path = GOLDEN_DIR / name
+        if not path.exists():
+            path.write_text(render(argv))
+            print(f"recorded {path}")
