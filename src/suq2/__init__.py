@@ -40,6 +40,7 @@ from .qops import (
 )
 from .qspecial import (
     QFunctionMethod,
+    default_construction,
     l_function,
     norm_constant,
     psi,
@@ -64,7 +65,7 @@ from .suites import SUITE_NAMES, Case, run_suite
 __all__ = [
     "HalfInt", "QParam", "Regime", "check_not_root_of_unity",
     "inv_q_factorial", "m_values", "q_factorial", "q_number", "validate_triple",
-    "QFunctionMethod", "l_function", "norm_constant", "psi",
+    "QFunctionMethod", "default_construction", "l_function", "norm_constant", "psi",
     "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
     "r_polynomial", "vilenkin",
     "PlaneIntegral", "QuadratureConfig", "angular_node_count",

@@ -59,11 +59,17 @@ def _grid(args, flag: str) -> np.ndarray:
             raise SystemExit(_fail("--grid must be lo:hi:n with numeric fields"))
         if n < 1:
             raise SystemExit(_fail("--grid needs n >= 1"))
-        return np.linspace(lo, hi, n)
-    value = getattr(args, flag, None)
-    if value is None:
-        raise SystemExit(_fail(f"--fn {args.fn} needs --{flag} or --grid"))
-    return np.array([value], dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite ends: rejected below
+            pts = np.linspace(lo, hi, n)
+        source = "--grid"
+    else:
+        value = getattr(args, flag, None)
+        if value is None:
+            raise SystemExit(_fail(f"--fn {args.fn} needs --{flag} or --grid"))
+        pts, source = np.array([value], dtype=float), f"--{flag}"
+    if not np.all(np.isfinite(pts)):
+        raise SystemExit(_fail(f"{source} must give finite points"))
+    return pts
 
 
 def _require(args, *flags):

@@ -109,6 +109,16 @@ def _mode(f: PlaneFamily) -> Optional[int]:
     return (M + N).to_int()
 
 
+def _term_sum(kind: InnerProductKind, terms, f: PlaneFamily, g: PlaneFamily, u, v, eta):
+    """The form's integrand: sum over terms of conj(bra f) * weight * scaled ket g."""
+    acc = 0
+    for t in terms:
+        acc = acc + (np.conj(f(t.bra_p, u, v))
+                     * _weight(t, kind, eta)
+                     * g(t.ket_p, t.ket_scale * u, t.ket_scale * v))
+    return acc
+
+
 def inner(kind: InnerProductKind, f: PlaneFamily, g: PlaneFamily, p: QParam,
           cfg: QuadratureConfig = QuadratureConfig()) -> complex:
     """Sesquilinear form <f|g> of the given kind on the physical slice.
@@ -125,25 +135,13 @@ def inner(kind: InnerProductKind, f: PlaneFamily, g: PlaneFamily, p: QParam,
             return 0.0  # exact angular orthogonality
 
         def profile(rho):
-            acc = 0
-            for t in terms:
-                eta = rho ** 2
-                acc = acc + (np.conj(f(t.bra_p, rho, rho))
-                             * _weight(t, kind, eta)
-                             * g(t.ket_p, t.ket_scale * rho, t.ket_scale * rho))
-            return acc
+            return _term_sum(kind, terms, f, g, rho, rho, rho ** 2)
         return scale * 2.0 * math.pi * radial_integral(profile, cfg).value
 
     def integrand(rho, phi):
         u = rho * np.exp(1j * phi)
         v = rho * np.exp(-1j * phi)
-        eta = (rho ** 2) * np.ones_like(phi)
-        acc = 0
-        for t in terms:
-            acc = acc + (np.conj(f(t.bra_p, u, v))
-                         * _weight(t, kind, eta)
-                         * g(t.ket_p, t.ket_scale * u, t.ket_scale * v))
-        return acc
+        return _term_sum(kind, terms, f, g, u, v, (rho ** 2) * np.ones_like(phi))
     return scale * integrate_plane(integrand, cfg).value
 
 
@@ -214,26 +212,3 @@ def hermitian_symmetry_residual(f: PlaneFamily, g: PlaneFamily, p: QParam,
                                 cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """|conj(<f|g>) - <g|f>|."""
     return abs(np.conj(inner(kind, f, g, p, cfg)) - inner(kind, g, f, p, cfg))
-
-
-def observed_decay_rate(kind: InnerProductKind, f: PlaneFamily, p: QParam,
-                        rho_lo: float = 20.0, rho_hi: float = 200.0) -> float:
-    """Log-log slope of the norm integrand of f at large radius.
-
-    Convergence of the deformed radial integrals for half-integer J on the
-    circle is not guaranteed a priori; this measures the actual decay so it
-    can be reported (slope < -2 means the rho-measure integral converges).
-    """
-    _check_kind(kind, p)
-    terms = _terms(kind, p)
-
-    def density(rho):
-        acc = 0
-        for t in terms:
-            eta = rho ** 2
-            acc = acc + (np.conj(f(t.bra_p, rho, rho))
-                         * _weight(t, kind, eta)
-                         * f(t.ket_p, t.ket_scale * rho, t.ket_scale * rho))
-        return np.abs(acc)
-    lo, hi = density(rho_lo), density(rho_hi)
-    return float(np.log(hi / lo) / np.log(rho_hi / rho_lo))

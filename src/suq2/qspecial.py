@@ -39,6 +39,7 @@ L_ABS_TOL = 1e-12
 PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
 PRODUCT_MAX_FACTORS = 100_000
+POLE_TOL = 1e-300            # a product factor this small is a pole of Q
 BRANCH_CUT_MARGIN = 1e-6
 L_MEMO_MAX_BYTES = 4 * 2**20
 
@@ -62,25 +63,30 @@ def _ret(arr, scalar):
     return arr.item() if scalar else arr
 
 
-def r_polynomial(J, M, N, p: QParam, eta):
-    """Terminating k-sum with q-factorial coefficients; polynomial in eta.
+def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
+    """Yield (k, c_k) of the R k-sum, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
 
-    Term k carries [J-N]![J-M]!(-eta)^k / ([k]![J-M-k]![J-N-k]![M+N+k]!);
-    the range k = max(0, -(M+N)) .. min(J-M, J-N) is exactly where no
+    The range k = max(0, -(M+N)) .. min(J-M, J-N) is exactly where no
     inverse factorial vanishes.
     """
+    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
+    lead = q_factorial(jn, p) * q_factorial(jm, p)
+    for k in range(max(0, -mn), min(jm, jn) + 1):
+        yield k, (lead
+                  * inv_q_factorial(k, p)
+                  * inv_q_factorial(jm - k, p)
+                  * inv_q_factorial(jn - k, p)
+                  * inv_q_factorial(mn + k, p))
+
+
+def r_polynomial(J, M, N, p: QParam, eta):
+    """Terminating k-sum sum_k c_k (-eta)^k with q-factorial coefficients
+    (see _r_coefficients); polynomial in eta."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
-    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
     arr, scalar = _as_complex(eta)
-    lead = q_factorial(jn, p) * q_factorial(jm, p)
     out = np.zeros_like(arr)
-    for k in range(max(0, -mn), min(jm, jn) + 1):
-        c = (lead
-             * inv_q_factorial(k, p)
-             * inv_q_factorial(jm - k, p)
-             * inv_q_factorial(jn - k, p)
-             * inv_q_factorial(mn + k, p))
+    for k, c in _r_coefficients(J, M, N, p):
         out = out + c * (-arr) ** k
     return _ret(out, scalar)
 
@@ -94,7 +100,7 @@ def q_finite_product(J, p: QParam, eta):
     out = np.ones_like(arr)
     for k in range(J.to_int()):
         factor = 1.0 + arr * p.power(-2 * J.to_int() + 2 * k)
-        if np.any(np.abs(factor) < 1e-300):
+        if np.any(np.abs(factor) < POLE_TOL):
             raise ValueError(f"finite-product pole: factor k={k} vanishes")
         out = out / factor
     return _ret(out, scalar)
@@ -121,7 +127,7 @@ def q_infinite_product(J, p: QParam, eta):
         else:
             num = 1.0 + arr * q ** (-2 * Jf - 2 * k - 2)
             den = 1.0 + arr * q ** (-2 * k - 2)
-        if np.any(np.abs(den) < 1e-300):
+        if np.any(np.abs(den) < POLE_TOL):
             raise ValueError(f"infinite-product pole in factor k={k}")
         factor = num / den
         out = out * factor
@@ -212,6 +218,8 @@ def _l_quadrature(p: QParam, flat, abs_tol):
     alpha = abs(tau) / math.pi
     sigma = 1.0 if tau > 0 else -1.0
     amax = float(np.max(np.abs(flat))) if flat.size else 0.0
+    if not math.isfinite(amax):
+        raise ValueError("l_function needs finite eta")
     if amax == 0.0:
         return np.zeros_like(flat), False
 
@@ -243,10 +251,14 @@ def _l_quadrature(p: QParam, flat, abs_tol):
 
 
 def q_integral_exp(J, p: QParam, eta):
-    """Q on the circle: exp of L at two rotated arguments, any half-integer J."""
+    """Q on the circle: exp of L at two rotated arguments, any half-integer J;
+    valid only for (2J+1)|tau| < pi, past which it fails the functional equation."""
     J = HalfInt.of(J)
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("integral-exponential construction needs the unit-circle regime")
+    if (J.twice + 1) * abs(p.value) >= math.pi:
+        raise ValueError(f"integral-exponential construction for J={J} needs "
+                         f"(2J+1)|tau| < pi, got tau={p.value!r}")
     arr, scalar = _as_complex(eta)
     shift = p.power(-(2.0 * float(J) + 1.0))
     la = l_function(p, shift * arr)
@@ -254,24 +266,28 @@ def q_integral_exp(J, p: QParam, eta):
     return _ret(np.exp(np.asarray(la - lb, dtype=complex)), scalar)
 
 
-def q_function(J, p: QParam, eta, method: QFunctionMethod | None = None):
-    """Dispatch the Q construction for (J, p), or force one explicitly.
+def default_construction(J, p: QParam) -> QFunctionMethod | None:
+    """The Q construction q_function runs for (J, p) unless one is forced:
+    finite product for integer J, else infinite product (real q) or integral
+    exponential (circle q); None classically, where Q is (1+eta)^(-J)."""
+    if p.regime is Regime.CLASSICAL:
+        return None
+    if HalfInt.of(J).is_integer():
+        return QFunctionMethod.FINITE_PRODUCT
+    if p.regime is Regime.POSITIVE_REAL:
+        return QFunctionMethod.INFINITE_PRODUCT
+    return QFunctionMethod.INTEGRAL_EXP
 
-    Default dispatch: classical regime -> (1+eta)^(-J); integer J -> finite
-    product; half-integer J -> infinite product (real q) or integral
-    exponential (circle q).
-    """
+
+def q_function(J, p: QParam, eta, method: QFunctionMethod | None = None):
+    """Evaluate Q_J by the construction `method`, default_construction(J, p)
+    when it is None."""
     J = HalfInt.of(J)
     if method is None:
-        if p.regime is Regime.CLASSICAL:
+        method = default_construction(J, p)
+        if method is None:
             arr, scalar = _as_complex(eta)
             return _ret((1.0 + arr) ** (-float(J)), scalar)
-        if J.is_integer():
-            method = QFunctionMethod.FINITE_PRODUCT
-        elif p.regime is Regime.POSITIVE_REAL:
-            method = QFunctionMethod.INFINITE_PRODUCT
-        else:
-            method = QFunctionMethod.INTEGRAL_EXP
     if p.regime is Regime.CLASSICAL:
         raise ValueError("explicit constructions do not apply to the classical regime")
     if method is QFunctionMethod.FINITE_PRODUCT:
@@ -302,22 +318,6 @@ def norm_constant(J, M, N, p: QParam) -> float:
     return math.sqrt(rad1) * math.sqrt(rad2) / math.sqrt(2.0 * math.pi)
 
 
-def _psi_poly(J, M, N, p, u_arr, v_arr):
-    # R(eta) * v^(M+N) expanded as sum_k c_k u^k v^(k+M+N); both exponents are
-    # nonnegative over the k range, so the result is polynomial and finite at 0.
-    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    lead = q_factorial(jn, p) * q_factorial(jm, p)
-    out = np.zeros_like(u_arr)
-    for k in range(max(0, -mn), min(jm, jn) + 1):
-        c = (lead * (-1.0) ** k
-             * inv_q_factorial(k, p)
-             * inv_q_factorial(jm - k, p)
-             * inv_q_factorial(jn - k, p)
-             * inv_q_factorial(mn + k, p))
-        out = out + c * u_arr ** k * v_arr ** (k + mn)
-    return out
-
-
 def psi(J, M, N, p: QParam, u, v):
     """Basis function on the plane at independent arguments (u, v).
 
@@ -331,7 +331,13 @@ def psi(J, M, N, p: QParam, u, v):
     nc = norm_constant(J, M, N, p)
     phase = p.power(-float(N) * float(M) / 2.0)
     qval = q_function(J, p, u_arr * v_arr)
-    out = nc * phase * qval * _psi_poly(J, M, N, p, u_arr, v_arr)
+    # R(eta) v^(M+N) expanded as sum_k (-1)^k c_k u^k v^(k+M+N): both exponents
+    # are nonnegative over the k range, so psi is polynomial and finite at 0
+    mn = (M + N).to_int()
+    poly = np.zeros_like(u_arr)
+    for k, c in _r_coefficients(J, M, N, p):
+        poly = poly + (-c if k % 2 else c) * u_arr ** k * v_arr ** (k + mn)
+    out = nc * phase * qval * poly
     return _ret(np.asarray(out, dtype=complex), u_scalar and v_scalar)
 
 

@@ -77,48 +77,42 @@ def angular_node_count(j_max) -> int:
     return 2 * j_max.twice + 2
 
 
-def integrate_plane(g: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
-    """int_0^inf int_0^2pi g(rho, phi) rho drho dphi with node-doubling control.
-
-    g must broadcast over numpy arrays of (rho, phi).  The radial node count
-    doubles per refinement until successive values differ by < cfg.abs_tol;
-    the last difference is reported as the error estimate.
+def _refine(estimate: Callable, cfg: QuadratureConfig, what: str) -> PlaneIntegral:
+    """Double the radial nodes fed to estimate(rho, w) until successive values
+    differ by < cfg.abs_tol; the last difference is the error estimate.
 
     max_refinements = 0 evaluates a single fixed-node rule with no
     convergence control (error reported as inf); used for deliberate
     coarse/fine comparisons.
     """
-    phi = np.arange(cfg.angular_nodes) * (2.0 * np.pi / cfg.angular_nodes)
-    w_phi = 2.0 * np.pi / cfg.angular_nodes
     prev = None
     for level in range(cfg.max_refinements + 1):
-        rho, w_rho = radial_rule(cfg.radial_nodes * 2 ** level)
+        est = estimate(*radial_rule(cfg.radial_nodes * 2 ** level))
+        if cfg.max_refinements == 0:
+            return PlaneIntegral(est, float("inf"))
+        if prev is not None:
+            err = abs(est - prev)
+            if err < cfg.abs_tol:
+                return PlaneIntegral(est, err)
+        prev = est
+    raise RuntimeError(f"{what} did not converge within max_refinements")
+
+
+def integrate_plane(g: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
+    """int_0^inf int_0^2pi g(rho, phi) rho drho dphi by _refine, the angular
+    trapezoid fixed; g must broadcast over numpy arrays of (rho, phi)."""
+    phi = np.arange(cfg.angular_nodes) * (2.0 * np.pi / cfg.angular_nodes)
+    w_phi = 2.0 * np.pi / cfg.angular_nodes
+
+    def estimate(rho, w_rho):
         # broadcast_to handles phi-independent g returning shape (n, 1)
         vals = np.broadcast_to(np.asarray(g(rho[:, None], phi[None, :]), dtype=complex),
                                (rho.size, phi.size))
-        est = complex(w_rho @ vals.sum(axis=1) * w_phi)
-        if cfg.max_refinements == 0:
-            return PlaneIntegral(est, float("inf"))
-        if prev is not None:
-            err = abs(est - prev)
-            if err < cfg.abs_tol:
-                return PlaneIntegral(est, err)
-        prev = est
-    raise RuntimeError("plane integral did not converge within max_refinements")
+        return complex(w_rho @ vals.sum(axis=1) * w_phi)
+    return _refine(estimate, cfg, "plane integral")
 
 
 def radial_integral(F: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
-    """int_0^inf F(rho) rho drho under the same refinement control
-    (including the max_refinements = 0 single-shot convention)."""
-    prev = None
-    for level in range(cfg.max_refinements + 1):
-        rho, w = radial_rule(cfg.radial_nodes * 2 ** level)
-        est = complex(w @ np.asarray(F(rho), dtype=complex))
-        if cfg.max_refinements == 0:
-            return PlaneIntegral(est, float("inf"))
-        if prev is not None:
-            err = abs(est - prev)
-            if err < cfg.abs_tol:
-                return PlaneIntegral(est, err)
-        prev = est
-    raise RuntimeError("radial integral did not converge within max_refinements")
+    """int_0^inf F(rho) rho drho under the same node doubling as integrate_plane."""
+    return _refine(lambda rho, w: complex(w @ np.asarray(F(rho), dtype=complex)),
+                   cfg, "radial integral")

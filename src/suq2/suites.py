@@ -32,7 +32,7 @@ from .qops import (
     psi_family,
     with_fixed_param,
 )
-from .qspecial import q_function, vilenkin
+from .qspecial import QFunctionMethod, default_construction, q_function, vilenkin
 from .quadrature import QuadratureConfig
 
 MATRIX_TOL = 1e-12
@@ -47,8 +47,17 @@ LIMIT_SHRINK_TOL = 1.0       # residual is 8*d(h/10)/d(h); < 1 means at least li
 LIMIT_DEVIATION_TOL = 1e-5
 VILENKIN_LIMIT_TOL = 1e-6
 
-SUITE_NAMES = ("matrix", "ladder", "casimir", "funceq", "hermiticity",
-               "gram", "limit", "all")
+# the run_suite arguments that each suite_<name> takes
+_SUITE_ARGS = {
+    "matrix": ("p", "j_max", "tol"),
+    "ladder": ("p", "j_max", "seed", "tol"),
+    "casimir": ("p", "j_max", "seed", "tol"),
+    "funceq": ("p", "j_list", "tol"),
+    "hermiticity": ("p", "j_max", "N", "seed", "tol", "cfg"),
+    "gram": ("p", "N", "j_list", "j_max", "tol", "cfg"),
+    "limit": ("cfg",),
+}
+SUITE_NAMES = (*_SUITE_ARGS, "all")
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), n_eta: int = 25,
         lhs = np.asarray(q_function(J, p, p.power(2) * eta), complex) * (1 + eta)
         rhs = qv * (1 + p.power(-2.0 * float(J)) * eta)
         residual = float(np.max(np.abs(lhs - rhs) / np.abs(qv)))
-        integral_route = (p.regime is Regime.UNIT_CIRCLE and not J.is_integer())
+        integral_route = default_construction(J, p) is QFunctionMethod.INTEGRAL_EXP
         case_tol = tol if tol is not None else (
             FUNCEQ_TOL_INTEGRAL if integral_route else FUNCEQ_TOL_PRODUCT)
         cases.append(Case(f"funceq J={J}", residual, case_tol))
@@ -289,42 +298,40 @@ def suite_limit(h_values=(1e-3, 1e-4),
     return cases
 
 
+# `all` in report order: (suite, j_max pinned whatever --J-max says or None,
+# the regime the suite is skipped in or None)
+_ALL = (
+    ("matrix", None, None),
+    ("funceq", None, Regime.CLASSICAL),
+    ("ladder", 3, Regime.CLASSICAL),
+    ("casimir", 3, Regime.CLASSICAL),
+    ("hermiticity", 2, Regime.CLASSICAL),
+    ("gram", None, None),
+    ("limit", None, Regime.UNIT_CIRCLE),
+)
+
+
+def _dispatch(name: str, **given) -> list:
+    # looked up by name at call time, so a rebound suite function is the one
+    # that runs; a None argument leaves the suite's own default in place
+    fn = globals()[f"suite_{name}"]
+    return fn(**{k: given[k] for k in _SUITE_ARGS[name] if given.get(k) is not None})
+
+
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
               seed: int = 0, tol: Optional[float] = None,
               cfg: QuadratureConfig = QuadratureConfig()) -> list:
-    """Dispatch a named suite with CLI-level defaults."""
-    if name == "matrix":
-        kw = {} if tol is None else {"tol": tol}
-        return suite_matrix(p, j_max if j_max is not None else 4.5, **kw)
-    if name == "ladder":
-        kw = {} if tol is None else {"tol": tol}
-        return suite_ladder(p, j_max if j_max is not None else 3, seed=seed, **kw)
-    if name == "casimir":
-        kw = {} if tol is None else {"tol": tol}
-        return suite_casimir(p, j_max if j_max is not None else 3, seed=seed, **kw)
-    if name == "funceq":
-        jl = j_list if j_list is not None else (0, 0.5, 1, 1.5, 2)
-        return suite_funceq(p, jl, tol=tol)
-    if name == "hermiticity":
-        kw = {} if tol is None else {"tol": tol}
-        return suite_hermiticity(p, j_max if j_max is not None else 2, N=N,
-                                 seed=seed, cfg=cfg, **kw)
-    if name == "gram":
-        kw = {} if tol is None else {"tol": tol}
-        return suite_gram(p, N=N, j_list=j_list,
-                          j_max=j_max if j_max is not None else 2, cfg=cfg, **kw)
-    if name == "limit":
-        return suite_limit(cfg=cfg)
+    """Run a named suite; each argument left None takes the suite's default.
+
+    `all` runs every suite that applies to the regime (see _ALL) without
+    j_list or tol.
+    """
     if name == "all":
         cases = []
-        cases += suite_matrix(p, j_max if j_max is not None else 4.5)
-        if p.regime is not Regime.CLASSICAL:
-            cases += suite_funceq(p)
-            cases += suite_ladder(p, 3, seed=seed)
-            cases += suite_casimir(p, 3, seed=seed)
-            cases += suite_hermiticity(p, 2, N=N, seed=seed, cfg=cfg)
-        cases += suite_gram(p, N=N, j_max=j_max if j_max is not None else 2, cfg=cfg)
-        if p.regime is not Regime.UNIT_CIRCLE:
-            cases += suite_limit(cfg=cfg)
+        for sub, pinned, skip in _ALL:
+            if p.regime is not skip:
+                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed, cfg=cfg)
         return cases
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name not in _SUITE_ARGS:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol, cfg=cfg)

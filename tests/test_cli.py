@@ -130,6 +130,26 @@ class TestEvalErrors:
                               "--eta", "1"], capsys)
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--fn", "R", "--J", "1", "--M", "0", "--N", "0", "--q", "2", "--eta", "nan"],
+        ["--fn", "psi", "--J", "1", "--M", "0", "--N", "0", "--tau", "0.2", "--rho", "nan"],
+        ["--fn", "vilenkin", "--J", "1", "--M", "0", "--N", "0", "--q", "2", "--xi", "nan"],
+        ["--fn", "qnum", "--q", "2", "--x", "inf"],
+        ["--fn", "Q", "--J", "0.5", "--q", "2", "--eta", "nan"],
+        ["--fn", "L", "--tau", "0.2", "--eta=-inf"],
+        ["--fn", "R", "--J", "1", "--M", "0", "--N", "0", "--q", "2", "--grid", "0:inf:3"],
+        ["--fn", "Q", "--J", "1", "--q", "2", "--grid", "nan:1:2"],
+    ])
+    def test_non_finite_point_rejected(self, argv, capsys):
+        code, out, err = run(["eval"] + argv, capsys)
+        assert code == 2 and out == "" and "must give finite points" in err
+
+    def test_q_outside_circle_sector_rejected(self, capsys):
+        # (2J+1)|tau| = 4 > pi: the integral construction does not hold there
+        code, out, err = run(["eval", "--fn", "Q", "--J", "0.5", "--tau", "2.0",
+                              "--eta", "1"], capsys)
+        assert code == 2 and out == "" and "tau" in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

@@ -13,7 +13,6 @@ from suq2.qinner import (
     hermitian_symmetry_residual,
     inner,
     kind_for,
-    observed_decay_rate,
 )
 from suq2.qops import (
     PlaneFamily,
@@ -201,9 +200,3 @@ class TestClassicalLimit:
             # least linear shrink so the test does not over-claim the order
             assert d2 < d1 / 8
             assert d1 < 1e-5
-
-
-class TestDecayReport:
-    def test_circle_half_integer_integrand_decays(self):
-        rate = observed_decay_rate(K.DEFORMED_CIRCLE, psi_family(0.5, 0.5, 0.5), P_CIRC)
-        assert rate < -2.0  # rho-measure integral converges

@@ -151,6 +151,45 @@ class TestQConstructions:
         assert abs(v) < 1e-6
 
 
+class TestCircleSector:
+    """The integral construction holds only for (2J+1)|tau| < pi.  Past the
+    edge it used to return values off the functional equation by ~1e2."""
+
+    # (J, tau) just past the edge, and the edge itself: (2J+1)|tau| >= pi
+    OUTSIDE = [(0.5, 1.7), (0.5, 2.0), (0.5, -2.5), (1.5, 1.4), (0.5, math.pi / 2)]
+    INSIDE = [(0.5, 1.4), (1.5, 0.75), (2.5, 0.46)]
+
+    @pytest.mark.parametrize("J,tau", OUTSIDE)
+    def test_default_route_rejects_outside(self, J, tau):
+        with pytest.raises(ValueError, match="tau"):
+            q_function(J, QParam.unit_circle(tau), ETA_GRID)
+
+    @pytest.mark.parametrize("J,tau", OUTSIDE)
+    def test_vilenkin_rejects_outside(self, J, tau):
+        with pytest.raises(ValueError, match="tau"):
+            vilenkin(J, 0.5, 0.5, QParam.unit_circle(tau), np.linspace(-0.5, 0.5, 5))
+
+    @pytest.mark.parametrize("J,tau", [(1, 1.1), (2, -0.7)])
+    def test_forced_integral_rejects_outside_for_integer_j(self, J, tau):
+        p = QParam.unit_circle(tau)
+        with pytest.raises(ValueError, match="tau"):
+            q_function(J, p, ETA_GRID, QFunctionMethod.INTEGRAL_EXP)
+        # the finite product itself holds for every tau
+        assert np.all(np.isfinite(np.asarray(q_function(J, p, ETA_GRID))))
+
+    @pytest.mark.parametrize("J,tau", INSIDE)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_functional_equation_inside(self, J, tau, sign):
+        assert funceq_residual(J, QParam.unit_circle(sign * tau), ETA_GRID) < FUNCEQ_TOL_INTEGRAL
+
+    @pytest.mark.parametrize("J,tau", [(1, 0.9), (1, -0.7), (2, 0.5), (2, -0.1)])
+    def test_forced_integral_matches_finite_inside(self, J, tau):
+        p = QParam.unit_circle(tau)
+        a = np.asarray(q_function(J, p, ETA_GRID, QFunctionMethod.FINITE_PRODUCT))
+        b = np.asarray(q_function(J, p, ETA_GRID, QFunctionMethod.INTEGRAL_EXP))
+        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
+
+
 # independently computed with mpmath.quad at 30 digits on the raw contour
 # integral Int_0^inf log(1 + sqrt(t)) / (t (1+t)) dt / (2 pi i):
 L_GOLDEN_TAU = math.pi / 2
@@ -165,6 +204,12 @@ class TestLFunction:
 
     def test_zero_argument(self):
         assert l_function(P_CIRC, 0.0) == 0
+
+    @pytest.mark.parametrize("eta", [np.inf, np.nan, [1.0, -np.inf], complex(1.0, np.nan)])
+    def test_non_finite_argument_rejected(self, eta):
+        # an infinite argument used to send the panel breaks into an endless loop
+        with pytest.raises(ValueError, match="finite"):
+            l_function(P_CIRC, eta)
 
     @pytest.mark.parametrize("tau", [math.pi / 5, -math.pi / 5, 0.45 * math.pi, -0.45 * math.pi])
     @pytest.mark.parametrize("eta", [0.3, 1.0, 4.0])

@@ -208,6 +208,20 @@ class TestRunSuite:
         assert "vilenkin" not in names and "inner limit" not in names
         assert "matrix" in names and "funceq" in names
 
+    def test_dispatch_resolves_suites_at_call_time(self, monkeypatch):
+        # a profiler that rebinds suites.suite_* must see every dispatched
+        # call, from a single suite and from `all` alike
+        from suq2 import suites
+        seen = []
+
+        def spy(p, j_max=4.5, tol=1e-12):
+            seen.append((j_max, tol))
+            return []
+        monkeypatch.setattr(suites, "suite_matrix", spy)
+        run_suite("matrix", P_CLASS, j_max=HalfInt.of(1), tol=0.5)
+        run_suite("all", P_CLASS, j_max=HalfInt.of(0))
+        assert seen == [(HalfInt.of(1), 0.5), (HalfInt.of(0), 1e-12)]
+
     def test_regime_attribute_consistency(self):
         assert P_CLASS.regime is Regime.CLASSICAL
         assert P_CIRC.regime is Regime.UNIT_CIRCLE
