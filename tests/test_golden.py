@@ -1,8 +1,8 @@
 """Golden CLI outputs: every byte except runtime_ms must match the recording.
 
 Each file under tests/golden/ was written by the CLI before the source
-change it guards (the l_function memo and cached Gauss-Legendre rules, then
-the merge of the duplicated evaluators), so this test proves those changes
+change it guards (the l_function memo and cached Gauss-Legendre rules, the
+merge of the duplicated evaluators, then the removal of unused options), so this test proves those changes
 alter no printed number.  Running
 
     PYTHONPATH=src python tests/test_golden.py
@@ -48,6 +48,13 @@ CASES = {
                                            "--N", "0.5", "--tau", "0.2", "--grid", "0.25:3:7"],
     "eval_vilenkin_J2_M1_N0_q1.5.csv": ["eval", "--fn", "vilenkin", "--J", "2", "--M", "1",
                                         "--N", "0", "--q", "1.5", "--grid=-0.8:0.8:7"],
+    "verify_all_q1.json": ["verify", "--suite", "all", "--q", "1"],
+    "verify_casimir_q0.8_Jmax2.json": ["verify", "--suite", "casimir", "--q", "0.8",
+                                       "--J-max", "2"],
+    "gram_N1_Jmax3_q0.9.csv": ["gram", "--N", "1", "--J-max", "3", "--q", "0.9"],
+    "eval_qfact_q1.3.csv": ["eval", "--fn", "qfact", "--q", "1.3", "--grid", "0:6:7"],
+    "eval_qnum_tau0.4.json": ["eval", "--fn", "qnum", "--tau", "0.4", "--grid=-2:2:9",
+                              "--format", "json"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
