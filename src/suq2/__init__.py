@@ -5,6 +5,7 @@ from .qcore import (
     Regime,
     check_not_root_of_unity,
     inv_q_factorial,
+    j_values,
     m_values,
     q_factorial,
     q_number,
@@ -27,14 +28,10 @@ from .qops import (
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
-    apply_q2h3,
     apply_q_h3_power,
     casimir_matrix,
     combine,
-    constant_family,
-    dilate,
     matrix_irrep,
-    monomial_family,
     psi_family,
     with_fixed_param,
 )
@@ -54,7 +51,6 @@ from .qspecial import (
 from .quadrature import (
     PlaneIntegral,
     QuadratureConfig,
-    angular_node_count,
     integrate_plane,
     radial_integral,
     radial_rule,
@@ -64,16 +60,14 @@ from .suites import SUITE_NAMES, Case, run_suite
 
 __all__ = [
     "HalfInt", "QParam", "Regime", "check_not_root_of_unity",
-    "inv_q_factorial", "m_values", "q_factorial", "q_number", "validate_triple",
+    "inv_q_factorial", "j_values", "m_values", "q_factorial", "q_number", "validate_triple",
     "QFunctionMethod", "default_construction", "l_function", "norm_constant", "psi",
     "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
     "r_polynomial", "vilenkin",
-    "PlaneIntegral", "QuadratureConfig", "angular_node_count",
-    "integrate_plane", "radial_integral", "radial_rule",
+    "PlaneIntegral", "QuadratureConfig", "integrate_plane", "radial_integral", "radial_rule",
     "IrrepMatrices", "PlaneFamily", "RealizationParams", "apply_casimir",
-    "apply_h_minus", "apply_h_plus", "apply_q2h3", "apply_q_h3_power",
-    "casimir_matrix", "combine", "constant_family", "dilate", "matrix_irrep",
-    "monomial_family", "psi_family", "with_fixed_param",
+    "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
+    "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",
     "GramReport", "InnerProductKind", "adjoint_residual", "b_one", "gram",
     "hermitian_symmetry_residual", "inner", "kind_for",
     "ReportDocument", "build_report",

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, q_factorial, q_number
+from .qcore import HalfInt, QParam, j_values, q_factorial, q_number
 from .qinner import gram as gram_matrix
 from .qinner import kind_for
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
@@ -21,11 +21,10 @@ from .quadrature import QuadratureConfig
 from .report import build_report
 from .suites import SUITE_NAMES, run_suite
 
-EVAL_FNS = ("qnum", "qfact", "R", "Q", "L", "vilenkin", "psi")
-
 # which flag supplies the evaluation variable for each function
 _POINT_FLAG = {"qnum": "x", "qfact": "x", "R": "eta", "Q": "eta", "L": "eta",
                "vilenkin": "xi", "psi": "rho"}
+EVAL_FNS = tuple(_POINT_FLAG)
 
 
 def _parse_half(text: str, flag: str) -> HalfInt:
@@ -162,7 +161,7 @@ def cmd_gram(args) -> int:
         j_list = [_parse_half(str(args.J), "--J")]
     else:
         j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else HalfInt.of(2)
-        j_list = [HalfInt(t) for t in range(abs(N.twice), j_max.twice + 1, 2)]
+        j_list = j_values(N, j_max)
     rep = gram_matrix(N, j_list, p, kind, _quad_config(args))
     labels = [f"{J}:{M}" for (J, M) in rep.labels]
     if args.format == "csv":
@@ -201,19 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "operators, and scalar products of the plane realization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes exactly the flags it reads
     def add_common(sp):
         sp.add_argument("--q", type=float, help="positive real q (1 = classical)")
         sp.add_argument("--tau", type=float, help="circle parameter tau, q = exp(i tau)")
         sp.add_argument("--J", type=float, default=None)
-        sp.add_argument("--M", type=float, default=None)
         sp.add_argument("--N", type=float, default=None)
+
+    def add_format(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
+
+    def add_tower(sp):
+        sp.add_argument("--J-max", type=float, default=None, dest="J_max")
         sp.add_argument("--radial-nodes", type=int, default=16, dest="radial_nodes")
         sp.add_argument("--angular-nodes", type=int, default=16, dest="angular_nodes")
 
     pe = sub.add_parser("eval", help="tabulate one function on a point or grid")
     add_common(pe)
+    add_format(pe)
+    pe.add_argument("--M", type=float, default=None)
     pe.add_argument("--fn", choices=EVAL_FNS, required=True)
     pe.add_argument("--x", type=float, default=None, help="argument for qnum/qfact")
     pe.add_argument("--eta", type=float, default=None)
@@ -224,14 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite, report JSON")
     add_common(pv)
+    add_tower(pv)
     pv.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    pv.add_argument("--J-max", type=float, default=None, dest="J_max")
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tol", type=float, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pg = sub.add_parser("gram", help="Gram matrix of a basis tower")
     add_common(pg)
-    pg.add_argument("--J-max", type=float, default=None, dest="J_max")
+    add_format(pg)
+    add_tower(pg)
     pg.set_defaults(func=cmd_gram)
     return parser
 

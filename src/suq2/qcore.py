@@ -77,14 +77,6 @@ class QParam:
             return complex(math.cos(t), math.sin(t))
         return complex(1.0)
 
-    def log(self) -> complex:
-        """Principal ln q: real for the real regime, i*tau on the circle, 0 classically."""
-        if self.regime is Regime.POSITIVE_REAL:
-            return complex(math.log(self.value))
-        if self.regime is Regime.UNIT_CIRCLE:
-            return complex(0.0, self.value)
-        return complex(0.0)
-
     def describe(self) -> dict:
         return {"regime": self.regime.value, "value": self.value}
 
@@ -145,6 +137,12 @@ def m_values(J: HalfInt) -> list:
     return [HalfInt(J.twice - 2 * k) for k in range(J.twice + 1)]
 
 
+def j_values(N, j_max) -> list:
+    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order."""
+    N, j_max = HalfInt.of(N), HalfInt.of(j_max)
+    return [HalfInt(t) for t in range(abs(N.twice), j_max.twice + 1, 2)]
+
+
 def q_number(x: float, p: QParam) -> float:
     """[x] = (q^x - q^-x)/(q - q^-1); sin(x tau)/sin(tau) on the circle; x classically."""
     x = float(x)
@@ -184,13 +182,13 @@ class DegeneracyCheck(NamedTuple):
     offending_n: Union[int, None]
 
 
-def check_not_root_of_unity(p: QParam, n_max: int, eps: float = EPS_DEGENERACY) -> DegeneracyCheck:
-    """Screen |[n]| > eps for 1 <= n <= n_max; only the circle regime can fail."""
+def check_not_root_of_unity(p: QParam, n_max: int) -> DegeneracyCheck:
+    """Screen |[n]| > EPS_DEGENERACY for 1 <= n <= n_max; only the circle regime can fail."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if p.regime is not Regime.UNIT_CIRCLE:
         return DegeneracyCheck(True, None)
     for n in range(1, n_max + 1):
-        if abs(q_number(n, p)) <= eps:
+        if abs(q_number(n, p)) <= EPS_DEGENERACY:
             return DegeneracyCheck(False, n)
     return DegeneracyCheck(True, None)

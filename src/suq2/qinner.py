@@ -190,15 +190,16 @@ def gram(N, J_list: Sequence, p: QParam, kind: InnerProductKind,
 
 
 def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam,
-                     kind: InnerProductKind, r: RealizationParams,
+                     r: RealizationParams,
                      cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual.
+    """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual, in
+    the scalar product kind_for(p).
 
     The H3 surrogate pairs q^(2H3) on the ket with its adjoint on the bra:
     itself in the real regime (the dilation is then symmetric), its inverse
     on the circle (the dilation is unitary there).
     """
-    _check_kind(kind, p)
+    kind = kind_for(p)
     r_plus = abs(inner(kind, f, apply_h_plus(g, r), p, cfg)
                  - inner(kind, apply_h_minus(f, r), g, p, cfg))
     bra_power = 2.0 if kind is InnerProductKind.DEFORMED_REAL else -2.0
@@ -208,7 +209,7 @@ def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam,
 
 
 def hermitian_symmetry_residual(f: PlaneFamily, g: PlaneFamily, p: QParam,
-                                kind: InnerProductKind,
                                 cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """|conj(<f|g>) - <g|f>|."""
+    """|conj(<f|g>) - <g|f>| in the scalar product kind_for(p)."""
+    kind = kind_for(p)
     return abs(np.conj(inner(kind, f, g, p, cfg)) - inner(kind, g, f, p, cfg))

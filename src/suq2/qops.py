@@ -14,6 +14,7 @@ with that inversion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,14 +53,6 @@ class RealizationParams:
             raise ValueError("dilation stencils need a deformed parameter (q != 1)")
 
 
-def constant_family(c) -> PlaneFamily:
-    return PlaneFamily(lambda p, u, v: c * np.ones_like(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
-
-
-def monomial_family(j: int, k: int) -> PlaneFamily:
-    return PlaneFamily(lambda p, u, v: np.asarray(u, complex) ** j * np.asarray(v, complex) ** k)
-
-
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
@@ -88,12 +81,6 @@ def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> Plane
             acc = acc + c * f(p, u, v)
         return acc
     return PlaneFamily(ev)
-
-
-def dilate(f: PlaneFamily, a: float, b: float) -> PlaneFamily:
-    """q^(a T + b Tbar): (u, v) -> f(q^a u, q^b v)."""
-    return PlaneFamily(lambda p, u, v: f(p, p.power(a) * np.asarray(u, complex),
-                                         p.power(b) * np.asarray(v, complex)))
 
 
 def _require_deformed(p: QParam):
@@ -147,10 +134,6 @@ def apply_q_h3_power(f: PlaneFamily, r: RealizationParams, a: float) -> PlaneFam
                            p.power(a) * np.asarray(v, complex)))
 
 
-def apply_q2h3(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
-    return apply_q_h3_power(f, r, 2.0)
-
-
 def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily:
     # [H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1)
     up = apply_q_h3_power(f, r, 1.0)
@@ -187,6 +170,18 @@ class IrrepMatrices:
     Hminus: np.ndarray
 
 
+def _ladder_coeff(J: HalfInt, M: HalfInt, sign: int, p: QParam) -> float:
+    """Matrix element of H+ (sign = +1) or H- (sign = -1) from M to M + sign:
+    sqrt([J - sign M][J + sign M + 1])."""
+    if sign > 0:
+        rad = q_number((J - M).to_int(), p) * q_number((J + M).to_int() + 1, p)
+    else:
+        rad = q_number((J + M).to_int(), p) * q_number((J - M).to_int() + 1, p)
+    if rad < 0:
+        raise ValueError(f"negative ladder radicand at M={M}")
+    return math.sqrt(rad)
+
+
 def matrix_irrep(J, p: QParam) -> IrrepMatrices:
     """Exact (2J+1)-dimensional ladder matrices, basis M = J, J-1, ..., -J.
 
@@ -208,15 +203,9 @@ def matrix_irrep(J, p: QParam) -> IrrepMatrices:
     hminus = np.zeros((dim, dim))
     for i, m in enumerate(ms):
         if i > 0:  # raising: M -> M+1 lives one row up
-            rad = q_number((J - m).to_int(), p) * q_number((J + m).to_int() + 1, p)
-            if rad < 0:
-                raise ValueError(f"negative ladder radicand at M={m}")
-            hplus[i - 1, i] = np.sqrt(rad)
+            hplus[i - 1, i] = _ladder_coeff(J, m, +1, p)
         if i < dim - 1:
-            rad = q_number((J + m).to_int(), p) * q_number((J - m).to_int() + 1, p)
-            if rad < 0:
-                raise ValueError(f"negative ladder radicand at M={m}")
-            hminus[i + 1, i] = np.sqrt(rad)
+            hminus[i + 1, i] = _ladder_coeff(J, m, -1, p)
     return IrrepMatrices(J, p, dim, tuple(ms), h3, hplus, hminus)
 
 

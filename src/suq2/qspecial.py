@@ -56,6 +56,8 @@ class QFunctionMethod(Enum):
 
 def _as_complex(x):
     arr = np.asarray(x, dtype=complex)
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
+        raise ValueError("arguments must be finite")
     return arr, arr.ndim == 0
 
 
@@ -156,7 +158,7 @@ def _low_breaks(alpha, u_max):
     return pts
 
 
-def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
+def l_function(p: QParam, eta):
     """Integral kernel L(eta) for unit-circle q = exp(i tau).
 
     Parameters
@@ -165,8 +167,6 @@ def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
         Must be in the unit-circle regime, tau in (-pi, 0) u (0, pi).
     eta : complex scalar or array
         Argument; complex values off the negative real axis are accepted.
-    abs_tol : float
-        Absolute tolerance of the node-doubling quadrature.
 
     Notes
     -----
@@ -175,12 +175,13 @@ def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
     negative tau).  Splitting at t = 1 and substituting t = exp(-u) and
     t = exp(+u) makes both halves analytic with exponentially decaying
     tails, so panelized Gauss nodes with global node doubling converge
-    geometrically; the raw split keeps an algebraic t^(tau/pi - 1)
-    endpoint singularity that defeats plain node doubling for small tau.
+    geometrically, to L_ABS_TOL between successive levels; the raw split
+    keeps an algebraic t^(tau/pi - 1) endpoint singularity that defeats
+    plain node doubling for small tau.
 
-    Results are memoized on the exact input: the key is (p, abs_tol,
-    eta's shape, eta's complex bytes), so p and p.inverse(), two
-    tolerances, or a scalar and a (1,)-shaped eta never share an entry.
+    Results are memoized on the exact input: the key is (p, eta's shape,
+    eta's complex bytes), so p and p.inverse(), or a scalar and a
+    (1,)-shaped eta, never share an entry.
     Every call returns a fresh copy, so callers may mutate it.  A result
     whose evaluation emitted the branch-cut warning is never stored, nor is
     a failed one, so the warning and the errors recur on every call.  The
@@ -190,10 +191,10 @@ def l_function(p: QParam, eta, abs_tol: float = L_ABS_TOL):
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
     arr, scalar = _as_complex(eta)
-    key = (p, abs_tol, arr.shape, arr.tobytes())
+    key = (p, arr.shape, arr.tobytes())
     val = _l_memo.get(key)
     if val is None:
-        val, warned = _l_quadrature(p, arr.reshape(-1), abs_tol)
+        val, warned = _l_quadrature(p, arr.reshape(-1))
         val = val.reshape(arr.shape)
         if not warned:
             _l_memo_store(key, val)
@@ -212,14 +213,12 @@ def _l_memo_store(key, val):
     _l_memo_bytes += size
 
 
-def _l_quadrature(p: QParam, flat, abs_tol):
+def _l_quadrature(p: QParam, flat):
     """L on the flat complex array; returns (values, whether it warned)."""
     tau = p.value
     alpha = abs(tau) / math.pi
     sigma = 1.0 if tau > 0 else -1.0
     amax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    if not math.isfinite(amax):
-        raise ValueError("l_function needs finite eta")
     if amax == 0.0:
         return np.zeros_like(flat), False
 
@@ -244,7 +243,7 @@ def _l_quadrature(p: QParam, flat, abs_tol):
         total = (np.log(arg1) / (1.0 + np.exp(-u1))[None, :]) @ w1 \
               + (np.log(arg2) / (1.0 + np.exp(u2))[None, :]) @ w2
         val = sigma * total / (2j * math.pi)
-        if prev is not None and np.max(np.abs(val - prev)) < abs_tol:
+        if prev is not None and np.max(np.abs(val - prev)) < L_ABS_TOL:
             return val, warned
         prev = val
     raise RuntimeError("l_function quadrature did not converge")
@@ -267,9 +266,9 @@ def q_integral_exp(J, p: QParam, eta):
 
 
 def default_construction(J, p: QParam) -> QFunctionMethod | None:
-    """The Q construction q_function runs for (J, p) unless one is forced:
-    finite product for integer J, else infinite product (real q) or integral
-    exponential (circle q); None classically, where Q is (1+eta)^(-J)."""
+    """The Q construction q_function runs for (J, p): finite product for
+    integer J, else infinite product (real q) or integral exponential
+    (circle q); None classically, where Q is (1+eta)^(-J)."""
     if p.regime is Regime.CLASSICAL:
         return None
     if HalfInt.of(J).is_integer():
@@ -279,17 +278,13 @@ def default_construction(J, p: QParam) -> QFunctionMethod | None:
     return QFunctionMethod.INTEGRAL_EXP
 
 
-def q_function(J, p: QParam, eta, method: QFunctionMethod | None = None):
-    """Evaluate Q_J by the construction `method`, default_construction(J, p)
-    when it is None."""
+def q_function(J, p: QParam, eta):
+    """Evaluate Q_J by the construction default_construction(J, p) picks."""
     J = HalfInt.of(J)
+    method = default_construction(J, p)
     if method is None:
-        method = default_construction(J, p)
-        if method is None:
-            arr, scalar = _as_complex(eta)
-            return _ret((1.0 + arr) ** (-float(J)), scalar)
-    if p.regime is Regime.CLASSICAL:
-        raise ValueError("explicit constructions do not apply to the classical regime")
+        arr, scalar = _as_complex(eta)
+        return _ret((1.0 + arr) ** (-float(J)), scalar)
     if method is QFunctionMethod.FINITE_PRODUCT:
         return q_finite_product(J, p, eta)
     if method is QFunctionMethod.INFINITE_PRODUCT:

@@ -17,8 +17,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qcore import HalfInt
-
 DEFAULT_ABS_TOL = 1e-10
 
 
@@ -66,15 +64,6 @@ def radial_rule(n: int):
     s, w = gauss_legendre(n)
     eta = (1.0 + s) / (1.0 - s)
     return np.sqrt(eta), w / (1.0 - s) ** 2
-
-
-def angular_node_count(j_max) -> int:
-    """Node count sufficient for exact angular integration of all basis-pair
-    integrands up to j_max (maximal Fourier degree 4*j_max)."""
-    j_max = HalfInt.of(j_max)
-    if j_max.twice < 0:
-        raise ValueError("j_max must be >= 0")
-    return 2 * j_max.twice + 2
 
 
 def _refine(estimate: Callable, cfg: QuadratureConfig, what: str) -> PlaneIntegral:

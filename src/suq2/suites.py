@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, m_values, q_number
+from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
 from .qinner import (
     InnerProductKind,
     adjoint_residual,
@@ -23,6 +23,7 @@ from .qinner import (
 )
 from .qops import (
     RealizationParams,
+    _ladder_coeff,
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
@@ -46,6 +47,11 @@ GRAM_TOL = 1e-6
 LIMIT_SHRINK_TOL = 1.0       # residual is 8*d(h/10)/d(h); < 1 means at least linear
 LIMIT_DEVIATION_TOL = 1e-5
 VILENKIN_LIMIT_TOL = 1e-6
+
+STENCIL_N_VALUES = (0, 0.5, 1)   # the N of each ladder and casimir case
+STENCIL_POINTS = 20              # off-axis sample points per ladder/casimir case
+FUNCEQ_ETA_POINTS = 25           # log grid eta in [1e-2, 1e2]
+LIMIT_STEPS = (1e-3, 1e-4)       # q = 1 + h for the q -> 1 limit
 
 # the run_suite arguments that each suite_<name> takes
 _SUITE_ARGS = {
@@ -105,27 +111,20 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
     return cases
 
 
-def _valid_n(J: HalfInt, n_list) -> list:
+def _valid_n(J: HalfInt) -> list:
     out = []
-    for N in n_list:
+    for N in STENCIL_N_VALUES:
         N = HalfInt.of(N)
         if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
             out.append(N)
     return out
 
 
-def _ladder_coeff(J, M, sign, p) -> float:
-    if sign > 0:
-        return math.sqrt(q_number((J - M).to_int(), p) * q_number((J + M).to_int() + 1, p))
-    return math.sqrt(q_number((J + M).to_int(), p) * q_number((J - M).to_int() + 1, p))
-
-
-def suite_ladder(p: QParam, j_max=3, n_list=(0, 0.5, 1), n_points: int = 20,
-                 seed: int = 0, tol: float = LADDER_TOL) -> list:
-    u, v = sample_points(n_points, seed)
+def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
+    u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
-        for N in _valid_n(J, n_list):
+        for N in _valid_n(J):
             r = RealizationParams(N, p)
             worst = 0.0
             for M in m_values(J):
@@ -146,12 +145,11 @@ def suite_ladder(p: QParam, j_max=3, n_list=(0, 0.5, 1), n_points: int = 20,
     return cases
 
 
-def suite_casimir(p: QParam, j_max=3, n_list=(0, 0.5, 1), n_points: int = 20,
-                  seed: int = 0, tol: float = CASIMIR_TOL) -> list:
-    u, v = sample_points(n_points, seed)
+def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -> list:
+    u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
-        for N in _valid_n(J, n_list):
+        for N in _valid_n(J):
             r = RealizationParams(N, p)
             want = q_number(J, p) * q_number(J + 1, p)
             worst = 0.0
@@ -165,11 +163,10 @@ def suite_casimir(p: QParam, j_max=3, n_list=(0, 0.5, 1), n_points: int = 20,
     return cases
 
 
-def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), n_eta: int = 25,
-                 tol: Optional[float] = None) -> list:
+def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = None) -> list:
     """Relative residual of Q(q^2 eta)(1+eta) = Q(eta)(1+q^(-2J) eta) under
     the default construction dispatch, on a log grid eta in [1e-2, 1e2]."""
-    eta = np.logspace(-2, 2, n_eta)
+    eta = np.logspace(-2, 2, FUNCEQ_ETA_POINTS)
     cases = []
     for J in j_list:
         J = HalfInt.of(J)
@@ -184,13 +181,10 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), n_eta: int = 25,
     return cases
 
 
-def _span_pairs(j_max, N, seed):
+def _span_pairs(j_max, N: HalfInt, seed):
     states = []
-    for J in [HalfInt(t) for t in range(0, HalfInt.of(j_max).twice + 1)]:
-        N_h = HalfInt.of(N)
-        if (J.twice - N_h.twice) % 2 or abs(N_h.twice) > J.twice:
-            continue
-        states.extend(psi_family(J, M, N_h) for M in m_values(J))
+    for J in j_values(N, j_max):
+        states.extend(psi_family(J, M, N) for M in m_values(J))
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(3):
@@ -204,34 +198,29 @@ def _span_pairs(j_max, N, seed):
 
 def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
                       tol: float = HERMITICITY_TOL,
-                      sym_tol: float = CONJ_SYMMETRY_TOL,
                       cfg: QuadratureConfig = QuadratureConfig()) -> list:
-    kind = kind_for(p)
-    if kind is InnerProductKind.CLASSICAL:
+    if p.regime is Regime.CLASSICAL:
         raise ValueError("hermiticity suite needs a deformed parameter (q != 1)")
     N_h = HalfInt.of(N)
     r = RealizationParams(N_h, p)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
-                                   p, kind, r, cfg),
+                                   p, r, cfg),
                   tol)]
-    for i, (f, g) in enumerate(_span_pairs(j_max, N, seed), 1):
-        cases.append(Case(f"adjoint span pair {i}",
-                          adjoint_residual(f, g, p, kind, r, cfg), tol))
+    for i, (f, g) in enumerate(_span_pairs(j_max, N_h, seed), 1):
+        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, r, cfg), tol))
         cases.append(Case(f"conjugate symmetry pair {i}",
-                          hermitian_symmetry_residual(f, g, p, kind, cfg), sym_tol))
+                          hermitian_symmetry_residual(f, g, p, cfg), CONJ_SYMMETRY_TOL))
     return cases
 
 
 def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=2,
                tol: float = GRAM_TOL,
                cfg: QuadratureConfig = QuadratureConfig()) -> list:
-    kind = kind_for(p)
     if j_list is None:
-        N_h = HalfInt.of(N)
-        j_list = [HalfInt(t) for t in range(abs(N_h.twice), HalfInt.of(j_max).twice + 1, 2)]
-    rep = gram(N, j_list, p, kind, cfg)
+        j_list = j_values(N, j_max)
+    rep = gram(N, j_list, p, kind_for(p), cfg)
     label = ",".join(str(HalfInt.of(J)) for J in j_list) or "(empty)"
     residual = max(rep.max_offdiag, rep.max_diag_dev) if rep.labels else 0.0
     return [Case(f"gram N={HalfInt.of(N)} J={{{label}}}", residual, tol)]
@@ -258,15 +247,14 @@ def _legendre_reference(J: int, M: int, xi):
     return (-1j) ** M * scale * _LEGENDRE[(J, M)](xi)
 
 
-def suite_limit(h_values=(1e-3, 1e-4),
-                cfg: QuadratureConfig = QuadratureConfig()) -> list:
+def suite_limit(cfg: QuadratureConfig = QuadratureConfig()) -> list:
     """q -> 1 behavior: deformed inner products of parameter-pinned pairs
     approach the classical values (deviation even in ln q, so the measured
     shrink is quadratic; the pass condition only demands at-least-linear),
     and linearly-extrapolated q-Vilenkin values hit the Legendre-type
     references.  The Vilenkin deviation really is O(q-1): the factor
     products are not symmetric under q -> 1/q, so odd powers survive."""
-    h1, h2 = h_values
+    h1, h2 = LIMIT_STEPS
     p_cl = QParam.classical()
     cases = []
     for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:

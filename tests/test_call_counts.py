@@ -25,17 +25,17 @@ def test_casimir_suite_builds_each_rule_and_each_l_value_once(monkeypatch):
     quadratures = []
     uncached = qspecial._l_quadrature
 
-    def counted_quadrature(p, flat, abs_tol):
+    def counted_quadrature(p, flat):
         quadratures.append(flat.size)
-        return uncached(p, flat, abs_tol)
+        return uncached(p, flat)
 
     keys = []
     l_function = qspecial.l_function
 
-    def recorded_l_function(p, eta, abs_tol=qspecial.L_ABS_TOL):
+    def recorded_l_function(p, eta):
         arr = np.asarray(eta, dtype=complex)
-        keys.append((p, abs_tol, arr.shape, arr.tobytes()))
-        return l_function(p, eta, abs_tol)
+        keys.append((p, arr.shape, arr.tobytes()))
+        return l_function(p, eta)
 
     monkeypatch.setattr(legendre, "leggauss", counted_leggauss)
     monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)

@@ -283,3 +283,18 @@ class TestParser:
 
     def test_prog_name(self):
         assert cli.build_parser().prog == "suq2"
+
+    # each subcommand takes only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "qnum", "--q", "2", "--x", "1", "--seed", "1"],
+        ["eval", "--fn", "qnum", "--q", "2", "--x", "1", "--radial-nodes", "24"],
+        ["eval", "--fn", "qnum", "--q", "2", "--x", "1", "--angular-nodes", "8"],
+        ["verify", "--suite", "matrix", "--J-max", "1", "--q", "2", "--M", "1"],
+        ["verify", "--suite", "matrix", "--J-max", "1", "--q", "2", "--format", "csv"],
+        ["gram", "--N", "0", "--J-max", "1", "--q", "1", "--M", "0"],
+        ["gram", "--N", "0", "--J-max", "1", "--q", "1", "--seed", "3"],
+    ], ids=["eval-seed", "eval-radial-nodes", "eval-angular-nodes", "verify-M",
+            "verify-format", "gram-M", "gram-seed"])
+    def test_unread_flag_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "unrecognized arguments" in err

@@ -58,11 +58,6 @@ class TestQParam:
         assert z.real == pytest.approx(-1.0, abs=1e-15)
         assert abs(z.imag) < 1e-15
 
-    def test_log(self):
-        assert QParam.positive_real(2.0).log() == pytest.approx(math.log(2.0))
-        assert QParam.unit_circle(0.7).log() == pytest.approx(0.7j)
-        assert QParam.classical().log() == 0.0
-
 
 class TestHalfInt:
     def test_arithmetic(self):

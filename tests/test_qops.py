@@ -11,14 +11,10 @@ from suq2.qops import (
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
-    apply_q2h3,
     apply_q_h3_power,
     casimir_matrix,
     combine,
-    constant_family,
-    dilate,
     matrix_irrep,
-    monomial_family,
     psi_family,
 )
 
@@ -45,25 +41,12 @@ def rel_residual(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-class TestDilate:
-    def test_identity(self):
-        f = monomial_family(2, 1)
-        g = dilate(f, 0.0, 0.0)
-        u, v = sample_points(5)
-        assert np.allclose(g(P_TWO, u, v), f(P_TWO, u, v))
+def constant_family(c) -> PlaneFamily:
+    return PlaneFamily(lambda p, u, v: c * np.ones_like(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
 
-    def test_monomial_eigenvalue(self):
-        f = monomial_family(3, 2)
-        g = dilate(f, 1.0, -1.0)
-        u, v = sample_points(5)
-        # u^3 v^2 -> q^{3-2} u^3 v^2
-        assert np.allclose(g(P_TWO, u, v), 2.0 * f(P_TWO, u, v))
 
-    def test_group_law(self):
-        f = monomial_family(1, 1)
-        g = dilate(dilate(f, 1.0, 0.0), -1.0, 0.0)
-        u, v = sample_points(5)
-        assert np.allclose(g(P_TWO, u, v), f(P_TWO, u, v))
+def monomial_family(j: int, k: int) -> PlaneFamily:
+    return PlaneFamily(lambda p, u, v: np.asarray(u, complex) ** j * np.asarray(v, complex) ** k)
 
 
 class TestStencils:
@@ -140,7 +123,7 @@ class TestLadderOnBasis:
         for (J, M, N) in [(1, 1, 0), (1.5, -0.5, 0.5), (2, 0, 1)]:
             r = RealizationParams(N, p)
             u, v = sample_points(8)
-            lhs = apply_q2h3(psi_family(J, M, N), r)(p, u, v)
+            lhs = apply_q_h3_power(psi_family(J, M, N), r, 2.0)(p, u, v)
             rhs = p.power(2 * M) * psi_family(J, M, N)(p, u, v)
             assert rel_residual(lhs, rhs) < 1e-12
 
@@ -201,7 +184,7 @@ class TestConjugationIdentity:
         r = RealizationParams(0.5, p)
         u, v = sample_points(12)
         for apply_op, s in ((apply_h_plus, +2.0), (apply_h_minus, -2.0)):
-            lhs = apply_q2h3(apply_op(apply_q_h3_power(f, r, -2.0), r), r)(p, u, v)
+            lhs = apply_q_h3_power(apply_op(apply_q_h3_power(f, r, -2.0), r), r, 2.0)(p, u, v)
             rhs = p.power(s) * apply_op(f, r)(p, u, v)
             assert rel_residual(lhs, rhs) < CONJUGATION_TOL
 

@@ -7,7 +7,6 @@ from suq2 import qspecial
 from suq2 import (
     HalfInt,
     QParam,
-    QFunctionMethod,
     l_function,
     norm_constant,
     psi,
@@ -34,11 +33,11 @@ P_CLASS = QParam.classical()
 ETA_GRID = np.logspace(-2, 2, 25)
 
 
-def funceq_residual(J, p, eta, method=None):
+def funceq_residual(J, p, eta):
     """max |Q(q^2 eta)(1+eta) - Q(eta)(1+q^(-2J) eta)| / |Q(eta)| over the grid."""
     eta = np.asarray(eta, dtype=complex)
-    qv = np.asarray(q_function(J, p, eta, method), complex)
-    lhs = np.asarray(q_function(J, p, p.power(2) * eta, method), complex) * (1 + eta)
+    qv = np.asarray(q_function(J, p, eta), complex)
+    lhs = np.asarray(q_function(J, p, p.power(2) * eta), complex) * (1 + eta)
     rhs = qv * (1 + p.power(-2 * float(HalfInt.of(J))) * eta)
     return float(np.max(np.abs(lhs - rhs) / np.abs(qv)))
 
@@ -97,10 +96,6 @@ class TestQConstructions:
         v = q_function(0.5, P_CLASS, 3.0)
         assert v == pytest.approx(0.5)
 
-    def test_classical_rejects_explicit_method(self):
-        with pytest.raises(ValueError):
-            q_function(1, P_CLASS, 1.0, QFunctionMethod.FINITE_PRODUCT)
-
     def test_infinite_requires_real_regime(self):
         with pytest.raises(ValueError):
             q_infinite_product(1, P_CIRC, 1.0)
@@ -151,6 +146,23 @@ class TestQConstructions:
         assert abs(v) < 1e-6
 
 
+@pytest.mark.parametrize("call", [
+    lambda: q_finite_product(1, P_TWO, np.nan),
+    lambda: q_function(0.5, P_TWO, np.nan),
+    lambda: q_function(1, P_CLASS, np.inf),
+    lambda: r_polynomial(1, 0, 0, P_TWO, np.inf),
+    lambda: r_polynomial(1, 0, 0, P_CIRC, [1.0, complex(0.0, np.nan)]),
+    lambda: psi(1, 0, 0, P_TWO, np.nan, 1.0),
+    lambda: psi(1, 0, 0, P_CIRC, 1.0, -np.inf),
+    lambda: vilenkin(1, 0, 0, P_TWO, np.nan),
+], ids=["finite-product", "infinite-product", "classical-q", "r-real", "r-circle",
+        "psi-u", "psi-v", "vilenkin"])
+def test_non_finite_argument_rejected(call):
+    # refused up front: not propagated as nan, and no product loop runs to its cap
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 class TestCircleSector:
     """The integral construction holds only for (2J+1)|tau| < pi.  Past the
     edge it used to return values off the functional equation by ~1e2."""
@@ -173,7 +185,7 @@ class TestCircleSector:
     def test_forced_integral_rejects_outside_for_integer_j(self, J, tau):
         p = QParam.unit_circle(tau)
         with pytest.raises(ValueError, match="tau"):
-            q_function(J, p, ETA_GRID, QFunctionMethod.INTEGRAL_EXP)
+            q_integral_exp(J, p, ETA_GRID)
         # the finite product itself holds for every tau
         assert np.all(np.isfinite(np.asarray(q_function(J, p, ETA_GRID))))
 
@@ -185,8 +197,8 @@ class TestCircleSector:
     @pytest.mark.parametrize("J,tau", [(1, 0.9), (1, -0.7), (2, 0.5), (2, -0.1)])
     def test_forced_integral_matches_finite_inside(self, J, tau):
         p = QParam.unit_circle(tau)
-        a = np.asarray(q_function(J, p, ETA_GRID, QFunctionMethod.FINITE_PRODUCT))
-        b = np.asarray(q_function(J, p, ETA_GRID, QFunctionMethod.INTEGRAL_EXP))
+        a = np.asarray(q_finite_product(J, p, ETA_GRID))
+        b = np.asarray(q_integral_exp(J, p, ETA_GRID))
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
 
 
@@ -251,9 +263,9 @@ def l_quadratures(monkeypatch):
     calls = []
     uncached = qspecial._l_quadrature
 
-    def counted(p, flat, abs_tol):
-        calls.append((p, abs_tol, flat.size))
-        return uncached(p, flat, abs_tol)
+    def counted(p, flat):
+        calls.append((p, flat.size))
+        return uncached(p, flat)
 
     monkeypatch.setattr(qspecial, "_l_quadrature", counted)
     return calls
@@ -276,7 +288,7 @@ class TestLFunctionMemo:
         miss = l_function(P_CIRC, self.ETA)
         hit = l_function(P_CIRC, self.ETA)
         assert len(l_quadratures) == 1
-        fresh, warned = qspecial._l_quadrature(P_CIRC, self.ETA.astype(complex), qspecial.L_ABS_TOL)
+        fresh, warned = qspecial._l_quadrature(P_CIRC, self.ETA.astype(complex))
         assert not warned
         assert hit.tobytes() == miss.tobytes() == fresh.tobytes()
 
@@ -284,7 +296,6 @@ class TestLFunctionMemo:
         calls = [
             lambda: l_function(P_CIRC, 0.7),
             lambda: l_function(P_CIRC.inverse(), 0.7),
-            lambda: l_function(P_CIRC, 0.7, abs_tol=1e-10),
             lambda: l_function(P_CIRC, np.array([0.7])),
             lambda: l_function(P_CIRC, np.array([[0.7]])),
         ]
@@ -294,7 +305,7 @@ class TestLFunctionMemo:
         assert len(l_quadratures) == len(calls)
         assert isinstance(first[0], complex) and isinstance(again[0], complex)
         assert abs(first[0] + first[1]) < 1e-12  # the inverse really is -L here
-        assert [np.shape(v) for v in again] == [(), (), (), (1,), (1, 1)]
+        assert [np.shape(v) for v in again] == [(), (), (1,), (1, 1)]
         for a, b in zip(first, again):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

@@ -4,7 +4,6 @@ import pytest
 from suq2.quadrature import (
     PlaneIntegral,
     QuadratureConfig,
-    angular_node_count,
     gauss_legendre,
     integrate_plane,
     radial_integral,
@@ -19,12 +18,6 @@ def test_config_validation():
         QuadratureConfig(angular_nodes=0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
-
-
-def test_angular_node_count():
-    assert angular_node_count(0) >= 2
-    assert angular_node_count(0.5) >= 4
-    assert angular_node_count(3) >= 14
 
 
 def test_unit_norm_weight():
