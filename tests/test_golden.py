@@ -2,8 +2,9 @@
 
 Each file under tests/golden/ was written by the CLI before the source
 change it guards (the l_function memo and cached Gauss-Legendre rules, the
-merge of the duplicated evaluators, then the removal of unused options), so this test proves those changes
-alter no printed number.  Running
+merge of the duplicated evaluators, the removal of unused options, then the
+blocked real-q infinite product), so this test proves those changes alter no
+printed number.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -55,6 +56,15 @@ CASES = {
     "eval_qfact_q1.3.csv": ["eval", "--fn", "qfact", "--q", "1.3", "--grid", "0:6:7"],
     "eval_qnum_tau0.4.json": ["eval", "--fn", "qnum", "--tau", "0.4", "--grid=-2:2:9",
                               "--format", "json"],
+    "eval_Q_J1.5_q0.8.csv": ["eval", "--fn", "Q", "--J", "1.5", "--q", "0.8",
+                             "--grid", "0.01:50:9"],
+    "eval_Q_J0.5_q1.3.csv": ["eval", "--fn", "Q", "--J", "0.5", "--q", "1.3",
+                             "--grid", "0.01:50:9"],
+    "eval_psi_J1.5_M0.5_N0.5_q0.7.csv": ["eval", "--fn", "psi", "--J", "1.5", "--M", "0.5",
+                                         "--N", "0.5", "--q", "0.7", "--grid", "0.25:3:7"],
+    "eval_vilenkin_J2.5_M0.5_N1.5_q1.4.csv": ["eval", "--fn", "vilenkin", "--J", "2.5",
+                                              "--M", "0.5", "--N", "1.5", "--q", "1.4",
+                                              "--grid=-0.9:0.9:7"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
