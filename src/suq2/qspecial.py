@@ -40,6 +40,7 @@ PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
 PRODUCT_MAX_FACTORS = 100_000
 POLE_TOL = 1e-300            # a product factor this small is a pole of Q
+PRODUCT_BLOCK_ELEMENTS = 2**12  # factors x points per block; keeps the temporaries in cache
 BRANCH_CUT_MARGIN = 1e-6
 L_MEMO_MAX_BYTES = 4 * 2**20
 
@@ -111,8 +112,15 @@ def q_finite_product(J, p: QParam, eta):
 def q_infinite_product(J, p: QParam, eta):
     """Q for positive real q via the convergent product branch for q<1 or q>1.
 
-    Truncation: stop once |factor - 1| < 1e-18 and the geometric tail bound
-    (ratio q^2 or q^-2) falls below 1e-14; hard cap 1e5 factors.
+    Truncation: stop at the first factor k with max |factor - 1| < 1e-18 over
+    the points and the geometric tail bound (ratio q^2 or q^-2) below 1e-14;
+    hard cap 1e5 factors.  The rule is evaluated in blocks of factors, each a
+    (factors x points) array of at most PRODUCT_BLOCK_ELEMENTS entries with
+    one pole test and one convergence test.  The first block reaches the
+    factor where |eta| q^(2k), shifted by 2J, falls below 2^-60; later blocks
+    take the cap.  The factors up to the stop are multiplied in order, so the
+    result is bit for bit the factor-by-factor product.  An empty eta gives
+    an empty result of its shape.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
@@ -121,21 +129,44 @@ def q_infinite_product(J, p: QParam, eta):
     Jf = float(J)
     arr, scalar = _as_complex(eta)
     out = np.ones_like(arr)
+    if arr.size == 0:
+        return out
+    flat = arr.reshape(-1)
     ratio = q * q if q < 1.0 else q ** -2
-    for k in range(PRODUCT_MAX_FACTORS):
+    log_q = abs(math.log(q))
+    amax = float(np.max(np.abs(flat)))
+    k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
+    cap = max(1, PRODUCT_BLOCK_ELEMENTS // flat.size)
+    rows = min(cap, max(1, math.ceil(k_est) + 1))
+    start = 0
+    while start < PRODUCT_MAX_FACTORS:
+        ks = range(start, min(start + rows, PRODUCT_MAX_FACTORS))
+        # Python's ** in the per-factor expressions: numpy's power may round differently
         if q < 1.0:
-            num = 1.0 + arr * q ** (2 * k)
-            den = 1.0 + arr * q ** (-2 * Jf + 2 * k)
+            a = [q ** (2 * k) for k in ks]
+            b = [q ** (-2 * Jf + 2 * k) for k in ks]
         else:
-            num = 1.0 + arr * q ** (-2 * Jf - 2 * k - 2)
-            den = 1.0 + arr * q ** (-2 * k - 2)
-        if np.any(np.abs(den) < POLE_TOL):
-            raise ValueError(f"infinite-product pole in factor k={k}")
-        factor = num / den
-        out = out * factor
-        gap = np.max(np.abs(factor - 1.0))
-        if gap < PRODUCT_FACTOR_TOL and gap * ratio / (1.0 - ratio) < PRODUCT_TAIL_TOL:
+            a = [q ** (-2 * Jf - 2 * k - 2) for k in ks]
+            b = [q ** (-2 * k - 2) for k in ks]
+        num = 1.0 + flat * np.array(a)[:, None]
+        den = 1.0 + flat * np.array(b)[:, None]
+        poles = np.any(np.abs(den) < POLE_TOL, axis=1)
+        n_ok = int(np.argmax(poles)) if poles.any() else len(ks)  # divide only before a pole
+        factor = num[:n_ok] / den[:n_ok]
+        gap = np.max(np.abs(factor - 1.0), axis=1)
+        done = (gap < PRODUCT_FACTOR_TOL) & (gap * ratio / (1.0 - ratio) < PRODUCT_TAIL_TOL)
+        converged = bool(done.any())
+        stop = int(np.argmax(done)) + 1 if converged else n_ok
+        # out of place and in eta's shape, as numpy's complex multiply rounds
+        # differently in place and on scalars
+        for row in factor[:stop].reshape((stop,) + arr.shape):
+            out = out * row
+        if converged:
             return _ret(out, scalar)
+        if n_ok < len(ks):
+            raise ValueError(f"infinite-product pole in factor k={start + n_ok}")
+        start += len(ks)
+        rows = cap
     raise RuntimeError("infinite product did not converge within the factor cap")
 
 

@@ -150,6 +150,12 @@ class TestEvalErrors:
                               "--eta", "1"], capsys)
         assert code == 2 and out == "" and "tau" in err
 
+    def test_product_not_converging_exits_two(self, capsys):
+        # q = 1.0001 needs more than the 1e5-factor cap of the infinite product
+        code, out, err = run(["eval", "--fn", "Q", "--J", "0.5", "--q", "1.0001",
+                              "--grid", "0.5:1:2"], capsys)
+        assert code == 2 and out == "" and "did not converge" in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

@@ -1,7 +1,12 @@
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suq2 import qspecial
 from suq2 import (
@@ -429,3 +434,94 @@ class TestVilenkin:
             vilenkin(1, 0, 0, P_TWO, 1.0)
         with pytest.raises(ValueError):
             vilenkin(1, 0, 0, P_TWO, -1.5)
+
+
+def per_factor_infinite_product(J, p, eta):
+    """The factor-at-a-time loop q_infinite_product replaced: the bitwise reference."""
+    q, Jf = p.value, float(J)
+    arr = np.asarray(eta, dtype=complex)
+    out = np.ones_like(arr)
+    ratio = q * q if q < 1.0 else q ** -2
+    for k in range(qspecial.PRODUCT_MAX_FACTORS):
+        if q < 1.0:
+            num = 1.0 + arr * q ** (2 * k)
+            den = 1.0 + arr * q ** (-2 * Jf + 2 * k)
+        else:
+            num = 1.0 + arr * q ** (-2 * Jf - 2 * k - 2)
+            den = 1.0 + arr * q ** (-2 * k - 2)
+        if np.any(np.abs(den) < qspecial.POLE_TOL):
+            raise ValueError(f"infinite-product pole in factor k={k}")
+        factor = num / den
+        out = out * factor
+        gap = np.max(np.abs(factor - 1.0))
+        if gap < qspecial.PRODUCT_FACTOR_TOL and gap * ratio / (1.0 - ratio) < qspecial.PRODUCT_TAIL_TOL:
+            return out.item() if arr.ndim == 0 else out
+    raise RuntimeError("infinite product did not converge within the factor cap")
+
+
+def mpmath_infinite_product(J, q, eta):
+    """Q_J(eta) from q-Pochhammer symbols at 30 digits."""
+    with mpmath.workdps(30):
+        q, J, eta = mpmath.mpf(q), mpmath.mpf(J), mpmath.mpmathify(eta)
+        if q < 1:
+            return mpmath.qp(-eta, q ** 2) / mpmath.qp(-eta * q ** (-2 * J), q ** 2)
+        r = q ** -2
+        return mpmath.qp(-eta * q ** (-2 * J - 2), r) / mpmath.qp(-eta * r, r)
+
+
+# (m, n) shapes of eta; () is a scalar, and 4100 points exceed one block
+ETA_SHAPES = [(), (1,), (7,), (40,), (3, 5), (4100,), (2, 2100)]
+
+
+class TestInfiniteProductBlocks:
+    """Blocked evaluation of the real-q product: the same bits, the same stop
+    factor and the same errors as the factor-at-a-time loop."""
+
+    @given(log_q=st.floats(0.05, 1.5), above_one=st.booleans(),
+           twice_j=st.integers(1, 9), shape=st.sampled_from(ETA_SHAPES),
+           is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_per_factor_loop(self, log_q, above_one, twice_j, shape,
+                                              is_complex, seed):
+        p = QParam.positive_real(math.exp(log_q if above_one else -log_q))
+        J = twice_j / 2
+        rng = np.random.default_rng(seed)
+        eta = np.exp(rng.uniform(-5.0, 5.0, shape))
+        if is_complex:
+            eta = eta * np.exp(1j * rng.uniform(-3.0, 3.0, shape))
+        got = q_infinite_product(J, p, eta)
+        want = per_factor_infinite_product(J, p, eta)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("q,eta,k", [
+        (0.5, np.array([1.0, -32.0]), 3),    # 1 - 32 q^(2k-1) = 0
+        (2.0, np.array([-4.0]), 0),          # 1 - 4 q^(-2k-2) = 0
+        (0.5, np.concatenate([np.ones(4999), [-32.0]]), 3),  # one factor per block
+    ], ids=["q<1", "q>1", "past-first-block"])
+    def test_pole_raises_without_warning(self, q, eta, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'infinite-product pole in factor k={k}')}$"):
+                q_infinite_product(0.5, QParam.positive_real(q), eta)
+        with pytest.raises(ValueError, match=f"k={k}$"):
+            per_factor_infinite_product(0.5, QParam.positive_real(q), eta)
+
+    @pytest.mark.parametrize("q", [0.37, 0.6, 0.85, 1.25, 1.7, 2.7])
+    @pytest.mark.parametrize("J", [0.5, 1.5, 2.5])
+    def test_matches_q_pochhammer_ratio(self, q, J):
+        eta = [0.01, 0.3, 1.0, 4.0, 12.5, 40.0, 2 + 1j, 0.5 - 3j]
+        got = np.asarray(q_infinite_product(J, QParam.positive_real(q), eta))
+        want = np.array([complex(mpmath_infinite_product(J, q, e)) for e in eta])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_eta_gives_empty_result(self, shape):
+        out = q_infinite_product(0.5, P_HALF, np.zeros(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == complex
+
+    def test_q_near_one_reaches_the_factor_cap(self):
+        # 2(1e5)(1e-4) = 20 e-folds leave |factor - 1| near 1e-13 at the cap
+        with pytest.raises(RuntimeError, match="did not converge within the factor cap"):
+            q_infinite_product(0.5, QParam.positive_real(1.0001), 1.0)
