@@ -2,9 +2,9 @@
 
 Each file under tests/golden/ was written by the CLI before the source
 change it guards (the l_function memo and cached Gauss-Legendre rules, the
-merge of the duplicated evaluators, the removal of unused options, then the
-blocked real-q infinite product), so this test proves those changes alter no
-printed number.  Running
+merge of the duplicated evaluators, the removal of unused options, the
+blocked real-q infinite product, then the real-q product memo and the psi
+record cache), so this test proves those changes alter no printed number.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -65,6 +65,8 @@ CASES = {
     "eval_vilenkin_J2.5_M0.5_N1.5_q1.4.csv": ["eval", "--fn", "vilenkin", "--J", "2.5",
                                               "--M", "0.5", "--N", "1.5", "--q", "1.4",
                                               "--grid=-0.9:0.9:7"],
+    "verify_all_q2.5_N0.5_seed3.json": ["verify", "--suite", "all", "--q", "2.5", "--N", "0.5",
+                                        "--seed", "3"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
