@@ -19,6 +19,7 @@ numpy arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from enum import Enum
@@ -42,11 +43,51 @@ PRODUCT_MAX_FACTORS = 100_000
 POLE_TOL = 1e-300            # a product factor this small is a pole of Q
 PRODUCT_BLOCK_ELEMENTS = 2**12  # factors x points per block; keeps the temporaries in cache
 BRANCH_CUT_MARGIN = 1e-6
+# A circle hermiticity suite stores 1.47 MB of L; at 1 MiB its time tripled
 L_MEMO_MAX_BYTES = 4 * 2**20
+# Real-q suites reach 6 MB of distinct product inputs; 4 MiB cost 15% peak RSS
+PRODUCT_MEMO_MAX_BYTES = 2**20
 
-# l_function results keyed on their exact input, oldest first; see its Notes
-_l_memo: dict = {}
-_l_memo_bytes = 0
+
+class _ExactMemo:
+    """Results of one evaluator keyed on its exact input, oldest first.
+
+    A key is (tag, the evaluator's parameters, eta's shape, eta's complex
+    bytes), the bytes last, so p and p.inverse(), or a scalar and a
+    (1,)-shaped eta, never share an entry.  Every call returns a fresh copy,
+    so callers may mutate it.  A result whose evaluation raised or reported
+    a warning is never stored, so the warning and the errors recur on every
+    call.  The stored keys and values stay under max_bytes, evicting the
+    oldest entry first; a larger result is not stored at all.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.entries: dict = {}
+        self.nbytes = 0
+
+    def lookup(self, key, compute):
+        """The value for key; on a miss, compute() returns (value, warned)."""
+        val = self.entries.get(key)
+        if val is None:
+            val, warned = compute()
+            if not warned:
+                self._store(key, val)
+        return val.copy()
+
+    def _store(self, key, val):
+        size = len(key[-1]) + val.nbytes
+        if size > self.max_bytes:
+            return
+        while self.nbytes + size > self.max_bytes:
+            oldest = next(iter(self.entries))
+            self.nbytes -= len(oldest[-1]) + self.entries.pop(oldest).nbytes
+        self.entries[key] = val
+        self.nbytes += size
+
+
+_l_memo = _ExactMemo(L_MEMO_MAX_BYTES)
+_product_memo = _ExactMemo(PRODUCT_MEMO_MAX_BYTES)
 
 
 class QFunctionMethod(Enum):
@@ -120,14 +161,35 @@ def q_infinite_product(J, p: QParam, eta):
     factor where |eta| q^(2k), shifted by 2J, falls below 2^-60; later blocks
     take the cap.  The factors up to the stop are multiplied in order, so the
     result is bit for bit the factor-by-factor product.  An empty eta gives
-    an empty result of its shape.
+    an empty result of its shape.  An eta so large that factor 0 overflows
+    is rejected.
+
+    Results are memoized on (J, p, eta's shape, eta's complex bytes) under
+    PRODUCT_MEMO_MAX_BYTES; see _ExactMemo for the rules.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
         raise ValueError("infinite product is defined for the positive-real regime only")
-    q = p.value
-    Jf = float(J)
     arr, scalar = _as_complex(eta)
+    val = _product_memo.lookup(("Q", J, p, arr.shape, arr.tobytes()),
+                               lambda: (_infinite_product(J, p.value, arr), False))
+    return _ret(val, scalar)
+
+
+def _multipliers(q, Jf, ks):
+    """The multipliers of eta in the numerators and denominators of factors ks.
+
+    Python's ** in the per-factor expressions: numpy's power may round
+    differently.
+    """
+    if q < 1.0:
+        return [q ** (2 * k) for k in ks], [q ** (-2 * Jf + 2 * k) for k in ks]
+    return [q ** (-2 * Jf - 2 * k - 2) for k in ks], [q ** (-2 * k - 2) for k in ks]
+
+
+def _infinite_product(J, q, arr):
+    """The uncached product of q_infinite_product on eta's complex array."""
+    Jf = float(J)
     out = np.ones_like(arr)
     if arr.size == 0:
         return out
@@ -135,19 +197,16 @@ def q_infinite_product(J, p: QParam, eta):
     ratio = q * q if q < 1.0 else q ** -2
     log_q = abs(math.log(q))
     amax = float(np.max(np.abs(flat)))
+    a, b = _multipliers(q, Jf, range(1))
+    if not math.isfinite(amax * max(a[0], b[0])):  # it would return 0 or nan and only warn
+        raise ValueError(f"infinite-product factor k=0 overflows at |eta| = {amax:g}")
     k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
     cap = max(1, PRODUCT_BLOCK_ELEMENTS // flat.size)
     rows = min(cap, max(1, math.ceil(k_est) + 1))
     start = 0
     while start < PRODUCT_MAX_FACTORS:
         ks = range(start, min(start + rows, PRODUCT_MAX_FACTORS))
-        # Python's ** in the per-factor expressions: numpy's power may round differently
-        if q < 1.0:
-            a = [q ** (2 * k) for k in ks]
-            b = [q ** (-2 * Jf + 2 * k) for k in ks]
-        else:
-            a = [q ** (-2 * Jf - 2 * k - 2) for k in ks]
-            b = [q ** (-2 * k - 2) for k in ks]
+        a, b = _multipliers(q, Jf, ks)
         num = 1.0 + flat * np.array(a)[:, None]
         den = 1.0 + flat * np.array(b)[:, None]
         poles = np.any(np.abs(den) < POLE_TOL, axis=1)
@@ -162,7 +221,7 @@ def q_infinite_product(J, p: QParam, eta):
         for row in factor[:stop].reshape((stop,) + arr.shape):
             out = out * row
         if converged:
-            return _ret(out, scalar)
+            return out
         if n_ok < len(ks):
             raise ValueError(f"infinite-product pole in factor k={start + n_ok}")
         start += len(ks)
@@ -210,48 +269,26 @@ def l_function(p: QParam, eta):
     keeps an algebraic t^(tau/pi - 1) endpoint singularity that defeats
     plain node doubling for small tau.
 
-    Results are memoized on the exact input: the key is (p, eta's shape,
-    eta's complex bytes), so p and p.inverse(), or a scalar and a
-    (1,)-shaped eta, never share an entry.
-    Every call returns a fresh copy, so callers may mutate it.  A result
-    whose evaluation emitted the branch-cut warning is never stored, nor is
-    a failed one, so the warning and the errors recur on every call.  The
-    stored keys and values stay under L_MEMO_MAX_BYTES, evicting the oldest
-    entry first; a larger result is not stored at all.
+    Results are memoized on (p, eta's shape, eta's complex bytes) under
+    L_MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
+    evaluation emitted the branch-cut warning is never stored.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
     arr, scalar = _as_complex(eta)
-    key = (p, arr.shape, arr.tobytes())
-    val = _l_memo.get(key)
-    if val is None:
-        val, warned = _l_quadrature(p, arr.reshape(-1))
-        val = val.reshape(arr.shape)
-        if not warned:
-            _l_memo_store(key, val)
-    return _ret(val.copy(), scalar)
+    val = _l_memo.lookup(("L", p, arr.shape, arr.tobytes()), lambda: _l_quadrature(p, arr))
+    return _ret(val, scalar)
 
 
-def _l_memo_store(key, val):
-    global _l_memo_bytes
-    size = len(key[-1]) + val.nbytes
-    if size > L_MEMO_MAX_BYTES:
-        return
-    while _l_memo_bytes + size > L_MEMO_MAX_BYTES:
-        oldest = next(iter(_l_memo))
-        _l_memo_bytes -= len(oldest[-1]) + _l_memo.pop(oldest).nbytes
-    _l_memo[key] = val
-    _l_memo_bytes += size
-
-
-def _l_quadrature(p: QParam, flat):
-    """L on the flat complex array; returns (values, whether it warned)."""
+def _l_quadrature(p: QParam, arr):
+    """L on the complex array arr; returns (values in its shape, whether it warned)."""
+    flat = arr.reshape(-1)
     tau = p.value
     alpha = abs(tau) / math.pi
     sigma = 1.0 if tau > 0 else -1.0
     amax = float(np.max(np.abs(flat))) if flat.size else 0.0
     if amax == 0.0:
-        return np.zeros_like(flat), False
+        return np.zeros_like(arr), False
 
     u_low = max(30.0, (math.log(amax) + 40.0) / alpha)
     b_low = _low_breaks(alpha, u_low)
@@ -275,7 +312,7 @@ def _l_quadrature(p: QParam, flat):
               + (np.log(arg2) / (1.0 + np.exp(u2))[None, :]) @ w2
         val = sigma * total / (2j * math.pi)
         if prev is not None and np.max(np.abs(val - prev)) < L_ABS_TOL:
-            return val, warned
+            return val.reshape(arr.shape), warned
         prev = val
     raise RuntimeError("l_function quadrature did not converge")
 
@@ -354,17 +391,26 @@ def psi(J, M, N, p: QParam, u, v):
     validate_triple(J, M, N)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    nc = norm_constant(J, M, N, p)
-    phase = p.power(-float(N) * float(M) / 2.0)
+    lead, mn, terms = _psi_record(J, M, N, p)
     qval = q_function(J, p, u_arr * v_arr)
-    # R(eta) v^(M+N) expanded as sum_k (-1)^k c_k u^k v^(k+M+N): both exponents
-    # are nonnegative over the k range, so psi is polynomial and finite at 0
-    mn = (M + N).to_int()
     poly = np.zeros_like(u_arr)
-    for k, c in _r_coefficients(J, M, N, p):
-        poly = poly + (-c if k % 2 else c) * u_arr ** k * v_arr ** (k + mn)
-    out = nc * phase * qval * poly
+    for k, c in terms:
+        poly = poly + c * u_arr ** k * v_arr ** (k + mn)
+    out = lead * qval * poly
     return _ret(np.asarray(out, dtype=complex), u_scalar and v_scalar)
+
+
+@functools.lru_cache(maxsize=1024)
+def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
+    """What psi reads for one (J, M, N, p): the norm constant times the phase
+    q^(-NM/2), M+N, and the (k, (-1)^k c_k) of R(eta) v^(M+N) expanded as
+    sum_k (-1)^k c_k u^k v^(k+M+N).  Both exponents are nonnegative over the
+    k range, so psi is polynomial and finite at 0.  A negative radicand
+    raises on every call, as lru_cache stores no error.
+    """
+    lead = norm_constant(J, M, N, p) * p.power(-float(N) * float(M) / 2.0)
+    terms = tuple((k, -c if k % 2 else c) for k, c in _r_coefficients(J, M, N, p))
+    return lead, (M + N).to_int(), terms
 
 
 def vilenkin(J, M, N, p: QParam, xi):

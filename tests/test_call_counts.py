@@ -1,18 +1,20 @@
 """Deterministic work counts (no timing): on the circle every Gauss-Legendre
 rule is built once per n, and every distinct l_function input runs its
-quadrature once."""
+quadrature once; at real q every distinct infinite-product input runs its
+product once, and psi builds each (J, M, N, p) record once."""
 import numpy as np
+import pytest
 
-from suq2 import qspecial
-from suq2.qcore import QParam
+from suq2 import qops, qspecial
+from suq2.qcore import HalfInt, QParam
 from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
 
 
 def test_casimir_suite_builds_each_rule_and_each_l_value_once(monkeypatch):
     gauss_legendre.cache_clear()
-    monkeypatch.setattr(qspecial, "_l_memo", {})
-    monkeypatch.setattr(qspecial, "_l_memo_bytes", 0)
+    monkeypatch.setattr(qspecial._l_memo, "entries", {})
+    monkeypatch.setattr(qspecial._l_memo, "nbytes", 0)
 
     legendre = np.polynomial.legendre
     leggauss_n = []
@@ -25,9 +27,9 @@ def test_casimir_suite_builds_each_rule_and_each_l_value_once(monkeypatch):
     quadratures = []
     uncached = qspecial._l_quadrature
 
-    def counted_quadrature(p, flat):
-        quadratures.append(flat.size)
-        return uncached(p, flat)
+    def counted_quadrature(p, arr):
+        quadratures.append(arr.size)
+        return uncached(p, arr)
 
     keys = []
     l_function = qspecial.l_function
@@ -49,3 +51,75 @@ def test_casimir_suite_builds_each_rule_and_each_l_value_once(monkeypatch):
     assert leggauss_n and len(leggauss_n) == len(set(leggauss_n))
     assert len(keys) > len(set(keys))  # the stencils do revisit arguments
     assert len(quadratures) == len(set(keys))
+
+
+@pytest.mark.parametrize("suite,q,N", [("casimir", 0.8, 0), ("hermiticity", 1.3, 0.5)])
+def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N):
+    monkeypatch.setattr(qspecial._product_memo, "entries", {})
+    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+    qspecial._psi_record.cache_clear()
+
+    products = []
+    uncached = qspecial._infinite_product
+
+    def counted_product(J, q, arr):
+        products.append((J, q, arr.shape, arr.tobytes()))
+        return uncached(J, q, arr)
+
+    keys = []
+    q_infinite_product = qspecial.q_infinite_product
+
+    def recorded_product(J, p, eta):
+        arr = np.asarray(eta, dtype=complex)
+        keys.append((HalfInt.of(J), p, arr.shape, arr.tobytes()))
+        return q_infinite_product(J, p, eta)
+
+    records = []
+    psi = qspecial.psi
+
+    def recorded_psi(J, M, N, p, u, v):
+        records.append((HalfInt.of(J), HalfInt.of(M), HalfInt.of(N), p))
+        return psi(J, M, N, p, u, v)
+
+    norm_constants = []
+    norm_constant = qspecial.norm_constant
+
+    def counted_norm_constant(J, M, N, p):
+        norm_constants.append((J, M, N, p))
+        return norm_constant(J, M, N, p)
+
+    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
+    monkeypatch.setattr(qspecial, "q_infinite_product", recorded_product)
+    monkeypatch.setattr(qops, "psi", recorded_psi)  # the basis families call it there
+    monkeypatch.setattr(qspecial, "norm_constant", counted_norm_constant)
+    try:
+        cases = run_suite(suite, QParam.positive_real(q), N=N)
+    finally:
+        qspecial._psi_record.cache_clear()
+
+    assert cases and all(c.passed for c in cases)
+    assert len(keys) > len(set(keys))  # the stencils and the quadratures revisit arguments
+    assert len(products) == len(set(products)) == len(set(keys))
+    assert len(records) > len(set(records))
+    assert len(norm_constants) == len(set(norm_constants)) == len(set(records))
+
+
+def test_psi_errors_fire_on_every_call(monkeypatch):
+    qspecial._psi_record.cache_clear()
+    norm_constants = []
+    norm_constant = qspecial.norm_constant
+
+    def counted_norm_constant(J, M, N, p):
+        norm_constants.append((J, M, N, p))
+        return norm_constant(J, M, N, p)
+
+    monkeypatch.setattr(qspecial, "norm_constant", counted_norm_constant)
+    # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2
+    p = QParam.unit_circle(np.pi / 4 + 0.05)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative radicand"):
+            qspecial.psi(2, 0, 0, p, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"\|M\| <= J"):
+            qspecial.psi(1, 2, 0, p, 0.5, 0.5)
+    assert len(norm_constants) == 3
+    assert qspecial._psi_record.cache_info().currsize == 0

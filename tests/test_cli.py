@@ -156,6 +156,12 @@ class TestEvalErrors:
                               "--grid", "0.5:1:2"], capsys)
         assert code == 2 and out == "" and "did not converge" in err
 
+    def test_product_overflow_exits_two(self, capsys):
+        # |eta| q^(-2J) = 2e308 overflows factor 0; the value is about 6e-155, not 0
+        code, out, err = run(["eval", "--fn", "Q", "--J", "0.5", "--q", "0.5",
+                              "--eta", "1e308"], capsys)
+        assert code == 2 and out == "" and "overflows" in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

@@ -260,44 +260,92 @@ class TestLFunction:
                 l_function(p, -0.5 + 1e-9j)
 
 
-@pytest.fixture
-def l_quadratures(monkeypatch):
-    """Empty the l_function memo; count the quadratures that run afterwards."""
-    monkeypatch.setattr(qspecial, "_l_memo", {})
-    monkeypatch.setattr(qspecial, "_l_memo_bytes", 0)
-    calls = []
-    uncached = qspecial._l_quadrature
+class _ExactMemoCases:
+    """The _ExactMemo rules, run against one evaluator's memo: evaluate(eta)
+    goes through the memo, UNCACHED names the function it calls on a miss."""
 
-    def counted(p, flat):
-        calls.append((p, flat.size))
-        return uncached(p, flat)
-
-    monkeypatch.setattr(qspecial, "_l_quadrature", counted)
-    return calls
-
-
-class TestLFunctionMemo:
     ETA = np.array([0.3, 1.0 + 0.5j, 4.0])
 
-    def test_mutating_a_result_leaves_the_memo_intact(self, l_quadratures):
-        first = l_function(P_CIRC, self.ETA)
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """This evaluator's memo, emptied for the test."""
+        memo = getattr(qspecial, self.MEMO)
+        monkeypatch.setattr(memo, "entries", {})
+        monkeypatch.setattr(memo, "nbytes", 0)
+        return memo
+
+    @pytest.fixture
+    def misses(self, memo, monkeypatch):
+        """Arguments of the uncached evaluations that run after emptying the memo."""
+        calls = []
+        uncached = getattr(qspecial, self.UNCACHED)
+
+        def counted(*args):
+            calls.append(args)
+            return uncached(*args)
+
+        monkeypatch.setattr(qspecial, self.UNCACHED, counted)
+        return calls
+
+    def test_mutating_a_result_leaves_the_memo_intact(self, misses):
+        first = self.evaluate(self.ETA)
         want = first.copy()
         first[:] = 0.0
-        second = l_function(P_CIRC, self.ETA)
+        second = self.evaluate(self.ETA)
         assert second.tobytes() == want.tobytes()
         second[:] = 0.0
-        assert l_function(P_CIRC, self.ETA).tobytes() == want.tobytes()
-        assert len(l_quadratures) == 1
+        assert self.evaluate(self.ETA).tobytes() == want.tobytes()
+        assert len(misses) == 1
 
-    def test_hit_equals_fresh_computation_bitwise(self, l_quadratures):
-        miss = l_function(P_CIRC, self.ETA)
-        hit = l_function(P_CIRC, self.ETA)
-        assert len(l_quadratures) == 1
-        fresh, warned = qspecial._l_quadrature(P_CIRC, self.ETA.astype(complex))
-        assert not warned
+    def test_hit_equals_fresh_computation_bitwise(self, misses):
+        miss = self.evaluate(self.ETA)
+        hit = self.evaluate(self.ETA)
+        assert len(misses) == 1
+        fresh = self.uncached(self.ETA.astype(complex))
         assert hit.tobytes() == miss.tobytes() == fresh.tobytes()
 
-    def test_distinct_inputs_never_share_an_entry(self, l_quadratures):
+    def test_real_and_complex_dtypes_share_the_exact_value(self, misses):
+        a = self.evaluate(np.array([0.5, 2.0]))
+        b = self.evaluate(np.array([0.5 + 0j, 2.0 + 0j]))
+        assert len(misses) == 1
+        assert a.tobytes() == b.tobytes()
+
+    def test_byte_bound_evicts_oldest_first(self, memo, misses, monkeypatch):
+        # one 8-point entry holds 2 * 8 * 16 bytes (key bytes plus values)
+        monkeypatch.setattr(memo, "max_bytes", 3 * 256)
+        grids = [np.linspace(0.1, 1.0, 8) * (k + 1) for k in range(4)]
+        want = [self.evaluate(g) for g in grids]
+        assert len(memo.entries) == 3
+        assert memo.nbytes == 3 * 256
+        assert len(misses) == 4
+        assert self.evaluate(grids[3]).tobytes() == want[3].tobytes()
+        assert len(misses) == 4
+        assert self.evaluate(grids[0]).tobytes() == want[0].tobytes()
+        assert len(misses) == 5  # grids[0] was the oldest, evicted
+
+    def test_oversized_result_is_not_stored(self, memo, misses, monkeypatch):
+        # ETA's entry needs 2 * 3 * 16 = 96 bytes
+        monkeypatch.setattr(memo, "max_bytes", 95)
+        self.evaluate(self.ETA)
+        self.evaluate(self.ETA)
+        assert len(misses) == 2
+        assert memo.entries == {} and memo.nbytes == 0
+
+
+class TestLFunctionMemo(_ExactMemoCases):
+    MEMO, UNCACHED = "_l_memo", "_l_quadrature"
+
+    @staticmethod
+    def evaluate(eta):
+        return l_function(P_CIRC, eta)
+
+    @staticmethod
+    def uncached(arr):
+        val, warned = qspecial._l_quadrature(P_CIRC, arr)
+        assert not warned
+        return val
+
+    def test_distinct_inputs_never_share_an_entry(self, misses):
         calls = [
             lambda: l_function(P_CIRC, 0.7),
             lambda: l_function(P_CIRC.inverse(), 0.7),
@@ -305,59 +353,100 @@ class TestLFunctionMemo:
             lambda: l_function(P_CIRC, np.array([[0.7]])),
         ]
         first = [call() for call in calls]
-        assert len(l_quadratures) == len(calls)
+        assert len(misses) == len(calls)
         again = [call() for call in calls]
-        assert len(l_quadratures) == len(calls)
+        assert len(misses) == len(calls)
         assert isinstance(first[0], complex) and isinstance(again[0], complex)
         assert abs(first[0] + first[1]) < 1e-12  # the inverse really is -L here
         assert [np.shape(v) for v in again] == [(), (), (1,), (1, 1)]
         for a, b in zip(first, again):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_real_and_complex_dtypes_share_the_exact_value(self, l_quadratures):
-        a = l_function(P_CIRC, np.array([0.5, 2.0]))
-        b = l_function(P_CIRC, np.array([0.5 + 0j, 2.0 + 0j]))
-        assert len(l_quadratures) == 1
-        assert a.tobytes() == b.tobytes()
-
-    def test_branch_cut_warning_and_error_on_every_call(self, l_quadratures):
+    def test_branch_cut_warning_and_error_on_every_call(self, memo, misses):
         p = QParam.unit_circle(math.pi / 5)
         for _ in range(3):
             with pytest.warns(RuntimeWarning, match="branch cut"):
                 with pytest.raises(RuntimeError):
                     l_function(p, -0.5 + 1e-9j)
-        assert len(l_quadratures) == 3
-        assert qspecial._l_memo == {}
+        assert len(misses) == 3
+        assert memo.entries == {}
 
-    def test_warned_result_is_never_stored(self, l_quadratures, monkeypatch):
+    def test_warned_result_is_never_stored(self, memo, misses, monkeypatch):
         # a margin wider than pi makes every evaluation warn, converged or not
         monkeypatch.setattr(qspecial, "BRANCH_CUT_MARGIN", 4.0)
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="branch cut"):
                 l_function(P_CIRC, 0.7)
-        assert len(l_quadratures) == 2
-        assert qspecial._l_memo == {}
+        assert len(misses) == 2
+        assert memo.entries == {}
 
-    def test_byte_bound_evicts_oldest_first(self, l_quadratures, monkeypatch):
-        # one 8-point entry holds 2 * 8 * 16 bytes (key bytes plus values)
-        monkeypatch.setattr(qspecial, "L_MEMO_MAX_BYTES", 3 * 256)
-        grids = [np.linspace(0.1, 1.0, 8) * (k + 1) for k in range(4)]
-        want = [l_function(P_CIRC, g) for g in grids]
-        assert len(qspecial._l_memo) == 3
-        assert qspecial._l_memo_bytes == 3 * 256
-        assert len(l_quadratures) == 4
-        assert l_function(P_CIRC, grids[3]).tobytes() == want[3].tobytes()
-        assert len(l_quadratures) == 4
-        assert l_function(P_CIRC, grids[0]).tobytes() == want[0].tobytes()
-        assert len(l_quadratures) == 5  # grids[0] was the oldest, evicted
 
-    def test_oversized_result_is_not_stored(self, l_quadratures, monkeypatch):
-        # ETA's entry needs 2 * 3 * 16 = 96 bytes
-        monkeypatch.setattr(qspecial, "L_MEMO_MAX_BYTES", 95)
-        l_function(P_CIRC, self.ETA)
-        l_function(P_CIRC, self.ETA)
-        assert len(l_quadratures) == 2
-        assert qspecial._l_memo == {} and qspecial._l_memo_bytes == 0
+P_PRODUCT = QParam.positive_real(math.exp(-1.0))
+
+
+class TestInfiniteProductMemo(_ExactMemoCases):
+    MEMO, UNCACHED = "_product_memo", "_infinite_product"
+
+    @staticmethod
+    def evaluate(eta):
+        return q_infinite_product(1.5, P_PRODUCT, eta)
+
+    @staticmethod
+    def uncached(arr):
+        return qspecial._infinite_product(HalfInt.of(1.5), P_PRODUCT.value, arr)
+
+    def test_distinct_inputs_never_share_an_entry(self, misses):
+        # at this eta the scalar and the one-element array differ in the last bits
+        eta = 0.741 - 3.863j
+        calls = [
+            lambda: q_infinite_product(0.5, P_PRODUCT, eta),
+            lambda: q_infinite_product(1.5, P_PRODUCT, eta),
+            lambda: q_infinite_product(0.5, P_PRODUCT.inverse(), eta),
+            lambda: q_infinite_product(0.5, P_PRODUCT, np.array([eta])),
+            lambda: q_infinite_product(0.5, P_PRODUCT, np.array([[eta]])),
+        ]
+        first = [call() for call in calls]
+        assert len(misses) == len(calls)
+        again = [call() for call in calls]
+        assert len(misses) == len(calls)
+        assert isinstance(first[0], complex) and isinstance(again[0], complex)
+        assert [np.shape(v) for v in again] == [(), (), (), (1,), (1, 1)]
+        assert first[0] != first[3][0]
+        for a, b, (J, p) in zip(first, again, [(0.5, P_PRODUCT), (1.5, P_PRODUCT),
+                                               (0.5, P_PRODUCT.inverse())]):
+            assert a == b == per_factor_infinite_product(J, p, eta)
+        for a, b in zip(first[3:], again[3:]):
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == per_factor_infinite_product(0.5, P_PRODUCT, np.array([eta])).tobytes()
+
+    @pytest.mark.parametrize("q,eta,error", [
+        (0.5, np.array([1.0, -32.0]), ValueError),   # pole in factor 3
+        (0.5, 1e308, ValueError),                    # factor 0 overflows
+        (1.0001, 1.0, RuntimeError),                 # the factor cap
+    ], ids=["pole", "overflow", "cap"])
+    def test_errors_on_every_call(self, memo, misses, q, eta, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                q_infinite_product(0.5, QParam.positive_real(q), eta)
+        assert len(misses) == 2
+        assert memo.entries == {}
+
+
+def test_l_and_product_entries_never_evict_each_other(monkeypatch):
+    assert qspecial._l_memo.max_bytes == qspecial.L_MEMO_MAX_BYTES == 4 * 2**20
+    assert qspecial._product_memo.max_bytes == qspecial.PRODUCT_MEMO_MAX_BYTES == 2**20
+    # room for one 8-point entry each: a shared store would keep only one
+    for memo in (qspecial._l_memo, qspecial._product_memo):
+        monkeypatch.setattr(memo, "entries", {})
+        monkeypatch.setattr(memo, "nbytes", 0)
+        monkeypatch.setattr(memo, "max_bytes", 256)
+    grid = np.linspace(0.1, 1.0, 8)
+    for _ in range(2):
+        l_function(P_CIRC, grid)
+        q_infinite_product(0.5, P_HALF, grid)
+    assert [key[0] for key in qspecial._l_memo.entries] == ["L"]
+    assert [key[0] for key in qspecial._product_memo.entries] == ["Q"]
+    assert qspecial._l_memo.nbytes == qspecial._product_memo.nbytes == 256
 
 
 class TestNormConstant:
@@ -515,6 +604,21 @@ class TestInfiniteProductBlocks:
         got = np.asarray(q_infinite_product(J, QParam.positive_real(q), eta))
         want = np.array([complex(mpmath_infinite_product(J, q, e)) for e in eta])
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    @pytest.mark.parametrize("eta", [1e308, -1e308, 1.7e308j, 1e308 + 1e308j])
+    def test_overflowing_first_factor_raises(self, eta):
+        # |eta| q^(-2J) overflows at q = 1/2, J = 1/2: the product used to
+        # return 0 or nan with only a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^infinite-product factor k=0 overflows"):
+                q_infinite_product(0.5, P_HALF, eta)
+
+    @pytest.mark.parametrize("q,eta", [(0.5, 1e300), (0.5, 3e307), (2.0, 1e308)])
+    def test_large_eta_short_of_overflow_matches_q_pochhammer_ratio(self, q, eta):
+        got = q_infinite_product(0.5, QParam.positive_real(q), eta)
+        want = complex(mpmath_infinite_product(0.5, q, eta))
+        assert abs(got - want) / abs(want) < 1e-13
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_eta_gives_empty_result(self, shape):
