@@ -71,7 +71,10 @@ class QParam:
     def power(self, x: float) -> complex:
         """q**x with real exponent: exp(x ln q) or exp(i x tau)."""
         if self.regime is Regime.POSITIVE_REAL:
-            return complex(self.value ** x)
+            try:
+                return complex(self.value ** x)
+            except OverflowError:
+                raise ValueError(f"q**{x:g} overflows at q = {self.value!r}") from None
         if self.regime is Regime.UNIT_CIRCLE:
             t = x * self.value
             return complex(math.cos(t), math.sin(t))
@@ -151,7 +154,10 @@ def q_number(x: float, p: QParam) -> float:
     if p.regime is Regime.UNIT_CIRCLE:
         return math.sin(x * p.value) / math.sin(p.value)
     q = p.value
-    return (q ** x - q ** (-x)) / (q - 1.0 / q)
+    try:
+        return (q ** x - q ** (-x)) / (q - 1.0 / q)
+    except OverflowError:
+        raise ValueError(f"q-number [{x:g}] overflows at q = {q!r}") from None
 
 
 def q_factorial(n: int, p: QParam) -> float:

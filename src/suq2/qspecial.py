@@ -34,9 +34,13 @@ from .qcore import (
     q_factorial,
     validate_triple,
 )
-from .quadrature import gauss_legendre
 
 L_ABS_TOL = 1e-12
+# l_function gives up after this many rounds of panel bisection (a singularity
+# 1e-9 off the contour needs about 30) or on a round of more panels (tiny
+# |tau|, where rounding keeps every panel above its share of L_ABS_TOL)
+L_MAX_ROUNDS = 16
+L_MAX_PANELS = 256
 PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
 PRODUCT_MAX_FACTORS = 100_000
@@ -47,6 +51,44 @@ BRANCH_CUT_MARGIN = 1e-6
 L_MEMO_MAX_BYTES = 4 * 2**20
 # Real-q suites reach 6 MB of distinct product inputs; 4 MiB cost 15% peak RSS
 PRODUCT_MEMO_MAX_BYTES = 2**20
+
+
+# The 10-point Gauss / 21-point Kronrod pair on [-1, 1], as published with
+# QUADPACK (qk21): the nonnegative Kronrod nodes in descending order, their
+# Kronrod weights, and the Gauss weights of the nodes at odd positions.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980616370, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821)
+_GK21_GAUSS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
+
+
+def _gauss_kronrod_21():
+    """The 21 nodes in ascending order and a (21, 2) weight matrix whose
+    columns give the Kronrod sum and the Kronrod minus the Gauss sum."""
+    half = np.array(_GK21_NODES)
+    nodes = np.concatenate((-half, half[-2::-1]))
+    kronrod = np.concatenate((_GK21_KRONROD, _GK21_KRONROD[-2::-1]))
+    gauss = np.zeros(21)
+    gauss[1:10:2] = _GK21_GAUSS
+    gauss[11:20:2] = _GK21_GAUSS[::-1]
+    return nodes, np.stack((kronrod, kronrod - gauss), axis=1)
+
+
+GK21_NODES, GK21_WEIGHTS = _gauss_kronrod_21()
 
 
 class _ExactMemo:
@@ -180,11 +222,14 @@ def _multipliers(q, Jf, ks):
     """The multipliers of eta in the numerators and denominators of factors ks.
 
     Python's ** in the per-factor expressions: numpy's power may round
-    differently.
+    differently.  A power that overflows a float is rejected.
     """
-    if q < 1.0:
-        return [q ** (2 * k) for k in ks], [q ** (-2 * Jf + 2 * k) for k in ks]
-    return [q ** (-2 * Jf - 2 * k - 2) for k in ks], [q ** (-2 * k - 2) for k in ks]
+    try:
+        if q < 1.0:
+            return [q ** (2 * k) for k in ks], [q ** (-2 * Jf + 2 * k) for k in ks]
+        return [q ** (-2 * Jf - 2 * k - 2) for k in ks], [q ** (-2 * k - 2) for k in ks]
+    except OverflowError:
+        raise ValueError(f"infinite-product multiplier overflows at q = {q!r}") from None
 
 
 def _infinite_product(J, q, arr):
@@ -229,17 +274,11 @@ def _infinite_product(J, q, arr):
     raise RuntimeError("infinite product did not converge within the factor cap")
 
 
-def _panel_nodes(breaks, n):
-    xs, ws = gauss_legendre(n)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        nodes.append(0.5 * (b - a) * xs + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _low_breaks(alpha, u_max):
-    pts = [b for b in (0.0, 2.0, 5.0, 10.0, 20.0) if b < u_max]
+    """Panel breaks on (0, u_max): fixed ones up to 40, past which
+    1/(1 + e^(-u)) is 1 to within 5e-18, then steps of max(10, 5/alpha),
+    over which only the Log varies."""
+    pts = [b for b in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0) if b < u_max]
     step = max(10.0, 5.0 / alpha)
     x = pts[-1]
     while x < u_max:
@@ -262,12 +301,17 @@ def l_function(p: QParam, eta):
     -----
     The defining contour integral runs over t in (0, inf) with integrand
     Log(1 + eta t^(tau/pi)) / (t (1 + t)) (sign and exponent flip for
-    negative tau).  Splitting at t = 1 and substituting t = exp(-u) and
-    t = exp(+u) makes both halves analytic with exponentially decaying
-    tails, so panelized Gauss nodes with global node doubling converge
-    geometrically, to L_ABS_TOL between successive levels; the raw split
-    keeps an algebraic t^(tau/pi - 1) endpoint singularity that defeats
-    plain node doubling for small tau.
+    negative tau).  Substituting t = exp(-v) gives the integrand
+    Log(1 + eta e^(-alpha v)) / (1 + e^(-v)), alpha = |tau|/pi, on the real
+    line: analytic, with exponentially decaying tails, where the raw integral
+    keeps an algebraic t^(alpha - 1) endpoint singularity.  The line is cut
+    into fixed panels, each integrated by a 10-point Gauss / 21-point Kronrod
+    pair (GK21_NODES, GK21_WEIGHTS), with |K21 - G10| maximized over the
+    points as the panel's error.  The K21 sums are returned once the panel
+    errors add up to less than L_ABS_TOL.  Otherwise the panels within an
+    equal share of the tolerance left are kept and the others bisected, for
+    at most L_MAX_ROUNDS rounds of at most L_MAX_PANELS panels, past which
+    it raises RuntimeError.
 
     Results are memoized on (p, eta's shape, eta's complex bytes) under
     L_MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
@@ -290,30 +334,42 @@ def _l_quadrature(p: QParam, arr):
     if amax == 0.0:
         return np.zeros_like(arr), False
 
+    # t = exp(-v): 11 equal panels on (-u_high, 0) for t > 1, _low_breaks for t < 1
     u_low = max(30.0, (math.log(amax) + 40.0) / alpha)
-    b_low = _low_breaks(alpha, u_low)
-    b_high = list(np.linspace(0.0, 55.0 + math.log1p(amax), 12))
-
-    prev = None
+    u_high = 55.0 + math.log1p(amax)
+    breaks = np.concatenate((-np.linspace(0.0, u_high, 12)[:0:-1], _low_breaks(alpha, u_low)))
+    lo, hi = breaks[:-1], breaks[1:]
+    re, im = flat.real[:, None, None], flat.imag[:, None, None]
+    total = np.zeros(flat.shape, dtype=complex)
+    error = 0.0
     warned = False
-    for n in (16, 32, 64, 128, 256):
-        u1, w1 = _panel_nodes(b_low, n)
-        u2, w2 = _panel_nodes(b_high, n)
-        arg1 = 1.0 + flat[:, None] * np.exp(-alpha * u1)[None, :]
-        arg2 = 1.0 + flat[:, None] * np.exp(alpha * u2)[None, :]
-        if not warned:
-            worst = min(float(np.min(math.pi - np.abs(np.angle(arg1)))),
-                        float(np.min(math.pi - np.abs(np.angle(arg2)))))
-            if worst < BRANCH_CUT_MARGIN:
-                warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                              RuntimeWarning, stacklevel=3)
-                warned = True
-        total = (np.log(arg1) / (1.0 + np.exp(-u1))[None, :]) @ w1 \
-              + (np.log(arg2) / (1.0 + np.exp(u2))[None, :]) @ w2
-        val = sigma * total / (2j * math.pi)
-        if prev is not None and np.max(np.abs(val - prev)) < L_ABS_TOL:
-            return val.reshape(arr.shape), warned
-        prev = val
+    for _ in range(L_MAX_ROUNDS):
+        if lo.size > L_MAX_PANELS:
+            break
+        half = 0.5 * (hi - lo)[:, None]
+        v = half * GK21_NODES + 0.5 * (lo + hi)[:, None]
+        t = np.exp(-alpha * v)
+        x, y = 1.0 + re * t, im * t           # 1 + eta e^(-alpha v): points x panels x 21
+        phase = np.arctan2(y, x)
+        if not warned and math.pi - float(np.max(np.abs(phase))) < BRANCH_CUT_MARGIN:
+            warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
+                          RuntimeWarning, stacklevel=3)
+            warned = True
+        g = half / (1.0 + np.exp(-v))
+        log_abs = np.log(np.hypot(x, y, out=x), out=x)  # Log(1+z) = log|1+z| + i arg(1+z)
+        log_abs *= g
+        phase *= g
+        sums = log_abs @ GK21_WEIGHTS + 1j * (phase @ GK21_WEIGHTS)  # the K21 and K21 - G10 sums
+        panel_error = np.max(np.abs(sums[..., 1]), axis=0) / (2.0 * math.pi)
+        if error + float(np.sum(panel_error)) < L_ABS_TOL:
+            total += np.sum(sums[..., 0], axis=1)
+            return (sigma * total / (2j * math.pi)).reshape(arr.shape), warned
+        ok = panel_error < (L_ABS_TOL - error) / panel_error.size
+        total += np.sum(sums[:, ok, 0], axis=1)
+        error += float(np.sum(panel_error[ok]))
+        lo, hi = lo[~ok], hi[~ok]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.stack((lo, mid), axis=1).reshape(-1), np.stack((mid, hi), axis=1).reshape(-1)
     raise RuntimeError("l_function quadrature did not converge")
 
 

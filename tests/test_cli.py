@@ -162,6 +162,17 @@ class TestEvalErrors:
                               "--eta", "1e308"], capsys)
         assert code == 2 and out == "" and "overflows" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "qnum", "--q", "1e200", "--x", "3"],
+        ["verify", "--suite", "matrix", "--q", "1e-200"],
+        ["eval", "--fn", "Q", "--J", "1.5", "--q", "1e-200", "--eta", "1"],
+        ["eval", "--fn", "Q", "--J", "1", "--q", "1e-200", "--eta", "1"],
+    ], ids=["qnum", "matrix-suite", "infinite-product", "finite-product"])
+    def test_extreme_q_overflow_exits_two(self, argv, capsys):
+        # Python's float ** raises OverflowError on each, not a ValueError
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "overflows at q = 1e" in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2
@@ -233,6 +244,22 @@ class TestVerify:
         r0 = [c["residual"] for c in outs[0]["cases"]]
         r1 = [c["residual"] for c in outs[1]["cases"]]
         assert r0 != r1
+
+    # l_function's Gauss-Legendre rule, before the Gauss-Kronrod one, raised
+    # "did not converge" on each of these
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--tau", "0.01"],
+        ["verify", "--suite", "all", "--tau", "-0.01"],
+        ["verify", "--suite", "funceq", "--tau", "0.005"],
+        ["eval", "--fn", "Q", "--J", "2.5", "--tau", "0.52", "--eta", "3"],
+    ])
+    def test_small_tau_and_sector_edge_pass(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out and err == ""
+
+    def test_tiny_tau_exits_two(self, capsys):
+        code, out, err = run(["verify", "--suite", "all", "--tau", "0.0001"], capsys)
+        assert code == 2 and out == "" and "did not converge" in err
 
     def test_limit_suite_classical_ok(self, capsys):
         code, out, _ = run(["verify", "--suite", "limit", "--q", "1"], capsys)

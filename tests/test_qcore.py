@@ -102,6 +102,14 @@ class TestQNumber:
     def test_classical_is_identity(self):
         assert q_number(2.5, QParam.classical()) == 2.5
 
+    @pytest.mark.parametrize("q", [1e200, 1e-200])
+    def test_float_overflow_is_a_value_error_naming_q(self, q):
+        p = QParam.positive_real(q)
+        with pytest.raises(ValueError, match=r"overflows at q = 1e[+-]200"):
+            q_number(3, p)
+        with pytest.raises(ValueError, match=r"overflows at q = 1e[+-]200"):
+            p.power(3 if q > 1 else -3)
+
     def test_circle_result_is_float(self):
         # computed as a sine ratio, not via complex division
         v = q_number(1.5, QParam.unit_circle(0.4))

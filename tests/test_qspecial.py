@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import re
 import warnings
@@ -199,7 +201,11 @@ class TestCircleSector:
     def test_functional_equation_inside(self, J, tau, sign):
         assert funceq_residual(J, QParam.unit_circle(sign * tau), ETA_GRID) < FUNCEQ_TOL_INTEGRAL
 
-    @pytest.mark.parametrize("J,tau", [(1, 0.9), (1, -0.7), (2, 0.5), (2, -0.1)])
+    # (1, 1.0) and (2, +-0.6) rotate eta by (2J+1)|tau| = 3 towards the
+    # negative axis, where the Gauss-Legendre rule before the Gauss-Kronrod
+    # one did not converge
+    @pytest.mark.parametrize("J,tau", [(1, 0.9), (1, -0.7), (2, 0.5), (2, -0.1),
+                                       (1, 1.0), (2, 0.6), (2, -0.6)])
     def test_forced_integral_matches_finite_inside(self, J, tau):
         p = QParam.unit_circle(tau)
         a = np.asarray(q_finite_product(J, p, ETA_GRID))
@@ -258,6 +264,88 @@ class TestLFunction:
         with pytest.warns(RuntimeWarning, match="branch cut"):
             with pytest.raises(RuntimeError):
                 l_function(p, -0.5 + 1e-9j)
+
+
+def mp_quad_l(tau, eta):
+    """L(eta) at q = exp(i tau) by mpmath.quad at 30 digits.
+
+    t = exp(-v) turns the contour integral into sign(tau)/(2 pi i) times
+    Int Log(1 + eta e^(-alpha v)) / (1 + e^(-v)) dv, alpha = |tau|/pi, over
+    the real line.
+    """
+    return math.copysign(1.0, tau) * _mp_quad_l_integral(abs(tau), complex(eta))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_quad_l_integral(abs_tau, eta):
+    """The integral of mp_quad_l over 2 pi i.  It is cut at v = 0 and where
+    |eta| e^(-alpha v) = 1, and ends where the tails fall below 1e-30: at
+    v = -80, and 75/alpha past both cuts."""
+    with mpmath.workdps(30):
+        alpha = mpmath.mpf(abs_tau) / mpmath.pi
+        eta = mpmath.mpc(eta)
+        v_unit = mpmath.log(abs(eta)) / alpha
+        cuts = sorted({mpmath.mpf(-80), mpmath.mpf(0), v_unit, max(v_unit, 0) + 75 / alpha})
+        val = mpmath.quad(lambda v: mpmath.log(1 + eta * mpmath.exp(-alpha * v))
+                          / (1 + mpmath.exp(-v)), cuts)
+        return complex(val / (2j * mpmath.pi))
+
+
+def l_oracle_tol(want):
+    """L_ABS_TOL, widened to a few units in the last place of a large L."""
+    return max(qspecial.L_ABS_TOL, 8 * np.spacing(abs(want)))
+
+
+# 13 tau of both signs by 7 eta: real, complex, and two near the sector edge
+# arg eta = +-pi, where the integrand comes closest to the Log branch cut
+L_SWEEP_TAU = (0.05, -0.05, 0.12, -0.12, 0.3, -0.3, 0.7, -0.7, 1.2, -1.2, 2.0, -2.0, 2.8)
+L_SWEEP_ETA = (0.3, 1.0, 4.0, 2 + 1j, 0.5 - 2j, 3 * cmath.exp(2.8j), 0.7 * cmath.exp(-2.9j))
+# The largest error on this sweep of the rule the Gauss-Kronrod one replaced
+# (16, 32, then 64 Gauss-Legendre nodes on every panel until two levels
+# agreed to L_ABS_TOL): 1.10e-13, at tau = 0.12, eta = 3 e^(2.8i)
+REPLACED_RULE_SWEEP_ERROR = 1.1e-13
+
+
+class TestLAgainstMpQuad:
+    def test_gauss_kronrod_pair(self):
+        nodes = qspecial.GK21_NODES
+        kronrod, kronrod_minus_gauss = qspecial.GK21_WEIGHTS.T
+        gauss = kronrod - kronrod_minus_gauss
+        xs, ws = np.polynomial.legendre.leggauss(10)
+        assert np.all(np.diff(nodes) > 0) and np.array_equal(nodes, -nodes[::-1])
+        assert np.max(np.abs(nodes[gauss != 0] - xs)) < 1e-15
+        assert np.max(np.abs(gauss[gauss != 0] - ws)) < 1e-15
+        for k in range(34):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(nodes ** k @ kronrod - exact) < (1e-15 if k < 32 else 1)
+        assert abs(nodes ** 32 @ kronrod - 2.0 / 33) > 1e-13  # degree 31 and no further
+
+    def test_sweep_no_worse_than_the_replaced_rule(self):
+        errors = [abs(l_function(QParam.unit_circle(tau), eta) - mp_quad_l(tau, eta))
+                  for tau in L_SWEEP_TAU for eta in L_SWEEP_ETA]
+        assert max(errors) <= REPLACED_RULE_SWEEP_ERROR
+
+    # inputs on which the replaced rule raised "did not converge"
+    @pytest.mark.parametrize("tau,eta", [
+        (0.005, 30.0),                      # 1000-wide panels at small tau
+        (0.1, 5 * cmath.exp(-3j)),          # 0.14 from the negative axis
+        (-0.1, 5 * cmath.exp(-3j)),
+        (0.01, 5 * cmath.exp(-3j)),
+        # the forced integral route at J = 1, tau = 1 and at J = 2, tau = +-0.6
+        # rotates eta by -(2J+1) tau = -+3
+        (1.0, 10 * cmath.exp(-3j)),
+        (0.6, 10 * cmath.exp(-3j)),
+        (-0.6, 10 * cmath.exp(3j)),
+    ])
+    def test_formerly_failing_inputs(self, tau, eta):
+        want = mp_quad_l(tau, eta)
+        assert abs(l_function(QParam.unit_circle(tau), eta) - want) < l_oracle_tol(want)
+
+    def test_q_near_the_sector_edge(self):
+        # (2J+1) tau = 3.12: the rotated argument q^-6 eta lies 0.02 from the cut
+        p = QParam.unit_circle(0.52)
+        want = cmath.exp(mp_quad_l(0.52, p.power(-6) * 3) - mp_quad_l(0.52, p.power(-1) * 3))
+        assert abs(q_function(2.5, p, 3.0) - want) < 1e-12 * abs(want)
 
 
 class _ExactMemoCases:
