@@ -4,7 +4,9 @@ Each file under tests/golden/ was written by the CLI before the source
 change it guards (the l_function memo and cached Gauss-Legendre rules, the
 merge of the duplicated evaluators, the removal of unused options, the
 blocked real-q infinite product, then the real-q product memo and the psi
-record cache), so this test proves those changes alter no printed number.  Running
+record cache), so this test proves those changes alter no printed number.
+The eight circle recordings (tau given) were written again after L moved
+to a Gauss-Kronrod rule, which changes last bits on the circle only.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
