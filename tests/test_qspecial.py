@@ -202,8 +202,7 @@ class TestCircleSector:
         assert funceq_residual(J, QParam.unit_circle(sign * tau), ETA_GRID) < FUNCEQ_TOL_INTEGRAL
 
     # (1, 1.0) and (2, +-0.6) rotate eta by (2J+1)|tau| = 3 towards the
-    # negative axis, where the Gauss-Legendre rule before the Gauss-Kronrod
-    # one did not converge
+    # negative axis, where L's former Gauss-Legendre rule did not converge
     @pytest.mark.parametrize("J,tau", [(1, 0.9), (1, -0.7), (2, 0.5), (2, -0.1),
                                        (1, 1.0), (2, 0.6), (2, -0.6)])
     def test_forced_integral_matches_finite_inside(self, J, tau):
@@ -291,11 +290,6 @@ def _mp_quad_l_integral(abs_tau, eta):
         return complex(val / (2j * mpmath.pi))
 
 
-def l_oracle_tol(want):
-    """L_ABS_TOL, widened to a few units in the last place of a large L."""
-    return max(qspecial.L_ABS_TOL, 8 * np.spacing(abs(want)))
-
-
 # 13 tau of both signs by 7 eta: real, complex, and two near the sector edge
 # arg eta = +-pi, where the integrand comes closest to the Log branch cut
 L_SWEEP_TAU = (0.05, -0.05, 0.12, -0.12, 0.3, -0.3, 0.7, -0.7, 1.2, -1.2, 2.0, -2.0, 2.8)
@@ -327,7 +321,7 @@ class TestLAgainstMpQuad:
 
     # inputs on which the replaced rule raised "did not converge"
     @pytest.mark.parametrize("tau,eta", [
-        (0.005, 30.0),                      # 1000-wide panels at small tau
+        (0.005, 30.0),                      # 3000-wide panels at small tau
         (0.1, 5 * cmath.exp(-3j)),          # 0.14 from the negative axis
         (-0.1, 5 * cmath.exp(-3j)),
         (0.01, 5 * cmath.exp(-3j)),
@@ -339,7 +333,7 @@ class TestLAgainstMpQuad:
     ])
     def test_formerly_failing_inputs(self, tau, eta):
         want = mp_quad_l(tau, eta)
-        assert abs(l_function(QParam.unit_circle(tau), eta) - want) < l_oracle_tol(want)
+        assert abs(l_function(QParam.unit_circle(tau), eta) - want) < qspecial.L_ABS_TOL
 
     def test_q_near_the_sector_edge(self):
         # (2J+1) tau = 3.12: the rotated argument q^-6 eta lies 0.02 from the cut
