@@ -16,16 +16,21 @@ eta = u v on the physical slice v = conj(u).  B1 is real in both regimes
 (sin(tau)/tau on the circle, principal log) -- the Hermiticity constraint
 B2 = conj(B1) leaves no other choice.
 
-Basis-pair integrands factor an exact Fourier mode e^{-i(M+N)phi}, so inner
-products of tagged basis families reduce to a single radial integral (mode
-matching); everything else goes through the 2-d trapezoid/Gauss rule.
+Every family that qops builds from basis members records its Fourier
+decomposition (PlaneFamily.meta): components of exact modes, psi_(J,M,N)
+being one of mode M+N.  On the physical slice a component of mode m is
+e^{-i m phi} times its value at phi = 0, so the angular integral keeps only
+the products of like modes and <f|g> is one radial integral of
+2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's components of mode m
+at (rho, rho).  Families without a decomposition go through the 2-d
+trapezoid/Gauss rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,11 +107,19 @@ def _weight(term: _Term, kind: InnerProductKind, eta):
     return s / ((1.0 + eta) * (1.0 + s * s * eta))
 
 
-def _mode(f: PlaneFamily) -> Optional[int]:
-    if f.meta is None:
-        return None
-    _, M, N = f.meta
-    return (M + N).to_int()
+def _modes_at(f: PlaneFamily, p: QParam, x, modes) -> dict:
+    """{m: F_m} for each m in modes: f's components of mode m summed at (x, x).
+
+    A component with coefficient 1 (a basis member) enters unmultiplied.
+    """
+    out = {}
+    for c, comp, m in f.meta:
+        if m in modes:
+            val = comp(p, x, x)
+            if c != 1:
+                val = c * val
+            out[m] = out[m] + val if m in out else val
+    return out
 
 
 def _term_sum(kind: InnerProductKind, terms, f: PlaneFamily, g: PlaneFamily, u, v, eta):
@@ -123,19 +136,28 @@ def inner(kind: InnerProductKind, f: PlaneFamily, g: PlaneFamily, p: QParam,
           cfg: QuadratureConfig = QuadratureConfig()) -> complex:
     """Sesquilinear form <f|g> of the given kind on the physical slice.
 
-    Tagged basis families take the exact mode-matched radial path; untagged
-    families fall back to the full plane quadrature.
+    When both families carry a Fourier decomposition, the modes they share
+    are matched on one radial integral at phi = 0; no shared mode gives an
+    exact 0.0 (angular orthogonality).  A family without a decomposition
+    sends the pair through the full plane quadrature.
     """
     _check_kind(kind, p)
     terms = _terms(kind, p)
     scale = b_one(p)
-    mf, mg = _mode(f), _mode(g)
-    if mf is not None and mg is not None:
-        if mf != mg:
-            return 0.0  # exact angular orthogonality
+    if f.meta is not None and g.meta is not None:
+        common = sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta})
+        if not common:
+            return 0.0
 
         def profile(rho):
-            return _term_sum(kind, terms, f, g, rho, rho, rho ** 2)
+            acc = 0
+            for t in terms:
+                bra = _modes_at(f, t.bra_p, rho, common)
+                ket = _modes_at(g, t.ket_p, t.ket_scale * rho, common)
+                w = _weight(t, kind, rho ** 2)
+                for m in common:
+                    acc = acc + np.conj(bra[m]) * w * ket[m]
+            return acc
         return scale * 2.0 * math.pi * radial_integral(profile, cfg).value
 
     def integrand(rho, phi):

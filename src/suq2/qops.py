@@ -27,18 +27,37 @@ from .qcore import (
     check_not_root_of_unity,
     m_values,
     q_number,
+    validate_triple,
 )
 from .qspecial import psi
 
 
 @dataclass(frozen=True)
 class PlaneFamily:
-    """A function of (u, v) parametrized by p, evaluated as family(p, u, v)."""
+    """A function of (u, v) parametrized by p, evaluated as family(p, u, v).
+
+    meta is the family's Fourier decomposition when it is known, else None:
+    a tuple of (coefficient, single-mode family, mode) whose terms
+    coefficient * family(p, u, v) add up to this family.  A single-mode
+    family f of mode m satisfies f(p, rho e^(i phi), rho e^(-i phi)) =
+    e^(-i m phi) f(p, rho, rho): each of its terms is u^a v^b times a
+    function of u v, with b - a = m.  The families the constructors below
+    build from tagged families are tagged; the single-mode families
+    themselves carry meta = None.
+    """
     evaluator: Callable
     meta: Optional[tuple] = None
 
     def __call__(self, p: QParam, u, v):
         return self.evaluator(p, u, v)
+
+
+def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> Optional[tuple]:
+    """The decomposition of a linear operator applied to f: op on each of
+    f's components, their modes shifted by shift; None if f has none."""
+    if f.meta is None:
+        return None
+    return tuple((c, op(comp), m + shift) for c, comp, m in f.meta)
 
 
 @dataclass(frozen=True)
@@ -54,22 +73,29 @@ class RealizationParams:
 
 
 def psi_family(J, M, N) -> PlaneFamily:
-    """Basis member as a family; the parameter stays a free slot."""
+    """Basis member as a family; the parameter stays a free slot.  It is
+    one component of mode M + N, with coefficient 1."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    return PlaneFamily(lambda p, u, v: psi(J, M, N, p, u, v), meta=(J, M, N))
+    validate_triple(J, M, N)
+    mode = PlaneFamily(lambda p, u, v: psi(J, M, N, p, u, v))
+    return PlaneFamily(mode.evaluator, meta=((1, mode, (M + N).to_int()),))
 
 
 def with_fixed_param(f: PlaneFamily, p0: QParam) -> PlaneFamily:
     """Pin f to parameter p0, ignoring the evaluation-time slot.
 
     Used for limit studies: a family frozen at q = 1 fed through a deformed
-    form probes the form itself rather than the covariant family.  The mode
-    tag survives (the angular structure does not depend on the parameter).
+    form probes the form itself rather than the covariant family.  Each
+    component is pinned as well, and keeps its mode (the angular structure
+    does not depend on the parameter).
     """
-    return PlaneFamily(lambda p, u, v: f(p0, u, v), meta=f.meta)
+    return PlaneFamily(lambda p, u, v: f(p0, u, v),
+                       meta=_map_modes(f, lambda comp: with_fixed_param(comp, p0)))
 
 
 def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> PlaneFamily:
+    """sum_i coeffs[i] * families[i]; its decomposition concatenates the
+    families' components, if all of them have one."""
     if len(coeffs) != len(families):
         raise ValueError("coefficient/family length mismatch")
     cs = [complex(c) for c in coeffs]
@@ -80,7 +106,10 @@ def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> Plane
         for c, f in zip(cs, fs):
             acc = acc + c * f(p, u, v)
         return acc
-    return PlaneFamily(ev)
+    meta = None
+    if all(f.meta is not None for f in fs):
+        meta = tuple((c * cf, comp, m) for c, f in zip(cs, fs) for cf, comp, m in f.meta)
+    return PlaneFamily(ev, meta)
 
 
 def _require_deformed(p: QParam):
@@ -104,7 +133,7 @@ def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
         t1 = -p.power(-nf / 2) * (f_pp - f(p, qm1 * u, q1 * v)) / (d * u)
         t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f(p, q1 * u, qm1 * v)) / d
         return t1 + t2
-    return PlaneFamily(ev)
+    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_plus(comp, r), +1))
 
 
 def apply_h_minus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
@@ -123,7 +152,7 @@ def apply_h_minus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
         t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f(p, qm1 * u, q1 * v)) / d
         t2 = p.power(nf / 2) * (f_pp - f(p, q1 * u, qm1 * v)) / (d * v)
         return t1 + t2
-    return PlaneFamily(ev)
+    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_minus(comp, r), -1))
 
 
 def apply_q_h3_power(f: PlaneFamily, r: RealizationParams, a: float) -> PlaneFamily:
@@ -131,7 +160,8 @@ def apply_q_h3_power(f: PlaneFamily, r: RealizationParams, a: float) -> PlaneFam
     nf = float(r.N)
     return PlaneFamily(lambda p, u, v: p.power(-a * nf)
                        * f(p, p.power(-a) * np.asarray(u, complex),
-                           p.power(a) * np.asarray(v, complex)))
+                           p.power(a) * np.asarray(v, complex)),
+                       _map_modes(f, lambda comp: apply_q_h3_power(comp, r, a)))
 
 
 def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily:
@@ -143,7 +173,7 @@ def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily
         _require_deformed(p)
         d = p.power(1) - p.power(-1)
         return (p.power(shift) * up(p, u, v) - p.power(-shift) * dn(p, u, v)) / d
-    return PlaneFamily(ev)
+    return PlaneFamily(ev, _map_modes(f, lambda comp: _bracket_h3(comp, r, shift)))
 
 
 def apply_casimir(f: PlaneFamily, r: RealizationParams, ordering: str = "plus_minus") -> PlaneFamily:
@@ -156,7 +186,8 @@ def apply_casimir(f: PlaneFamily, r: RealizationParams, ordering: str = "plus_mi
         diag = _bracket_h3(_bracket_h3(f, r, +1), r, 0)
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
+    return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v),
+                       _map_modes(f, lambda comp: apply_casimir(comp, r, ordering)))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Deterministic work counts (no timing): on the circle no Gauss-Legendre
 rule is built, and every distinct l_function input runs its quadrature
 once; at real q every distinct infinite-product input runs its
-product once, and psi builds each (J, M, N, p) record once."""
+product once, and psi builds each (J, M, N, p) record once; no suite
+scalar product reaches the 2-d plane quadrature."""
 import numpy as np
 import pytest
 
-from suq2 import qops, qspecial
+from suq2 import qinner, qops, qspecial
 from suq2.qcore import HalfInt, QParam
 from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
@@ -123,3 +124,27 @@ def test_psi_errors_fire_on_every_call(monkeypatch):
             qspecial.psi(1, 2, 0, p, 0.5, 0.5)
     assert len(norm_constants) == 3
     assert qspecial._psi_record.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p,N", [(QParam.positive_real(0.8), 0.5), (QParam.unit_circle(0.2), 0)],
+                         ids=["q0.8-N0.5", "tau0.2"])
+def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
+    calls = []
+    integrate_plane = qinner.integrate_plane
+
+    def counted_integrate_plane(g, cfg):
+        calls.append(cfg)
+        return integrate_plane(g, cfg)
+
+    monkeypatch.setattr(qinner, "integrate_plane", counted_integrate_plane)
+    cases = run_suite("all", p, N=N)
+    assert cases and all(c.passed for c in cases)
+    assert any(c.name.startswith("adjoint span pair") for c in cases)
+    assert calls == []
+
+    # a family of unknown decomposition still takes the plane quadrature
+    f = qops.psi_family(1, 0, 0)
+    kind = qinner.kind_for(p)
+    untagged = qinner.inner(kind, qops.PlaneFamily(f.evaluator), f, p)
+    assert len(calls) == 1
+    assert abs(untagged - qinner.inner(kind, f, f, p)) < 1e-9

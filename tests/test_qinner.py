@@ -17,11 +17,15 @@ from suq2.qinner import (
 from suq2.qops import (
     PlaneFamily,
     RealizationParams,
+    apply_h_minus,
+    apply_h_plus,
+    apply_q_h3_power,
     combine,
     psi_family,
     with_fixed_param,
 )
 from suq2.quadrature import QuadratureConfig
+from suq2.suites import _span_pairs
 
 NORM_TOL = 1e-8
 GRAM_TOL = 1e-6
@@ -147,6 +151,32 @@ class TestModeMatching:
         b = inner(K.DEFORMED_REAL, PlaneFamily(f1.evaluator), PlaneFamily(f3.evaluator),
                   P_REAL, QuadratureConfig(angular_nodes=16))
         assert abs(a - b) < 1e-9
+
+
+class TestRadialPathMatchesPlaneGrid:
+    """The mode-matched radial path against the 2-d plane quadrature, on
+    the hermiticity suite's span pairs and every stencil family it pairs."""
+
+    @staticmethod
+    def strip(f):
+        return PlaneFamily(f.evaluator)  # no decomposition: the 2-d rule
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
+                             ids=["real", "circle"])
+    @pytest.mark.parametrize("N", [0, 0.5])
+    def test_span_pairs_and_stencils(self, p, N):
+        kind = kind_for(p)
+        r = RealizationParams(N, p)
+        bra_power = 2.0 if kind is K.DEFORMED_REAL else -2.0
+        f, g = _span_pairs(2, r.N, 3)[0]
+        pairs = [(f, g), (g, f), (f, apply_h_plus(g, r)), (apply_h_minus(f, r), g),
+                 (f, apply_q_h3_power(g, r, 2.0)), (apply_q_h3_power(f, r, bra_power), g)]
+        for bra, ket in pairs:
+            radial = inner(kind, bra, ket, p)
+            plane = inner(kind, self.strip(bra), self.strip(ket), p)
+            # relative, floored at 1: a pair with no common mode is an exact
+            # 0.0 on the radial path and a few 1e-14 on the plane grid
+            assert abs(radial - plane) <= 1e-12 * max(1.0, abs(radial), abs(plane))
 
 
 def span_families(seed=5):

@@ -8,6 +8,7 @@ from suq2.qops import (
     IrrepMatrices,
     PlaneFamily,
     RealizationParams,
+    _bracket_h3,
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
@@ -16,6 +17,7 @@ from suq2.qops import (
     combine,
     matrix_irrep,
     psi_family,
+    with_fixed_param,
 )
 
 LADDER_TOL = 1e-9
@@ -248,3 +250,93 @@ class TestCombine:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             combine([1.0], [monomial_family(1, 0), monomial_family(0, 1)])
+
+
+FOURIER_ANGLES = 32
+FOURIER_TOL = 1e-13
+
+
+def _decomposed_families(p, N):
+    """Every qops constructor, singly and nested, on a tower at this N."""
+    r = RealizationParams(N, p)
+    J = 1.0 if N != 0.5 else 1.5
+    states = [psi_family(J, M, N) for M in (J, J - 1, -J)] + [psi_family(J + 1, J - 1, N)]
+    rng = np.random.default_rng(7)
+    span = combine(rng.normal(size=4) + 1j * rng.normal(size=4), states)
+    pair = combine([0.3 - 1.1j, 2.0], [states[1], states[3]])  # one mode, two components
+    p_pin = QParam.positive_real(1.1) if p.regime is P_TWO.regime else QParam.unit_circle(0.05)
+    stencils = {
+        "h_plus": apply_h_plus(span, r),
+        "h_minus": apply_h_minus(span, r),
+        "q_h3": apply_q_h3_power(span, r, 2.0),
+        "bracket_h3": _bracket_h3(span, r, 1),
+        "casimir_pm": apply_casimir(span, r, "plus_minus"),
+        "casimir_mp": apply_casimir(span, r, "minus_plus"),
+    }
+    return {
+        "psi": states[0],
+        "fixed_param": with_fixed_param(states[1], p_pin),
+        "combine": span,
+        "combine_one_mode": pair,
+        **stencils,
+        "h_plus_h_minus_q_h3": apply_h_plus(apply_h_minus(apply_q_h3_power(span, r, -1.0), r), r),
+        "h_plus_twice": apply_h_plus(apply_h_plus(pair, r), r),
+        "combine_of_stencils": combine([1.0, -2j, 0.5], [stencils["h_plus"], stencils["h_minus"],
+                                                         stencils["casimir_pm"]]),
+        "fixed_param_of_stencil": with_fixed_param(stencils["h_minus"], p_pin),
+    }
+
+
+class TestFourierDecomposition:
+    """Every family built from basis members records the modes it contains:
+    on a circle |u| = rho its samples carry energy in those modes only, each
+    component is e^(-i m phi) times its value at phi = 0, and the components
+    add up to the family's own evaluator."""
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1])
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
+                             ids=["real", "circle"])
+    def test_components_resum_and_declare_every_mode(self, p, N):
+        phi = np.arange(FOURIER_ANGLES) * (2 * np.pi / FOURIER_ANGLES)
+        for name, fam in _decomposed_families(p, N).items():
+            assert fam.meta, name
+            for rho in (0.7, 1.6):
+                u, v = rho * np.exp(1j * phi), rho * np.exp(-1j * phi)
+                whole = np.asarray(fam(p, u, v))
+                scale = max(1.0, float(np.max(np.abs(whole))))
+                resum = 0
+                for c, comp, m in fam.meta:
+                    assert comp.meta is None and isinstance(m, int), name
+                    vals = np.asarray(comp(p, u, v))
+                    radial = comp(p, rho, rho) * np.exp(-1j * m * phi)
+                    assert np.max(np.abs(vals - radial)) < FOURIER_TOL * scale, (name, m)
+                    resum = resum + c * vals
+                assert np.max(np.abs(resum - whole)) < FOURIER_TOL * scale, name
+                # fft bin j holds the e^(i j phi) content: mode m is bin -m mod 32
+                spectrum = np.abs(np.fft.fft(whole)) / FOURIER_ANGLES
+                declared = {-m % FOURIER_ANGLES for _, _, m in fam.meta}
+                stray = [j for j in range(FOURIER_ANGLES) if j not in declared]
+                assert np.max(spectrum[stray]) < FOURIER_TOL * scale, name
+                assert np.max(spectrum[sorted(declared)]) > 1e-3 * scale, name
+
+    def test_modes_follow_the_operators(self):
+        r = RealizationParams(0, P_TWO)
+        f = combine([1.0, 2.0], [psi_family(2, 1, 0), psi_family(2, -2, 0)])
+        assert [m for _, _, m in f.meta] == [1, -2]
+        assert [c for c, _, _ in f.meta] == [1.0, 2.0]
+        assert [m for _, _, m in apply_h_plus(f, r).meta] == [2, -1]
+        assert [m for _, _, m in apply_h_minus(f, r).meta] == [0, -3]
+        for same in (apply_q_h3_power(f, r, 2.0), _bracket_h3(f, r, 0), apply_casimir(f, r),
+                     with_fixed_param(f, P_CIRC)):
+            assert [m for _, _, m in same.meta] == [1, -2]
+        assert psi_family(1.5, -0.5, 0.5).meta[0][0::2] == (1, 0)
+
+    def test_unknown_decomposition_stays_unknown(self):
+        r = RealizationParams(0, P_TWO)
+        raw = monomial_family(2, 1)
+        for fam in (raw, apply_h_plus(raw, r), apply_casimir(raw, r), with_fixed_param(raw, P_TWO),
+                    combine([1.0, 1.0], [raw, psi_family(1, 0, 0)])):
+            assert fam.meta is None
+        u, v = sample_points(6)
+        assert np.array_equal(apply_h_plus(raw, r)(P_TWO, u, v),
+                              apply_h_plus(PlaneFamily(raw.evaluator), r)(P_TWO, u, v))
