@@ -6,7 +6,14 @@ merge of the duplicated evaluators, the removal of unused options, the
 blocked real-q infinite product, then the real-q product memo and the psi
 record cache), so this test proves those changes alter no printed number.
 The eight circle recordings (tau given) were written again after L moved
-to a Gauss-Kronrod rule, which changes last bits on the circle only.  Running
+to a Gauss-Kronrod rule, which changes last bits on the circle only.  The
+seven recordings that run the hermiticity suite (verify_all_q1.2,
+verify_all_q0.7_N0.5_Jmax2.5, verify_all_q2.5_N0.5_seed3, verify_all_tau0.2,
+verify_all_tau-0.12, verify_all_tau0.25_Jmax1.5 and
+verify_hermiticity_q1.3_N0.5_seed3) were written again after the scalar
+products of decomposed families moved from the plane grid to the
+mode-matched radial path; only the adjoint and conjugate symmetry
+residuals changed.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
