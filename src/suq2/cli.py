@@ -19,7 +19,11 @@ from .qinner import kind_for
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
 from .quadrature import QuadratureConfig
 from .report import build_report
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite, suite_args
+
+# the verify flag that supplies each run_suite argument
+_SUITE_FLAGS = {"j_max": "--J-max", "j_list": "--J", "N": "--N", "seed": "--seed",
+                "tol": "--tol", "cfg": "--radial-nodes"}
 
 # which flag supplies the evaluation variable for each function
 _POINT_FLAG = {"qnum": "x", "qfact": "x", "R": "eta", "Q": "eta", "L": "eta",
@@ -135,18 +139,27 @@ def cmd_eval(args) -> int:
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(radial_nodes=args.radial_nodes,
-                            angular_nodes=args.angular_nodes)
+    if args.radial_nodes is None:
+        return QuadratureConfig()
+    return QuadratureConfig(radial_nodes=args.radial_nodes)
 
 
 def cmd_verify(args) -> int:
     p = _param_from_args(args)
+    given = {"j_max": args.J_max, "j_list": args.J, "N": args.N, "seed": args.seed,
+             "tol": args.tol, "cfg": args.radial_nodes}
+    reads = suite_args(args.suite, p.regime)
+    unread = [_SUITE_FLAGS[arg] for arg, value in given.items()
+              if value is not None and arg not in reads]
+    if unread:
+        raise SystemExit(_fail(f"--suite {args.suite} does not read {', '.join(unread)}"))
     j_max = None if args.J_max is None else _parse_half(str(args.J_max), "--J-max")
     j_list = None if args.J is None else [_parse_half(str(args.J), "--J")]
-    N = _parse_half(str(args.N), "--N") if args.N is not None else HalfInt.of(0)
+    N = None if args.N is None else _parse_half(str(args.N), "--N")
+    cfg = None if args.radial_nodes is None else _quad_config(args)
     start = time.perf_counter()
     cases = run_suite(args.suite, p, j_max=j_max, j_list=j_list, N=N,
-                      seed=args.seed, tol=args.tol, cfg=_quad_config(args))
+                      seed=args.seed, tol=args.tol, cfg=cfg)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     doc = build_report(args.suite, p, cases, runtime_ms)
     sys.stdout.write(doc.to_json())
@@ -212,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tower(sp):
         sp.add_argument("--J-max", type=float, default=None, dest="J_max")
-        sp.add_argument("--radial-nodes", type=int, default=16, dest="radial_nodes")
-        sp.add_argument("--angular-nodes", type=int, default=16, dest="angular_nodes")
+        sp.add_argument("--radial-nodes", type=int, default=None, dest="radial_nodes")
 
     pe = sub.add_parser("eval", help="tabulate one function on a point or grid")
     add_common(pe)
@@ -231,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(pv)
     add_tower(pv)
     pv.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--tol", type=float, default=None)
     pv.set_defaults(func=cmd_verify)
 

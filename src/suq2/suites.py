@@ -299,6 +299,16 @@ _ALL = (
 )
 
 
+def suite_args(name: str, regime: Regime) -> tuple:
+    """The run_suite arguments that suite `name` reads in this regime: its
+    _SUITE_ARGS entry, or for `all` those of the suites it runs there,
+    less j_list and tol, which `all` does not pass on."""
+    if name != "all":
+        return _SUITE_ARGS[name]
+    return tuple(dict.fromkeys(arg for sub, _, skip in _ALL if regime is not skip
+                               for arg in _SUITE_ARGS[sub] if arg not in ("j_list", "tol")))
+
+
 def _dispatch(name: str, **given) -> list:
     # looked up by name at call time, so a rebound suite function is the one
     # that runs; a None argument leaves the suite's own default in place

@@ -261,6 +261,35 @@ class TestVerify:
         code, out, err = run(["verify", "--suite", "all", "--tau", "0.0001"], capsys)
         assert code == 2 and out == "" and "did not converge" in err
 
+    # a flag the chosen suite does not read is an error, not silently dropped
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "limit", "--q", "1.2", "--tol", "0.5"],
+        ["verify", "--suite", "matrix", "--q", "2", "--seed", "5"],
+        ["verify", "--suite", "matrix", "--q", "2", "--N", "0.5"],
+        ["verify", "--suite", "all", "--q", "1.2", "--tol", "1e-3"],
+        ["verify", "--suite", "all", "--q", "1.2", "--J", "1"],
+        ["verify", "--suite", "all", "--q", "1", "--seed", "2"],
+        ["verify", "--suite", "funceq", "--q", "0.8", "--J-max", "2"],
+        ["verify", "--suite", "ladder", "--tau", "0.2", "--radial-nodes", "24"],
+    ], ids=["limit-tol", "matrix-seed", "matrix-N", "all-tol", "all-J",
+            "all-classical-seed", "funceq-J-max", "ladder-radial-nodes"])
+    def test_unread_suite_flag_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        flag = next(a for a in argv[5:] if a.startswith("--"))
+        assert code == 2 and out == ""
+        assert f"--suite {argv[2]} does not read {flag}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--q", "1.2", "--N", "0", "--seed", "1",
+         "--J-max", "1", "--radial-nodes", "16"],
+        ["verify", "--suite", "gram", "--q", "1.2", "--N", "0", "--J", "1", "--tol", "1e-6",
+         "--radial-nodes", "16"],
+        ["verify", "--suite", "limit", "--q", "1.2", "--radial-nodes", "16"],
+    ], ids=["all", "gram", "limit"])
+    def test_read_suite_flags_accepted(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_limit_suite_classical_ok(self, capsys):
         code, out, _ = run(["verify", "--suite", "limit", "--q", "1"], capsys)
         assert code == 0
@@ -309,8 +338,7 @@ class TestGram:
 
     def test_quadrature_flags_accepted(self, capsys):
         code, out, _ = run(["gram", "--N", "0", "--J-max", "1", "--q", "1.2",
-                            "--radial-nodes", "24", "--angular-nodes", "8",
-                            "--format", "json"], capsys)
+                            "--radial-nodes", "24", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["max_diag_dev"] < 1e-6
 
@@ -332,8 +360,11 @@ class TestParser:
         ["verify", "--suite", "matrix", "--J-max", "1", "--q", "2", "--format", "csv"],
         ["gram", "--N", "0", "--J-max", "1", "--q", "1", "--M", "0"],
         ["gram", "--N", "0", "--J-max", "1", "--q", "1", "--seed", "3"],
+        ["verify", "--suite", "gram", "--J-max", "1", "--q", "1.2", "--angular-nodes", "8"],
+        ["gram", "--N", "0", "--J-max", "1", "--q", "1.2", "--angular-nodes", "8"],
     ], ids=["eval-seed", "eval-radial-nodes", "eval-angular-nodes", "verify-M",
-            "verify-format", "gram-M", "gram-seed"])
+            "verify-format", "gram-M", "gram-seed", "verify-angular-nodes",
+            "gram-angular-nodes"])
     def test_unread_flag_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "unrecognized arguments" in err

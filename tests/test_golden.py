@@ -49,7 +49,6 @@ CASES = {
     "verify_ladder_tau0.2_Jmax1.5_tol1e-9.json": ["verify", "--suite", "ladder", "--tau", "0.2",
                                                   "--J-max", "1.5", "--tol", "1e-9"],
     "verify_funceq_q0.8_J1.5.json": ["verify", "--suite", "funceq", "--q", "0.8", "--J", "1.5"],
-    "verify_limit_q1.2_tol0.5.json": ["verify", "--suite", "limit", "--q", "1.2", "--tol", "0.5"],
     "verify_hermiticity_q1.3_N0.5_seed3.json": ["verify", "--suite", "hermiticity", "--q", "1.3",
                                                 "--N", "0.5", "--seed", "3"],
     "eval_R_J2_M1_N0_q1.5.csv": ["eval", "--fn", "R", "--J", "2", "--M", "1", "--N", "0",
