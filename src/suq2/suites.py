@@ -96,17 +96,33 @@ def _half_range(j_max) -> list:
     return [HalfInt(t) for t in range(1, j_max.twice + 1)]
 
 
+def _rel_terms(diff, *terms) -> float:
+    """max |diff| over the largest magnitude among the terms it compares,
+    floored at 1 as in _rel."""
+    scale = max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+    return float(np.max(np.abs(diff))) / scale
+
+
 def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
+    """The irrep relations [H3, H+-] = +-H+-, [H+, H-] = [2 H3]_q, the
+    Casimir = [J][J+1] and H+^dagger = H-, each residual relative to the
+    largest entry among the terms it compares (entries reach 3e3 at
+    J = 9/2, |ln q| ~ 1)."""
     cases = []
     for J in _half_range(j_max):
         ir = matrix_irrep(J, p)
-        c1 = ir.H3 @ ir.Hplus - ir.Hplus @ ir.H3 - ir.Hplus
-        c2 = ir.H3 @ ir.Hminus - ir.Hminus @ ir.H3 + ir.Hminus
-        comm = ir.Hplus @ ir.Hminus - ir.Hminus @ ir.Hplus
+        h3p, hp3 = ir.H3 @ ir.Hplus, ir.Hplus @ ir.H3
+        h3m, hm3 = ir.H3 @ ir.Hminus, ir.Hminus @ ir.H3
+        pm, mp = ir.Hplus @ ir.Hminus, ir.Hminus @ ir.Hplus
         want = np.diag([q_number(2.0 * float(m), p) for m in ir.m_list])
-        cas = casimir_matrix(ir) - q_number(J, p) * q_number(J + 1, p) * np.eye(ir.dimension)
-        adj = ir.Hplus.T.conj() - ir.Hminus
-        residual = max(float(np.max(np.abs(x))) for x in (c1, c2, comm - want, cas, adj))
+        cas = casimir_matrix(ir)
+        cas_want = q_number(J, p) * q_number(J + 1, p) * np.eye(ir.dimension)
+        hp_adj = ir.Hplus.T.conj()
+        residual = max(_rel_terms(h3p - hp3 - ir.Hplus, h3p, hp3, ir.Hplus),
+                       _rel_terms(h3m - hm3 + ir.Hminus, h3m, hm3, ir.Hminus),
+                       _rel_terms(pm - mp - want, pm, mp, want),
+                       _rel_terms(cas - cas_want, cas, cas_want),
+                       _rel_terms(hp_adj - ir.Hminus, hp_adj, ir.Hminus))
         cases.append(Case(f"matrix J={J}", residual, tol))
     return cases
 
@@ -165,7 +181,13 @@ def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -
 
 def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = None) -> list:
     """Relative residual of Q(q^2 eta)(1+eta) = Q(eta)(1+q^(-2J) eta) under
-    the default construction dispatch, on a log grid eta in [1e-2, 1e2]."""
+    the default construction dispatch, on a log grid eta in [1e-2, 1e2].
+
+    Each point's |lhs - rhs| is divided by the larger of |lhs| and |rhs|,
+    the size of the terms compared: rounding at their last bit is all a
+    correct Q leaves.  The terms fall to about 1e-3 at eta = 1e2 (J = 2),
+    so no floor at 1 is taken; they never vanish, as Q has no zero.
+    """
     eta = np.logspace(-2, 2, FUNCEQ_ETA_POINTS)
     cases = []
     for J in j_list:
@@ -173,7 +195,7 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
         qv = np.asarray(q_function(J, p, eta), complex)
         lhs = np.asarray(q_function(J, p, p.power(2) * eta), complex) * (1 + eta)
         rhs = qv * (1 + p.power(-2.0 * float(J)) * eta)
-        residual = float(np.max(np.abs(lhs - rhs) / np.abs(qv)))
+        residual = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
         integral_route = default_construction(J, p) is QFunctionMethod.INTEGRAL_EXP
         case_tol = tol if tol is not None else (
             FUNCEQ_TOL_INTEGRAL if integral_route else FUNCEQ_TOL_PRODUCT)

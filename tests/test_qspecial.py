@@ -687,6 +687,31 @@ class TestInfiniteProductBlocks:
         want = np.array([complex(mpmath_infinite_product(J, q, e)) for e in eta])
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
+    @pytest.mark.parametrize("q", [0.3, 0.4, 0.45, 0.6])
+    @pytest.mark.parametrize("J", [1.5, 2])
+    def test_q_pinned_to_q_pochhammer_ratio_on_funceq_grid(self, q, J, monkeypatch):
+        # the grid of the funceq suite, where its old residual raised false
+        # alarms; a (1 + 1e-13) change of one product factor fails this pin
+        want = np.array([complex(mpmath_infinite_product(J, q, e)) for e in ETA_GRID])
+
+        def pin():
+            got = np.asarray(q_function(J, QParam.positive_real(q), ETA_GRID))
+            return float(np.max(np.abs(got - want) / np.abs(want)))
+
+        assert pin() <= 1e-14
+        if J == 2:
+            return  # the finite product runs no _multipliers
+        multipliers = qspecial._multipliers
+
+        def mutated(q, Jf, ks):
+            a, b = multipliers(q, Jf, ks)
+            return [x * (1 + 1e-13) if k == 0 else x for k, x in zip(ks, a)], b
+
+        monkeypatch.setattr(qspecial, "_multipliers", mutated)
+        monkeypatch.setattr(qspecial._product_memo, "entries", {})
+        monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+        assert pin() > 5e-14
+
     @pytest.mark.parametrize("eta", [1e308, -1e308, 1.7e308j, 1e308 + 1e308j])
     def test_overflowing_first_factor_raises(self, eta):
         # |eta| q^(-2J) overflows at q = 1/2, J = 1/2: the product used to

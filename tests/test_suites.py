@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from suq2 import qspecial, suites
 from suq2.qcore import HalfInt, QParam, Regime
 from suq2.suites import (
+    MATRIX_TOL,
     FUNCEQ_TOL_INTEGRAL,
     FUNCEQ_TOL_PRODUCT,
     SUITE_NAMES,
@@ -72,6 +74,27 @@ class TestMatrixSuite:
         names = [c.name for c in suite_matrix(P_REAL, j_max=1)]
         assert names == ["matrix J=1/2", "matrix J=1"]
 
+    @pytest.mark.parametrize("q", [2.588784, 0.386458])
+    def test_large_entries_pass_at_rounding_level(self, q):
+        # entries reach 3e3 at J = 9/2, |ln q| ~ 0.95: the unscaled residual
+        # was 1.4e-12 against 1e-12 on correct matrices
+        (case,) = suite_matrix(QParam.positive_real(q), j_max=4.5)[-1:]
+        assert case.name == "matrix J=9/2" and case.residual < 1e-15
+
+    def test_perturbed_ladder_entry_fails(self, monkeypatch):
+        # one H+ entry off by 1e-11 relative breaks H+^dagger = H- by 1e-11
+        # of the largest entry
+        matrix_irrep = suites.matrix_irrep
+
+        def mutated(J, p):
+            ir = matrix_irrep(J, p)
+            ir.Hplus[np.unravel_index(np.argmax(ir.Hplus), ir.Hplus.shape)] *= 1 + 1e-11
+            return ir
+
+        monkeypatch.setattr(suites, "matrix_irrep", mutated)
+        (case,) = suite_matrix(QParam.positive_real(2.588784), j_max=4.5)[-1:]
+        assert not case.passed and case.residual > 0.9e-11 > MATRIX_TOL
+
 
 class TestLadderCasimirSuites:
     def test_ladder_passes(self):
@@ -106,6 +129,33 @@ class TestFunceqSuite:
     def test_tol_override(self):
         cases = suite_funceq(P_BIG, j_list=(1,), tol=0.5)
         assert cases[0].tol == 0.5
+
+    @pytest.mark.parametrize("q", [0.386167, 0.426617, 0.3, 0.4])
+    def test_small_q_passes_at_rounding_level(self, q):
+        # both sides are ~|Q(eta)(1 + q^(-2J) eta)|, up to 1.2e4 |Q(eta)|:
+        # dividing by |Q(eta)| gave 1.2e-12 to 4.1e-12 on correct values
+        cases = suite_funceq(QParam.positive_real(q), j_list=(1.5, 2))
+        assert all(c.passed and c.residual < 1e-14 for c in cases)
+
+    @pytest.mark.parametrize("eps,fails", [(1e-11, True), (1e-13, False)])
+    def test_perturbed_product_factor(self, monkeypatch, eps, fails):
+        # factor 0's eta multiplier off by eps moves Q by up to eps relative,
+        # unevenly in eta; the residual sees about 0.43 eps at q = 0.4.  The
+        # 1e-13 case stays under the 1e-12 tolerance; the mpmath pin in
+        # test_qspecial catches it
+        multipliers = qspecial._multipliers
+
+        def mutated(q, Jf, ks):
+            a, b = multipliers(q, Jf, ks)
+            return [x * (1 + eps) if k == 0 else x for k, x in zip(ks, a)], b
+
+        monkeypatch.setattr(qspecial, "_multipliers", mutated)
+        monkeypatch.setattr(qspecial._product_memo, "entries", {})
+        monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+        (case,) = suite_funceq(QParam.positive_real(0.4), j_list=(1.5,))
+        assert case.tol == FUNCEQ_TOL_PRODUCT
+        assert case.passed is not fails
+        assert case.residual > 0.3 * eps
 
 
 class TestHermiticitySuite:
