@@ -13,7 +13,9 @@ verify_all_tau-0.12, verify_all_tau0.25_Jmax1.5 and
 verify_hermiticity_q1.3_N0.5_seed3) were written again after the scalar
 products of decomposed families moved from the plane grid to the
 mode-matched radial path; only the adjoint and conjugate symmetry
-residuals changed.  Running
+residuals changed.  The eight recordings that run the matrix or funceq
+suite were written again after those residuals were scaled by the terms
+they compare; only the matrix and funceq residuals changed.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
