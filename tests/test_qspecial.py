@@ -515,8 +515,9 @@ class TestInfiniteProductMemo(_ExactMemoCases):
 
 
 def test_l_and_product_entries_never_evict_each_other(monkeypatch):
-    assert qspecial._l_memo.max_bytes == qspecial.L_MEMO_MAX_BYTES == 4 * 2**20
-    assert qspecial._product_memo.max_bytes == qspecial.PRODUCT_MEMO_MAX_BYTES == 2**20
+    assert qspecial._l_memo.max_bytes == qspecial.MEMO_MAX_BYTES == 2**20
+    assert qspecial._product_memo.max_bytes == qspecial.MEMO_MAX_BYTES
+    assert qspecial._l_memo is not qspecial._product_memo
     # room for one 8-point entry each: a shared store would keep only one
     for memo in (qspecial._l_memo, qspecial._product_memo):
         monkeypatch.setattr(memo, "entries", {})
