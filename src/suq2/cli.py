@@ -156,10 +156,9 @@ def cmd_verify(args) -> int:
     j_max = None if args.J_max is None else _parse_half(str(args.J_max), "--J-max")
     j_list = None if args.J is None else [_parse_half(str(args.J), "--J")]
     N = None if args.N is None else _parse_half(str(args.N), "--N")
-    cfg = None if args.radial_nodes is None else _quad_config(args)
     start = time.perf_counter()
     cases = run_suite(args.suite, p, j_max=j_max, j_list=j_list, N=N,
-                      seed=args.seed, tol=args.tol, cfg=cfg)
+                      seed=args.seed, tol=args.tol, cfg=_quad_config(args))
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     doc = build_report(args.suite, p, cases, runtime_ms)
     sys.stdout.write(doc.to_json())

@@ -8,6 +8,10 @@ under this map every weight appearing in the scalar products becomes a
 rational function of s, smooth up to the endpoints, and node doubling
 converges geometrically.  No other radial map is offered: all integrands
 here decay rationally and one well-tested map beats configurability.
+
+qinner.inner integrates every pair of families with a known Fourier
+decomposition by radial_integral alone; integrate_plane serves families
+whose angular content is unknown.
 """
 from __future__ import annotations
 
