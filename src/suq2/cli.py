@@ -21,10 +21,6 @@ from .quadrature import QuadratureConfig
 from .report import build_report
 from .suites import SUITE_NAMES, run_suite, suite_args
 
-# the verify flag that supplies each run_suite argument
-_SUITE_FLAGS = {"j_max": "--J-max", "j_list": "--J", "N": "--N", "seed": "--seed",
-                "tol": "--tol", "cfg": "--radial-nodes"}
-
 # which flag supplies the evaluation variable for each function
 _POINT_FLAG = {"qnum": "x", "qfact": "x", "R": "eta", "Q": "eta", "L": "eta",
                "vilenkin": "xi", "psi": "rho"}
@@ -146,10 +142,12 @@ def _quad_config(args) -> QuadratureConfig:
 
 def cmd_verify(args) -> int:
     p = _param_from_args(args)
-    given = {"j_max": args.J_max, "j_list": args.J, "N": args.N, "seed": args.seed,
-             "tol": args.tol, "cfg": args.radial_nodes}
+    # each run_suite argument: the flag that supplies it and its value
+    given = {"j_max": ("--J-max", args.J_max), "j_list": ("--J", args.J), "N": ("--N", args.N),
+             "seed": ("--seed", args.seed), "tol": ("--tol", args.tol),
+             "cfg": ("--radial-nodes", args.radial_nodes)}
     reads = suite_args(args.suite, p.regime)
-    unread = [_SUITE_FLAGS[arg] for arg, value in given.items()
+    unread = [flag for arg, (flag, value) in given.items()
               if value is not None and arg not in reads]
     if unread:
         raise SystemExit(_fail(f"--suite {args.suite} does not read {', '.join(unread)}"))

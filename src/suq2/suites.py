@@ -86,21 +86,16 @@ def sample_points(n: int = 20, seed: int = 0):
     return u, np.conj(u)
 
 
-def _rel(lhs, rhs) -> float:
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))) / scale
+def _rel(diff, *terms) -> float:
+    """max |diff| over the largest magnitude among the terms it compares,
+    floored at 1."""
+    scale = max(1.0, *(float(np.max(np.abs(t))) for t in terms))
+    return float(np.max(np.abs(diff))) / scale
 
 
 def _half_range(j_max) -> list:
     j_max = HalfInt.of(j_max)
     return [HalfInt(t) for t in range(1, j_max.twice + 1)]
-
-
-def _rel_terms(diff, *terms) -> float:
-    """max |diff| over the largest magnitude among the terms it compares,
-    floored at 1 as in _rel."""
-    scale = max(1.0, *(float(np.max(np.abs(t))) for t in terms))
-    return float(np.max(np.abs(diff))) / scale
 
 
 def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
@@ -118,11 +113,11 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
         cas = casimir_matrix(ir)
         cas_want = q_number(J, p) * q_number(J + 1, p) * np.eye(ir.dimension)
         hp_adj = ir.Hplus.T.conj()
-        residual = max(_rel_terms(h3p - hp3 - ir.Hplus, h3p, hp3, ir.Hplus),
-                       _rel_terms(h3m - hm3 + ir.Hminus, h3m, hm3, ir.Hminus),
-                       _rel_terms(pm - mp - want, pm, mp, want),
-                       _rel_terms(cas - cas_want, cas, cas_want),
-                       _rel_terms(hp_adj - ir.Hminus, hp_adj, ir.Hminus))
+        residual = max(_rel(h3p - hp3 - ir.Hplus, h3p, hp3, ir.Hplus),
+                       _rel(h3m - hm3 + ir.Hminus, h3m, hm3, ir.Hminus),
+                       _rel(pm - mp - want, pm, mp, want),
+                       _rel(cas - cas_want, cas, cas_want),
+                       _rel(hp_adj - ir.Hminus, hp_adj, ir.Hminus))
         cases.append(Case(f"matrix J={J}", residual, tol))
     return cases
 
@@ -148,13 +143,13 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
                 if M.twice < J.twice:
                     lhs = apply_h_plus(f, r)(p, u, v)
                     rhs = _ladder_coeff(J, M, +1, p) * psi_family(J, M + 1, N)(p, u, v)
-                    worst = max(worst, _rel(lhs, rhs))
+                    worst = max(worst, _rel(lhs - rhs, rhs))
                 else:
                     worst = max(worst, float(np.max(np.abs(apply_h_plus(f, r)(p, u, v)))))
                 if M.twice > -J.twice:
                     lhs = apply_h_minus(f, r)(p, u, v)
                     rhs = _ladder_coeff(J, M, -1, p) * psi_family(J, M - 1, N)(p, u, v)
-                    worst = max(worst, _rel(lhs, rhs))
+                    worst = max(worst, _rel(lhs - rhs, rhs))
                 else:
                     worst = max(worst, float(np.max(np.abs(apply_h_minus(f, r)(p, u, v)))))
             cases.append(Case(f"ladder J={J} N={N}", worst, tol))
@@ -174,7 +169,7 @@ def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -
                 ref = want * f(p, u, v)
                 a = apply_casimir(f, r, "plus_minus")(p, u, v)
                 b = apply_casimir(f, r, "minus_plus")(p, u, v)
-                worst = max(worst, _rel(a, ref), _rel(b, ref), _rel(a, b))
+                worst = max(worst, _rel(a - ref, ref), _rel(b - ref, ref), _rel(a - b, b))
             cases.append(Case(f"casimir J={J} N={N}", worst, tol))
     return cases
 
