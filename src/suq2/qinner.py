@@ -22,8 +22,8 @@ being one of mode M+N.  On the physical slice a component of mode m is
 e^{-i m phi} times its value at phi = 0, so the angular integral keeps only
 the products of like modes and <f|g> is one radial integral of
 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's components of mode m
-at (rho, rho).  Families without a decomposition go through the 2-d
-trapezoid/Gauss rule.
+at (rho, rho).  That radial integral is the only scalar product: a family
+without a decomposition is rejected.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .qops import (
     apply_q_h3_power,
     psi_family,
 )
-from .quadrature import QuadratureConfig, integrate_plane, radial_integral
+from .quadrature import QuadratureConfig, radial_integral
 
 
 class InnerProductKind(Enum):
@@ -122,49 +122,31 @@ def _modes_at(f: PlaneFamily, p: QParam, x, modes) -> dict:
     return out
 
 
-def _term_sum(kind: InnerProductKind, terms, f: PlaneFamily, g: PlaneFamily, u, v, eta):
-    """The form's integrand: sum over terms of conj(bra f) * weight * scaled ket g."""
-    acc = 0
-    for t in terms:
-        acc = acc + (np.conj(f(t.bra_p, u, v))
-                     * _weight(t, kind, eta)
-                     * g(t.ket_p, t.ket_scale * u, t.ket_scale * v))
-    return acc
-
-
 def inner(kind: InnerProductKind, f: PlaneFamily, g: PlaneFamily, p: QParam,
           cfg: QuadratureConfig = QuadratureConfig()) -> complex:
     """Sesquilinear form <f|g> of the given kind on the physical slice.
 
-    When both families carry a Fourier decomposition, the modes they share
-    are matched on one radial integral at phi = 0; no shared mode gives an
-    exact 0.0 (angular orthogonality).  A family without a decomposition
-    sends the pair through the full plane quadrature.
+    The modes the two families share are matched on one radial integral at
+    phi = 0; no shared mode gives an exact 0.0 (angular orthogonality).
     """
     _check_kind(kind, p)
+    if f.meta is None or g.meta is None:
+        raise ValueError("the scalar product needs families with a Fourier decomposition")
+    common = sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta})
+    if not common:
+        return 0.0
     terms = _terms(kind, p)
-    scale = b_one(p)
-    if f.meta is not None and g.meta is not None:
-        common = sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta})
-        if not common:
-            return 0.0
 
-        def profile(rho):
-            acc = 0
-            for t in terms:
-                bra = _modes_at(f, t.bra_p, rho, common)
-                ket = _modes_at(g, t.ket_p, t.ket_scale * rho, common)
-                w = _weight(t, kind, rho ** 2)
-                for m in common:
-                    acc = acc + np.conj(bra[m]) * w * ket[m]
-            return acc
-        return scale * 2.0 * math.pi * radial_integral(profile, cfg).value
-
-    def integrand(rho, phi):
-        u = rho * np.exp(1j * phi)
-        v = rho * np.exp(-1j * phi)
-        return _term_sum(kind, terms, f, g, u, v, (rho ** 2) * np.ones_like(phi))
-    return scale * integrate_plane(integrand, cfg).value
+    def profile(rho):
+        acc = 0
+        for t in terms:
+            bra = _modes_at(f, t.bra_p, rho, common)
+            ket = _modes_at(g, t.ket_p, t.ket_scale * rho, common)
+            w = _weight(t, kind, rho ** 2)
+            for m in common:
+                acc = acc + np.conj(bra[m]) * w * ket[m]
+        return acc
+    return b_one(p) * 2.0 * math.pi * radial_integral(profile, cfg).value
 
 
 @dataclass(frozen=True)
@@ -179,8 +161,7 @@ def gram(N, J_list: Sequence, p: QParam, kind: InnerProductKind,
          cfg: QuadratureConfig = QuadratureConfig()) -> GramReport:
     """Full cross-Gram of the basis tower {(J, M): J in J_list, |M| <= J}.
 
-    Entries are filled Hermitian from the upper triangle; different-M pairs
-    are exactly zero by angular orthogonality, so only like-M pairs integrate.
+    Entries are filled Hermitian from the upper triangle.
     """
     _check_kind(kind, p)
     N = HalfInt.of(N)
@@ -195,8 +176,6 @@ def gram(N, J_list: Sequence, p: QParam, kind: InnerProductKind,
     fams = [psi_family(J, M, N) for (J, M) in states]
     for i in range(n):
         for j in range(i, n):
-            if states[i][1] != states[j][1]:
-                continue  # mode mismatch: exact zero
             val = inner(kind, fams[i], fams[j], p, cfg)
             mat[i, j] = val
             if j != i:

@@ -1,17 +1,12 @@
-"""Deterministic plane integration in polar form.
+"""Deterministic radial integration for the scalar products on the plane.
 
-Angular direction: uniform trapezoid on [0, 2pi), which integrates
-trigonometric polynomials of degree < angular_nodes exactly, so Fourier-mode
-integrands are resolved without error.  Radial direction: Gauss-Legendre
-nodes pushed through the rational map eta = (1+s)/(1-s), rho = sqrt(eta);
-under this map every weight appearing in the scalar products becomes a
-rational function of s, smooth up to the endpoints, and node doubling
-converges geometrically.  No other radial map is offered: all integrands
-here decay rationally and one well-tested map beats configurability.
-
-qinner.inner integrates every pair of families with a known Fourier
-decomposition by radial_integral alone; integrate_plane serves families
-whose angular content is unknown.
+Gauss-Legendre nodes pushed through the rational map eta = (1+s)/(1-s),
+rho = sqrt(eta); under this map every weight appearing in the scalar
+products becomes a rational function of s, smooth up to the endpoints, and
+node doubling converges geometrically.  No other radial map is offered: all
+integrands here decay rationally and one well-tested map beats
+configurability.  The angular integral never reaches this module: qinner
+resolves it exactly by pairing like Fourier modes.
 """
 from __future__ import annotations
 
@@ -27,15 +22,12 @@ DEFAULT_ABS_TOL = 1e-10
 @dataclass(frozen=True)
 class QuadratureConfig:
     radial_nodes: int = 16
-    angular_nodes: int = 16
     abs_tol: float = DEFAULT_ABS_TOL
     max_refinements: int = 6
 
     def __post_init__(self):
         if self.radial_nodes < 8:
             raise ValueError("radial_nodes must be >= 8")
-        if self.angular_nodes < 1:
-            raise ValueError("angular_nodes must be >= 1")
         if self.abs_tol <= 0:
             raise ValueError("abs_tol must be positive")
 
@@ -70,9 +62,9 @@ def radial_rule(n: int):
     return np.sqrt(eta), w / (1.0 - s) ** 2
 
 
-def _refine(estimate: Callable, cfg: QuadratureConfig, what: str) -> PlaneIntegral:
-    """Double the radial nodes fed to estimate(rho, w) until successive values
-    differ by < cfg.abs_tol; the last difference is the error estimate.
+def radial_integral(F: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
+    """int_0^inf F(rho) rho drho, doubling the radial nodes until successive
+    values differ by < cfg.abs_tol; the last difference is the error estimate.
 
     max_refinements = 0 evaluates a single fixed-node rule with no
     convergence control (error reported as inf); used for deliberate
@@ -80,7 +72,8 @@ def _refine(estimate: Callable, cfg: QuadratureConfig, what: str) -> PlaneIntegr
     """
     prev = None
     for level in range(cfg.max_refinements + 1):
-        est = estimate(*radial_rule(cfg.radial_nodes * 2 ** level))
+        rho, w = radial_rule(cfg.radial_nodes * 2 ** level)
+        est = complex(w @ np.asarray(F(rho), dtype=complex))
         if cfg.max_refinements == 0:
             return PlaneIntegral(est, float("inf"))
         if prev is not None:
@@ -88,24 +81,4 @@ def _refine(estimate: Callable, cfg: QuadratureConfig, what: str) -> PlaneIntegr
             if err < cfg.abs_tol:
                 return PlaneIntegral(est, err)
         prev = est
-    raise RuntimeError(f"{what} did not converge within max_refinements")
-
-
-def integrate_plane(g: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
-    """int_0^inf int_0^2pi g(rho, phi) rho drho dphi by _refine, the angular
-    trapezoid fixed; g must broadcast over numpy arrays of (rho, phi)."""
-    phi = np.arange(cfg.angular_nodes) * (2.0 * np.pi / cfg.angular_nodes)
-    w_phi = 2.0 * np.pi / cfg.angular_nodes
-
-    def estimate(rho, w_rho):
-        # broadcast_to handles phi-independent g returning shape (n, 1)
-        vals = np.broadcast_to(np.asarray(g(rho[:, None], phi[None, :]), dtype=complex),
-                               (rho.size, phi.size))
-        return complex(w_rho @ vals.sum(axis=1) * w_phi)
-    return _refine(estimate, cfg, "plane integral")
-
-
-def radial_integral(F: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
-    """int_0^inf F(rho) rho drho under the same node doubling as integrate_plane."""
-    return _refine(lambda rho, w: complex(w @ np.asarray(F(rho), dtype=complex)),
-                   cfg, "radial integral")
+    raise RuntimeError("radial integral did not converge within max_refinements")

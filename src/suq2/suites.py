@@ -304,7 +304,8 @@ def suite_limit(cfg: QuadratureConfig = QuadratureConfig()) -> list:
 
 
 # `all` in report order: (suite, j_max pinned whatever --J-max says or None,
-# the regime the suite is skipped in or None)
+# the regime the suite does not apply in or None; run_suite reads it for a
+# single suite too)
 _ALL = (
     ("matrix", None, None),
     ("funceq", None, Regime.CLASSICAL),
@@ -338,8 +339,9 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
               cfg: QuadratureConfig = QuadratureConfig()) -> list:
     """Run a named suite; each argument left None takes the suite's default.
 
-    `all` runs every suite that applies to the regime (see _ALL) without
-    j_list or tol.
+    A suite applies in every regime but the one _ALL skips it in: `all`
+    runs those that apply, without j_list or tol, and a single suite that
+    does not apply raises ValueError.
     """
     if name == "all":
         cases = []
@@ -349,4 +351,6 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
         return cases
     if name not in _SUITE_ARGS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if any(sub == name and p.regime is skip for sub, _, skip in _ALL):
+        raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
     return _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol, cfg=cfg)

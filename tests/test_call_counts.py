@@ -1,14 +1,14 @@
 """Deterministic work counts (no timing): on the circle no Gauss-Legendre
 rule is built, and every distinct l_function input runs its quadrature
 once; at real q every distinct infinite-product input runs its
-product once, and psi builds each (J, M, N, p) record once; no suite
-scalar product reaches the 2-d plane quadrature."""
+product once, and psi builds each (J, M, N, p) record once; every suite
+scalar product with a common mode is one converged radial integral."""
 import numpy as np
 import pytest
 
-from suq2 import qinner, qops, qspecial
+from suq2 import qinner, qops, qspecial, suites
 from suq2.qcore import HalfInt, QParam
-from suq2.quadrature import gauss_legendre
+from suq2.quadrature import QuadratureConfig, gauss_legendre
 from suq2.suites import run_suite
 
 
@@ -149,22 +149,25 @@ def test_psi_errors_fire_on_every_call(monkeypatch):
 @pytest.mark.parametrize("p,N", [(QParam.positive_real(0.8), 0.5), (QParam.unit_circle(0.2), 0)],
                          ids=["q0.8-N0.5", "tau0.2"])
 def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
-    calls = []
-    integrate_plane = qinner.integrate_plane
+    errors, products = [], []
+    radial_integral, inner = qinner.radial_integral, qinner.inner
 
-    def counted_integrate_plane(g, cfg):
-        calls.append(cfg)
-        return integrate_plane(g, cfg)
+    def recorded_radial_integral(F, cfg):
+        res = radial_integral(F, cfg)
+        errors.append(res.error)
+        return res
 
-    monkeypatch.setattr(qinner, "integrate_plane", counted_integrate_plane)
+    def recorded_inner(*args, **kw):
+        products.append(inner(*args, **kw))
+        return products[-1]
+
+    monkeypatch.setattr(qinner, "radial_integral", recorded_radial_integral)
+    monkeypatch.setattr(qinner, "inner", recorded_inner)
+    monkeypatch.setattr(suites, "inner", recorded_inner)
     cases = run_suite("all", p, N=N)
     assert cases and all(c.passed for c in cases)
     assert any(c.name.startswith("adjoint span pair") for c in cases)
-    assert calls == []
-
-    # a family of unknown decomposition still takes the plane quadrature
-    f = qops.psi_family(1, 0, 0)
-    kind = qinner.kind_for(p)
-    untagged = qinner.inner(kind, qops.PlaneFamily(f.evaluator), f, p)
-    assert len(calls) == 1
-    assert abs(untagged - qinner.inner(kind, f, f, p)) < 1e-9
+    # one converged radial integral per scalar product with a common mode;
+    # the others are an exact 0.0 with no integral
+    assert len(errors) == sum(v != 0.0 for v in products) > 0
+    assert max(errors) < QuadratureConfig().abs_tol

@@ -295,6 +295,23 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    # a single suite runs only where `all` runs it: limit has no circle
+    # cases, and the deformed suites check nothing at q = 1 (funceq's
+    # residual there is 0 by construction)
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "limit", "--tau", "0.2"],
+        ["verify", "--suite", "funceq", "--q", "1"],
+        ["verify", "--suite", "ladder", "--q", "1"],
+        ["verify", "--suite", "casimir", "--q", "1"],
+        ["verify", "--suite", "hermiticity", "--q", "1"],
+    ], ids=["limit-circle", "funceq-classical", "ladder-classical", "casimir-classical",
+            "hermiticity-classical"])
+    def test_suite_outside_its_regimes_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        regime = "UnitCircle" if argv[3] == "--tau" else "Classical"
+        assert code == 2 and out == ""
+        assert f"suite {argv[2]} does not apply in the {regime} regime" in err
+
 
 class TestGram:
     def test_classical_identity_4x4(self, capsys):

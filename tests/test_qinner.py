@@ -24,7 +24,7 @@ from suq2.qops import (
     psi_family,
     with_fixed_param,
 )
-from suq2.quadrature import QuadratureConfig
+from suq2.quadrature import QuadratureConfig, radial_rule
 from suq2.suites import _span_pairs
 
 NORM_TOL = 1e-8
@@ -133,33 +133,56 @@ class TestGram:
         assert f < c / 10
 
 
+def polar_grid_inner(kind, f, g, p, radial_nodes=64, angles=16):
+    """<f|g> from the families' whole evaluators on a fixed radial_rule x
+    angular-trapezoid grid of the physical slice v = conj(u): the reference
+    that the mode-matched radial path of inner must meet.  inner's ladder
+    settles at 32 radial nodes on the families below, so 64 shares no node
+    with it."""
+    rho, w = radial_rule(radial_nodes)
+    u = rho[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)
+    v = np.conj(u)
+    eta = rho[:, None] ** 2
+    if kind is K.CLASSICAL:
+        terms = [(p, p, 1.0, 2.0 / (1 + eta) ** 2)]
+    else:
+        # (bra parameter, ket parameter, ket scale s, weight w_s(eta))
+        qm1, qp1, pinv = p.power(-1), p.power(1), p.inverse()
+        bras = (pinv, p) if kind is K.DEFORMED_REAL else (p, pinv)
+        terms = [(bra, ket, s, s / ((1 + eta) * (1 + s * s * eta)))
+                 for bra, ket, s in zip(bras, (p, pinv), (qm1, qp1))]
+    integrand = sum(np.conj(f(bra, u, v)) * weight * g(ket, s * u, s * v)
+                    for bra, ket, s, weight in terms)
+    return b_one(p) * (w @ integrand.sum(axis=1)) * (2 * np.pi / angles)
+
+
 class TestModeMatching:
     def test_cross_mode_is_exact_zero(self):
         v = inner(K.DEFORMED_REAL, psi_family(1, 1, 0), psi_family(1, 0, 0), P_REAL)
         assert v == 0.0
 
     def test_fast_path_matches_trapezoid(self):
-        # strip the meta tags to force the generic 2-d quadrature
         f1, f2 = psi_family(2, 1, 0), psi_family(2, 1, 0)
         a = inner(K.DEFORMED_REAL, f1, f2, P_REAL)
-        b = inner(K.DEFORMED_REAL, PlaneFamily(f1.evaluator), PlaneFamily(f2.evaluator),
-                  P_REAL, QuadratureConfig(angular_nodes=16))
+        b = polar_grid_inner(K.DEFORMED_REAL, f1, f2, P_REAL)
         assert abs(a - b) < 1e-9
         # and on a pair that is zero by orthogonality (same mode, J differ)
         f3 = psi_family(1, 1, 0)
         a = inner(K.DEFORMED_REAL, f1, f3, P_REAL)
-        b = inner(K.DEFORMED_REAL, PlaneFamily(f1.evaluator), PlaneFamily(f3.evaluator),
-                  P_REAL, QuadratureConfig(angular_nodes=16))
+        b = polar_grid_inner(K.DEFORMED_REAL, f1, f3, P_REAL)
         assert abs(a - b) < 1e-9
+
+    def test_family_without_decomposition_rejected(self):
+        f = psi_family(1, 0, 0)
+        with pytest.raises(ValueError, match="Fourier decomposition"):
+            inner(K.DEFORMED_REAL, PlaneFamily(f.evaluator), f, P_REAL)
+        with pytest.raises(ValueError, match="Fourier decomposition"):
+            inner(K.DEFORMED_REAL, f, PlaneFamily(f.evaluator), P_REAL)
 
 
 class TestRadialPathMatchesPlaneGrid:
-    """The mode-matched radial path against the 2-d plane quadrature, on
+    """The mode-matched radial path against the polar-grid reference, on
     the hermiticity suite's span pairs and every stencil family it pairs."""
-
-    @staticmethod
-    def strip(f):
-        return PlaneFamily(f.evaluator)  # no decomposition: the 2-d rule
 
     @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
                              ids=["real", "circle"])
@@ -173,7 +196,7 @@ class TestRadialPathMatchesPlaneGrid:
                  (f, apply_q_h3_power(g, r, 2.0)), (apply_q_h3_power(f, r, bra_power), g)]
         for bra, ket in pairs:
             radial = inner(kind, bra, ket, p)
-            plane = inner(kind, self.strip(bra), self.strip(ket), p)
+            plane = polar_grid_inner(kind, bra, ket, p)
             # relative, floored at 1: a pair with no common mode is an exact
             # 0.0 on the radial path and a few 1e-14 on the plane grid
             assert abs(radial - plane) <= 1e-12 * max(1.0, abs(radial), abs(plane))
