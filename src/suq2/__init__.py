@@ -50,7 +50,6 @@ from .qspecial import (
 )
 from .quadrature import (
     PlaneIntegral,
-    QuadratureConfig,
     radial_integral,
     radial_rule,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "QFunctionMethod", "default_construction", "l_function", "norm_constant", "psi",
     "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
     "r_polynomial", "vilenkin",
-    "PlaneIntegral", "QuadratureConfig", "radial_integral", "radial_rule",
+    "PlaneIntegral", "radial_integral", "radial_rule",
     "IrrepMatrices", "PlaneFamily", "RealizationParams", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
     "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",

@@ -17,7 +17,6 @@ from .qcore import HalfInt, QParam, j_values, q_factorial, q_number
 from .qinner import gram as gram_matrix
 from .qinner import kind_for
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
-from .quadrature import QuadratureConfig
 from .report import build_report
 from .suites import SUITE_NAMES, run_suite, suite_args
 
@@ -134,18 +133,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _quad_config(args) -> QuadratureConfig:
-    if args.radial_nodes is None:
-        return QuadratureConfig()
-    return QuadratureConfig(radial_nodes=args.radial_nodes)
-
-
 def cmd_verify(args) -> int:
     p = _param_from_args(args)
     # each run_suite argument: the flag that supplies it and its value
     given = {"j_max": ("--J-max", args.J_max), "j_list": ("--J", args.J), "N": ("--N", args.N),
-             "seed": ("--seed", args.seed), "tol": ("--tol", args.tol),
-             "cfg": ("--radial-nodes", args.radial_nodes)}
+             "seed": ("--seed", args.seed), "tol": ("--tol", args.tol)}
     reads = suite_args(args.suite, p.regime)
     unread = [flag for arg, (flag, value) in given.items()
               if value is not None and arg not in reads]
@@ -156,7 +148,7 @@ def cmd_verify(args) -> int:
     N = None if args.N is None else _parse_half(str(args.N), "--N")
     start = time.perf_counter()
     cases = run_suite(args.suite, p, j_max=j_max, j_list=j_list, N=N,
-                      seed=args.seed, tol=args.tol, cfg=_quad_config(args))
+                      seed=args.seed, tol=args.tol)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     doc = build_report(args.suite, p, cases, runtime_ms)
     sys.stdout.write(doc.to_json())
@@ -172,7 +164,7 @@ def cmd_gram(args) -> int:
     else:
         j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else HalfInt.of(2)
         j_list = j_values(N, j_max)
-    rep = gram_matrix(N, j_list, p, kind, _quad_config(args))
+    rep = gram_matrix(N, j_list, p)
     labels = [f"{J}:{M}" for (J, M) in rep.labels]
     if args.format == "csv":
         lines = [
@@ -222,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tower(sp):
         sp.add_argument("--J-max", type=float, default=None, dest="J_max")
-        sp.add_argument("--radial-nodes", type=int, default=None, dest="radial_nodes")
 
     pe = sub.add_parser("eval", help="tabulate one function on a point or grid")
     add_common(pe)

@@ -5,31 +5,20 @@ rho = sqrt(eta); under this map every weight appearing in the scalar
 products becomes a rational function of s, smooth up to the endpoints, and
 node doubling converges geometrically.  No other radial map is offered: all
 integrands here decay rationally and one well-tested map beats
-configurability.  The angular integral never reaches this module: qinner
-resolves it exactly by pairing like Fourier modes.
+configurability.  The rule's settings are the module constants below, the
+one place they are set.  The angular integral never reaches this module:
+qinner resolves it exactly by pairing like Fourier modes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-DEFAULT_ABS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    radial_nodes: int = 16
-    abs_tol: float = DEFAULT_ABS_TOL
-    max_refinements: int = 6
-
-    def __post_init__(self):
-        if self.radial_nodes < 8:
-            raise ValueError("radial_nodes must be >= 8")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+RADIAL_NODES = 16      # nodes of the first level; each further level doubles them
+ABS_TOL = 1e-10        # successive levels closer than this have converged
+MAX_REFINEMENTS = 6    # doublings after the first level before giving up
 
 
 class PlaneIntegral(NamedTuple):
@@ -62,23 +51,17 @@ def radial_rule(n: int):
     return np.sqrt(eta), w / (1.0 - s) ** 2
 
 
-def radial_integral(F: Callable, cfg: QuadratureConfig = QuadratureConfig()) -> PlaneIntegral:
-    """int_0^inf F(rho) rho drho, doubling the radial nodes until successive
-    values differ by < cfg.abs_tol; the last difference is the error estimate.
-
-    max_refinements = 0 evaluates a single fixed-node rule with no
-    convergence control (error reported as inf); used for deliberate
-    coarse/fine comparisons.
-    """
+def radial_integral(F: Callable) -> PlaneIntegral:
+    """int_0^inf F(rho) rho drho, doubling the radial nodes from RADIAL_NODES
+    until successive values differ by < ABS_TOL; the last difference is the
+    error estimate.  Raises RuntimeError after MAX_REFINEMENTS doublings."""
     prev = None
-    for level in range(cfg.max_refinements + 1):
-        rho, w = radial_rule(cfg.radial_nodes * 2 ** level)
+    for level in range(MAX_REFINEMENTS + 1):
+        rho, w = radial_rule(RADIAL_NODES * 2 ** level)
         est = complex(w @ np.asarray(F(rho), dtype=complex))
-        if cfg.max_refinements == 0:
-            return PlaneIntegral(est, float("inf"))
         if prev is not None:
             err = abs(est - prev)
-            if err < cfg.abs_tol:
+            if err < ABS_TOL:
                 return PlaneIntegral(est, err)
         prev = est
     raise RuntimeError("radial integral did not converge within max_refinements")

@@ -13,14 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
-from .qinner import (
-    InnerProductKind,
-    adjoint_residual,
-    gram,
-    hermitian_symmetry_residual,
-    inner,
-    kind_for,
-)
+from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
 from .qops import (
     RealizationParams,
     _ladder_coeff,
@@ -34,7 +27,6 @@ from .qops import (
     with_fixed_param,
 )
 from .qspecial import QFunctionMethod, default_construction, q_function, vilenkin
-from .quadrature import QuadratureConfig
 
 MATRIX_TOL = 1e-12
 FUNCEQ_TOL_PRODUCT = 1e-12
@@ -59,9 +51,9 @@ _SUITE_ARGS = {
     "ladder": ("p", "j_max", "seed", "tol"),
     "casimir": ("p", "j_max", "seed", "tol"),
     "funceq": ("p", "j_list", "tol"),
-    "hermiticity": ("p", "j_max", "N", "seed", "tol", "cfg"),
-    "gram": ("p", "N", "j_list", "j_max", "tol", "cfg"),
-    "limit": ("cfg",),
+    "hermiticity": ("p", "j_max", "N", "seed", "tol"),
+    "gram": ("p", "N", "j_list", "j_max", "tol"),
+    "limit": (),
 }
 SUITE_NAMES = (*_SUITE_ARGS, "all")
 
@@ -214,8 +206,7 @@ def _span_pairs(j_max, N: HalfInt, seed):
 
 
 def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
-                      tol: float = HERMITICITY_TOL,
-                      cfg: QuadratureConfig = QuadratureConfig()) -> list:
+                      tol: float = HERMITICITY_TOL) -> list:
     if p.regime is Regime.CLASSICAL:
         raise ValueError("hermiticity suite needs a deformed parameter (q != 1)")
     N_h = HalfInt.of(N)
@@ -223,21 +214,20 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
-                                   p, r, cfg),
+                                   p, r),
                   tol)]
     for i, (f, g) in enumerate(_span_pairs(j_max, N_h, seed), 1):
-        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, r, cfg), tol))
+        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, r), tol))
         cases.append(Case(f"conjugate symmetry pair {i}",
-                          hermitian_symmetry_residual(f, g, p, cfg), CONJ_SYMMETRY_TOL))
+                          hermitian_symmetry_residual(f, g, p), CONJ_SYMMETRY_TOL))
     return cases
 
 
 def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=2,
-               tol: float = GRAM_TOL,
-               cfg: QuadratureConfig = QuadratureConfig()) -> list:
+               tol: float = GRAM_TOL) -> list:
     if j_list is None:
         j_list = j_values(N, j_max)
-    rep = gram(N, j_list, p, kind_for(p), cfg)
+    rep = gram(N, j_list, p)
     label = ",".join(str(HalfInt.of(J)) for J in j_list) or "(empty)"
     residual = max(rep.max_offdiag, rep.max_diag_dev) if rep.labels else 0.0
     return [Case(f"gram N={HalfInt.of(N)} J={{{label}}}", residual, tol)]
@@ -264,7 +254,7 @@ def _legendre_reference(J: int, M: int, xi):
     return (-1j) ** M * scale * _LEGENDRE[(J, M)](xi)
 
 
-def suite_limit(cfg: QuadratureConfig = QuadratureConfig()) -> list:
+def suite_limit() -> list:
     """q -> 1 behavior: deformed inner products of parameter-pinned pairs
     approach the classical values (deviation even in ln q, so the measured
     shrink is quadratic; the pass condition only demands at-least-linear),
@@ -276,11 +266,9 @@ def suite_limit(cfg: QuadratureConfig = QuadratureConfig()) -> list:
     cases = []
     for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
         fam = with_fixed_param(psi_family(J, M, N), p_cl)
-        cl = inner(InnerProductKind.CLASSICAL, fam, fam, p_cl, cfg)
-        d1 = abs(inner(InnerProductKind.DEFORMED_REAL, fam, fam,
-                       QParam.positive_real(1 + h1), cfg) - cl)
-        d2 = abs(inner(InnerProductKind.DEFORMED_REAL, fam, fam,
-                       QParam.positive_real(1 + h2), cfg) - cl)
+        cl = inner(fam, fam, p_cl)
+        d1 = abs(inner(fam, fam, QParam.positive_real(1 + h1)) - cl)
+        d2 = abs(inner(fam, fam, QParam.positive_real(1 + h2)) - cl)
         tag = f"(J={HalfInt.of(J)},M={HalfInt.of(M)},N={HalfInt.of(N)})"
         cases.append(Case(f"inner limit {tag} deviation", d1, LIMIT_DEVIATION_TOL))
         cases.append(Case(f"inner limit {tag} shrink", 8.0 * d2 / d1, LIMIT_SHRINK_TOL))
@@ -335,8 +323,7 @@ def _dispatch(name: str, **given) -> list:
 
 
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
-              seed: int = 0, tol: Optional[float] = None,
-              cfg: QuadratureConfig = QuadratureConfig()) -> list:
+              seed: int = 0, tol: Optional[float] = None) -> list:
     """Run a named suite; each argument left None takes the suite's default.
 
     A suite applies in every regime but the one _ALL skips it in: `all`
@@ -347,10 +334,10 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
         cases = []
         for sub, pinned, skip in _ALL:
             if p.regime is not skip:
-                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed, cfg=cfg)
+                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed)
         return cases
     if name not in _SUITE_ARGS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if any(sub == name and p.regime is skip for sub, _, skip in _ALL):
         raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
-    return _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol, cfg=cfg)
+    return _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)

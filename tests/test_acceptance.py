@@ -9,9 +9,11 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
+from suq2 import qinner
 from suq2.qcore import HalfInt, QParam, m_values, q_number
-from suq2.qinner import InnerProductKind, gram, inner, kind_for
+from suq2.qinner import gram, inner
 from suq2.qops import (
     RealizationParams,
     apply_h_minus,
@@ -28,7 +30,7 @@ from suq2.qspecial import (
     q_infinite_product,
     q_integral_exp,
 )
-from suq2.quadrature import QuadratureConfig
+from suq2.quadrature import PlaneIntegral, radial_rule
 from suq2.suites import suite_casimir, suite_ladder, suite_limit
 
 MATRIX_TOL = 1e-12
@@ -124,18 +126,26 @@ def test_criterion_4_ladder_casimir_pointwise():
     assert ok, f"ladder/Casimir residual {worst:.3e} >= {LADDER_TOL:g}"
 
 
+def fixed_node_gram(N, js, p, nodes):
+    """gram with every scalar product one radial_rule(nodes) sum, with no
+    refinement: the coarse and fine grams of the node-doubling check."""
+    def one_rule(F):
+        rho, w = radial_rule(nodes)
+        return PlaneIntegral(complex(w @ np.asarray(F(rho), dtype=complex)), math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qinner, "radial_integral", one_rule)
+        return gram(N, js, p)
+
+
 def test_criterion_5_orthonormality():
     towers = [(P_REAL, 0, [0, 1, 2]), (P_REAL, 0.5, [0.5, 1.5]),
               (P_CIRC, 0, [0, 1, 2]), (P_CIRC, 0.5, [0.5, 1.5])]
     worst_dev, worst_ratio = 0.0, math.inf
     for p, N, js in towers:
-        kind = kind_for(p)
-        rep = gram(N, js, p, kind)
+        rep = gram(N, js, p)
         worst_dev = max(worst_dev, rep.max_offdiag, rep.max_diag_dev)
-        coarse = gram(N, js, p, kind,
-                      QuadratureConfig(radial_nodes=8, abs_tol=1e-3, max_refinements=0))
-        fine = gram(N, js, p, kind,
-                    QuadratureConfig(radial_nodes=16, abs_tol=1e-3, max_refinements=0))
+        coarse = fixed_node_gram(N, js, p, 8)
+        fine = fixed_node_gram(N, js, p, 16)
         c = max(coarse.max_offdiag, coarse.max_diag_dev)
         f = max(fine.max_offdiag, fine.max_diag_dev)
         worst_ratio = min(worst_ratio, c / f)
@@ -161,13 +171,12 @@ def _span_pair(j_max, seed):
 def test_criterion_6_hermiticity():
     worst_adj, worst_sym = 0.0, 0.0
     for p in (P_REAL, P_CIRC):
-        kind = kind_for(p)
         r = RealizationParams(0, p)
         for seed in (0, 1, 2):
             f, g = _span_pair(2, seed)
-            adj = abs(inner(kind, f, apply_h_plus(g, r), p)
-                      - inner(kind, apply_h_minus(f, r), g, p))
-            sym = abs(np.conj(inner(kind, f, g, p)) - inner(kind, g, f, p))
+            adj = abs(inner(f, apply_h_plus(g, r), p)
+                      - inner(apply_h_minus(f, r), g, p))
+            sym = abs(np.conj(inner(f, g, p)) - inner(g, f, p))
             worst_adj = max(worst_adj, float(adj))
             worst_sym = max(worst_sym, float(sym))
     ok = worst_adj < ADJOINT_TOL and worst_sym < SYMMETRY_TOL

@@ -6,9 +6,9 @@ scalar product with a common mode is one converged radial integral."""
 import numpy as np
 import pytest
 
-from suq2 import qinner, qops, qspecial, suites
+from suq2 import qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam
-from suq2.quadrature import QuadratureConfig, gauss_legendre
+from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
 
 
@@ -152,8 +152,8 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     errors, products = [], []
     radial_integral, inner = qinner.radial_integral, qinner.inner
 
-    def recorded_radial_integral(F, cfg):
-        res = radial_integral(F, cfg)
+    def recorded_radial_integral(F):
+        res = radial_integral(F)
         errors.append(res.error)
         return res
 
@@ -170,4 +170,4 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     # one converged radial integral per scalar product with a common mode;
     # the others are an exact 0.0 with no integral
     assert len(errors) == sum(v != 0.0 for v in products) > 0
-    assert max(errors) < QuadratureConfig().abs_tol
+    assert max(errors) < quadrature.ABS_TOL

@@ -270,9 +270,8 @@ class TestVerify:
         ["verify", "--suite", "all", "--q", "1.2", "--J", "1"],
         ["verify", "--suite", "all", "--q", "1", "--seed", "2"],
         ["verify", "--suite", "funceq", "--q", "0.8", "--J-max", "2"],
-        ["verify", "--suite", "ladder", "--tau", "0.2", "--radial-nodes", "24"],
     ], ids=["limit-tol", "matrix-seed", "matrix-N", "all-tol", "all-J",
-            "all-classical-seed", "funceq-J-max", "ladder-radial-nodes"])
+            "all-classical-seed", "funceq-J-max"])
     def test_unread_suite_flag_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         flag = next(a for a in argv[5:] if a.startswith("--"))
@@ -281,10 +280,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "all", "--q", "1.2", "--N", "0", "--seed", "1",
-         "--J-max", "1", "--radial-nodes", "16"],
-        ["verify", "--suite", "gram", "--q", "1.2", "--N", "0", "--J", "1", "--tol", "1e-6",
-         "--radial-nodes", "16"],
-        ["verify", "--suite", "limit", "--q", "1.2", "--radial-nodes", "16"],
+         "--J-max", "1"],
+        ["verify", "--suite", "gram", "--q", "1.2", "--N", "0", "--J", "1", "--tol", "1e-6"],
+        ["verify", "--suite", "limit", "--q", "1.2"],
     ], ids=["all", "gram", "limit"])
     def test_read_suite_flags_accepted(self, argv, capsys):
         code, out, _ = run(argv, capsys)
@@ -353,12 +351,6 @@ class TestGram:
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err
 
-    def test_quadrature_flags_accepted(self, capsys):
-        code, out, _ = run(["gram", "--N", "0", "--J-max", "1", "--q", "1.2",
-                            "--radial-nodes", "24", "--format", "json"], capsys)
-        assert code == 0
-        assert json.loads(out)["max_diag_dev"] < 1e-6
-
 
 class TestParser:
     def test_missing_subcommand_exits_two(self, capsys):
@@ -379,9 +371,11 @@ class TestParser:
         ["gram", "--N", "0", "--J-max", "1", "--q", "1", "--seed", "3"],
         ["verify", "--suite", "gram", "--J-max", "1", "--q", "1.2", "--angular-nodes", "8"],
         ["gram", "--N", "0", "--J-max", "1", "--q", "1.2", "--angular-nodes", "8"],
+        ["verify", "--suite", "ladder", "--tau", "0.2", "--radial-nodes", "24"],
+        ["gram", "--N", "0", "--J-max", "1", "--q", "1.2", "--radial-nodes", "24"],
     ], ids=["eval-seed", "eval-radial-nodes", "eval-angular-nodes", "verify-M",
             "verify-format", "gram-M", "gram-seed", "verify-angular-nodes",
-            "gram-angular-nodes"])
+            "gram-angular-nodes", "verify-radial-nodes", "gram-radial-nodes"])
     def test_unread_flag_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "unrecognized arguments" in err

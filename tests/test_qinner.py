@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from suq2 import qinner
 from suq2.qcore import QParam
 from suq2.qinner import (
     GramReport,
@@ -24,7 +25,7 @@ from suq2.qops import (
     psi_family,
     with_fixed_param,
 )
-from suq2.quadrature import QuadratureConfig, radial_rule
+from suq2.quadrature import PlaneIntegral, radial_rule
 from suq2.suites import _span_pairs
 
 NORM_TOL = 1e-8
@@ -44,13 +45,6 @@ class TestKindDispatch:
         assert kind_for(P_REAL) is K.DEFORMED_REAL
         assert kind_for(P_CIRC) is K.DEFORMED_CIRCLE
         assert kind_for(P_CLASS) is K.CLASSICAL
-
-    def test_regime_mismatch_rejected(self):
-        f = psi_family(0, 0, 0)
-        with pytest.raises(ValueError):
-            inner(K.DEFORMED_REAL, f, f, P_CIRC)
-        with pytest.raises(ValueError):
-            inner(K.CLASSICAL, f, f, P_REAL)
 
 
 class TestPrefactor:
@@ -76,64 +70,73 @@ class TestPrefactor:
 class TestNorms:
     def test_classical_unit_norm(self):
         f = psi_family(0, 0, 0)
-        assert inner(K.CLASSICAL, f, f, P_CLASS) == pytest.approx(1.0, abs=1e-10)
+        assert inner(f, f, P_CLASS) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("J,N", [(0.5, 0.5), (1, 0), (1.5, 0.5)])
     def test_deformed_real_unit_norms(self, J, N):
         f = psi_family(J, J, N)
-        assert inner(K.DEFORMED_REAL, f, f, P_REAL) == pytest.approx(1.0, abs=NORM_TOL)
+        assert inner(f, f, P_REAL) == pytest.approx(1.0, abs=NORM_TOL)
 
     @pytest.mark.parametrize("J,N", [(0.5, 0.5), (1, 0), (1.5, 0.5)])
     def test_deformed_circle_unit_norms(self, J, N):
         f = psi_family(J, J, N)
-        assert inner(K.DEFORMED_CIRCLE, f, f, P_CIRC) == pytest.approx(1.0, abs=NORM_TOL)
+        assert inner(f, f, P_CIRC) == pytest.approx(1.0, abs=NORM_TOL)
 
     def test_diagonal_entries_positive(self):
-        for p, kind in ((P_REAL, K.DEFORMED_REAL), (P_CIRC, K.DEFORMED_CIRCLE)):
+        for p in (P_REAL, P_CIRC):
             for (J, M, N) in [(1, 0, 0), (2, -1, 0), (1.5, 0.5, 0.5)]:
-                v = inner(kind, psi_family(J, M, N), psi_family(J, M, N), p)
+                v = inner(psi_family(J, M, N), psi_family(J, M, N), p)
                 assert v.real > 0
                 assert abs(v.imag) < 1e-12
 
 
+def fixed_node_gram(N, js, p, nodes):
+    """gram with every scalar product one radial_rule(nodes) sum, with no
+    refinement: the coarse and fine grams of the node-doubling check."""
+    def one_rule(F):
+        rho, w = radial_rule(nodes)
+        return PlaneIntegral(complex(w @ np.asarray(F(rho), dtype=complex)), math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qinner, "radial_integral", one_rule)
+        return gram(N, js, p)
+
+
 class TestGram:
     def test_real_tower_identity(self):
-        rep = gram(0, [0, 1, 2], P_REAL, K.DEFORMED_REAL)
+        rep = gram(0, [0, 1, 2], P_REAL)
         assert rep.max_offdiag < GRAM_TOL
         assert rep.max_diag_dev < GRAM_TOL
         assert len(rep.labels) == 9
 
     def test_circle_tower_identity(self):
-        rep = gram(0.5, [0.5, 1.5], P_CIRC, K.DEFORMED_CIRCLE)
+        rep = gram(0.5, [0.5, 1.5], P_CIRC)
         assert rep.max_offdiag < GRAM_TOL
         assert rep.max_diag_dev < GRAM_TOL
         assert len(rep.labels) == 6
 
     def test_matrix_hermitian(self):
-        rep = gram(0, [0, 1], P_REAL, K.DEFORMED_REAL)
+        rep = gram(0, [0, 1], P_REAL)
         assert np.max(np.abs(rep.matrix - rep.matrix.conj().T)) < 1e-14
 
     def test_empty_tower(self):
-        rep = gram(0, [], P_REAL, K.DEFORMED_REAL)
+        rep = gram(0, [], P_REAL)
         assert rep.matrix.shape == (0, 0)
         assert rep.labels == ()
         assert rep.max_offdiag == 0.0
 
     def test_invalid_tower_rejected(self):
         with pytest.raises(ValueError):
-            gram(0, [0.5], P_REAL, K.DEFORMED_REAL)  # J=1/2 with N=0: parity
+            gram(0, [0.5], P_REAL)  # J=1/2 with N=0: parity
 
     def test_refinement_shrinks_deviation(self):
-        coarse = gram(0, [0, 1, 2], P_REAL, K.DEFORMED_REAL,
-                      QuadratureConfig(radial_nodes=8, abs_tol=1e-3, max_refinements=0))
-        fine = gram(0, [0, 1, 2], P_REAL, K.DEFORMED_REAL,
-                    QuadratureConfig(radial_nodes=16, abs_tol=1e-3, max_refinements=0))
+        coarse = fixed_node_gram(0, [0, 1, 2], P_REAL, 8)
+        fine = fixed_node_gram(0, [0, 1, 2], P_REAL, 16)
         c = max(coarse.max_offdiag, coarse.max_diag_dev)
         f = max(fine.max_offdiag, fine.max_diag_dev)
         assert f < c / 10
 
 
-def polar_grid_inner(kind, f, g, p, radial_nodes=64, angles=16):
+def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
     """<f|g> from the families' whole evaluators on a fixed radial_rule x
     angular-trapezoid grid of the physical slice v = conj(u): the reference
     that the mode-matched radial path of inner must meet.  inner's ladder
@@ -143,6 +146,7 @@ def polar_grid_inner(kind, f, g, p, radial_nodes=64, angles=16):
     u = rho[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)
     v = np.conj(u)
     eta = rho[:, None] ** 2
+    kind = kind_for(p)
     if kind is K.CLASSICAL:
         terms = [(p, p, 1.0, 2.0 / (1 + eta) ** 2)]
     else:
@@ -158,26 +162,26 @@ def polar_grid_inner(kind, f, g, p, radial_nodes=64, angles=16):
 
 class TestModeMatching:
     def test_cross_mode_is_exact_zero(self):
-        v = inner(K.DEFORMED_REAL, psi_family(1, 1, 0), psi_family(1, 0, 0), P_REAL)
+        v = inner(psi_family(1, 1, 0), psi_family(1, 0, 0), P_REAL)
         assert v == 0.0
 
     def test_fast_path_matches_trapezoid(self):
         f1, f2 = psi_family(2, 1, 0), psi_family(2, 1, 0)
-        a = inner(K.DEFORMED_REAL, f1, f2, P_REAL)
-        b = polar_grid_inner(K.DEFORMED_REAL, f1, f2, P_REAL)
+        a = inner(f1, f2, P_REAL)
+        b = polar_grid_inner(f1, f2, P_REAL)
         assert abs(a - b) < 1e-9
         # and on a pair that is zero by orthogonality (same mode, J differ)
         f3 = psi_family(1, 1, 0)
-        a = inner(K.DEFORMED_REAL, f1, f3, P_REAL)
-        b = polar_grid_inner(K.DEFORMED_REAL, f1, f3, P_REAL)
+        a = inner(f1, f3, P_REAL)
+        b = polar_grid_inner(f1, f3, P_REAL)
         assert abs(a - b) < 1e-9
 
     def test_family_without_decomposition_rejected(self):
         f = psi_family(1, 0, 0)
         with pytest.raises(ValueError, match="Fourier decomposition"):
-            inner(K.DEFORMED_REAL, PlaneFamily(f.evaluator), f, P_REAL)
+            inner(PlaneFamily(f.evaluator), f, P_REAL)
         with pytest.raises(ValueError, match="Fourier decomposition"):
-            inner(K.DEFORMED_REAL, f, PlaneFamily(f.evaluator), P_REAL)
+            inner(f, PlaneFamily(f.evaluator), P_REAL)
 
 
 class TestRadialPathMatchesPlaneGrid:
@@ -195,8 +199,8 @@ class TestRadialPathMatchesPlaneGrid:
         pairs = [(f, g), (g, f), (f, apply_h_plus(g, r)), (apply_h_minus(f, r), g),
                  (f, apply_q_h3_power(g, r, 2.0)), (apply_q_h3_power(f, r, bra_power), g)]
         for bra, ket in pairs:
-            radial = inner(kind, bra, ket, p)
-            plane = polar_grid_inner(kind, bra, ket, p)
+            radial = inner(bra, ket, p)
+            plane = polar_grid_inner(bra, ket, p)
             # relative, floored at 1: a pair with no common mode is an exact
             # 0.0 on the radial path and a few 1e-14 on the plane grid
             assert abs(radial - plane) <= 1e-12 * max(1.0, abs(radial), abs(plane))
@@ -245,9 +249,9 @@ class TestClassicalLimit:
         # families pinned at q = 1: the limit probes the form, not the family
         for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
             fam = with_fixed_param(psi_family(J, M, N), P_CLASS)
-            cl = inner(K.CLASSICAL, fam, fam, P_CLASS)
-            d1 = abs(inner(K.DEFORMED_REAL, fam, fam, QParam.positive_real(1 + 1e-3)) - cl)
-            d2 = abs(inner(K.DEFORMED_REAL, fam, fam, QParam.positive_real(1 + 1e-4)) - cl)
+            cl = inner(fam, fam, P_CLASS)
+            d1 = abs(inner(fam, fam, QParam.positive_real(1 + 1e-3)) - cl)
+            d2 = abs(inner(fam, fam, QParam.positive_real(1 + 1e-4)) - cl)
             # the deviation is even in ln q, hence quadratic in h; assert at
             # least linear shrink so the test does not over-claim the order
             assert d2 < d1 / 8
