@@ -20,10 +20,12 @@ from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
 from .report import build_report
 from .suites import SUITE_NAMES, run_suite, suite_args
 
-# which flag supplies the evaluation variable for each function
-_POINT_FLAG = {"qnum": "x", "qfact": "x", "R": "eta", "Q": "eta", "L": "eta",
-               "vilenkin": "xi", "psi": "rho"}
-EVAL_FNS = tuple(_POINT_FLAG)
+# the flags each function reads: the one that supplies its evaluation
+# point (which --grid replaces), then its parameters
+_EVAL_FLAGS = {"qnum": ("x",), "qfact": ("x",), "R": ("eta", "J", "M", "N"),
+               "Q": ("eta", "J"), "L": ("eta",), "vilenkin": ("xi", "J", "M", "N"),
+               "psi": ("rho", "J", "M", "N")}
+EVAL_FNS = tuple(_EVAL_FLAGS)
 
 
 def _parse_half(text: str, flag: str) -> HalfInt:
@@ -36,6 +38,14 @@ def _parse_half(text: str, flag: str) -> HalfInt:
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _reject_unread(what: str, flags: dict):
+    """Exit 2 naming every flag in {flag: value} that was given, as `what`
+    would ignore it."""
+    unread = [flag for flag, value in flags.items() if value is not None]
+    if unread:
+        raise SystemExit(_fail(f"{what} does not read {', '.join(unread)}"))
 
 
 def _param_from_args(args) -> QParam:
@@ -78,7 +88,13 @@ def _require(args, *flags):
 
 def cmd_eval(args) -> int:
     p = _param_from_args(args)
-    flag = _POINT_FLAG[args.fn]
+    reads = _EVAL_FLAGS[args.fn]
+    flag = reads[0]
+    _reject_unread(f"--fn {args.fn}", {f"--{f}": getattr(args, f)
+                                      for f in ("x", "eta", "xi", "rho", "J", "M", "N")
+                                      if f not in reads})
+    if args.grid is not None:
+        _reject_unread(f"--fn {args.fn} with --grid", {f"--{flag}": getattr(args, flag)})
     pts = _grid(args, flag)
     params = {}
     if args.fn in ("qnum",):
@@ -139,10 +155,10 @@ def cmd_verify(args) -> int:
     given = {"j_max": ("--J-max", args.J_max), "j_list": ("--J", args.J), "N": ("--N", args.N),
              "seed": ("--seed", args.seed), "tol": ("--tol", args.tol)}
     reads = suite_args(args.suite, p.regime)
-    unread = [flag for arg, (flag, value) in given.items()
-              if value is not None and arg not in reads]
-    if unread:
-        raise SystemExit(_fail(f"--suite {args.suite} does not read {', '.join(unread)}"))
+    _reject_unread(f"--suite {args.suite}",
+                   {flag: value for arg, (flag, value) in given.items() if arg not in reads})
+    if args.J is not None:  # --J replaces the tower that --J-max would span
+        _reject_unread(f"--suite {args.suite} with --J", {"--J-max": args.J_max})
     j_max = None if args.J_max is None else _parse_half(str(args.J_max), "--J-max")
     j_list = None if args.J is None else [_parse_half(str(args.J), "--J")]
     N = None if args.N is None else _parse_half(str(args.N), "--N")
@@ -160,6 +176,7 @@ def cmd_gram(args) -> int:
     kind = kind_for(p)
     N = _parse_half(str(args.N), "--N") if args.N is not None else HalfInt.of(0)
     if args.J is not None:
+        _reject_unread("gram with --J", {"--J-max": args.J_max})
         j_list = [_parse_half(str(args.J), "--J")]
     else:
         j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else HalfInt.of(2)

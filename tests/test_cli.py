@@ -379,3 +379,29 @@ class TestParser:
     def test_unread_flag_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    # a flag the command parses but would ignore in this combination is an
+    # error too: --J replaces the --J-max tower, --grid the point flag, and
+    # each function reads only its own parameters
+    @pytest.mark.parametrize("argv,message", [
+        (["gram", "--q", "1.2", "--J", "1", "--J-max", "3"],
+         "gram with --J does not read --J-max"),
+        (["verify", "--suite", "gram", "--q", "1.2", "--J", "1", "--J-max", "3"],
+         "--suite gram with --J does not read --J-max"),
+        (["eval", "--fn", "L", "--tau", "0.2", "--eta", "1", "--J", "3", "--N", "7"],
+         "--fn L does not read --J, --N"),
+        (["eval", "--fn", "Q", "--J", "0.5", "--q", "1.2", "--eta", "1", "--grid", "1:2:2",
+          "--M", "4", "--x", "9"],
+         "--fn Q does not read --x, --M"),
+        (["eval", "--fn", "Q", "--J", "0.5", "--q", "1.2", "--eta", "1", "--grid", "1:2:2"],
+         "--fn Q with --grid does not read --eta"),
+        (["eval", "--fn", "vilenkin", "--J", "1", "--M", "0", "--N", "0", "--q", "2",
+          "--xi", "0.5", "--eta", "1"],
+         "--fn vilenkin does not read --eta"),
+        (["eval", "--fn", "qnum", "--q", "2", "--x", "1", "--J", "1"],
+         "--fn qnum does not read --J"),
+    ], ids=["gram-J-and-J-max", "verify-gram-J-and-J-max", "eval-L-J-N", "eval-Q-M-x",
+            "eval-Q-grid-eta", "eval-vilenkin-eta", "eval-qnum-J"])
+    def test_ignored_flag_exits_two(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and message in err
