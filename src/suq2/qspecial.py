@@ -96,8 +96,10 @@ class _ExactMemo:
     """Results of one evaluator keyed on its exact input, oldest first.
 
     A key is (tag, the evaluator's parameters, eta's shape, eta's complex
-    bytes), the bytes last, so p and p.inverse(), or a scalar and a
-    (1,)-shaped eta, never share an entry.  Every call returns a fresh copy,
+    bytes), the bytes last, so p and p.inverse(), or a (1,)- and a
+    (1, 1)-shaped eta, never share an entry.  A scalar eta reaches the
+    evaluators as shape (1,) (see _as_complex), so it shares the entry of
+    [eta], whose bits it has.  Every call returns a fresh copy,
     so callers may mutate it.  A result whose evaluation raised or reported
     a warning is never stored, so the warning and the errors recur on every
     call.  The stored keys and values stay under max_bytes, evicting the
@@ -140,10 +142,14 @@ class QFunctionMethod(Enum):
 
 
 def _as_complex(x):
+    """x as a complex array and whether x is a scalar.  A scalar comes back
+    with shape (1,), so that x and [x] take the same array arithmetic and
+    give the same bits: numpy's complex arithmetic rounds differently on
+    0-d operands."""
     arr = np.asarray(x, dtype=complex)
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise ValueError("arguments must be finite")
-    return arr, arr.ndim == 0
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 def _ret(arr, scalar):
@@ -208,7 +214,8 @@ def q_infinite_product(J, p: QParam, eta):
     is rejected.
 
     Results are memoized on (J, p, eta's shape, eta's complex bytes) under
-    MEMO_MAX_BYTES; see _ExactMemo for the rules.
+    MEMO_MAX_BYTES, with a scalar eta and [eta] on one entry; see _ExactMemo
+    for the rules.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
@@ -481,6 +488,8 @@ def vilenkin(J, M, N, p: QParam, xi):
     validate_triple(J, M, N)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
+    if scalar:  # as in _as_complex: xi and [xi] give the same bits
+        xi_arr = xi_arr.reshape(1)
     if np.any(xi_arr <= -1.0) or np.any(xi_arr >= 1.0):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
     eta = (1.0 + xi_arr) / (1.0 - xi_arr)

@@ -435,12 +435,14 @@ class TestLFunctionMemo(_ExactMemoCases):
             lambda: l_function(P_CIRC, np.array([[0.7]])),
         ]
         first = [call() for call in calls]
-        assert len(misses) == len(calls)
+        # a scalar and [eta] are one input: the array hits the scalar's entry
+        assert len(misses) == len(calls) - 1
         again = [call() for call in calls]
-        assert len(misses) == len(calls)
+        assert len(misses) == len(calls) - 1
         assert isinstance(first[0], complex) and isinstance(again[0], complex)
         assert abs(first[0] + first[1]) < 1e-12  # the inverse really is -L here
         assert [np.shape(v) for v in again] == [(), (), (1,), (1, 1)]
+        assert np.array([first[0]]).tobytes() == first[2].tobytes()
         for a, b in zip(first, again):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -478,7 +480,8 @@ class TestInfiniteProductMemo(_ExactMemoCases):
         return qspecial._infinite_product(HalfInt.of(1.5), P_PRODUCT.value, arr)
 
     def test_distinct_inputs_never_share_an_entry(self, misses):
-        # at this eta the scalar and the one-element array differ in the last bits
+        # at this eta numpy's 0-d arithmetic would round differently from
+        # the one-element array's
         eta = 0.741 - 3.863j
         calls = [
             lambda: q_infinite_product(0.5, P_PRODUCT, eta),
@@ -488,12 +491,13 @@ class TestInfiniteProductMemo(_ExactMemoCases):
             lambda: q_infinite_product(0.5, P_PRODUCT, np.array([[eta]])),
         ]
         first = [call() for call in calls]
-        assert len(misses) == len(calls)
+        # a scalar and [eta] are one input: the array hits the scalar's entry
+        assert len(misses) == len(calls) - 1
         again = [call() for call in calls]
-        assert len(misses) == len(calls)
+        assert len(misses) == len(calls) - 1
         assert isinstance(first[0], complex) and isinstance(again[0], complex)
         assert [np.shape(v) for v in again] == [(), (), (), (1,), (1, 1)]
-        assert first[0] != first[3][0]
+        assert np.array([first[0]]).tobytes() == first[3].tobytes()
         for a, b, (J, p) in zip(first, again, [(0.5, P_PRODUCT), (1.5, P_PRODUCT),
                                                (0.5, P_PRODUCT.inverse())]):
             assert a == b == per_factor_infinite_product(J, p, eta)
@@ -530,6 +534,40 @@ def test_l_and_product_entries_never_evict_each_other(monkeypatch):
     assert [key[0] for key in qspecial._l_memo.entries] == ["L"]
     assert [key[0] for key in qspecial._product_memo.entries] == ["Q"]
     assert qspecial._l_memo.nbytes == qspecial._product_memo.nbytes == 256
+
+
+P_E = QParam.positive_real(math.exp(-1.0))
+P_TAU = QParam.unit_circle(0.2)
+_RNG = np.random.default_rng(11)
+SCALAR_ETAS = _RNG.uniform(0.05, 5.0, 30) * np.exp(1j * _RNG.uniform(-2.0, 2.0, 30))
+SCALAR_XIS = _RNG.uniform(-0.95, 0.95, 30)
+
+# every evaluator route: its name, then f(x) and the points x it takes
+SCALAR_ROUTES = {
+    "Q-classical": (lambda x: q_function(1.5, P_CLASS, x), SCALAR_ETAS),
+    "Q-finite-real": (lambda x: q_function(2, P_E, x), SCALAR_ETAS),
+    "Q-finite-circle": (lambda x: q_function(1, P_TAU, x), SCALAR_ETAS),
+    "Q-infinite": (lambda x: q_function(0.5, P_E, x), SCALAR_ETAS),
+    "Q-integral": (lambda x: q_function(0.5, P_TAU, x), SCALAR_ETAS),
+    "L": (lambda x: l_function(P_TAU, x), SCALAR_ETAS),
+    "R": (lambda x: r_polynomial(2, 1, 0, P_E, x), SCALAR_ETAS),
+    "psi-real": (lambda x: psi(1.5, 0.5, 0.5, P_E, x, np.conj(x)), SCALAR_ETAS),
+    "psi-circle": (lambda x: psi(1.5, 0.5, 0.5, P_TAU, x, np.conj(x)), SCALAR_ETAS),
+    "vilenkin-real": (lambda x: vilenkin(2, 1, 0, P_E, x), SCALAR_XIS),
+    "vilenkin-circle": (lambda x: vilenkin(1.5, 0.5, 0.5, P_TAU, x), SCALAR_XIS),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_ROUTES))
+def test_scalar_gives_the_bits_of_the_one_element_array(name, monkeypatch):
+    # memos that store nothing, so that both sides are computed
+    monkeypatch.setattr(qspecial, "_l_memo", qspecial._ExactMemo(0))
+    monkeypatch.setattr(qspecial, "_product_memo", qspecial._ExactMemo(0))
+    route, points = SCALAR_ROUTES[name]
+    for x in points:
+        scalar, array = route(x), route(np.array([x]))
+        assert isinstance(scalar, complex) and array.shape == (1,)
+        assert np.array([scalar]).tobytes() == array.tobytes(), x
 
 
 class TestNormConstant:
@@ -609,9 +647,10 @@ class TestVilenkin:
 
 
 def per_factor_infinite_product(J, p, eta):
-    """The factor-at-a-time loop q_infinite_product replaced: the bitwise reference."""
+    """The factor-at-a-time loop q_infinite_product replaced: the bitwise
+    reference.  A scalar eta runs as [eta], as in q_infinite_product."""
     q, Jf = p.value, float(J)
-    arr = np.asarray(eta, dtype=complex)
+    arr = np.atleast_1d(np.asarray(eta, dtype=complex))
     out = np.ones_like(arr)
     ratio = q * q if q < 1.0 else q ** -2
     for k in range(qspecial.PRODUCT_MAX_FACTORS):
@@ -627,7 +666,7 @@ def per_factor_infinite_product(J, p, eta):
         out = out * factor
         gap = np.max(np.abs(factor - 1.0))
         if gap < qspecial.PRODUCT_FACTOR_TOL and gap * ratio / (1.0 - ratio) < qspecial.PRODUCT_TAIL_TOL:
-            return out.item() if arr.ndim == 0 else out
+            return out.item() if np.ndim(eta) == 0 else out
     raise RuntimeError("infinite product did not converge within the factor cap")
 
 
