@@ -58,6 +58,7 @@ def _param_from_args(args) -> QParam:
 
 def _grid(args, flag: str) -> np.ndarray:
     if args.grid is not None:
+        _reject_unread(f"--fn {args.fn} with --grid", {f"--{flag}": getattr(args, flag)})
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise SystemExit(_fail("--grid must be lo:hi:n"))
@@ -89,13 +90,10 @@ def _require(args, *flags):
 def cmd_eval(args) -> int:
     p = _param_from_args(args)
     reads = _EVAL_FLAGS[args.fn]
-    flag = reads[0]
     _reject_unread(f"--fn {args.fn}", {f"--{f}": getattr(args, f)
                                       for f in ("x", "eta", "xi", "rho", "J", "M", "N")
                                       if f not in reads})
-    if args.grid is not None:
-        _reject_unread(f"--fn {args.fn} with --grid", {f"--{flag}": getattr(args, flag)})
-    pts = _grid(args, flag)
+    pts = _grid(args, reads[0])
     params = {}
     if args.fn in ("qnum",):
         vals = np.array([q_number(float(x), p) for x in pts], dtype=complex)

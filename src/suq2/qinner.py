@@ -77,7 +77,8 @@ def b_one(p: QParam) -> float:
 
 
 def _terms(p: QParam):
-    """(bra parameter, ket parameter, s) of each term of the form at p."""
+    """(bra parameter, ket parameter, s) of each term of the form at p: the
+    ket's arguments are scaled by s and the term is weighted by w_s."""
     qm1, qp1, pinv = p.power(-1), p.power(1), p.inverse()
     if p.regime is Regime.UNIT_CIRCLE:
         return ((p, p, qm1), (pinv, pinv, qp1))
