@@ -205,6 +205,15 @@ class TestRadialPathMatchesPlaneGrid:
             # 0.0 on the radial path and a few 1e-14 on the plane grid
             assert abs(radial - plane) <= 1e-12 * max(1.0, abs(radial), abs(plane))
 
+    def test_classical_span_pairs(self):
+        # q = 1 runs as the s = 1 case of the real rows; the reference keeps
+        # its own one-term form with weight 2/(1+eta)^2
+        f, g = span_families()
+        for bra, ket in [(f, g), (g, f), (f, f)]:
+            radial = inner(bra, ket, P_CLASS)
+            plane = polar_grid_inner(bra, ket, P_CLASS)
+            assert abs(radial - plane) <= 1e-12 * max(1.0, abs(radial), abs(plane))
+
 
 def span_families(seed=5):
     rng = np.random.default_rng(seed)
