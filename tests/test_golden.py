@@ -15,7 +15,11 @@ products of decomposed families moved from the plane grid to the
 mode-matched radial path; only the adjoint and conjugate symmetry
 residuals changed.  The eight recordings that run the matrix or funceq
 suite were written again after those residuals were scaled by the terms
-they compare; only the matrix and funceq residuals changed.  Running
+they compare; only the matrix and funceq residuals changed.  The eleven
+verify_all recordings at the corners of the benchmark ranges (tau +-0.10
+and 0.29 with seed 5; q = e^(+-0.1) and e^(+-1.0), each with N 0 and
+N 1/2) were written before the stencils evaluated their operand on the
+stacked dilations.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -77,6 +81,19 @@ CASES = {
                                               "--grid=-0.9:0.9:7"],
     "verify_all_q2.5_N0.5_seed3.json": ["verify", "--suite", "all", "--q", "2.5", "--N", "0.5",
                                         "--seed", "3"],
+    # the corners of the benchmark ranges: |tau| 0.10 to 0.30, |ln q| 0.1 to 1.0
+    "verify_all_tau0.1_seed5.json": ["verify", "--suite", "all", "--tau", "0.10", "--seed", "5"],
+    "verify_all_tau-0.1_seed5.json": ["verify", "--suite", "all", "--tau", "-0.10",
+                                      "--seed", "5"],
+    "verify_all_tau0.29_seed5.json": ["verify", "--suite", "all", "--tau", "0.29", "--seed", "5"],
+    "verify_all_q1.105171_N0.json": ["verify", "--suite", "all", "--q", "1.105171", "--N", "0"],
+    "verify_all_q1.105171_N0.5.json": ["verify", "--suite", "all", "--q", "1.105171", "--N", "0.5"],
+    "verify_all_q0.904837_N0.json": ["verify", "--suite", "all", "--q", "0.904837", "--N", "0"],
+    "verify_all_q0.904837_N0.5.json": ["verify", "--suite", "all", "--q", "0.904837", "--N", "0.5"],
+    "verify_all_q2.718282_N0.json": ["verify", "--suite", "all", "--q", "2.718282", "--N", "0"],
+    "verify_all_q2.718282_N0.5.json": ["verify", "--suite", "all", "--q", "2.718282", "--N", "0.5"],
+    "verify_all_q0.367879_N0.json": ["verify", "--suite", "all", "--q", "0.367879", "--N", "0"],
+    "verify_all_q0.367879_N0.5.json": ["verify", "--suite", "all", "--q", "0.367879", "--N", "0.5"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
