@@ -117,6 +117,16 @@ def _require_deformed(p: QParam):
         raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
 
 
+def _at_dilations(f: PlaneFamily, p: QParam, u, v, scales):
+    """f at (a u, b v) for every (a, b) in scales, stacked along a new first
+    axis, from one call of f on the stacked dilated arguments.  A stencil
+    evaluated this way hands its operand one array, so nested stencils reach
+    psi once, on the stack of every dilation the tree needs; each dilated
+    argument is the product a * u (b * v) that separate calls would pass."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    return f(p, np.stack([a * u for a, _ in scales]), np.stack([b * v for _, b in scales]))
+
+
 def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
     nf = float(r.N)
@@ -129,9 +139,9 @@ def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
             raise ValueError("h_plus stencil is singular at u = 0")
         q1, qm1 = p.power(1), p.power(-1)
         d = q1 - qm1
-        f_pp = f(p, q1 * u, q1 * v)
-        t1 = -p.power(-nf / 2) * (f_pp - f(p, qm1 * u, q1 * v)) / (d * u)
-        t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f(p, q1 * u, qm1 * v)) / d
+        f_pp, f_mp, f_pm = _at_dilations(f, p, u, v, ((q1, q1), (qm1, q1), (q1, qm1)))
+        t1 = -p.power(-nf / 2) * (f_pp - f_mp) / (d * u)
+        t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f_pm) / d
         return t1 + t2
     return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_plus(comp, r), +1))
 
@@ -148,9 +158,9 @@ def apply_h_minus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
             raise ValueError("h_minus stencil is singular at v = 0")
         q1, qm1 = p.power(1), p.power(-1)
         d = q1 - qm1
-        f_pp = f(p, q1 * u, q1 * v)
-        t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f(p, qm1 * u, q1 * v)) / d
-        t2 = p.power(nf / 2) * (f_pp - f(p, q1 * u, qm1 * v)) / (d * v)
+        f_pp, f_mp, f_pm = _at_dilations(f, p, u, v, ((q1, q1), (qm1, q1), (q1, qm1)))
+        t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f_mp) / d
+        t2 = p.power(nf / 2) * (f_pp - f_pm) / (d * v)
         return t1 + t2
     return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_minus(comp, r), -1))
 
@@ -165,14 +175,16 @@ def apply_q_h3_power(f: PlaneFamily, r: RealizationParams, a: float) -> PlaneFam
 
 
 def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily:
-    # [H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1)
-    up = apply_q_h3_power(f, r, 1.0)
-    dn = apply_q_h3_power(f, r, -1.0)
+    """[H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1), with
+    q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
+    nf = float(r.N)
 
     def ev(p, u, v):
         _require_deformed(p)
-        d = p.power(1) - p.power(-1)
-        return (p.power(shift) * up(p, u, v) - p.power(-shift) * dn(p, u, v)) / d
+        q1, qm1 = p.power(1), p.power(-1)
+        f_up, f_dn = _at_dilations(f, p, u, v, ((qm1, q1), (q1, qm1)))
+        up, dn = p.power(-nf) * f_up, p.power(nf) * f_dn
+        return (p.power(shift) * up - p.power(-shift) * dn) / (q1 - qm1)
     return PlaneFamily(ev, _map_modes(f, lambda comp: _bracket_h3(comp, r, shift)))
 
 

@@ -45,7 +45,9 @@ PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
 PRODUCT_MAX_FACTORS = 100_000
 POLE_TOL = 1e-300            # a product factor this small is a pole of Q
-PRODUCT_BLOCK_ELEMENTS = 2**12  # factors x points per block; keeps the temporaries in cache
+# entries per block of the infinite product (factors x points) and of each L
+# quadrature round (points x panels x 21 nodes); keeps the temporaries in cache
+BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  Over ten batches of each
 # benchmark workload (verify --suite all on the circle and at real q, gram
@@ -205,7 +207,7 @@ def q_infinite_product(J, p: QParam, eta):
     Truncation: stop at the first factor k with max |factor - 1| < 1e-18 over
     the points and the geometric tail bound (ratio q^2 or q^-2) below 1e-14;
     hard cap 1e5 factors.  The rule is evaluated in blocks of factors, each a
-    (factors x points) array of at most PRODUCT_BLOCK_ELEMENTS entries with
+    (factors x points) array of at most BLOCK_ELEMENTS entries with
     one pole test and one convergence test.  The first block reaches the
     factor where |eta| q^(2k), shifted by 2J, falls below 2^-60; later blocks
     take the cap.  The factors up to the stop are multiplied in order, so the
@@ -254,7 +256,7 @@ def _infinite_product(J, q, arr):
     if not math.isfinite(amax * max(a[0], b[0])):  # it would return 0 or nan and only warn
         raise ValueError(f"infinite-product factor k=0 overflows at |eta| = {amax:g}")
     k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
-    cap = max(1, PRODUCT_BLOCK_ELEMENTS // flat.size)
+    cap = max(1, BLOCK_ELEMENTS // flat.size)
     rows = min(cap, max(1, math.ceil(k_est) + 1))
     start = 0
     while start < PRODUCT_MAX_FACTORS:
@@ -347,7 +349,6 @@ def _l_quadrature(p: QParam, arr):
     u_high = 55.0 + math.log1p(amax)
     breaks = np.concatenate((-np.linspace(0.0, u_high, 12)[:0:-1], _low_breaks(alpha, u_low)))
     lo, hi = breaks[:-1], breaks[1:]
-    re, im = flat.real[:, None, None], flat.imag[:, None, None]
     total = np.zeros(flat.shape, dtype=complex)
     error = 0.0
     warned = False
@@ -357,17 +358,15 @@ def _l_quadrature(p: QParam, arr):
         half = 0.5 * (hi - lo)[:, None]
         v = half * GK21_NODES + 0.5 * (lo + hi)[:, None]
         t = np.exp(-alpha * v)
-        x, y = 1.0 + re * t, im * t           # 1 + eta e^(-alpha v): points x panels x 21
-        phase = np.arctan2(y, x)
-        if not warned and math.pi - float(np.max(np.abs(phase))) < BRANCH_CUT_MARGIN:
-            warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                          RuntimeWarning, stacklevel=3)
-            warned = True
         g = half / (1.0 + np.exp(-v))
-        log_abs = np.log(np.hypot(x, y, out=x), out=x)  # Log(1+z) = log|1+z| + i arg(1+z)
-        log_abs *= g
-        phase *= g
-        sums = log_abs @ GK21_WEIGHTS + 1j * (phase @ GK21_WEIGHTS)  # the K21 and K21 - G10 sums
+        step = max(1, BLOCK_ELEMENTS // t.size)
+        sums = np.empty((flat.size, lo.size, 2), dtype=complex)
+        for i in range(0, flat.size, step):
+            sums[i:i + step], max_phase = _l_panel_sums(flat[i:i + step], t, g)
+            if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
+                warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
+                              RuntimeWarning, stacklevel=3)
+                warned = True
         panel_error = np.max(np.abs(sums[..., 1]), axis=0) / (2.0 * math.pi)
         if error + float(np.sum(panel_error)) < L_ABS_TOL:
             total += np.sum(sums[..., 0], axis=1)
@@ -379,6 +378,21 @@ def _l_quadrature(p: QParam, arr):
         mid = 0.5 * (lo + hi)
         lo, hi = np.stack((lo, mid), axis=1).reshape(-1), np.stack((mid, hi), axis=1).reshape(-1)
     raise RuntimeError("l_function quadrature did not converge")
+
+
+def _l_panel_sums(points, t, g):
+    """The K21 and K21 - G10 sums of the L integrand at each point on each
+    panel, a (points, panels, 2) array, and the largest |arg(1 + eta t)|.
+    t holds e^(-alpha v) and g the weight half / (1 + e^(-v)) at the
+    (panels, 21) nodes."""
+    re, im = points.real[:, None, None], points.imag[:, None, None]
+    x, y = 1.0 + re * t, im * t           # 1 + eta e^(-alpha v): points x panels x 21
+    phase = np.arctan2(y, x)
+    max_phase = float(np.max(np.abs(phase)))
+    log_abs = np.log(np.hypot(x, y, out=x), out=x)  # Log(1+z) = log|1+z| + i arg(1+z)
+    log_abs *= g
+    phase *= g
+    return log_abs @ GK21_WEIGHTS + 1j * (phase @ GK21_WEIGHTS), max_phase
 
 
 def q_integral_exp(J, p: QParam, eta):
