@@ -19,7 +19,11 @@ they compare; only the matrix and funceq residuals changed.  The eleven
 verify_all recordings at the corners of the benchmark ranges (tau +-0.10
 and 0.29 with seed 5; q = e^(+-0.1) and e^(+-1.0), each with N 0 and
 N 1/2) were written before the stencils evaluated their operand on the
-stacked dilations.  Running
+stacked dilations; three of them were written again after it
+(verify_all_tau0.29_seed5, and verify_all_q0.904837 with N 0 and N 1/2),
+as a stacked call moves the panels of L and the stop of the real-q
+product, and with them the last bits of a few ladder and casimir
+residuals.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
