@@ -95,6 +95,8 @@ class HalfInt:
         if isinstance(x, HalfInt):
             return x
         doubled = 2 * x
+        if isinstance(doubled, float) and not math.isfinite(doubled):
+            raise ValueError(f"{x} is not a finite half-integer")
         if doubled != round(doubled):
             raise ValueError(f"{x} is not a half-integer")
         return HalfInt(int(round(doubled)))

@@ -405,3 +405,12 @@ class TestParser:
     def test_ignored_flag_exits_two(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "Q", "--J", "inf", "--q", "1.2", "--eta", "1"],
+        ["verify", "--suite", "ladder", "--q", "1.2", "--J-max", "inf"],
+        ["gram", "--q", "1.2", "--N", "inf"],
+    ], ids=["eval-J", "verify-J-max", "gram-N"])
+    def test_infinite_half_integer_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "integer or half-integer, got 'inf'" in err

@@ -75,6 +75,12 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt.of(0.3)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308])
+    def test_of_rejects_non_finite_values(self, x):
+        # round(inf) raises OverflowError, which the CLI would not catch
+        with pytest.raises(ValueError):
+            HalfInt.of(x)
+
     def test_validate_triple(self):
         validate_triple(HalfInt.of(1), HalfInt.of(0), HalfInt.of(-1))
         with pytest.raises(ValueError):
