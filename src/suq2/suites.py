@@ -43,7 +43,7 @@ VILENKIN_LIMIT_TOL = 1e-6
 STENCIL_N_VALUES = (0, 0.5, 1)   # the N of each ladder and casimir case
 STENCIL_POINTS = 20              # off-axis sample points per ladder/casimir case
 FUNCEQ_ETA_POINTS = 25           # log grid eta in [1e-2, 1e2]
-LIMIT_STEPS = (1e-3, 1e-4)       # q = 1 + h for the q -> 1 limit
+LIMIT_STEPS = (1e-3, 1e-4, 1e-5)  # q = 1 + h for the q -> 1 limit; inner takes the first two
 
 # the run_suite arguments that each suite_<name> takes
 _SUITE_ARGS = {
@@ -258,10 +258,11 @@ def suite_limit() -> list:
     """q -> 1 behavior: deformed inner products of parameter-pinned pairs
     approach the classical values (deviation even in ln q, so the measured
     shrink is quadratic; the pass condition only demands at-least-linear),
-    and linearly-extrapolated q-Vilenkin values hit the Legendre-type
+    and q-Vilenkin values extrapolated to h = 0 from the three steps of
+    LIMIT_STEPS (the quadratic through them) hit the Legendre-type
     references.  The Vilenkin deviation really is O(q-1): the factor
     products are not symmetric under q -> 1/q, so odd powers survive."""
-    h1, h2 = LIMIT_STEPS
+    h1, h2 = LIMIT_STEPS[:2]
     p_cl = QParam.classical()
     cases = []
     for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
@@ -274,15 +275,16 @@ def suite_limit() -> list:
         cases.append(Case(f"inner limit {tag} shrink", 8.0 * d2 / d1, LIMIT_SHRINK_TOL))
 
     xi = np.linspace(-0.8, 0.8, 9)
-    w1, w2 = h1, h2
+    # the Lagrange weights of the value at h = 0
+    weights = [math.prod(hj / (hj - hi) for hj in LIMIT_STEPS if hj != hi)
+               for hi in LIMIT_STEPS]
     for (J, M) in [(1, 0), (1, 1), (2, 1), (2, 2)]:
-        v1 = np.asarray(vilenkin(J, M, 0, QParam.positive_real(1 + h1), xi))
-        v2 = np.asarray(vilenkin(J, M, 0, QParam.positive_real(1 + h2), xi))
-        extrap = (w1 * v2 - w2 * v1) / (w1 - w2)
+        extrap = sum(w * np.asarray(vilenkin(J, M, 0, QParam.positive_real(1 + h), xi))
+                     for w, h in zip(weights, LIMIT_STEPS))
         residual = float(np.max(np.abs(extrap - _legendre_reference(J, M, xi))))
         cases.append(Case(f"vilenkin limit (J={J},M={M})", residual, VILENKIN_LIMIT_TOL))
     # at q = 1 exactly the values must hit the references at full precision,
-    # including rows whose two-point extrapolation remainder would not clear
+    # including rows whose extrapolation remainder would not clear
     # the limit tolerance (the curvature coefficient grows with J)
     for (J, M) in sorted(_LEGENDRE):
         v = np.asarray(vilenkin(J, M, 0, p_cl, xi))
