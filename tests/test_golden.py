@@ -23,7 +23,10 @@ stacked dilations; three of them were written again after it
 (verify_all_tau0.29_seed5, and verify_all_q0.904837 with N 0 and N 1/2),
 as a stacked call moves the panels of L and the stop of the real-q
 product, and with them the last bits of a few ladder and casimir
-residuals.  Running
+residuals.  The twelve recordings that run the limit suite (every verify
+--suite all at real q, and at q = 1) were written again after the vilenkin
+limit rows moved from two-point to three-point extrapolation; only those
+four rows changed.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
