@@ -171,3 +171,53 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     # the others are an exact 0.0 with no integral
     assert len(errors) == sum(v != 0.0 for v in products) > 0
     assert max(errors) < quadrature.ABS_TOL
+
+
+@pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],
+                         ids=["tau0.2", "q0.8"])
+def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
+    # per (J, M, N): the reference value, then one call for the H+H- or H-H+
+    # tree and one for the bracket tree of each Casimir ordering
+    calls = []
+    psi = qspecial.psi
+
+    def recorded_psi(J, M, N, p, u, v):
+        calls.append((HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)))
+        return psi(J, M, N, p, u, v)
+
+    monkeypatch.setattr(qops, "psi", recorded_psi)
+    cases = run_suite("casimir", p)
+    assert cases and all(c.passed for c in cases)
+    per_triple = {}
+    for triple in calls:
+        per_triple[triple] = per_triple.get(triple, 0) + 1
+    assert len(per_triple) > 10 and max(per_triple.values()) <= 5
+
+
+# the L argument 1e-4 e^(i(pi - 9e-7)) at tau = 1 sits within the margin of
+# the Log branch cut, yet its quadrature converges; it comes last, so it
+# falls in a later block than the first
+CUT_ETA = 1e-4 * np.exp(1j * (np.pi - 9e-7))
+
+
+@pytest.mark.parametrize("tau,eta", [
+    (0.2, np.linspace(0.02, 8.0, 2000)),
+    (1.0, np.concatenate((np.linspace(0.1, 3.0, 40) * np.exp(0.5j), [CUT_ETA]))),
+], ids=["grid2000", "branch-cut"])
+def test_l_function_bits_do_not_depend_on_point_blocks(monkeypatch, tau, eta):
+    p = QParam.unit_circle(tau)
+    monkeypatch.setattr(qspecial._l_memo, "max_bytes", 0)  # every call runs the quadrature
+    warns = tau == 1.0
+
+    def evaluate():
+        if not warns:
+            return qspecial.l_function(p, eta)
+        with pytest.warns(RuntimeWarning, match="branch cut"):
+            return qspecial.l_function(p, eta)
+
+    blocked = evaluate()
+    # a round has at least 12 panels of 21 nodes, so the default splits the points
+    assert eta.size * 12 * 21 > qspecial.BLOCK_ELEMENTS
+    monkeypatch.setattr(qspecial, "BLOCK_ELEMENTS", 2**30)
+    one_block = evaluate()
+    assert blocked.tobytes() == one_block.tobytes()

@@ -176,6 +176,116 @@ class TestCasimir:
             apply_casimir(constant_family(1.0), r, "sideways")
 
 
+def three_call_h_plus(f, r):
+    """The raising stencil with one call of f per dilation."""
+    nf = float(r.N)
+
+    def ev(p, u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        q1, qm1 = p.power(1), p.power(-1)
+        d = q1 - qm1
+        f_pp = f(p, q1 * u, q1 * v)
+        t1 = -p.power(-nf / 2) * (f_pp - f(p, qm1 * u, q1 * v)) / (d * u)
+        t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f(p, q1 * u, qm1 * v)) / d
+        return t1 + t2
+    return PlaneFamily(ev)
+
+
+def three_call_h_minus(f, r):
+    """The lowering stencil with one call of f per dilation."""
+    nf = float(r.N)
+
+    def ev(p, u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        q1, qm1 = p.power(1), p.power(-1)
+        d = q1 - qm1
+        f_pp = f(p, q1 * u, q1 * v)
+        t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f(p, qm1 * u, q1 * v)) / d
+        t2 = p.power(nf / 2) * (f_pp - f(p, q1 * u, qm1 * v)) / (d * v)
+        return t1 + t2
+    return PlaneFamily(ev)
+
+
+def two_call_bracket_h3(f, r, shift):
+    """[H3 + shift]_q from separate q^H3 and q^-H3 evaluations."""
+    up = apply_q_h3_power(f, r, 1.0)
+    dn = apply_q_h3_power(f, r, -1.0)
+
+    def ev(p, u, v):
+        d = p.power(1) - p.power(-1)
+        return (p.power(shift) * up(p, u, v) - p.power(-shift) * dn(p, u, v)) / d
+    return PlaneFamily(ev)
+
+
+def separate_call_casimir(f, r, ordering):
+    if ordering == "plus_minus":
+        ladder = three_call_h_plus(three_call_h_minus(f, r), r)
+        diag = two_call_bracket_h3(two_call_bracket_h3(f, r, -1), r, 0)
+    else:
+        ladder = three_call_h_minus(three_call_h_plus(f, r), r)
+        diag = two_call_bracket_h3(two_call_bracket_h3(f, r, +1), r, 0)
+    return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
+
+
+STACKED_CASES = {
+    "h_plus": (apply_h_plus, three_call_h_plus),
+    "h_minus": (apply_h_minus, three_call_h_minus),
+    "casimir_plus_minus": (lambda f, r: apply_casimir(f, r, "plus_minus"),
+                           lambda f, r: separate_call_casimir(f, r, "plus_minus")),
+    "casimir_minus_plus": (lambda f, r: apply_casimir(f, r, "minus_plus"),
+                           lambda f, r: separate_call_casimir(f, r, "minus_plus")),
+}
+
+
+class TestStackedStencils:
+    """The stencils evaluate their operand once, on the stacked dilations;
+    the per-point arithmetic is that of one call per dilation."""
+
+    @pytest.mark.parametrize("op", sorted(STACKED_CASES))
+    @pytest.mark.parametrize("q", [0.6, 2.5])
+    @pytest.mark.parametrize("J,N", [(1, 0), (2, 0), (1.5, 0.5), (2.5, 0.5)])
+    def test_real_q_bits_match_separate_calls(self, op, q, J, N):
+        p = QParam.positive_real(q)
+        r = RealizationParams(N, p)
+        stacked, separate = STACKED_CASES[op]
+        u, v = sample_points()
+        for M in np.arange(-J, J + 1, 1.0):
+            f = psi_family(J, M, N)
+            got = stacked(f, r)(p, u, v)
+            want = separate(f, r)(p, u, v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), M
+
+    @pytest.mark.parametrize("op", sorted(STACKED_CASES))
+    @pytest.mark.parametrize("tau", [math.pi / 17, -0.25])
+    @pytest.mark.parametrize("J,N", [(1, 0), (1.5, 0.5)])
+    def test_circle_matches_separate_calls(self, op, tau, J, N):
+        # stacking changes the points L is refined over, so only last bits move
+        p = QParam.unit_circle(tau)
+        r = RealizationParams(N, p)
+        stacked, separate = STACKED_CASES[op]
+        u, v = sample_points()
+        for M in np.arange(-J, J + 1, 1.0):
+            f = psi_family(J, M, N)
+            got = stacked(f, r)(p, u, v)
+            want = separate(f, r)(p, u, v)
+            scale = float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(got - want))) <= 1e-13 * max(scale, 1.0), M
+
+    def test_nested_stencils_reach_psi_once(self):
+        shapes = []
+        base = psi_family(1.5, 0.5, 0.5)
+
+        def recorded(p, u, v):
+            shapes.append(np.shape(u))
+            return base(p, u, v)
+        f = PlaneFamily(recorded)
+        r = RealizationParams(0.5, P_TWO)
+        u, v = sample_points()
+        apply_h_plus(apply_h_minus(f, r), r)(P_TWO, u, v)
+        _bracket_h3(_bracket_h3(f, r, -1), r, 0)(P_TWO, u, v)
+        assert shapes == [(3, 3, u.size), (2, 2, u.size)]
+
+
 class TestConjugationIdentity:
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
     def test_q2h3_conjugates_ladders(self, p):
