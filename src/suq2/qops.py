@@ -6,6 +6,11 @@ operators are finite q-difference stencils built from dilations of the two
 arguments.  Families keep (u, v) independent (physical slice v = conj(u))
 because circle-regime dilations move the arguments off that slice.
 
+A stencil calls its operand once, on the dilated arguments it needs stacked
+along a new leading axis (_at_dilations), so nested stencils stack further
+and a whole stencil tree reaches psi in one call: each Casimir ordering
+makes one call for its ladder product and one for its q-number brackets.
+
 Stencils are parameter-covariant: the deformation parameter used by a
 stencil is the one supplied at evaluation time, not the one captured at
 construction.  The deformed scalar products evaluate bra-side families at

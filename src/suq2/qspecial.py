@@ -51,7 +51,7 @@ BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  Over ten batches of each
 # benchmark workload (verify --suite all on the circle and at real q, gram
-# and eval on the circle) one operation stores at most 0.23 MB of products
+# and eval on the circle) one operation stores at most 0.29 MB of products
 # and 0.13 MB of L, so nothing is evicted
 MEMO_MAX_BYTES = 2**20
 
@@ -321,7 +321,10 @@ def l_function(p: QParam, eta):
     errors add up to less than L_ABS_TOL.  Otherwise the panels within an
     equal share of the tolerance left are kept and the others bisected, for
     at most L_MAX_ROUNDS rounds of at most L_MAX_PANELS panels, past which
-    it raises RuntimeError.
+    it raises RuntimeError.  A round evaluates and sums the points in blocks
+    of at most BLOCK_ELEMENTS (points x panels x 21) entries; the panels are
+    kept or bisected on the error maximized over all the points, so the
+    result is bit for bit that of one block.
 
     Results are memoized on (p, eta's shape, eta's complex bytes) under
     MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
