@@ -284,8 +284,7 @@ def suite_limit() -> list:
         residual = float(np.max(np.abs(extrap - _legendre_reference(J, M, xi))))
         cases.append(Case(f"vilenkin limit (J={J},M={M})", residual, VILENKIN_LIMIT_TOL))
     # at q = 1 exactly the values must hit the references at full precision,
-    # including rows whose extrapolation remainder would not clear
-    # the limit tolerance (the curvature coefficient grows with J)
+    # on every row of the table, not only the four extrapolated above
     for (J, M) in sorted(_LEGENDRE):
         v = np.asarray(vilenkin(J, M, 0, p_cl, xi))
         residual = float(np.max(np.abs(v - _legendre_reference(J, M, xi))))
