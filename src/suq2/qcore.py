@@ -92,14 +92,19 @@ class HalfInt:
 
     @staticmethod
     def of(x: Union["HalfInt", int, float]) -> "HalfInt":
+        """x as a HalfInt; anything that is not a finite real half-integer
+        (an infinity or nan of any float type, a str, a complex, None, a
+        list) raises ValueError."""
         if isinstance(x, HalfInt):
             return x
-        doubled = 2 * x
-        if isinstance(doubled, float) and not math.isfinite(doubled):
-            raise ValueError(f"{x} is not a finite half-integer")
-        if doubled != round(doubled):
+        try:
+            doubled = 2 * x
+            twice = round(doubled)  # rejects non-numbers and non-finite floats
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{x!r} is not a finite half-integer") from None
+        if doubled != twice:
             raise ValueError(f"{x} is not a half-integer")
-        return HalfInt(int(round(doubled)))
+        return HalfInt(int(twice))
 
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.of(other).twice)

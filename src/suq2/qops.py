@@ -10,6 +10,9 @@ A stencil calls its operand once, on the dilated arguments it needs stacked
 along a new leading axis (_at_dilations), so nested stencils stack further
 and a whole stencil tree reaches psi in one call: each Casimir ordering
 makes one call for its ladder product and one for its q-number brackets.
+On a tower (psi_family with a tuple of weights M) the same call carries
+every member of the irrep: they share the radial profile Q_J, which psi
+then evaluates once, and the stencils act on the stacked members row by row.
 
 Stencils are parameter-covariant: the deformation parameter used by a
 stencil is the one supplied at evaluation time, not the one captured at
@@ -32,9 +35,8 @@ from .qcore import (
     check_not_root_of_unity,
     m_values,
     q_number,
-    validate_triple,
 )
-from .qspecial import psi
+from .qspecial import _weights, psi
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,17 @@ class RealizationParams:
 
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot.  It is
-    one component of mode M + N, with coefficient 1."""
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    one component of mode M + N, with coefficient 1.
+
+    A tuple M gives the tower of those members instead, stacked along a new
+    first axis from one psi call (see psi).  Its rows have different modes,
+    so it carries no decomposition (meta = None), and inner rejects it.
+    """
+    J, N = HalfInt.of(J), HalfInt.of(N)
+    ms = _weights(J, M, N)
+    if isinstance(M, tuple):
+        return PlaneFamily(lambda p, u, v: psi(J, ms, N, p, u, v))
+    (M,) = ms
     mode = PlaneFamily(lambda p, u, v: psi(J, M, N, p, u, v))
     return PlaneFamily(mode.evaluator, meta=((1, mode, (M + N).to_int()),))
 
@@ -127,9 +137,16 @@ def _at_dilations(f: PlaneFamily, p: QParam, u, v, scales):
     axis, from one call of f on the stacked dilated arguments.  A stencil
     evaluated this way hands its operand one array, so nested stencils reach
     psi once, on the stack of every dilation the tree needs; each dilated
-    argument is the product a * u (b * v) that separate calls would pass."""
+    argument is the product a * u (b * v) that separate calls would pass.
+
+    In f's result the dilation axis sits just before u's axes: first for a
+    single member, second for a tower (psi_family with a tuple M), whose
+    rows come first.  It is moved to the front, so a stencil unpacks the
+    dilations and acts on every row of a tower at once, each row with the
+    arithmetic of a single member."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-    return f(p, np.stack([a * u for a, _ in scales]), np.stack([b * v for _, b in scales]))
+    out = f(p, np.stack([a * u for a, _ in scales]), np.stack([b * v for _, b in scales]))
+    return np.moveaxis(out, -u.ndim - 1, 0)
 
 
 def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:

@@ -467,18 +467,41 @@ def psi(J, M, N, p: QParam, u, v):
 
     Physical evaluation uses v = conj(u); the arguments stay independent
     because q-dilations in the circle regime break that conjugacy.
+
+    M may also be a tuple of weights, which must not be empty: the members
+    (J, M[i], N) come back stacked along a new first axis, from one
+    evaluation of the radial profile Q_J(u v) that they all share.  Each row
+    takes the arithmetic of its own M, so it has the bits of psi(J, M[i],
+    N, p, u, v); at scalar u and v the result has shape (len(M),).
     """
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    J, N = HalfInt.of(J), HalfInt.of(N)
+    ms = _weights(J, M, N)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    lead, mn, terms = _psi_record(J, M, N, p)
+    records = [_psi_record(J, m, N, p) for m in ms]
     qval = q_function(J, p, u_arr * v_arr)
-    poly = np.zeros_like(u_arr)
-    for k, c in terms:
-        poly = poly + c * u_arr ** k * v_arr ** (k + mn)
-    out = lead * qval * poly
-    return _ret(np.asarray(out, dtype=complex), u_scalar and v_scalar)
+    rows = []
+    for lead, mn, terms in records:
+        poly = np.zeros_like(u_arr)
+        for k, c in terms:
+            poly = poly + c * u_arr ** k * v_arr ** (k + mn)
+        rows.append(np.asarray(lead * qval * poly, dtype=complex))
+    scalar = u_scalar and v_scalar
+    if not isinstance(M, tuple):
+        return _ret(rows[0], scalar)
+    out = np.stack(rows)
+    return out.reshape(len(ms)) if scalar else out
+
+
+def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
+    """The weights a psi call evaluates, each checked against (J, N): those
+    of a tuple M, which must not be empty, else (M,)."""
+    ms = tuple(HalfInt.of(m) for m in M) if isinstance(M, tuple) else (HalfInt.of(M),)
+    if not ms:
+        raise ValueError("psi needs at least one weight M")
+    for m in ms:
+        validate_triple(J, m, N)
+    return ms
 
 
 @functools.lru_cache(maxsize=1024)

@@ -124,43 +124,52 @@ def _valid_n(J: HalfInt) -> list:
 
 
 def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
+    """H+ and H- on every member of each (J, N) tower: the neighbour times
+    the matrix element, or 0 at the top and at the bottom.  Each tower is
+    evaluated whole (psi_family with the tuple of its weights), so the
+    members, their H+ and their H- are one psi call each."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
+        ms = tuple(m_values(J))  # descending: M + 1 sits one row up, M - 1 one down
         for N in _valid_n(J):
             r = RealizationParams(N, p)
+            tower = psi_family(J, ms, N)
+            vals = tower(p, u, v)
+            up = apply_h_plus(tower, r)(p, u, v)
+            down = apply_h_minus(tower, r)(p, u, v)
             worst = 0.0
-            for M in m_values(J):
-                f = psi_family(J, M, N)
+            for i, M in enumerate(ms):
                 if M.twice < J.twice:
-                    lhs = apply_h_plus(f, r)(p, u, v)
-                    rhs = _ladder_coeff(J, M, +1, p) * psi_family(J, M + 1, N)(p, u, v)
-                    worst = max(worst, _rel(lhs - rhs, rhs))
+                    rhs = _ladder_coeff(J, M, +1, p) * vals[i - 1]
+                    worst = max(worst, _rel(up[i] - rhs, rhs))
                 else:
-                    worst = max(worst, float(np.max(np.abs(apply_h_plus(f, r)(p, u, v)))))
+                    worst = max(worst, float(np.max(np.abs(up[i]))))
                 if M.twice > -J.twice:
-                    lhs = apply_h_minus(f, r)(p, u, v)
-                    rhs = _ladder_coeff(J, M, -1, p) * psi_family(J, M - 1, N)(p, u, v)
-                    worst = max(worst, _rel(lhs - rhs, rhs))
+                    rhs = _ladder_coeff(J, M, -1, p) * vals[i + 1]
+                    worst = max(worst, _rel(down[i] - rhs, rhs))
                 else:
-                    worst = max(worst, float(np.max(np.abs(apply_h_minus(f, r)(p, u, v)))))
+                    worst = max(worst, float(np.max(np.abs(down[i]))))
             cases.append(Case(f"ladder J={J} N={N}", worst, tol))
     return cases
 
 
 def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -> list:
+    """Both Casimir orderings on every member of each (J, N) tower against
+    [J][J+1] times the member and against each other; each tower is
+    evaluated whole, as in suite_ladder."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
         for N in _valid_n(J):
             r = RealizationParams(N, p)
             want = q_number(J, p) * q_number(J + 1, p)
+            tower = psi_family(J, tuple(m_values(J)), N)
+            refs = want * tower(p, u, v)
+            pm = apply_casimir(tower, r, "plus_minus")(p, u, v)
+            mp = apply_casimir(tower, r, "minus_plus")(p, u, v)
             worst = 0.0
-            for M in m_values(J):
-                f = psi_family(J, M, N)
-                ref = want * f(p, u, v)
-                a = apply_casimir(f, r, "plus_minus")(p, u, v)
-                b = apply_casimir(f, r, "minus_plus")(p, u, v)
+            for ref, a, b in zip(refs, pm, mp):
                 worst = max(worst, _rel(a - ref, ref), _rel(b - ref, ref), _rel(a - b, b))
             cases.append(Case(f"casimir J={J} N={N}", worst, tol))
     return cases
@@ -191,9 +200,14 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
 
 
 def _span_pairs(j_max, N: HalfInt, seed):
+    """Three pairs of random combinations, of 3 and of 2 distinct members
+    of the N tower up to j_max; a tower of fewer than 3 members raises."""
     states = []
     for J in j_values(N, j_max):
         states.extend(psi_family(J, M, N) for M in m_values(J))
+    if len(states) < 3:
+        raise ValueError(f"hermiticity span pairs need at least 3 basis states; the N={N} "
+                         f"tower up to --J-max {HalfInt.of(j_max)} has {len(states)}")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(3):
@@ -211,12 +225,13 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
         raise ValueError("hermiticity suite needs a deformed parameter (q != 1)")
     N_h = HalfInt.of(N)
     r = RealizationParams(N_h, p)
+    pairs = _span_pairs(j_max, N_h, seed)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
                                    p, r),
                   tol)]
-    for i, (f, g) in enumerate(_span_pairs(j_max, N_h, seed), 1):
+    for i, (f, g) in enumerate(pairs, 1):
         cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, r), tol))
         cases.append(Case(f"conjugate symmetry pair {i}",
                           hermitian_symmetry_residual(f, g, p), CONJ_SYMMETRY_TOL))
@@ -329,7 +344,8 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
 
     A suite applies in every regime but the one _ALL skips it in: `all`
     runs those that apply, without j_list or tol, and a single suite that
-    does not apply raises ValueError.
+    does not apply raises ValueError, as does a single suite with no case
+    (a --J-max below the first J of its range).
     """
     if name == "all":
         cases = []
@@ -341,4 +357,8 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if any(sub == name and p.regime is skip for sub, _, skip in _ALL):
         raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
-    return _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)
+    cases = _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)
+    if not cases:  # a J range with no member; the empty gram tower still has its case
+        at = "" if j_max is None else f" at --J-max {HalfInt.of(j_max)}"
+        raise ValueError(f"suite {name} has no case to run{at}")
+    return cases

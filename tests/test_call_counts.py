@@ -1,13 +1,16 @@
 """Deterministic work counts (no timing): on the circle no Gauss-Legendre
 rule is built, and every distinct l_function input runs its quadrature
 once; at real q every distinct infinite-product input runs its
-product once, and psi builds each (J, M, N, p) record once; every suite
+product once, and psi builds each (J, M, N, p) record once; the stencil
+suites evaluate each (J, N) tower whole, in a few psi calls; every suite
 scalar product with a common mode is one converged radial integral."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from suq2 import qinner, qops, qspecial, quadrature, suites
-from suq2.qcore import HalfInt, QParam
+from suq2.qcore import HalfInt, QParam, m_values
 from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
 
@@ -79,7 +82,9 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     psi = qspecial.psi
 
     def recorded_psi(J, M, N, p, u, v):
-        records.append((HalfInt.of(J), HalfInt.of(M), HalfInt.of(N), p))
+        # a tower call (tuple M) reads the record of each of its weights
+        for m in M if isinstance(M, tuple) else (M,):
+            records.append((HalfInt.of(J), HalfInt.of(m), HalfInt.of(N), p))
         return psi(J, M, N, p, u, v)
 
     norm_constants = []
@@ -176,22 +181,40 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
 @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],
                          ids=["tau0.2", "q0.8"])
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
-    # per (J, M, N): the reference value, then one call for the H+H- or H-H+
-    # tree and one for the bracket tree of each Casimir ordering
+    # per (J, N), each call carrying the whole tower: the reference values,
+    # then one call for the H+H- or H-H+ tree and one for the bracket tree of
+    # each Casimir ordering
     calls = []
     psi = qspecial.psi
 
     def recorded_psi(J, M, N, p, u, v):
-        calls.append((HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)))
+        calls.append((HalfInt.of(J), M, HalfInt.of(N)))
         return psi(J, M, N, p, u, v)
 
     monkeypatch.setattr(qops, "psi", recorded_psi)
     cases = run_suite("casimir", p)
     assert cases and all(c.passed for c in cases)
-    per_triple = {}
-    for triple in calls:
-        per_triple[triple] = per_triple.get(triple, 0) + 1
-    assert len(per_triple) > 10 and max(per_triple.values()) <= 5
+    assert all(M == tuple(m_values(J)) for J, M, _ in calls)
+    per_pair = Counter((J, N) for J, _, N in calls)
+    assert len(per_pair) == len(cases) and max(per_pair.values()) <= 5
+
+
+def test_ladder_and_casimir_call_psi_at_most_eight_times_per_tower(monkeypatch):
+    # the tower, its H+ and its H-; then the five calls of the Casimir suite
+    calls = []
+    psi = qspecial.psi
+
+    def recorded_psi(J, M, N, p, u, v):
+        calls.append((HalfInt.of(J), M, HalfInt.of(N)))
+        return psi(J, M, N, p, u, v)
+
+    monkeypatch.setattr(qops, "psi", recorded_psi)
+    p = QParam.positive_real(1.3)
+    cases = run_suite("ladder", p) + run_suite("casimir", p)
+    assert cases and all(c.passed for c in cases)
+    assert all(M == tuple(m_values(J)) for J, M, _ in calls)
+    per_pair = Counter((J, N) for J, _, N in calls)
+    assert len(per_pair) == len(cases) // 2 and max(per_pair.values()) <= 8
 
 
 # the L argument 1e-4 e^(i(pi - 9e-7)) at tau = 1 sits within the margin of

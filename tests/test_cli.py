@@ -414,3 +414,24 @@ class TestParser:
     def test_infinite_half_integer_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "integer or half-integer, got 'inf'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "ladder", "--q", "1.5", "--J-max", "-1"],
+        ["verify", "--suite", "matrix", "--q", "1.5", "--J-max", "0"],
+        ["verify", "--suite", "casimir", "--tau", "0.2", "--J-max", "0"],
+        ["verify", "--suite", "ladder", "--q", "1.5", "--J-max", "-0.5"],
+    ], ids=["ladder-J-max-minus-1", "matrix-J-max-0", "casimir-J-max-0", "ladder-J-max-minus-half"])
+    def test_suite_with_no_case_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "has no case to run at --J-max" in err
+
+    @pytest.mark.parametrize("argv,states", [
+        (["verify", "--suite", "hermiticity", "--q", "1.5", "--J-max", "0", "--N", "0"], 1),
+        (["verify", "--suite", "hermiticity", "--q", "1.5", "--J-max", "0.5", "--N", "0.5"], 2),
+        (["verify", "--suite", "hermiticity", "--tau", "0.2", "--J-max", "0", "--N", "1"], 0),
+    ], ids=["N0-J-max-0", "N-half-J-max-half", "N1-J-max-0"])
+    def test_hermiticity_on_too_small_a_tower_exits_two(self, argv, states, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "--J-max" in err and "N=" in err and f"has {states}" in err
+        assert "larger sample" not in err

@@ -81,6 +81,19 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt.of(x)
 
+    @pytest.mark.parametrize("x", [np.float32("inf"), np.float32("nan"), np.float64("-inf"),
+                                   "1", "a", 1j, 1 + 0j, None, [1], (1,)],
+                             ids=["f32-inf", "f32-nan", "f64-ninf", "str-digit", "str",
+                                  "complex", "complex-real", "none", "list", "tuple"])
+    def test_of_rejects_other_types_with_value_error(self, x):
+        with pytest.raises(ValueError, match="not a finite half-integer"):
+            HalfInt.of(x)
+
+    @pytest.mark.parametrize("x,twice", [(np.float32(1.5), 3), (np.int64(-2), -4),
+                                         (np.array(2.5), 5)])
+    def test_of_accepts_numpy_scalars(self, x, twice):
+        assert HalfInt.of(x) == HalfInt(twice)
+
     def test_validate_triple(self):
         validate_triple(HalfInt.of(1), HalfInt.of(0), HalfInt.of(-1))
         with pytest.raises(ValueError):

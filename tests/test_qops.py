@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from suq2 import QParam, q_number
+from suq2 import QParam, inner, q_number
 from suq2.qops import (
     IrrepMatrices,
     PlaneFamily,
@@ -271,9 +271,11 @@ class TestStackedStencils:
             scale = float(np.max(np.abs(want)))
             assert float(np.max(np.abs(got - want))) <= 1e-13 * max(scale, 1.0), M
 
-    def test_nested_stencils_reach_psi_once(self):
+    @pytest.mark.parametrize("M,rows", [(0.5, ()), ((1.5, 0.5, -0.5, -1.5), (4,))],
+                             ids=["member", "tower"])
+    def test_nested_stencils_reach_psi_once(self, M, rows):
         shapes = []
-        base = psi_family(1.5, 0.5, 0.5)
+        base = psi_family(1.5, M, 0.5)
 
         def recorded(p, u, v):
             shapes.append(np.shape(u))
@@ -281,9 +283,50 @@ class TestStackedStencils:
         f = PlaneFamily(recorded)
         r = RealizationParams(0.5, P_TWO)
         u, v = sample_points()
-        apply_h_plus(apply_h_minus(f, r), r)(P_TWO, u, v)
-        _bracket_h3(_bracket_h3(f, r, -1), r, 0)(P_TWO, u, v)
+        ladder = apply_h_plus(apply_h_minus(f, r), r)(P_TWO, u, v)
+        diag = _bracket_h3(_bracket_h3(f, r, -1), r, 0)(P_TWO, u, v)
         assert shapes == [(3, 3, u.size), (2, 2, u.size)]
+        assert ladder.shape == diag.shape == rows + (u.size,)
+
+
+TOWER_STENCILS = {
+    "h_plus": apply_h_plus,
+    "h_minus": apply_h_minus,
+    "casimir_plus_minus": lambda f, r: apply_casimir(f, r, "plus_minus"),
+    "casimir_minus_plus": lambda f, r: apply_casimir(f, r, "minus_plus"),
+}
+
+
+class TestTowerFamilies:
+    """psi_family with a tuple of weights: every stencil acts on the stacked
+    members row by row, with the bits of the per-member families."""
+
+    @pytest.mark.parametrize("op", sorted(TOWER_STENCILS))
+    @pytest.mark.parametrize("p", [QParam.positive_real(0.6), QParam.positive_real(2.5),
+                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.2)],
+                             ids=["q0.6", "q2.5", "tau0.2", "tau-0.2"])
+    @pytest.mark.parametrize("J,N", [(2, 0), (1.5, 0.5)])
+    def test_rows_have_the_bits_of_the_member_families(self, op, p, J, N):
+        r = RealizationParams(N, p)
+        ms = tuple(np.arange(J, -J - 1, -1.0))
+        u, v = sample_points()
+        got = TOWER_STENCILS[op](psi_family(J, ms, N), r)(p, u, v)
+        assert got.shape == (len(ms), u.size)
+        for row, M in zip(got, ms):
+            want = TOWER_STENCILS[op](psi_family(J, M, N), r)(p, u, v)
+            assert row.tobytes() == want.tobytes(), M
+
+    def test_has_no_decomposition_and_inner_rejects_it(self):
+        tower = psi_family(1, (1, 0, -1), 0)
+        assert tower.meta is None
+        with pytest.raises(ValueError, match="Fourier decomposition"):
+            inner(tower, psi_family(1, 0, 0), P_TWO)
+
+    @pytest.mark.parametrize("M", [(), (1, 2), (0, 0.5), (1, [0])],
+                             ids=["empty", "above-J", "mixed-class", "list-weight"])
+    def test_bad_weights_rejected_when_built(self, M):
+        with pytest.raises(ValueError):
+            psi_family(1, M, 0)
 
 
 class TestConjugationIdentity:

@@ -617,6 +617,55 @@ class TestPsi:
         assert out.shape == (7,)
 
 
+TOWER_POINTS = {
+    "scalar": (0.7 * np.exp(0.4j), 0.7 * np.exp(-0.4j)),
+    "n-by-1": (np.linspace(0.3, 2.5, 9) * np.exp(0.25j), np.array([1.1 - 0.2j])),
+    "stacked": (np.linspace(0.3, 2.5, 12).reshape(3, 4) * np.exp(0.7j),
+                np.linspace(0.3, 2.5, 12).reshape(3, 4) * np.exp(-0.7j)),
+}
+
+
+class TestPsiTower:
+    """psi with a tuple of weights: the members stacked on a new first axis
+    from one Q evaluation, each row with the bits of its own call."""
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(0.6), QParam.positive_real(2.5),
+                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.2)],
+                             ids=["q0.6", "q2.5", "tau0.2", "tau-0.2"])
+    @pytest.mark.parametrize("J,N", [(2, 0), (1.5, 0.5), (0.5, 0.5)])
+    @pytest.mark.parametrize("points", list(TOWER_POINTS))
+    def test_rows_have_the_bits_of_the_scalar_m_calls(self, p, J, N, points):
+        u, v = TOWER_POINTS[points]
+        ms = tuple(HalfInt(t) for t in range(HalfInt.of(J).twice, -HalfInt.of(J).twice - 1, -2))
+        got = psi(J, ms, N, p, u, v)
+        want = np.stack([np.asarray(psi(J, M, N, p, u, v)) for M in ms])
+        assert got.shape == want.shape == (len(ms),) + np.broadcast(u, v).shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_evaluates_q_once(self, monkeypatch):
+        calls = []
+        q_function = qspecial.q_function
+
+        def counted(J, p, eta):
+            calls.append(np.shape(eta))
+            return q_function(J, p, eta)
+        monkeypatch.setattr(qspecial, "q_function", counted)
+        u = np.linspace(0.3, 2.0, 5)
+        out = psi(1.5, (1.5, 0.5, -0.5, -1.5), 0.5, P_TWO, u, u)
+        assert out.shape == (4, 5) and calls == [(5,)]
+
+    def test_a_one_weight_tuple_keeps_its_axis(self):
+        out = psi(1, (0,), 0, P_TWO, 0.5, 0.5)
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out[0] == psi(1, 0, 0, P_TWO, 0.5, 0.5)
+
+    @pytest.mark.parametrize("M", [(), (1, 2), (1, 0.5), (1, None), (1, "x")],
+                             ids=["empty", "above-J", "mixed-class", "none", "str"])
+    def test_bad_weights_rejected(self, M):
+        with pytest.raises(ValueError):
+            psi(1, M, 0, P_TWO, 0.5, 0.5)
+
+
 class TestVilenkin:
     def test_trivial(self):
         assert vilenkin(0, 0, 0, P_TWO, 0.3) == pytest.approx(1.0)

@@ -169,6 +169,15 @@ class TestHermiticitySuite:
         assert sum("adjoint" in c.name for c in cases) == 4
         assert sum("symmetry" in c.name for c in cases) == 3
 
+    @pytest.mark.parametrize("j_max,N", [(0, 0), (0.5, 0.5), (1, 2)])
+    def test_rejects_a_tower_of_fewer_than_three_states(self, j_max, N):
+        with pytest.raises(ValueError, match="at least 3 basis states"):
+            suite_hermiticity(P_REAL, j_max=j_max, N=N)
+
+    def test_three_states_suffice(self):
+        cases = suite_hermiticity(P_REAL, j_max=1, N=1)
+        assert len(cases) == 7 and all(c.passed for c in cases)
+
 
 class TestGramSuite:
     def test_default_tower_label(self):
@@ -224,6 +233,15 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope", P_REAL)
 
+    @pytest.mark.parametrize("name,j_max", [("matrix", 0), ("ladder", -1), ("casimir", 0)])
+    def test_single_suite_with_no_case_rejected(self, name, j_max):
+        with pytest.raises(ValueError, match=f"suite {name} has no case to run"):
+            run_suite(name, P_REAL, j_max=j_max)
+
+    def test_empty_gram_tower_keeps_its_case(self):
+        (case,) = run_suite("gram", P_REAL, N=1, j_max=0.5)
+        assert case.name == "gram N=1 J={(empty)}" and case.passed
+
     def test_suite_names_constant(self):
         assert SUITE_NAMES == ("matrix", "ladder", "casimir", "funceq",
                                "hermiticity", "gram", "limit", "all")
@@ -266,7 +284,7 @@ class TestRunSuite:
 
         def spy(p, j_max=4.5, tol=1e-12):
             seen.append((j_max, tol))
-            return []
+            return [Case("spy", 0.0, tol)]  # a single suite with no case raises
         monkeypatch.setattr(suites, "suite_matrix", spy)
         run_suite("matrix", P_CLASS, j_max=HalfInt.of(1), tol=0.5)
         run_suite("all", P_CLASS, j_max=HalfInt.of(0))
