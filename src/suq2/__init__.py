@@ -24,7 +24,6 @@ from .qinner import (
 from .qops import (
     IrrepMatrices,
     PlaneFamily,
-    RealizationParams,
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
@@ -53,7 +52,7 @@ from .quadrature import (
     radial_integral,
     radial_rule,
 )
-from .report import ReportDocument, build_report
+from .report import ReportDocument
 from .suites import SUITE_NAMES, Case, run_suite
 
 __all__ = [
@@ -63,11 +62,11 @@ __all__ = [
     "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
     "r_polynomial", "vilenkin",
     "PlaneIntegral", "radial_integral", "radial_rule",
-    "IrrepMatrices", "PlaneFamily", "RealizationParams", "apply_casimir",
+    "IrrepMatrices", "PlaneFamily", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
     "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",
     "GramReport", "InnerProductKind", "adjoint_residual", "b_one", "gram",
     "hermitian_symmetry_residual", "inner", "kind_for",
-    "ReportDocument", "build_report",
+    "ReportDocument",
     "SUITE_NAMES", "Case", "run_suite",
 ]

@@ -17,15 +17,32 @@ from .qcore import HalfInt, QParam, j_values, q_factorial, q_number
 from .qinner import gram as gram_matrix
 from .qinner import kind_for
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
-from .report import build_report
+from .report import ReportDocument
 from .suites import SUITE_NAMES, run_suite, suite_args
 
-# the flags each function reads: the one that supplies its evaluation
-# point (which --grid replaces), then its parameters
-_EVAL_FLAGS = {"qnum": ("x",), "qfact": ("x",), "R": ("eta", "J", "M", "N"),
-               "Q": ("eta", "J"), "L": ("eta",), "vilenkin": ("xi", "J", "M", "N"),
-               "psi": ("rho", "J", "M", "N")}
-EVAL_FNS = tuple(_EVAL_FLAGS)
+
+def _qfact(p, pts):
+    vals = []
+    for x in pts:
+        if abs(x - round(x)) > 1e-12:
+            raise SystemExit(_fail(f"qfact needs integer points, got {x}"))
+        vals.append(q_factorial(int(round(x)), p))
+    return vals
+
+
+# each function: the flags it reads, the one that supplies its evaluation
+# point (which --grid replaces) first and then its half-integer parameters,
+# and its values at (p, the points, the parameters)
+_EVAL = {
+    "qnum": (("x",), lambda p, pts: [q_number(float(x), p) for x in pts]),
+    "qfact": (("x",), _qfact),
+    "R": (("eta", "J", "M", "N"), lambda p, pts, J, M, N: r_polynomial(J, M, N, p, pts)),
+    "Q": (("eta", "J"), lambda p, pts, J: q_function(J, p, pts)),
+    "L": (("eta",), lambda p, pts: l_function(p, pts)),
+    "vilenkin": (("xi", "J", "M", "N"), lambda p, pts, J, M, N: vilenkin(J, M, N, p, pts)),
+    "psi": (("rho", "J", "M", "N"), lambda p, pts, J, M, N: psi(J, M, N, p, pts, pts)),
+}
+EVAL_FNS = tuple(_EVAL)
 
 
 def _parse_half(text: str, flag: str) -> HalfInt:
@@ -81,51 +98,22 @@ def _grid(args, flag: str) -> np.ndarray:
     return pts
 
 
-def _require(args, *flags):
-    for flag in flags:
-        if getattr(args, flag.replace("-", "_")) is None:
-            raise SystemExit(_fail(f"--fn {args.fn} requires --{flag}"))
-
-
 def cmd_eval(args) -> int:
     p = _param_from_args(args)
-    reads = _EVAL_FLAGS[args.fn]
+    (point, *names), evaluate = _EVAL[args.fn]
     _reject_unread(f"--fn {args.fn}", {f"--{f}": getattr(args, f)
                                       for f in ("x", "eta", "xi", "rho", "J", "M", "N")
-                                      if f not in reads})
-    pts = _grid(args, reads[0])
-    params = {}
-    if args.fn in ("qnum",):
-        vals = np.array([q_number(float(x), p) for x in pts], dtype=complex)
-    elif args.fn == "qfact":
-        vals = []
-        for x in pts:
-            if abs(x - round(x)) > 1e-12:
-                raise SystemExit(_fail(f"qfact needs integer points, got {x}"))
-            vals.append(q_factorial(int(round(x)), p))
-        vals = np.array(vals, dtype=complex)
-    elif args.fn in ("R", "Q", "L", "vilenkin", "psi"):
-        if args.fn == "L":
-            vals = np.asarray(l_function(p, pts), dtype=complex).reshape(-1)
-        elif args.fn == "Q":
-            _require(args, "J")
-            J = _parse_half(str(args.J), "--J")
-            params["J"] = str(J)
-            vals = np.asarray(q_function(J, p, pts), dtype=complex).reshape(-1)
-        else:
-            _require(args, "J", "M", "N")
-            J = _parse_half(str(args.J), "--J")
-            M = _parse_half(str(args.M), "--M")
-            N = _parse_half(str(args.N), "--N")
-            params.update({"J": str(J), "M": str(M), "N": str(N)})
-            if args.fn == "R":
-                vals = np.asarray(r_polynomial(J, M, N, p, pts), dtype=complex).reshape(-1)
-            elif args.fn == "vilenkin":
-                vals = np.asarray(vilenkin(J, M, N, p, pts), dtype=complex).reshape(-1)
-            else:
-                vals = np.asarray(psi(J, M, N, p, pts, pts), dtype=complex).reshape(-1)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(_fail(f"unknown --fn {args.fn}"))
+                                      if f not in (point, *names)})
+    pts = _grid(args, point)
+    for name in names:
+        if getattr(args, name) is None:
+            raise SystemExit(_fail(f"--fn {args.fn} requires --{name}"))
+    params = {name: _parse_half(str(getattr(args, name)), f"--{name}") for name in names}
+    vals = np.asarray(evaluate(p, pts, *params.values()), dtype=complex).reshape(-1)
+    finite = np.isfinite(vals)
+    if not finite.all():  # a product of finite factors can still overflow
+        x = pts[np.argmin(finite)]
+        raise SystemExit(_fail(f"--fn {args.fn} leaves the float range at {x:.17g}"))
 
     if args.format == "csv":
         header = f"# fn={args.fn}," + ",".join(
@@ -138,7 +126,7 @@ def cmd_eval(args) -> int:
         doc = {
             "schema": 1,
             "fn": args.fn,
-            "params": params,
+            "params": {k: str(v) for k, v in params.items()},
             "q_descriptor": p.describe(),
             "rows": [{"point": float(x), "re": v.real, "im": v.imag}
                      for x, v in zip(pts, vals)],
@@ -164,7 +152,7 @@ def cmd_verify(args) -> int:
     cases = run_suite(args.suite, p, j_max=j_max, j_list=j_list, N=N,
                       seed=args.seed, tol=args.tol)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
-    doc = build_report(args.suite, p, cases, runtime_ms)
+    doc = ReportDocument(args.suite, p.describe(), tuple(cases), runtime_ms)
     sys.stdout.write(doc.to_json())
     return 0 if doc.passed else 1
 

@@ -10,9 +10,10 @@ by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
 
 EPS_DEGENERACY = 1e-12
 
@@ -168,7 +169,9 @@ def q_number(x: float, p: QParam) -> float:
 
 
 def q_factorial(n: int, p: QParam) -> float:
-    """[n]! = [n][n-1]...[1], with [0]! = 1.  Rejects n < 0."""
+    """[n]! = [n][n-1]...[1], with [0]! = 1.  Rejects n < 0, and a running
+    product that overflows to inf or falls below the smallest normal float
+    (a subnormal keeps too few bits, and 0 would make 1/[n]! infinite)."""
     if n != int(n):
         raise ValueError(f"q_factorial needs an integer, got {n}")
     n = int(n)
@@ -177,6 +180,9 @@ def q_factorial(n: int, p: QParam) -> float:
     out = 1.0
     for k in range(2, n + 1):
         out *= q_number(k, p)
+        if not sys.float_info.min <= abs(out) < math.inf:
+            name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
+            raise ValueError(f"q-factorial [{n}]! leaves the float range at {name} = {p.value!r}")
     return out
 
 
@@ -190,18 +196,13 @@ def inv_q_factorial(n: int, p: QParam) -> float:
     return 1.0 / q_factorial(n, p)
 
 
-class DegeneracyCheck(NamedTuple):
-    passed: bool
-    offending_n: Union[int, None]
-
-
-def check_not_root_of_unity(p: QParam, n_max: int) -> DegeneracyCheck:
-    """Screen |[n]| > EPS_DEGENERACY for 1 <= n <= n_max; only the circle regime can fail."""
+def check_not_root_of_unity(p: QParam, n_max: int) -> None:
+    """Raise ValueError naming the first n in 1..n_max with |[n]| <= EPS_DEGENERACY;
+    only the circle regime can fail."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if p.regime is not Regime.UNIT_CIRCLE:
-        return DegeneracyCheck(True, None)
+        return
     for n in range(1, n_max + 1):
         if abs(q_number(n, p)) <= EPS_DEGENERACY:
-            return DegeneracyCheck(False, n)
-    return DegeneracyCheck(True, None)
+            raise ValueError(f"degenerate parameter: [{n}]_q vanishes")

@@ -39,7 +39,6 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, m_values, validate_triple
 from .qops import (
     PlaneFamily,
-    RealizationParams,
     apply_h_minus,
     apply_h_plus,
     apply_q_h3_power,
@@ -166,18 +165,19 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
     )
 
 
-def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam,
-                     r: RealizationParams) -> float:
-    """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual.
+def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam, N) -> float:
+    """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual, for
+    the operators of weight N; the scalar products and the operators all
+    read the one parameter p.
 
     The H3 surrogate pairs q^(2H3) on the ket with its adjoint on the bra:
     itself in the real regime (the dilation is then symmetric), its inverse
     on the circle (the dilation is unitary there).
     """
-    r_plus = abs(inner(f, apply_h_plus(g, r), p) - inner(apply_h_minus(f, r), g, p))
+    r_plus = abs(inner(f, apply_h_plus(g, N), p) - inner(apply_h_minus(f, N), g, p))
     bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
-    r_h3 = abs(inner(f, apply_q_h3_power(g, r, 2.0), p)
-               - inner(apply_q_h3_power(f, r, bra_power), g, p))
+    r_h3 = abs(inner(f, apply_q_h3_power(g, N, 2.0), p)
+               - inner(apply_q_h3_power(f, N, bra_power), g, p))
     return max(r_plus, r_h3)
 
 

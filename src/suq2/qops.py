@@ -14,11 +14,12 @@ On a tower (psi_family with a tuple of weights M) the same call carries
 every member of the irrep: they share the radial profile Q_J, which psi
 then evaluates once, and the stencils act on the stacked members row by row.
 
-Stencils are parameter-covariant: the deformation parameter used by a
-stencil is the one supplied at evaluation time, not the one captured at
-construction.  The deformed scalar products evaluate bra-side families at
-the inverted parameter, and covariance is what makes an operator commute
-with that inversion.
+An operator is built from its operand and the weight N alone, as the
+plane realization is labelled by N alone.  Stencils are parameter-covariant:
+the deformation parameter is the one supplied at evaluation time.  The
+deformed scalar products evaluate bra-side families at the inverted
+parameter, and covariance is what makes an operator commute with that
+inversion.
 """
 from __future__ import annotations
 
@@ -65,18 +66,6 @@ def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> Optional[tuple]:
     if f.meta is None:
         return None
     return tuple((c, op(comp), m + shift) for c, comp, m in f.meta)
-
-
-@dataclass(frozen=True)
-class RealizationParams:
-    N: HalfInt
-    p: QParam
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", HalfInt.of(self.N))
-        if self.p.regime is Regime.CLASSICAL:
-            # every stencil divides by q - q^-1
-            raise ValueError("dilation stencils need a deformed parameter (q != 1)")
 
 
 def psi_family(J, M, N) -> PlaneFamily:
@@ -149,9 +138,9 @@ def _at_dilations(f: PlaneFamily, p: QParam, u, v, scales):
     return np.moveaxis(out, -u.ndim - 1, 0)
 
 
-def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
+def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
-    nf = float(r.N)
+    nf = float(HalfInt.of(N))
 
     def ev(p, u, v):
         _require_deformed(p)
@@ -165,12 +154,12 @@ def apply_h_plus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
         t1 = -p.power(-nf / 2) * (f_pp - f_mp) / (d * u)
         t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f_pm) / d
         return t1 + t2
-    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_plus(comp, r), +1))
+    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_plus(comp, N), +1))
 
 
-def apply_h_minus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
+def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
-    nf = float(r.N)
+    nf = float(HalfInt.of(N))
 
     def ev(p, u, v):
         _require_deformed(p)
@@ -184,22 +173,22 @@ def apply_h_minus(f: PlaneFamily, r: RealizationParams) -> PlaneFamily:
         t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f_mp) / d
         t2 = p.power(nf / 2) * (f_pp - f_pm) / (d * v)
         return t1 + t2
-    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_minus(comp, r), -1))
+    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_minus(comp, N), -1))
 
 
-def apply_q_h3_power(f: PlaneFamily, r: RealizationParams, a: float) -> PlaneFamily:
+def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
     """q^(a H3): f -> q^(-a N) f(q^-a u, q^a v); exact, no differencing."""
-    nf = float(r.N)
+    nf = float(HalfInt.of(N))
     return PlaneFamily(lambda p, u, v: p.power(-a * nf)
                        * f(p, p.power(-a) * np.asarray(u, complex),
                            p.power(a) * np.asarray(v, complex)),
-                       _map_modes(f, lambda comp: apply_q_h3_power(comp, r, a)))
+                       _map_modes(f, lambda comp: apply_q_h3_power(comp, N, a)))
 
 
-def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily:
+def _bracket_h3(f: PlaneFamily, N, shift: int) -> PlaneFamily:
     """[H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1), with
     q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
-    nf = float(r.N)
+    nf = float(HalfInt.of(N))
 
     def ev(p, u, v):
         _require_deformed(p)
@@ -207,21 +196,21 @@ def _bracket_h3(f: PlaneFamily, r: RealizationParams, shift: int) -> PlaneFamily
         f_up, f_dn = _at_dilations(f, p, u, v, ((qm1, q1), (q1, qm1)))
         up, dn = p.power(-nf) * f_up, p.power(nf) * f_dn
         return (p.power(shift) * up - p.power(-shift) * dn) / (q1 - qm1)
-    return PlaneFamily(ev, _map_modes(f, lambda comp: _bracket_h3(comp, r, shift)))
+    return PlaneFamily(ev, _map_modes(f, lambda comp: _bracket_h3(comp, N, shift)))
 
 
-def apply_casimir(f: PlaneFamily, r: RealizationParams, ordering: str = "plus_minus") -> PlaneFamily:
+def apply_casimir(f: PlaneFamily, N, ordering: str = "plus_minus") -> PlaneFamily:
     """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering."""
     if ordering == "plus_minus":
-        ladder = apply_h_plus(apply_h_minus(f, r), r)
-        diag = _bracket_h3(_bracket_h3(f, r, -1), r, 0)
+        ladder = apply_h_plus(apply_h_minus(f, N), N)
+        diag = _bracket_h3(_bracket_h3(f, N, -1), N, 0)
     elif ordering == "minus_plus":
-        ladder = apply_h_minus(apply_h_plus(f, r), r)
-        diag = _bracket_h3(_bracket_h3(f, r, +1), r, 0)
+        ladder = apply_h_minus(apply_h_plus(f, N), N)
+        diag = _bracket_h3(_bracket_h3(f, N, +1), N, 0)
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
     return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v),
-                       _map_modes(f, lambda comp: apply_casimir(comp, r, ordering)))
+                       _map_modes(f, lambda comp: apply_casimir(comp, N, ordering)))
 
 
 @dataclass(frozen=True)
@@ -257,10 +246,7 @@ def matrix_irrep(J, p: QParam) -> IrrepMatrices:
     J = HalfInt.of(J)
     if J.twice < 0:
         raise ValueError("J must be >= 0")
-    n_max = max(J.twice + 1, 1)
-    screen = check_not_root_of_unity(p, n_max)
-    if not screen.passed:
-        raise ValueError(f"degenerate parameter: [{screen.offending_n}]_q vanishes")
+    check_not_root_of_unity(p, J.twice + 1)
     ms = m_values(J)
     dim = len(ms)
     h3 = np.diag([float(m) for m in ms])

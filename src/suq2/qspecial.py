@@ -367,8 +367,9 @@ def _l_quadrature(p: QParam, arr):
         for i in range(0, flat.size, step):
             sums[i:i + step], max_phase = _l_panel_sums(flat[i:i + step], t, g)
             if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
+                # frames: here, the memo's compute lambda and lookup, l_function, its caller
                 warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                              RuntimeWarning, stacklevel=3)
+                              RuntimeWarning, stacklevel=5)
                 warned = True
         panel_error = np.max(np.abs(sums[..., 1]), axis=0) / (2.0 * math.pi)
         if error + float(np.sum(panel_error)) < L_ABS_TOL:

@@ -3,10 +3,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
-
-from .qcore import QParam
-from .suites import Case
 
 SCHEMA_VERSION = 1
 
@@ -38,12 +34,3 @@ class ReportDocument:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def build_report(suite: str, p: QParam, cases: Sequence[Case], runtime_ms: int) -> ReportDocument:
-    return ReportDocument(
-        suite=suite,
-        q_descriptor=p.describe(),
-        cases=tuple(cases),
-        runtime_ms=int(runtime_ms),
-    )

@@ -15,7 +15,6 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
 from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
 from .qops import (
-    RealizationParams,
     _ladder_coeff,
     apply_casimir,
     apply_h_minus,
@@ -133,11 +132,10 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
     for J in _half_range(j_max):
         ms = tuple(m_values(J))  # descending: M + 1 sits one row up, M - 1 one down
         for N in _valid_n(J):
-            r = RealizationParams(N, p)
             tower = psi_family(J, ms, N)
             vals = tower(p, u, v)
-            up = apply_h_plus(tower, r)(p, u, v)
-            down = apply_h_minus(tower, r)(p, u, v)
+            up = apply_h_plus(tower, N)(p, u, v)
+            down = apply_h_minus(tower, N)(p, u, v)
             worst = 0.0
             for i, M in enumerate(ms):
                 if M.twice < J.twice:
@@ -162,12 +160,11 @@ def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -
     cases = []
     for J in _half_range(j_max):
         for N in _valid_n(J):
-            r = RealizationParams(N, p)
             want = q_number(J, p) * q_number(J + 1, p)
             tower = psi_family(J, tuple(m_values(J)), N)
             refs = want * tower(p, u, v)
-            pm = apply_casimir(tower, r, "plus_minus")(p, u, v)
-            mp = apply_casimir(tower, r, "minus_plus")(p, u, v)
+            pm = apply_casimir(tower, N, "plus_minus")(p, u, v)
+            mp = apply_casimir(tower, N, "minus_plus")(p, u, v)
             worst = 0.0
             for ref, a, b in zip(refs, pm, mp):
                 worst = max(worst, _rel(a - ref, ref), _rel(b - ref, ref), _rel(a - b, b))
@@ -224,15 +221,14 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
     if p.regime is Regime.CLASSICAL:
         raise ValueError("hermiticity suite needs a deformed parameter (q != 1)")
     N_h = HalfInt.of(N)
-    r = RealizationParams(N_h, p)
     pairs = _span_pairs(j_max, N_h, seed)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
-                                   p, r),
+                                   p, N_h),
                   tol)]
     for i, (f, g) in enumerate(pairs, 1):
-        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, r), tol))
+        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, N_h), tol))
         cases.append(Case(f"conjugate symmetry pair {i}",
                           hermitian_symmetry_residual(f, g, p), CONJ_SYMMETRY_TOL))
     return cases

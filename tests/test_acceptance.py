@@ -15,7 +15,6 @@ from suq2 import qinner
 from suq2.qcore import HalfInt, QParam, m_values, q_number
 from suq2.qinner import gram, inner
 from suq2.qops import (
-    RealizationParams,
     apply_h_minus,
     apply_h_plus,
     casimir_matrix,
@@ -171,11 +170,10 @@ def _span_pair(j_max, seed):
 def test_criterion_6_hermiticity():
     worst_adj, worst_sym = 0.0, 0.0
     for p in (P_REAL, P_CIRC):
-        r = RealizationParams(0, p)
         for seed in (0, 1, 2):
             f, g = _span_pair(2, seed)
-            adj = abs(inner(f, apply_h_plus(g, r), p)
-                      - inner(apply_h_minus(f, r), g, p))
+            adj = abs(inner(f, apply_h_plus(g, 0), p)
+                      - inner(apply_h_minus(f, 0), g, p))
             sym = abs(np.conj(inner(f, g, p)) - inner(g, f, p))
             worst_adj = max(worst_adj, float(adj))
             worst_sym = max(worst_sym, float(sym))

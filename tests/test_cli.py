@@ -173,6 +173,28 @@ class TestEvalErrors:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "overflows at q = 1e" in err
 
+    @pytest.mark.parametrize("argv,msg", [
+        (["--fn", "qfact", "--x", "1000", "--q", "1.2"], "[1000]! leaves the float range at q = 1.2"),
+        (["--fn", "qfact", "--x", "2000", "--tau", "0.2"],
+         "[2000]! leaves the float range at tau = 0.2"),
+        (["--fn", "psi", "--J", "200", "--M", "0", "--N", "0", "--q", "1.5", "--rho", "1"],
+         "[200]! leaves the float range at q = 1.5"),
+        (["--fn", "vilenkin", "--J", "200", "--M", "0", "--N", "0", "--q", "1.5", "--xi", "0.5"],
+         "[200]! leaves the float range at q = 1.5"),
+        (["--fn", "R", "--J", "3000", "--M", "0", "--N", "0", "--tau", "1.5", "--eta", "1"],
+         "[3000]! leaves the float range at tau = 1.5"),
+        (["--fn", "psi", "--J", "3000", "--M", "0", "--N", "0", "--tau", "1.5", "--rho", "1"],
+         "[3000]! leaves the float range at tau = 1.5"),
+        # each factorial is finite (170! < 1.8e308), their product is not
+        (["--fn", "R", "--J", "170", "--M", "0", "--N", "0", "--q", "1", "--eta", "0.5"],
+         "--fn R leaves the float range at 0.5"),
+    ], ids=["qfact-real", "qfact-circle", "psi-real", "vilenkin-real", "R-circle-underflow",
+            "psi-circle-underflow", "R-classical-product"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the inf * 0 in R
+    def test_q_factorial_out_of_float_range_exits_two(self, argv, msg, capsys):
+        code, out, err = run(["eval"] + argv, capsys)
+        assert code == 2 and out == "" and msg in err
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

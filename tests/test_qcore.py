@@ -177,18 +177,33 @@ class TestQFactorial:
         p = QParam.classical()
         assert q_factorial(6, p) == float(math.factorial(6))
 
+    @pytest.mark.parametrize("n,p,where", [
+        (1000, QParam.positive_real(1.2), "q = 1.2"),    # inf from k = 83
+        (171, QParam.classical(), "q = 1.0"),            # 171! > 1.8e308
+        (2000, QParam.unit_circle(0.2), "tau = 0.2"),    # inf from k = 765
+        (3000, QParam.unit_circle(1.5), "tau = 1.5"),    # 0 from k = 1085
+        # subnormal from k = 1026; at n = 1084 it reads 5e-324 for 2.93e-324
+        (1084, QParam.unit_circle(1.5), "tau = 1.5"),
+    ], ids=["real", "classical", "circle-overflow", "circle-underflow", "circle-subnormal"])
+    def test_leaving_the_float_range_raises(self, n, p, where):
+        with pytest.raises(ValueError, match=rf"\[{n}\]! leaves the float range at {where}$"):
+            q_factorial(n, p)
+        with pytest.raises(ValueError, match="float range"):  # not a ZeroDivisionError
+            inv_q_factorial(n, p)
+
+    def test_largest_classical_factorial_is_finite(self):
+        assert q_factorial(170, QParam.classical()) == pytest.approx(float(math.factorial(170)))
+
 
 class TestDegeneracyScreen:
     def test_real_q_always_passes(self):
-        res = check_not_root_of_unity(QParam.positive_real(0.5), 50)
-        assert res.passed and res.offending_n is None
+        assert check_not_root_of_unity(QParam.positive_real(0.5), 50) is None
 
     def test_circle_detects_vanishing_q_number(self):
         p = QParam.unit_circle(math.pi / 4)  # [4]_q = sin(pi)/sin(pi/4) = 0
-        assert check_not_root_of_unity(p, 3).passed
-        res = check_not_root_of_unity(p, 4)
-        assert not res.passed
-        assert res.offending_n == 4
+        assert check_not_root_of_unity(p, 3) is None
+        with pytest.raises(ValueError, match=r"\[4\]_q"):
+            check_not_root_of_unity(p, 4)
 
     def test_requires_positive_n_max(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from suq2.qinner import (
 )
 from suq2.qops import (
     PlaneFamily,
-    RealizationParams,
     apply_h_minus,
     apply_h_plus,
     apply_q_h3_power,
@@ -193,11 +192,10 @@ class TestRadialPathMatchesPlaneGrid:
     @pytest.mark.parametrize("N", [0, 0.5])
     def test_span_pairs_and_stencils(self, p, N):
         kind = kind_for(p)
-        r = RealizationParams(N, p)
         bra_power = 2.0 if kind is K.DEFORMED_REAL else -2.0
-        f, g = _span_pairs(2, r.N, 3)[0]
-        pairs = [(f, g), (g, f), (f, apply_h_plus(g, r)), (apply_h_minus(f, r), g),
-                 (f, apply_q_h3_power(g, r, 2.0)), (apply_q_h3_power(f, r, bra_power), g)]
+        f, g = _span_pairs(2, N, 3)[0]
+        pairs = [(f, g), (g, f), (f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
+                 (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)]
         for bra, ket in pairs:
             radial = inner(bra, ket, p)
             plane = polar_grid_inner(bra, ket, p)
@@ -226,25 +224,23 @@ def span_families(seed=5):
 
 class TestAdjointness:
     def test_basis_pair_real(self):
-        r = RealizationParams(0, P_REAL)
         res = adjoint_residual(psi_family(1, 0, 0), psi_family(1, -1, 0),
-                               P_REAL, r)
+                               P_REAL, 0)
         assert res < HERM_TOL
 
     def test_singlet_trivial(self):
-        r = RealizationParams(0, P_REAL)
         res = adjoint_residual(psi_family(0, 0, 0), psi_family(0, 0, 0),
-                               P_REAL, r)
+                               P_REAL, 0)
         assert res < 1e-12
 
     def test_span_real(self):
         f, g = span_families()
-        res = adjoint_residual(f, g, P_REAL, RealizationParams(0, P_REAL))
+        res = adjoint_residual(f, g, P_REAL, 0)
         assert res < HERM_TOL
 
     def test_span_circle(self):
         f, g = span_families()
-        res = adjoint_residual(f, g, P_CIRC, RealizationParams(0, P_CIRC))
+        res = adjoint_residual(f, g, P_CIRC, 0)
         assert res < HERM_TOL
 
     def test_conjugate_symmetry(self):

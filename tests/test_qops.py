@@ -7,7 +7,6 @@ from suq2 import QParam, inner, q_number
 from suq2.qops import (
     IrrepMatrices,
     PlaneFamily,
-    RealizationParams,
     _bracket_h3,
     apply_casimir,
     apply_h_minus,
@@ -53,30 +52,24 @@ def monomial_family(j: int, k: int) -> PlaneFamily:
 
 class TestStencils:
     def test_h_plus_kills_constants(self):
-        r = RealizationParams(0, P_TWO)
-        g = apply_h_plus(constant_family(3.7), r)
+        g = apply_h_plus(constant_family(3.7), 0)
         u, v = sample_points(6)
         assert np.max(np.abs(g(P_TWO, u, v))) < 1e-15
 
     def test_h_minus_monomial_oracle(self):
         # hand expansion for f = u v, N = 0: both stencil terms reduce to
         # q u^2 v and q u, so (H- f)(1,1) = 2q; q = 2 gives 4
-        r = RealizationParams(0, P_TWO)
-        g = apply_h_minus(monomial_family(1, 1), r)
+        g = apply_h_minus(monomial_family(1, 1), 0)
         assert complex(g(P_TWO, 1.0, 1.0)) == pytest.approx(4.0)
 
     def test_stencils_reject_axis_points(self):
-        r = RealizationParams(0, P_TWO)
         with pytest.raises(ValueError):
-            apply_h_plus(monomial_family(1, 1), r)(P_TWO, 0.0, 1.0)
+            apply_h_plus(monomial_family(1, 1), 0)(P_TWO, 0.0, 1.0)
         with pytest.raises(ValueError):
-            apply_h_minus(monomial_family(1, 1), r)(P_TWO, 1.0, 0.0)
+            apply_h_minus(monomial_family(1, 1), 0)(P_TWO, 1.0, 0.0)
 
     def test_rejects_classical_parameter(self):
-        with pytest.raises(ValueError):
-            RealizationParams(0, QParam.classical())
-        r = RealizationParams(0, P_TWO)
-        g = apply_h_plus(monomial_family(1, 1), r)
+        g = apply_h_plus(monomial_family(1, 1), 0)
         with pytest.raises(ValueError):
             g(QParam.classical(), 1.0, 1.0)
 
@@ -91,31 +84,28 @@ class TestLadderOnBasis:
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
     @pytest.mark.parametrize("J,N", [(1, 0), (1.5, 0.5), (2, 1), (3, 0)])
     def test_raising(self, p, J, N):
-        r = RealizationParams(N, p)
         u, v = sample_points()
         ms = np.arange(-J, J, 1.0)  # M < J
         for M in ms:
-            lhs = apply_h_plus(psi_family(J, M, N), r)(p, u, v)
+            lhs = apply_h_plus(psi_family(J, M, N), N)(p, u, v)
             rhs = ladder_coeff(J, M, +1, p) * psi_family(J, M + 1, N)(p, u, v)
             assert rel_residual(lhs, rhs) < LADDER_TOL
 
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
     @pytest.mark.parametrize("J,N", [(1, 0), (1.5, 0.5)])
     def test_lowering(self, p, J, N):
-        r = RealizationParams(N, p)
         u, v = sample_points()
         for M in np.arange(-J + 1, J + 1, 1.0):
-            lhs = apply_h_minus(psi_family(J, M, N), r)(p, u, v)
+            lhs = apply_h_minus(psi_family(J, M, N), N)(p, u, v)
             rhs = ladder_coeff(J, M, -1, p) * psi_family(J, M - 1, N)(p, u, v)
             assert rel_residual(lhs, rhs) < LADDER_TOL
 
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
     def test_top_and_bottom_annihilated(self, p):
         J, N = 1.5, 0.5
-        r = RealizationParams(N, p)
         u, v = sample_points()
-        top = apply_h_plus(psi_family(J, J, N), r)(p, u, v)
-        bot = apply_h_minus(psi_family(J, -J, N), r)(p, u, v)
+        top = apply_h_plus(psi_family(J, J, N), N)(p, u, v)
+        bot = apply_h_minus(psi_family(J, -J, N), N)(p, u, v)
         assert np.max(np.abs(top)) < 1e-12
         assert np.max(np.abs(bot)) < 1e-12
 
@@ -123,17 +113,15 @@ class TestLadderOnBasis:
         # q^{2 H3} multiplies the (J, M, N) member by q^{2M}
         p = P_TWO
         for (J, M, N) in [(1, 1, 0), (1.5, -0.5, 0.5), (2, 0, 1)]:
-            r = RealizationParams(N, p)
             u, v = sample_points(8)
-            lhs = apply_q_h3_power(psi_family(J, M, N), r, 2.0)(p, u, v)
+            lhs = apply_q_h3_power(psi_family(J, M, N), N, 2.0)(p, u, v)
             rhs = p.power(2 * M) * psi_family(J, M, N)(p, u, v)
             assert rel_residual(lhs, rhs) < 1e-12
 
     def test_q_h3_inverse_composes_to_identity(self):
         p = P_CIRC
-        r = RealizationParams(0.5, p)
         f = psi_family(1.5, 0.5, 0.5)
-        g = apply_q_h3_power(apply_q_h3_power(f, r, 2.0), r, -2.0)
+        g = apply_q_h3_power(apply_q_h3_power(f, 0.5, 2.0), 0.5, -2.0)
         u, v = sample_points(6)
         assert rel_residual(g(p, u, v), f(p, u, v)) < 1e-13
 
@@ -142,43 +130,39 @@ class TestCasimir:
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
     @pytest.mark.parametrize("J,N", [(0.5, 0.5), (1, 0), (2, 1), (3, 0), (2.5, 0.5)])
     def test_eigenvalue(self, p, J, N):
-        r = RealizationParams(N, p)
         u, v = sample_points()
         want = q_number(J, p) * q_number(J + 1, p)
         interior = -J + 1 if J >= 1 else J  # top state plus one non-edge state
         for M in {J, interior}:
             f = psi_family(J, M, N)
-            lhs = apply_casimir(f, r)(p, u, v)
+            lhs = apply_casimir(f, N)(p, u, v)
             assert rel_residual(lhs, want * f(p, u, v)) < 1e-8
 
     def test_eigenvalue_oracle(self):
         # [1/2]_2 [3/2]_2 = (sqrt2/2)(7/(2 sqrt2)) / (3/2)^2 = (7/4)/(9/4) = 7/9
         want = q_number(0.5, P_TWO) * q_number(1.5, P_TWO)
         assert want == pytest.approx(7 / 9, rel=1e-14)
-        r = RealizationParams(0.5, P_TWO)
         f = psi_family(0.5, 0.5, 0.5)
         u, v = sample_points(5)
-        lhs = apply_casimir(f, r)(P_TWO, u, v)
+        lhs = apply_casimir(f, 0.5)(P_TWO, u, v)
         assert rel_residual(lhs, want * f(P_TWO, u, v)) < 1e-10
 
     def test_orderings_agree(self):
         p = P_TWO
-        r = RealizationParams(0.5, p)
         f = psi_family(1.5, 0.5, 0.5)
         u, v = sample_points()
-        a = apply_casimir(f, r, "plus_minus")(p, u, v)
-        b = apply_casimir(f, r, "minus_plus")(p, u, v)
+        a = apply_casimir(f, 0.5, "plus_minus")(p, u, v)
+        b = apply_casimir(f, 0.5, "minus_plus")(p, u, v)
         assert rel_residual(a, b) < 1e-9
 
     def test_rejects_unknown_ordering(self):
-        r = RealizationParams(0, P_TWO)
         with pytest.raises(ValueError):
-            apply_casimir(constant_family(1.0), r, "sideways")
+            apply_casimir(constant_family(1.0), 0, "sideways")
 
 
-def three_call_h_plus(f, r):
+def three_call_h_plus(f, N):
     """The raising stencil with one call of f per dilation."""
-    nf = float(r.N)
+    nf = float(N)
 
     def ev(p, u, v):
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
@@ -191,9 +175,9 @@ def three_call_h_plus(f, r):
     return PlaneFamily(ev)
 
 
-def three_call_h_minus(f, r):
+def three_call_h_minus(f, N):
     """The lowering stencil with one call of f per dilation."""
-    nf = float(r.N)
+    nf = float(N)
 
     def ev(p, u, v):
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
@@ -206,10 +190,10 @@ def three_call_h_minus(f, r):
     return PlaneFamily(ev)
 
 
-def two_call_bracket_h3(f, r, shift):
+def two_call_bracket_h3(f, N, shift):
     """[H3 + shift]_q from separate q^H3 and q^-H3 evaluations."""
-    up = apply_q_h3_power(f, r, 1.0)
-    dn = apply_q_h3_power(f, r, -1.0)
+    up = apply_q_h3_power(f, N, 1.0)
+    dn = apply_q_h3_power(f, N, -1.0)
 
     def ev(p, u, v):
         d = p.power(1) - p.power(-1)
@@ -217,23 +201,23 @@ def two_call_bracket_h3(f, r, shift):
     return PlaneFamily(ev)
 
 
-def separate_call_casimir(f, r, ordering):
+def separate_call_casimir(f, N, ordering):
     if ordering == "plus_minus":
-        ladder = three_call_h_plus(three_call_h_minus(f, r), r)
-        diag = two_call_bracket_h3(two_call_bracket_h3(f, r, -1), r, 0)
+        ladder = three_call_h_plus(three_call_h_minus(f, N), N)
+        diag = two_call_bracket_h3(two_call_bracket_h3(f, N, -1), N, 0)
     else:
-        ladder = three_call_h_minus(three_call_h_plus(f, r), r)
-        diag = two_call_bracket_h3(two_call_bracket_h3(f, r, +1), r, 0)
+        ladder = three_call_h_minus(three_call_h_plus(f, N), N)
+        diag = two_call_bracket_h3(two_call_bracket_h3(f, N, +1), N, 0)
     return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
 
 
 STACKED_CASES = {
     "h_plus": (apply_h_plus, three_call_h_plus),
     "h_minus": (apply_h_minus, three_call_h_minus),
-    "casimir_plus_minus": (lambda f, r: apply_casimir(f, r, "plus_minus"),
-                           lambda f, r: separate_call_casimir(f, r, "plus_minus")),
-    "casimir_minus_plus": (lambda f, r: apply_casimir(f, r, "minus_plus"),
-                           lambda f, r: separate_call_casimir(f, r, "minus_plus")),
+    "casimir_plus_minus": (lambda f, N: apply_casimir(f, N, "plus_minus"),
+                           lambda f, N: separate_call_casimir(f, N, "plus_minus")),
+    "casimir_minus_plus": (lambda f, N: apply_casimir(f, N, "minus_plus"),
+                           lambda f, N: separate_call_casimir(f, N, "minus_plus")),
 }
 
 
@@ -246,13 +230,12 @@ class TestStackedStencils:
     @pytest.mark.parametrize("J,N", [(1, 0), (2, 0), (1.5, 0.5), (2.5, 0.5)])
     def test_real_q_bits_match_separate_calls(self, op, q, J, N):
         p = QParam.positive_real(q)
-        r = RealizationParams(N, p)
         stacked, separate = STACKED_CASES[op]
         u, v = sample_points()
         for M in np.arange(-J, J + 1, 1.0):
             f = psi_family(J, M, N)
-            got = stacked(f, r)(p, u, v)
-            want = separate(f, r)(p, u, v)
+            got = stacked(f, N)(p, u, v)
+            want = separate(f, N)(p, u, v)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), M
 
     @pytest.mark.parametrize("op", sorted(STACKED_CASES))
@@ -261,13 +244,12 @@ class TestStackedStencils:
     def test_circle_matches_separate_calls(self, op, tau, J, N):
         # stacking changes the points L is refined over, so only last bits move
         p = QParam.unit_circle(tau)
-        r = RealizationParams(N, p)
         stacked, separate = STACKED_CASES[op]
         u, v = sample_points()
         for M in np.arange(-J, J + 1, 1.0):
             f = psi_family(J, M, N)
-            got = stacked(f, r)(p, u, v)
-            want = separate(f, r)(p, u, v)
+            got = stacked(f, N)(p, u, v)
+            want = separate(f, N)(p, u, v)
             scale = float(np.max(np.abs(want)))
             assert float(np.max(np.abs(got - want))) <= 1e-13 * max(scale, 1.0), M
 
@@ -281,10 +263,9 @@ class TestStackedStencils:
             shapes.append(np.shape(u))
             return base(p, u, v)
         f = PlaneFamily(recorded)
-        r = RealizationParams(0.5, P_TWO)
         u, v = sample_points()
-        ladder = apply_h_plus(apply_h_minus(f, r), r)(P_TWO, u, v)
-        diag = _bracket_h3(_bracket_h3(f, r, -1), r, 0)(P_TWO, u, v)
+        ladder = apply_h_plus(apply_h_minus(f, 0.5), 0.5)(P_TWO, u, v)
+        diag = _bracket_h3(_bracket_h3(f, 0.5, -1), 0.5, 0)(P_TWO, u, v)
         assert shapes == [(3, 3, u.size), (2, 2, u.size)]
         assert ladder.shape == diag.shape == rows + (u.size,)
 
@@ -292,8 +273,8 @@ class TestStackedStencils:
 TOWER_STENCILS = {
     "h_plus": apply_h_plus,
     "h_minus": apply_h_minus,
-    "casimir_plus_minus": lambda f, r: apply_casimir(f, r, "plus_minus"),
-    "casimir_minus_plus": lambda f, r: apply_casimir(f, r, "minus_plus"),
+    "casimir_plus_minus": lambda f, N: apply_casimir(f, N, "plus_minus"),
+    "casimir_minus_plus": lambda f, N: apply_casimir(f, N, "minus_plus"),
 }
 
 
@@ -307,13 +288,12 @@ class TestTowerFamilies:
                              ids=["q0.6", "q2.5", "tau0.2", "tau-0.2"])
     @pytest.mark.parametrize("J,N", [(2, 0), (1.5, 0.5)])
     def test_rows_have_the_bits_of_the_member_families(self, op, p, J, N):
-        r = RealizationParams(N, p)
         ms = tuple(np.arange(J, -J - 1, -1.0))
         u, v = sample_points()
-        got = TOWER_STENCILS[op](psi_family(J, ms, N), r)(p, u, v)
+        got = TOWER_STENCILS[op](psi_family(J, ms, N), N)(p, u, v)
         assert got.shape == (len(ms), u.size)
         for row, M in zip(got, ms):
-            want = TOWER_STENCILS[op](psi_family(J, M, N), r)(p, u, v)
+            want = TOWER_STENCILS[op](psi_family(J, M, N), N)(p, u, v)
             assert row.tobytes() == want.tobytes(), M
 
     def test_has_no_decomposition_and_inner_rejects_it(self):
@@ -336,11 +316,10 @@ class TestConjugationIdentity:
         rng = np.random.default_rng(11)
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
         f = combine(coeffs, [monomial_family(1, 1), monomial_family(2, 0), monomial_family(0, 2)])
-        r = RealizationParams(0.5, p)
         u, v = sample_points(12)
         for apply_op, s in ((apply_h_plus, +2.0), (apply_h_minus, -2.0)):
-            lhs = apply_q_h3_power(apply_op(apply_q_h3_power(f, r, -2.0), r), r, 2.0)(p, u, v)
-            rhs = p.power(s) * apply_op(f, r)(p, u, v)
+            lhs = apply_q_h3_power(apply_op(apply_q_h3_power(f, 0.5, -2.0), 0.5), 0.5, 2.0)(p, u, v)
+            rhs = p.power(s) * apply_op(f, 0.5)(p, u, v)
             assert rel_residual(lhs, rhs) < CONJUGATION_TOL
 
 
@@ -411,7 +390,6 @@ FOURIER_TOL = 1e-13
 
 def _decomposed_families(p, N):
     """Every qops constructor, singly and nested, on a tower at this N."""
-    r = RealizationParams(N, p)
     J = 1.0 if N != 0.5 else 1.5
     states = [psi_family(J, M, N) for M in (J, J - 1, -J)] + [psi_family(J + 1, J - 1, N)]
     rng = np.random.default_rng(7)
@@ -419,12 +397,12 @@ def _decomposed_families(p, N):
     pair = combine([0.3 - 1.1j, 2.0], [states[1], states[3]])  # one mode, two components
     p_pin = QParam.positive_real(1.1) if p.regime is P_TWO.regime else QParam.unit_circle(0.05)
     stencils = {
-        "h_plus": apply_h_plus(span, r),
-        "h_minus": apply_h_minus(span, r),
-        "q_h3": apply_q_h3_power(span, r, 2.0),
-        "bracket_h3": _bracket_h3(span, r, 1),
-        "casimir_pm": apply_casimir(span, r, "plus_minus"),
-        "casimir_mp": apply_casimir(span, r, "minus_plus"),
+        "h_plus": apply_h_plus(span, N),
+        "h_minus": apply_h_minus(span, N),
+        "q_h3": apply_q_h3_power(span, N, 2.0),
+        "bracket_h3": _bracket_h3(span, N, 1),
+        "casimir_pm": apply_casimir(span, N, "plus_minus"),
+        "casimir_mp": apply_casimir(span, N, "minus_plus"),
     }
     return {
         "psi": states[0],
@@ -432,8 +410,8 @@ def _decomposed_families(p, N):
         "combine": span,
         "combine_one_mode": pair,
         **stencils,
-        "h_plus_h_minus_q_h3": apply_h_plus(apply_h_minus(apply_q_h3_power(span, r, -1.0), r), r),
-        "h_plus_twice": apply_h_plus(apply_h_plus(pair, r), r),
+        "h_plus_h_minus_q_h3": apply_h_plus(apply_h_minus(apply_q_h3_power(span, N, -1.0), N), N),
+        "h_plus_twice": apply_h_plus(apply_h_plus(pair, N), N),
         "combine_of_stencils": combine([1.0, -2j, 0.5], [stencils["h_plus"], stencils["h_minus"],
                                                          stencils["casimir_pm"]]),
         "fixed_param_of_stencil": with_fixed_param(stencils["h_minus"], p_pin),
@@ -473,23 +451,21 @@ class TestFourierDecomposition:
                 assert np.max(spectrum[sorted(declared)]) > 1e-3 * scale, name
 
     def test_modes_follow_the_operators(self):
-        r = RealizationParams(0, P_TWO)
         f = combine([1.0, 2.0], [psi_family(2, 1, 0), psi_family(2, -2, 0)])
         assert [m for _, _, m in f.meta] == [1, -2]
         assert [c for c, _, _ in f.meta] == [1.0, 2.0]
-        assert [m for _, _, m in apply_h_plus(f, r).meta] == [2, -1]
-        assert [m for _, _, m in apply_h_minus(f, r).meta] == [0, -3]
-        for same in (apply_q_h3_power(f, r, 2.0), _bracket_h3(f, r, 0), apply_casimir(f, r),
+        assert [m for _, _, m in apply_h_plus(f, 0).meta] == [2, -1]
+        assert [m for _, _, m in apply_h_minus(f, 0).meta] == [0, -3]
+        for same in (apply_q_h3_power(f, 0, 2.0), _bracket_h3(f, 0, 0), apply_casimir(f, 0),
                      with_fixed_param(f, P_CIRC)):
             assert [m for _, _, m in same.meta] == [1, -2]
         assert psi_family(1.5, -0.5, 0.5).meta[0][0::2] == (1, 0)
 
     def test_unknown_decomposition_stays_unknown(self):
-        r = RealizationParams(0, P_TWO)
         raw = monomial_family(2, 1)
-        for fam in (raw, apply_h_plus(raw, r), apply_casimir(raw, r), with_fixed_param(raw, P_TWO),
+        for fam in (raw, apply_h_plus(raw, 0), apply_casimir(raw, 0), with_fixed_param(raw, P_TWO),
                     combine([1.0, 1.0], [raw, psi_family(1, 0, 0)])):
             assert fam.meta is None
         u, v = sample_points(6)
-        assert np.array_equal(apply_h_plus(raw, r)(P_TWO, u, v),
-                              apply_h_plus(PlaneFamily(raw.evaluator), r)(P_TWO, u, v))
+        assert np.array_equal(apply_h_plus(raw, 0)(P_TWO, u, v),
+                              apply_h_plus(PlaneFamily(raw.evaluator), 0)(P_TWO, u, v))

@@ -260,9 +260,11 @@ class TestLFunction:
         # cut: the proximity warning fires, and the quadrature (facing a log
         # singularity a distance 1e-9 off the contour) refuses to converge
         p = QParam.unit_circle(math.pi / 5)
-        with pytest.warns(RuntimeWarning, match="branch cut"):
+        with pytest.warns(RuntimeWarning, match="branch cut") as record:
             with pytest.raises(RuntimeError):
                 l_function(p, -0.5 + 1e-9j)
+        # the warning names the line that called l_function, not the memo
+        assert [w.filename for w in record] == [__file__]
 
 
 def mp_quad_l(tau, eta):
