@@ -13,13 +13,11 @@ from .qcore import (
 )
 from .qinner import (
     GramReport,
-    InnerProductKind,
     adjoint_residual,
     b_one,
     gram,
     hermitian_symmetry_residual,
     inner,
-    kind_for,
 )
 from .qops import (
     IrrepMatrices,
@@ -52,7 +50,6 @@ from .quadrature import (
     radial_integral,
     radial_rule,
 )
-from .report import ReportDocument
 from .suites import SUITE_NAMES, Case, run_suite
 
 __all__ = [
@@ -65,8 +62,7 @@ __all__ = [
     "IrrepMatrices", "PlaneFamily", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
     "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",
-    "GramReport", "InnerProductKind", "adjoint_residual", "b_one", "gram",
-    "hermitian_symmetry_residual", "inner", "kind_for",
-    "ReportDocument",
+    "GramReport", "adjoint_residual", "b_one", "gram",
+    "hermitian_symmetry_residual", "inner",
     "SUITE_NAMES", "Case", "run_suite",
 ]

@@ -13,12 +13,19 @@ import time
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, j_values, q_factorial, q_number
+from .qcore import HalfInt, QParam, Regime, j_values, q_factorial, q_number
 from .qinner import gram as gram_matrix
-from .qinner import kind_for
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
-from .report import ReportDocument
 from .suites import SUITE_NAMES, run_suite, suite_args
+
+SCHEMA_VERSION = 1  # of every JSON document the CLI prints
+
+# the name of the scalar product that each regime fixes, as gram prints it
+_FORM_NAMES = {
+    Regime.CLASSICAL: "Classical",
+    Regime.POSITIVE_REAL: "DeformedReal",
+    Regime.UNIT_CIRCLE: "DeformedCircle",
+}
 
 
 def _qfact(p, pts):
@@ -50,6 +57,10 @@ def _parse_half(text: str, flag: str) -> HalfInt:
         return HalfInt.of(float(text))
     except ValueError:
         raise SystemExit(_fail(f"{flag} must be an integer or half-integer, got {text!r}"))
+
+
+def _write_json(doc: dict) -> None:
+    sys.stdout.write(json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2) + "\n")
 
 
 def _fail(msg: str) -> int:
@@ -123,15 +134,13 @@ def cmd_eval(args) -> int:
         lines += [f"{float(x):.17g},{v.real:.17g},{v.imag:.17g}" for x, v in zip(pts, vals)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        doc = {
-            "schema": 1,
+        _write_json({
             "fn": args.fn,
             "params": {k: str(v) for k, v in params.items()},
             "q_descriptor": p.describe(),
             "rows": [{"point": float(x), "re": v.real, "im": v.imag}
                      for x, v in zip(pts, vals)],
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        })
     return 0
 
 
@@ -152,14 +161,21 @@ def cmd_verify(args) -> int:
     cases = run_suite(args.suite, p, j_max=j_max, j_list=j_list, N=N,
                       seed=args.seed, tol=args.tol)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
-    doc = ReportDocument(args.suite, p.describe(), tuple(cases), runtime_ms)
-    sys.stdout.write(doc.to_json())
-    return 0 if doc.passed else 1
+    passed = all(c.passed for c in cases)
+    _write_json({
+        "suite": args.suite,
+        "q_descriptor": p.describe(),
+        "cases": [{"name": c.name, "residual": float(c.residual), "tol": float(c.tol),
+                   "pass": c.passed} for c in cases],
+        "pass": passed,
+        "runtime_ms": runtime_ms,
+    })
+    return 0 if passed else 1
 
 
 def cmd_gram(args) -> int:
     p = _param_from_args(args)
-    kind = kind_for(p)
+    kind = _FORM_NAMES[p.regime]
     N = _parse_half(str(args.N), "--N") if args.N is not None else HalfInt.of(0)
     if args.J is not None:
         _reject_unread("gram with --J", {"--J-max": args.J_max})
@@ -172,7 +188,7 @@ def cmd_gram(args) -> int:
     if args.format == "csv":
         lines = [
             "# gram,N=" + str(N) + ",J=" + ("|".join(str(HalfInt.of(J)) for J in j_list) or "(empty)")
-            + ",kind=" + kind.value,
+            + ",kind=" + kind,
             f"# max_offdiag={rep.max_offdiag:.17g},max_diag_dev={rep.max_diag_dev:.17g}",
             "i,j,bra,ket,re,im",
         ]
@@ -183,18 +199,16 @@ def cmd_gram(args) -> int:
                 lines.append(f"{i},{j},{labels[i]},{labels[j]},{v.real:.17g},{v.imag:.17g}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        doc = {
-            "schema": 1,
+        _write_json({
             "q_descriptor": p.describe(),
-            "kind": kind.value,
+            "kind": kind,
             "N": str(N),
             "labels": labels,
             "matrix": [[[rep.matrix[i, j].real, rep.matrix[i, j].imag]
                         for j in range(len(labels))] for i in range(len(labels))],
             "max_offdiag": rep.max_offdiag,
             "max_diag_dev": rep.max_diag_dev,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        })
     return 0
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -45,24 +44,6 @@ from .qops import (
     psi_family,
 )
 from .quadrature import radial_integral
-
-
-class InnerProductKind(Enum):
-    """The name of the scalar product at a parameter, as gram prints it."""
-    CLASSICAL = "Classical"
-    DEFORMED_REAL = "DeformedReal"
-    DEFORMED_CIRCLE = "DeformedCircle"
-
-
-_KIND = {
-    Regime.CLASSICAL: InnerProductKind.CLASSICAL,
-    Regime.POSITIVE_REAL: InnerProductKind.DEFORMED_REAL,
-    Regime.UNIT_CIRCLE: InnerProductKind.DEFORMED_CIRCLE,
-}
-
-
-def kind_for(p: QParam) -> InnerProductKind:
-    return _KIND[p.regime]
 
 
 def b_one(p: QParam) -> float:

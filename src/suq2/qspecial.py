@@ -162,10 +162,15 @@ def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     """Yield (k, c_k) of the R k-sum, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
 
     The range k = max(0, -(M+N)) .. min(J-M, J-N) is exactly where no
-    inverse factorial vanishes.
+    inverse factorial vanishes.  A lead [J-N]![J-M]! that overflows is
+    rejected, though each factorial is finite.
     """
     jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
     lead = q_factorial(jn, p) * q_factorial(jm, p)
+    if not math.isfinite(lead):
+        name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
+        raise ValueError(f"R coefficients for (J,M,N)=({J},{M},{N}) leave the float range "
+                         f"at {name} = {p.value!r}")
     for k in range(max(0, -mn), min(jm, jn) + 1):
         yield k, (lead
                   * inv_q_factorial(k, p)

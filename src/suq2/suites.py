@@ -38,23 +38,27 @@ GRAM_TOL = 1e-6
 LIMIT_SHRINK_TOL = 1.0       # residual is 8*d(h/10)/d(h); < 1 means at least linear
 LIMIT_DEVIATION_TOL = 1e-5
 VILENKIN_LIMIT_TOL = 1e-6
+VILENKIN_CLASSICAL_TOL = 1e-12
 
 STENCIL_N_VALUES = (0, 0.5, 1)   # the N of each ladder and casimir case
 STENCIL_POINTS = 20              # off-axis sample points per ladder/casimir case
 FUNCEQ_ETA_POINTS = 25           # log grid eta in [1e-2, 1e2]
 LIMIT_STEPS = (1e-3, 1e-4, 1e-5)  # q = 1 + h for the q -> 1 limit; inner takes the first two
 
-# the run_suite arguments that each suite_<name> takes
-_SUITE_ARGS = {
-    "matrix": ("p", "j_max", "tol"),
-    "ladder": ("p", "j_max", "seed", "tol"),
-    "casimir": ("p", "j_max", "seed", "tol"),
-    "funceq": ("p", "j_list", "tol"),
-    "hermiticity": ("p", "j_max", "N", "seed", "tol"),
-    "gram": ("p", "N", "j_list", "j_max", "tol"),
-    "limit": (),
+# each suite in report order: (the run_suite arguments its suite_<name>
+# takes, the j_max that `all` pins whatever --J-max says or None, the
+# regime the suite does not apply in or None; run_suite reads it for a
+# single suite too).  Names, not functions: see _dispatch.
+_SUITES = {
+    "matrix": (("p", "j_max", "tol"), None, None),
+    "funceq": (("p", "j_list", "tol"), None, Regime.CLASSICAL),
+    "ladder": (("p", "j_max", "seed", "tol"), 3, Regime.CLASSICAL),
+    "casimir": (("p", "j_max", "seed", "tol"), 3, Regime.CLASSICAL),
+    "hermiticity": (("p", "j_max", "N", "seed", "tol"), 2, Regime.CLASSICAL),
+    "gram": (("p", "N", "j_list", "j_max", "tol"), None, None),
+    "limit": ((), None, Regime.UNIT_CIRCLE),
 }
-SUITE_NAMES = (*_SUITE_ARGS, "all")
+SUITE_NAMES = (*_SUITES, "all")
 
 
 @dataclass(frozen=True)
@@ -299,59 +303,46 @@ def suite_limit() -> list:
     for (J, M) in sorted(_LEGENDRE):
         v = np.asarray(vilenkin(J, M, 0, p_cl, xi))
         residual = float(np.max(np.abs(v - _legendre_reference(J, M, xi))))
-        cases.append(Case(f"vilenkin classical (J={J},M={M})", residual, 1e-12))
+        cases.append(Case(f"vilenkin classical (J={J},M={M})", residual,
+                          VILENKIN_CLASSICAL_TOL))
     return cases
 
 
-# `all` in report order: (suite, j_max pinned whatever --J-max says or None,
-# the regime the suite does not apply in or None; run_suite reads it for a
-# single suite too)
-_ALL = (
-    ("matrix", None, None),
-    ("funceq", None, Regime.CLASSICAL),
-    ("ladder", 3, Regime.CLASSICAL),
-    ("casimir", 3, Regime.CLASSICAL),
-    ("hermiticity", 2, Regime.CLASSICAL),
-    ("gram", None, None),
-    ("limit", None, Regime.UNIT_CIRCLE),
-)
-
-
 def suite_args(name: str, regime: Regime) -> tuple:
-    """The run_suite arguments that suite `name` reads in this regime: its
-    _SUITE_ARGS entry, or for `all` those of the suites it runs there,
+    """The run_suite arguments that suite `name` reads in this regime: those
+    of its _SUITES entry, or for `all` those of the suites it runs there,
     less j_list and tol, which `all` does not pass on."""
     if name != "all":
-        return _SUITE_ARGS[name]
-    return tuple(dict.fromkeys(arg for sub, _, skip in _ALL if regime is not skip
-                               for arg in _SUITE_ARGS[sub] if arg not in ("j_list", "tol")))
+        return _SUITES[name][0]
+    return tuple(dict.fromkeys(arg for args, _, skip in _SUITES.values() if regime is not skip
+                               for arg in args if arg not in ("j_list", "tol")))
 
 
 def _dispatch(name: str, **given) -> list:
     # looked up by name at call time, so a rebound suite function is the one
     # that runs; a None argument leaves the suite's own default in place
     fn = globals()[f"suite_{name}"]
-    return fn(**{k: given[k] for k in _SUITE_ARGS[name] if given.get(k) is not None})
+    return fn(**{k: given[k] for k in _SUITES[name][0] if given.get(k) is not None})
 
 
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
               seed: int = 0, tol: Optional[float] = None) -> list:
     """Run a named suite; each argument left None takes the suite's default.
 
-    A suite applies in every regime but the one _ALL skips it in: `all`
+    A suite applies in every regime but the one _SUITES skips it in: `all`
     runs those that apply, without j_list or tol, and a single suite that
     does not apply raises ValueError, as does a single suite with no case
     (a --J-max below the first J of its range).
     """
     if name == "all":
         cases = []
-        for sub, pinned, skip in _ALL:
+        for sub, (_, pinned, skip) in _SUITES.items():
             if p.regime is not skip:
                 cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed)
         return cases
-    if name not in _SUITE_ARGS:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if any(sub == name and p.regime is skip for sub, _, skip in _ALL):
+    if p.regime is _SUITES[name][2]:
         raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
     cases = _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)
     if not cases:  # a J range with no member; the empty gram tower still has its case

@@ -185,15 +185,17 @@ class TestEvalErrors:
          "[3000]! leaves the float range at tau = 1.5"),
         (["--fn", "psi", "--J", "3000", "--M", "0", "--N", "0", "--tau", "1.5", "--rho", "1"],
          "[3000]! leaves the float range at tau = 1.5"),
-        # each factorial is finite (170! < 1.8e308), their product is not
+        # each factorial is finite (170! < 1.8e308), the lead [J-N]![J-M]! of R is not
         (["--fn", "R", "--J", "170", "--M", "0", "--N", "0", "--q", "1", "--eta", "0.5"],
-         "--fn R leaves the float range at 0.5"),
+         "R coefficients for (J,M,N)=(170,0,0) leave the float range at q = 1.0"),
+        (["--fn", "vilenkin", "--J", "170", "--M", "0", "--N", "0", "--q", "1", "--xi", "0.5"],
+         "R coefficients for (J,M,N)=(170,0,0) leave the float range at q = 1.0"),
     ], ids=["qfact-real", "qfact-circle", "psi-real", "vilenkin-real", "R-circle-underflow",
-            "psi-circle-underflow", "R-classical-product"])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the inf * 0 in R
+            "psi-circle-underflow", "R-classical-product", "vilenkin-classical-product"])
     def test_q_factorial_out_of_float_range_exits_two(self, argv, msg, capsys):
+        # one error line; a RuntimeWarning on the way fails the test
         code, out, err = run(["eval"] + argv, capsys)
-        assert code == 2 and out == "" and msg in err
+        assert code == 2 and out == "" and msg in err and err.count("\n") == 1
 
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
@@ -372,6 +374,29 @@ class TestGram:
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err
+
+    @pytest.mark.parametrize("param,kind", [
+        (["--q", "1"], "Classical"),
+        (["--q", "1.2"], "DeformedReal"),
+        (["--tau", "0.2"], "DeformedCircle"),
+    ], ids=["classical", "real", "circle"])
+    def test_kind_names_the_form_of_the_regime(self, param, kind, capsys):
+        argv = ["gram", "--N", "0", "--J", "0"] + param
+        _, out, _ = run(argv + ["--format", "json"], capsys)
+        assert json.loads(out)["kind"] == kind
+        _, out, _ = run(argv, capsys)
+        assert out.splitlines()[0] == f"# gram,N=0,J=0,kind={kind}"
+
+
+class TestJsonDocuments:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "qnum", "--x", "1", "--q", "2", "--format", "json"],
+        ["gram", "--N", "0", "--J", "0", "--q", "1.2", "--format", "json"],
+        ["verify", "--suite", "matrix", "--J-max", "0.5", "--q", "1.2"],
+    ], ids=["eval", "gram", "verify"])
+    def test_schema_is_the_one_version(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["schema"] == cli.SCHEMA_VERSION
 
 
 class TestParser:

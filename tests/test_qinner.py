@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from suq2 import qinner
-from suq2.qcore import QParam
+from suq2.qcore import QParam, Regime
 from suq2.qinner import (
     GramReport,
-    InnerProductKind,
     adjoint_residual,
     b_one,
     gram,
     hermitian_symmetry_residual,
     inner,
-    kind_for,
 )
 from suq2.qops import (
     PlaneFamily,
@@ -35,15 +33,6 @@ SYM_TOL = 1e-8
 P_REAL = QParam.positive_real(1.2)
 P_CIRC = QParam.unit_circle(math.pi / 23)
 P_CLASS = QParam.classical()
-
-K = InnerProductKind
-
-
-class TestKindDispatch:
-    def test_kind_for(self):
-        assert kind_for(P_REAL) is K.DEFORMED_REAL
-        assert kind_for(P_CIRC) is K.DEFORMED_CIRCLE
-        assert kind_for(P_CLASS) is K.CLASSICAL
 
 
 class TestPrefactor:
@@ -145,13 +134,12 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
     u = rho[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)
     v = np.conj(u)
     eta = rho[:, None] ** 2
-    kind = kind_for(p)
-    if kind is K.CLASSICAL:
+    if p.regime is Regime.CLASSICAL:
         terms = [(p, p, 1.0, 2.0 / (1 + eta) ** 2)]
     else:
         # (bra parameter, ket parameter, ket scale s, weight w_s(eta))
         qm1, qp1, pinv = p.power(-1), p.power(1), p.inverse()
-        bras = (pinv, p) if kind is K.DEFORMED_REAL else (p, pinv)
+        bras = (pinv, p) if p.regime is Regime.POSITIVE_REAL else (p, pinv)
         terms = [(bra, ket, s, s / ((1 + eta) * (1 + s * s * eta)))
                  for bra, ket, s in zip(bras, (p, pinv), (qm1, qp1))]
     integrand = sum(np.conj(f(bra, u, v)) * weight * g(ket, s * u, s * v)
@@ -191,8 +179,7 @@ class TestRadialPathMatchesPlaneGrid:
                              ids=["real", "circle"])
     @pytest.mark.parametrize("N", [0, 0.5])
     def test_span_pairs_and_stencils(self, p, N):
-        kind = kind_for(p)
-        bra_power = 2.0 if kind is K.DEFORMED_REAL else -2.0
+        bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
         f, g = _span_pairs(2, N, 3)[0]
         pairs = [(f, g), (g, f), (f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
                  (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)]

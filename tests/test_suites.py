@@ -243,7 +243,7 @@ class TestRunSuite:
         assert case.name == "gram N=1 J={(empty)}" and case.passed
 
     def test_suite_names_constant(self):
-        assert SUITE_NAMES == ("matrix", "ladder", "casimir", "funceq",
+        assert SUITE_NAMES == ("matrix", "funceq", "ladder", "casimir",
                                "hermiticity", "gram", "limit", "all")
 
     def test_single_named_suite_dispatch(self):
