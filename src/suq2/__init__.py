@@ -33,8 +33,6 @@ from .qops import (
     with_fixed_param,
 )
 from .qspecial import (
-    QFunctionMethod,
-    default_construction,
     l_function,
     norm_constant,
     psi,
@@ -55,9 +53,8 @@ from .suites import SUITE_NAMES, Case, run_suite
 __all__ = [
     "HalfInt", "QParam", "Regime", "check_not_root_of_unity",
     "inv_q_factorial", "j_values", "m_values", "q_factorial", "q_number", "validate_triple",
-    "QFunctionMethod", "default_construction", "l_function", "norm_constant", "psi",
-    "q_finite_product", "q_function", "q_infinite_product", "q_integral_exp",
-    "r_polynomial", "vilenkin",
+    "l_function", "norm_constant", "psi", "q_finite_product", "q_function",
+    "q_infinite_product", "q_integral_exp", "r_polynomial", "vilenkin",
     "PlaneIntegral", "radial_integral", "radial_rule",
     "IrrepMatrices", "PlaneFamily", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",

@@ -5,12 +5,18 @@ q-difference equation
 
     Q(q^2 eta) (1 + eta) = Q(eta) (1 + q^(-2J) eta),
 
-which admits three concrete constructions: a finite product (integer J, any
-regime), a convergent infinite product (positive real q), and an exponential
-of an integral kernel L (unit-circle q).  The kernel satisfies
-L(q eta) - L(q^-1 eta) = Log(1 + eta).  On top of Q sit the terminating
-R polynomials, the normalization constants, the basis functions psi on the
-plane, and the q-Vilenkin functions on (-1, 1).
+and is built from one transcendental per regime.  Integer J is a finite
+product of J reciprocal linear factors.  Half-integer J is the regime's
+Q_{1/2} -- a convergent infinite product at positive real q, the exponential
+of an integral kernel L at unit-circle q -- times the same kind of factors:
+
+    Q_J(eta) = Q_{1/2}(eta) prod_{k=0}^{J-3/2} (1 + q^(2k-2J) eta)^(-1).
+
+At real q the J-dependence of the product telescopes; on the circle it
+follows from L(q eta) - L(q^-1 eta) = Log(1 + eta) (Faddeev & Kashaev,
+hep-th/9310070).  Classically Q is (1+eta)^(-J).  On top of Q sit the
+terminating R polynomials, the normalization constants, the basis functions
+psi on the plane, and the q-Vilenkin functions on (-1, 1).
 
 eta is accepted as complex everywhere: q-dilated arguments in the circle
 regime rotate eta off the positive axis, and the functional-equation residual
@@ -22,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from enum import Enum
 
 import numpy as np
 
@@ -137,12 +142,6 @@ _l_memo = _ExactMemo(MEMO_MAX_BYTES)
 _product_memo = _ExactMemo(MEMO_MAX_BYTES)
 
 
-class QFunctionMethod(Enum):
-    FINITE_PRODUCT = "FiniteProduct"
-    INFINITE_PRODUCT = "InfiniteProduct"
-    INTEGRAL_EXP = "IntegralExp"
-
-
 def _as_complex(x):
     """x as a complex array and whether x is a scalar.  A scalar comes back
     with shape (1,), so that x and [x] take the same array arithmetic and
@@ -197,13 +196,18 @@ def q_finite_product(J, p: QParam, eta):
     if not J.is_integer() or J.twice < 0:
         raise ValueError(f"finite product needs integer J >= 0, got {J}")
     arr, scalar = _as_complex(eta)
-    out = np.ones_like(arr)
-    for k in range(J.to_int()):
-        factor = 1.0 + arr * p.power(-2 * J.to_int() + 2 * k)
+    return _ret(_divide_factors(J, p, arr, np.ones_like(arr)), scalar)
+
+
+def _divide_factors(J: HalfInt, p: QParam, arr, out):
+    """out / prod_{k < floor(J)} (1 + q^(2k-2J) eta), for J >= 0: the
+    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}."""
+    for k in range(J.twice // 2):
+        factor = 1.0 + arr * p.power(2 * k - J.twice)
         if np.any(np.abs(factor) < POLE_TOL):
             raise ValueError(f"finite-product pole: factor k={k} vanishes")
         out = out / factor
-    return _ret(out, scalar)
+    return out
 
 
 def q_infinite_product(J, p: QParam, eta):
@@ -410,9 +414,7 @@ def q_integral_exp(J, p: QParam, eta):
     J = HalfInt.of(J)
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("integral-exponential construction needs the unit-circle regime")
-    if (J.twice + 1) * abs(p.value) >= math.pi:
-        raise ValueError(f"integral-exponential construction for J={J} needs "
-                         f"(2J+1)|tau| < pi, got tau={p.value!r}")
+    _check_sector(J, p)
     arr, scalar = _as_complex(eta)
     shift = p.power(-(2.0 * float(J) + 1.0))
     la = l_function(p, shift * arr)
@@ -420,31 +422,34 @@ def q_integral_exp(J, p: QParam, eta):
     return _ret(np.exp(np.asarray(la - lb, dtype=complex)), scalar)
 
 
-def default_construction(J, p: QParam) -> QFunctionMethod | None:
-    """The Q construction q_function runs for (J, p): finite product for
-    integer J, else infinite product (real q) or integral exponential
-    (circle q); None classically, where Q is (1+eta)^(-J)."""
-    if p.regime is Regime.CLASSICAL:
-        return None
-    if HalfInt.of(J).is_integer():
-        return QFunctionMethod.FINITE_PRODUCT
-    if p.regime is Regime.POSITIVE_REAL:
-        return QFunctionMethod.INFINITE_PRODUCT
-    return QFunctionMethod.INTEGRAL_EXP
+def _check_sector(J: HalfInt, p: QParam):
+    """Refuse a circle q outside (2J+1)|tau| < pi, where the L construction
+    of Q_J fails the functional equation."""
+    if (J.twice + 1) * abs(p.value) >= math.pi:
+        raise ValueError(f"integral-exponential construction for J={J} needs "
+                         f"(2J+1)|tau| < pi, got tau={p.value!r}")
 
 
 def q_function(J, p: QParam, eta):
-    """Evaluate Q_J by the construction default_construction(J, p) picks."""
+    """Q_J: (1+eta)^(-J) classically, q_finite_product for integer J, and for
+    half-integer J >= 1/2 the regime's Q_{1/2} (q_infinite_product or
+    q_integral_exp) divided by the factors of the finite product.  On the
+    circle a half-integer J needs (2J+1)|tau| < pi."""
     J = HalfInt.of(J)
-    method = default_construction(J, p)
-    if method is None:
+    if p.regime is Regime.CLASSICAL:
         arr, scalar = _as_complex(eta)
         return _ret((1.0 + arr) ** (-float(J)), scalar)
-    if method is QFunctionMethod.FINITE_PRODUCT:
+    if J.is_integer():
         return q_finite_product(J, p, eta)
-    if method is QFunctionMethod.INFINITE_PRODUCT:
-        return q_infinite_product(J, p, eta)
-    return q_integral_exp(J, p, eta)
+    if J.twice < 0:
+        raise ValueError(f"Q needs J >= 0, got {J}")
+    arr, scalar = _as_complex(eta)
+    if p.regime is Regime.POSITIVE_REAL:
+        half = q_infinite_product(0.5, p, arr)
+    else:
+        _check_sector(J, p)
+        half = q_integral_exp(0.5, p, arr)
+    return _ret(_divide_factors(J, p, arr, half), scalar)
 
 
 def norm_constant(J, M, N, p: QParam) -> float:

@@ -25,7 +25,7 @@ from .qops import (
     psi_family,
     with_fixed_param,
 )
-from .qspecial import QFunctionMethod, default_construction, q_function, vilenkin
+from .qspecial import q_function, vilenkin
 
 MATRIX_TOL = 1e-12
 FUNCEQ_TOL_PRODUCT = 1e-12
@@ -178,7 +178,7 @@ def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -
 
 def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = None) -> list:
     """Relative residual of Q(q^2 eta)(1+eta) = Q(eta)(1+q^(-2J) eta) under
-    the default construction dispatch, on a log grid eta in [1e-2, 1e2].
+    q_function, on a log grid eta in [1e-2, 1e2].
 
     Each point's |lhs - rhs| is divided by the larger of |lhs| and |rhs|,
     the size of the terms compared: rounding at their last bit is all a
@@ -193,7 +193,7 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
         lhs = np.asarray(q_function(J, p, p.power(2) * eta), complex) * (1 + eta)
         rhs = qv * (1 + p.power(-2.0 * float(J)) * eta)
         residual = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
-        integral_route = default_construction(J, p) is QFunctionMethod.INTEGRAL_EXP
+        integral_route = p.regime is Regime.UNIT_CIRCLE and not J.is_integer()
         case_tol = tol if tol is not None else (
             FUNCEQ_TOL_INTEGRAL if integral_route else FUNCEQ_TOL_PRODUCT)
         cases.append(Case(f"funceq J={J}", residual, case_tol))

@@ -1,9 +1,9 @@
 """Deterministic work counts (no timing): on the circle no Gauss-Legendre
 rule is built, and every distinct l_function input runs its quadrature
-once; at real q every distinct infinite-product input runs its
-product once, and psi builds each (J, M, N, p) record once; the stencil
-suites evaluate each (J, N) tower whole, in a few psi calls; every suite
-scalar product with a common mode is one converged radial integral."""
+once; at real q every distinct infinite-product input runs its product
+once, at J = 1/2 only, and psi builds each (J, M, N, p) record once; the
+stencil suites evaluate each (J, N) tower whole, in a few psi calls; every
+suite scalar product with a common mode is one converged radial integral."""
 from collections import Counter
 
 import numpy as np
@@ -128,6 +128,43 @@ def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
     assert cases and all(c.passed for c in cases)
     assert len(products) == len(set(products))
     assert qspecial._product_memo.nbytes <= qspecial.MEMO_MAX_BYTES
+
+
+@pytest.mark.parametrize("q", [0.6, 2.5])
+def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
+    # half-integer J >= 3/2 divides Q_{1/2} by finite-product factors
+    monkeypatch.setattr(qspecial._product_memo, "entries", {})
+    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+
+    js = []
+    uncached = qspecial._infinite_product
+
+    def counted_product(J, q, arr):
+        js.append(J)
+        return uncached(J, q, arr)
+
+    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
+    cases = run_suite("all", QParam.positive_real(q), N=0.5, seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert js and set(js) == {HalfInt.of(0.5)}
+
+
+def test_circle_all_run_quadrature_count(monkeypatch):
+    # 94 quadratures while each half-integer J ran L at its own rotated argument
+    monkeypatch.setattr(qspecial._l_memo, "entries", {})
+    monkeypatch.setattr(qspecial._l_memo, "nbytes", 0)
+
+    quadratures = []
+    uncached = qspecial._l_quadrature
+
+    def counted_quadrature(p, arr):
+        quadratures.append(arr.size)
+        return uncached(p, arr)
+
+    monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)
+    cases = run_suite("all", QParam.unit_circle(0.2), N=0.5, seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert 0 < len(quadratures) <= 60
 
 
 def test_psi_errors_fire_on_every_call(monkeypatch):

@@ -26,7 +26,16 @@ product, and with them the last bits of a few ladder and casimir
 residuals.  The twelve recordings that run the limit suite (every verify
 --suite all at real q, and at q = 1) were written again after the vilenkin
 limit rows moved from two-point to three-point extrapolation; only those
-four rows changed.  Running
+four rows changed.  The twenty-six recordings that evaluate Q at a
+half-integer J >= 3/2 in a deformed regime were written again after
+q_function built that Q as Q_{1/2} divided by the finite-product factors,
+in place of the infinite product or the L difference at J itself: the
+eval recordings eval_Q_J1.5_q0.8, eval_psi_J1.5_M0.5_N0.5_q0.7,
+eval_psi_J1.5_M0.5_N0.5_tau0.2 and eval_vilenkin_J2.5_M0.5_N1.5_q1.4,
+gram_N0.5_Jmax1.5_tau0.2, and every verify recording but verify_all_q1.
+Values moved in the last bits only (at most 1.9e-15 relative in the eval
+recordings); every exit code and pass flag held, and no verify
+recording's worst residual/tol grew.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 

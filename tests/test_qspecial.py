@@ -148,6 +148,13 @@ class TestQConstructions:
     def test_functional_equation_integral(self, J):
         assert funceq_residual(J, P_CIRC, ETA_GRID) < FUNCEQ_TOL_INTEGRAL
 
+    @pytest.mark.parametrize("p", [P_TWO, P_CIRC])
+    @pytest.mark.parametrize("J", [-0.5, -1, -1.5])
+    def test_negative_j_rejected(self, J, p):
+        # the finite-product factors count up from J = 0 or 1/2
+        with pytest.raises(ValueError, match="J >= 0"):
+            q_function(J, p, 1.0)
+
     def test_decays_at_large_eta(self):
         v = q_function(1.5, P_TWO, 1e6)
         assert abs(v) < 1e-6
@@ -342,6 +349,48 @@ class TestLAgainstMpQuad:
         p = QParam.unit_circle(0.52)
         want = cmath.exp(mp_quad_l(0.52, p.power(-6) * 3) - mp_quad_l(0.52, p.power(-1) * 3))
         assert abs(q_function(2.5, p, 3.0) - want) < 1e-12 * abs(want)
+
+
+def mp_log_sum_product(J, q, eta):
+    """Q_J(eta) at real q as exp of the sum of the logs of the infinite
+    product's factors at 30 digits, summed until |eta| q^(2k), shifted by
+    2J, is below e^-80."""
+    with mpmath.workdps(30):
+        q, J, eta = mpmath.mpf(q), mpmath.mpf(J), mpmath.mpmathify(eta)
+        log_q = abs(mpmath.log(q))
+        n = int(mpmath.ceil((mpmath.log(abs(eta)) + 2 * J * log_q + 80) / (2 * log_q)))
+        if q < 1:
+            num, den = (q ** (2 * k) for k in range(n)), (q ** (2 * k - 2 * J) for k in range(n))
+        else:
+            num = (q ** (-2 * J - 2 * k - 2) for k in range(n))
+            den = (q ** (-2 * k - 2) for k in range(n))
+        return mpmath.exp(sum(mpmath.log1p(a * eta) - mpmath.log1p(b * eta)
+                              for a, b in zip(num, den)))
+
+
+class TestHalfIntegerQAgainstOracles:
+    """Half-integer J >= 3/2 is Q_{1/2} divided by finite-product factors;
+    each oracle computes Q_J whole, at its own J."""
+
+    ETA = [0.05, 0.3, 1.0, 2.5 + 1j, 7.0, 20.0]
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("q", [math.exp(0.1), math.exp(-0.1), math.exp(1.0), math.exp(-1.0),
+                                   0.6, 1.3])
+    @pytest.mark.parametrize("J", [1.5, 2.5])
+    def test_real_q_matches_the_log_sum(self, J, q):
+        got = np.asarray(q_function(J, QParam.positive_real(q), self.ETA))
+        want = np.array([complex(mp_log_sum_product(J, q, e)) for e in self.ETA])
+        assert np.max(np.abs(got - want) / np.abs(want)) < self.TOL
+
+    @pytest.mark.parametrize("tau", [0.1, -0.1, 0.2, -0.25, 0.29])
+    @pytest.mark.parametrize("J", [1.5, 2.5])
+    def test_circle_matches_the_l_difference(self, J, tau):
+        p = QParam.unit_circle(tau)
+        got = np.asarray(q_function(J, p, self.ETA))
+        want = np.array([cmath.exp(mp_quad_l(tau, p.power(-(2 * J + 1)) * e)
+                                   - mp_quad_l(tau, p.power(-1) * e)) for e in self.ETA])
+        assert np.max(np.abs(got - want) / np.abs(want)) < self.TOL
 
 
 class _ExactMemoCases:
