@@ -5,18 +5,15 @@ q-difference equation
 
     Q(q^2 eta) (1 + eta) = Q(eta) (1 + q^(-2J) eta),
 
-and is built from one transcendental per regime.  Integer J is a finite
-product of J reciprocal linear factors.  Half-integer J is the regime's
-Q_{1/2} -- a convergent infinite product at positive real q, the exponential
-of an integral kernel L at unit-circle q -- times the same kind of factors:
-
-    Q_J(eta) = Q_{1/2}(eta) prod_{k=0}^{J-3/2} (1 + q^(2k-2J) eta)^(-1).
-
-At real q the J-dependence of the product telescopes; on the circle it
-follows from L(q eta) - L(q^-1 eta) = Log(1 + eta) (Faddeev & Kashaev,
-hep-th/9310070).  Classically Q is (1+eta)^(-J).  On top of Q sit the
-terminating R polynomials, the normalization constants, the basis functions
-psi on the plane, and the q-Vilenkin functions on (-1, 1).
+built from one transcendental per regime, Q_{1/2}: a convergent infinite
+product at positive real q, the exponential of an integral kernel L at
+unit-circle q.  Half-integer J divides Q_{1/2} by the factors
+(1 + q^(2k-2J) eta), k < J - 1/2, whose product is Q for integer J: this
+telescopes from the product at real q, and follows from
+L(q eta) - L(q^-1 eta) = Log(1 + eta) on the circle (Faddeev & Kashaev,
+hep-th/9310070).  On top of Q sit the terminating R polynomials, the
+normalization constants, the basis functions psi on the plane, and the
+q-Vilenkin functions on (-1, 1).
 
 eta is accepted as complex everywhere: q-dilated arguments in the circle
 regime rotate eta off the positive axis, and the functional-equation residual
@@ -423,26 +420,24 @@ def q_integral_exp(J, p: QParam, eta):
 
 
 def _check_sector(J: HalfInt, p: QParam):
-    """Refuse a circle q outside (2J+1)|tau| < pi, where the L construction
-    of Q_J fails the functional equation."""
+    """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its equation."""
     if (J.twice + 1) * abs(p.value) >= math.pi:
         raise ValueError(f"integral-exponential construction for J={J} needs "
                          f"(2J+1)|tau| < pi, got tau={p.value!r}")
 
 
 def q_function(J, p: QParam, eta):
-    """Q_J: (1+eta)^(-J) classically, q_finite_product for integer J, and for
-    half-integer J >= 1/2 the regime's Q_{1/2} (q_infinite_product or
-    q_integral_exp) divided by the factors of the finite product.  On the
-    circle a half-integer J needs (2J+1)|tau| < pi."""
+    """Q_J: (1+eta)^(-J) classically; else, for J >= 0, q_finite_product for
+    integer J, and for half-integer J the regime's Q_{1/2} divided by the same
+    factors, which on the circle needs (2J+1)|tau| < pi."""
     J = HalfInt.of(J)
     if p.regime is Regime.CLASSICAL:
         arr, scalar = _as_complex(eta)
         return _ret((1.0 + arr) ** (-float(J)), scalar)
-    if J.is_integer():
-        return q_finite_product(J, p, eta)
     if J.twice < 0:
         raise ValueError(f"Q needs J >= 0, got {J}")
+    if J.is_integer():
+        return q_finite_product(J, p, eta)
     arr, scalar = _as_complex(eta)
     if p.regime is Regime.POSITIVE_REAL:
         half = q_infinite_product(0.5, p, arr)

@@ -151,9 +151,10 @@ class TestEvalErrors:
         assert code == 2 and out == "" and "tau" in err
 
     @pytest.mark.parametrize("regime", [["--q", "0.8"], ["--tau", "0.2"]], ids=["q", "tau"])
-    def test_q_negative_half_integer_j_rejected(self, regime, capsys):
-        code, out, err = run(["eval", "--fn", "Q", "--J=-0.5", "--eta", "1"] + regime, capsys)
-        assert code == 2 and out == "" and err == "error: Q needs J >= 0, got -1/2\n"
+    @pytest.mark.parametrize("J,label", [("-0.5", "-1/2"), ("-1", "-1")])
+    def test_q_negative_j_rejected(self, regime, J, label, capsys):
+        code, out, err = run(["eval", "--fn", "Q", f"--J={J}", "--eta", "1"] + regime, capsys)
+        assert code == 2 and out == "" and err == f"error: Q needs J >= 0, got {label}\n"
 
     def test_product_not_converging_exits_two(self, capsys):
         # q = 1.0001 needs more than the 1e5-factor cap of the infinite product
