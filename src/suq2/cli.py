@@ -154,6 +154,8 @@ def cmd_verify(args) -> int:
                    {flag: value for arg, (flag, value) in given.items() if arg not in reads})
     if args.J is not None:  # --J replaces the tower that --J-max would span
         _reject_unread(f"--suite {args.suite} with --J", {"--J-max": args.J_max})
+    if args.seed is not None and args.seed < 0:
+        raise SystemExit(_fail(f"--seed must be a non-negative integer, got {args.seed}"))
     j_max = None if args.J_max is None else _parse_half(str(args.J_max), "--J-max")
     j_list = None if args.J is None else [_parse_half(str(args.J), "--J")]
     N = None if args.N is None else _parse_half(str(args.N), "--N")

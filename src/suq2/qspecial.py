@@ -99,11 +99,11 @@ GK21_NODES, GK21_WEIGHTS = _gauss_kronrod_21()
 class _ExactMemo:
     """Results of one evaluator keyed on its exact input, oldest first.
 
-    A key is (tag, the evaluator's parameters, eta's shape, eta's complex
-    bytes), the bytes last, so p and p.inverse(), or a (1,)- and a
-    (1, 1)-shaped eta, never share an entry.  A scalar eta reaches the
-    evaluators as shape (1,) (see _as_complex), so it shares the entry of
-    [eta], whose bits it has.  Every call returns a fresh copy,
+    A key is (tag, the evaluator's parameters, the shapes of its array
+    arguments, their complex bytes), the bytes last, so p and p.inverse(),
+    or a (1,)- and a (1, 1)-shaped eta, never share an entry.  A scalar
+    reaches the evaluators as shape (1,) (see _as_complex), so it shares
+    the entry of [x], whose bits it has.  Every call returns a fresh copy,
     so callers may mutate it.  A result whose evaluation raised or reported
     a warning is never stored, so the warning and the errors recur on every
     call.  The stored keys and values stay under max_bytes, evicting the
@@ -137,6 +137,10 @@ class _ExactMemo:
 
 _l_memo = _ExactMemo(MEMO_MAX_BYTES)
 _product_memo = _ExactMemo(MEMO_MAX_BYTES)
+_psi_memo = _ExactMemo(MEMO_MAX_BYTES)
+# branch-cut warnings _l_quadrature has emitted: psi stores no result whose
+# evaluation moved it, though l_function's caller may have silenced the warning
+_branch_cut_warnings = 0
 
 
 def _as_complex(x):
@@ -198,11 +202,15 @@ def q_finite_product(J, p: QParam, eta):
 
 def _divide_factors(J: HalfInt, p: QParam, arr, out):
     """out / prod_{k < floor(J)} (1 + q^(2k-2J) eta), for J >= 0: the
-    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}."""
-    for k in range(J.twice // 2):
-        factor = 1.0 + arr * p.power(2 * k - J.twice)
-        if np.any(np.abs(factor) < POLE_TOL):
-            raise ValueError(f"finite-product pole: factor k={k} vanishes")
+    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}.  The factors are
+    built in one array, stacked along a new first axis, and divided in
+    order of k."""
+    powers = np.array([p.power(2 * k - J.twice) for k in range(J.twice // 2)], dtype=complex)
+    factors = 1.0 + arr * powers.reshape(powers.shape + (1,) * arr.ndim)
+    poles = np.any(np.abs(factors) < POLE_TOL, axis=tuple(range(1, factors.ndim)))
+    if poles.any():
+        raise ValueError(f"finite-product pole: factor k={int(np.argmax(poles))} vanishes")
+    for factor in factors:
         out = out / factor
     return out
 
@@ -345,6 +353,7 @@ def l_function(p: QParam, eta):
 
 def _l_quadrature(p: QParam, arr):
     """L on the complex array arr; returns (values in its shape, whether it warned)."""
+    global _branch_cut_warnings
     flat = arr.reshape(-1)
     tau = p.value
     alpha = abs(tau) / math.pi
@@ -373,6 +382,7 @@ def _l_quadrature(p: QParam, arr):
         for i in range(0, flat.size, step):
             sums[i:i + step], max_phase = _l_panel_sums(flat[i:i + step], t, g)
             if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
+                _branch_cut_warnings += 1
                 # frames: here, the memo's compute lambda and lookup, l_function, its caller
                 warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
                               RuntimeWarning, stacklevel=5)
@@ -479,24 +489,41 @@ def psi(J, M, N, p: QParam, u, v):
     evaluation of the radial profile Q_J(u v) that they all share.  Each row
     takes the arithmetic of its own M, so it has the bits of psi(J, M[i],
     N, p, u, v); at scalar u and v the result has shape (len(M),).
+
+    Results are memoized on (J, the weights, N, p, the shapes and the
+    complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo for the
+    rules.  A result whose evaluation emitted the branch-cut warning of
+    l_function is never stored.
     """
     J, N = HalfInt.of(J), HalfInt.of(N)
     ms = _weights(J, M, N)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
+    key = ("psi", J, ms, N, p, u_arr.shape, v_arr.shape, u_arr.tobytes() + v_arr.tobytes())
+    out = _psi_memo.lookup(key, lambda: _psi_rows(J, ms, N, p, u_arr, v_arr))
+    scalar = u_scalar and v_scalar
+    if not isinstance(M, tuple):
+        return _ret(out[0], scalar)
+    return out.reshape(len(ms)) if scalar else out
+
+
+def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
+    """The uncached psi of each weight in ms, stacked, and whether the
+    branch-cut warning was emitted.  Each power of u and of v is formed
+    once and shared by the rows that read it."""
+    warnings_before = _branch_cut_warnings
     records = [_psi_record(J, m, N, p) for m in ms]
     qval = q_function(J, p, u_arr * v_arr)
+    exponents = {(k, k + mn) for _, mn, terms in records for k, _ in terms}
+    u_pow = {k: u_arr ** k for k in {k for k, _ in exponents}}
+    v_pow = {e: v_arr ** e for e in {e for _, e in exponents}}
     rows = []
     for lead, mn, terms in records:
         poly = np.zeros_like(u_arr)
         for k, c in terms:
-            poly = poly + c * u_arr ** k * v_arr ** (k + mn)
+            poly = poly + c * u_pow[k] * v_pow[k + mn]
         rows.append(np.asarray(lead * qval * poly, dtype=complex))
-    scalar = u_scalar and v_scalar
-    if not isinstance(M, tuple):
-        return _ret(rows[0], scalar)
-    out = np.stack(rows)
-    return out.reshape(len(ms)) if scalar else out
+    return np.stack(rows), _branch_cut_warnings != warnings_before
 
 
 def _weights(J: HalfInt, M, N: HalfInt) -> tuple:

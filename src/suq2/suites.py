@@ -2,11 +2,15 @@
 returns a list of cases with measured residuals against its tolerance.
 
 Sample-point grids are seeded and all node counts fixed, so a suite run is
-deterministic for identical inputs.
+deterministic for identical inputs.  The draws come from the standard
+library's random.Random, which the interpreter has loaded already:
+importing numpy.random for a few dozen draws took about 25 ms of each CLI
+call.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,11 +76,20 @@ class Case:
         return bool(math.isfinite(self.residual) and self.residual < self.tol)
 
 
+def _rng(seed: int) -> random.Random:
+    """The generator of a suite's draws; a negative seed is refused, where
+    random.Random would take it for its absolute value."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
 def sample_points(n: int = 20, seed: int = 0):
-    """Off-axis sample points: radii in [0.3, 3], eighth-turn phases."""
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(0.3, 3.0, n)
-    phase = rng.integers(0, 8, n) * (math.pi / 4)
+    """Off-axis sample points: radii uniform in [0.3, 3], then phases
+    uniform over the eight eighth-turns."""
+    rng = _rng(seed)
+    r = np.array([rng.uniform(0.3, 3.0) for _ in range(n)])
+    phase = np.array([rng.randrange(8) for _ in range(n)]) * (math.pi / 4)
     u = r * np.exp(1j * phase)
     return u, np.conj(u)
 
@@ -203,19 +216,23 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
 def _span_pairs(j_max, N: HalfInt, seed):
     """Three pairs of random combinations, of 3 and of 2 distinct members
     of the N tower up to j_max; a tower of fewer than 3 members raises."""
+    rng = _rng(seed)
     states = []
     for J in j_values(N, j_max):
         states.extend(psi_family(J, M, N) for M in m_values(J))
     if len(states) < 3:
         raise ValueError(f"hermiticity span pairs need at least 3 basis states; the N={N} "
                          f"tower up to --J-max {HalfInt.of(j_max)} has {len(states)}")
-    rng = np.random.default_rng(seed)
+
+    def gaussians(n):  # standard normal real and imaginary parts
+        return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
+
     pairs = []
     for _ in range(3):
-        idx_f = rng.choice(len(states), size=3, replace=False)
-        idx_g = rng.choice(len(states), size=2, replace=False)
-        f = combine(rng.normal(size=3) + 1j * rng.normal(size=3), [states[i] for i in idx_f])
-        g = combine(rng.normal(size=2) + 1j * rng.normal(size=2), [states[i] for i in idx_g])
+        idx_f = rng.sample(range(len(states)), 3)
+        idx_g = rng.sample(range(len(states)), 2)
+        f = combine(gaussians(3), [states[i] for i in idx_f])
+        g = combine(gaussians(2), [states[i] for i in idx_g])
         pairs.append((f, g))
     return pairs
 

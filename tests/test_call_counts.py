@@ -1,9 +1,11 @@
 """Deterministic work counts (no timing): on the circle no Gauss-Legendre
 rule is built, and every distinct l_function input runs its quadrature
 once; at real q every distinct infinite-product input runs its product
-once, at J = 1/2 only, and psi builds each (J, M, N, p) record once; the
-stencil suites evaluate each (J, N) tower whole, in a few psi calls; every
-suite scalar product with a common mode is one converged radial integral."""
+once, at J = 1/2 only, and psi builds each (J, M, N, p) record once and
+evaluates each distinct input once; the stencil suites evaluate each
+(J, N) tower whole, in a few psi calls; every suite scalar product with a
+common mode is one converged radial integral.  Each test empties the memos
+whose hits would hide the evaluations it counts."""
 from collections import Counter
 
 import numpy as np
@@ -15,10 +17,16 @@ from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
 
 
+def _empty(monkeypatch, memo):
+    """Empty one of qspecial's memos for the test."""
+    monkeypatch.setattr(memo, "entries", {})
+    monkeypatch.setattr(memo, "nbytes", 0)
+
+
 def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
     gauss_legendre.cache_clear()
-    monkeypatch.setattr(qspecial._l_memo, "entries", {})
-    monkeypatch.setattr(qspecial._l_memo, "nbytes", 0)
+    _empty(monkeypatch, qspecial._psi_memo)
+    _empty(monkeypatch, qspecial._l_memo)
 
     legendre = np.polynomial.legendre
     leggauss_n = []
@@ -59,8 +67,8 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
 
 @pytest.mark.parametrize("suite,q,N", [("casimir", 0.8, 0), ("hermiticity", 1.3, 0.5)])
 def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N):
-    monkeypatch.setattr(qspecial._product_memo, "entries", {})
-    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+    _empty(monkeypatch, qspecial._psi_memo)
+    _empty(monkeypatch, qspecial._product_memo)
     qspecial._psi_record.cache_clear()
 
     products = []
@@ -113,8 +121,8 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
 def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
     # at its byte bound the product memo keeps every distinct input of the
     # largest real-q run recorded in the golden gate
-    monkeypatch.setattr(qspecial._product_memo, "entries", {})
-    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+    _empty(monkeypatch, qspecial._product_memo)
+    _empty(monkeypatch, qspecial._psi_memo)
 
     products = []
     uncached = qspecial._infinite_product
@@ -130,11 +138,35 @@ def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
     assert qspecial._product_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
+def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
+    # at its byte bound the psi memo keeps every input of this run that
+    # recurs: the stencils' dilations and the scalar products' nodes
+    _empty(monkeypatch, qspecial._psi_memo)
+    evaluated, calls = [], []
+    uncached, psi = qspecial._psi_rows, qspecial.psi
+
+    def counted(J, ms, N, p, u, v):
+        evaluated.append((J, ms, N, p, u.shape, v.shape, u.tobytes() + v.tobytes()))
+        return uncached(J, ms, N, p, u, v)
+
+    def recorded_psi(*args):
+        calls.append(args)
+        return psi(*args)
+
+    monkeypatch.setattr(qspecial, "_psi_rows", counted)
+    monkeypatch.setattr(qops, "psi", recorded_psi)
+    cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert len(evaluated) == len(set(evaluated))
+    assert len(calls) > 2 * len(evaluated)  # more than half the calls are repeats
+    assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
+
+
 @pytest.mark.parametrize("q", [0.6, 2.5])
 def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
     # half-integer J >= 3/2 divides Q_{1/2} by finite-product factors
-    monkeypatch.setattr(qspecial._product_memo, "entries", {})
-    monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+    _empty(monkeypatch, qspecial._product_memo)
+    _empty(monkeypatch, qspecial._psi_memo)
 
     js = []
     uncached = qspecial._infinite_product
@@ -151,8 +183,8 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 def test_circle_all_run_quadrature_count(monkeypatch):
     # 94 quadratures while each half-integer J ran L at its own rotated argument
-    monkeypatch.setattr(qspecial._l_memo, "entries", {})
-    monkeypatch.setattr(qspecial._l_memo, "nbytes", 0)
+    _empty(monkeypatch, qspecial._l_memo)
+    _empty(monkeypatch, qspecial._psi_memo)
 
     quadratures = []
     uncached = qspecial._l_quadrature

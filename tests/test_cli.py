@@ -2,6 +2,10 @@
 byte determinism."""
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -275,6 +279,16 @@ class TestVerify:
         r1 = [c["residual"] for c in outs[1]["cases"]]
         assert r0 != r1
 
+    # random.Random would take a negative seed for its absolute value
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--q", "1.2", "--seed", "-1"],
+        ["verify", "--suite", "hermiticity", "--tau", "0.2", "--seed", "-3"],
+    ], ids=["all", "hermiticity"])
+    def test_negative_seed_exits_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: --seed must be a non-negative integer, got {argv[-1]}"]
+
     # l_function's Gauss-Legendre rule, before the Gauss-Kronrod one, raised
     # "did not converge" on each of these
     @pytest.mark.parametrize("argv", [
@@ -488,3 +502,24 @@ class TestParser:
         assert code == 2 and out == ""
         assert "--J-max" in err and "N=" in err and f"has {states}" in err
         assert "larger sample" not in err
+
+
+def test_cli_imports_neither_numpy_random_nor_numpy_polynomial():
+    # importing the two took about a fifth of a verify call; a fresh
+    # interpreter sees what the CLI itself loads
+    argvs = [["verify", "--suite", "all", "--q", "1.2", "--N", "0.5"],
+             ["verify", "--suite", "all", "--tau", "0.2"],
+             ["gram", "--N", "0.5", "--J-max", "1.5", "--tau", "0.2"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from suq2 import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith(('numpy.random', 'numpy.polynomial')))))\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(res.stdout) == []

@@ -98,6 +98,23 @@ class TestQConstructions:
         with pytest.raises(ValueError, match="k=0"):
             q_finite_product(1, P_TWO, -4.0)  # 1 + eta q^{-2} = 0
 
+    @pytest.mark.parametrize("p", [P_TWO, P_TWO.inverse()], ids=["q2", "q0.5"])
+    def test_finite_pole_names_the_first_vanishing_factor(self, p):
+        # J = 3: factor k is 1 + eta q^(2k-6); at q = 2 factor 2 vanishes at
+        # eta = -4 and factor 1 at -16, at q = 1/2 factor 1 at -1/16
+        eta = np.array([-4.0, 0.5, -16.0]) if p is P_TWO else np.array([-1 / 16, 2.0])
+        with pytest.raises(ValueError, match="^finite-product pole: factor k=1 vanishes$"):
+            q_finite_product(3, p, eta)
+
+    @pytest.mark.parametrize("J", [1, 2.5, 4])
+    @pytest.mark.parametrize("p", [P_TWO, QParam.unit_circle(0.2)], ids=["q2", "tau0.2"])
+    def test_finite_factors_have_the_bits_of_one_by_one_division(self, J, p):
+        eta = ETA_GRID.reshape(5, 5) * np.exp(0.3j)
+        want = np.ones_like(eta) if HalfInt.of(J).is_integer() else np.asarray(q_function(0.5, p, eta))
+        for k in range(int(J)):
+            want = want / (1.0 + eta * p.power(2 * k - HalfInt.of(J).twice))
+        assert np.asarray(q_function(J, p, eta)).tobytes() == want.tobytes()
+
     def test_classical_dispatch(self):
         assert q_function(1, P_CLASS, 3.0) == pytest.approx(0.25)
         v = q_function(0.5, P_CLASS, 3.0)
@@ -614,6 +631,7 @@ def test_scalar_gives_the_bits_of_the_one_element_array(name, monkeypatch):
     # memos that store nothing, so that both sides are computed
     monkeypatch.setattr(qspecial, "_l_memo", qspecial._ExactMemo(0))
     monkeypatch.setattr(qspecial, "_product_memo", qspecial._ExactMemo(0))
+    monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
     route, points = SCALAR_ROUTES[name]
     for x in points:
         scalar, array = route(x), route(np.array([x]))
@@ -693,7 +711,23 @@ class TestPsiTower:
         assert got.shape == want.shape == (len(ms),) + np.broadcast(u, v).shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
+                             ids=["q1.3", "tau0.2"])
+    def test_shared_powers_keep_the_bits_of_the_term_by_term_sum(self, p):
+        u, v = TOWER_POINTS["stacked"]
+        J, N = HalfInt.of(3), HalfInt.of(1)
+        ms = tuple(HalfInt(t) for t in range(J.twice, -J.twice - 1, -2))
+        got = psi(J, ms, N, p, u, v)
+        qval = q_function(J, p, u * v)
+        for row, M in zip(got, ms):
+            lead, mn, terms = qspecial._psi_record(J, M, N, p)
+            poly = np.zeros_like(u)
+            for k, c in terms:
+                poly = poly + c * u ** k * v ** (k + mn)
+            assert row.tobytes() == np.asarray(lead * qval * poly, dtype=complex).tobytes()
+
     def test_evaluates_q_once(self, monkeypatch):
+        monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
         calls = []
         q_function = qspecial.q_function
 
@@ -715,6 +749,110 @@ class TestPsiTower:
     def test_bad_weights_rejected(self, M):
         with pytest.raises(ValueError):
             psi(1, M, 0, P_TWO, 0.5, 0.5)
+
+
+class TestPsiMemo:
+    """psi's memo, keyed on (J, the weights, N, p, the shapes and the
+    complex bytes of u and v), under the _ExactMemo rules."""
+
+    U = np.array([0.3, 1.0 + 0.5j, 4.0])
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo = qspecial._psi_memo
+        monkeypatch.setattr(memo, "entries", {})
+        monkeypatch.setattr(memo, "nbytes", 0)
+        return memo
+
+    @pytest.fixture
+    def misses(self, memo, monkeypatch):
+        """Arguments of the uncached evaluations that run after emptying the memo."""
+        calls = []
+        uncached = qspecial._psi_rows
+
+        def counted(*args):
+            calls.append(args)
+            return uncached(*args)
+
+        monkeypatch.setattr(qspecial, "_psi_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("M", [0.5, (1.5, 0.5, -0.5)], ids=["member", "tower"])
+    def test_hit_is_a_fresh_copy_with_the_bits_of_a_miss(self, misses, M):
+        u, v = self.U, np.conj(self.U)
+        first = psi(1.5, M, 0.5, P_TWO, u, v)
+        want = first.copy()
+        first[...] = 0.0
+        second = psi(1.5, M, 0.5, P_TWO, u, v)
+        assert second.tobytes() == want.tobytes()
+        second[...] = 0.0
+        assert psi(1.5, M, 0.5, P_TWO, u, v).tobytes() == want.tobytes()
+        assert len(misses) == 1
+        fresh = qspecial._psi_rows(*misses[0])[0]
+        assert fresh.reshape(want.shape).tobytes() == want.tobytes()
+
+    def test_scalar_and_one_element_array_share_an_entry(self, misses):
+        u, v = 0.7 * np.exp(0.4j), 0.7 * np.exp(-0.4j)
+        scalar = psi(1.5, 0.5, 0.5, P_TWO, u, v)
+        array = psi(1.5, 0.5, 0.5, P_TWO, np.array([u]), np.array([v]))
+        assert len(misses) == 1
+        assert isinstance(scalar, complex) and array.shape == (1,)
+        assert np.array([scalar]).tobytes() == array.tobytes()
+
+    def test_distinct_inputs_never_share_an_entry(self, misses):
+        a, b, c = 0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.9j
+        calls = [
+            lambda: psi(1.5, 0.5, 0.5, P_TWO, a, b),
+            lambda: psi(1.5, 0.5, 0.5, P_TWO, b, a),
+            lambda: psi(1.5, -0.5, 0.5, P_TWO, a, b),
+            lambda: psi(1.5, (0.5, -0.5), 0.5, P_TWO, a, b),
+            lambda: psi(1.5, 0.5, 0.5, P_TWO.inverse(), a, b),
+            lambda: psi(1.5, 0.5, 0.5, P_TWO, np.array([[a]]), b),
+            # the same bytes of u and v together, split differently
+            lambda: psi(1.5, 0.5, 0.5, P_TWO, np.array([a, b]), np.array([c])),
+            lambda: psi(1.5, 0.5, 0.5, P_TWO, np.array([a]), np.array([b, c])),
+        ]
+        first = [call() for call in calls]
+        again = [call() for call in calls]
+        assert len(misses) == len(calls)
+        for x, y in zip(first, again):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    def test_errors_on_every_call(self, memo, misses):
+        # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2; at q = 2 the
+        # J = 1 factor 1 + eta q^-2 vanishes at eta = -4
+        p = QParam.unit_circle(math.pi / 4 + 0.05)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="negative radicand"):
+                psi(2, 0, 0, p, 0.5, 0.5)
+            with pytest.raises(ValueError, match="finite-product pole: factor k=0"):
+                psi(1, 0, 0, P_TWO, -4.0, 1.0)
+        assert len(misses) == 6
+        assert memo.entries == {}
+
+    # at tau = 1, J = 1/2, the L argument q^-1 u v is 1e-4 e^(i(pi - 9e-7)),
+    # within the margin of the Log branch cut; its quadrature converges
+    CUT_P = QParam.unit_circle(1.0)
+    CUT_U = 1e-4 * np.exp(1j * (math.pi - 9e-7)) / CUT_P.power(-1.0)
+
+    def test_branch_cut_warning_on_every_call(self, memo, misses):
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="branch cut"):
+                psi(0.5, 0.5, 0.5, self.CUT_P, self.CUT_U, 1.0)
+        assert len(misses) == 3
+        assert memo.entries == {}
+
+    def test_silenced_warning_is_still_not_stored(self, memo, misses):
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                psi(0.5, 0.5, 0.5, self.CUT_P, self.CUT_U, 1.0)
+        assert len(misses) == 2
+        assert memo.entries == {}
+
+    def test_has_its_own_byte_bound(self):
+        assert qspecial._psi_memo.max_bytes == qspecial.MEMO_MAX_BYTES
+        assert qspecial._psi_memo not in (qspecial._l_memo, qspecial._product_memo)
 
 
 class TestVilenkin:

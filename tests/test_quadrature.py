@@ -78,3 +78,41 @@ def test_gauss_legendre_cached_read_only_and_exact():
 def test_returns_named_tuple():
     res = radial_integral(lambda rho: 1.0 / (1 + rho ** 2) ** 2)
     assert isinstance(res, PlaneIntegral)
+
+
+@pytest.mark.parametrize("n", [quadrature.RADIAL_NODES * 2 ** k
+                               for k in range(quadrature.MAX_REFINEMENTS + 1)])
+def test_gauss_legendre_is_leggauss_bit_for_bit_on_every_level(n):
+    s, w = gauss_legendre(n)
+    s_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def _recorded(F):
+    """F, and the node counts of the calls it receives."""
+    sizes = []
+
+    def recorded(rho):
+        sizes.append(rho.size)
+        return F(rho)
+    return recorded, sizes
+
+
+def test_converging_at_level_one_calls_the_integrand_once():
+    # the map makes this integrand constant in s, so levels 0 and 1 agree
+    F, sizes = _recorded(lambda rho: 2.0 / (1 + rho ** 2) ** 2)
+    res = radial_integral(F)
+    n = quadrature.RADIAL_NODES
+    assert sizes == [3 * n]
+    rho0, w0 = radial_rule(n)
+    rho1, w1 = radial_rule(2 * n)
+    assert res.value == complex(w1 @ (2.0 / (1 + rho1 ** 2) ** 2).astype(complex))
+    assert res.error == abs(res.value - complex(w0 @ (2.0 / (1 + rho0 ** 2) ** 2).astype(complex)))
+
+
+def test_later_levels_each_take_one_call():
+    F, sizes = _recorded(lambda rho: np.exp(-rho ** 2))
+    radial_integral(F)
+    n = quadrature.RADIAL_NODES
+    assert len(sizes) >= 2
+    assert sizes == [3 * n] + [n * 2 ** k for k in range(2, len(sizes) + 1)]

@@ -62,6 +62,20 @@ class TestSamplePoints:
         assert np.all((np.abs(u) >= 0.3) & (np.abs(u) <= 3.0))
         assert np.allclose(v, np.conj(u))
 
+    def test_eighth_turn_phases_all_drawn(self):
+        u, _ = sample_points(200, seed=4)
+        turns = np.angle(u) / (math.pi / 4)
+        assert np.allclose(turns, np.round(turns), atol=1e-12)
+        assert set(np.round(turns).astype(int) % 8) == set(range(8))
+
+    @pytest.mark.parametrize("call", [lambda: sample_points(20, seed=-1),
+                                      lambda: suites._span_pairs(2, HalfInt.of(0), -1)],
+                             ids=["sample-points", "span-pairs"])
+    def test_negative_seed_rejected(self, call):
+        # random.Random would draw for seed 1 instead
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            call()
+
 
 class TestMatrixSuite:
     def test_passes_real_and_circle(self):
