@@ -205,11 +205,15 @@ def _divide_factors(J: HalfInt, p: QParam, arr, out):
     J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}.  The factors are
     built in one array, stacked along a new first axis, and divided in
     order of k."""
-    powers = np.array([p.power(2 * k - J.twice) for k in range(J.twice // 2)], dtype=complex)
-    factors = 1.0 + arr * powers.reshape(powers.shape + (1,) * arr.ndim)
-    poles = np.any(np.abs(factors) < POLE_TOL, axis=tuple(range(1, factors.ndim)))
+    n = J.twice // 2
+    if n == 0:
+        return out
+    powers = np.array([p.power(2 * k - J.twice) for k in range(n)])
+    factors = 1.0 + arr * powers.reshape((n,) + (1,) * arr.ndim)
+    poles = np.abs(factors) < POLE_TOL
     if poles.any():
-        raise ValueError(f"finite-product pole: factor k={int(np.argmax(poles))} vanishes")
+        k = int(np.argmax(poles.reshape(n, -1).any(axis=1)))
+        raise ValueError(f"finite-product pole: factor k={k} vanishes")
     for factor in factors:
         out = out / factor
     return out
