@@ -202,19 +202,11 @@ def q_finite_product(J, p: QParam, eta):
 
 def _divide_factors(J: HalfInt, p: QParam, arr, out):
     """out / prod_{k < floor(J)} (1 + q^(2k-2J) eta), for J >= 0: the
-    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}.  The factors are
-    built in one array, stacked along a new first axis, and divided in
-    order of k."""
-    n = J.twice // 2
-    if n == 0:
-        return out
-    powers = np.array([p.power(2 * k - J.twice) for k in range(n)])
-    factors = 1.0 + arr * powers.reshape((n,) + (1,) * arr.ndim)
-    poles = np.abs(factors) < POLE_TOL
-    if poles.any():
-        k = int(np.argmax(poles.reshape(n, -1).any(axis=1)))
-        raise ValueError(f"finite-product pole: factor k={k} vanishes")
-    for factor in factors:
+    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}."""
+    for k in range(J.twice // 2):
+        factor = 1.0 + arr * p.power(2 * k - J.twice)
+        if np.any(np.abs(factor) < POLE_TOL):
+            raise ValueError(f"finite-product pole: factor k={k} vanishes")
         out = out / factor
     return out
 

@@ -122,14 +122,15 @@ def radial_integral(F: Callable) -> PlaneIntegral:
     rho1, w1 = radial_rule(2 * RADIAL_NODES)
     vals = np.asarray(F(np.concatenate((rho0, rho1))), dtype=complex)
     prev = complex(w0 @ vals[:RADIAL_NODES])
-    for level in range(1, MAX_REFINEMENTS + 1):
-        if level == 1:
-            est = complex(w1 @ vals[RADIAL_NODES:])
-        else:
-            rho, w = radial_rule(RADIAL_NODES * 2 ** level)
-            est = complex(w @ np.asarray(F(rho), dtype=complex))
+    est = complex(w1 @ vals[RADIAL_NODES:])
+    err = abs(est - prev)
+    if err < ABS_TOL:
+        return PlaneIntegral(est, err)
+    for level in range(2, MAX_REFINEMENTS + 1):
+        prev = est
+        rho, w = radial_rule(RADIAL_NODES * 2 ** level)
+        est = complex(w @ np.asarray(F(rho), dtype=complex))
         err = abs(est - prev)
         if err < ABS_TOL:
             return PlaneIntegral(est, err)
-        prev = est
     raise RuntimeError("radial integral did not converge within max_refinements")

@@ -28,9 +28,8 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._l_memo)
 
-    legendre = np.polynomial.legendre
     leggauss_n = []
-    leggauss = legendre.leggauss
+    leggauss = quadrature._leggauss
 
     def counted_leggauss(n):
         leggauss_n.append(n)
@@ -51,7 +50,7 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
         keys.append((p, arr.shape, arr.tobytes()))
         return l_function(p, eta)
 
-    monkeypatch.setattr(legendre, "leggauss", counted_leggauss)
+    monkeypatch.setattr(quadrature, "_leggauss", counted_leggauss)  # gauss_legendre builds its rules there
     monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)
     monkeypatch.setattr(qspecial, "l_function", recorded_l_function)
     try:
