@@ -41,7 +41,7 @@ CONJ_SYMMETRY_TOL = 1e-8
 GRAM_TOL = 1e-6
 LIMIT_SHRINK_TOL = 1.0       # residual is 8*d(h/10)/d(h); < 1 means at least linear
 LIMIT_DEVIATION_TOL = 1e-5
-VILENKIN_LIMIT_TOL = 1e-6
+VILENKIN_LIMIT_TOL = 1e-9
 VILENKIN_CLASSICAL_TOL = 1e-12
 
 STENCIL_N_VALUES = (0, 0.5, 1)   # the N of each ladder and casimir case

@@ -41,7 +41,7 @@ GRAM_TOL = 1e-6
 GRAM_SHRINK = 10.0
 ADJOINT_TOL = 1e-7
 SYMMETRY_TOL = 1e-8
-VILENKIN_TOL = 1e-6
+VILENKIN_TOL = 1e-9
 CROSS_REAL_TOL = 1e-12
 CROSS_CIRCLE_TOL = 1e-8
 

@@ -43,7 +43,9 @@ verify_ladder_tau0.2_Jmax1.5_tol1e-9) were written again after those
 draws moved from numpy.random to the standard library's random.Random:
 only the ladder, casimir, adjoint and conjugate symmetry residuals moved,
 as they are taken at other points, and every exit code and pass flag
-held.  Running
+held.  The twelve recordings that run the limit suite were written again
+after its vilenkin limit tolerance went from 1e-6 to 1e-9; only the tol
+fields of the four vilenkin limit rows changed.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
