@@ -176,7 +176,7 @@ def q_factorial(n: int, p: QParam) -> float:
         raise ValueError(f"q_factorial needs an integer, got {n}")
     n = int(n)
     if n < 0:
-        raise ValueError("q_factorial undefined for n < 0; use inv_q_factorial")
+        raise ValueError("q_factorial undefined for n < 0")
     out = 1.0
     for k in range(2, n + 1):
         out *= q_number(k, p)
@@ -184,16 +184,6 @@ def q_factorial(n: int, p: QParam) -> float:
             name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
             raise ValueError(f"q-factorial [{n}]! leaves the float range at {name} = {p.value!r}")
     return out
-
-
-def inv_q_factorial(n: int, p: QParam) -> float:
-    """1/[n]! for n >= 0, exactly 0 for negative integer n."""
-    if n != int(n):
-        raise ValueError(f"inv_q_factorial needs an integer, got {n}")
-    n = int(n)
-    if n < 0:
-        return 0.0
-    return 1.0 / q_factorial(n, p)
 
 
 def check_not_root_of_unity(p: QParam, n_max: int) -> None:

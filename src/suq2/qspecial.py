@@ -11,9 +11,11 @@ unit-circle q.  Half-integer J divides Q_{1/2} by the factors
 (1 + q^(2k-2J) eta), k < J - 1/2, whose product is Q for integer J: this
 telescopes from the product at real q, and follows from
 L(q eta) - L(q^-1 eta) = Log(1 + eta) on the circle (Faddeev & Kashaev,
-hep-th/9310070).  On top of Q sit the terminating R polynomials, the
-normalization constants, the basis functions psi on the plane, and the
-q-Vilenkin functions on (-1, 1).
+hep-th/9310070).  On top of Q sit the terminating R polynomials, whose
+coefficients follow from one another by term ratios and whose one Horner
+sum serves both R and psi, the normalization constants, and the basis
+functions psi = (norm) Q_J(uv) R(uv) v^(M+N) on the plane.  The q-Vilenkin
+functions on (-1, 1) are psi on the diagonal u = v, rescaled.
 
 eta is accepted as complex everywhere: q-dilated arguments in the circle
 regime rotate eta off the positive axis, and the functional-equation residual
@@ -32,8 +34,8 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
-    inv_q_factorial,
     q_factorial,
+    q_number,
     validate_triple,
 )
 
@@ -159,36 +161,50 @@ def _ret(arr, scalar):
 
 
 def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
-    """Yield (k, c_k) of the R k-sum, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
+    """(k0, (c_k0, ..., c_kmax)) of R, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
 
-    The range k = max(0, -(M+N)) .. min(J-M, J-N) is exactly where no
-    inverse factorial vanishes.  A lead [J-N]![J-M]! that overflows is
-    rejected, though each factorial is finite.
+    The range k0 = max(0, -(M+N)) .. kmax = min(J-M, J-N) is exactly where
+    no factorial in c_k is of a negative number.  c_k0 is 1/[M+N]! for
+    M+N >= 0, else prod_{i=1..k0} [J+M+i][J+N+i]/[i]; each next coefficient
+    follows from c_{k+1}/c_k = [J-M-k][J-N-k]/([k+1][M+N+k+1]), so a set
+    takes O(J) q-numbers.  Rejected: a lead [J-N]![J-M]! that overflows,
+    though each factorial is finite, and a [M+N+kmax]! out of the float
+    range, where the last coefficients underflow.
     """
     jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    lead = q_factorial(jn, p) * q_factorial(jm, p)
-    if not math.isfinite(lead):
+    if not math.isfinite(q_factorial(jn, p) * q_factorial(jm, p)):
         name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
         raise ValueError(f"R coefficients for (J,M,N)=({J},{M},{N}) leave the float range "
                          f"at {name} = {p.value!r}")
-    for k in range(max(0, -mn), min(jm, jn) + 1):
-        yield k, (lead
-                  * inv_q_factorial(k, p)
-                  * inv_q_factorial(jm - k, p)
-                  * inv_q_factorial(jn - k, p)
-                  * inv_q_factorial(mn + k, p))
+    k0, kmax = max(0, -mn), min(jm, jn)
+    q_factorial(mn + kmax, p)
+    c = (1.0 / q_factorial(mn, p) if mn >= 0 else
+         math.prod(q_number(float(J + M + i), p) * q_number(float(J + N + i), p)
+                   / q_number(i, p) for i in range(1, k0 + 1)))
+    coeffs = [c]
+    for k in range(k0, kmax):
+        c *= (q_number(jm - k, p) * q_number(jn - k, p)
+              / (q_number(k + 1, p) * q_number(mn + k + 1, p)))
+        coeffs.append(c)
+    return k0, tuple(coeffs)
+
+
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule, on the complex array x."""
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
 
 
 def r_polynomial(J, M, N, p: QParam, eta):
-    """Terminating k-sum sum_k c_k (-eta)^k with q-factorial coefficients
-    (see _r_coefficients); polynomial in eta."""
+    """Terminating k-sum R(eta) = sum_k c_k (-eta)^k (see _r_coefficients),
+    evaluated as (-eta)^k0 P(-eta) with P the Horner sum of the c_k."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
     arr, scalar = _as_complex(eta)
-    out = np.zeros_like(arr)
-    for k, c in _r_coefficients(J, M, N, p):
-        out = out + c * (-arr) ** k
-    return _ret(out, scalar)
+    k0, coeffs = _r_coefficients(J, M, N, p)
+    return _ret((-arr) ** k0 * _horner(coeffs, -arr), scalar)
 
 
 def q_finite_product(J, p: QParam, eta):
@@ -426,10 +442,11 @@ def q_integral_exp(J, p: QParam, eta):
 
 
 def _check_sector(J: HalfInt, p: QParam):
-    """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its equation."""
+    """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its
+    equation and the q-numbers [n], n <= 2J+1, are no longer all positive."""
     if (J.twice + 1) * abs(p.value) >= math.pi:
-        raise ValueError(f"integral-exponential construction for J={J} needs "
-                         f"(2J+1)|tau| < pi, got tau={p.value!r}")
+        raise ValueError(f"J={J} on the circle needs (2J+1)|tau| < pi, "
+                         f"got tau={p.value!r}")
 
 
 def q_function(J, p: QParam, eta):
@@ -505,20 +522,15 @@ def psi(J, M, N, p: QParam, u, v):
 
 def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     """The uncached psi of each weight in ms, stacked, and whether the
-    branch-cut warning was emitted.  Each power of u and of v is formed
-    once and shared by the rows that read it."""
+    branch-cut warning was emitted.  The row of M is
+    lead Q(uv) (-u)^k0 v^(k0+M+N) P(-uv), with P the Horner sum of the R
+    coefficients (see r_polynomial)."""
     warnings_before = _branch_cut_warnings
     records = [_psi_record(J, m, N, p) for m in ms]
-    qval = q_function(J, p, u_arr * v_arr)
-    exponents = {(k, k + mn) for _, mn, terms in records for k, _ in terms}
-    u_pow = {k: u_arr ** k for k in {k for k, _ in exponents}}
-    v_pow = {e: v_arr ** e for e in {e for _, e in exponents}}
-    rows = []
-    for lead, mn, terms in records:
-        poly = np.zeros_like(u_arr)
-        for k, c in terms:
-            poly = poly + c * u_pow[k] * v_pow[k + mn]
-        rows.append(np.asarray(lead * qval * poly, dtype=complex))
+    eta = u_arr * v_arr
+    qval = q_function(J, p, eta)
+    rows = [lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
+            for lead, k0, mn, coeffs in records]
     return np.stack(rows), _branch_cut_warnings != warnings_before
 
 
@@ -536,23 +548,23 @@ def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
 @functools.lru_cache(maxsize=1024)
 def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     """What psi reads for one (J, M, N, p): the norm constant times the phase
-    q^(-NM/2), M+N, and the (k, (-1)^k c_k) of R(eta) v^(M+N) expanded as
-    sum_k (-1)^k c_k u^k v^(k+M+N).  Both exponents are nonnegative over the
-    k range, so psi is polynomial and finite at 0.  A negative radicand
-    raises on every call, as lru_cache stores no error.
-    """
+    q^(-NM/2), k0, M+N and the R coefficients, built first so that an R
+    lead out of the float range is the error reported.  R(uv) v^(M+N) is
+    (-u)^k0 v^(k0+M+N) P(-uv), both exponents nonnegative, so psi is finite
+    at 0.  A negative radicand raises on every call, as lru_cache stores no
+    error."""
+    k0, coeffs = _r_coefficients(J, M, N, p)
     lead = norm_constant(J, M, N, p) * p.power(-float(N) * float(M) / 2.0)
-    terms = tuple((k, -c if k % 2 else c) for k, c in _r_coefficients(J, M, N, p))
-    return lead, (M + N).to_int(), terms
+    return lead, k0, (M + N).to_int(), coeffs
 
 
 def vilenkin(J, M, N, p: QParam, xi):
-    """q-Vilenkin function on xi in (-1, 1), via eta = (1+xi)/(1-xi).
-
-    Carries the fixed phase i^(2J-M-N); at positive real q the remaining
-    factor is real, and at q = 1, N = 0 these reduce to Legendre-type
-    functions.
-    """
+    """q-Vilenkin function on xi in (-1, 1): i^(2J-M-N) sqrt(2 pi/[2J+1])
+    q^(NM/2) psi at u = v = sqrt(eta), eta = (1+xi)/(1-xi), that is
+    sqrt([J+M]![J+N]!/([J-M]![J-N]!)) eta^((M+N)/2) Q_J(eta) R(eta) under the
+    fixed phase i^(2J-M-N).  At positive real q the rest is real, at q = 1,
+    N = 0 these are Legendre-type functions, and on the circle every J needs
+    (2J+1)|tau| < pi."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
     xi_arr = np.asarray(xi, dtype=float)
@@ -561,15 +573,10 @@ def vilenkin(J, M, N, p: QParam, xi):
         xi_arr = xi_arr.reshape(1)
     if np.any(xi_arr <= -1.0) or np.any(xi_arr >= 1.0):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
-    eta = (1.0 + xi_arr) / (1.0 - xi_arr)
-    expo = 2 * J.twice - M.twice - N.twice
-    phase = 1j ** (expo // 2)
-    rad = (q_factorial((J + M).to_int(), p) * q_factorial((J + N).to_int(), p)
-           / (q_factorial((J - M).to_int(), p) * q_factorial((J - N).to_int(), p)))
-    if rad < 0:
-        raise ValueError("negative radicand in vilenkin; circle parameter outside positivity domain")
-    mn = (M + N).to_int()
-    out = (phase * math.sqrt(rad) * eta ** (mn / 2.0)
-           * np.asarray(q_function(J, p, eta), dtype=complex)
-           * np.asarray(r_polynomial(J, M, N, p, eta), dtype=complex))
-    return _ret(np.asarray(out, dtype=complex), scalar)
+    if p.regime is Regime.UNIT_CIRCLE:
+        _check_sector(J, p)
+    root = np.sqrt((1.0 + xi_arr) / (1.0 - xi_arr))
+    scale = (1j ** ((2 * J.twice - M.twice - N.twice) // 2)
+             * math.sqrt(2.0 * math.pi / q_number(J.twice + 1, p))
+             * p.power(float(N) * float(M) / 2.0))
+    return _ret(scale * psi(J, M, N, p, root, root), scalar)

@@ -10,7 +10,6 @@ from suq2 import (
     QParam,
     Regime,
     check_not_root_of_unity,
-    inv_q_factorial,
     m_values,
     q_factorial,
     q_number,
@@ -156,9 +155,6 @@ class TestQFactorial:
         p = QParam.positive_real(2.0)
         assert q_factorial(0, p) == 1.0
         assert q_factorial(3, p) == 13.125  # 1 * 2.5 * 5.25
-        assert inv_q_factorial(2, p) == pytest.approx(0.4, rel=1e-15)
-        assert inv_q_factorial(-1, p) == 0.0
-        assert inv_q_factorial(-5, p) == 0.0
 
     def test_rejects_bad_n(self):
         p = QParam.positive_real(2.0)
@@ -166,12 +162,6 @@ class TestQFactorial:
             q_factorial(-1, p)
         with pytest.raises(ValueError):
             q_factorial(1.5, p)
-
-    @pytest.mark.parametrize("q", [0.5, 2.0, 1.7])
-    def test_inverse_roundtrip(self, q):
-        p = QParam.positive_real(q)
-        for n in range(31):
-            assert q_factorial(n, p) * inv_q_factorial(n, p) == pytest.approx(1.0, rel=1e-12)
 
     def test_classical_matches_factorial(self):
         p = QParam.classical()
@@ -188,8 +178,6 @@ class TestQFactorial:
     def test_leaving_the_float_range_raises(self, n, p, where):
         with pytest.raises(ValueError, match=rf"\[{n}\]! leaves the float range at {where}$"):
             q_factorial(n, p)
-        with pytest.raises(ValueError, match="float range"):  # not a ZeroDivisionError
-            inv_q_factorial(n, p)
 
     def test_largest_classical_factorial_is_finite(self):
         assert q_factorial(170, QParam.classical()) == pytest.approx(float(math.factorial(170)))

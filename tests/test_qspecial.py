@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import re
 import warnings
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suq2 import qspecial
+from suq2 import qcore, qspecial
 from suq2 import (
     HalfInt,
     QParam,
     l_function,
+    m_values,
     norm_constant,
     psi,
     q_factorial,
@@ -82,6 +84,74 @@ class TestRPolynomial:
     def test_rejects_invalid_triple(self):
         with pytest.raises(ValueError):
             r_polynomial(1, 0.5, 0, P_TWO, 1.0)
+
+
+def mpmath_r_coefficients(J, M, N, p):
+    """The c_k of R as exact quotients of q-factorials at 40 digits, built
+    from the float q-numbers the library uses, so that only the arithmetic
+    of the coefficients is measured."""
+    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
+    with mpmath.workdps(40):
+        fact = [mpmath.mpf(1)]
+        for n in range(1, 2 * J.twice + 2):
+            fact.append(fact[-1] * mpmath.mpf(q_number(n, p)))
+        return [fact[jn] * fact[jm] / (fact[k] * fact[jm - k] * fact[jn - k] * fact[mn + k])
+                for k in range(max(0, -mn), min(jm, jn) + 1)]
+
+
+def spin_sample(J):
+    """The weights -J, -J+1, 0 or 1/2, J-1 and J, as far as they are weights of J."""
+    t = J.twice
+    return sorted({m for m in (-t, 2 - t, t % 2, t - 2, t) if -t <= m <= t}, key=int)
+
+
+class TestRCoefficients:
+    """The term-ratio coefficients of R against exact q-factorial quotients."""
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.positive_real(0.7), P_CLASS,
+                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.05)],
+                             ids=["q1.3", "q0.7", "q1", "tau0.2", "tau-0.05"])
+    def test_against_mpmath_quotients(self, p):
+        accepted = 0
+        for twice in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 77, 89, 100):  # J <= 50
+            J = HalfInt(twice)
+            for mt, nt in itertools.product(spin_sample(J), repeat=2):
+                M, N = HalfInt(mt), HalfInt(nt)
+                try:
+                    k0, coeffs = qspecial._r_coefficients(J, M, N, p)
+                except ValueError as err:
+                    assert "float range" in str(err)
+                    continue
+                want = mpmath_r_coefficients(J, M, N, p)
+                assert k0 == max(0, -(M + N).to_int()) and len(coeffs) == len(want)
+                for got, exact in zip(coeffs, want):
+                    assert abs(got - exact) <= 1e-14 * abs(exact), (J, M, N)
+                accepted += 1
+        assert accepted >= 150
+
+    def test_a_set_takes_linear_q_number_calls(self, monkeypatch):
+        # the coefficients by ratios: O(J) q-numbers, where four factorials
+        # per coefficient would take O(J^2)
+        calls = []
+        q_number_ = qcore.q_number
+
+        def counted(x, p):
+            calls.append(x)
+            return q_number_(x, p)
+        monkeypatch.setattr(qcore, "q_number", counted)
+        monkeypatch.setattr(qspecial, "q_number", counted)
+        J, p = HalfInt.of(30), QParam.positive_real(1.1)
+        for mt, nt in itertools.product(range(-60, 61, 6), repeat=2):
+            calls.clear()
+            r_polynomial(J, HalfInt(mt), HalfInt(nt), p, 0.5)
+            assert 0 < len(calls) <= 10 * (30 + 1), (mt, nt)
+
+    def test_the_reach_refuses_a_factorial_out_of_the_float_range(self):
+        # [M+N+kmax]! = [J+min(M,N)]! overflows at q = 1.3 for J = 45, M = N = 30,
+        # where the last coefficients would underflow to 0
+        with pytest.raises(ValueError, match=r"\[75\]! leaves the float range at q = 1.3"):
+            qspecial._r_coefficients(HalfInt.of(45), HalfInt.of(30), HalfInt.of(30),
+                                     QParam.positive_real(1.3))
 
 
 class TestQConstructions:
@@ -713,18 +783,22 @@ class TestPsiTower:
 
     @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
                              ids=["q1.3", "tau0.2"])
-    def test_shared_powers_keep_the_bits_of_the_term_by_term_sum(self, p):
+    def test_rows_have_the_bits_of_the_horner_form(self, p):
+        # row M = lead Q(uv) (-u)^k0 v^(k0+M+N) P(-uv), P(x) = sum_j c_(k0+j) x^j
         u, v = TOWER_POINTS["stacked"]
         J, N = HalfInt.of(3), HalfInt.of(1)
         ms = tuple(HalfInt(t) for t in range(J.twice, -J.twice - 1, -2))
         got = psi(J, ms, N, p, u, v)
         qval = q_function(J, p, u * v)
+        k0s = []
         for row, M in zip(got, ms):
-            lead, mn, terms = qspecial._psi_record(J, M, N, p)
-            poly = np.zeros_like(u)
-            for k, c in terms:
-                poly = poly + c * u ** k * v ** (k + mn)
-            assert row.tobytes() == np.asarray(lead * qval * poly, dtype=complex).tobytes()
+            lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, p)
+            poly = np.full_like(u, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                poly = poly * -(u * v) + c
+            assert row.tobytes() == (lead * qval * (-u) ** k0 * v ** (k0 + mn) * poly).tobytes()
+            k0s.append(k0)
+        assert k0s == [0, 0, 0, 0, 0, 1, 2]  # M+N = 4 .. -2
 
     def test_evaluates_q_once(self, monkeypatch):
         monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
@@ -882,6 +956,37 @@ class TestVilenkin:
             vilenkin(1, 0, 0, P_TWO, 1.0)
         with pytest.raises(ValueError):
             vilenkin(1, 0, 0, P_TWO, -1.5)
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.4), QParam.positive_real(0.6), P_CLASS,
+                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.13)],
+                             ids=["q1.4", "q0.6", "q1", "tau0.2", "tau-0.13"])
+    def test_matches_the_radicand_formula(self, p):
+        # psi on the diagonal against the formula it replaced
+        xi = np.linspace(-0.9, 0.9, 7)
+        for J in (HalfInt(t) for t in range(9)):
+            for M, N in itertools.product(m_values(J), repeat=2):
+                got = np.asarray(vilenkin(J, M, N, p, xi))
+                want = radicand_vilenkin(J, M, N, p, xi)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (J, M, N)
+
+    def test_the_circle_needs_the_sector_for_every_j(self):
+        xi = np.linspace(-0.9, 0.9, 7)
+        # (2J+1)|tau| = 3.213 > pi; the radicand [8]![8]! is still positive
+        with pytest.raises(ValueError, match="tau"):
+            vilenkin(4, 4, 4, QParam.unit_circle(0.357), xi)
+        for J, tau in [(4, 0.349), (4, -0.349), (3.5, 0.39), (3.5, -0.39)]:
+            for M, N in itertools.product(m_values(HalfInt.of(J)), repeat=2):
+                assert np.all(np.isfinite(vilenkin(J, M, N, QParam.unit_circle(tau), xi)))
+
+
+def radicand_vilenkin(J, M, N, p, xi):
+    """vilenkin as its own formula: i^(2J-M-N) sqrt([J+M]![J+N]!/([J-M]![J-N]!))
+    eta^((M+N)/2) Q_J(eta) R(eta) at eta = (1+xi)/(1-xi)."""
+    eta = (1.0 + xi) / (1.0 - xi)
+    rad = (q_factorial((J + M).to_int(), p) * q_factorial((J + N).to_int(), p)
+           / (q_factorial((J - M).to_int(), p) * q_factorial((J - N).to_int(), p)))
+    return (1j ** ((2 * J.twice - M.twice - N.twice) // 2) * math.sqrt(rad)
+            * eta ** (float(M + N) / 2.0) * q_function(J, p, eta) * r_polynomial(J, M, N, p, eta))
 
 
 def per_factor_infinite_product(J, p, eta):
