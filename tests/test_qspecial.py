@@ -150,8 +150,7 @@ class TestRCoefficients:
         # [M+N+kmax]! = [J+min(M,N)]! overflows at q = 1.3 for J = 45, M = N = 30,
         # where the last coefficients would underflow to 0
         with pytest.raises(ValueError, match=r"\[75\]! leaves the float range at q = 1.3"):
-            qspecial._r_coefficients(HalfInt.of(45), HalfInt.of(30), HalfInt.of(30),
-                                     QParam.positive_real(1.3))
+            r_polynomial(45, 30, 30, QParam.positive_real(1.3), 0.5)
 
 
 class TestQConstructions:
