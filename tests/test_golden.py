@@ -1,71 +1,33 @@
 """Golden CLI outputs: every byte except runtime_ms must match the recording.
 
 Each file under tests/golden/ was written by the CLI before the source
-change it guards (the l_function memo and cached Gauss-Legendre rules, the
-merge of the duplicated evaluators, the removal of unused options, the
-blocked real-q infinite product, then the real-q product memo and the psi
-record cache), so this test proves those changes alter no printed number.
-The eight circle recordings (tau given) were written again after L moved
-to a Gauss-Kronrod rule, which changes last bits on the circle only.  The
-seven recordings that run the hermiticity suite (verify_all_q1.2,
-verify_all_q0.7_N0.5_Jmax2.5, verify_all_q2.5_N0.5_seed3, verify_all_tau0.2,
-verify_all_tau-0.12, verify_all_tau0.25_Jmax1.5 and
-verify_hermiticity_q1.3_N0.5_seed3) were written again after the scalar
-products of decomposed families moved from the plane grid to the
-mode-matched radial path; only the adjoint and conjugate symmetry
-residuals changed.  The eight recordings that run the matrix or funceq
-suite were written again after those residuals were scaled by the terms
-they compare; only the matrix and funceq residuals changed.  The eleven
-verify_all recordings at the corners of the benchmark ranges (tau +-0.10
-and 0.29 with seed 5; q = e^(+-0.1) and e^(+-1.0), each with N 0 and
-N 1/2) were written before the stencils evaluated their operand on the
-stacked dilations; three of them were written again after it
-(verify_all_tau0.29_seed5, and verify_all_q0.904837 with N 0 and N 1/2),
-as a stacked call moves the panels of L and the stop of the real-q
-product, and with them the last bits of a few ladder and casimir
-residuals.  The twelve recordings that run the limit suite (every verify
---suite all at real q, and at q = 1) were written again after the vilenkin
-limit rows moved from two-point to three-point extrapolation; only those
-four rows changed.  The twenty-six recordings that evaluate Q at a
-half-integer J >= 3/2 in a deformed regime were written again after
-q_function built that Q as Q_{1/2} divided by the finite-product factors,
-in place of the infinite product or the L difference at J itself: the
-eval recordings eval_Q_J1.5_q0.8, eval_psi_J1.5_M0.5_N0.5_q0.7,
-eval_psi_J1.5_M0.5_N0.5_tau0.2 and eval_vilenkin_J2.5_M0.5_N1.5_q1.4,
-gram_N0.5_Jmax1.5_tau0.2, and every verify recording but verify_all_q1.
-Values moved in the last bits only (at most 1.9e-15 relative in the eval
-recordings); every exit code and pass flag held, and no verify
-recording's worst residual/tol grew.  The twenty recordings that draw
-sample points or span pairs (every verify_all recording but
-verify_all_q1, verify_casimir_q0.8_Jmax2,
-verify_hermiticity_q1.3_N0.5_seed3 and
-verify_ladder_tau0.2_Jmax1.5_tol1e-9) were written again after those
-draws moved from numpy.random to the standard library's random.Random:
-only the ladder, casimir, adjoint and conjugate symmetry residuals moved,
-as they are taken at other points, and every exit code and pass flag
-held.  The twelve recordings that run the limit suite were written again
-after its vilenkin limit tolerance went from 1e-6 to 1e-9; only the tol
-fields of the four vilenkin limit rows changed.  The twenty-eight
-recordings that evaluate psi or vilenkin (the psi and vilenkin eval
-recordings, the three gram recordings and every verify recording but
-verify_funceq_q0.8_J1.5) were written again after R took its coefficients
-by term ratios and its sum by Horner's rule, and vilenkin became psi on
-the diagonal.  Values moved in the last bits only (at most 4.4e-16 of the
-largest value of an eval or gram table); every exit code and pass flag
-held, and no verify recording's worst residual/tol grew by more than 4%
-(verify_hermiticity_q1.3_N0.5_seed3, 1.394e-7 to 1.448e-7).  Running
+change it guards, so this test proves such a change alters no printed
+number.  A change that moves output on purpose re-records the files it
+moves in a commit of its own; CHANGES.md lists every re-record, the files
+it touched and why.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
 writes only the recordings that do not exist yet; an existing file is never
 overwritten.  To re-record one after a deliberate change of output, delete
-it first.
+it first.  Running
+
+    PYTHONPATH=src python tests/test_golden.py --compare
+
+writes nothing: for each recording that the CLI no longer reproduces it
+prints the worst residual/tol before and after (verify recordings), the
+largest value change relative to the largest value of the recording, and
+any change of exit code or pass flag.
 """
 import contextlib
 import io
+import json
+import math
 import pathlib
 import re
+import sys
 
+import numpy as np
 import pytest
 
 from suq2 import cli
@@ -147,10 +109,110 @@ def test_output_matches_golden(name):
     assert render(CASES[name]) == want
 
 
+
+def test_compare_names_what_moved():
+    before = (GOLDEN_DIR / "verify_funceq_q0.8_J1.5.json").read_text()
+    doc = json.loads(before.split("\n", 1)[1])
+    case = doc["cases"][0]
+    case["residual"], case["pass"] = 2 * case["tol"], False
+    after = "exit=1\n" + json.dumps(doc, indent=2) + "\n"
+    report = compare("verify", before, after)
+    assert "exit=0 -> exit=1" in report
+    assert f"pass {case['name']}: True -> False" in report
+    assert f"-> 2.000e+00 ({case['name']})" in report
+    table = (GOLDEN_DIR / "gram_N0_Jmax2_q1.2.csv").read_text()
+    moved = table.replace("0.99999999999999989", "0.99999999999999978", 1)
+    assert "largest value change 1.11e-16 of the largest |value| 1" in compare("gram", table, moved)
+    matrix = (GOLDEN_DIR / "gram_N0.5_Jmax1.5_tau0.2.json").read_text()
+    moved = matrix.replace("-1.1107897455151397e-15", "-1.1107897455151397e-13", 1)
+    assert "largest value change 1.10e-13 of the largest |value| 1" in compare("gram", matrix, moved)
+
+def _values(text) -> list:
+    """The printed values of an eval or gram rendering, in order: the re and
+    im columns of a CSV table, the re and im of each JSON row, the entries
+    of a JSON matrix."""
+    body = text.split("\n", 1)[1]
+    try:
+        doc = json.loads(body)
+    except ValueError:
+        rows = [line.split(",") for line in body.splitlines() if not line.startswith("#")]
+        if not rows:
+            return []
+        cols = [rows[0].index("re"), rows[0].index("im")]
+        return [float(row[c]) for row in rows[1:] for c in cols]
+    if "rows" in doc:
+        return [row[k] for row in doc["rows"] for k in ("re", "im")]
+    return np.ravel(doc.get("matrix", [])).tolist()
+
+
+def _cases(text):
+    """{case name: (residual, tol, pass)} of a verify rendering, else None."""
+    try:
+        doc = json.loads(text.split("\n", 1)[1])
+    except ValueError:
+        return None
+    if not isinstance(doc, dict) or "cases" not in doc:
+        return None
+    return {c["name"]: (c["residual"], c["tol"], c["pass"]) for c in doc["cases"]}
+
+
+def _worst(cases) -> str:
+    name, (res, tol, _) = max(cases.items(), key=lambda kv: kv[1][0] / kv[1][1])
+    return f"{res / tol:.3e} ({name})"
+
+
+def compare(name, before, after) -> str:
+    """What moved between two renderings of one recording: the exit code,
+    and for a verify recording the worst residual/tol, the largest relative
+    change of a residual and every pass flag that changed; for any other,
+    the largest value change relative to the largest |value| recorded."""
+    lines = [name]
+    exit_before, exit_after = before.split("\n", 1)[0], after.split("\n", 1)[0]
+    if exit_before != exit_after:
+        lines.append(f"  {exit_before} -> {exit_after}")
+    cb, ca = _cases(before), _cases(after)
+    if cb is not None and ca is not None:
+        lines.append(f"  worst residual/tol {_worst(cb)} -> {_worst(ca)}")
+        moved = [(abs(ca[k][0] - cb[k][0]) / max(abs(ca[k][0]), abs(cb[k][0])), k)
+                 for k in cb.keys() & ca.keys() if ca[k][0] != cb[k][0]]
+        if moved:
+            change, case = max(moved)
+            lines.append(f"  {len(moved)} of {len(ca)} residuals moved, the most by "
+                         f"{change:.2e} relative ({case}: {cb[case][0]:.3e} -> {ca[case][0]:.3e})")
+        tols = sorted(k for k in cb.keys() & ca.keys() if ca[k][1] != cb[k][1])
+        if tols:
+            lines.append(f"  tol moved in {len(tols)} cases: " + ", ".join(
+                f"{k} {cb[k][1]:g} -> {ca[k][1]:g}" for k in tols))
+        for k in sorted(cb.keys() | ca.keys()):
+            flag_before = cb[k][2] if k in cb else "absent"
+            flag_after = ca[k][2] if k in ca else "absent"
+            if flag_before != flag_after:
+                lines.append(f"  pass {k}: {flag_before} -> {flag_after}")
+        return "\n".join(lines)
+    nb, na = _values(before), _values(after)
+    if len(nb) != len(na):
+        lines.append(f"  {len(nb)} -> {len(na)} values")
+        return "\n".join(lines)
+    scale = max((abs(x) for x in nb if math.isfinite(x)), default=0.0) or 1.0
+    change = max((abs(a - b) for a, b in zip(nb, na) if a != b), default=0.0)
+    lines.append(f"  largest value change {change / scale:.2e} of the largest |value| {scale:.6g}")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        path = GOLDEN_DIR / name
-        if not path.exists():
-            path.write_text(render(argv))
-            print(f"recorded {path}")
+    if sys.argv[1:] == ["--compare"]:
+        reports = []
+        for name, argv in CASES.items():
+            path = GOLDEN_DIR / name
+            if path.exists():
+                before, after = path.read_text(), render(argv)
+                if before != after:
+                    reports.append(compare(name, before, after))
+        print("\n".join(reports) if reports else f"all {len(CASES)} recordings match")
+    else:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        for name, argv in CASES.items():
+            path = GOLDEN_DIR / name
+            if not path.exists():
+                path.write_text(render(argv))
+                print(f"recorded {path}")
