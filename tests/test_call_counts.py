@@ -97,9 +97,9 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     norm_constants = []
     norm_constant = qspecial.norm_constant
 
-    def counted_norm_constant(J, M, N, p):
+    def counted_norm_constant(J, M, N, p, fact):
         norm_constants.append((J, M, N, p))
-        return norm_constant(J, M, N, p)
+        return norm_constant(J, M, N, p, fact)
 
     monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
     monkeypatch.setattr(qspecial, "q_infinite_product", recorded_product)
@@ -203,9 +203,9 @@ def test_psi_errors_fire_on_every_call(monkeypatch):
     norm_constants = []
     norm_constant = qspecial.norm_constant
 
-    def counted_norm_constant(J, M, N, p):
+    def counted_norm_constant(J, M, N, p, fact):
         norm_constants.append((J, M, N, p))
-        return norm_constant(J, M, N, p)
+        return norm_constant(J, M, N, p, fact)
 
     monkeypatch.setattr(qspecial, "norm_constant", counted_norm_constant)
     # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -151,6 +152,77 @@ class TestRCoefficients:
         # where the last coefficients would underflow to 0
         with pytest.raises(ValueError, match=r"\[75\]! leaves the float range at q = 1.3"):
             r_polynomial(45, 30, 30, QParam.positive_real(1.3), 0.5)
+
+
+def product_q_factorial(n, p):
+    """q_factorial as it was: its own running product [2][3]...[n]."""
+    out = 1.0
+    for k in range(2, n + 1):
+        out *= q_number(k, p)
+        if not sys.float_info.min <= abs(out) < math.inf:
+            raise ValueError("q-factorial")
+    return out
+
+
+def separate_factorial_r_coefficients(J, M, N, p):
+    """_r_coefficients as it was with four q-factorials built apart."""
+    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
+    if not math.isfinite(product_q_factorial(jn, p) * product_q_factorial(jm, p)):
+        raise ValueError("R lead")
+    k0, kmax = max(0, -mn), min(jm, jn)
+    product_q_factorial(mn + kmax, p)
+    c = (1.0 / product_q_factorial(mn, p) if mn >= 0 else
+         math.prod(q_number(float(J + M + i), p) * q_number(float(J + N + i), p)
+                   / q_number(i, p) for i in range(1, k0 + 1)))
+    coeffs = [c]
+    for k in range(k0, kmax):
+        c *= (q_number(jm - k, p) * q_number(jn - k, p)
+              / (q_number(k + 1, p) * q_number(mn + k + 1, p)))
+        coeffs.append(c)
+    return k0, tuple(coeffs)
+
+
+def separate_factorial_norm_constant(J, M, N, p):
+    """norm_constant as it was with six q-factorials built apart."""
+    twoj = J.twice
+    rad1 = (product_q_factorial((J + N).to_int(), p) * product_q_factorial(twoj + 1, p)
+            / product_q_factorial((J - N).to_int(), p))
+    rad2 = (product_q_factorial((J + M).to_int(), p)
+            / (product_q_factorial((J - M).to_int(), p) * product_q_factorial(twoj, p)))
+    if rad1 < 0 or rad2 < 0:
+        raise ValueError("negative radicand")
+    return math.sqrt(rad1) * math.sqrt(rad2) / math.sqrt(2.0 * math.pi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.positive_real(0.7), P_CLASS,
+                               QParam.unit_circle(0.2)], ids=["q1.3", "q0.7", "q1", "tau0.2"])
+def test_one_factorial_table_keeps_every_bit(p):
+    # _psi_record reads the four factorials of R and the six of the norm
+    # from one running product; each is the product q_factorial forms, in
+    # the same order, so coefficients, norms and refusals are unchanged
+    values = refusals = 0
+    for twice in range(61):  # J <= 30
+        J = HalfInt(twice)
+        fact = qcore.q_factorials(twice + 1, p)
+        for mt, nt in itertools.product(spin_sample(J), repeat=2):
+            M, N = HalfInt(mt), HalfInt(nt)
+            want = (_outcome(separate_factorial_r_coefficients, J, M, N, p),
+                    _outcome(separate_factorial_norm_constant, J, M, N, p))
+            for got in ((_outcome(qspecial._r_coefficients, J, M, N, p, fact),
+                         _outcome(norm_constant, J, M, N, p, fact)),
+                        (_outcome(qspecial._r_coefficients, J, M, N, p),
+                         _outcome(norm_constant, J, M, N, p))):
+                assert repr(got) == repr(want), (J, M, N)
+            values += ValueError not in want
+            refusals += ValueError in want
+    assert values > 400 and (refusals > 0) == (p is not P_CLASS)
 
 
 class TestQConstructions:
