@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -536,9 +537,20 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     records = [_psi_record(J, m, N, p) for m in ms]
     eta = u_arr * v_arr
     qval = q_function(J, p, eta)
-    rows = [lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
-            for lead, k0, mn, coeffs in records]
+    rows = []
+    for m, (lead, k0, mn, coeffs) in zip(ms, records):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = lead * qval
+        if not np.all(np.isfinite(scaled)):
+            _float_range_error(J, m, N, p)
+        rows.append(scaled * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta))
     return np.stack(rows), _branch_cut_warnings != warnings_before
+
+
+def _float_range_error(J, M, N, p: QParam):
+    name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
+    raise ValueError(f"psi for (J,M,N)=({J},{M},{N}) leaves the float range "
+                     f"at {name} = {p.value!r}")
 
 
 def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
@@ -556,13 +568,17 @@ def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
 def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     """What psi reads for one (J, M, N, p): the norm constant times the phase
     q^(-NM/2), k0, M+N and the R coefficients, built first so that an R
-    lead out of the float range is the error reported.  R(uv) v^(M+N) is
+    lead out of the float range is the error reported.  A norm that over-
+    or underflows, and in _psi_rows a lead times Q that overflows, raise a
+    ValueError naming (J, M, N) and q.  R(uv) v^(M+N) is
     (-u)^k0 v^(k0+M+N) P(-uv), both exponents nonnegative, so psi is finite
     at 0.  A negative radicand raises on every call, as lru_cache stores no
     error."""
     fact = q_factorials(J.twice + 1, p)
     k0, coeffs = _r_coefficients(J, M, N, p, fact)
     lead = norm_constant(J, M, N, p, fact) * p.power(-float(N) * float(M) / 2.0)
+    if not sys.float_info.min <= abs(lead) < math.inf:
+        _float_range_error(J, M, N, p)
     return lead, k0, (M + N).to_int(), coeffs
 
 

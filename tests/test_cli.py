@@ -207,6 +207,14 @@ class TestEvalErrors:
         code, out, err = run(["eval"] + argv, capsys)
         assert code == 2 and out == "" and msg in err and err.count("\n") == 1
 
+    def test_psi_out_of_float_range_is_one_error_line(self, capsys):
+        # the norm of (50, -49, 0) underflows at tau 0.01; psi refuses the row
+        # before it multiplies that 0 by an R sum that overflows (inf * 0)
+        code, out, err = run(["verify", "--suite", "ladder", "--tau", "0.01",
+                              "--J-max", "100"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: psi for (J,M,N)=(50,-49,0) leaves the float range at tau = 0.01\n"
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

@@ -795,6 +795,25 @@ class TestNormConstant:
             norm_constant(2, 0, 0, p)
 
 
+class TestPsiFloatRange:
+    """psi refuses a row whose lead, or lead times Q, leaves the float range."""
+
+    def test_a_norm_that_underflows_is_refused(self):
+        # at tau 0.01 the norm radicand [J+M]!/([J-M]![2J]!) of (50, -49, 0)
+        # underflows to 0, so every value of the row would be 0 or nan
+        with pytest.raises(ValueError, match=re.escape(
+                "psi for (J,M,N)=(50,-49,0) leaves the float range at tau = 0.01")):
+            psi(50, -49, 0, QParam.unit_circle(0.01), 0.5, 0.5)
+
+    def test_a_lead_times_q_that_overflows_is_refused(self, monkeypatch):
+        # the lead of (2, 2, 2) is about 21, so Q = 1e308 overflows the product
+        monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
+        monkeypatch.setattr(qspecial, "q_function", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
+        with pytest.raises(ValueError, match=re.escape(
+                "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
+            psi(2, (2, 1), 2, P_CLASS, np.array([0.5, 0.7]), np.array([0.5, 0.7]))
+
+
 class TestPsi:
     def test_origin_regular(self):
         # negative M+N would naively put v^{M+N} poles at v=0; the combined
