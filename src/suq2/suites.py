@@ -33,7 +33,7 @@ from .qspecial import q_function, vilenkin
 
 MATRIX_TOL = 1e-12
 FUNCEQ_TOL_PRODUCT = 1e-12
-FUNCEQ_TOL_INTEGRAL = 1e-8
+FUNCEQ_TOL_INTEGRAL = 1e-10
 LADDER_TOL = 1e-8
 CASIMIR_TOL = 1e-8
 HERMITICITY_TOL = 1e-7

@@ -34,7 +34,7 @@ from suq2.suites import suite_casimir, suite_ladder, suite_limit
 
 MATRIX_TOL = 1e-12
 FUNCEQ_PRODUCT_TOL = 1e-12
-FUNCEQ_INTEGRAL_TOL = 1e-8
+FUNCEQ_INTEGRAL_TOL = 1e-10
 L_EQ_TOL = 1e-9
 LADDER_TOL = 1e-8
 GRAM_TOL = 1e-6

@@ -182,7 +182,8 @@ def compare(name, before, after) -> str:
         tols = sorted(k for k in cb.keys() & ca.keys() if ca[k][1] != cb[k][1])
         if tols:
             lines.append(f"  tol moved in {len(tols)} cases: " + ", ".join(
-                f"{k} {cb[k][1]:g} -> {ca[k][1]:g}" for k in tols))
+                f"{k} {cb[k][1]:g} -> {ca[k][1]:g} (residual/tol {ca[k][0] / ca[k][1]:.2e})"
+                for k in tols))
         for k in sorted(cb.keys() | ca.keys()):
             flag_before = cb[k][2] if k in cb else "absent"
             flag_after = ca[k][2] if k in ca else "absent"

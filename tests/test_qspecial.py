@@ -31,7 +31,7 @@ from suq2 import (
 )
 
 FUNCEQ_TOL_PRODUCT = 1e-12
-FUNCEQ_TOL_INTEGRAL = 1e-8
+FUNCEQ_TOL_INTEGRAL = 1e-10
 L_EQ_TOL = 1e-9
 CROSS_METHOD_TOL = 1e-12
 
