@@ -46,7 +46,6 @@ from .qspecial import (
 from .quadrature import (
     PlaneIntegral,
     radial_integral,
-    radial_rule,
 )
 from .suites import SUITE_NAMES, Case, run_suite
 
@@ -56,7 +55,7 @@ __all__ = [
     "validate_triple",
     "l_function", "norm_constant", "psi", "q_finite_product", "q_function",
     "q_infinite_product", "q_integral_exp", "r_polynomial", "vilenkin",
-    "PlaneIntegral", "radial_integral", "radial_rule",
+    "PlaneIntegral", "radial_integral",
     "IrrepMatrices", "PlaneFamily", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
     "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from suq2 import qinner
+from suq2 import quadrature
 from suq2.qcore import HalfInt, QParam, m_values, q_number
 from suq2.qinner import gram, inner
 from suq2.qops import (
@@ -29,7 +29,6 @@ from suq2.qspecial import (
     q_infinite_product,
     q_integral_exp,
 )
-from suq2.quadrature import PlaneIntegral, radial_rule
 from suq2.suites import suite_casimir, suite_ladder, suite_limit
 
 MATRIX_TOL = 1e-12
@@ -125,14 +124,13 @@ def test_criterion_4_ladder_casimir_pointwise():
     assert ok, f"ladder/Casimir residual {worst:.3e} >= {LADDER_TOL:g}"
 
 
-def fixed_node_gram(N, js, p, nodes):
-    """gram with every scalar product one radial_rule(nodes) sum, with no
-    refinement: the coarse and fine grams of the node-doubling check."""
-    def one_rule(F):
-        rho, w = radial_rule(nodes)
-        return PlaneIntegral(complex(w @ np.asarray(F(rho), dtype=complex)), math.inf)
+def fixed_level_gram(N, js, p, step):
+    """gram with every scalar product the trapezoid sum of the radial rule
+    at one step, with no refinement: the coarse and fine grams of the
+    step-halving check."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qinner, "radial_integral", one_rule)
+        mp.setattr(quadrature, "STEP", step)
+        mp.setattr(quadrature, "ABS_TOL", math.inf)
         return gram(N, js, p)
 
 
@@ -143,15 +141,15 @@ def test_criterion_5_orthonormality():
     for p, N, js in towers:
         rep = gram(N, js, p)
         worst_dev = max(worst_dev, rep.max_offdiag, rep.max_diag_dev)
-        coarse = fixed_node_gram(N, js, p, 8)
-        fine = fixed_node_gram(N, js, p, 16)
+        coarse = fixed_level_gram(N, js, p, 0.5)
+        fine = fixed_level_gram(N, js, p, 0.25)
         c = max(coarse.max_offdiag, coarse.max_diag_dev)
         f = max(fine.max_offdiag, fine.max_diag_dev)
         worst_ratio = min(worst_ratio, c / f)
     ok = worst_dev < GRAM_TOL and worst_ratio >= GRAM_SHRINK
     report(5, "orthonormality", ok,
            f"identity deviation {worst_dev:.3e} (tol {GRAM_TOL:g}), "
-           f"node-doubling shrink {worst_ratio:.1f}x (need >= {GRAM_SHRINK:g}x)")
+           f"step-halving shrink {worst_ratio:.1f}x (need >= {GRAM_SHRINK:g}x)")
     assert worst_dev < GRAM_TOL
     assert worst_ratio >= GRAM_SHRINK
 

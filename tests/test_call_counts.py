@@ -13,7 +13,6 @@ import pytest
 
 from suq2 import qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam, m_values
-from suq2.quadrature import gauss_legendre
 from suq2.suites import run_suite
 
 
@@ -24,16 +23,18 @@ def _empty(monkeypatch, memo):
 
 
 def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
-    gauss_legendre.cache_clear()
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._l_memo)
 
-    leggauss_n = []
-    leggauss = quadrature._leggauss
+    # a Gauss rule is built by numpy's leggauss or, as the radial rule did,
+    # from the eigenvalues of the Jacobi matrix; count both
+    built = []
 
-    def counted_leggauss(n):
-        leggauss_n.append(n)
-        return leggauss(n)
+    def counted(name, fn):
+        def call(*args, **kw):
+            built.append(name)
+            return fn(*args, **kw)
+        return call
 
     quadratures = []
     uncached = qspecial._l_quadrature
@@ -50,16 +51,16 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
         keys.append((p, arr.shape, arr.tobytes()))
         return l_function(p, eta)
 
-    monkeypatch.setattr(quadrature, "_leggauss", counted_leggauss)  # gauss_legendre builds its rules there
+    legendre = np.polynomial.legendre
+    monkeypatch.setattr(legendre, "leggauss", counted("leggauss", legendre.leggauss))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)
     monkeypatch.setattr(qspecial, "l_function", recorded_l_function)
-    try:
-        cases = run_suite("casimir", QParam.unit_circle(0.2))
-    finally:
-        gauss_legendre.cache_clear()
+    cases = run_suite("casimir", QParam.unit_circle(0.2))
 
     assert cases and all(c.passed for c in cases)
-    assert leggauss_n == []  # l_function's Gauss-Kronrod pair is a module constant
+    assert built == []  # l_function's Gauss-Kronrod pair is a module constant
     assert len(keys) > len(set(keys))  # the stencils do revisit arguments
     assert len(quadratures) == len(set(keys))
 
@@ -230,9 +231,10 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
         errors.append(res.error)
         return res
 
-    def recorded_inner(*args, **kw):
-        products.append(inner(*args, **kw))
-        return products[-1]
+    def recorded_inner(f, g, p):
+        common = {m for _, _, m in f.meta} & {m for _, _, m in g.meta}
+        products.append((bool(common), inner(f, g, p)))
+        return products[-1][1]
 
     monkeypatch.setattr(qinner, "radial_integral", recorded_radial_integral)
     monkeypatch.setattr(qinner, "inner", recorded_inner)
@@ -242,8 +244,34 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     assert any(c.name.startswith("adjoint span pair") for c in cases)
     # one converged radial integral per scalar product with a common mode;
     # the others are an exact 0.0 with no integral
-    assert len(errors) == sum(v != 0.0 for v in products) > 0
+    assert len(errors) == sum(common for common, _ in products) > 0
+    assert all(v == 0.0 for common, v in products if not common)
     assert max(errors) < quadrature.ABS_TOL
+
+
+@pytest.mark.parametrize("p,N", [(QParam.positive_real(0.39), 0), (QParam.positive_real(2.58), 0.5),
+                                 (QParam.unit_circle(0.29), 0)], ids=["q0.39-N0", "q2.58-N0.5", "tau0.29"])
+def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
+    # the first call carries the rule of step h and, in its even nodes, that
+    # of step 2h; at |ln q| ~ 0.95 the two agree for nearly every product
+    calls = []
+    radial_integral = qinner.radial_integral
+
+    def counted_radial_integral(F):
+        count = [0]
+
+        def counted(rho):
+            count[0] += 1
+            return F(rho)
+        try:
+            return radial_integral(counted)
+        finally:
+            calls.append(count[0])
+
+    monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
+    cases = run_suite("all", p, N=N)
+    assert cases and all(c.passed for c in cases)
+    assert len(calls) > 20 and calls.count(1) >= 0.95 * len(calls)
 
 
 @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],

@@ -399,6 +399,19 @@ class TestGram:
         assert lines[2] == "i,j,bra,ket,re,im"
         assert len(lines) == 3 + 16
 
+    @pytest.mark.parametrize("argv", [
+        ["--q", "0.5", "--N", "0", "--J-max", "4"],
+        ["--q", "0.3", "--N", "1", "--J-max", "3"],
+        ["--q", "2", "--N", "0", "--J-max", "4"],
+    ], ids=["q0.5-N0-J4", "q0.3-N1-J3", "q2-N0-J4"])
+    def test_far_towers_are_orthonormal(self, argv, capsys):
+        # each off-diagonal entry is 0 by a cancellation over integrands far
+        # larger than 1, which the radial rule must resolve to 1e-10
+        code, out, err = run(["gram"] + argv + ["--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_offdiag"] < 1e-9 and doc["max_diag_dev"] < 1e-9
+
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err

@@ -15,9 +15,10 @@ it first.  Running
     PYTHONPATH=src python tests/test_golden.py --compare
 
 writes nothing: for each recording that the CLI no longer reproduces it
-prints the worst residual/tol before and after (verify recordings), the
-largest value change relative to the largest value of the recording, and
-any change of exit code or pass flag.
+prints any change of exit code or pass flag, and for a verify recording
+the worst residual/tol before and after and the largest rise and fall of
+a residual, for any other the largest value change relative to the
+largest value of the recording.
 """
 import contextlib
 import io
@@ -163,9 +164,10 @@ def _worst(cases) -> str:
 
 def compare(name, before, after) -> str:
     """What moved between two renderings of one recording: the exit code,
-    and for a verify recording the worst residual/tol, the largest relative
-    change of a residual and every pass flag that changed; for any other,
-    the largest value change relative to the largest |value| recorded."""
+    and for a verify recording the worst residual/tol, the residuals that
+    rose and fell with the largest rise and fall measured in tol, moved
+    tolerances and every pass flag that changed; for any other, the largest
+    value change relative to the largest |value| recorded."""
     lines = [name]
     exit_before, exit_after = before.split("\n", 1)[0], after.split("\n", 1)[0]
     if exit_before != exit_after:
@@ -173,12 +175,16 @@ def compare(name, before, after) -> str:
     cb, ca = _cases(before), _cases(after)
     if cb is not None and ca is not None:
         lines.append(f"  worst residual/tol {_worst(cb)} -> {_worst(ca)}")
-        moved = [(abs(ca[k][0] - cb[k][0]) / max(abs(ca[k][0]), abs(cb[k][0])), k)
-                 for k in cb.keys() & ca.keys() if ca[k][0] != cb[k][0]]
+        moved = [k for k in cb.keys() & ca.keys() if ca[k][0] != cb[k][0]]
+        rose = [k for k in moved if ca[k][0] > cb[k][0]]
         if moved:
-            change, case = max(moved)
-            lines.append(f"  {len(moved)} of {len(ca)} residuals moved, the most by "
-                         f"{change:.2e} relative ({case}: {cb[case][0]:.3e} -> {ca[case][0]:.3e})")
+            lines.append(f"  {len(moved)} of {len(ca)} residuals moved: {len(rose)} rose, "
+                         f"{len(moved) - len(rose)} fell")
+        for label, keys in (("rise", rose), ("fall", [k for k in moved if k not in rose])):
+            if keys:
+                k = max(keys, key=lambda k: abs(ca[k][0] - cb[k][0]) / ca[k][1])
+                lines.append(f"  largest {label} {cb[k][0]:.3e} -> {ca[k][0]:.3e} "
+                             f"({k}, tol {ca[k][1]:g})")
         tols = sorted(k for k in cb.keys() & ca.keys() if ca[k][1] != cb[k][1])
         if tols:
             lines.append(f"  tol moved in {len(tols)} cases: " + ", ".join(

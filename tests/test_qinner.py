@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from suq2 import qinner
+from suq2 import qinner, quadrature
 from suq2.qcore import QParam, Regime
 from suq2.qinner import (
     GramReport,
@@ -22,7 +22,6 @@ from suq2.qops import (
     psi_family,
     with_fixed_param,
 )
-from suq2.quadrature import PlaneIntegral, radial_rule
 from suq2.suites import _span_pairs
 
 NORM_TOL = 1e-8
@@ -78,14 +77,30 @@ class TestNorms:
                 assert abs(v.imag) < 1e-12
 
 
-def fixed_node_gram(N, js, p, nodes):
-    """gram with every scalar product one radial_rule(nodes) sum, with no
-    refinement: the coarse and fine grams of the node-doubling check."""
-    def one_rule(F):
-        rho, w = radial_rule(nodes)
-        return PlaneIntegral(complex(w @ np.asarray(F(rho), dtype=complex)), math.inf)
+def rational_gauss_rule(n):
+    """Nodes rho_i and weights w_i with sum w_i F(rho_i) ~ int_0^inf F(rho) rho drho:
+    numpy's n-point Gauss-Legendre rule in s pushed through eta = (1+s)/(1-s).
+    It shares no code and no node with suq2.quadrature."""
+    s, w = np.polynomial.legendre.leggauss(n)
+    return np.sqrt((1.0 + s) / (1.0 - s)), w / (1.0 - s) ** 2
+
+
+def fixed_level_gram(N, js, p, step):
+    """gram with every scalar product the trapezoid sum of the radial rule
+    at one step, with no refinement: the coarse and fine grams of the
+    step-halving check."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qinner, "radial_integral", one_rule)
+        mp.setattr(quadrature, "STEP", step)
+        mp.setattr(quadrature, "ABS_TOL", math.inf)
+        return gram(N, js, p)
+
+
+def rule_gram(N, js, p, n):
+    """gram with every scalar product one rational_gauss_rule(n) sum."""
+    rho, w = rational_gauss_rule(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qinner, "radial_integral", lambda F: quadrature.PlaneIntegral(
+            complex(w @ np.asarray(F(rho), dtype=complex)), math.inf))
         return gram(N, js, p)
 
 
@@ -117,20 +132,49 @@ class TestGram:
             gram(0, [0.5], P_REAL)  # J=1/2 with N=0: parity
 
     def test_refinement_shrinks_deviation(self):
-        coarse = fixed_node_gram(0, [0, 1, 2], P_REAL, 8)
-        fine = fixed_node_gram(0, [0, 1, 2], P_REAL, 16)
+        coarse = fixed_level_gram(0, [0, 1, 2], P_REAL, 0.5)
+        fine = fixed_level_gram(0, [0, 1, 2], P_REAL, 0.25)
         c = max(coarse.max_offdiag, coarse.max_diag_dev)
         f = max(fine.max_offdiag, fine.max_diag_dev)
         assert f < c / 10
 
 
+class TestAgainstAnIndependentRule:
+    """Gram matrices on the radial rule against a 2048-node rational_gauss_rule,
+    which is accurate to about 1e-12 on these towers, and against the
+    identity they must equal."""
+
+    @pytest.mark.parametrize("p,N,js", [
+        (QParam.positive_real(0.7), 0.5, [0.5, 1.5, 2.5]),
+        (QParam.unit_circle(0.2), 0.5, [0.5, 1.5]),
+        (P_CLASS, 0, [0, 1, 2, 3]),
+    ], ids=["q0.7", "tau0.2", "q1"])
+    def test_gram_matches_the_independent_rule(self, p, N, js):
+        got = gram(N, js, p).matrix
+        want = rule_gram(N, js, p, 2048).matrix
+        assert np.max(np.abs(got - want)) < 1e-11
+        assert np.max(np.abs(got - np.eye(len(got)))) < 1e-14
+
+    @pytest.mark.parametrize("p,N,js", [
+        (QParam.positive_real(2.0), 0, [0, 1, 2, 3]),
+        (QParam.positive_real(0.5), 1, [1, 2, 3]),
+    ], ids=["q2", "q0.5"])
+    def test_gram_is_closer_to_the_identity_than_the_independent_rule(self, p, N, js):
+        # at |ln q| ~ 0.7 the 2048-node rule errs by about 3e-9
+        got = gram(N, js, p).matrix
+        want = rule_gram(N, js, p, 2048).matrix
+        eye = np.eye(len(got))
+        assert np.max(np.abs(got - eye)) < 1e-13
+        assert np.max(np.abs(got - want)) < 1e-8
+        assert np.max(np.abs(got - eye)) < 1e-3 * np.max(np.abs(want - eye))
+
+
 def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
-    """<f|g> from the families' whole evaluators on a fixed radial_rule x
-    angular-trapezoid grid of the physical slice v = conj(u): the reference
-    that the mode-matched radial path of inner must meet.  inner's ladder
-    settles at 32 radial nodes on the families below, so 64 shares no node
-    with it."""
-    rho, w = radial_rule(radial_nodes)
+    """<f|g> from the families' whole evaluators on a fixed rational_gauss_rule
+    x angular-trapezoid grid of the physical slice v = conj(u): the
+    reference that the mode-matched radial path of inner must meet, on
+    nodes of its own."""
+    rho, w = rational_gauss_rule(radial_nodes)
     u = rho[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)
     v = np.conj(u)
     eta = rho[:, None] ** 2

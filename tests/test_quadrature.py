@@ -1,118 +1,125 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from suq2 import quadrature
-from suq2.quadrature import (
-    PlaneIntegral,
-    gauss_legendre,
-    radial_integral,
-    radial_rule,
-)
+from suq2.quadrature import PlaneIntegral, radial_integral
 
 
-def test_unit_norm_weight():
-    # int_0^inf 2/(1+rho^2)^2 rho drho = 1; the rational map makes the
-    # integrand a constant in s, so this is exact at any node count
-    res = radial_integral(lambda rho: 2.0 / (1 + rho ** 2) ** 2)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert res.error < 1e-10
+def _recorded(F):
+    """F, and the rho arrays of the calls it receives."""
+    calls = []
+
+    def recorded(rho):
+        calls.append(rho)
+        return F(rho)
+    return recorded, calls
 
 
-def test_gaussian():
-    # int_0^inf e^{-rho^2} rho drho = 1/2; exponential decay is the hard case
-    # for a rational map, so allow the refinement loop to do its job
-    res = radial_integral(lambda rho: np.exp(-rho ** 2))
-    assert res.value == pytest.approx(0.5, abs=1e-8)
+def _t(rho):
+    """The rule's t of the node rho: x = ln rho^2 = SCALE sinh t."""
+    return np.arcsinh(2.0 * np.log(rho) / quadrature.SCALE)
 
 
-def test_radial_integral_matches_plane():
-    # against a fixed 256 x 16 polar grid of the same phi-independent integrand
-    a = radial_integral(lambda rho: 1.0 / (1 + rho ** 2) ** 3)
-    rho, w = radial_rule(256)
-    phi = np.arange(16) * (2 * np.pi / 16)
-    grid = np.ones_like(phi) / (2 * np.pi * (1 + rho[:, None] ** 2) ** 3)
-    b = w @ grid.sum(axis=1) * (2 * np.pi / 16)
-    assert a.value == pytest.approx(b, abs=1e-10)
-    assert a.value == pytest.approx(0.25, abs=1e-10)
+# int_0^inf F(rho) rho drho in closed form; in x = ln eta the integrands
+# decay like e^(-|x|) (the classical weight), like e^(-e^x) (a Gaussian in
+# rho), like a Gaussian in x (as at real q), and oscillate in x
+CLOSED_FORMS = {
+    "classical-weight": (lambda rho: 2.0 / (1 + rho ** 2) ** 2, 1.0),
+    "cubic": (lambda rho: 1.0 / (1 + rho ** 2) ** 3, 0.25),
+    "gaussian-in-rho": (lambda rho: np.exp(-rho ** 2), 0.5),
+    "gaussian-in-x": (lambda rho: 2.0 * np.exp(-np.log(rho ** 2) ** 2) / rho ** 2, math.sqrt(math.pi)),
+    # int_0^inf eta^(i a)/(1+eta)^2 deta = pi a / sinh(pi a)
+    "oscillating": (lambda rho: 2.0 * rho ** 1.5j / (1 + rho ** 2) ** 2,
+                    math.pi * 0.75 / math.sinh(math.pi * 0.75)),
+}
 
 
-def test_refinement_reduces_error(monkeypatch):
-    # same integrand, tighter tolerance -> smaller reported error estimate
-    F = lambda rho: np.exp(-rho ** 2)
-    monkeypatch.setattr(quadrature, "RADIAL_NODES", 8)
-    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 8)
-    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-4)
-    loose = radial_integral(F)
-    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-9)
-    tight = radial_integral(F)
-    assert tight.error < loose.error
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_form_integrals(name):
+    F, want = CLOSED_FORMS[name]
+    res = radial_integral(F)
+    assert isinstance(res, PlaneIntegral)
+    assert abs(res.value - want) < 1e-13 * max(1.0, abs(want))
+    assert res.error < quadrature.ABS_TOL
 
 
-def test_nonconvergence_raises():
+@pytest.mark.parametrize("name", ["classical-weight", "cubic", "gaussian-in-x", "oscillating"])
+def test_decay_like_the_scalar_products_takes_one_call(name):
+    # 129 nodes resolve the decays the scalar products have; the even nodes
+    # confirm it
+    F, sizes = _recorded(CLOSED_FORMS[name][0])
+    radial_integral(F)
+    assert [rho.size for rho in sizes] == [2 * round(quadrature.T_MAX / quadrature.STEP) + 1]
+
+
+def test_one_call_is_the_trapezoid_sum_and_its_even_nodes():
+    F = CLOSED_FORMS["classical-weight"][0]
+    recorded, calls = _recorded(F)
+    res = radial_integral(recorded)
+    (rho,) = calls
+    t = _t(rho)
+    h = quadrature.STEP
+    assert np.allclose(t, h * np.arange(-(t.size // 2), t.size // 2 + 1), rtol=0, atol=1e-12)
+    assert abs(t[-1] - quadrature.T_MAX) < 1e-12
+    # x reaches about +-44 at the ends, where e^(-|x|) is below 1e-19
+    assert quadrature.SCALE * math.sinh(quadrature.T_MAX) > 40
+    x = 2.0 * np.log(rho)
+    f = F(rho) * 0.5 * quadrature.SCALE * np.exp(x) * np.cosh(t)
+    fine, coarse = h * np.sum(f), 2 * h * np.sum(f[::2])
+    assert res.value == pytest.approx(fine, rel=1e-15)
+    assert res.error == pytest.approx(abs(fine - coarse), rel=1e-6)
+
+
+@pytest.mark.parametrize("name,tol", [("gaussian-in-rho", None), ("oscillating", 0.0)],
+                         ids=["converges", "raises"])
+def test_refinements_evaluate_only_the_new_midpoints(monkeypatch, name, tol):
+    # e^(-rho^2) = e^(-e^x) needs a second level; a zero tolerance runs
+    # every level and raises
+    if tol is not None:
+        monkeypatch.setattr(quadrature, "ABS_TOL", tol)
+    F = CLOSED_FORMS[name][0]
+    recorded, calls = _recorded(F)
+    try:
+        res = radial_integral(recorded)
+    except RuntimeError:
+        res = None
+    assert (res is None) == (tol == 0.0)
+    assert len(calls) == (2 if res else 1 + quadrature.MAX_REFINEMENTS)
+    seen = np.sort(_t(calls[0]))
+    for rho in calls[1:]:
+        mid = np.sort(_t(rho))
+        # one new node inside each gap of the nodes seen so far, at its middle
+        assert mid.size == seen.size - 1
+        assert np.all(seen[:-1] < mid) and np.all(mid < seen[1:])
+        assert np.allclose(mid, 0.5 * (seen[:-1] + seen[1:]), rtol=0, atol=1e-12)
+        seen = np.sort(np.concatenate((seen, mid)))
+    if res is not None:
+        # the accepted value is the trapezoid sum over every node evaluated
+        rho = np.exp(0.5 * quadrature.SCALE * np.sinh(seen))
+        h = quadrature.STEP / 2 ** (len(calls) - 1)
+        f = F(rho) * 0.5 * quadrature.SCALE * rho ** 2 * np.cosh(seen)
+        assert res.value == pytest.approx(h * np.sum(f), rel=1e-14)
+
+
+def test_nonconvergence_raises_after_max_refinements():
     rng = np.random.default_rng(7)
+    calls = []
 
     def noisy(rho):
         # deliberately irreproducible integrand defeats the convergence test
+        calls.append(rho.size)
         return rng.normal(size=rho.shape) / (1 + rho ** 2) ** 2
 
     with pytest.raises(RuntimeError, match="radial integral did not converge within max_refinements"):
         radial_integral(noisy)
+    n = round(quadrature.T_MAX / quadrature.STEP)
+    assert calls == [2 * n + 1] + [2 * n * 2 ** k for k in range(quadrature.MAX_REFINEMENTS)]
 
 
-def test_radial_rule_weights_positive():
-    rho, w = radial_rule(32)
-    assert np.all(w > 0)
-    assert np.all(np.diff(rho) > 0)
-
-
-def test_gauss_legendre_cached_read_only_and_exact():
-    s, w = gauss_legendre(24)
-    assert gauss_legendre(24)[0] is s
-    assert not s.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        s[0] = 0.0
-    s_ref, w_ref = np.polynomial.legendre.leggauss(24)
-    assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
-
-
-def test_returns_named_tuple():
-    res = radial_integral(lambda rho: 1.0 / (1 + rho ** 2) ** 2)
-    assert isinstance(res, PlaneIntegral)
-
-
-@pytest.mark.parametrize("n", [quadrature.RADIAL_NODES * 2 ** k
-                               for k in range(quadrature.MAX_REFINEMENTS + 1)])
-def test_gauss_legendre_is_leggauss_bit_for_bit_on_every_level(n):
-    s, w = gauss_legendre(n)
-    s_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
-
-
-def _recorded(F):
-    """F, and the node counts of the calls it receives."""
-    sizes = []
-
-    def recorded(rho):
-        sizes.append(rho.size)
-        return F(rho)
-    return recorded, sizes
-
-
-def test_converging_at_level_one_calls_the_integrand_once():
-    # the map makes this integrand constant in s, so levels 0 and 1 agree
-    F, sizes = _recorded(lambda rho: 2.0 / (1 + rho ** 2) ** 2)
-    res = radial_integral(F)
-    n = quadrature.RADIAL_NODES
-    assert sizes == [3 * n]
-    rho0, w0 = radial_rule(n)
-    rho1, w1 = radial_rule(2 * n)
-    assert res.value == complex(w1 @ (2.0 / (1 + rho1 ** 2) ** 2).astype(complex))
-    assert res.error == abs(res.value - complex(w0 @ (2.0 / (1 + rho0 ** 2) ** 2).astype(complex)))
-
-
-def test_later_levels_each_take_one_call():
-    F, sizes = _recorded(lambda rho: np.exp(-rho ** 2))
-    radial_integral(F)
-    n = quadrature.RADIAL_NODES
-    assert len(sizes) >= 2
-    assert sizes == [3 * n] + [n * 2 ** k for k in range(2, len(sizes) + 1)]
+def test_the_oscillating_closed_form_is_gamma_times_gamma():
+    a = 0.75
+    want = complex(mpmath.gamma(1 + 1j * a) * mpmath.gamma(1 - 1j * a))
+    assert want == pytest.approx(CLOSED_FORMS["oscillating"][1], rel=1e-15)
