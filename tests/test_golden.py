@@ -122,11 +122,16 @@ def test_compare_names_what_moved():
     assert f"pass {case['name']}: True -> False" in report
     assert f"-> 2.000e+00 ({case['name']})" in report
     table = (GOLDEN_DIR / "gram_N0_Jmax2_q1.2.csv").read_text()
-    moved = table.replace("0.99999999999999989", "0.99999999999999978", 1)
-    assert "largest value change 1.11e-16 of the largest |value| 1" in compare("gram", table, moved)
+    lines = table.split("\n")
+    row = lines[4].split(",")  # after exit=, two # lines and the header
+    row[4] = repr(float(row[4]) + 1e-12)
+    moved = "\n".join(lines[:4] + [",".join(row)] + lines[5:])
+    assert "largest value change 1.00e-12 of the largest |value| 1" in compare("gram", table, moved)
     matrix = (GOLDEN_DIR / "gram_N0.5_Jmax1.5_tau0.2.json").read_text()
-    moved = matrix.replace("-1.1107897455151397e-15", "-1.1107897455151397e-13", 1)
-    assert "largest value change 1.10e-13 of the largest |value| 1" in compare("gram", matrix, moved)
+    doc = json.loads(matrix.split("\n", 1)[1])
+    doc["matrix"][0][3][0] += 1e-12
+    moved = "exit=0\n" + json.dumps(doc, indent=2) + "\n"
+    assert "largest value change 1.00e-12 of the largest |value| 1" in compare("gram", matrix, moved)
 
 def _values(text) -> list:
     """The printed values of an eval or gram rendering, in order: the re and
