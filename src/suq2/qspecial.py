@@ -57,8 +57,10 @@ BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  Over ten batches of each
 # benchmark workload (verify --suite all on the circle and at real q, gram
-# and eval on the circle) one operation stores at most 0.29 MB of products
-# and 0.13 MB of L, so nothing is evicted
+# and eval on the circle) one operation stores at most 0.10 MB of products
+# and 0.13 MB of L, so nothing is evicted; an unbounded psi memo holds up
+# to 1.07 MiB (real q) and 0.97 MiB (circle), and what the bound evicts
+# there is not asked for again
 MEMO_MAX_BYTES = 2**20
 
 

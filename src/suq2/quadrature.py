@@ -54,20 +54,18 @@ def radial_integral(F: Callable) -> PlaneIntegral:
     F is called once on every node of step STEP, which also gives the rule
     of step 2 STEP, then once on the new midpoints of each further level.
     """
-    n = round(T_MAX / STEP)
-    vals = _weighted(F, STEP * np.arange(-n, n + 1))
+    n, h = round(T_MAX / STEP), STEP
+    vals = _weighted(F, h * np.arange(-n, n + 1))
     total = complex(np.sum(vals))
-    prev = 2 * STEP * complex(np.sum(vals[::2]))
-    h = STEP
-    for level in range(MAX_REFINEMENTS + 1):
-        est = h * total
-        err = abs(est - prev)
-        if err < ABS_TOL:
-            return PlaneIntegral(est, err)
-        if level == MAX_REFINEMENTS:
+    prev, est = 2 * h * complex(np.sum(vals[::2])), h * total
+    for _ in range(MAX_REFINEMENTS):
+        if abs(est - prev) < ABS_TOL:
             break
         h /= 2
         total += complex(np.sum(_weighted(F, h * np.arange(1 - 2 * n, 2 * n, 2))))
         n *= 2
-        prev = est
+        prev, est = est, h * total
+    err = abs(est - prev)
+    if err < ABS_TOL:
+        return PlaneIntegral(est, err)
     raise RuntimeError("radial integral did not converge within max_refinements")
