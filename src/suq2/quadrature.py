@@ -5,13 +5,13 @@ In x = ln eta, eta = rho^2, the radial integral is
     int_0^inf F(rho) rho drho = int F(e^(x/2)) e^x / 2 dx,
 
 and every integrand the scalar products pass here is analytic in a strip
-about the real x axis and decays at both ends at least like e^(-|x|)
-(like a Gaussian in x at real q).  The sinh map x = SCALE sinh t turns
-that decay double-exponential, and the trapezoid rule in t with step h on
-|t| <= T_MAX, weight h e^x SCALE cosh(t) / 2, converges geometrically in
-1/h: a double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974;
-Trefethen & Weideman, SIAM Rev. 56, 2014).  T_MAX takes x out to about
-+-44, where e^(-|x|) falls below 1e-19 of its peak.
+about the real x axis and decays at both ends about like e^(-|x|). The
+sinh map x = SCALE sinh t turns that decay double-exponential, and the
+trapezoid rule in t with step h on |t| <= T_MAX, weight h e^x SCALE
+cosh(t) / 2, converges geometrically in 1/h: a double-exponential rule
+(Takahasi & Mori, Publ. RIMS 9, 1974; Trefethen & Weideman, SIAM Rev.
+56, 2014). T_MAX takes x out to about +-44, where e^(-|x|) falls below
+1e-19 of its peak.
 
 Halving h keeps every node and adds the midpoints, so the levels nest.
 The first integrand call carries every node of step STEP; its even nodes

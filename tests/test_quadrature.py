@@ -25,7 +25,7 @@ def _t(rho):
 
 # int_0^inf F(rho) rho drho in closed form; in x = ln eta the integrands
 # decay like e^(-|x|) (the classical weight), like e^(-e^x) (a Gaussian in
-# rho), like a Gaussian in x (as at real q), and oscillate in x
+# rho) and like a Gaussian in x, and one oscillates in x
 CLOSED_FORMS = {
     "classical-weight": (lambda rho: 2.0 / (1 + rho ** 2) ** 2, 1.0),
     "cubic": (lambda rho: 1.0 / (1 + rho ** 2) ** 3, 0.25),
