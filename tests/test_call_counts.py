@@ -4,8 +4,9 @@ once; at real q every distinct infinite-product input runs its product
 once, at J = 1/2 only, and psi builds each (J, M, N, p) record once and
 evaluates each distinct input once; the stencil suites evaluate each
 (J, N) tower whole, in a few psi calls; every suite scalar product with a
-common mode is one converged radial integral.  Each test empties the memos
-whose hits would hide the evaluations it counts."""
+common mode is one converged radial integral, and at least 95% of them
+take one integrand call.  Each test empties the memos whose hits would
+hide the evaluations it counts."""
 from collections import Counter
 
 import numpy as np
@@ -26,8 +27,8 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._l_memo)
 
-    # a Gauss rule is built by numpy's leggauss or, as the radial rule did,
-    # from the eigenvalues of the Jacobi matrix; count both
+    # a Gauss rule is built by numpy's leggauss or from the eigenvalues of
+    # its Jacobi matrix; count both
     built = []
 
     def counted(name, fn):
