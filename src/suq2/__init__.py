@@ -7,7 +7,6 @@ from .qcore import (
     j_values,
     m_values,
     q_factorial,
-    q_factorials,
     q_number,
     validate_triple,
 )
@@ -51,8 +50,7 @@ from .suites import SUITE_NAMES, Case, run_suite
 
 __all__ = [
     "HalfInt", "QParam", "Regime", "check_not_root_of_unity",
-    "j_values", "m_values", "q_factorial", "q_factorials", "q_number",
-    "validate_triple",
+    "j_values", "m_values", "q_factorial", "q_number", "validate_triple",
     "l_function", "norm_constant", "psi", "q_finite_product", "q_function",
     "q_infinite_product", "q_integral_exp", "r_polynomial", "vilenkin",
     "PlaneIntegral", "radial_integral",

@@ -168,10 +168,10 @@ def q_number(x: float, p: QParam) -> float:
         raise ValueError(f"q-number [{x:g}] overflows at q = {q!r}") from None
 
 
-def q_factorials(n_max: int, p: QParam) -> list:
-    """[0]!, [1]!, ..., [n_max]! from one running product in q_factorial's
-    order; the list ends early, before the first product that leaves the
-    normal float range."""
+def _q_factorials(n_max: int, p: QParam) -> list:
+    """[0]!, [1]!, ..., [n_max]! from one running product [2][3]...; the
+    list ends early, before the first product that leaves the normal float
+    range, so [n]! is in range exactly when n is below its length."""
     table = [1.0, 1.0][:max(0, n_max + 1)]
     out = 1.0
     for k in range(2, n_max + 1):
@@ -182,23 +182,24 @@ def q_factorials(n_max: int, p: QParam) -> list:
     return table
 
 
-def q_factorial(n: int, p: QParam, table=None) -> float:
+def _factorial(table: list, n: int, p: QParam) -> float:
+    """[n]! read from a _q_factorials table at p; an n past its end raises."""
+    if n >= len(table):
+        name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
+        raise ValueError(f"q-factorial [{n}]! leaves the float range at {name} = {p.value!r}")
+    return table[n]
+
+
+def q_factorial(n: int, p: QParam) -> float:
     """[n]! = [n][n-1]...[1], with [0]! = 1.  Rejects n < 0, and a running
     product that overflows to inf or falls below the smallest normal float
-    (a subnormal keeps too few bits, and 0 would make 1/[n]! infinite).
-    A q_factorials table at p that reaches n is read instead of a new
-    product, with the same bits."""
+    (a subnormal keeps too few bits, and 0 would make 1/[n]! infinite)."""
     if n != int(n):
         raise ValueError(f"q_factorial needs an integer, got {n}")
     n = int(n)
     if n < 0:
         raise ValueError("q_factorial undefined for n < 0")
-    if table is None or n >= len(table):
-        table = q_factorials(n, p)
-    if n >= len(table):
-        name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
-        raise ValueError(f"q-factorial [{n}]! leaves the float range at {name} = {p.value!r}")
-    return table[n]
+    return _factorial(_q_factorials(n, p), n, p)
 
 
 def check_not_root_of_unity(p: QParam, n_max: int) -> None:

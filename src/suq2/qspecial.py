@@ -35,8 +35,8 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
-    q_factorial,
-    q_factorials,
+    _factorial,
+    _q_factorials,
     q_number,
     validate_triple,
 )
@@ -164,7 +164,7 @@ def _ret(arr, scalar):
     return arr.item() if scalar else arr
 
 
-def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact=None):
+def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     """(k0, (c_k0, ..., c_kmax)) of R, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
 
     The range k0 = max(0, -(M+N)) .. kmax = min(J-M, J-N) is exactly where
@@ -173,19 +173,17 @@ def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact=None):
     follows from c_{k+1}/c_k = [J-M-k][J-N-k]/([k+1][M+N+k+1]), so a set
     takes O(J) q-numbers.  Rejected: a lead [J-N]![J-M]! that overflows,
     though each factorial is finite, and a [M+N+kmax]! out of the float
-    range, where the last coefficients underflow.  The factorials come from
-    one running product, or are read from fact, a q_factorials table at p.
+    range, where the last coefficients underflow.  The factorials are read
+    from fact, a _q_factorials table at p.
     """
     jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    if fact is None:
-        fact = q_factorials(J.twice, p)
-    if not math.isfinite(q_factorial(jn, p, fact) * q_factorial(jm, p, fact)):
+    if not math.isfinite(_factorial(fact, jn, p) * _factorial(fact, jm, p)):
         name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
         raise ValueError(f"R coefficients for (J,M,N)=({J},{M},{N}) leave the float range "
                          f"at {name} = {p.value!r}")
     k0, kmax = max(0, -mn), min(jm, jn)
-    q_factorial(mn + kmax, p, fact)
-    c = (1.0 / q_factorial(mn, p, fact) if mn >= 0 else
+    _factorial(fact, mn + kmax, p)
+    c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
          math.prod(q_number(float(J + M + i), p) * q_number(float(J + N + i), p)
                    / q_number(i, p) for i in range(1, k0 + 1)))
     coeffs = [c]
@@ -210,7 +208,7 @@ def r_polynomial(J, M, N, p: QParam, eta):
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
     arr, scalar = _as_complex(eta)
-    k0, coeffs = _r_coefficients(J, M, N, p)
+    k0, coeffs = _r_coefficients(J, M, N, p, _q_factorials(J.twice, p))
     return _ret((-arr) ** k0 * _horner(coeffs, -arr), scalar)
 
 
@@ -477,23 +475,26 @@ def q_function(J, p: QParam, eta):
     return _ret(_divide_factors(J, p, arr, half), scalar)
 
 
-def norm_constant(J, M, N, p: QParam, fact=None) -> float:
+def norm_constant(J, M, N, p: QParam) -> float:
     """Normalization of psi: sqrt([J+N]![2J+1]!/[J-N]!) sqrt([J+M]!/([J-M]![2J]!)) / sqrt(2 pi).
 
     In the circle regime a q-factorial ratio can turn negative (q-numbers
     change sign past tau = pi/n); that is rejected rather than silently
-    continued into complex square roots.  The factorials come from one
-    running product, or are read from fact, a q_factorials table at p.
+    continued into complex square roots.
     """
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
+    return _norm_constant(J, M, N, p, _q_factorials(J.twice + 1, p))
+
+
+def _norm_constant(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list) -> float:
+    """norm_constant of a valid triple, its factorials read from fact, a
+    _q_factorials table at p."""
     twoj = J.twice
-    if fact is None:
-        fact = q_factorials(twoj + 1, p)
-    rad1 = (q_factorial((J + N).to_int(), p, fact) * q_factorial(twoj + 1, p, fact)
-            / q_factorial((J - N).to_int(), p, fact))
-    rad2 = (q_factorial((J + M).to_int(), p, fact)
-            / (q_factorial((J - M).to_int(), p, fact) * q_factorial(twoj, p, fact)))
+    rad1 = (_factorial(fact, (J + N).to_int(), p) * _factorial(fact, twoj + 1, p)
+            / _factorial(fact, (J - N).to_int(), p))
+    rad2 = (_factorial(fact, (J + M).to_int(), p)
+            / (_factorial(fact, (J - M).to_int(), p) * _factorial(fact, twoj, p)))
     if rad1 < 0 or rad2 < 0:
         raise ValueError(
             f"negative radicand in norm_constant for (J,M,N)=({J},{M},{N}); "
@@ -576,9 +577,9 @@ def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     (-u)^k0 v^(k0+M+N) P(-uv), both exponents nonnegative, so psi is finite
     at 0.  A negative radicand raises on every call, as lru_cache stores no
     error."""
-    fact = q_factorials(J.twice + 1, p)
+    fact = _q_factorials(J.twice + 1, p)
     k0, coeffs = _r_coefficients(J, M, N, p, fact)
-    lead = norm_constant(J, M, N, p, fact) * p.power(-float(N) * float(M) / 2.0)
+    lead = _norm_constant(J, M, N, p, fact) * p.power(-float(N) * float(M) / 2.0)
     if not sys.float_info.min <= abs(lead) < math.inf:
         _float_range_error(J, M, N, p)
     return lead, k0, (M + N).to_int(), coeffs

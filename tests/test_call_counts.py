@@ -97,7 +97,7 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
         return psi(J, M, N, p, u, v)
 
     norm_constants = []
-    norm_constant = qspecial.norm_constant
+    norm_constant = qspecial._norm_constant  # what _psi_record reads
 
     def counted_norm_constant(J, M, N, p, fact):
         norm_constants.append((J, M, N, p))
@@ -106,7 +106,7 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
     monkeypatch.setattr(qspecial, "q_infinite_product", recorded_product)
     monkeypatch.setattr(qops, "psi", recorded_psi)  # the basis families call it there
-    monkeypatch.setattr(qspecial, "norm_constant", counted_norm_constant)
+    monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
     try:
         cases = run_suite(suite, QParam.positive_real(q), N=N)
     finally:
@@ -203,13 +203,13 @@ def test_circle_all_run_quadrature_count(monkeypatch):
 def test_psi_errors_fire_on_every_call(monkeypatch):
     qspecial._psi_record.cache_clear()
     norm_constants = []
-    norm_constant = qspecial.norm_constant
+    norm_constant = qspecial._norm_constant  # what _psi_record reads
 
     def counted_norm_constant(J, M, N, p, fact):
         norm_constants.append((J, M, N, p))
         return norm_constant(J, M, N, p, fact)
 
-    monkeypatch.setattr(qspecial, "norm_constant", counted_norm_constant)
+    monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
     # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2
     p = QParam.unit_circle(np.pi / 4 + 0.05)
     for _ in range(3):

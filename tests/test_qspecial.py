@@ -119,7 +119,8 @@ class TestRCoefficients:
             for mt, nt in itertools.product(spin_sample(J), repeat=2):
                 M, N = HalfInt(mt), HalfInt(nt)
                 try:
-                    k0, coeffs = qspecial._r_coefficients(J, M, N, p)
+                    k0, coeffs = qspecial._r_coefficients(J, M, N, p,
+                                                          qcore._q_factorials(twice, p))
                 except ValueError as err:
                     assert "float range" in str(err)
                     continue
@@ -210,14 +211,15 @@ def test_one_factorial_table_keeps_every_bit(p):
     values = refusals = 0
     for twice in range(61):  # J <= 30
         J = HalfInt(twice)
-        fact = qcore.q_factorials(twice + 1, p)
+        fact = qcore._q_factorials(twice + 1, p)  # the table of _psi_record
         for mt, nt in itertools.product(spin_sample(J), repeat=2):
             M, N = HalfInt(mt), HalfInt(nt)
             want = (_outcome(separate_factorial_r_coefficients, J, M, N, p),
                     _outcome(separate_factorial_norm_constant, J, M, N, p))
             for got in ((_outcome(qspecial._r_coefficients, J, M, N, p, fact),
-                         _outcome(norm_constant, J, M, N, p, fact)),
-                        (_outcome(qspecial._r_coefficients, J, M, N, p),
+                         _outcome(qspecial._norm_constant, J, M, N, p, fact)),
+                        (_outcome(qspecial._r_coefficients, J, M, N, p,
+                                  qcore._q_factorials(twice, p)),
                          _outcome(norm_constant, J, M, N, p))):
                 assert repr(got) == repr(want), (J, M, N)
             values += ValueError not in want
