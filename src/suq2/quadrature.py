@@ -31,7 +31,7 @@ SCALE = 2.5            # C in x = ln eta = C sinh t
 STEP = 1 / 18          # h of the first level: 2 T_MAX / STEP + 1 = 129 nodes
 T_MAX = 64 * STEP      # the rule covers |t| <= T_MAX, |x| <= C sinh T_MAX ~ 44
 ABS_TOL = 1e-10        # successive levels closer than this have converged
-MAX_REFINEMENTS = 6    # halvings of h after the first level before giving up
+MAX_REFINEMENTS = 6    # halvings of h after the coarsest level, 2 STEP, before giving up
 
 
 class PlaneIntegral(NamedTuple):
@@ -49,16 +49,17 @@ def radial_integral(F: Callable) -> PlaneIntegral:
     """int_0^inf F(rho) rho drho, halving the step of the trapezoid rule in t
     from STEP until successive values differ by < ABS_TOL; the last
     difference is the error estimate.  Raises RuntimeError after
-    MAX_REFINEMENTS halvings.
+    MAX_REFINEMENTS halvings of the coarsest step 2 STEP.
 
     F is called once on every node of step STEP, which also gives the rule
-    of step 2 STEP, then once on the new midpoints of each further level.
+    of step 2 STEP, then once on the new midpoints of each further level:
+    at most MAX_REFINEMENTS calls.
     """
     n, h = round(T_MAX / STEP), STEP
     vals = _weighted(F, h * np.arange(-n, n + 1))
     total = complex(np.sum(vals))
     prev, est = 2 * h * complex(np.sum(vals[::2])), h * total
-    for _ in range(MAX_REFINEMENTS):
+    for _ in range(MAX_REFINEMENTS - 1):  # the first call holds the first halving
         if abs(est - prev) < ABS_TOL:
             break
         h /= 2

@@ -93,7 +93,7 @@ def test_refinements_evaluate_only_the_new_midpoints(monkeypatch, name, tol):
     except RuntimeError:
         res = None
     assert (res is None) == (tol == 0.0)
-    assert len(calls) == (2 if res else 1 + quadrature.MAX_REFINEMENTS)
+    assert len(calls) == (2 if res else quadrature.MAX_REFINEMENTS)
     seen = np.sort(_t(calls[0]))
     for rho in calls[1:]:
         mid = np.sort(_t(rho))
@@ -121,8 +121,12 @@ def test_nonconvergence_raises_after_max_refinements():
 
     with pytest.raises(RuntimeError, match="radial integral did not converge within max_refinements"):
         radial_integral(noisy)
+    # MAX_REFINEMENTS halvings of the coarsest step 2 STEP, the first of
+    # them in the first call: 6 calls on 4097 nodes
     n = round(quadrature.T_MAX / quadrature.STEP)
-    assert calls == [2 * n + 1] + [2 * n * 2 ** k for k in range(quadrature.MAX_REFINEMENTS)]
+    assert calls == [2 * n + 1] + [2 * n * 2 ** k for k in range(quadrature.MAX_REFINEMENTS - 1)]
+    h = 2 * quadrature.STEP / 2 ** quadrature.MAX_REFINEMENTS
+    assert sum(calls) == round(2 * quadrature.T_MAX / h) + 1 == 4097
 
 
 def test_the_oscillating_closed_form_is_gamma_times_gamma():
