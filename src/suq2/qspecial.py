@@ -221,11 +221,14 @@ def q_finite_product(J, p: QParam, eta):
     return _ret(_divide_factors(J, p, arr, np.ones_like(arr)), scalar)
 
 
-def _divide_factors(J: HalfInt, p: QParam, arr, out):
+def _divide_factors(J: HalfInt, p: QParam, arr, out, inv=None):
     """out / prod_{k < floor(J)} (1 + q^(2k-2J) eta), for J >= 0: the
-    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}."""
+    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}.  Given inv = 1/eta,
+    each factor is divided by eta first, inv + q^(2k-2J), so the result is
+    out eta^floor(J) / prod (1 + q^(2k-2J) eta)."""
     for k in range(J.twice // 2):
-        factor = 1.0 + arr * p.power(2 * k - J.twice)
+        power = p.power(2 * k - J.twice)
+        factor = 1.0 + arr * power if inv is None else inv + power
         if np.any(np.abs(factor) < POLE_TOL):
             raise ValueError(f"finite-product pole: factor k={k} vanishes")
         out = out / factor
@@ -467,12 +470,28 @@ def q_function(J, p: QParam, eta):
     if J.is_integer():
         return q_finite_product(J, p, eta)
     arr, scalar = _as_complex(eta)
+    return _ret(_divide_factors(J, p, arr, _q_half(J, p, arr)), scalar)
+
+
+def _q_half(J: HalfInt, p: QParam, arr):
+    """The regime's Q_{1/2} on eta's complex array, for a half-integer J >= 1/2,
+    which on the circle needs (2J+1)|tau| < pi."""
     if p.regime is Regime.POSITIVE_REAL:
-        half = q_infinite_product(0.5, p, arr)
-    else:
-        _check_sector(J, p)
-        half = q_integral_exp(0.5, p, arr)
-    return _ret(_divide_factors(J, p, arr, half), scalar)
+        return q_infinite_product(0.5, p, arr)
+    _check_sector(J, p)
+    return q_integral_exp(0.5, p, arr)
+
+
+def _q_far(J: HalfInt, p: QParam, eta):
+    """Q_J(eta) eta^n, n = floor(J), on a complex array of large |eta|, where
+    Q_J itself underflows: each finite factor is divided by eta before the
+    product (see _divide_factors), and classically (1 + eta)^(-J) is taken
+    as (1 + 1/eta)^(-n) (1 + eta)^(n-J)."""
+    n, inv = J.twice // 2, 1.0 / eta
+    if p.regime is Regime.CLASSICAL:
+        return (1.0 + inv) ** (-float(n)) * (1.0 + eta) ** (n - float(J))
+    half = np.ones_like(eta) if J.is_integer() else _q_half(J, p, eta)
+    return _divide_factors(J, p, eta, half, inv)
 
 
 def norm_constant(J, M, N, p: QParam) -> float:
@@ -539,15 +558,44 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     warnings_before = _branch_cut_warnings
     records = [_psi_record(J, m, N, p) for m in ms]
     eta = u_arr * v_arr
-    qval = q_function(J, p, eta)
-    rows = []
-    for m, (lead, k0, mn, coeffs) in zip(ms, records):
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = lead * qval
-        if not np.all(np.isfinite(scaled)):
-            _float_range_error(J, m, N, p)
-        rows.append(scaled * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta))
-    return np.stack(rows), _branch_cut_warnings != warnings_before
+    with np.errstate(over="ignore", invalid="ignore"):
+        qval = q_function(J, p, eta)
+        rows = np.stack([lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
+                         for lead, k0, mn, coeffs in records])
+    # where lead Q leaves the normal range or the row overflows, the far form
+    tiny = sys.float_info.min / np.array([abs(r[0]) for r in records]).reshape((-1,) + eta.ndim * (1,))
+    far = ~np.isfinite(rows) | (np.abs(qval) < tiny)
+    if np.any(far):
+        _far_rows(J, ms, N, p, records, u_arr, v_arr, rows, far)
+    return rows, _branch_cut_warnings != warnings_before
+
+
+def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u_arr, v_arr, rows, far):
+    """Overwrite rows[far] with the far form of each row, for large |uv|.
+    With eta = uv, n = floor(J), d the degree of P and s, t the sum and
+    difference of a = k0+d-n and b = k0+M+N+d-n, the row's
+    Q(eta) (-u)^k0 v^(k0+M+N) P(-eta) is
+    (-1)^(k0+d) [Q(eta) eta^n] eta^(s/2) (u/v)^(t/2) P~(-1/eta)
+    for even s, with one more factor u and s-1, t-1 for odd s; P~ is the
+    Horner sum of the coefficients in reverse.  Q eta^n is about
+    eta^(n-J), s <= 1, |u/v| is 1 on the diagonal, and the sum in 1/eta is
+    led by its first term, so nothing overflows where the plain form did.
+    A far value that is still not finite raises."""
+    at = np.any(far, axis=0)
+    u, v = (np.broadcast_to(a, at.shape)[at] for a in (u_arr, v_arr))
+    eta = u * v
+    n = J.twice // 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qfar = _q_far(J, p, eta)
+        for row, take, m, (lead, k0, mn, coeffs) in zip(rows, far, ms, records):
+            d = len(coeffs) - 1
+            s, t = 2 * (k0 + d - n) + mn, -mn
+            value = ((-1) ** (k0 + d) * lead * qfar * eta ** (s // 2) * (u / v) ** (t // 2)
+                     * (u if s % 2 else 1.0) * _horner(coeffs[::-1], -1.0 / eta))
+            sel = take[at]
+            if not np.all(np.isfinite(value[sel])):
+                _float_range_error(J, m, N, p)
+            row[take] = value[sel]
 
 
 def _float_range_error(J, M, N, p: QParam):

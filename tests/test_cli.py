@@ -412,6 +412,33 @@ class TestGram:
         doc = json.loads(out)
         assert doc["max_offdiag"] < 1e-9 and doc["max_diag_dev"] < 1e-9
 
+    @pytest.mark.parametrize("argv,tol", [
+        (["--q", "1", "--N", "0", "--J-max", "17"], 1e-9),
+        (["--q", "1", "--N", "0", "--J-max", "20"], 1e-9),
+        (["--tau", "0.05", "--N", "0", "--J-max", "17"], 1e-9),
+        (["--q", "1.05", "--N", "0", "--J-max", "17"], 1e-7),
+    ], ids=["q1-J17", "q1-J20", "tau0.05-J17", "q1.05-J17"])
+    def test_high_towers_reach_the_far_nodes(self, argv, tol, capsys):
+        # from J = 17 on, eta^J overflows and Q_J underflows at the rule's
+        # far nodes, |ln eta| up to 44, where psi takes its far form; any
+        # RuntimeWarning is an error here.  At q 1.05 the R sums of J = 17
+        # lose digits to cancellation, hence the looser bound
+        code, out, err = run(["gram"] + argv + ["--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_offdiag"] < tol and doc["max_diag_dev"] < tol
+
+    @pytest.mark.parametrize("argv,msg", [
+        (["--q", "1.05", "--N", "0", "--J-max", "20"],
+         "radial integral did not converge within max_refinements"),
+        (["--tau", "0.1", "--N", "0", "--J-max", "17"],
+         "negative radicand in norm_constant for (J,M,N)=(16,0,0); the circle parameter "
+         "is outside the positivity domain tau < pi/(2J+1)"),
+    ], ids=["q1.05-J20", "tau0.1-J17"])
+    def test_high_towers_past_their_reach_are_one_error_line(self, argv, msg, capsys):
+        code, out, err = run(["gram"] + argv, capsys)
+        assert code == 2 and out == "" and err == f"error: {msg}\n"
+
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err

@@ -808,12 +808,72 @@ class TestPsiFloatRange:
             psi(50, -49, 0, QParam.unit_circle(0.01), 0.5, 0.5)
 
     def test_a_lead_times_q_that_overflows_is_refused(self, monkeypatch):
-        # the lead of (2, 2, 2) is about 21, so Q = 1e308 overflows the product
+        # the lead of (2, 2, 2) is about 21, so Q = 1e308 overflows the
+        # product, and Q eta^2 = 1e308 overflows the far form it falls back on
         monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
         monkeypatch.setattr(qspecial, "q_function", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
+        monkeypatch.setattr(qspecial, "_q_far", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
         with pytest.raises(ValueError, match=re.escape(
                 "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
             psi(2, (2, 1), 2, P_CLASS, np.array([0.5, 0.7]), np.array([0.5, 0.7]))
+
+
+def classical_psi_mpmath(J, M, N, eta):
+    """psi at u = v = sqrt(eta) > 0, q = 1, from lead (1+eta)^(-J) R(eta)
+    eta^((M+N)/2) summed in 60-digit arithmetic on the float coefficients."""
+    lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, P_CLASS)
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eta)
+        r = sum(mpmath.mpf(c) * (-e) ** (k0 + j) for j, c in enumerate(coeffs))
+        return complex(lead * (1 + e) ** -mpmath.mpf(float(J)) * r * mpmath.sqrt(e) ** mn)
+
+
+class TestPsiFarForm:
+    """Where lead Q leaves the normal range or a row overflows, as at the
+    radial rule's far nodes from J = 17 on, psi takes Q eta^floor(J) and
+    the Horner sum in 1/eta."""
+
+    @pytest.mark.parametrize("J,M,N", [(17, 0, 0), (20, -20, -20), (20, 20, 20), (20, 20, -20),
+                                       (20, 3, -7), (20.5, 0.5, -0.5), (30, -30, -30)])
+    @pytest.mark.parametrize("eta", [1e10, 1e19])
+    def test_large_eta_against_mpmath(self, J, M, N, eta):
+        J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+        got = psi(J, M, N, P_CLASS, math.sqrt(eta), math.sqrt(eta))
+        want = classical_psi_mpmath(J, M, N, eta)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("p", [P_CLASS, QParam.positive_real(1.3), QParam.positive_real(0.7),
+                                   QParam.unit_circle(0.2)], ids=["q1", "q1.3", "q0.7", "tau0.2"])
+    def test_far_form_is_the_plain_form_where_both_are_in_range(self, p):
+        # off the diagonal, |u| != |v|, at |uv| from 6 to 2000
+        u = np.linspace(2.0, 40.0, 7) * np.exp(0.3j)
+        v = np.linspace(3.0, 50.0, 7) * np.exp(-0.1j)
+        for twice in range(9):  # J <= 4
+            J = HalfInt(twice)
+            ms = tuple(m_values(J))
+            for N in m_values(J):
+                plain, _ = qspecial._psi_rows(J, ms, N, p, u, v)
+                rows = plain.copy()
+                records = [qspecial._psi_record(J, m, N, p) for m in ms]
+                qspecial._far_rows(J, ms, N, p, records, u, v, rows,
+                                   np.ones(rows.shape, dtype=bool))
+                scale = np.max(np.abs(plain), axis=1, keepdims=True)
+                assert np.all(np.abs(rows - plain) <= 1e-12 * scale), (J, N)
+
+    def test_only_the_failing_entries_take_the_far_form(self):
+        # at q = 1 the row of (17, 0, 0) is plain while eta^17 is finite and
+        # far beyond; the plain entries keep their bits
+        eta = np.array([1.0, 1e6, 1e12, 1e19, 1e25])
+        J, M, N = HalfInt(34), HalfInt(0), HalfInt(0)  # (17, 0, 0)
+        got = psi(J, M, N, P_CLASS, np.sqrt(eta), np.sqrt(eta))
+        lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, P_CLASS)
+        root = np.sqrt(eta[:3]).astype(complex)
+        plain = (lead * (1.0 + root * root) ** -17.0 * (-root) ** k0 * root ** (k0 + mn)
+                 * qspecial._horner(coeffs, -(root * root)))
+        assert np.array_equal(got[:3], plain)
+        assert np.all(np.isfinite(got))
+        want = [classical_psi_mpmath(J, M, N, e) for e in eta[3:]]
+        assert np.allclose(got[3:], want, rtol=1e-12, atol=0)
 
 
 class TestPsi:
