@@ -483,10 +483,8 @@ def _q_half(J: HalfInt, p: QParam, arr):
 
 
 def _q_far(J: HalfInt, p: QParam, eta):
-    """Q_J(eta) eta^n, n = floor(J), on a complex array of large |eta|, where
-    Q_J itself underflows: each finite factor is divided by eta before the
-    product (see _divide_factors), and classically (1 + eta)^(-J) is taken
-    as (1 + 1/eta)^(-n) (1 + eta)^(n-J)."""
+    """Q_J(eta) eta^floor(J) on eta's complex array, for large |eta|, where
+    Q_J itself underflows: each finite factor is divided by eta first."""
     n, inv = J.twice // 2, 1.0 / eta
     if p.regime is Regime.CLASSICAL:
         return (1.0 + inv) ** (-float(n)) * (1.0 + eta) ** (n - float(J))
@@ -562,40 +560,32 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
         qval = q_function(J, p, eta)
         rows = np.stack([lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
                          for lead, k0, mn, coeffs in records])
-    # where lead Q leaves the normal range or the row overflows, the far form
-    tiny = sys.float_info.min / np.array([abs(r[0]) for r in records]).reshape((-1,) + eta.ndim * (1,))
-    far = ~np.isfinite(rows) | (np.abs(qval) < tiny)
+        # where lead Q leaves the normal range or the row is not finite, the far form
+        leads = np.abs([lead for lead, *_ in records])
+        far = ~np.isfinite(rows) | (np.multiply.outer(leads, np.abs(qval)) < sys.float_info.min)
     if np.any(far):
-        _far_rows(J, ms, N, p, records, u_arr, v_arr, rows, far)
+        _far_rows(J, ms, N, p, records, u_arr, v_arr, eta, rows, far)
     return rows, _branch_cut_warnings != warnings_before
 
 
-def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u_arr, v_arr, rows, far):
-    """Overwrite rows[far] with the far form of each row, for large |uv|.
-    With eta = uv, n = floor(J), d the degree of P and s, t the sum and
-    difference of a = k0+d-n and b = k0+M+N+d-n, the row's
-    Q(eta) (-u)^k0 v^(k0+M+N) P(-eta) is
-    (-1)^(k0+d) [Q(eta) eta^n] eta^(s/2) (u/v)^(t/2) P~(-1/eta)
-    for even s, with one more factor u and s-1, t-1 for odd s; P~ is the
-    Horner sum of the coefficients in reverse.  Q eta^n is about
-    eta^(n-J), s <= 1, |u/v| is 1 on the diagonal, and the sum in 1/eta is
-    led by its first term, so nothing overflows where the plain form did.
-    A far value that is still not finite raises."""
-    at = np.any(far, axis=0)
-    u, v = (np.broadcast_to(a, at.shape)[at] for a in (u_arr, v_arr))
-    eta = u * v
+def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u, v, eta, rows, far):
+    """Overwrite rows[far] with the far form, for large |eta|, eta = uv: with
+    n = floor(J), d the degree of P and s = 2(k0+d-n) + M+N, the row is
+    (-1)^(k0+d) [Q eta^n] eta^(s//2) (u/v)^(-(M+N)//2) u^(s mod 2) P~(-1/eta),
+    P~ the Horner sum of the coefficients in reverse.  Q eta^n is about
+    eta^(n-J) and s <= 1, so nothing overflows where the plain form did; a
+    far value that is still not finite raises."""
     n = J.twice // 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         qfar = _q_far(J, p, eta)
         for row, take, m, (lead, k0, mn, coeffs) in zip(rows, far, ms, records):
             d = len(coeffs) - 1
-            s, t = 2 * (k0 + d - n) + mn, -mn
-            value = ((-1) ** (k0 + d) * lead * qfar * eta ** (s // 2) * (u / v) ** (t // 2)
+            s = 2 * (k0 + d - n) + mn
+            value = ((-1) ** (k0 + d) * lead * qfar * eta ** (s // 2) * (u / v) ** ((-mn) // 2)
                      * (u if s % 2 else 1.0) * _horner(coeffs[::-1], -1.0 / eta))
-            sel = take[at]
-            if not np.all(np.isfinite(value[sel])):
+            if not np.all(np.isfinite(value[take])):
                 _float_range_error(J, m, N, p)
-            row[take] = value[sel]
+            row[take] = value[take]
 
 
 def _float_range_error(J, M, N, p: QParam):
@@ -619,9 +609,8 @@ def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
 def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     """What psi reads for one (J, M, N, p): the norm constant times the phase
     q^(-NM/2), k0, M+N and the R coefficients, built first so that an R
-    lead out of the float range is the error reported.  A norm that over-
-    or underflows, and in _psi_rows a lead times Q that overflows, raise a
-    ValueError naming (J, M, N) and q.  R(uv) v^(M+N) is
+    lead out of the float range is the error reported.  A lead out of the
+    normal range raises a ValueError naming (J, M, N) and q.  R(uv) v^(M+N) is
     (-u)^k0 v^(k0+M+N) P(-uv), both exponents nonnegative, so psi is finite
     at 0.  A negative radicand raises on every call, as lru_cache stores no
     error."""

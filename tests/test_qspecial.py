@@ -855,7 +855,7 @@ class TestPsiFarForm:
                 plain, _ = qspecial._psi_rows(J, ms, N, p, u, v)
                 rows = plain.copy()
                 records = [qspecial._psi_record(J, m, N, p) for m in ms]
-                qspecial._far_rows(J, ms, N, p, records, u, v, rows,
+                qspecial._far_rows(J, ms, N, p, records, u, v, u * v, rows,
                                    np.ones(rows.shape, dtype=bool))
                 scale = np.max(np.abs(plain), axis=1, keepdims=True)
                 assert np.all(np.abs(rows - plain) <= 1e-12 * scale), (J, N)
