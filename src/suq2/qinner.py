@@ -22,10 +22,12 @@ Every family that qops builds from basis members records its Fourier
 decomposition (PlaneFamily.meta): components of exact modes, psi_(J,M,N)
 being one of mode M+N.  On the physical slice a component of mode m is
 e^{-i m phi} times its value at phi = 0, so the angular integral keeps only
-the products of like modes and <f|g> is one radial integral of
+the products of like modes and <f|g> is the radial integral of
 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's components of mode m
-at (rho, rho).  That radial integral is the only scalar product: a family
-without a decomposition is rejected.
+at (rho, rho); a pair with no common mode is an exact 0.0.  The pairs of one
+call that share the same modes share one radial integral, on which each
+distinct family of a side is evaluated once per form term.  That is the
+only scalar product: a family without a decomposition is rejected.
 """
 from __future__ import annotations
 
@@ -65,45 +67,53 @@ def _terms(p: QParam):
     return ((pinv, p, qm1), (p, pinv, qp1))
 
 
-def _modes_at(f: PlaneFamily, p: QParam, x, modes) -> dict:
-    """{m: F_m} for each m in modes: f's components of mode m summed at (x, x).
+def _mode_rows(fams, p: QParam, x, modes) -> dict:
+    """{m: rows} for each m in modes, row k the sum of fams[k]'s components
+    of mode m at (x, x); each distinct family is evaluated once.  A component
+    with coefficient 1 (a basis member) enters unmultiplied."""
+    sums = {}
+    for f in fams:
+        if id(f) not in sums:
+            out = sums[id(f)] = {}
+            for c, comp, m in f.meta:
+                if m in modes:
+                    val = comp(p, x, x) if c == 1 else c * comp(p, x, x)
+                    out[m] = out[m] + val if m in out else val
+    return {m: np.array([sums[id(f)][m] for f in fams]) for m in modes}
 
-    A component with coefficient 1 (a basis member) enters unmultiplied.
-    """
-    out = {}
-    for c, comp, m in f.meta:
-        if m in modes:
-            val = comp(p, x, x)
-            if c != 1:
-                val = c * val
-            out[m] = out[m] + val if m in out else val
+
+def _products(pairs: Sequence, p: QParam) -> list:
+    """<f|g> at p for each pair (f, g) in pairs, in order (see above)."""
+    if any(f.meta is None or g.meta is None for f, g in pairs):
+        raise ValueError("the scalar product needs families with a Fourier decomposition")
+    blocks = {}
+    for k, (f, g) in enumerate(pairs):
+        common = tuple(sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta}))
+        if common:
+            blocks.setdefault(common, []).append(k)
+    out = [0.0] * len(pairs)
+    for common, ks in blocks.items():
+        bras, kets = [pairs[k][0] for k in ks], [pairs[k][1] for k in ks]
+
+        def profile(rho):
+            eta = rho ** 2
+            acc = 0
+            for bra_p, ket_p, s in _terms(p):
+                # the sides of a term may share the parameter, not the argument
+                bra = _mode_rows(bras, bra_p, rho, common)
+                ket = _mode_rows(kets, ket_p, s * rho, common)
+                w = s / ((1.0 + eta) * (1.0 + s * s * eta))
+                for m in common:
+                    acc = acc + np.conj(bra[m]) * w * ket[m]
+            return acc
+        for k, val in zip(ks, radial_integral(profile).value.tolist()):
+            out[k] = b_one(p) * 2.0 * math.pi * val
     return out
 
 
 def inner(f: PlaneFamily, g: PlaneFamily, p: QParam) -> complex:
-    """The scalar product <f|g> at p on the physical slice.
-
-    The modes the two families share are matched on one radial integral at
-    phi = 0; no shared mode gives an exact 0.0 (angular orthogonality).
-    """
-    if f.meta is None or g.meta is None:
-        raise ValueError("the scalar product needs families with a Fourier decomposition")
-    common = sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta})
-    if not common:
-        return 0.0
-    terms = _terms(p)
-
-    def profile(rho):
-        eta = rho ** 2
-        acc = 0
-        for bra_p, ket_p, s in terms:
-            bra = _modes_at(f, bra_p, rho, common)
-            ket = _modes_at(g, ket_p, s * rho, common)
-            w = s / ((1.0 + eta) * (1.0 + s * s * eta))
-            for m in common:
-                acc = acc + np.conj(bra[m]) * w * ket[m]
-        return acc
-    return b_one(p) * 2.0 * math.pi * radial_integral(profile).value
+    """<f|g> at p on the physical slice: the one-pair case of _products."""
+    return _products([(f, g)], p)[0]
 
 
 @dataclass(frozen=True)
@@ -118,32 +128,24 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
     """Full cross-Gram of the basis tower {(J, M): J in J_list, |M| <= J}
     in the scalar product at p.
 
-    Entries are filled Hermitian from the upper triangle.
+    Entries are filled Hermitian from the upper triangle, whose pairs go
+    on one _products call: one radial integral per like-mode block.
     """
     N = HalfInt.of(N)
-    states = []
-    for J in J_list:
-        J = HalfInt.of(J)
-        for M in m_values(J):
-            validate_triple(J, M, N)
-            states.append((J, M))
-    n = len(states)
-    mat = np.zeros((n, n), dtype=complex)
-    fams = [psi_family(J, M, N) for (J, M) in states]
-    for i in range(n):
-        for j in range(i, n):
-            val = inner(fams[i], fams[j], p)
-            mat[i, j] = val
-            if j != i:
-                mat[j, i] = np.conj(val)
-    dev = mat - np.eye(n)
-    off = mat - np.diag(np.diag(mat))
-    return GramReport(
-        labels=tuple(states),
-        matrix=mat,
-        max_offdiag=float(np.max(np.abs(off))) if n else 0.0,
-        max_diag_dev=float(np.max(np.abs(np.diag(dev)))) if n else 0.0,
-    )
+    states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
+    for J, M in states:
+        validate_triple(J, M, N)
+    fams = [psi_family(J, M, N) for J, M in states]
+    upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]
+    mat = np.zeros((len(states), len(states)), dtype=complex)
+    for (i, j), val in zip(upper, _products([(fams[i], fams[j]) for i, j in upper], p)):
+        mat[i, j] = val
+        if j != i:
+            mat[j, i] = np.conj(val)
+    diag = np.diag(mat)
+    return GramReport(labels=tuple(states), matrix=mat,
+                      max_offdiag=float(np.max(np.abs(mat - np.diag(diag)), initial=0.0)),
+                      max_diag_dev=float(np.max(np.abs(diag - 1.0), initial=0.0)))
 
 
 def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam, N) -> float:

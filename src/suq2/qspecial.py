@@ -178,9 +178,8 @@ def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     """
     jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
     if not math.isfinite(_factorial(fact, jn, p) * _factorial(fact, jm, p)):
-        name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
         raise ValueError(f"R coefficients for (J,M,N)=({J},{M},{N}) leave the float range "
-                         f"at {name} = {p.value!r}")
+                         f"at {_named(p)}")
     k0, kmax = max(0, -mn), min(jm, jn)
     _factorial(fact, mn + kmax, p)
     c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
@@ -204,12 +203,18 @@ def _horner(coeffs, x):
 
 def r_polynomial(J, M, N, p: QParam, eta):
     """Terminating k-sum R(eta) = sum_k c_k (-eta)^k (see _r_coefficients),
-    evaluated as (-eta)^k0 P(-eta) with P the Horner sum of the c_k."""
+    evaluated as (-eta)^k0 P(-eta) with P the Horner sum of the c_k; a value
+    out of the float range is refused."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
     arr, scalar = _as_complex(eta)
     k0, coeffs = _r_coefficients(J, M, N, p, _q_factorials(J.twice, p))
-    return _ret((-arr) ** k0 * _horner(coeffs, -arr), scalar)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = (-arr) ** k0 * _horner(coeffs, -arr)
+    if not np.all(np.isfinite(out)):
+        _point_error(f"R for (J,M,N)=({J},{M},{N}) leaves the float range", arr,
+                     ~np.isfinite(out), p)
+    return _ret(out, scalar)
 
 
 def q_finite_product(J, p: QParam, eta):
@@ -460,17 +465,27 @@ def _check_sector(J: HalfInt, p: QParam):
 def q_function(J, p: QParam, eta):
     """Q_J: (1+eta)^(-J) classically; else, for J >= 0, q_finite_product for
     integer J, and for half-integer J the regime's Q_{1/2} divided by the same
-    factors, which on the circle needs (2J+1)|tau| < pi."""
+    factors, which on the circle needs (2J+1)|tau| < pi.  Q_J has no zero, so
+    a 0 has underflowed: it is refused, as is a value that is not finite."""
     J = HalfInt.of(J)
+    arr, scalar = _as_complex(eta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        out = _q_values(J, p, arr)
+    bad = ~np.isfinite(out) | (out == 0)
+    if np.any(bad):
+        _point_error(f"Q_J for J = {J} leaves the float range", arr, bad, p)
+    return _ret(out, scalar)
+
+
+def _q_values(J: HalfInt, p: QParam, arr):
+    """q_function on eta's complex array, with nothing refused: psi takes the
+    points where Q_J underflows to its far form."""
     if p.regime is Regime.CLASSICAL:
-        arr, scalar = _as_complex(eta)
-        return _ret((1.0 + arr) ** (-float(J)), scalar)
+        return (1.0 + arr) ** (-float(J))
     if J.twice < 0:
         raise ValueError(f"Q needs J >= 0, got {J}")
-    if J.is_integer():
-        return q_finite_product(J, p, eta)
-    arr, scalar = _as_complex(eta)
-    return _ret(_divide_factors(J, p, arr, _q_half(J, p, arr)), scalar)
+    half = np.ones_like(arr) if J.is_integer() else _q_half(J, p, arr)
+    return _divide_factors(J, p, arr, half)
 
 
 def _q_half(J: HalfInt, p: QParam, arr):
@@ -557,7 +572,7 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     records = [_psi_record(J, m, N, p) for m in ms]
     eta = u_arr * v_arr
     with np.errstate(over="ignore", invalid="ignore"):
-        qval = q_function(J, p, eta)
+        qval = _q_values(J, p, eta)
         rows = np.stack([lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
                          for lead, k0, mn, coeffs in records])
         # where lead Q leaves the normal range or the row is not finite, the far form
@@ -589,9 +604,18 @@ def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u, v, eta, 
 
 
 def _float_range_error(J, M, N, p: QParam):
-    name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
-    raise ValueError(f"psi for (J,M,N)=({J},{M},{N}) leaves the float range "
-                     f"at {name} = {p.value!r}")
+    raise ValueError(f"psi for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
+
+
+def _named(p: QParam) -> str:
+    """p as the errors name it: q = value, or tau = value on the circle."""
+    return f"{'tau' if p.regime is Regime.UNIT_CIRCLE else 'q'} = {p.value!r}"
+
+
+def _point_error(what: str, arr, bad, p: QParam):
+    """Raise `what` at the first point of eta's array arr where bad holds."""
+    x = complex(arr[np.argmax(bad)])
+    raise ValueError(f"{what} at eta = {(x.real if x.imag == 0 else x)!r}, {_named(p)}")
 
 
 def _weights(J: HalfInt, M, N: HalfInt) -> tuple:

@@ -35,7 +35,7 @@ MAX_REFINEMENTS = 6    # halvings of h after the coarsest level, 2 STEP, before 
 
 
 class PlaneIntegral(NamedTuple):
-    value: complex
+    value: complex | np.ndarray
     error: float
 
 
@@ -46,27 +46,23 @@ def _weighted(F: Callable, t):
 
 
 def radial_integral(F: Callable) -> PlaneIntegral:
-    """int_0^inf F(rho) rho drho, halving the step of the trapezoid rule in t
-    from STEP until successive values differ by < ABS_TOL; the last
-    difference is the error estimate.  Raises RuntimeError after
-    MAX_REFINEMENTS halvings of the coarsest step 2 STEP.
-
-    F is called once on every node of step STEP, which also gives the rule
-    of step 2 STEP, then once on the new midpoints of each further level:
-    at most MAX_REFINEMENTS calls.
+    """int_0^inf F(rho) rho drho, halving the step from STEP until successive
+    values differ by < ABS_TOL in every entry of F, whose last axis runs over
+    the nodes; the largest last difference is the error estimate.  Raises
+    RuntimeError after MAX_REFINEMENTS halvings of the coarsest step 2 STEP,
+    made in at most MAX_REFINEMENTS calls of F (see above).
     """
     n, h = round(T_MAX / STEP), STEP
     vals = _weighted(F, h * np.arange(-n, n + 1))
-    total = complex(np.sum(vals))
-    prev, est = 2 * h * complex(np.sum(vals[::2])), h * total
-    for _ in range(MAX_REFINEMENTS - 1):  # the first call holds the first halving
-        if abs(est - prev) < ABS_TOL:
-            break
+    total = np.sum(vals, axis=-1)
+    prev, est = 2 * h * np.sum(vals[..., ::2], axis=-1), h * total
+    calls = 1  # the first call holds the first halving
+    while not (err := float(np.max(np.abs(est - prev)))) < ABS_TOL:  # a nan never passes
+        if calls == MAX_REFINEMENTS:
+            raise RuntimeError("radial integral did not converge within max_refinements")
         h /= 2
-        total += complex(np.sum(_weighted(F, h * np.arange(1 - 2 * n, 2 * n, 2))))
+        total = total + np.sum(_weighted(F, h * np.arange(1 - 2 * n, 2 * n, 2)), axis=-1)
         n *= 2
+        calls += 1
         prev, est = est, h * total
-    err = abs(est - prev)
-    if err < ABS_TOL:
-        return PlaneIntegral(est, err)
-    raise RuntimeError("radial integral did not converge within max_refinements")
+    return PlaneIntegral(est, err)

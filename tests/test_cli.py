@@ -215,6 +215,25 @@ class TestEvalErrors:
         assert code == 2 and out == ""
         assert err == "error: psi for (J,M,N)=(50,-49,0) leaves the float range at tau = 0.01\n"
 
+    @pytest.mark.parametrize("argv,where", [
+        (["--J", "20", "--q", "1"], "20 leaves the float range at eta = 1e+19, q = 1.0"),
+        (["--J", "20", "--q", "1.05"], "20 leaves the float range at eta = 1e+19, q = 1.05"),
+        (["--J", "20.5", "--tau", "0.05"], "41/2 leaves the float range at eta = 1e+19, tau = 0.05"),
+    ], ids=["classical", "real", "circle"])
+    def test_q_that_underflows_is_one_error_line(self, argv, where, capsys):
+        # Q_20(1e19) is about 1e-380: Q has no zero, so the 0 it underflows
+        # to is refused; a RuntimeWarning on the way fails the test
+        code, out, err = run(["eval", "--fn", "Q", "--eta", "1e19"] + argv, capsys)
+        assert code == 2 and out == "" and err == f"error: Q_J for J = {where}\n"
+
+    def test_r_out_of_float_range_is_one_error_line(self, capsys):
+        # the Horner sum of R at 1e19 overflows; no numpy warning comes first
+        code, out, err = run(["eval", "--fn", "R", "--J", "20", "--M", "0", "--N", "0",
+                              "--q", "1", "--eta", "1e19"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: R for (J,M,N)=(20,0,0) leaves the float range "
+                       "at eta = 1e+19, q = 1.0\n")
+
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)
         assert code == 2

@@ -18,7 +18,8 @@ writes nothing: for each recording that the CLI no longer reproduces it
 prints any change of exit code or pass flag, and for a verify recording
 the worst residual/tol before and after and the largest rise and fall of
 a residual, for any other the largest value change relative to the
-largest value of the recording.
+largest value of the recording and how many entries changed only the sign
+of a zero.
 """
 import contextlib
 import io
@@ -132,6 +133,12 @@ def test_compare_names_what_moved():
     doc["matrix"][0][3][0] += 1e-12
     moved = "exit=0\n" + json.dumps(doc, indent=2) + "\n"
     assert "largest value change 1.00e-12 of the largest |value| 1" in compare("gram", matrix, moved)
+    assert "sign of a zero" not in compare("gram", matrix, moved)
+    # a zero that turns into -0 moves the bytes but no value
+    flipped = table.replace(",0,0\n", ",-0,-0\n", 1)
+    report = compare("gram", table, flipped)
+    assert flipped != table and "largest value change 0.00e+00" in report
+    assert "2 entries changed only the sign of a zero" in report
 
 def _values(text) -> list:
     """The printed values of an eval or gram rendering, in order: the re and
@@ -172,7 +179,8 @@ def compare(name, before, after) -> str:
     and for a verify recording the worst residual/tol, the residuals that
     rose and fell with the largest rise and fall measured in tol, moved
     tolerances and every pass flag that changed; for any other, the largest
-    value change relative to the largest |value| recorded."""
+    value change relative to the largest |value| recorded and the number of
+    entries whose only change is the sign of a zero."""
     lines = [name]
     exit_before, exit_after = before.split("\n", 1)[0], after.split("\n", 1)[0]
     if exit_before != exit_after:
@@ -208,6 +216,9 @@ def compare(name, before, after) -> str:
     scale = max((abs(x) for x in nb if math.isfinite(x)), default=0.0) or 1.0
     change = max((abs(a - b) for a, b in zip(nb, na) if a != b), default=0.0)
     lines.append(f"  largest value change {change / scale:.2e} of the largest |value| {scale:.6g}")
+    signs = sum(a == b == 0 and math.copysign(1, a) != math.copysign(1, b) for a, b in zip(nb, na))
+    if signs:  # 0 and -0 compare equal, yet they print differently
+        lines.append(f"  {signs} entries changed only the sign of a zero")
     return "\n".join(lines)
 
 

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from suq2 import qinner, quadrature
-from suq2.qcore import QParam, Regime
+from suq2 import qinner, qops, quadrature
+from suq2.qcore import HalfInt, QParam, Regime
 from suq2.qinner import (
     GramReport,
     adjoint_residual,
@@ -96,11 +97,12 @@ def fixed_level_gram(N, js, p, step):
 
 
 def rule_gram(N, js, p, n):
-    """gram with every scalar product one rational_gauss_rule(n) sum."""
+    """gram with every scalar product one rational_gauss_rule(n) sum; F
+    returns one row of node values per product of a like-mode block."""
     rho, w = rational_gauss_rule(n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qinner, "radial_integral", lambda F: quadrature.PlaneIntegral(
-            complex(w @ np.asarray(F(rho), dtype=complex)), math.inf))
+            np.asarray(F(rho), dtype=complex) @ w, math.inf))
         return gram(N, js, p)
 
 
@@ -189,6 +191,58 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
     integrand = sum(np.conj(f(bra, u, v)) * weight * g(ket, s * u, s * v)
                     for bra, ket, s, weight in terms)
     return b_one(p) * (w @ integrand.sum(axis=1)) * (2 * np.pi / angles)
+
+
+class TestGramBatch:
+    """gram hands its upper triangle to one batch of scalar products: one
+    radial integral per like-mode block, each state's psi requested once per
+    form term, side and level.  A block stops on its largest entry
+    difference; on these towers every pair of a block converges on the same
+    level, so the batch changes no bit of any entry."""
+
+    @pytest.mark.parametrize("p,N,js", [
+        (P_REAL, 0, [0, 1, 2]),
+        (P_CIRC, 0.5, [0.5, 1.5]),
+        (P_CLASS, 0, [0, 1, 2]),
+    ], ids=["real", "circle-N0.5", "classical"])
+    def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js):
+        levels = []
+        radial_integral, psi = qinner.radial_integral, qops.psi
+
+        def counted_radial_integral(F):
+            levels.append([0, Counter()])
+
+            def counted(rho):
+                levels[-1][0] += 1
+                return F(rho)
+            return radial_integral(counted)
+
+        def recorded_psi(J, M, N, p, u, v):
+            levels[-1][1][HalfInt.of(J), HalfInt.of(M)] += 1
+            return psi(J, M, N, p, u, v)
+
+        monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
+        monkeypatch.setattr(qops, "psi", recorded_psi)
+        rep = gram(N, js, p)
+        monkeypatch.undo()
+
+        states = rep.labels
+        # one integral per M (5 for J up to 2), which asks for the psi of each
+        # state of mode M once per form term, side and integrand call
+        by_m = {next(iter(asked))[1]: (calls, asked) for calls, asked in levels}
+        assert len(levels) == len(by_m) == len({M for _, M in states})
+        for M, (calls, asked) in by_m.items():
+            assert asked == {s: 2 * len(qinner._terms(p)) * calls for s in states if s[1] == M}
+        fams = [psi_family(J, M, N) for J, M in states]
+        for i, (_, Mi) in enumerate(states):
+            for j in range(i, len(states)):
+                val = inner(fams[i], fams[j], p)  # the float 0.0 for unlike modes
+                assert rep.matrix[i, j].tobytes() == np.complex128(val).tobytes()
+                if j != i:
+                    assert rep.matrix[j, i].tobytes() == np.complex128(np.conj(val)).tobytes()
+                if states[j][1] != Mi:  # unlike modes: the CLI prints 0, not -0
+                    for v in (rep.matrix[i, j], rep.matrix[j, i]):
+                        assert f"{v.real:.17g},{v.imag:.17g}" == "0,0"
 
 
 class TestModeMatching:

@@ -811,7 +811,7 @@ class TestPsiFloatRange:
         # the lead of (2, 2, 2) is about 21, so Q = 1e308 overflows the
         # product, and Q eta^2 = 1e308 overflows the far form it falls back on
         monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
-        monkeypatch.setattr(qspecial, "q_function", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
+        monkeypatch.setattr(qspecial, "_q_values", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
         monkeypatch.setattr(qspecial, "_q_far", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
         with pytest.raises(ValueError, match=re.escape(
                 "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
@@ -955,12 +955,12 @@ class TestPsiTower:
     def test_evaluates_q_once(self, monkeypatch):
         monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
         calls = []
-        q_function = qspecial.q_function
+        q_values = qspecial._q_values  # q_function's evaluation, which psi calls
 
         def counted(J, p, eta):
             calls.append(np.shape(eta))
-            return q_function(J, p, eta)
-        monkeypatch.setattr(qspecial, "q_function", counted)
+            return q_values(J, p, eta)
+        monkeypatch.setattr(qspecial, "_q_values", counted)
         u = np.linspace(0.3, 2.0, 5)
         out = psi(1.5, (1.5, 0.5, -0.5, -1.5), 0.5, P_TWO, u, u)
         assert out.shape == (4, 5) and calls == [(5,)]
