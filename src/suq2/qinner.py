@@ -84,21 +84,22 @@ def _mode_rows(fams, p: QParam, x, modes) -> dict:
 
 def _products(pairs: Sequence, p: QParam) -> list:
     """<f|g> at p for each pair (f, g) in pairs, in order (see above)."""
-    if any(f.meta is None or g.meta is None for f, g in pairs):
-        raise ValueError("the scalar product needs families with a Fourier decomposition")
     blocks = {}
     for k, (f, g) in enumerate(pairs):
+        if f.meta is None or g.meta is None:
+            raise ValueError("the scalar product needs families with a Fourier decomposition")
         common = tuple(sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta}))
         if common:
             blocks.setdefault(common, []).append(k)
     out = [0.0] * len(pairs)
+    terms, scale = _terms(p), b_one(p) * 2.0 * math.pi  # read by every block
     for common, ks in blocks.items():
         bras, kets = [pairs[k][0] for k in ks], [pairs[k][1] for k in ks]
 
         def profile(rho):
             eta = rho ** 2
             acc = 0
-            for bra_p, ket_p, s in _terms(p):
+            for bra_p, ket_p, s in terms:
                 # the sides of a term may share the parameter, not the argument
                 bra = _mode_rows(bras, bra_p, rho, common)
                 ket = _mode_rows(kets, ket_p, s * rho, common)
@@ -107,7 +108,7 @@ def _products(pairs: Sequence, p: QParam) -> list:
                     acc = acc + np.conj(bra[m]) * w * ket[m]
             return acc
         for k, val in zip(ks, radial_integral(profile).value.tolist()):
-            out[k] = b_one(p) * 2.0 * math.pi * val
+            out[k] = scale * val
     return out
 
 

@@ -218,12 +218,12 @@ def r_polynomial(J, M, N, p: QParam, eta):
 
 
 def q_finite_product(J, p: QParam, eta):
-    """Q for integer J: product of J reciprocal linear factors (1 for J = 0)."""
+    """Q for integer J: product of J reciprocal linear factors (1 for J = 0),
+    which is q_function at integer J >= 0."""
     J = HalfInt.of(J)
     if not J.is_integer() or J.twice < 0:
         raise ValueError(f"finite product needs integer J >= 0, got {J}")
-    arr, scalar = _as_complex(eta)
-    return _ret(_divide_factors(J, p, arr, np.ones_like(arr)), scalar)
+    return q_function(J, p, eta)
 
 
 def _divide_factors(J: HalfInt, p: QParam, arr, out, inv=None):
@@ -463,9 +463,9 @@ def _check_sector(J: HalfInt, p: QParam):
 
 
 def q_function(J, p: QParam, eta):
-    """Q_J: (1+eta)^(-J) classically; else, for J >= 0, q_finite_product for
-    integer J, and for half-integer J the regime's Q_{1/2} divided by the same
-    factors, which on the circle needs (2J+1)|tau| < pi.  Q_J has no zero, so
+    """Q_J: (1+eta)^(-J) classically; else, for J >= 0, 1 divided by floor(J)
+    linear factors for integer J, and for half-integer J the regime's Q_{1/2}
+    divided by the same factors, which on the circle needs (2J+1)|tau| < pi.  Q_J has no zero, so
     a 0 has underflowed: it is refused, as is a value that is not finite."""
     J = HalfInt.of(J)
     arr, scalar = _as_complex(eta)
@@ -570,8 +570,10 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     coefficients (see r_polynomial)."""
     warnings_before = _branch_cut_warnings
     records = [_psi_record(J, m, N, p) for m in ms]
-    eta = u_arr * v_arr
     with np.errstate(over="ignore", invalid="ignore"):
+        eta = u_arr * v_arr
+        if np.count_nonzero(np.isfinite(eta)) != eta.size:  # finite u, v whose product is not
+            _float_range_error(J, ms[0], N, p)
         qval = _q_values(J, p, eta)
         rows = np.stack([lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
                          for lead, k0, mn, coeffs in records])

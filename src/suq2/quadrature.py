@@ -54,14 +54,14 @@ def radial_integral(F: Callable) -> PlaneIntegral:
     """
     n, h = round(T_MAX / STEP), STEP
     vals = _weighted(F, h * np.arange(-n, n + 1))
-    total = np.sum(vals, axis=-1)
-    prev, est = 2 * h * np.sum(vals[..., ::2], axis=-1), h * total
+    total = vals.sum(-1)
+    prev, est = 2 * h * vals[..., ::2].sum(-1), h * total
     calls = 1  # the first call holds the first halving
-    while not (err := float(np.max(np.abs(est - prev)))) < ABS_TOL:  # a nan never passes
+    while not (err := float(np.abs(est - prev).max())) < ABS_TOL:  # a nan never passes
         if calls == MAX_REFINEMENTS:
             raise RuntimeError("radial integral did not converge within max_refinements")
         h /= 2
-        total = total + np.sum(_weighted(F, h * np.arange(1 - 2 * n, 2 * n, 2)), axis=-1)
+        total = total + _weighted(F, h * np.arange(1 - 2 * n, 2 * n, 2)).sum(-1)
         n *= 2
         calls += 1
         prev, est = est, h * total

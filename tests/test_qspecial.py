@@ -817,6 +817,18 @@ class TestPsiFloatRange:
                 "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
             psi(2, (2, 1), 2, P_CLASS, np.array([0.5, 0.7]), np.array([0.5, 0.7]))
 
+    @pytest.mark.parametrize("p", [P_CLASS, P_TWO, P_CIRC], ids=["classical", "q2", "circle"])
+    @pytest.mark.parametrize("J,M,N", [(1, 0, 0), (1.5, 0.5, 0.5)])
+    def test_finite_arguments_whose_product_overflows_are_refused(self, p, J, M, N):
+        # u v = 1e400 is not a float: every regime and J refuses it alike,
+        # with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"psi for (J,M,N)=({HalfInt.of(J)},{HalfInt.of(M)},{HalfInt.of(N)}) "
+                    "leaves the float range at ")):
+                psi(J, M, N, p, 1e200, 1e200)
+
 
 def classical_psi_mpmath(J, M, N, eta):
     """psi at u = v = sqrt(eta) > 0, q = 1, from lead (1+eta)^(-J) R(eta)
