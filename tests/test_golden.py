@@ -92,6 +92,18 @@ CASES = {
     "verify_all_q2.718282_N0.5.json": ["verify", "--suite", "all", "--q", "2.718282", "--N", "0.5"],
     "verify_all_q0.367879_N0.json": ["verify", "--suite", "all", "--q", "0.367879", "--N", "0"],
     "verify_all_q0.367879_N0.5.json": ["verify", "--suite", "all", "--q", "0.367879", "--N", "0.5"],
+    # circle hermiticity at half-integer J, where Q_{1/2} is asked for most often
+    "verify_all_tau0.2_N0.5_seed3.json": ["verify", "--suite", "all", "--tau", "0.2",
+                                          "--N", "0.5", "--seed", "3"],
+    # psi's far form: 4 of the 5 points of each grid take it
+    "eval_psi_J20_M3_N0_q1_far.csv": ["eval", "--fn", "psi", "--J", "20", "--M", "3",
+                                      "--N", "0", "--q", "1", "--grid", "1e4:3e9:5"],
+    "eval_psi_J20.5_M0.5_N0.5_q1.3_far.csv": ["eval", "--fn", "psi", "--J", "20.5",
+                                              "--M", "0.5", "--N", "0.5", "--q", "1.3",
+                                              "--grid", "1e4:3e9:5"],
+    "eval_psi_J20.5_M-1.5_N0.5_tau0.05_far.csv": ["eval", "--fn", "psi", "--J", "20.5",
+                                                  "--M", "-1.5", "--N", "0.5", "--tau", "0.05",
+                                                  "--grid", "1e4:3e9:5"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
