@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--eta", type=float, default=None)
     pe.add_argument("--xi", type=float, default=None)
     pe.add_argument("--rho", type=float, default=None, help="radial point for psi (u=v=rho)")
-    pe.add_argument("--grid", type=str, default=None, help="lo:hi:n")
+    pe.add_argument("--grid", type=str, default=None,
+                    help="lo:hi:n; a negative lo needs the form --grid=lo:hi:n")
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run a verification suite, report JSON")

@@ -57,10 +57,10 @@ BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  Over ten batches of each
 # benchmark workload (verify --suite all on the circle and at real q, gram
-# and eval on the circle) one operation stores at most 0.10 MB of products
-# and 0.13 MB of L, so nothing is evicted; an unbounded psi memo holds up
-# to 1.07 MiB (real q) and 0.97 MiB (circle), and what the bound evicts
-# there is not asked for again
+# and eval on the circle) one operation stores at most 0.095 MB of Q_{1/2}
+# (0.067 MB on the circle), so nothing is evicted; an unbounded psi memo
+# holds up to 1.07 MiB (real q) and 0.97 MiB (circle), and what the bound
+# evicts there is not asked for again
 MEMO_MAX_BYTES = 2**20
 
 
@@ -105,15 +105,16 @@ GK21_NODES, GK21_WEIGHTS = _gauss_kronrod_21()
 class _ExactMemo:
     """Results of one evaluator keyed on its exact input, oldest first.
 
-    A key is (tag, the evaluator's parameters, the shapes of its array
+    A key is (the evaluator's parameters, the shapes of its array
     arguments, their complex bytes), the bytes last, so p and p.inverse(),
     or a (1,)- and a (1, 1)-shaped eta, never share an entry.  A scalar
     reaches the evaluators as shape (1,) (see _as_complex), so it shares
     the entry of [x], whose bits it has.  Every call returns a fresh copy,
-    so callers may mutate it.  A result whose evaluation raised or reported
-    a warning is never stored, so the warning and the errors recur on every
-    call.  The stored keys and values stay under max_bytes, evicting the
-    oldest entry first; a larger result is not stored at all.
+    so callers may mutate it.  A result whose evaluation raised or emitted
+    the branch-cut warning of l_function is never stored, even where the
+    caller silenced the warning, so the warning and the errors recur on
+    every call.  The stored keys and values stay under max_bytes, evicting
+    the oldest entry first; a larger result is not stored at all.
     """
 
     def __init__(self, max_bytes):
@@ -122,11 +123,12 @@ class _ExactMemo:
         self.nbytes = 0
 
     def lookup(self, key, compute):
-        """The value for key; on a miss, compute() returns (value, warned)."""
+        """The value for key; on a miss, the value compute() returns."""
         val = self.entries.get(key)
         if val is None:
-            val, warned = compute()
-            if not warned:
+            warnings_before = _branch_cut_warnings
+            val = compute()
+            if _branch_cut_warnings == warnings_before:
                 self._store(key, val)
         return val.copy()
 
@@ -141,10 +143,9 @@ class _ExactMemo:
         self.nbytes += size
 
 
-_l_memo = _ExactMemo(MEMO_MAX_BYTES)
-_product_memo = _ExactMemo(MEMO_MAX_BYTES)
+_q_half_memo = _ExactMemo(MEMO_MAX_BYTES)
 _psi_memo = _ExactMemo(MEMO_MAX_BYTES)
-# branch-cut warnings _l_quadrature has emitted: psi stores no result whose
+# branch-cut warnings _l_quadrature has emitted: a memo stores no result whose
 # evaluation moved it, though l_function's caller may have silenced the warning
 _branch_cut_warnings = 0
 
@@ -253,18 +254,12 @@ def q_infinite_product(J, p: QParam, eta):
     result is bit for bit the factor-by-factor product.  An empty eta gives
     an empty result of its shape.  An eta so large that factor 0 overflows
     is rejected.
-
-    Results are memoized on (J, p, eta's shape, eta's complex bytes) under
-    MEMO_MAX_BYTES, with a scalar eta and [eta] on one entry; see _ExactMemo
-    for the rules.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
         raise ValueError("infinite product is defined for the positive-real regime only")
     arr, scalar = _as_complex(eta)
-    val = _product_memo.lookup(("Q", J, p, arr.shape, arr.tobytes()),
-                               lambda: (_infinite_product(J, p.value, arr), False))
-    return _ret(val, scalar)
+    return _ret(_infinite_product(J, p.value, arr), scalar)
 
 
 def _multipliers(q, Jf, ks):
@@ -282,7 +277,7 @@ def _multipliers(q, Jf, ks):
 
 
 def _infinite_product(J, q, arr):
-    """The uncached product of q_infinite_product on eta's complex array."""
+    """The product of q_infinite_product on eta's complex array."""
     Jf = float(J)
     out = np.ones_like(arr)
     if arr.size == 0:
@@ -344,7 +339,8 @@ def l_function(p: QParam, eta):
     p : QParam
         Must be in the unit-circle regime, tau in (-pi, 0) u (0, pi).
     eta : complex scalar or array
-        Argument; complex values off the negative real axis are accepted.
+        Argument; complex values off the negative real axis are accepted,
+        and a value on it is refused with a ValueError.
 
     Notes
     -----
@@ -364,20 +360,18 @@ def l_function(p: QParam, eta):
     of at most BLOCK_ELEMENTS (points x panels x 21) entries; the panels are
     kept or bisected on the error maximized over all the points, so the
     result is bit for bit that of one block.
-
-    Results are memoized on (p, eta's shape, eta's complex bytes) under
-    MEMO_MAX_BYTES; see _ExactMemo for the rules.  A result whose
-    evaluation emitted the branch-cut warning is never stored.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
     arr, scalar = _as_complex(eta)
-    val = _l_memo.lookup(("L", p, arr.shape, arr.tobytes()), lambda: _l_quadrature(p, arr))
-    return _ret(val, scalar)
+    on_cut = (arr.imag == 0) & (arr.real < 0)  # 1 + eta t vanishes on the contour
+    if np.any(on_cut):
+        _point_error("l_function needs eta off the negative real axis", arr, on_cut, p)
+    return _ret(_l_quadrature(p, arr), scalar)
 
 
 def _l_quadrature(p: QParam, arr):
-    """L on the complex array arr; returns (values in its shape, whether it warned)."""
+    """L on the complex array arr, in its shape."""
     global _branch_cut_warnings
     flat = arr.reshape(-1)
     tau = p.value
@@ -385,7 +379,7 @@ def _l_quadrature(p: QParam, arr):
     sigma = 1.0 if tau > 0 else -1.0
     amax = float(np.max(np.abs(flat))) if flat.size else 0.0
     if amax == 0.0:
-        return np.zeros_like(arr), False
+        return np.zeros_like(arr)
 
     # t = exp(-v): 11 equal panels on (-u_high, 0) for t > 1, _low_breaks for t < 1
     u_low = max(30.0, (math.log(amax) + 40.0) / alpha)
@@ -408,14 +402,14 @@ def _l_quadrature(p: QParam, arr):
             sums[i:i + step], max_phase = _l_panel_sums(flat[i:i + step], t, g)
             if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
                 _branch_cut_warnings += 1
-                # frames: here, the memo's compute lambda and lookup, l_function, its caller
+                # frames: here, l_function, its caller
                 warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                              RuntimeWarning, stacklevel=5)
+                              RuntimeWarning, stacklevel=3)
                 warned = True
         panel_error = np.max(np.abs(sums[..., 1]), axis=0) / (2.0 * math.pi)
         if error + float(np.sum(panel_error)) < L_ABS_TOL:
             total += np.sum(sums[..., 0], axis=1)
-            return (sigma * total / (2j * math.pi)).reshape(arr.shape), warned
+            return (sigma * total / (2j * math.pi)).reshape(arr.shape)
         ok = panel_error < (L_ABS_TOL - error) / panel_error.size
         total += np.sum(sums[:, ok, 0], axis=1)
         error += float(np.sum(panel_error[ok]))
@@ -490,11 +484,18 @@ def _q_values(J: HalfInt, p: QParam, arr):
 
 def _q_half(J: HalfInt, p: QParam, arr):
     """The regime's Q_{1/2} on eta's complex array, for a half-integer J >= 1/2,
-    which on the circle needs (2J+1)|tau| < pi."""
+    which on the circle needs (2J+1)|tau| < pi.
+
+    Results are memoized on (p, eta's shape, eta's complex bytes) under
+    MEMO_MAX_BYTES; see _ExactMemo for the rules.  Every half-integer J
+    shares the entry, so the sector of J is checked before the lookup.
+    """
     if p.regime is Regime.POSITIVE_REAL:
-        return q_infinite_product(0.5, p, arr)
-    _check_sector(J, p)
-    return q_integral_exp(0.5, p, arr)
+        evaluate = q_infinite_product
+    else:
+        _check_sector(J, p)
+        evaluate = q_integral_exp
+    return _q_half_memo.lookup((p, arr.shape, arr.tobytes()), lambda: evaluate(0.5, p, arr))
 
 
 def _q_far(J: HalfInt, p: QParam, eta):
@@ -548,14 +549,13 @@ def psi(J, M, N, p: QParam, u, v):
 
     Results are memoized on (J, the weights, N, p, the shapes and the
     complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo for the
-    rules.  A result whose evaluation emitted the branch-cut warning of
-    l_function is never stored.
+    rules.
     """
     J, N = HalfInt.of(J), HalfInt.of(N)
     ms = _weights(J, M, N)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    key = ("psi", J, ms, N, p, u_arr.shape, v_arr.shape, u_arr.tobytes() + v_arr.tobytes())
+    key = (J, ms, N, p, u_arr.shape, v_arr.shape, u_arr.tobytes() + v_arr.tobytes())
     out = _psi_memo.lookup(key, lambda: _psi_rows(J, ms, N, p, u_arr, v_arr))
     scalar = u_scalar and v_scalar
     if not isinstance(M, tuple):
@@ -564,11 +564,9 @@ def psi(J, M, N, p: QParam, u, v):
 
 
 def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
-    """The uncached psi of each weight in ms, stacked, and whether the
-    branch-cut warning was emitted.  The row of M is
+    """The uncached psi of each weight in ms, stacked.  The row of M is
     lead Q(uv) (-u)^k0 v^(k0+M+N) P(-uv), with P the Horner sum of the R
     coefficients (see r_polynomial)."""
-    warnings_before = _branch_cut_warnings
     records = [_psi_record(J, m, N, p) for m in ms]
     with np.errstate(over="ignore", invalid="ignore"):
         eta = u_arr * v_arr
@@ -582,7 +580,7 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
         far = ~np.isfinite(rows) | (np.multiply.outer(leads, np.abs(qval)) < sys.float_info.min)
     if np.any(far):
         _far_rows(J, ms, N, p, records, u_arr, v_arr, eta, rows, far)
-    return rows, _branch_cut_warnings != warnings_before
+    return rows
 
 
 def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u, v, eta, rows, far):

@@ -1,19 +1,19 @@
-"""Deterministic work counts (no timing): on the circle no Gauss-Legendre
-rule is built, and every distinct l_function input runs its quadrature
-once; at real q every distinct infinite-product input runs its product
-once, at J = 1/2 only, and psi builds each (J, M, N, p) record once and
-evaluates each distinct input once; the stencil suites evaluate each
-(J, N) tower whole, in a few psi calls; the suite scalar products of one
-batch that share the same modes are one converged radial integral, and at
-least 95% of the products take one integrand call.  Each test empties the
-memos whose hits would hide the evaluations it counts."""
+"""Deterministic work counts (no timing): no Gauss-Legendre rule is built,
+and every distinct argument of Q_{1/2} is evaluated once, by two L
+quadratures on the circle and by one product at J = 1/2 at real q; psi
+builds each (J, M, N, p) record once and evaluates each distinct input
+once; the stencil suites evaluate each (J, N) tower whole, in a few psi
+calls; the suite scalar products of one batch that share the same modes
+are one converged radial integral, and at least 95% of the products take
+one integrand call.  Each test empties the memos whose hits would hide the
+evaluations it counts."""
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from suq2 import qinner, qops, qspecial, quadrature
-from suq2.qcore import HalfInt, QParam, m_values
+from suq2.qcore import HalfInt, QParam, Regime, m_values
 from suq2.suites import run_suite
 
 
@@ -23,9 +23,35 @@ def _empty(monkeypatch, memo):
     monkeypatch.setattr(memo, "nbytes", 0)
 
 
-def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
+def _record_q_half(monkeypatch):
+    """The exact arguments of every request for Q_{1/2}, hit or miss."""
+    keys = []
+    q_half = qspecial._q_half
+
+    def recorded(J, p, arr):
+        keys.append((p, arr.shape, arr.tobytes()))
+        return q_half(J, p, arr)
+
+    monkeypatch.setattr(qspecial, "_q_half", recorded)
+    return keys
+
+
+def _count(monkeypatch, name):
+    """The arguments of every call of qspecial's function name."""
+    calls = []
+    fn = getattr(qspecial, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(qspecial, name, counted)
+    return calls
+
+
+def test_casimir_suite_evaluates_each_q_half_argument_once_and_no_leggauss(monkeypatch):
     _empty(monkeypatch, qspecial._psi_memo)
-    _empty(monkeypatch, qspecial._l_memo)
+    _empty(monkeypatch, qspecial._q_half_memo)
 
     # a Gauss rule is built by numpy's leggauss or from the eigenvalues of
     # its Jacobi matrix; count both
@@ -37,39 +63,26 @@ def test_casimir_suite_runs_each_l_value_once_and_no_leggauss(monkeypatch):
             return fn(*args, **kw)
         return call
 
-    quadratures = []
-    uncached = qspecial._l_quadrature
-
-    def counted_quadrature(p, arr):
-        quadratures.append(arr.size)
-        return uncached(p, arr)
-
-    keys = []
-    l_function = qspecial.l_function
-
-    def recorded_l_function(p, eta):
-        arr = np.asarray(eta, dtype=complex)
-        keys.append((p, arr.shape, arr.tobytes()))
-        return l_function(p, eta)
-
+    quadratures = _count(monkeypatch, "_l_quadrature")
+    evaluations = _count(monkeypatch, "q_integral_exp")
+    keys = _record_q_half(monkeypatch)
     legendre = np.polynomial.legendre
     monkeypatch.setattr(legendre, "leggauss", counted("leggauss", legendre.leggauss))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)
-    monkeypatch.setattr(qspecial, "l_function", recorded_l_function)
     cases = run_suite("casimir", QParam.unit_circle(0.2))
 
     assert cases and all(c.passed for c in cases)
     assert built == []  # l_function's Gauss-Kronrod pair is a module constant
     assert len(keys) > len(set(keys))  # the stencils do revisit arguments
-    assert len(quadratures) == len(set(keys))
+    assert len(evaluations) == len(set(keys))
+    assert len(quadratures) == 2 * len(set(keys))  # L at q^-2 eta and at q^-1 eta
 
 
 @pytest.mark.parametrize("suite,q,N", [("casimir", 0.8, 0), ("hermiticity", 1.3, 0.5)])
 def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N):
     _empty(monkeypatch, qspecial._psi_memo)
-    _empty(monkeypatch, qspecial._product_memo)
+    _empty(monkeypatch, qspecial._q_half_memo)
     qspecial._psi_record.cache_clear()
 
     products = []
@@ -79,14 +92,7 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
         products.append((J, q, arr.shape, arr.tobytes()))
         return uncached(J, q, arr)
 
-    keys = []
-    q_infinite_product = qspecial.q_infinite_product
-
-    def recorded_product(J, p, eta):
-        arr = np.asarray(eta, dtype=complex)
-        keys.append((HalfInt.of(J), p, arr.shape, arr.tobytes()))
-        return q_infinite_product(J, p, eta)
-
+    keys = _record_q_half(monkeypatch)
     records = []
     psi = qspecial.psi
 
@@ -104,7 +110,6 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
         return norm_constant(J, M, N, p, fact)
 
     monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
-    monkeypatch.setattr(qspecial, "q_infinite_product", recorded_product)
     monkeypatch.setattr(qops, "psi", recorded_psi)  # the basis families call it there
     monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
     try:
@@ -120,23 +125,16 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
 
 
 def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
-    # at its byte bound the product memo keeps every distinct input of the
+    # at its byte bound the Q_{1/2} memo keeps every distinct input of the
     # largest real-q run recorded in the golden gate
-    _empty(monkeypatch, qspecial._product_memo)
+    _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-
-    products = []
-    uncached = qspecial._infinite_product
-
-    def counted_product(J, q, arr):
-        products.append((J, q, arr.shape, arr.tobytes()))
-        return uncached(J, q, arr)
-
-    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
+    products = _count(monkeypatch, "_infinite_product")
+    keys = _record_q_half(monkeypatch)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(products) == len(set(products))
-    assert qspecial._product_memo.nbytes <= qspecial.MEMO_MAX_BYTES
+    assert len(keys) > len(set(keys)) == len(products)
+    assert qspecial._q_half_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
 def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
@@ -169,38 +167,32 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
 @pytest.mark.parametrize("q", [0.6, 2.5])
 def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
     # half-integer J >= 3/2 divides Q_{1/2} by finite-product factors
-    _empty(monkeypatch, qspecial._product_memo)
+    _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-
-    js = []
-    uncached = qspecial._infinite_product
-
-    def counted_product(J, q, arr):
-        js.append(J)
-        return uncached(J, q, arr)
-
-    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
+    products = _count(monkeypatch, "_infinite_product")
     cases = run_suite("all", QParam.positive_real(q), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert js and set(js) == {HalfInt.of(0.5)}
+    assert products and {J for J, _, _ in products} == {HalfInt.of(0.5)}
 
 
-def test_circle_all_run_quadrature_count(monkeypatch):
-    # 94 quadratures while each half-integer J ran L at its own rotated argument
-    _empty(monkeypatch, qspecial._l_memo)
+@pytest.mark.parametrize("p,seed,quadratures,products", [
+    (QParam.unit_circle(0.2), 3, 36, 0), (QParam.positive_real(0.367879), None, 0, 18)],
+    ids=["tau0.2-seed3", "q0.367879"])
+def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
+    # the runs that separate memos of L and of the product made: a memo
+    # keyed on Q_{1/2}'s argument loses none of their repeats.  Each distinct
+    # argument is evaluated once, by two quadratures or by one product
+    _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-
-    quadratures = []
-    uncached = qspecial._l_quadrature
-
-    def counted_quadrature(p, arr):
-        quadratures.append(arr.size)
-        return uncached(p, arr)
-
-    monkeypatch.setattr(qspecial, "_l_quadrature", counted_quadrature)
-    cases = run_suite("all", QParam.unit_circle(0.2), N=0.5, seed=3)
+    runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
+    keys = _record_q_half(monkeypatch)
+    cases = run_suite("all", p, N=0.5, seed=seed)
     assert cases and all(c.passed for c in cases)
-    assert 0 < len(quadratures) <= 60
+    assert len(keys) > len(set(keys))
+    assert len(runs["_l_quadrature"]) == quadratures
+    assert len(runs["_infinite_product"]) == products
+    per_argument = 2 if p.regime is Regime.UNIT_CIRCLE else 1
+    assert quadratures + products == per_argument * len(set(keys))
 
 
 def test_psi_errors_fire_on_every_call(monkeypatch):
@@ -336,7 +328,6 @@ CUT_ETA = 1e-4 * np.exp(1j * (np.pi - 9e-7))
 ], ids=["grid2000", "branch-cut"])
 def test_l_function_bits_do_not_depend_on_point_blocks(monkeypatch, tau, eta):
     p = QParam.unit_circle(tau)
-    monkeypatch.setattr(qspecial._l_memo, "max_bytes", 0)  # every call runs the quadrature
     warns = tau == 1.0
 
     def evaluate():

@@ -69,6 +69,13 @@ class TestEval:
         assert abs(float(rows[0][1]) - 0.5) < 1e-15
         assert abs(float(rows[3][1]) + 1.0) < 1e-15
 
+    def test_grid_with_a_negative_start(self, capsys):
+        # --grid=lo:hi:n, as argparse takes "-0.9:0.9:3" after a space for a flag
+        code, out, _ = run(["eval", "--fn", "vilenkin", "--J", "1", "--M", "0", "--N", "0",
+                            "--q", "1.2", "--grid=-0.9:0.9:3"], capsys)
+        assert code == 0
+        assert [float(row[0]) for row in csv_rows(out)] == [-0.9, 0.0, 0.9]
+
     def test_json_document_shape(self, capsys):
         code, out, _ = run(["eval", "--fn", "L", "--tau", str(math.pi / 2),
                             "--eta", "1", "--format", "json"], capsys)
@@ -233,6 +240,12 @@ class TestEvalErrors:
         assert code == 2 and out == ""
         assert err == ("error: R for (J,M,N)=(20,0,0) leaves the float range "
                        "at eta = 1e+19, q = 1.0\n")
+
+    def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
+        # a RuntimeWarning on the way fails the test
+        code, out, err = run(["eval", "--fn", "L", "--tau", "0.2", "--eta", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: l_function needs eta off the negative real axis at eta = -1.0, tau = 0.2\n"
 
     def test_unknown_fn_rejected_by_argparse(self, capsys):
         code, _, _ = run(["eval", "--fn", "nope", "--q", "2"], capsys)

@@ -400,6 +400,16 @@ class TestLFunction:
         with pytest.raises(ValueError, match="finite"):
             l_function(P_CIRC, eta)
 
+    def test_negative_real_axis_refused(self):
+        # 1 + eta t vanishes on the contour at t = -1/eta; the quadrature
+        # would warn of the branch cut and then fail to converge
+        with pytest.raises(ValueError, match=re.escape(
+                "l_function needs eta off the negative real axis at eta = -1.0, tau = 0.2")):
+            l_function(QParam.unit_circle(0.2), -1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"off the negative real axis at eta = -2.0, tau = {P_CIRC.value!r}")):
+            l_function(P_CIRC, np.array([0.5, 1.0 - 1e-9j, -2.0, complex(-3.0, -0.0)]))
+
     @pytest.mark.parametrize("tau", [math.pi / 5, -math.pi / 5, 0.45 * math.pi, -0.45 * math.pi])
     @pytest.mark.parametrize("eta", [0.3, 1.0, 4.0])
     def test_difference_equation(self, tau, eta):
@@ -625,53 +635,45 @@ class _ExactMemoCases:
         assert memo.entries == {} and memo.nbytes == 0
 
 
-class TestLFunctionMemo(_ExactMemoCases):
-    MEMO, UNCACHED = "_l_memo", "_l_quadrature"
+class _QHalfMemoCases(_ExactMemoCases):
+    """Q_{1/2}'s memo in one regime: q_function at J = 1/2 reaches it, and
+    UNCACHED, the regime's public construction of Q_{1/2}, runs on a miss."""
 
-    @staticmethod
-    def evaluate(eta):
-        return l_function(P_CIRC, eta)
+    MEMO = "_q_half_memo"
 
-    @staticmethod
-    def uncached(arr):
-        val, warned = qspecial._l_quadrature(P_CIRC, arr)
-        assert not warned
-        return val
+    def evaluate(self, eta):
+        return q_function(0.5, self.P, eta)
+
+    def uncached(self, arr):
+        return getattr(qspecial, self.UNCACHED)(0.5, self.P, arr)
 
     def test_distinct_inputs_never_share_an_entry(self, misses):
+        eta = self.SCALAR_ETA
         calls = [
-            lambda: l_function(P_CIRC, 0.7),
-            lambda: l_function(P_CIRC.inverse(), 0.7),
-            lambda: l_function(P_CIRC, np.array([0.7])),
-            lambda: l_function(P_CIRC, np.array([[0.7]])),
+            lambda: q_function(0.5, self.P, eta),
+            lambda: q_function(0.5, self.P.inverse(), eta),
+            lambda: q_function(0.5, self.P, np.array([eta])),
+            lambda: q_function(0.5, self.P, np.array([[eta]])),
+            lambda: q_function(1.5, self.P, eta),
         ]
         first = [call() for call in calls]
-        # a scalar and [eta] are one input: the array hits the scalar's entry
-        assert len(misses) == len(calls) - 1
+        # a scalar and [eta] are one input, and every half-integer J divides
+        # the one entry of Q_{1/2}
+        assert len(misses) == 3
         again = [call() for call in calls]
-        assert len(misses) == len(calls) - 1
+        assert len(misses) == 3
         assert isinstance(first[0], complex) and isinstance(again[0], complex)
-        assert abs(first[0] + first[1]) < 1e-12  # the inverse really is -L here
-        assert [np.shape(v) for v in again] == [(), (), (1,), (1, 1)]
+        assert [np.shape(v) for v in again] == [(), (), (1,), (1, 1), ()]
         assert np.array([first[0]]).tobytes() == first[2].tobytes()
         for a, b in zip(first, again):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_branch_cut_warning_and_error_on_every_call(self, memo, misses):
-        p = QParam.unit_circle(math.pi / 5)
-        for _ in range(3):
-            with pytest.warns(RuntimeWarning, match="branch cut"):
-                with pytest.raises(RuntimeError):
-                    l_function(p, -0.5 + 1e-9j)
-        assert len(misses) == 3
-        assert memo.entries == {}
-
     def test_warned_result_is_never_stored(self, memo, misses, monkeypatch):
-        # a margin wider than pi makes every evaluation warn, converged or not
-        monkeypatch.setattr(qspecial, "BRANCH_CUT_MARGIN", 4.0)
+        self.warn(monkeypatch)
         for _ in range(2):
-            with pytest.warns(RuntimeWarning, match="branch cut"):
-                l_function(P_CIRC, 0.7)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # silenced, and still not stored
+                self.evaluate(0.7)
         assert len(misses) == 2
         assert memo.entries == {}
 
@@ -679,42 +681,22 @@ class TestLFunctionMemo(_ExactMemoCases):
 P_PRODUCT = QParam.positive_real(math.exp(-1.0))
 
 
-class TestInfiniteProductMemo(_ExactMemoCases):
-    MEMO, UNCACHED = "_product_memo", "_infinite_product"
+class TestQHalfMemoReal(_QHalfMemoCases):
+    P, UNCACHED = P_PRODUCT, "q_infinite_product"
+    # at this eta numpy's 0-d arithmetic would round differently from the
+    # one-element array's
+    SCALAR_ETA = 0.741 - 3.863j
 
     @staticmethod
-    def evaluate(eta):
-        return q_infinite_product(1.5, P_PRODUCT, eta)
+    def warn(monkeypatch):
+        # the product emits no warning: a miss that moves the branch-cut
+        # count stands in for one
+        product = qspecial.q_infinite_product
 
-    @staticmethod
-    def uncached(arr):
-        return qspecial._infinite_product(HalfInt.of(1.5), P_PRODUCT.value, arr)
-
-    def test_distinct_inputs_never_share_an_entry(self, misses):
-        # at this eta numpy's 0-d arithmetic would round differently from
-        # the one-element array's
-        eta = 0.741 - 3.863j
-        calls = [
-            lambda: q_infinite_product(0.5, P_PRODUCT, eta),
-            lambda: q_infinite_product(1.5, P_PRODUCT, eta),
-            lambda: q_infinite_product(0.5, P_PRODUCT.inverse(), eta),
-            lambda: q_infinite_product(0.5, P_PRODUCT, np.array([eta])),
-            lambda: q_infinite_product(0.5, P_PRODUCT, np.array([[eta]])),
-        ]
-        first = [call() for call in calls]
-        # a scalar and [eta] are one input: the array hits the scalar's entry
-        assert len(misses) == len(calls) - 1
-        again = [call() for call in calls]
-        assert len(misses) == len(calls) - 1
-        assert isinstance(first[0], complex) and isinstance(again[0], complex)
-        assert [np.shape(v) for v in again] == [(), (), (), (1,), (1, 1)]
-        assert np.array([first[0]]).tobytes() == first[3].tobytes()
-        for a, b, (J, p) in zip(first, again, [(0.5, P_PRODUCT), (1.5, P_PRODUCT),
-                                               (0.5, P_PRODUCT.inverse())]):
-            assert a == b == per_factor_infinite_product(J, p, eta)
-        for a, b in zip(first[3:], again[3:]):
-            assert a.tobytes() == b.tobytes()
-            assert a.tobytes() == per_factor_infinite_product(0.5, P_PRODUCT, np.array([eta])).tobytes()
+        def warned(*args):
+            monkeypatch.setattr(qspecial, "_branch_cut_warnings", qspecial._branch_cut_warnings + 1)
+            return product(*args)
+        monkeypatch.setattr(qspecial, "q_infinite_product", warned)
 
     @pytest.mark.parametrize("q,eta,error", [
         (0.5, np.array([1.0, -32.0]), ValueError),   # pole in factor 3
@@ -724,27 +706,43 @@ class TestInfiniteProductMemo(_ExactMemoCases):
     def test_errors_on_every_call(self, memo, misses, q, eta, error):
         for _ in range(2):
             with pytest.raises(error):
-                q_infinite_product(0.5, QParam.positive_real(q), eta)
+                q_function(0.5, QParam.positive_real(q), eta)
         assert len(misses) == 2
         assert memo.entries == {}
 
 
-def test_l_and_product_entries_never_evict_each_other(monkeypatch):
-    assert qspecial._l_memo.max_bytes == qspecial.MEMO_MAX_BYTES == 2**20
-    assert qspecial._product_memo.max_bytes == qspecial.MEMO_MAX_BYTES
-    assert qspecial._l_memo is not qspecial._product_memo
-    # room for one 8-point entry each: a shared store would keep only one
-    for memo in (qspecial._l_memo, qspecial._product_memo):
-        monkeypatch.setattr(memo, "entries", {})
-        monkeypatch.setattr(memo, "nbytes", 0)
-        monkeypatch.setattr(memo, "max_bytes", 256)
-    grid = np.linspace(0.1, 1.0, 8)
-    for _ in range(2):
-        l_function(P_CIRC, grid)
-        q_infinite_product(0.5, P_HALF, grid)
-    assert [key[0] for key in qspecial._l_memo.entries] == ["L"]
-    assert [key[0] for key in qspecial._product_memo.entries] == ["Q"]
-    assert qspecial._l_memo.nbytes == qspecial._product_memo.nbytes == 256
+class TestQHalfMemoCircle(_QHalfMemoCases):
+    P, UNCACHED = P_CIRC, "q_integral_exp"
+    SCALAR_ETA = 0.7
+
+    @staticmethod
+    def warn(monkeypatch):
+        # a margin wider than pi makes every evaluation warn, converged or not
+        monkeypatch.setattr(qspecial, "BRANCH_CUT_MARGIN", 4.0)
+
+    def test_branch_cut_warning_and_error_on_every_call(self, memo, misses):
+        # Q_{1/2}'s second L argument, q^-1 eta, is -0.5 + 1e-9j
+        eta = (-0.5 + 1e-9j) / P_CIRC.power(-1.0)
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="branch cut"):
+                with pytest.raises(RuntimeError):
+                    q_function(0.5, P_CIRC, eta)
+        assert len(misses) == 3
+        assert memo.entries == {}
+
+    def test_sector_is_checked_before_the_lookup(self, memo, misses):
+        # (2J+1) pi/5 passes pi at J = 5/2, though Q_{1/2}'s entry is there
+        q_function(0.5, P_CIRC, self.ETA)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"J=5/2 on the circle needs \(2J\+1\)"):
+                q_function(2.5, P_CIRC, self.ETA)
+        assert len(misses) == 1 and len(memo.entries) == 1
+
+
+def test_q_half_and_psi_are_the_only_memos():
+    memos = [v for v in vars(qspecial).values() if isinstance(v, qspecial._ExactMemo)]
+    assert memos == [qspecial._q_half_memo, qspecial._psi_memo]
+    assert [m.max_bytes for m in memos] == [qspecial.MEMO_MAX_BYTES] * 2 == [2**20] * 2
 
 
 P_E = QParam.positive_real(math.exp(-1.0))
@@ -772,8 +770,7 @@ SCALAR_ROUTES = {
 @pytest.mark.parametrize("name", list(SCALAR_ROUTES))
 def test_scalar_gives_the_bits_of_the_one_element_array(name, monkeypatch):
     # memos that store nothing, so that both sides are computed
-    monkeypatch.setattr(qspecial, "_l_memo", qspecial._ExactMemo(0))
-    monkeypatch.setattr(qspecial, "_product_memo", qspecial._ExactMemo(0))
+    monkeypatch.setattr(qspecial, "_q_half_memo", qspecial._ExactMemo(0))
     monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
     route, points = SCALAR_ROUTES[name]
     for x in points:
@@ -864,7 +861,7 @@ class TestPsiFarForm:
             J = HalfInt(twice)
             ms = tuple(m_values(J))
             for N in m_values(J):
-                plain, _ = qspecial._psi_rows(J, ms, N, p, u, v)
+                plain = qspecial._psi_rows(J, ms, N, p, u, v)
                 rows = plain.copy()
                 records = [qspecial._psi_record(J, m, N, p) for m in ms]
                 qspecial._far_rows(J, ms, N, p, records, u, v, u * v, rows,
@@ -1026,7 +1023,7 @@ class TestPsiMemo:
         second[...] = 0.0
         assert psi(1.5, M, 0.5, P_TWO, u, v).tobytes() == want.tobytes()
         assert len(misses) == 1
-        fresh = qspecial._psi_rows(*misses[0])[0]
+        fresh = qspecial._psi_rows(*misses[0])
         assert fresh.reshape(want.shape).tobytes() == want.tobytes()
 
     def test_scalar_and_one_element_array_share_an_entry(self, misses):
@@ -1090,7 +1087,7 @@ class TestPsiMemo:
 
     def test_has_its_own_byte_bound(self):
         assert qspecial._psi_memo.max_bytes == qspecial.MEMO_MAX_BYTES
-        assert qspecial._psi_memo not in (qspecial._l_memo, qspecial._product_memo)
+        assert qspecial._psi_memo is not qspecial._q_half_memo
 
 
 class TestVilenkin:
@@ -1255,8 +1252,8 @@ class TestInfiniteProductBlocks:
             return [x * (1 + 1e-13) if k == 0 else x for k, x in zip(ks, a)], b
 
         monkeypatch.setattr(qspecial, "_multipliers", mutated)
-        monkeypatch.setattr(qspecial._product_memo, "entries", {})
-        monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+        monkeypatch.setattr(qspecial._q_half_memo, "entries", {})
+        monkeypatch.setattr(qspecial._q_half_memo, "nbytes", 0)
         assert pin() > 5e-14
 
     @pytest.mark.parametrize("eta", [1e308, -1e308, 1.7e308j, 1e308 + 1e308j])

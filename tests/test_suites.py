@@ -164,8 +164,8 @@ class TestFunceqSuite:
             return [x * (1 + eps) if k == 0 else x for k, x in zip(ks, a)], b
 
         monkeypatch.setattr(qspecial, "_multipliers", mutated)
-        monkeypatch.setattr(qspecial._product_memo, "entries", {})
-        monkeypatch.setattr(qspecial._product_memo, "nbytes", 0)
+        monkeypatch.setattr(qspecial._q_half_memo, "entries", {})
+        monkeypatch.setattr(qspecial._q_half_memo, "nbytes", 0)
         (case,) = suite_funceq(QParam.positive_real(0.4), j_list=(1.5,))
         assert case.tol == FUNCEQ_TOL_PRODUCT
         assert case.passed is not fails
