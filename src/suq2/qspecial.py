@@ -244,16 +244,17 @@ def _divide_factors(J: HalfInt, p: QParam, arr, out, inv=None):
 def q_infinite_product(J, p: QParam, eta):
     """Q for positive real q via the convergent product branch for q<1 or q>1.
 
-    Truncation: stop at the first factor k with max |factor - 1| < 1e-18 over
-    the points and the geometric tail bound (ratio q^2 or q^-2) below 1e-14;
-    hard cap 1e5 factors.  The rule is evaluated in blocks of factors, each a
-    (factors x points) array of at most BLOCK_ELEMENTS entries with
-    one pole test and one convergence test.  The first block reaches the
-    factor where |eta| q^(2k), shifted by 2J, falls below 2^-60; later blocks
-    take the cap.  The factors up to the stop are multiplied in order, so the
-    result is bit for bit the factor-by-factor product.  An empty eta gives
-    an empty result of its shape.  An eta so large that factor 0 overflows
-    is rejected.
+    Truncation: each point stops at its first factor k with
+    |factor - 1| < 1e-18 and the geometric tail bound (ratio q^2 or q^-2)
+    below 1e-14, and its later factors count as exactly 1, so a point has
+    the bits of its own call; hard cap 1e5 factors.  Blocks of factors,
+    (factors x running points) arrays of at most BLOCK_ELEMENTS entries,
+    take one pole test and one convergence test; the first reaches the
+    factor where |eta| q^(2k), shifted by 2J, falls below 2^-60, later
+    ones the cap.  Each point's factors are multiplied in order, so the
+    result is bit for bit the factor-by-factor product.  An empty eta
+    gives an empty result of its shape; an eta so large that factor 0
+    overflows is rejected.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
@@ -292,24 +293,33 @@ def _infinite_product(J, q, arr):
     k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
     cap = max(1, BLOCK_ELEMENTS // flat.size)
     rows = min(cap, max(1, math.ceil(k_est) + 1))
+    live = np.arange(flat.size)  # the points still running
     start = 0
     while start < PRODUCT_MAX_FACTORS:
         ks = range(start, min(start + rows, PRODUCT_MAX_FACTORS))
         a, b = _multipliers(q, Jf, ks)
-        num = 1.0 + flat * np.array(a)[:, None]
-        den = 1.0 + flat * np.array(b)[:, None]
+        points = flat[live]
+        num = 1.0 + points * np.array(a)[:, None]
+        den = 1.0 + points * np.array(b)[:, None]
         poles = np.any(np.abs(den) < POLE_TOL, axis=1)
         n_ok = int(np.argmax(poles)) if poles.any() else len(ks)  # divide only before a pole
         factor = num[:n_ok] / den[:n_ok]
-        gap = np.max(np.abs(factor - 1.0), axis=1)
+        gap = np.abs(factor - 1.0)
         done = (gap < PRODUCT_FACTOR_TOL) & (gap * ratio / (1.0 - ratio) < PRODUCT_TAIL_TOL)
-        converged = bool(done.any())
-        stop = int(np.argmax(done)) + 1 if converged else n_ok
-        # out of place and in eta's shape, as numpy's complex multiply rounds
-        # differently in place and on scalars
-        for row in factor[:stop].reshape((stop,) + arr.shape):
-            out = out * row
-        if converged:
+        stops = done.any(axis=0)
+        # a point stops at its own first factor within the tolerances, and
+        # its later factors are exactly 1, so its bits do not depend on the
+        # other points of the call
+        first = np.where(stops, np.argmax(done, axis=0) if n_ok else 0, n_ok)
+        factor[np.arange(n_ok)[:, None] > first] = 1.0
+        # out of place, as numpy's complex multiply rounds differently in
+        # place and on scalars
+        value = out.reshape(-1)[live]
+        for row in factor[:int(np.max(first, initial=0)) + 1]:
+            value = value * row
+        out.reshape(-1)[live] = value
+        live = live[~stops]
+        if not live.size:
             return out
         if n_ok < len(ks):
             raise ValueError(f"infinite-product pole in factor k={start + n_ok}")
