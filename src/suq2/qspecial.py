@@ -11,10 +11,10 @@ unit-circle q.  Half-integer J divides Q_{1/2} by the factors
 (1 + q^(2k-2J) eta), k < J - 1/2, whose product is Q for integer J: this
 telescopes from the product at real q, and follows from
 L(q eta) - L(q^-1 eta) = Log(1 + eta) on the circle (Faddeev & Kashaev,
-hep-th/9310070).  On top of Q sit the terminating R polynomials, whose
-coefficients follow from one another by term ratios and whose one Horner
-sum serves both R and psi, the normalization constants, and the basis
-functions psi = (norm) Q_J(uv) R(uv) v^(M+N) on the plane.  The q-Vilenkin
+hep-th/9310070).  On top of Q sit the terminating R polynomials, built
+in J from one term by a three-term recurrence whose one loop serves R and
+psi, the normalization constants, and the basis functions
+psi = (norm) Q_J(uv) R(uv) v^(M+N) on the plane.  The q-Vilenkin
 functions on (-1, 1) are psi on the diagonal u = v, rescaled.
 
 eta is accepted as complex everywhere: q-dilated arguments in the circle
@@ -165,53 +165,75 @@ def _ret(arr, scalar):
     return arr.item() if scalar else arr
 
 
-def _r_coefficients(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
-    """(k0, (c_k0, ..., c_kmax)) of R, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!).
+def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
+    """(J0, k0, c, a, b): R = c (-eta)^k0 at J0 = max(|M|, |N|), R = 0 at
+    J0 - 1, k0 = max(0, -(M+N)), and for j = J0 .. J-1 the recurrence of a
+    terminating 2phi1 (Gasper & Rahman, Basic Hypergeometric Series, ch. 2)
 
-    The range k0 = max(0, -(M+N)) .. kmax = min(J-M, J-N) is exactly where
-    no factorial in c_k is of a negative number.  c_k0 is 1/[M+N]! for
-    M+N >= 0, else prod_{i=1..k0} [J+M+i][J+N+i]/[i]; each next coefficient
-    follows from c_{k+1}/c_k = [J-M-k][J-N-k]/([k+1][M+N+k+1]), so a set
-    takes O(J) q-numbers.  Rejected: a lead [J-N]![J-M]! that overflows,
-    though each factorial is finite, and a [M+N+kmax]! out of the float
-    range, where the last coefficients underflow.  The factorials are read
-    from fact, a _q_factorials table at p.
-    """
-    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    if not math.isfinite(_factorial(fact, jn, p) * _factorial(fact, jm, p)):
-        raise ValueError(f"R coefficients for (J,M,N)=({J},{M},{N}) leave the float range "
-                         f"at {_named(p)}")
-    k0, kmax = max(0, -mn), min(jm, jn)
-    _factorial(fact, mn + kmax, p)
+        R_(j+1) = (a_j + b_j eta) R_j + (1 - a_j)(1 + q^(2j) eta)(1 + q^(-2j) eta) R_(j-1),
+        a_j = [2j+1] ([j+1] {M+N} + t_j) / ([j+1+M][j+1+N] {j}),
+        b_j = -[2j+1] ([j+1] {M-N} - t_j) / ([j+1+M][j+1+N] {j}),
+
+    {x} = q^x + q^-x, t_j = [2][M][N]/[j] (0 if MN = 0), denominators > 0
+    in the circle's sector (2J+1)|tau| < pi; a and b as (J - J0, 1)
+    columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
+    or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
+    normal range is refused."""
+    J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
+    mn = (M + N).to_int()
+    k0 = max(0, -mn)
     c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
-         math.prod(q_number(float(J + M + i), p) * q_number(float(J + N + i), p)
-                   / q_number(i, p) for i in range(1, k0 + 1)))
-    coeffs = [c]
-    for k in range(k0, kmax):
-        c *= (q_number(jm - k, p) * q_number(jn - k, p)
-              / (q_number(k + 1, p) * q_number(mn + k + 1, p)))
-        coeffs.append(c)
-    return k0, tuple(coeffs)
+         math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
+    if not sys.float_info.min <= abs(c) < math.inf:
+        raise ValueError(f"R for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
+
+    def brace(x):
+        return (p.power(x) + p.power(-x)).real
+
+    mf, nf = float(M), float(N)
+    bsum, bdiff = brace(mf + nf), brace(mf - nf)
+    cross = q_number(2, p) * q_number(mf, p) * q_number(nf, p) if M.twice and N.twice else 0.0
+    a, b = [], []
+    for t in range(J0.twice, J.twice, 2):
+        j = t / 2.0
+        t_j = cross / q_number(j, p) if cross else 0.0
+        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace(j))
+        a.append(w * (q_number(j + 1, p) * bsum + t_j))
+        b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
+    return J0, k0, c, np.array(a).reshape(-1, 1), np.array(b).reshape(-1, 1)
 
 
-def _horner(coeffs, x):
-    """sum_j coeffs[j] x^j by Horner's rule, on the complex array x."""
-    out = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
+def _recur(x, P, S):
+    """The one loop of R and psi: x_J from x_(j+1) = P_j x_j + S_j x_(j-1),
+    x_J0 = x, x_(J0-1) = 0, a row of P and S per step j = J0 .. J-1 (S's
+    first row is never read; S may be None for one step)."""
+    prev = None
+    for j, Pj in enumerate(P):
+        x, prev = (Pj * x if prev is None else Pj * x + S[j] * prev), x
+    return x
+
+
+@functools.lru_cache(maxsize=1024)
+def _powers(J0: HalfInt, J: HalfInt, p: QParam, sign: int, offset: int):
+    """The column of q^(2 sign j + offset), j = J0 .. J-1, not to be written to."""
+    powers = [p.power(sign * t + offset) for t in range(J0.twice, J.twice, 2)]
+    return np.array(powers).reshape(-1, 1)
 
 
 def r_polynomial(J, M, N, p: QParam, eta):
-    """Terminating k-sum R(eta) = sum_k c_k (-eta)^k (see _r_coefficients),
-    evaluated as (-eta)^k0 P(-eta) with P the Horner sum of the c_k; a value
-    out of the float range is refused."""
+    """R(eta) = sum_k c_k (-eta)^k, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!),
+    by the recurrence in J of _r_steps, where the alternating sum cancels.
+    On the circle J needs (2J+1)|tau| < pi; a value out of range is refused."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
+    _check_sector(J, p)
     arr, scalar = _as_complex(eta)
-    k0, coeffs = _r_coefficients(J, M, N, p, _q_factorials(J.twice, p))
+    J0, k0, c, a, b = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
+    flat = arr.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        out = (-arr) ** k0 * _horner(coeffs, -arr)
+        S = (1.0 - a) * (1.0 + _powers(J0, J, p, 1, 0) * flat)
+        out = _recur(c * (-flat) ** k0, a + b * flat,
+                     S * (1.0 + _powers(J0, J, p, -1, 0) * flat)).reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         _point_error(f"R for (J,M,N)=({J},{M},{N}) leaves the float range", arr,
                      ~np.isfinite(out), p)
@@ -227,18 +249,16 @@ def q_finite_product(J, p: QParam, eta):
     return q_function(J, p, eta)
 
 
-def _divide_factors(J: HalfInt, p: QParam, arr, out, inv=None):
-    """out / prod_{k < floor(J)} (1 + q^(2k-2J) eta), for J >= 0: the
-    J-dependence of Q, applied to Q_0 = 1 or to Q_{1/2}.  Given inv = 1/eta,
-    each factor is divided by eta first, inv + q^(2k-2J), so the result is
-    out eta^floor(J) / prod (1 + q^(2k-2J) eta)."""
-    for k in range(J.twice // 2):
-        power = p.power(2 * k - J.twice)
-        factor = 1.0 + arr * power if inv is None else inv + power
-        if np.any(np.abs(factor) < POLE_TOL):
-            raise ValueError(f"finite-product pole: factor k={k} vanishes")
-        out = out / factor
-    return out
+def _finite_factors(J: HalfInt, p: QParam, arr):
+    """The factors 1 + q^(-2j-2) eta, j = J mod 1 .. J-1, one row per j, of
+    Q_J = Q_(J mod 1) / prod, for J >= 0, on eta's flattened array.  A
+    vanishing factor, a pole of Q, raises and is named by k = J-1-j, as
+    the factor 1 + q^(2k-2J) eta; the smallest such k is named."""
+    factors = 1.0 + _powers(HalfInt(J.twice % 2), J, p, -1, -2) * arr.reshape(-1)
+    poles = np.nonzero(np.any(np.abs(factors) < POLE_TOL, axis=1))[0]
+    if poles.size:
+        raise ValueError(f"finite-product pole: factor k={len(factors) - 1 - poles[-1]} vanishes")
+    return factors
 
 
 def q_infinite_product(J, p: QParam, eta):
@@ -460,8 +480,9 @@ def q_integral_exp(J, p: QParam, eta):
 
 def _check_sector(J: HalfInt, p: QParam):
     """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its
-    equation and the q-numbers [n], n <= 2J+1, are no longer all positive."""
-    if (J.twice + 1) * abs(p.value) >= math.pi:
+    equation and the q-numbers [n], n <= 2J+1, are no longer all positive;
+    any other q passes."""
+    if p.regime is Regime.UNIT_CIRCLE and (J.twice + 1) * abs(p.value) >= math.pi:
         raise ValueError(f"J={J} on the circle needs (2J+1)|tau| < pi, "
                          f"got tau={p.value!r}")
 
@@ -482,14 +503,15 @@ def q_function(J, p: QParam, eta):
 
 
 def _q_values(J: HalfInt, p: QParam, arr):
-    """q_function on eta's complex array, with nothing refused: psi takes the
-    points where Q_J underflows to its far form."""
+    """q_function on eta's complex array, with nothing refused."""
     if p.regime is Regime.CLASSICAL:
         return (1.0 + arr) ** (-float(J))
     if J.twice < 0:
         raise ValueError(f"Q needs J >= 0, got {J}")
-    half = np.ones_like(arr) if J.is_integer() else _q_half(J, p, arr)
-    return _divide_factors(J, p, arr, half)
+    out = np.ones_like(arr) if J.is_integer() else _q_half(J, p, arr)
+    for factor in _finite_factors(J, p, arr) if J.twice > 1 else ():
+        out = out / factor.reshape(arr.shape)
+    return out
 
 
 def _q_half(J: HalfInt, p: QParam, arr):
@@ -500,22 +522,9 @@ def _q_half(J: HalfInt, p: QParam, arr):
     MEMO_MAX_BYTES; see _ExactMemo for the rules.  Every half-integer J
     shares the entry, so the sector of J is checked before the lookup.
     """
-    if p.regime is Regime.POSITIVE_REAL:
-        evaluate = q_infinite_product
-    else:
-        _check_sector(J, p)
-        evaluate = q_integral_exp
+    _check_sector(J, p)
+    evaluate = q_infinite_product if p.regime is Regime.POSITIVE_REAL else q_integral_exp
     return _q_half_memo.lookup((p, arr.shape, arr.tobytes()), lambda: evaluate(0.5, p, arr))
-
-
-def _q_far(J: HalfInt, p: QParam, eta):
-    """Q_J(eta) eta^floor(J) on eta's complex array, for large |eta|, where
-    Q_J itself underflows: each finite factor is divided by eta first."""
-    n, inv = J.twice // 2, 1.0 / eta
-    if p.regime is Regime.CLASSICAL:
-        return (1.0 + inv) ** (-float(n)) * (1.0 + eta) ** (n - float(J))
-    half = np.ones_like(eta) if J.is_integer() else _q_half(J, p, eta)
-    return _divide_factors(J, p, eta, half, inv)
 
 
 def norm_constant(J, M, N, p: QParam) -> float:
@@ -549,11 +558,12 @@ def psi(J, M, N, p: QParam, u, v):
     """Basis function on the plane at independent arguments (u, v).
 
     Physical evaluation uses v = conj(u); the arguments stay independent
-    because q-dilations in the circle regime break that conjugacy.
+    because q-dilations in the circle regime break that conjugacy.  On the
+    circle every J needs (2J+1)|tau| < pi.
 
     M may also be a tuple of weights, which must not be empty: the members
     (J, M[i], N) come back stacked along a new first axis, from one
-    evaluation of the radial profile Q_J(u v) that they all share.  Each row
+    evaluation of the radial profile Q that they all share.  Each row
     takes the arithmetic of its own M, so it has the bits of psi(J, M[i],
     N, p, u, v); at scalar u and v the result has shape (len(M),).
 
@@ -563,6 +573,7 @@ def psi(J, M, N, p: QParam, u, v):
     """
     J, N = HalfInt.of(J), HalfInt.of(N)
     ms = _weights(J, M, N)
+    _check_sector(J, p)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
     key = (J, ms, N, p, u_arr.shape, v_arr.shape, u_arr.tobytes() + v_arr.tobytes())
@@ -574,43 +585,62 @@ def psi(J, M, N, p: QParam, u, v):
 
 
 def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
-    """The uncached psi of each weight in ms, stacked.  The row of M is
-    lead Q(uv) (-u)^k0 v^(k0+M+N) P(-uv), with P the Horner sum of the R
-    coefficients (see r_polynomial)."""
+    """The uncached psi of each weight in ms, stacked: lead X_J, from
+    X_J0 = Q_J0 (-u)^k0 v^(k0+M+N) by R's recurrence (see _r_steps) with
+    Q_(j+1) = Q_j / (1 + q^(-2j-2) eta) folded in, eta = uv, whose factors
+    stay bounded as eta -> 0 and as eta -> inf:
+
+        X_(j+1) = [(a_j + b_j eta) X_j + (1 - a_j)(1 + q^(2j) eta) X_(j-1)] / (1 + q^(-2j-2) eta).
+
+    Every Q_J0 comes by those divisions from the call's one Q, at J mod 1.
+    Where |eta|^floor(J0) may pass 1e100, Q_J0 and the monomial near
+    opposite ends of the float range, so at |eta| > 1 the start is
+    (Q_J0 eta^floor(J0)) (monomial / eta^floor(J0)).  A value out of the
+    float range is refused."""
     records = [_psi_record(J, m, N, p) for m in ms]
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = u_arr * v_arr
-        if np.count_nonzero(np.isfinite(eta)) != eta.size:  # finite u, v whose product is not
-            _float_range_error(J, ms[0], N, p)
-        qval = _q_values(J, p, eta)
-        rows = np.stack([lead * qval * (-u_arr) ** k0 * v_arr ** (k0 + mn) * _horner(coeffs, -eta)
-                         for lead, k0, mn, coeffs in records])
-        # where lead Q leaves the normal range or the row is not finite, the far form
-        leads = np.abs([lead for lead, *_ in records])
-        far = ~np.isfinite(rows) | (np.multiply.outer(leads, np.abs(qval)) < sys.float_info.min)
-    if np.any(far):
-        _far_rows(J, ms, N, p, records, u_arr, v_arr, eta, rows, far)
-    return rows
-
-
-def _far_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, records, u, v, eta, rows, far):
-    """Overwrite rows[far] with the far form, for large |eta|, eta = uv: with
-    n = floor(J), d the degree of P and s = 2(k0+d-n) + M+N, the row is
-    (-1)^(k0+d) [Q eta^n] eta^(s//2) (u/v)^(-(M+N)//2) u^(s mod 2) P~(-1/eta),
-    P~ the Horner sum of the coefficients in reverse.  Q eta^n is about
-    eta^(n-J) and s <= 1, so nothing overflows where the plain form did; a
-    far value that is still not finite raises."""
-    n = J.twice // 2
+    base = HalfInt(J.twice % 2)
+    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        qfar = _q_far(J, p, eta)
-        for row, take, m, (lead, k0, mn, coeffs) in zip(rows, far, ms, records):
-            d = len(coeffs) - 1
-            s = 2 * (k0 + d - n) + mn
-            value = ((-1) ** (k0 + d) * lead * qfar * eta ** (s // 2) * (u / v) ** ((-mn) // 2)
-                     * (u if s % 2 else 1.0) * _horner(coeffs[::-1], -1.0 / eta))
-            if not np.all(np.isfinite(value[take])):
-                _float_range_error(J, m, N, p)
-            row[take] = value[take]
+        flat = (u_arr * v_arr).reshape(-1)
+        amax = float(np.max(np.abs(flat), initial=1.0))
+        # |q^(-2j-2)| is largest at an end of j = J mod 1 .. J-1
+        if not math.isfinite(amax * max(abs(p.power(-base.twice - 2)), abs(p.power(-J.twice)))):
+            _float_range_error(J, ms[0], N, p)  # uv, or a factor of Q, is not a float
+        log_max = math.log(amax)
+        inv = 1.0 / _finite_factors(J, p, flat)
+        ratio = None
+        uf, vf = (w.reshape(-1) if w.shape == shape else np.broadcast_to(w, shape).reshape(-1)
+                  for w in (u_arr, v_arr))
+        qs = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)]
+        fars = qs[:1]  # Q_j eta^floor(j)
+        out = np.empty((len(ms), flat.size), dtype=complex)
+        for row, (lead, J0, k0, mn, a, b, c) in enumerate(records):
+            i, n0 = (J0 - base).to_int(), J0.twice // 2
+            while len(qs) <= i:
+                qs.append(qs[-1] * inv[len(qs) - 1])
+            x = _monomial(lead * qs[i], uf, vf, k0, k0 + mn)
+            if n0 * log_max > 230.0:  # |eta|^floor(J0) may pass 1e100
+                while len(fars) <= i:
+                    fars.append(fars[-1] * (flat * inv[len(fars) - 1]))
+                far = _monomial(lead * (-1) ** n0 * fars[i], uf, vf, k0 - n0, k0 + mn - n0)
+                x = np.where(np.abs(flat) > 1.0, far, x)
+            if len(a) > 1 and ratio is None:  # (1 + q^(2j) eta) / (1 + q^(-2j-2) eta)
+                ratio = (1.0 + _powers(base, J, p, 1, 0) * flat) * inv
+            if len(a):
+                x = _recur(x, (a + b * flat) * inv[i:], None if len(a) == 1 else c * ratio[i:])
+            out[row] = x
+        out = out.reshape((len(ms),) + shape)
+    if np.count_nonzero(np.isfinite(out)) != out.size:
+        bad = ~np.isfinite(out).reshape(len(ms), -1).all(axis=1)
+        _float_range_error(J, ms[int(np.argmax(bad))], N, p)
+    return out
+
+
+def _monomial(x, u, v, ku: int, kv: int):
+    """x (-u)^ku v^kv on flat arrays."""
+    if ku:
+        x = x * (-u) ** ku
+    return x * v ** kv if kv else x
 
 
 def _float_range_error(J, M, N, p: QParam):
@@ -641,19 +671,18 @@ def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
 
 @functools.lru_cache(maxsize=1024)
 def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
-    """What psi reads for one (J, M, N, p): the norm constant times the phase
-    q^(-NM/2), k0, M+N and the R coefficients, built first so that an R
-    lead out of the float range is the error reported.  A lead out of the
-    normal range raises a ValueError naming (J, M, N) and q.  R(uv) v^(M+N) is
-    (-u)^k0 v^(k0+M+N) P(-uv), both exponents nonnegative, so psi is finite
-    at 0.  A negative radicand raises on every call, as lru_cache stores no
-    error."""
+    """What psi reads for one (J, M, N, p): the lead (the norm constant
+    times the phase q^(-NM/2) times R's start c), J0, k0, M+N and the step
+    constants a, b and 1 - a of _r_steps.  A lead out of the normal range
+    raises, naming (J, M, N) and q, on every call, as lru_cache stores no
+    error.  Both exponents of (-u)^k0 v^(k0+M+N) are >= 0: psi is finite at 0."""
     fact = _q_factorials(J.twice + 1, p)
-    k0, coeffs = _r_coefficients(J, M, N, p, fact)
-    lead = _norm_constant(J, M, N, p, fact) * p.power(-float(N) * float(M) / 2.0)
+    norm = _norm_constant(J, M, N, p, fact)
+    J0, k0, c, a, b = _r_steps(J, M, N, p, fact)
+    lead = norm * p.power(-float(N) * float(M) / 2.0) * c
     if not sys.float_info.min <= abs(lead) < math.inf:
         _float_range_error(J, M, N, p)
-    return lead, k0, (M + N).to_int(), coeffs
+    return lead, J0, k0, (M + N).to_int(), a, b, 1.0 - a
 
 
 def vilenkin(J, M, N, p: QParam, xi):
@@ -671,10 +700,9 @@ def vilenkin(J, M, N, p: QParam, xi):
         xi_arr = xi_arr.reshape(1)
     if np.any(xi_arr <= -1.0) or np.any(xi_arr >= 1.0):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
-    if p.regime is Regime.UNIT_CIRCLE:
-        _check_sector(J, p)
     root = np.sqrt((1.0 + xi_arr) / (1.0 - xi_arr))
+    values = psi(J, M, N, p, root, root)  # which checks the circle's sector first
     scale = (1j ** ((2 * J.twice - M.twice - N.twice) // 2)
              * math.sqrt(2.0 * math.pi / q_number(J.twice + 1, p))
              * p.power(float(N) * float(M) / 2.0))
-    return _ret(scale * psi(J, M, N, p, root, root), scalar)
+    return _ret(scale * values, scalar)

@@ -205,11 +205,11 @@ def test_psi_errors_fire_on_every_call(monkeypatch):
         return norm_constant(J, M, N, p, fact)
 
     monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
-    # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2
-    p = QParam.unit_circle(np.pi / 4 + 0.05)
+    # at tau = 0.01 the norm of (50, -49, 0) underflows to 0
+    p = QParam.unit_circle(0.01)
     for _ in range(3):
-        with pytest.raises(ValueError, match="negative radicand"):
-            qspecial.psi(2, 0, 0, p, 0.5, 0.5)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            qspecial.psi(50, -49, 0, p, 0.5, 0.5)
         with pytest.raises(ValueError, match=r"\|M\| <= J"):
             qspecial.psi(1, 2, 0, p, 0.5, 0.5)
     assert len(norm_constants) == 3

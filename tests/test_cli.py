@@ -198,17 +198,19 @@ class TestEvalErrors:
          "[200]! leaves the float range at q = 1.5"),
         (["--fn", "vilenkin", "--J", "200", "--M", "0", "--N", "0", "--q", "1.5", "--xi", "0.5"],
          "[200]! leaves the float range at q = 1.5"),
-        (["--fn", "R", "--J", "3000", "--M", "0", "--N", "0", "--tau", "1.5", "--eta", "1"],
-         "[3000]! leaves the float range at tau = 1.5"),
-        (["--fn", "psi", "--J", "3000", "--M", "0", "--N", "0", "--tau", "1.5", "--rho", "1"],
-         "[3000]! leaves the float range at tau = 1.5"),
-        # each factorial is finite (170! < 1.8e308), the lead [J-N]![J-M]! of R is not
-        (["--fn", "R", "--J", "170", "--M", "0", "--N", "0", "--q", "1", "--eta", "0.5"],
-         "R coefficients for (J,M,N)=(170,0,0) leave the float range at q = 1.0"),
+        # inside the sector (2J+1)|tau| < pi every [n] is >= 1, so the
+        # circle's factorials leave the range by overflow
+        (["--fn", "R", "--J", "100", "--M", "100", "--N", "100", "--tau", "0.0005", "--eta", "1"],
+         "[200]! leaves the float range at tau = 0.0005"),
+        (["--fn", "psi", "--J", "3000", "--M", "0", "--N", "0", "--tau", "0.0005", "--rho", "1"],
+         "[3000]! leaves the float range at tau = 0.0005"),
+        # R's start 1/[M+N]!, and the norm's [2J+1]! (171! > 1.8e308)
+        (["--fn", "R", "--J", "171", "--M", "171", "--N", "0", "--q", "1", "--eta", "0.5"],
+         "[171]! leaves the float range at q = 1.0"),
         (["--fn", "vilenkin", "--J", "170", "--M", "0", "--N", "0", "--q", "1", "--xi", "0.5"],
-         "R coefficients for (J,M,N)=(170,0,0) leave the float range at q = 1.0"),
-    ], ids=["qfact-real", "qfact-circle", "psi-real", "vilenkin-real", "R-circle-underflow",
-            "psi-circle-underflow", "R-classical-product", "vilenkin-classical-product"])
+         "[341]! leaves the float range at q = 1.0"),
+    ], ids=["qfact-real", "qfact-circle", "psi-real", "vilenkin-real", "R-circle-overflow",
+            "psi-circle-overflow", "R-classical-start", "vilenkin-classical-norm"])
     def test_q_factorial_out_of_float_range_exits_two(self, argv, msg, capsys):
         # one error line; a RuntimeWarning on the way fails the test
         code, out, err = run(["eval"] + argv, capsys)
@@ -240,6 +242,15 @@ class TestEvalErrors:
         assert code == 2 and out == ""
         assert err == ("error: R for (J,M,N)=(20,0,0) leaves the float range "
                        "at eta = 1e+19, q = 1.0\n")
+
+    @pytest.mark.parametrize("fn,flag", [("psi", "--rho"), ("vilenkin", "--xi")])
+    def test_integer_j_outside_the_circle_sector_is_one_error_line(self, fn, flag, capsys):
+        # (2J+1)|tau| = 5.4 > pi; psi's radicands are positive here, and
+        # it once printed a value
+        code, out, err = run(["eval", "--fn", fn, "--J", "1", "--M", "1", "--N", "0",
+                              "--tau", "1.8", flag, "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: J=1 on the circle needs (2J+1)|tau| < pi, got tau=1.8\n"
 
     def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
         # a RuntimeWarning on the way fails the test
@@ -464,8 +475,7 @@ class TestGram:
         (["--q", "1.05", "--N", "0", "--J-max", "20"],
          "radial integral did not converge within max_refinements"),
         (["--tau", "0.1", "--N", "0", "--J-max", "17"],
-         "negative radicand in norm_constant for (J,M,N)=(16,0,0); the circle parameter "
-         "is outside the positivity domain tau < pi/(2J+1)"),
+         "J=16 on the circle needs (2J+1)|tau| < pi, got tau=0.1"),
     ], ids=["q1.05-J20", "tau0.1-J17"])
     def test_high_towers_past_their_reach_are_one_error_line(self, argv, msg, capsys):
         code, out, err = run(["gram"] + argv, capsys)
@@ -474,6 +484,16 @@ class TestGram:
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err
+
+    @pytest.mark.parametrize("cmd", [["gram"], ["verify", "--suite", "gram"]], ids=["gram", "verify"])
+    @pytest.mark.parametrize("J,N,msg", [
+        ("0", "0.5", "(J,N) = (0,1/2) must be integers or half-integers together"),
+        ("1", "2", "need |N| <= J, got (J,N) = (1,2)"),
+    ], ids=["parity", "N-above-J"])
+    def test_tower_errors_name_only_j_and_n(self, cmd, J, N, msg, capsys):
+        # the first weight M = J of the tower is no label the user gave
+        code, out, err = run(cmd + ["--q", "1.2", "--N", N, "--J", J], capsys)
+        assert code == 2 and out == "" and err == f"error: {msg}\n"
 
     @pytest.mark.parametrize("param,kind", [
         (["--q", "1"], "Classical"),

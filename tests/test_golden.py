@@ -124,7 +124,7 @@ def test_output_matches_golden(name):
 
 
 
-def test_compare_names_what_moved():
+def test_compare_names_what_moved(tmp_path, capsys):
     before = (GOLDEN_DIR / "verify_funceq_q0.8_J1.5.json").read_text()
     doc = json.loads(before.split("\n", 1)[1])
     case = doc["cases"][0]
@@ -151,6 +151,29 @@ def test_compare_names_what_moved():
     report = compare("gram", table, flipped)
     assert flipped != table and "largest value change 0.00e+00" in report
     assert "2 entries changed only the sign of a zero" in report
+    # --compare: a moved value alone exits 0; a moved exit code or pass flag exits 1
+    names = ["eval_qnum_tau0.4.json", "verify_funceq_q0.8_J1.5.json"]
+    cases = {name: CASES[name] for name in names}
+    texts = {name: (GOLDEN_DIR / name).read_text() for name in names}
+
+    def run(edit):
+        for name in names:
+            (tmp_path / name).write_text(edit.get(name, lambda t: t)(texts[name]))
+        code = compare_all(cases, tmp_path)
+        return code, capsys.readouterr().out
+
+    assert run({}) == (0, "all 2 recordings match\n")
+    code, out = run({names[0]: lambda t: t.replace('"re": 1.0', '"re": 1.5', 1)})
+    assert code == 0 and "largest value change" in out
+    code, out = run({names[0]: lambda t: t.replace("exit=0", "exit=1", 1)})
+    assert code == 1 and "exit=1 -> exit=0" in out
+
+    def flip(text):
+        doc = json.loads(text.split("\n", 1)[1])
+        doc["cases"][0]["pass"] = False
+        return "exit=0\n" + json.dumps(doc, indent=2) + "\n"
+    code, out = run({names[1]: flip})
+    assert code == 1 and "False -> True" in out
 
 def _values(text) -> list:
     """The printed values of an eval or gram rendering, in order: the re and
@@ -234,20 +257,38 @@ def compare(name, before, after) -> str:
     return "\n".join(lines)
 
 
+def flags_moved(before, after) -> bool:
+    """Whether the exit code or any pass flag differs between two renderings."""
+    if before.split("\n", 1)[0] != after.split("\n", 1)[0]:
+        return True
+    cb, ca = _cases(before), _cases(after)
+    if cb is None or ca is None:
+        return False
+    return any((cb[k][2] if k in cb else None) != (ca[k][2] if k in ca else None)
+               for k in cb.keys() | ca.keys())
+
+
+def compare_all(cases, golden_dir) -> int:
+    """Print what moved in each recording of cases under golden_dir that the
+    CLI no longer reproduces; 1 if an exit code or a pass flag moved, else 0."""
+    reports, moved = [], False
+    for name, argv in cases.items():
+        path = golden_dir / name
+        if path.exists():
+            before, after = path.read_text(), render(argv)
+            if before != after:
+                reports.append(compare(name, before, after))
+                moved = moved or flags_moved(before, after)
+    print("\n".join(reports) if reports else f"all {len(cases)} recordings match")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--compare"]:
-        reports = []
-        for name, argv in CASES.items():
-            path = GOLDEN_DIR / name
-            if path.exists():
-                before, after = path.read_text(), render(argv)
-                if before != after:
-                    reports.append(compare(name, before, after))
-        print("\n".join(reports) if reports else f"all {len(CASES)} recordings match")
-    else:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        for name, argv in CASES.items():
-            path = GOLDEN_DIR / name
-            if not path.exists():
-                path.write_text(render(argv))
-                print(f"recorded {path}")
+        sys.exit(compare_all(CASES, GOLDEN_DIR))
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        path = GOLDEN_DIR / name
+        if not path.exists():
+            path.write_text(render(argv))
+            print(f"recorded {path}")

@@ -87,17 +87,65 @@ class TestRPolynomial:
             r_polynomial(1, 0.5, 0, P_TWO, 1.0)
 
 
-def mpmath_r_coefficients(J, M, N, p):
-    """The c_k of R as exact quotients of q-factorials at 40 digits, built
-    from the float q-numbers the library uses, so that only the arithmetic
-    of the coefficients is measured."""
-    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    with mpmath.workdps(40):
+def mp_q_number(x, p):
+    """[x] at p in mpmath at the current precision."""
+    x = mpmath.mpf(x)
+    if p.regime is qcore.Regime.CLASSICAL:
+        return x
+    if p.regime is qcore.Regime.UNIT_CIRCLE:
+        tau = mpmath.mpf(p.value)
+        return mpmath.sin(x * tau) / mpmath.sin(tau)
+    q = mpmath.mpf(p.value)
+    return (q ** x - q ** -x) / (q - 1 / q)
+
+
+def mp_power(x, p):
+    """q^x at p in mpmath, x real."""
+    if p.regime is qcore.Regime.CLASSICAL:
+        return mpmath.mpf(1)
+    if p.regime is qcore.Regime.UNIT_CIRCLE:
+        return mpmath.expj(mpmath.mpf(x) * p.value)
+    return mpmath.mpf(p.value) ** x
+
+
+@functools.lru_cache(maxsize=None)
+def mp_factorials(n, p, dps):
+    """[0]!, ..., [n]! at p with dps digits."""
+    with mpmath.workdps(dps):
         fact = [mpmath.mpf(1)]
-        for n in range(1, 2 * J.twice + 2):
-            fact.append(fact[-1] * mpmath.mpf(q_number(n, p)))
-        return [fact[jn] * fact[jm] / (fact[k] * fact[jm - k] * fact[jn - k] * fact[mn + k])
-                for k in range(max(0, -mn), min(jm, jn) + 1)]
+        for k in range(1, n + 1):
+            fact.append(fact[-1] * mp_q_number(k, p))
+        return fact
+
+
+def mp_r_coefficients(J, M, N, p):
+    """(k0, [c_k0, ..., c_kmax]) of R from exact q-factorial quotients."""
+    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
+    fact = mp_factorials(J.twice + 1, p, mpmath.mp.dps)
+    k0 = max(0, -mn)
+    return k0, [fact[jn] * fact[jm] / (fact[k] * fact[jm - k] * fact[jn - k] * fact[mn + k])
+                for k in range(k0, min(jm, jn) + 1)]
+
+
+def mp_r(J, M, N, p, eta):
+    """R(eta) = sum_k c_k (-eta)^k in mpmath."""
+    k0, coeffs = mp_r_coefficients(J, M, N, p)
+    eta = mpmath.mpmathify(eta)
+    return sum(c * (-eta) ** (k0 + i) for i, c in enumerate(coeffs))
+
+
+def mp_steps(j, M, N, p):
+    """The closed forms a_j and b_j of R's recurrence in mpmath."""
+    def brace(x):
+        return 2 * mpmath.re(mp_power(x, p)) if p.regime is not qcore.Regime.POSITIVE_REAL else (
+            mp_power(x, p) + mp_power(-x, p))
+    m, n = mpmath.mpf(float(M)), mpmath.mpf(float(N))
+    t = 0 if M.twice == 0 or N.twice == 0 else (
+        mp_q_number(2, p) * mp_q_number(m, p) * mp_q_number(n, p) / mp_q_number(j, p))
+    w = mp_q_number(2 * j + 1, p) / (mp_q_number(j + 1 + m, p) * mp_q_number(j + 1 + n, p)
+                                      * brace(j))
+    return (w * (mp_q_number(j + 1, p) * brace(m + n) + t),
+            -w * (mp_q_number(j + 1, p) * brace(m - n) - t))
 
 
 def spin_sample(J):
@@ -106,34 +154,85 @@ def spin_sample(J):
     return sorted({m for m in (-t, 2 - t, t % 2, t - 2, t) if -t <= m <= t}, key=int)
 
 
-class TestRCoefficients:
-    """The term-ratio coefficients of R against exact q-factorial quotients."""
+IDENTITY_PARAMS = [QParam.classical(), QParam.positive_real(1.3), QParam.positive_real(0.7),
+                   QParam.unit_circle(0.1), QParam.unit_circle(-0.07)]
+# the oracle grid of R and psi: J 10 .. 60 in four regimes; each integer J
+# takes the integer weights and J + 1/2 the half-integer ones
+ORACLE_PARAMS = [QParam.classical(), QParam.positive_real(1.3), QParam.positive_real(0.7),
+                 QParam.unit_circle(0.02)]
+ORACLE_ETAS = [0.5, 3.0, 0.7 + 0.4j, 1e3]
 
-    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.positive_real(0.7), P_CLASS,
-                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.05)],
-                             ids=["q1.3", "q0.7", "q1", "tau0.2", "tau-0.05"])
-    def test_against_mpmath_quotients(self, p):
-        accepted = 0
-        for twice in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 77, 89, 100):  # J <= 50
-            J = HalfInt(twice)
-            for mt, nt in itertools.product(spin_sample(J), repeat=2):
-                M, N = HalfInt(mt), HalfInt(nt)
-                try:
-                    k0, coeffs = qspecial._r_coefficients(J, M, N, p,
-                                                          qcore._q_factorials(twice, p))
-                except ValueError as err:
-                    assert "float range" in str(err)
+
+def oracle_triples(J):
+    """(J, M, N) with M, N in {0, 1, -1, 3}, and (J + 1/2, M, N) with M, N in
+    {1/2, -1/2}."""
+    for weights, twice in (((0, 2, -2, 6), 2 * J), ((1, -1), 2 * J + 1)):
+        for mt, nt in itertools.product(weights, repeat=2):
+            yield HalfInt(twice), HalfInt(mt), HalfInt(nt)
+
+
+class TestRRecurrence:
+    """R from its one-term row at J0 = max(|M|, |N|) by the three-term
+    recurrence in J, against exact sums."""
+
+    @pytest.mark.parametrize("p", IDENTITY_PARAMS, ids=["q1", "q1.3", "q0.7", "tau0.1", "tau-0.07"])
+    def test_closed_forms_satisfy_the_recurrence(self, p):
+        # as polynomials in eta, at 50 digits: R_(j+1) = (a + b eta) R_j
+        # + (1 - a)(1 + q^2j eta)(1 + q^-2j eta) R_(j-1), for |M|, |N| <= 3
+        # and J0 <= j <= J0 + 5; and the step constants the code uses are
+        # these closed forms rounded
+        with mpmath.workdps(50):
+            worst = 0
+            for mt, nt in itertools.product(range(-6, 7), repeat=2):
+                if (mt - nt) % 2:
                     continue
-                want = mpmath_r_coefficients(J, M, N, p)
-                assert k0 == max(0, -(M + N).to_int()) and len(coeffs) == len(want)
-                for got, exact in zip(coeffs, want):
-                    assert abs(got - exact) <= 1e-14 * abs(exact), (J, M, N)
-                accepted += 1
-        assert accepted >= 150
+                M, N = HalfInt(mt), HalfInt(nt)
+                J0 = HalfInt(max(abs(mt), abs(nt)))
+                polys = {}
+                for i in range(7):
+                    J = HalfInt(J0.twice + 2 * i)
+                    k0, c = mp_r_coefficients(J, M, N, p)
+                    polys[i] = [mpmath.mpf(0)] * k0 + [x * (-1) ** (k0 + n) for n, x in enumerate(c)]
+                _, _, _, a_f, b_f = qspecial._r_steps(HalfInt(J0.twice + 12), M, N, p,
+                                                      qcore._q_factorials(max(0, mt + nt), p))
+                for i in range(6):
+                    j = mpmath.mpf(J0.twice + 2 * i) / 2
+                    a, b = mp_steps(j, M, N, p)
+                    assert abs(a_f[i, 0] - a) <= 1e-13 * abs(a) + 1e-300
+                    assert abs(b_f[i, 0] - b) <= 1e-13 * abs(b) + 1e-300
+                    rhs = _poly_add(_poly_mul([a, b], polys[i]), _poly_mul(
+                        _poly_mul([1 - a], [1, mp_power(2 * j, p)]),
+                        _poly_mul([1, mp_power(-2 * j, p)], polys[i - 1] if i else [0])))
+                    lhs = polys[i + 1]
+                    scale = max(abs(x) for x in lhs)
+                    worst = max(worst, max(abs(x - y) for x, y in
+                                           itertools.zip_longest(lhs, rhs, fillvalue=0)) / scale)
+            assert worst < 1e-45
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS, ids=["q1", "q1.3", "q0.7", "tau0.02"])
+    def test_against_mpmath_sums(self, p):
+        # J up to 60, where the alternating sum lost every digit at q = 1
+        worst, refused = 0.0, 0
+        with mpmath.workdps(60):
+            for J in range(10, 61, 10):
+                for Jh, M, N in oracle_triples(J):
+                    for eta in ORACLE_ETAS:
+                        want = mp_r(Jh, M, N, p, eta)
+                        if abs(want) > sys.float_info.max:  # R itself leaves the float range
+                            with pytest.raises(ValueError, match="R for .* leaves the float range"):
+                                r_polynomial(Jh, M, N, p, eta)
+                            refused += 1
+                            continue
+                        want = complex(want)
+                        worst = max(worst, abs(r_polynomial(Jh, M, N, p, eta) - want) / abs(want))
+        assert worst < 1e-11 and refused < 150
+
+    def test_the_reach_example(self):
+        # the alternating sum printed 7219870178.3125 here
+        assert r_polynomial(60, 0, 0, P_CLASS, 0.5) == pytest.approx(-543999400.174, rel=1e-11)
 
     def test_a_set_takes_linear_q_number_calls(self, monkeypatch):
-        # the coefficients by ratios: O(J) q-numbers, where four factorials
-        # per coefficient would take O(J^2)
+        # the step constants: O(J) q-numbers
         calls = []
         q_number_ = qcore.q_number
 
@@ -148,11 +247,28 @@ class TestRCoefficients:
             r_polynomial(J, HalfInt(mt), HalfInt(nt), p, 0.5)
             assert 0 < len(calls) <= 10 * (30 + 1), (mt, nt)
 
-    def test_the_reach_refuses_a_factorial_out_of_the_float_range(self):
-        # [M+N+kmax]! = [J+min(M,N)]! overflows at q = 1.3 for J = 45, M = N = 30,
-        # where the last coefficients would underflow to 0
-        with pytest.raises(ValueError, match=r"\[75\]! leaves the float range at q = 1.3"):
-            r_polynomial(45, 30, 30, QParam.positive_real(1.3), 0.5)
+    def test_the_reach_is_the_float_range_of_r(self):
+        # (45, 30, 30) at q = 1.3: the last sum coefficients divide by
+        # [75]!, out of the float range, yet R(0.5) is about 1e-208; a
+        # start 1/[M+N]! out of the float range is refused
+        p = QParam.positive_real(1.3)
+        with mpmath.workdps(60):
+            want = complex(mp_r(HalfInt(90), HalfInt(60), HalfInt(60), p, 0.5))
+        assert r_polynomial(45, 30, 30, p, 0.5) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError, match=r"\[120\]! leaves the float range at q = 1.3"):
+            r_polynomial(61, 60, 60, p, 0.5)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
 
 
 def product_q_factorial(n, p):
@@ -163,24 +279,6 @@ def product_q_factorial(n, p):
         if not sys.float_info.min <= abs(out) < math.inf:
             raise ValueError("q-factorial")
     return out
-
-
-def separate_factorial_r_coefficients(J, M, N, p):
-    """_r_coefficients as it was with four q-factorials built apart."""
-    jm, jn, mn = (J - M).to_int(), (J - N).to_int(), (M + N).to_int()
-    if not math.isfinite(product_q_factorial(jn, p) * product_q_factorial(jm, p)):
-        raise ValueError("R lead")
-    k0, kmax = max(0, -mn), min(jm, jn)
-    product_q_factorial(mn + kmax, p)
-    c = (1.0 / product_q_factorial(mn, p) if mn >= 0 else
-         math.prod(q_number(float(J + M + i), p) * q_number(float(J + N + i), p)
-                   / q_number(i, p) for i in range(1, k0 + 1)))
-    coeffs = [c]
-    for k in range(k0, kmax):
-        c *= (q_number(jm - k, p) * q_number(jn - k, p)
-              / (q_number(k + 1, p) * q_number(mn + k + 1, p)))
-        coeffs.append(c)
-    return k0, tuple(coeffs)
 
 
 def separate_factorial_norm_constant(J, M, N, p):
@@ -202,29 +300,40 @@ def _outcome(fn, *args):
         return type(err)
 
 
+def _r_start(J, M, N, p, fact):
+    """R's start constant c as _r_steps reads it from the table fact."""
+    return qspecial._r_steps(J, M, N, p, fact)[2]
+
+
+def separate_factorial_r_start(J, M, N, p):
+    """R's start constant with [M+N]! built apart, for M+N >= 0."""
+    return 1.0 / product_q_factorial((M + N).to_int(), p)
+
+
 @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.positive_real(0.7), P_CLASS,
                                QParam.unit_circle(0.2)], ids=["q1.3", "q0.7", "q1", "tau0.2"])
 def test_one_factorial_table_keeps_every_bit(p):
-    # _psi_record reads the four factorials of R and the six of the norm
-    # from one running product; each is the product q_factorial forms, in
-    # the same order, so coefficients, norms and refusals are unchanged
+    # _psi_record reads R's start 1/[M+N]! and the six factorials of the
+    # norm from one running product; each is the product q_factorial
+    # forms, in the same order, so starts, norms and refusals are unchanged
     values = refusals = 0
     for twice in range(61):  # J <= 30
         J = HalfInt(twice)
         fact = qcore._q_factorials(twice + 1, p)  # the table of _psi_record
         for mt, nt in itertools.product(spin_sample(J), repeat=2):
             M, N = HalfInt(mt), HalfInt(nt)
-            want = (_outcome(separate_factorial_r_coefficients, J, M, N, p),
+            starts = mt + nt >= 0
+            want = (_outcome(separate_factorial_r_start, J, M, N, p) if starts else None,
                     _outcome(separate_factorial_norm_constant, J, M, N, p))
-            for got in ((_outcome(qspecial._r_coefficients, J, M, N, p, fact),
+            for got in ((_outcome(_r_start, J, M, N, p, fact) if starts else None,
                          _outcome(qspecial._norm_constant, J, M, N, p, fact)),
-                        (_outcome(qspecial._r_coefficients, J, M, N, p,
-                                  qcore._q_factorials(twice, p)),
-                         _outcome(norm_constant, J, M, N, p))):
+                        (_outcome(_r_start, J, M, N, p, qcore._q_factorials(mt + nt, p))
+                         if starts else None, _outcome(norm_constant, J, M, N, p))):
                 assert repr(got) == repr(want), (J, M, N)
             values += ValueError not in want
             refusals += ValueError in want
-    assert values > 400 and (refusals > 0) == (p is not P_CLASS)
+    # within J <= 30 only the circle refuses: a radicand past its sector
+    assert values > 400 and (refusals > 0) == (p.regime is qcore.Regime.UNIT_CIRCLE)
 
 
 class TestQConstructions:
@@ -253,9 +362,11 @@ class TestQConstructions:
     @pytest.mark.parametrize("p", [P_TWO, QParam.unit_circle(0.2)], ids=["q2", "tau0.2"])
     def test_finite_factors_have_the_bits_of_one_by_one_division(self, J, p):
         eta = ETA_GRID.reshape(5, 5) * np.exp(0.3j)
-        want = np.ones_like(eta) if HalfInt.of(J).is_integer() else np.asarray(q_function(0.5, p, eta))
-        for k in range(int(J)):
-            want = want / (1.0 + eta * p.power(2 * k - HalfInt.of(J).twice))
+        # Q_(j+1) = Q_j / (1 + q^(-2j-2) eta) from j = J mod 1 up, the steps psi takes
+        twice = HalfInt.of(J).twice
+        want = np.ones_like(eta) if twice % 2 == 0 else np.asarray(q_function(0.5, p, eta))
+        for t in range(twice % 2, twice, 2):  # t = 2j
+            want = want / (1.0 + p.power(-t - 2) * eta)
         assert np.asarray(q_function(J, p, eta)).tobytes() == want.tobytes()
 
     def test_classical_dispatch(self):
@@ -804,15 +915,14 @@ class TestPsiFloatRange:
                 "psi for (J,M,N)=(50,-49,0) leaves the float range at tau = 0.01")):
             psi(50, -49, 0, QParam.unit_circle(0.01), 0.5, 0.5)
 
-    def test_a_lead_times_q_that_overflows_is_refused(self, monkeypatch):
-        # the lead of (2, 2, 2) is about 21, so Q = 1e308 overflows the
-        # product, and Q eta^2 = 1e308 overflows the far form it falls back on
-        monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(0))
-        monkeypatch.setattr(qspecial, "_q_values", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
-        monkeypatch.setattr(qspecial, "_q_far", lambda J, p, eta: np.full(eta.shape, 1e308 + 0j))
-        with pytest.raises(ValueError, match=re.escape(
-                "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
-            psi(2, (2, 1), 2, P_CLASS, np.array([0.5, 0.7]), np.array([0.5, 0.7]))
+    def test_a_row_that_overflows_is_refused(self):
+        # at u = 1e-100, v = 1e100 (uv = 1) the row of (2, 2, 2) carries
+        # v^4 = 1e400; the first row out of range is named, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "psi for (J,M,N)=(2,2,2) leaves the float range at q = 1.0")):
+                psi(2, (1, 2), 2, P_CLASS, np.array([0.5, 1e-100]), np.array([0.5, 1e100]))
 
     @pytest.mark.parametrize("p", [P_CLASS, P_TWO, P_CIRC], ids=["classical", "q2", "circle"])
     @pytest.mark.parametrize("J,M,N", [(1, 0, 0), (1.5, 0.5, 0.5)])
@@ -827,20 +937,28 @@ class TestPsiFloatRange:
                 psi(J, M, N, p, 1e200, 1e200)
 
 
-def classical_psi_mpmath(J, M, N, eta):
-    """psi at u = v = sqrt(eta) > 0, q = 1, from lead (1+eta)^(-J) R(eta)
-    eta^((M+N)/2) summed in 60-digit arithmetic on the float coefficients."""
-    lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, P_CLASS)
+def mp_psi(J, M, N, p, u, v):
+    """psi from 60-digit sums: the norm and phase as floats, Q_J(uv) as the
+    product of its finite factors (times the float Q_{1/2} at half-integer
+    J off q = 1), R(uv) v^(M+N) summed exactly."""
     with mpmath.workdps(60):
-        e = mpmath.mpf(eta)
-        r = sum(mpmath.mpf(c) * (-e) ** (k0 + j) for j, c in enumerate(coeffs))
-        return complex(lead * (1 + e) ** -mpmath.mpf(float(J)) * r * mpmath.sqrt(e) ** mn)
+        uu, vv = mpmath.mpmathify(u), mpmath.mpmathify(v)
+        eta = uu * vv
+        if p.regime is qcore.Regime.CLASSICAL:
+            q_j = (1 + eta) ** -mpmath.mpf(float(J))
+        else:
+            q_j = mpmath.mpf(1) if J.is_integer() else mpmath.mpmathify(
+                complex(q_function(0.5, p, complex(u) * complex(v))))
+            for t in range(J.twice, 1, -2):  # the factors 1 + q^(-t) eta, t = 2J .. 2 or 3
+                q_j /= 1 + mp_power(-t, p) * eta
+        lead = norm_constant(J, M, N, p) * p.power(-float(N) * float(M) / 2.0)
+        return lead * q_j * mp_r(J, M, N, p, eta) * vv ** (M + N).to_int()
 
 
 class TestPsiFarForm:
-    """Where lead Q leaves the normal range or a row overflows, as at the
-    radial rule's far nodes from J = 17 on, psi takes Q eta^floor(J) and
-    the Horner sum in 1/eta."""
+    """Where |eta|^floor(J0) may pass 1e100, as at the radial rule's far
+    nodes from J0 = 6 on, a row starts from Q_J0 eta^floor(J0) times the
+    monomial over eta^floor(J0) at |eta| > 1."""
 
     @pytest.mark.parametrize("J,M,N", [(17, 0, 0), (20, -20, -20), (20, 20, 20), (20, 20, -20),
                                        (20, 3, -7), (20.5, 0.5, -0.5), (30, -30, -30)])
@@ -848,13 +966,15 @@ class TestPsiFarForm:
     def test_large_eta_against_mpmath(self, J, M, N, eta):
         J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
         got = psi(J, M, N, P_CLASS, math.sqrt(eta), math.sqrt(eta))
-        want = classical_psi_mpmath(J, M, N, eta)
+        want = complex(mp_psi(J, M, N, P_CLASS, math.sqrt(eta), math.sqrt(eta)))
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize("p", [P_CLASS, QParam.positive_real(1.3), QParam.positive_real(0.7),
                                    QParam.unit_circle(0.2)], ids=["q1", "q1.3", "q0.7", "tau0.2"])
-    def test_far_form_is_the_plain_form_where_both_are_in_range(self, p):
-        # off the diagonal, |u| != |v|, at |uv| from 6 to 2000
+    def test_far_start_is_the_plain_start_where_both_are_in_range(self, p):
+        # off the diagonal, |u| != |v|, at |uv| from 6 to 2000: alone, every
+        # row starts plain; beside a point at uv = 1e60 the rows from
+        # floor(J0) = 2 on take the far start there
         u = np.linspace(2.0, 40.0, 7) * np.exp(0.3j)
         v = np.linspace(3.0, 50.0, 7) * np.exp(-0.1j)
         for twice in range(9):  # J <= 4
@@ -862,27 +982,46 @@ class TestPsiFarForm:
             ms = tuple(m_values(J))
             for N in m_values(J):
                 plain = qspecial._psi_rows(J, ms, N, p, u, v)
-                rows = plain.copy()
-                records = [qspecial._psi_record(J, m, N, p) for m in ms]
-                qspecial._far_rows(J, ms, N, p, records, u, v, u * v, rows,
-                                   np.ones(rows.shape, dtype=bool))
+                beside = qspecial._psi_rows(J, ms, N, p, np.append(u, 1e30), np.append(v, 1e30))
                 scale = np.max(np.abs(plain), axis=1, keepdims=True)
-                assert np.all(np.abs(rows - plain) <= 1e-12 * scale), (J, N)
+                assert np.all(np.abs(beside[:, :7] - plain) <= 1e-12 * scale), (J, N)
 
-    def test_only_the_failing_entries_take_the_far_form(self):
-        # at q = 1 the row of (17, 0, 0) is plain while eta^17 is finite and
-        # far beyond; the plain entries keep their bits
+    def test_a_row_from_j0_0_keeps_its_plain_bits(self):
+        # the row of (17, 0, 0) starts at J0 = 0, plain at every point: its
+        # values at 1 .. 1e12 have the bits of a call on those alone, and
+        # every value matches the sum
         eta = np.array([1.0, 1e6, 1e12, 1e19, 1e25])
         J, M, N = HalfInt(34), HalfInt(0), HalfInt(0)  # (17, 0, 0)
         got = psi(J, M, N, P_CLASS, np.sqrt(eta), np.sqrt(eta))
-        lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, P_CLASS)
-        root = np.sqrt(eta[:3]).astype(complex)
-        plain = (lead * (1.0 + root * root) ** -17.0 * (-root) ** k0 * root ** (k0 + mn)
-                 * qspecial._horner(coeffs, -(root * root)))
-        assert np.array_equal(got[:3], plain)
-        assert np.all(np.isfinite(got))
-        want = [classical_psi_mpmath(J, M, N, e) for e in eta[3:]]
-        assert np.allclose(got[3:], want, rtol=1e-12, atol=0)
+        alone = psi(J, M, N, P_CLASS, np.sqrt(eta[:3]), np.sqrt(eta[:3]))
+        assert got[:3].tobytes() == alone.tobytes()
+        want = [complex(mp_psi(J, M, N, P_CLASS, math.sqrt(e), math.sqrt(e))) for e in eta]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestPsiOracle:
+    """psi against 60-digit sums on the oracle grid of R, and at eta = 1e19."""
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS, ids=["q1", "q1.3", "q0.7", "tau0.02"])
+    def test_against_mpmath_sums(self, p):
+        roots = np.sqrt(np.array(ORACLE_ETAS + [1e19], dtype=complex))
+        worst, accepted = 0.0, 0
+        for J in range(10, 61, 10):
+            for Jh, M, N in oracle_triples(J):
+                try:
+                    norm = norm_constant(Jh, M, N, p)
+                except ValueError:
+                    norm = math.nan
+                if not sys.float_info.min <= norm < math.inf:  # its factorials leave the range
+                    with pytest.raises(ValueError, match="leaves the float range"):
+                        psi(Jh, M, N, p, roots, roots)
+                    continue
+                got = psi(Jh, M, N, p, roots, roots)
+                for g, r in zip(got, roots):
+                    want = complex(mp_psi(Jh, M, N, p, r, r))
+                    worst = max(worst, abs(g - want) / abs(want))
+                accepted += 1
+        assert worst < 1e-11 and accepted >= 40
 
 
 class TestPsi:
@@ -944,8 +1083,9 @@ class TestPsiTower:
 
     @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
                              ids=["q1.3", "tau0.2"])
-    def test_rows_have_the_bits_of_the_horner_form(self, p):
-        # row M = lead Q(uv) (-u)^k0 v^(k0+M+N) P(-uv), P(x) = sum_j c_(k0+j) x^j
+    def test_rows_are_the_defining_formula(self, p):
+        # row M = norm q^(-NM/2) Q_J(uv) R(uv) v^(M+N), R summed from its
+        # exact coefficients, on stacked points off the diagonal
         u, v = TOWER_POINTS["stacked"]
         J, N = HalfInt.of(3), HalfInt.of(1)
         ms = tuple(HalfInt(t) for t in range(J.twice, -J.twice - 1, -2))
@@ -953,12 +1093,13 @@ class TestPsiTower:
         qval = q_function(J, p, u * v)
         k0s = []
         for row, M in zip(got, ms):
-            lead, k0, mn, coeffs = qspecial._psi_record(J, M, N, p)
-            poly = np.full_like(u, coeffs[-1])
-            for c in coeffs[-2::-1]:
-                poly = poly * -(u * v) + c
-            assert row.tobytes() == (lead * qval * (-u) ** k0 * v ** (k0 + mn) * poly).tobytes()
-            k0s.append(k0)
+            with mpmath.workdps(30):
+                k0, coeffs = mp_r_coefficients(J, M, N, p)
+            r = sum(complex(c) * (-(u * v)) ** (k0 + i) for i, c in enumerate(coeffs))
+            want = (norm_constant(J, M, N, p) * p.power(-float(N) * float(M) / 2.0)
+                    * qval * r * v ** (M + N).to_int())
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), M
+            k0s.append(qspecial._psi_record(J, M, N, p)[2])
         assert k0s == [0, 0, 0, 0, 0, 1, 2]  # M+N = 4 .. -2
 
     def test_evaluates_q_once(self, monkeypatch):
@@ -1054,12 +1195,12 @@ class TestPsiMemo:
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
     def test_errors_on_every_call(self, memo, misses):
-        # tau = pi/4 + 0.05 makes [2J+1]! negative for J = 2; at q = 2 the
+        # at tau = 0.01 the norm of (50, -49, 0) underflows; at q = 2 the
         # J = 1 factor 1 + eta q^-2 vanishes at eta = -4
-        p = QParam.unit_circle(math.pi / 4 + 0.05)
+        p = QParam.unit_circle(0.01)
         for _ in range(3):
-            with pytest.raises(ValueError, match="negative radicand"):
-                psi(2, 0, 0, p, 0.5, 0.5)
+            with pytest.raises(ValueError, match="leaves the float range"):
+                psi(50, -49, 0, p, 0.5, 0.5)
             with pytest.raises(ValueError, match="finite-product pole: factor k=0"):
                 psi(1, 0, 0, P_TWO, -4.0, 1.0)
         assert len(misses) == 6
