@@ -104,6 +104,14 @@ CASES = {
     "eval_psi_J20.5_M-1.5_N0.5_tau0.05_far.csv": ["eval", "--fn", "psi", "--J", "20.5",
                                                   "--M", "-1.5", "--N", "0.5", "--tau", "0.05",
                                                   "--grid", "1e4:3e9:5"],
+    # the reach of the recurrence in J: R at J 60 (the alternating sum printed
+    # 7219870178.3125 at eta 0.5), psi at J 40 on the circle, a J-30 gram tower
+    "eval_R_J60_M0_N0_q1.csv": ["eval", "--fn", "R", "--J", "60", "--M", "0", "--N", "0",
+                                "--q", "1", "--grid", "0.25:4:7"],
+    "eval_psi_J40_M3_N0_tau0.03.csv": ["eval", "--fn", "psi", "--J", "40", "--M", "3",
+                                       "--N", "0", "--tau", "0.03", "--grid", "0.25:4:7"],
+    "verify_gram_q1_N0_J30.json": ["verify", "--suite", "gram", "--q", "1", "--N", "0",
+                                   "--J", "30"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
