@@ -231,9 +231,9 @@ def r_polynomial(J, M, N, p: QParam, eta):
     J0, k0, c, a, b = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
     flat = arr.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        S = (1.0 - a) * (1.0 + _powers(J0, J, p, 1, 0) * flat)
-        out = _recur(c * (-flat) ** k0, a + b * flat,
-                     S * (1.0 + _powers(J0, J, p, -1, 0) * flat)).reshape(arr.shape)
+        up = 1.0 + _powers(J0, J, p, 1, 0) * flat
+        down = 1.0 + _powers(J0, J, p, -1, 0) * flat
+        out = _recur(c * (-flat) ** k0, a + b * flat, (1.0 - a) * up * down).reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         _point_error(f"R for (J,M,N)=({J},{M},{N}) leaves the float range", arr,
                      ~np.isfinite(out), p)
