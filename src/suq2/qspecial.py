@@ -166,7 +166,7 @@ def _ret(arr, scalar):
 
 
 def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
-    """(J0, k0, c, a, b): R = c (-eta)^k0 at J0 = max(|M|, |N|), R = 0 at
+    """(J0, k0, c, steps): R = c (-eta)^k0 at J0 = max(|M|, |N|), R = 0 at
     J0 - 1, k0 = max(0, -(M+N)), and for j = J0 .. J-1 the recurrence of a
     terminating 2phi1 (Gasper & Rahman, Basic Hypergeometric Series, ch. 2)
 
@@ -175,8 +175,8 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
         b_j = -[2j+1] ([j+1] {M-N} - t_j) / ([j+1+M][j+1+N] {j}),
 
     {x} = q^x + q^-x, t_j = [2][M][N]/[j] (0 if MN = 0), denominators > 0
-    in the circle's sector (2J+1)|tau| < pi; a and b as (J - J0, 1)
-    columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
+    in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
+    (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
     or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
     normal range is refused."""
     J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
@@ -200,7 +200,8 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
         w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace(j))
         a.append(w * (q_number(j + 1, p) * bsum + t_j))
         b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
-    return J0, k0, c, np.array(a).reshape(-1, 1), np.array(b).reshape(-1, 1)
+    # a copy, not a view: one array object per record in psi's cache
+    return J0, k0, c, np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
 
 
 def _recur(x, P, S):
@@ -228,12 +229,12 @@ def r_polynomial(J, M, N, p: QParam, eta):
     validate_triple(J, M, N)
     _check_sector(J, p)
     arr, scalar = _as_complex(eta)
-    J0, k0, c, a, b = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
+    J0, k0, c, (a, b, c1) = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
     flat = arr.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         up = 1.0 + _powers(J0, J, p, 1, 0) * flat
         down = 1.0 + _powers(J0, J, p, -1, 0) * flat
-        out = _recur(c * (-flat) ** k0, a + b * flat, (1.0 - a) * up * down).reshape(arr.shape)
+        out = _recur(c * (-flat) ** k0, a + b * flat, c1 * up * down).reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         _point_error(f"R for (J,M,N)=({J},{M},{N}) leaves the float range", arr,
                      ~np.isfinite(out), p)
@@ -255,9 +256,10 @@ def _finite_factors(J: HalfInt, p: QParam, arr):
     vanishing factor, a pole of Q, raises and is named by k = J-1-j, as
     the factor 1 + q^(2k-2J) eta; the smallest such k is named."""
     factors = 1.0 + _powers(HalfInt(J.twice % 2), J, p, -1, -2) * arr.reshape(-1)
-    poles = np.nonzero(np.any(np.abs(factors) < POLE_TOL, axis=1))[0]
-    if poles.size:
-        raise ValueError(f"finite-product pole: factor k={len(factors) - 1 - poles[-1]} vanishes")
+    small = np.abs(factors) < POLE_TOL
+    if small.any():
+        k = len(factors) - 1 - int(np.nonzero(small.any(axis=1))[0][-1])
+        raise ValueError(f"finite-product pole: factor k={k} vanishes")
     return factors
 
 
@@ -599,22 +601,25 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     float range is refused."""
     records = [_psi_record(J, m, N, p) for m in ms]
     base = HalfInt(J.twice % 2)
-    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        flat = (u_arr * v_arr).reshape(-1)
-        amax = float(np.max(np.abs(flat), initial=1.0))
-        # |q^(-2j-2)| is largest at an end of j = J mod 1 .. J-1
-        if not math.isfinite(amax * max(abs(p.power(-base.twice - 2)), abs(p.power(-J.twice)))):
-            _float_range_error(J, ms[0], N, p)  # uv, or a factor of Q, is not a float
+        eta = u_arr * v_arr
+        shape, flat = eta.shape, eta.reshape(-1)
+        amax = float(np.abs(flat).max(initial=1.0))
+        # uv, or a factor 1 + q^(-2j-2) uv of Q, is not a float: |q^(-2j-2)|
+        # is largest at an end of j = J mod 1 .. J-1
+        if not (amax < 1e100 or math.isfinite(
+                amax * max(abs(p.power(-base.twice - 2)), abs(p.power(-J.twice))))):
+            _float_range_error(J, ms[0], N, p)
         log_max = math.log(amax)
-        inv = 1.0 / _finite_factors(J, p, flat)
+        inv = 1.0 / _finite_factors(J, p, flat) if J.twice > 1 else None
         ratio = None
         uf, vf = (w.reshape(-1) if w.shape == shape else np.broadcast_to(w, shape).reshape(-1)
                   for w in (u_arr, v_arr))
         qs = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)]
         fars = qs[:1]  # Q_j eta^floor(j)
-        out = np.empty((len(ms), flat.size), dtype=complex)
-        for row, (lead, J0, k0, mn, a, b, c) in enumerate(records):
+        out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
+        rows = out.reshape(len(ms), -1)
+        for row, (lead, J0, k0, mn, (a, b, c)) in enumerate(records):
             i, n0 = (J0 - base).to_int(), J0.twice // 2
             while len(qs) <= i:
                 qs.append(qs[-1] * inv[len(qs) - 1])
@@ -628,8 +633,7 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
                 ratio = (1.0 + _powers(base, J, p, 1, 0) * flat) * inv
             if len(a):
                 x = _recur(x, (a + b * flat) * inv[i:], None if len(a) == 1 else c * ratio[i:])
-            out[row] = x
-        out = out.reshape((len(ms),) + shape)
+            rows[row] = x
     if np.count_nonzero(np.isfinite(out)) != out.size:
         bad = ~np.isfinite(out).reshape(len(ms), -1).all(axis=1)
         _float_range_error(J, ms[int(np.argmax(bad))], N, p)
@@ -672,17 +676,17 @@ def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
 @functools.lru_cache(maxsize=1024)
 def _psi_record(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam):
     """What psi reads for one (J, M, N, p): the lead (the norm constant
-    times the phase q^(-NM/2) times R's start c), J0, k0, M+N and the step
-    constants a, b and 1 - a of _r_steps.  A lead out of the normal range
+    times the phase q^(-NM/2) times R's start c), J0, k0, M+N and the steps
+    of _r_steps.  A lead out of the normal range
     raises, naming (J, M, N) and q, on every call, as lru_cache stores no
     error.  Both exponents of (-u)^k0 v^(k0+M+N) are >= 0: psi is finite at 0."""
     fact = _q_factorials(J.twice + 1, p)
     norm = _norm_constant(J, M, N, p, fact)
-    J0, k0, c, a, b = _r_steps(J, M, N, p, fact)
+    J0, k0, c, steps = _r_steps(J, M, N, p, fact)
     lead = norm * p.power(-float(N) * float(M) / 2.0) * c
     if not sys.float_info.min <= abs(lead) < math.inf:
         _float_range_error(J, M, N, p)
-    return lead, J0, k0, (M + N).to_int(), a, b, 1.0 - a
+    return lead, J0, k0, (M + N).to_int(), steps
 
 
 def vilenkin(J, M, N, p: QParam, xi):

@@ -236,7 +236,7 @@ class TestEvalErrors:
         assert code == 2 and out == "" and err == f"error: Q_J for J = {where}\n"
 
     def test_r_out_of_float_range_is_one_error_line(self, capsys):
-        # the Horner sum of R at 1e19 overflows; no numpy warning comes first
+        # R_20(1e19) is about 1e380; no numpy warning comes first
         code, out, err = run(["eval", "--fn", "R", "--J", "20", "--M", "0", "--N", "0",
                               "--q", "1", "--eta", "1e19"], capsys)
         assert code == 2 and out == ""

@@ -95,7 +95,8 @@ CASES = {
     # circle hermiticity at half-integer J, where Q_{1/2} is asked for most often
     "verify_all_tau0.2_N0.5_seed3.json": ["verify", "--suite", "all", "--tau", "0.2",
                                           "--N", "0.5", "--seed", "3"],
-    # psi's far form: 4 of the 5 points of each grid take it
+    # psi at large eta, where eta^J overflows and Q_J underflows: every step of
+    # the recurrence in J stays bounded
     "eval_psi_J20_M3_N0_q1_far.csv": ["eval", "--fn", "psi", "--J", "20", "--M", "3",
                                       "--N", "0", "--q", "1", "--grid", "1e4:3e9:5"],
     "eval_psi_J20.5_M0.5_N0.5_q1.3_far.csv": ["eval", "--fn", "psi", "--J", "20.5",

@@ -193,8 +193,8 @@ class TestRRecurrence:
                     J = HalfInt(J0.twice + 2 * i)
                     k0, c = mp_r_coefficients(J, M, N, p)
                     polys[i] = [mpmath.mpf(0)] * k0 + [x * (-1) ** (k0 + n) for n, x in enumerate(c)]
-                _, _, _, a_f, b_f = qspecial._r_steps(HalfInt(J0.twice + 12), M, N, p,
-                                                      qcore._q_factorials(max(0, mt + nt), p))
+                _, _, _, (a_f, b_f, _) = qspecial._r_steps(HalfInt(J0.twice + 12), M, N, p,
+                                                        qcore._q_factorials(max(0, mt + nt), p))
                 for i in range(6):
                     j = mpmath.mpf(J0.twice + 2 * i) / 2
                     a, b = mp_steps(j, M, N, p)
