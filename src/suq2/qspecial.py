@@ -200,8 +200,11 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
         w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace(j))
         a.append(w * (q_number(j + 1, p) * bsum + t_j))
         b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
-    # a copy, not a view: one array object per record in psi's cache
-    return J0, k0, c, np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
+    # a copy, not a view: one array object per record in psi's cache, which
+    # hands it to every caller read-only
+    steps = np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
+    steps.flags.writeable = False
+    return J0, k0, c, steps
 
 
 def _recur(x, P, S):
@@ -216,9 +219,10 @@ def _recur(x, P, S):
 
 @functools.lru_cache(maxsize=1024)
 def _powers(J0: HalfInt, J: HalfInt, p: QParam, sign: int, offset: int):
-    """The column of q^(2 sign j + offset), j = J0 .. J-1, not to be written to."""
-    powers = [p.power(sign * t + offset) for t in range(J0.twice, J.twice, 2)]
-    return np.array(powers).reshape(-1, 1)
+    """The read-only column of q^(2 sign j + offset), j = J0 .. J-1."""
+    column = np.array([p.power(sign * t + offset) for t in range(J0.twice, J.twice, 2)])
+    column.flags.writeable = False  # the cache hands it to every caller
+    return column.reshape(-1, 1)
 
 
 def r_polynomial(J, M, N, p: QParam, eta):
