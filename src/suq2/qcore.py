@@ -131,15 +131,27 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer() else f"{self.twice}/2"
 
 
-def validate_triple(J: HalfInt, M: HalfInt, N: HalfInt) -> None:
-    """Irrep triple: same integrality class, |M| <= J, |N| <= J, J >= 0."""
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+def validate_tower(J: HalfInt, N: HalfInt) -> None:
+    """Tower labels: J >= 0, J and N of one integrality class, |N| <= J;
+    the errors name only J and N."""
+    J, N = HalfInt.of(J), HalfInt.of(N)
     if J.twice < 0:
         raise ValueError(f"J = {J} must be >= 0")
-    if (J.twice - M.twice) % 2 or (J.twice - N.twice) % 2:
+    if (J.twice - N.twice) % 2:
+        raise ValueError(f"(J,N) = ({J},{N}) must be integers or half-integers together")
+    if abs(N.twice) > J.twice:
+        raise ValueError(f"need |N| <= J, got (J,N) = ({J},{N})")
+
+
+def validate_triple(J: HalfInt, M: HalfInt, N: HalfInt) -> None:
+    """Irrep triple: the tower (J, N) of validate_tower, then M of J's
+    integrality class with |M| <= J."""
+    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+    validate_tower(J, N)
+    if (J.twice - M.twice) % 2:
         raise ValueError(f"(J,M,N) = ({J},{M},{N}) must be integers or half-integers together")
-    if abs(M.twice) > J.twice or abs(N.twice) > J.twice:
-        raise ValueError(f"need |M| <= J and |N| <= J, got (J,M,N) = ({J},{M},{N})")
+    if abs(M.twice) > J.twice:
+        raise ValueError(f"need |M| <= J, got (J,M,N) = ({J},{M},{N})")
 
 
 def m_values(J: HalfInt) -> list:

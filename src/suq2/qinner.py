@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, m_values
+from .qcore import HalfInt, QParam, Regime, m_values, validate_tower
 from .qops import (
     PlaneFamily,
     apply_h_minus,
@@ -133,13 +133,8 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
     on one _products call: one radial integral per like-mode block.
     """
     N = HalfInt.of(N)
-    for J in map(HalfInt.of, J_list):  # J against N first, naming no M
-        if J.twice < 0:
-            raise ValueError(f"J = {J} must be >= 0")
-        if (J.twice - N.twice) % 2:
-            raise ValueError(f"(J,N) = ({J},{N}) must be integers or half-integers together")
-        if abs(N.twice) > J.twice:
-            raise ValueError(f"need |N| <= J, got (J,N) = ({J},{N})")
+    for J in J_list:  # J against N first, so an error names no M
+        validate_tower(J, N)
     states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
     fams = [psi_family(J, M, N) for J, M in states]
     upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from suq2 import (
     q_number,
     validate_triple,
 )
+from suq2.qcore import validate_tower
 
 SYM_TOL = 1e-13
 
@@ -101,6 +103,24 @@ class TestHalfInt:
             validate_triple(HalfInt.of(1), HalfInt.of(2), HalfInt.of(0))  # |M| > J
         with pytest.raises(ValueError):
             validate_triple(HalfInt.of(-1), HalfInt.of(0), HalfInt.of(0))
+
+    @pytest.mark.parametrize("J,M,N,msg", [
+        (0, 0, 0.5, "(J,N) = (0,1/2) must be integers or half-integers together"),
+        (1, 0, 2, "need |N| <= J, got (J,N) = (1,2)"),
+        (1, 0.5, 0, "(J,M,N) = (1,1/2,0) must be integers or half-integers together"),
+        (1, 2, 0, "need |M| <= J, got (J,M,N) = (1,2,0)"),
+    ], ids=["N-parity", "N-above-J", "M-parity", "M-above-J"])
+    def test_the_tower_is_checked_first_and_named_alone(self, J, M, N, msg):
+        # validate_triple checks (J, N) by validate_tower, whose errors name
+        # no M, and only then M
+        J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            validate_triple(J, M, N)
+        if "(J,N)" in msg:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                validate_tower(J, N)
+        else:
+            validate_tower(J, N)
 
     def test_m_values_descending(self):
         ms = m_values(HalfInt.of(1.5))
