@@ -186,18 +186,15 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
          math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
     if not sys.float_info.min <= abs(c) < math.inf:
         raise ValueError(f"R for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
-
-    def brace(x):
-        return (p.power(x) + p.power(-x)).real
-
     mf, nf = float(M), float(N)
-    bsum, bdiff = brace(mf + nf), brace(mf - nf)
+    bsum, bdiff = ((p.power(x) + p.power(-x)).real for x in (mf + nf, mf - nf))
     cross = q_number(2, p) * q_number(mf, p) * q_number(nf, p) if M.twice and N.twice else 0.0
     a, b = [], []
     for t in range(J0.twice, J.twice, 2):
         j = t / 2.0
         t_j = cross / q_number(j, p) if cross else 0.0
-        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace(j))
+        brace = (p.power(j) + p.power(-j)).real
+        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace)
         a.append(w * (q_number(j + 1, p) * bsum + t_j))
         b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
     # a copy, not a view: one array object per record in psi's cache, which
@@ -207,10 +204,15 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     return J0, k0, c, steps
 
 
-def _recur(x, P, S):
-    """The one loop of R and psi: x_J from x_(j+1) = P_j x_j + S_j x_(j-1),
-    x_J0 = x, x_(J0-1) = 0, a row of P and S per step j = J0 .. J-1 (S's
-    first row is never read; S may be None for one step)."""
+def _recur(x, steps, eta, up, inv=1.0):
+    """The one loop of R and psi: x_J from x_J0 = x, x_(J0-1) = 0 and, for
+    j = J0 .. J-1, x_(j+1) = (a_j + b_j eta) inv_j x_j + (1 - a_j) up_j x_(j-1),
+    steps = (a, b, 1 - a) of _r_steps, a row of up and inv per j.  R's own
+    recurrence is inv_j = 1, up_j = (1 + q^(2j) eta)(1 + q^(-2j) eta); that
+    of X_j = Q_j R_j is inv_j = Q_(j+1)/Q_j = 1/(1 + q^(-2j-2) eta) and
+    up_j = (1 + q^(2j) eta) inv_j (up may be None for one step)."""
+    a, b, c = steps
+    P, S = (a + b * eta) * inv, (c * up if len(a) > 1 else None)
     prev = None
     for j, Pj in enumerate(P):
         x, prev = (Pj * x if prev is None else Pj * x + S[j] * prev), x
@@ -233,12 +235,11 @@ def r_polynomial(J, M, N, p: QParam, eta):
     validate_triple(J, M, N)
     _check_sector(J, p)
     arr, scalar = _as_complex(eta)
-    J0, k0, c, (a, b, c1) = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
+    J0, k0, c, steps = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
     flat = arr.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        up = 1.0 + _powers(J0, J, p, 1, 0) * flat
-        down = 1.0 + _powers(J0, J, p, -1, 0) * flat
-        out = _recur(c * (-flat) ** k0, a + b * flat, c1 * up * down).reshape(arr.shape)
+        up = (1.0 + _powers(J0, J, p, 1, 0) * flat) * (1.0 + _powers(J0, J, p, -1, 0) * flat)
+        out = _recur(c * (-flat) ** k0, steps, flat, up).reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         _point_error(f"R for (J,M,N)=({J},{M},{N}) leaves the float range", arr,
                      ~np.isfinite(out), p)
@@ -306,10 +307,10 @@ def _multipliers(q, Jf, ks):
 def _infinite_product(J, q, arr):
     """The product of q_infinite_product on eta's complex array."""
     Jf = float(J)
-    out = np.ones_like(arr)
-    if arr.size == 0:
-        return out
     flat = arr.reshape(-1)
+    out = np.ones(flat.shape, dtype=complex)  # in C order, whatever arr's layout
+    if arr.size == 0:
+        return out.reshape(arr.shape)
     ratio = q * q if q < 1.0 else q ** -2
     log_q = abs(math.log(q))
     amax = float(np.max(np.abs(flat)))
@@ -319,34 +320,35 @@ def _infinite_product(J, q, arr):
     k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
     cap = max(1, BLOCK_ELEMENTS // flat.size)
     rows = min(cap, max(1, math.ceil(k_est) + 1))
-    live = np.arange(flat.size)  # the points still running
+    live = slice(None)  # the points still running: all of them, then an index array
     start = 0
     while start < PRODUCT_MAX_FACTORS:
         ks = range(start, min(start + rows, PRODUCT_MAX_FACTORS))
         a, b = _multipliers(q, Jf, ks)
         points = flat[live]
-        num = 1.0 + points * np.array(a)[:, None]
         den = 1.0 + points * np.array(b)[:, None]
         poles = np.any(np.abs(den) < POLE_TOL, axis=1)
         n_ok = int(np.argmax(poles)) if poles.any() else len(ks)  # divide only before a pole
-        factor = num[:n_ok] / den[:n_ok]
+        factor = (1.0 + points * np.array(a[:n_ok])[:, None]) / den[:n_ok]
         gap = np.abs(factor - 1.0)
         done = (gap < PRODUCT_FACTOR_TOL) & (gap * ratio / (1.0 - ratio) < PRODUCT_TAIL_TOL)
-        stops = done.any(axis=0)
         # a point stops at its own first factor within the tolerances, and
         # its later factors are exactly 1, so its bits do not depend on the
-        # other points of the call
-        first = np.where(stops, np.argmax(done, axis=0) if n_ok else 0, n_ok)
-        factor[np.arange(n_ok)[:, None] > first] = 1.0
+        # other points of the call; rows past every point's stop are skipped
+        stopped = np.logical_or.accumulate(done, axis=0)
+        hi = min(n_ok, n_ok + 1 - np.count_nonzero(stopped.all(axis=1)))
+        factor[1:hi][stopped[:hi - 1]] = 1.0
         # out of place, as numpy's complex multiply rounds differently in
         # place and on scalars
-        value = out.reshape(-1)[live]
-        for row in factor[:int(np.max(first, initial=0)) + 1]:
+        value = out[live]
+        for row in factor[:hi]:
             value = value * row
-        out.reshape(-1)[live] = value
-        live = live[~stops]
-        if not live.size:
-            return out
+        out[live] = value
+        stops = done.any(axis=0)
+        if stops.all():
+            return out.reshape(arr.shape)
+        if stops.any():
+            live = np.arange(flat.size)[live][~stops]
         if n_ok < len(ks):
             raise ValueError(f"infinite-product pole in factor k={start + n_ok}")
         start += len(ks)
@@ -591,18 +593,15 @@ def psi(J, M, N, p: QParam, u, v):
 
 
 def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
-    """The uncached psi of each weight in ms, stacked: lead X_J, from
-    X_J0 = Q_J0 (-u)^k0 v^(k0+M+N) by R's recurrence (see _r_steps) with
-    Q_(j+1) = Q_j / (1 + q^(-2j-2) eta) folded in, eta = uv, whose factors
-    stay bounded as eta -> 0 and as eta -> inf:
-
-        X_(j+1) = [(a_j + b_j eta) X_j + (1 - a_j)(1 + q^(2j) eta) X_(j-1)] / (1 + q^(-2j-2) eta).
-
-    Every Q_J0 comes by those divisions from the call's one Q, at J mod 1.
-    Where |eta|^floor(J0) may pass 1e100, Q_J0 and the monomial near
-    opposite ends of the float range, so at |eta| > 1 the start is
-    (Q_J0 eta^floor(J0)) (monomial / eta^floor(J0)).  A value out of the
-    float range is refused."""
+    """The uncached psi of each weight in ms, stacked: lead X_J, by _recur
+    from X_J0 = Q_J0 (-u)^k0 v^(k0+M+N), X_j = Q_j R_j v^(M+N), eta = uv,
+    whose steps stay bounded as eta -> 0 and as eta -> inf.  Every Q_J0
+    comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j.
+    At a point where |eta|^floor(J0) passes e^230, Q_J0 and the monomial
+    may lie near opposite ends of the float range, so that point starts
+    from (Q_J0 eta^floor(J0)) (monomial / eta^floor(J0)), a tower of the
+    same factors times eta; each point takes its start on its own |eta|.
+    A value out of the float range is refused."""
     records = [_psi_record(J, m, N, p) for m in ms]
     base = HalfInt(J.twice % 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -614,30 +613,28 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
         if not (amax < 1e100 or math.isfinite(
                 amax * max(abs(p.power(-base.twice - 2)), abs(p.power(-J.twice))))):
             _float_range_error(J, ms[0], N, p)
-        log_max = math.log(amax)
-        inv = 1.0 / _finite_factors(J, p, flat) if J.twice > 1 else None
-        ratio = None
+        inv = 1.0 / _finite_factors(J, p, flat) if J.twice > 1 else None  # Q_(j+1)/Q_j
         uf, vf = (w.reshape(-1) if w.shape == shape else np.broadcast_to(w, shape).reshape(-1)
                   for w in (u_arr, v_arr))
         qs = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)]
-        fars = qs[:1]  # Q_j eta^floor(j)
+        fars, log_abs, ratio = qs[:1], None, None  # fars[i] = Q eta^i
         out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
-        rows = out.reshape(len(ms), -1)
-        for row, (lead, J0, k0, mn, (a, b, c)) in enumerate(records):
-            i, n0 = (J0 - base).to_int(), J0.twice // 2
+        for row, (lead, J0, k0, mn, steps) in zip(out.reshape(len(ms), -1), records):
+            i = (J0 - base).to_int()  # floor(J0)
             while len(qs) <= i:
                 qs.append(qs[-1] * inv[len(qs) - 1])
             x = _monomial(lead * qs[i], uf, vf, k0, k0 + mn)
-            if n0 * log_max > 230.0:  # |eta|^floor(J0) may pass 1e100
+            if i * math.log(amax) > 230.0:  # some point takes the far start
+                log_abs = np.log(np.abs(flat)) if log_abs is None else log_abs
                 while len(fars) <= i:
                     fars.append(fars[-1] * (flat * inv[len(fars) - 1]))
-                far = _monomial(lead * (-1) ** n0 * fars[i], uf, vf, k0 - n0, k0 + mn - n0)
-                x = np.where(np.abs(flat) > 1.0, far, x)
-            if len(a) > 1 and ratio is None:  # (1 + q^(2j) eta) / (1 + q^(-2j-2) eta)
+                far = _monomial(lead * (-1) ** i * fars[i], uf, vf, k0 - i, k0 + mn - i)
+                x = np.where(i * log_abs > 230.0, far, x)
+            if len(steps[0]) > 1 and ratio is None:  # (1 + q^(2j) eta) Q_(j+1)/Q_j
                 ratio = (1.0 + _powers(base, J, p, 1, 0) * flat) * inv
-            if len(a):
-                x = _recur(x, (a + b * flat) * inv[i:], None if len(a) == 1 else c * ratio[i:])
-            rows[row] = x
+            if len(steps[0]):
+                x = _recur(x, steps, flat, ratio if ratio is None else ratio[i:], inv[i:])
+            row[:] = x
     if np.count_nonzero(np.isfinite(out)) != out.size:
         bad = ~np.isfinite(out).reshape(len(ms), -1).all(axis=1)
         _float_range_error(J, ms[int(np.argmax(bad))], N, p)
@@ -645,7 +642,7 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
 
 
 def _monomial(x, u, v, ku: int, kv: int):
-    """x (-u)^ku v^kv on flat arrays."""
+    """x (-u)^ku v^kv on flat arrays, skipping a zero exponent."""
     if ku:
         x = x * (-u) ** ku
     return x * v ** kv if kv else x

@@ -986,16 +986,20 @@ class TestPsiFarForm:
                 scale = np.max(np.abs(plain), axis=1, keepdims=True)
                 assert np.all(np.abs(beside[:, :7] - plain) <= 1e-12 * scale), (J, N)
 
-    def test_a_row_from_j0_0_keeps_its_plain_bits(self):
-        # the row of (17, 0, 0) starts at J0 = 0, plain at every point: its
-        # values at 1 .. 1e12 have the bits of a call on those alone, and
-        # every value matches the sum
+    @pytest.mark.parametrize("p", [P_CLASS, QParam.positive_real(1.3)], ids=["q1", "q1.3"])
+    @pytest.mark.parametrize("J,M,N", [(8, 6, 0), (8.5, -6.5, 0.5), (12, 7, -7)])
+    def test_a_point_has_the_bits_of_its_own_call(self, p, J, M, N):
+        # each point takes the far start on its own |eta|, so a row from
+        # floor(J0) >= 6 has at 1 .. 1e12 the bits of a call on those alone,
+        # beside points at 1e19 and 1e25 that take the far start
         eta = np.array([1.0, 1e6, 1e12, 1e19, 1e25])
-        J, M, N = HalfInt(34), HalfInt(0), HalfInt(0)  # (17, 0, 0)
-        got = psi(J, M, N, P_CLASS, np.sqrt(eta), np.sqrt(eta))
-        alone = psi(J, M, N, P_CLASS, np.sqrt(eta[:3]), np.sqrt(eta[:3]))
-        assert got[:3].tobytes() == alone.tobytes()
-        want = [complex(mp_psi(J, M, N, P_CLASS, math.sqrt(e), math.sqrt(e))) for e in eta]
+        u, v = np.sqrt(eta) * np.exp(0.2j), np.sqrt(eta) * np.exp(-0.5j)
+        got = psi(J, M, N, p, u, v)
+        for k in range(3):
+            assert got[k:k + 1].tobytes() == psi(J, M, N, p, u[k:k + 1], v[k:k + 1]).tobytes()
+        assert got[:3].tobytes() == psi(J, M, N, p, u[:3], v[:3]).tobytes()
+        want = [complex(mp_psi(HalfInt.of(J), HalfInt.of(M), HalfInt.of(N), p, a, b))
+                for a, b in zip(u, v)]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -1364,6 +1368,20 @@ class TestInfiniteProductBlocks:
         together = q_infinite_product(0.5, p, eta)
         alone = np.array([q_infinite_product(0.5, p, e) for e in eta])
         assert together.tobytes() == alone.tobytes()
+
+    def test_any_memory_layout_gives_the_bits_of_c_order(self):
+        # a Fortran-ordered eta, as a transposed 2-D array, once lost every
+        # write of the product and came back as ones, which the Q_{1/2}
+        # memo then kept under the key of the C-ordered values
+        p = QParam.positive_real(0.7)
+        eta2d = np.linspace(0.23, 9.17, 12).reshape(3, 4) * np.exp(0.31j)
+        for f in (lambda e: q_infinite_product(0.5, p, e), lambda e: q_function(1.5, p, e)):
+            got = f(eta2d.T)
+            want = f(np.ascontiguousarray(eta2d.T))
+            assert got.shape == want.shape == (4, 3)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.allclose(q_infinite_product(0.5, p, eta2d.T),
+                           per_factor_infinite_product(0.5, p, eta2d.T), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("q,eta,k", [
         (0.5, np.array([1.0, -32.0]), 3),    # 1 - 32 q^(2k-1) = 0
