@@ -6,14 +6,23 @@ q != 1, generic unit-circle q = exp(i*tau), or the classical point q = 1
 q-numbers here are real for real arguments in every regime; the circle
 regime evaluates [x] = sin(x*tau)/sin(tau) directly so realness is exact
 by construction.
+
+The scalar q-arithmetic of the special functions at fixed labels lives
+here too, apart from their arguments: the circle's sector rule, columns
+of powers of q, the normalization constant of psi, and the start and
+step constants of R's three-term recurrence in J.  qspecial applies them
+to eta.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
+
+import numpy as np
 
 EPS_DEGENERACY = 1e-12
 
@@ -132,9 +141,8 @@ class HalfInt:
 
 
 def validate_tower(J: HalfInt, N: HalfInt) -> None:
-    """Tower labels: J >= 0, J and N of one integrality class, |N| <= J;
-    the errors name only J and N."""
-    J, N = HalfInt.of(J), HalfInt.of(N)
+    """Tower labels, as HalfInt: J >= 0, J and N of one integrality class,
+    |N| <= J; the errors name only J and N."""
     if J.twice < 0:
         raise ValueError(f"J = {J} must be >= 0")
     if (J.twice - N.twice) % 2:
@@ -197,8 +205,7 @@ def _q_factorials(n_max: int, p: QParam) -> list:
 def _factorial(table: list, n: int, p: QParam) -> float:
     """[n]! read from a _q_factorials table at p; an n past its end raises."""
     if n >= len(table):
-        name = "tau" if p.regime is Regime.UNIT_CIRCLE else "q"
-        raise ValueError(f"q-factorial [{n}]! leaves the float range at {name} = {p.value!r}")
+        raise ValueError(f"q-factorial [{n}]! leaves the float range at {_named(p)}")
     return table[n]
 
 
@@ -224,3 +231,79 @@ def check_not_root_of_unity(p: QParam, n_max: int) -> None:
     for n in range(1, n_max + 1):
         if abs(q_number(n, p)) <= EPS_DEGENERACY:
             raise ValueError(f"degenerate parameter: [{n}]_q vanishes")
+
+
+def _named(p: QParam) -> str:
+    """p as the errors name it: q = value, or tau = value on the circle."""
+    return f"{'tau' if p.regime is Regime.UNIT_CIRCLE else 'q'} = {p.value!r}"
+
+
+def _check_sector(J: HalfInt, p: QParam):
+    """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its
+    equation and the q-numbers [n], n <= 2J+1, are no longer all positive;
+    any other q passes."""
+    if p.regime is Regime.UNIT_CIRCLE and (J.twice + 1) * abs(p.value) >= math.pi:
+        raise ValueError(f"J={J} on the circle needs (2J+1)|tau| < pi, "
+                         f"got tau={p.value!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _powers(J0: HalfInt, J: HalfInt, p: QParam, sign: int, offset: int):
+    """The read-only column of q^(2 sign j + offset), j = J0 .. J-1."""
+    column = np.array([p.power(sign * t + offset) for t in range(J0.twice, J.twice, 2)])
+    column.flags.writeable = False  # the cache hands it to every caller
+    return column.reshape(-1, 1)
+
+
+def _norm_constant(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list) -> float:
+    """norm_constant of a valid triple, its factorials read from fact, a
+    _q_factorials table at p."""
+    twoj = J.twice
+    rad1 = (_factorial(fact, (J + N).to_int(), p) * _factorial(fact, twoj + 1, p)
+            / _factorial(fact, (J - N).to_int(), p))
+    rad2 = (_factorial(fact, (J + M).to_int(), p)
+            / (_factorial(fact, (J - M).to_int(), p) * _factorial(fact, twoj, p)))
+    if rad1 < 0 or rad2 < 0:
+        raise ValueError(
+            f"negative radicand in norm_constant for (J,M,N)=({J},{M},{N}); "
+            "the circle parameter is outside the positivity domain tau < pi/(2J+1)")
+    return math.sqrt(rad1) * math.sqrt(rad2) / math.sqrt(2.0 * math.pi)
+
+
+def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
+    """(J0, k0, c, steps): R = c (-eta)^k0 at J0 = max(|M|, |N|), R = 0 at
+    J0 - 1, k0 = max(0, -(M+N)), and for j = J0 .. J-1 the recurrence of a
+    terminating 2phi1 (Gasper & Rahman, Basic Hypergeometric Series, ch. 2)
+
+        R_(j+1) = (a_j + b_j eta) R_j + (1 - a_j)(1 + q^(2j) eta)(1 + q^(-2j) eta) R_(j-1),
+        a_j = [2j+1] ([j+1] {M+N} + t_j) / ([j+1+M][j+1+N] {j}),
+        b_j = -[2j+1] ([j+1] {M-N} - t_j) / ([j+1+M][j+1+N] {j}),
+
+    {x} = q^x + q^-x, t_j = [2][M][N]/[j] (0 if MN = 0), denominators > 0
+    in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
+    (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
+    or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
+    normal range is refused."""
+    J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
+    mn = (M + N).to_int()
+    k0 = max(0, -mn)
+    c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
+         math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
+    if not sys.float_info.min <= abs(c) < math.inf:
+        raise ValueError(f"R for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
+    mf, nf = float(M), float(N)
+    bsum, bdiff = ((p.power(x) + p.power(-x)).real for x in (mf + nf, mf - nf))
+    cross = q_number(2, p) * q_number(mf, p) * q_number(nf, p) if M.twice and N.twice else 0.0
+    a, b = [], []
+    for t in range(J0.twice, J.twice, 2):
+        j = t / 2.0
+        t_j = cross / q_number(j, p) if cross else 0.0
+        brace = (p.power(j) + p.power(-j)).real
+        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace)
+        a.append(w * (q_number(j + 1, p) * bsum + t_j))
+        b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
+    # a copy, not a view: one array object per record in psi's cache, which
+    # hands it to every caller read-only
+    steps = np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
+    steps.flags.writeable = False
+    return J0, k0, c, steps

@@ -134,7 +134,7 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
     """
     N = HalfInt.of(N)
     for J in J_list:  # J against N first, so an error names no M
-        validate_tower(J, N)
+        validate_tower(HalfInt.of(J), N)
     states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
     fams = [psi_family(J, M, N) for J, M in states]
     upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]

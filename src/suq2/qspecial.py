@@ -35,8 +35,12 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
-    _factorial,
+    _check_sector,
+    _named,
+    _norm_constant,
+    _powers,
     _q_factorials,
+    _r_steps,
     q_number,
     validate_triple,
 )
@@ -165,45 +169,6 @@ def _ret(arr, scalar):
     return arr.item() if scalar else arr
 
 
-def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
-    """(J0, k0, c, steps): R = c (-eta)^k0 at J0 = max(|M|, |N|), R = 0 at
-    J0 - 1, k0 = max(0, -(M+N)), and for j = J0 .. J-1 the recurrence of a
-    terminating 2phi1 (Gasper & Rahman, Basic Hypergeometric Series, ch. 2)
-
-        R_(j+1) = (a_j + b_j eta) R_j + (1 - a_j)(1 + q^(2j) eta)(1 + q^(-2j) eta) R_(j-1),
-        a_j = [2j+1] ([j+1] {M+N} + t_j) / ([j+1+M][j+1+N] {j}),
-        b_j = -[2j+1] ([j+1] {M-N} - t_j) / ([j+1+M][j+1+N] {j}),
-
-    {x} = q^x + q^-x, t_j = [2][M][N]/[j] (0 if MN = 0), denominators > 0
-    in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
-    (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
-    or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
-    normal range is refused."""
-    J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
-    mn = (M + N).to_int()
-    k0 = max(0, -mn)
-    c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
-         math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
-    if not sys.float_info.min <= abs(c) < math.inf:
-        raise ValueError(f"R for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
-    mf, nf = float(M), float(N)
-    bsum, bdiff = ((p.power(x) + p.power(-x)).real for x in (mf + nf, mf - nf))
-    cross = q_number(2, p) * q_number(mf, p) * q_number(nf, p) if M.twice and N.twice else 0.0
-    a, b = [], []
-    for t in range(J0.twice, J.twice, 2):
-        j = t / 2.0
-        t_j = cross / q_number(j, p) if cross else 0.0
-        brace = (p.power(j) + p.power(-j)).real
-        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace)
-        a.append(w * (q_number(j + 1, p) * bsum + t_j))
-        b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
-    # a copy, not a view: one array object per record in psi's cache, which
-    # hands it to every caller read-only
-    steps = np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
-    steps.flags.writeable = False
-    return J0, k0, c, steps
-
-
 def _recur(x, steps, eta, up, inv=1.0):
     """The one loop of R and psi: x_J from x_J0 = x, x_(J0-1) = 0 and, for
     j = J0 .. J-1, x_(j+1) = (a_j + b_j eta) inv_j x_j + (1 - a_j) up_j x_(j-1),
@@ -217,14 +182,6 @@ def _recur(x, steps, eta, up, inv=1.0):
     for j, Pj in enumerate(P):
         x, prev = (Pj * x if prev is None else Pj * x + S[j] * prev), x
     return x
-
-
-@functools.lru_cache(maxsize=1024)
-def _powers(J0: HalfInt, J: HalfInt, p: QParam, sign: int, offset: int):
-    """The read-only column of q^(2 sign j + offset), j = J0 .. J-1."""
-    column = np.array([p.power(sign * t + offset) for t in range(J0.twice, J.twice, 2)])
-    column.flags.writeable = False  # the cache hands it to every caller
-    return column.reshape(-1, 1)
 
 
 def r_polynomial(J, M, N, p: QParam, eta):
@@ -486,15 +443,6 @@ def q_integral_exp(J, p: QParam, eta):
     return _ret(np.exp(np.asarray(la - lb, dtype=complex)), scalar)
 
 
-def _check_sector(J: HalfInt, p: QParam):
-    """Refuse a circle q outside (2J+1)|tau| < pi, where Q_J fails its
-    equation and the q-numbers [n], n <= 2J+1, are no longer all positive;
-    any other q passes."""
-    if p.regime is Regime.UNIT_CIRCLE and (J.twice + 1) * abs(p.value) >= math.pi:
-        raise ValueError(f"J={J} on the circle needs (2J+1)|tau| < pi, "
-                         f"got tau={p.value!r}")
-
-
 def q_function(J, p: QParam, eta):
     """Q_J: (1+eta)^(-J) classically; else, for J >= 0, 1 divided by floor(J)
     linear factors for integer J, and for half-integer J the regime's Q_{1/2}
@@ -545,21 +493,6 @@ def norm_constant(J, M, N, p: QParam) -> float:
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
     return _norm_constant(J, M, N, p, _q_factorials(J.twice + 1, p))
-
-
-def _norm_constant(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list) -> float:
-    """norm_constant of a valid triple, its factorials read from fact, a
-    _q_factorials table at p."""
-    twoj = J.twice
-    rad1 = (_factorial(fact, (J + N).to_int(), p) * _factorial(fact, twoj + 1, p)
-            / _factorial(fact, (J - N).to_int(), p))
-    rad2 = (_factorial(fact, (J + M).to_int(), p)
-            / (_factorial(fact, (J - M).to_int(), p) * _factorial(fact, twoj, p)))
-    if rad1 < 0 or rad2 < 0:
-        raise ValueError(
-            f"negative radicand in norm_constant for (J,M,N)=({J},{M},{N}); "
-            "the circle parameter is outside the positivity domain tau < pi/(2J+1)")
-    return math.sqrt(rad1) * math.sqrt(rad2) / math.sqrt(2.0 * math.pi)
 
 
 def psi(J, M, N, p: QParam, u, v):
@@ -650,11 +583,6 @@ def _monomial(x, u, v, ku: int, kv: int):
 
 def _float_range_error(J, M, N, p: QParam):
     raise ValueError(f"psi for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
-
-
-def _named(p: QParam) -> str:
-    """p as the errors name it: q = value, or tau = value on the circle."""
-    return f"{'tau' if p.regime is Regime.UNIT_CIRCLE else 'q'} = {p.value!r}"
 
 
 def _point_error(what: str, arr, bad, p: QParam):
