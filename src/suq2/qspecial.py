@@ -269,6 +269,11 @@ def _infinite_product(J, q, arr):
     if arr.size == 0:
         return out.reshape(arr.shape)
     ratio = q * q if q < 1.0 else q ** -2
+    # a gap below stop_gap is below 1e-18, with a geometric tail
+    # gap ratio / (1 - ratio) below 1e-14; ratio underflows to 0 at extreme q
+    stop_gap = PRODUCT_FACTOR_TOL
+    if ratio:
+        stop_gap = min(stop_gap, PRODUCT_TAIL_TOL * (1.0 - ratio) / ratio)
     log_q = abs(math.log(q))
     amax = float(np.max(np.abs(flat)))
     a, b = _multipliers(q, Jf, range(1))
@@ -287,8 +292,7 @@ def _infinite_product(J, q, arr):
         poles = np.any(np.abs(den) < POLE_TOL, axis=1)
         n_ok = int(np.argmax(poles)) if poles.any() else len(ks)  # divide only before a pole
         factor = (1.0 + points * np.array(a[:n_ok])[:, None]) / den[:n_ok]
-        gap = np.abs(factor - 1.0)
-        done = (gap < PRODUCT_FACTOR_TOL) & (gap * ratio / (1.0 - ratio) < PRODUCT_TAIL_TOL)
+        done = np.abs(factor - 1.0) < stop_gap
         # a point stops at its own first factor within the tolerances, and
         # its later factors are exactly 1, so its bits do not depend on the
         # other points of the call; rows past every point's stop are skipped
