@@ -228,17 +228,12 @@ def _finite_factors(J: HalfInt, p: QParam, arr):
 def q_infinite_product(J, p: QParam, eta):
     """Q for positive real q via the convergent product branch for q<1 or q>1.
 
-    Truncation: each point stops at its first factor k with
-    |factor - 1| < 1e-18 and the geometric tail bound (ratio q^2 or q^-2)
-    below 1e-14, and its later factors count as exactly 1, so a point has
-    the bits of its own call; hard cap 1e5 factors.  Blocks of factors,
-    (factors x running points) arrays of at most BLOCK_ELEMENTS entries,
-    take one pole test and one convergence test; the first reaches the
-    factor where |eta| q^(2k), shifted by 2J, falls below 2^-60, later
-    ones the cap.  Each point's factors are multiplied in order, so the
-    result is bit for bit the factor-by-factor product.  An empty eta
-    gives an empty result of its shape; an eta so large that factor 0
-    overflows is rejected.
+    Each point multiplies its factors 0 .. K of _last_factors and counts
+    later ones as exactly 1, so it has the bits of its own call; a count
+    past PRODUCT_MAX_FACTORS is refused before any factor.  Blocks of
+    factors, at most BLOCK_ELEMENTS (factors x points), take one pole test
+    each, and each point's factors are multiplied in order.  An empty eta
+    gives an empty result of its shape; an eta whose factor 0 overflows is refused.
     """
     J = HalfInt.of(J)
     if p.regime is not Regime.POSITIVE_REAL:
@@ -261,6 +256,27 @@ def _multipliers(q, Jf, ks):
         raise ValueError(f"infinite-product multiplier overflows at q = {q!r}") from None
 
 
+def _last_factors(q, Jf, abs_eta):
+    """K per point, as floats: factor k is 1 + (rho - 1) b_k eta / (1 + b_k eta),
+    rho = e^(-2J|ln q|), b_k = b_0 e^(-2k|ln q|), ln b_0 = 2J|ln q| (q < 1)
+    or -2|ln q| (q > 1); with y = b_k |eta| < 1 its gap from 1 is at most
+    |rho - 1| y/(1 - y), so every factor from K = max(0, ceil((ln|eta| +
+    ln b_0 + ln((|rho - 1| + g)/g)) / (2|ln q|))) on is within the stop gap
+    g of 1.  In logs: rho, q^(+-2) and |eta| b_0 may leave the float range."""
+    two_log_q = 2.0 * abs(math.log(q))
+    ratio = q * q if q < 1.0 else q ** -2
+    gap = PRODUCT_FACTOR_TOL  # and its tail gap ratio / (1 - ratio) below 1e-14
+    if ratio:  # it underflows to 0 at extreme q
+        gap = min(gap, PRODUCT_TAIL_TOL * (1.0 - ratio) / ratio)
+    log_rho = -Jf * two_log_q
+    top = max(log_rho, 0.0)  # ln(|rho - 1| + g) = top + ln(|rho - 1| e^-top + g e^-top)
+    log_rho_gap = top + math.log(-math.expm1(-abs(log_rho)) + gap * math.exp(-top))
+    log_b0 = Jf * two_log_q if q < 1.0 else -two_log_q
+    with np.errstate(divide="ignore"):  # eta = 0 takes factor 0 alone
+        x = (np.log(abs_eta) + (log_b0 + log_rho_gap - math.log(gap))) / two_log_q
+    return np.maximum(np.ceil(x), 0.0)
+
+
 def _infinite_product(J, q, arr):
     """The product of q_infinite_product on eta's complex array."""
     Jf = float(J)
@@ -268,53 +284,29 @@ def _infinite_product(J, q, arr):
     out = np.ones(flat.shape, dtype=complex)  # in C order, whatever arr's layout
     if arr.size == 0:
         return out.reshape(arr.shape)
-    ratio = q * q if q < 1.0 else q ** -2
-    # a gap below stop_gap is below 1e-18, with a geometric tail
-    # gap ratio / (1 - ratio) below 1e-14; ratio underflows to 0 at extreme q
-    stop_gap = PRODUCT_FACTOR_TOL
-    if ratio:
-        stop_gap = min(stop_gap, PRODUCT_TAIL_TOL * (1.0 - ratio) / ratio)
-    log_q = abs(math.log(q))
-    amax = float(np.max(np.abs(flat)))
+    abs_eta = np.abs(flat)
+    amax = float(abs_eta.max())
     a, b = _multipliers(q, Jf, range(1))
     if not math.isfinite(amax * max(a[0], b[0])):  # it would return 0 or nan and only warn
         raise ValueError(f"infinite-product factor k=0 overflows at |eta| = {amax:g}")
-    k_est = (math.log(amax) + 42.0 + 2.0 * abs(Jf) * log_q) / (2.0 * log_q) if amax else 0.0
-    cap = max(1, BLOCK_ELEMENTS // flat.size)
-    rows = min(cap, max(1, math.ceil(k_est) + 1))
-    live = slice(None)  # the points still running: all of them, then an index array
-    start = 0
-    while start < PRODUCT_MAX_FACTORS:
-        ks = range(start, min(start + rows, PRODUCT_MAX_FACTORS))
+    last = _last_factors(q, Jf, abs_eta)
+    count = int(last.max()) + 1
+    if count > PRODUCT_MAX_FACTORS:
+        raise ValueError(f"infinite product needs {count} factors at q = {q!r}, "
+                         f"past the cap of {PRODUCT_MAX_FACTORS}")
+    rows = max(1, BLOCK_ELEMENTS // flat.size)
+    for start in range(0, count, rows):
+        ks = range(start, min(start + rows, count))
         a, b = _multipliers(q, Jf, ks)
-        points = flat[live]
-        den = 1.0 + points * np.array(b)[:, None]
+        den = 1.0 + flat * np.array(b)[:, None]
         poles = np.any(np.abs(den) < POLE_TOL, axis=1)
-        n_ok = int(np.argmax(poles)) if poles.any() else len(ks)  # divide only before a pole
-        factor = (1.0 + points * np.array(a[:n_ok])[:, None]) / den[:n_ok]
-        done = np.abs(factor - 1.0) < stop_gap
-        # a point stops at its own first factor within the tolerances, and
-        # its later factors are exactly 1, so its bits do not depend on the
-        # other points of the call; rows past every point's stop are skipped
-        stopped = np.logical_or.accumulate(done, axis=0)
-        hi = min(n_ok, n_ok + 1 - np.count_nonzero(stopped.all(axis=1)))
-        factor[1:hi][stopped[:hi - 1]] = 1.0
-        # out of place, as numpy's complex multiply rounds differently in
-        # place and on scalars
-        value = out[live]
-        for row in factor[:hi]:
-            value = value * row
-        out[live] = value
-        stops = done.any(axis=0)
-        if stops.all():
-            return out.reshape(arr.shape)
-        if stops.any():
-            live = np.arange(flat.size)[live][~stops]
-        if n_ok < len(ks):
-            raise ValueError(f"infinite-product pole in factor k={start + n_ok}")
-        start += len(ks)
-        rows = cap
-    raise RuntimeError("infinite product did not converge within the factor cap")
+        if poles.any():  # raised before the division, which would warn
+            raise ValueError(f"infinite-product pole in factor k={start + int(np.argmax(poles))}")
+        factor = (1.0 + flat * np.array(a)[:, None]) / den
+        factor[np.arange(start, ks.stop, dtype=float)[:, None] > last] = 1.0
+        for row in factor:  # out of place: numpy's complex multiply rounds
+            out = out * row  # differently in place and on scalars
+    return out.reshape(arr.shape)
 
 
 def _low_breaks(alpha, u_max):
@@ -492,11 +484,15 @@ def norm_constant(J, M, N, p: QParam) -> float:
 
     In the circle regime a q-factorial ratio can turn negative (q-numbers
     change sign past tau = pi/n); that is rejected rather than silently
-    continued into complex square roots.
+    continued into complex square roots.  A value out of the normal float
+    range, as where a radicand's factorials overflow mid-formula, is refused.
     """
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
-    return _norm_constant(J, M, N, p, _q_factorials(J.twice + 1, p))
+    norm = _norm_constant(J, M, N, p, _q_factorials(J.twice + 1, p))
+    if not sys.float_info.min <= norm < math.inf:
+        _float_range_error(J, M, N, p, "norm_constant")
+    return norm
 
 
 def psi(J, M, N, p: QParam, u, v):
@@ -585,8 +581,8 @@ def _monomial(x, u, v, ku: int, kv: int):
     return x * v ** kv if kv else x
 
 
-def _float_range_error(J, M, N, p: QParam):
-    raise ValueError(f"psi for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
+def _float_range_error(J, M, N, p: QParam, what="psi"):
+    raise ValueError(f"{what} for (J,M,N)=({J},{M},{N}) leaves the float range at {_named(p)}")
 
 
 def _point_error(what: str, arr, bad, p: QParam):

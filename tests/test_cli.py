@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from suq2 import cli
+from suq2 import cli, qinner
 
 TAU_23 = math.pi / 23
 
@@ -167,11 +167,12 @@ class TestEvalErrors:
         code, out, err = run(["eval", "--fn", "Q", f"--J={J}", "--eta", "1"] + regime, capsys)
         assert code == 2 and out == "" and err == f"error: Q needs J >= 0, got {label}\n"
 
-    def test_product_not_converging_exits_two(self, capsys):
+    def test_product_past_the_factor_cap_exits_two(self, capsys):
         # q = 1.0001 needs more than the 1e5-factor cap of the infinite product
         code, out, err = run(["eval", "--fn", "Q", "--J", "0.5", "--q", "1.0001",
                               "--grid", "0.5:1:2"], capsys)
-        assert code == 2 and out == "" and "did not converge" in err
+        assert code == 2 and out == "" and err == (
+            "error: infinite product needs 161189 factors at q = 1.0001, past the cap of 100000\n")
 
     def test_product_overflow_exits_two(self, capsys):
         # |eta| q^(-2J) = 2e308 overflows factor 0; the value is about 6e-155, not 0
@@ -480,6 +481,18 @@ class TestGram:
     def test_high_towers_past_their_reach_are_one_error_line(self, argv, msg, capsys):
         code, out, err = run(["gram"] + argv, capsys)
         assert code == 2 and out == "" and err == f"error: {msg}\n"
+
+    @pytest.mark.parametrize("cmd", [["gram"], ["verify", "--suite", "gram"]], ids=["gram", "verify"])
+    def test_a_tower_past_psi_reach_is_refused_unbuilt(self, cmd, monkeypatch, capsys):
+        # the bra side runs at 1/q: psi's own refusal named [200]! at q = 0.5,
+        # after the tower of 401 weights was built
+        def unbuilt(*args):
+            raise AssertionError("the scalar products ran")
+
+        monkeypatch.setattr(qinner, "_products", unbuilt)
+        code, out, err = run(cmd + ["--N", "0", "--J", "200", "--q", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: q-factorial [401]! leaves the float range at q = 2.0\n"
 
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -132,6 +133,22 @@ class TestGram:
     def test_invalid_tower_rejected(self):
         with pytest.raises(ValueError):
             gram(0, [0.5], P_REAL)  # J=1/2 with N=0: parity
+
+    @pytest.mark.parametrize("p,js,msg", [
+        (QParam.positive_real(2.0), [300, 1, 200],
+         "q-factorial [401]! leaves the float range at q = 2.0"),
+        (QParam.positive_real(0.5), [0, 40], "q-factorial [81]! leaves the float range at q = 0.5"),
+        (QParam.unit_circle(-0.2), [20, 8, 0],
+         "J=8 on the circle needs (2J+1)|tau| < pi, got tau=-0.2"),
+    ], ids=["q2", "q0.5", "tau-0.2"])
+    def test_tower_past_psi_reach_refused_before_any_family(self, p, js, msg, monkeypatch):
+        # each J, smallest first, against psi's rules that read no M
+        def unbuilt(*args):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(qinner, "psi_family", unbuilt)
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            gram(0, js, p)
 
     def test_refinement_shrinks_deviation(self):
         coarse = fixed_level_gram(0, [0, 1, 2], P_REAL, 0.5)

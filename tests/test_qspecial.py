@@ -315,8 +315,9 @@ def separate_factorial_r_start(J, M, N, p):
 def test_one_factorial_table_keeps_every_bit(p):
     # _psi_record reads R's start 1/[M+N]! and the six factorials of the
     # norm from one running product; each is the product q_factorial
-    # forms, in the same order, so starts, norms and refusals are unchanged
-    values = refusals = 0
+    # forms, in the same order, so starts, norms and refusals are unchanged;
+    # the public norm_constant also refuses a norm out of the normal range
+    values = refusals = out_of_range = 0
     for twice in range(61):  # J <= 30
         J = HalfInt(twice)
         fact = qcore._q_factorials(twice + 1, p)  # the table of _psi_record
@@ -325,15 +326,21 @@ def test_one_factorial_table_keeps_every_bit(p):
             starts = mt + nt >= 0
             want = (_outcome(separate_factorial_r_start, J, M, N, p) if starts else None,
                     _outcome(separate_factorial_norm_constant, J, M, N, p))
-            for got in ((_outcome(_r_start, J, M, N, p, fact) if starts else None,
-                         _outcome(qspecial._norm_constant, J, M, N, p, fact)),
-                        (_outcome(_r_start, J, M, N, p, qcore._q_factorials(mt + nt, p))
-                         if starts else None, _outcome(norm_constant, J, M, N, p))):
-                assert repr(got) == repr(want), (J, M, N)
+            got = (_outcome(_r_start, J, M, N, p, fact) if starts else None,
+                   _outcome(qspecial._norm_constant, J, M, N, p, fact))
+            assert repr(got) == repr(want), (J, M, N)
+            normal = want[1] is ValueError or sys.float_info.min <= want[1] < math.inf
+            got = (_outcome(_r_start, J, M, N, p, qcore._q_factorials(mt + nt, p))
+                   if starts else None, _outcome(norm_constant, J, M, N, p))
+            assert repr(got) == repr((want[0], want[1] if normal else ValueError)), (J, M, N)
             values += ValueError not in want
             refusals += ValueError in want
-    # within J <= 30 only the circle refuses: a radicand past its sector
+            out_of_range += not normal
+    # within J <= 30 only the circle refuses: a radicand past its sector; at
+    # real q a radicand's factorials can overflow mid-formula, as at
+    # (30, 0, 0), q 0.7, whose norm came out nan
     assert values > 400 and (refusals > 0) == (p.regime is qcore.Regime.UNIT_CIRCLE)
+    assert (out_of_range > 0) == (p.regime is qcore.Regime.POSITIVE_REAL)
 
 
 class TestQConstructions:
@@ -812,7 +819,7 @@ class TestQHalfMemoReal(_QHalfMemoCases):
     @pytest.mark.parametrize("q,eta,error", [
         (0.5, np.array([1.0, -32.0]), ValueError),   # pole in factor 3
         (0.5, 1e308, ValueError),                    # factor 0 overflows
-        (1.0001, 1.0, RuntimeError),                 # the factor cap
+        (1.0001, 1.0, ValueError),                   # the factor cap
     ], ids=["pole", "overflow", "cap"])
     def test_errors_on_every_call(self, memo, misses, q, eta, error):
         for _ in range(2):
@@ -897,6 +904,17 @@ class TestNormConstant:
         assert norm_constant(0.5, 0.5, 0.5, P_TWO) == pytest.approx(want)
         # classical J=1, M=N=0: sqrt(1! 3!/1!) sqrt(1/(1 2!)) / sqrt(2 pi)
         assert norm_constant(1, 0, 0, P_CLASS) == pytest.approx(0.690988298942671)
+
+    @pytest.mark.parametrize("J,M,N,q", [(30, 0, 0, 0.7), (24.5, -24.5, 24.5, 1.3)])
+    def test_a_norm_out_of_the_float_range_is_refused(self, J, M, N, q):
+        # [J+N]![2J+1]! overflows before its division: the norm was nan or inf
+        p = QParam.positive_real(q)
+        label = f"({HalfInt.of(J)},{HalfInt.of(M)},{HalfInt.of(N)})"
+        with pytest.raises(ValueError, match=re.escape(
+                f"norm_constant for (J,M,N)={label} leaves the float range at q = {q}")):
+            norm_constant(J, M, N, p)
+        with pytest.raises(ValueError, match=re.escape(f"psi for (J,M,N)={label}")):
+            psi(J, M, N, p, 0.5, 0.5)  # psi's refusal of the row keeps its words
 
     def test_circle_negative_radicand_rejected(self):
         # tau = pi/4: [4]_q = 0 and [5]_q < 0 poison [2J+1]! for J = 2
@@ -1296,15 +1314,15 @@ def radicand_vilenkin(J, M, N, p, xi):
 
 
 def per_factor_infinite_product(J, p, eta):
-    """The factor-at-a-time loop q_infinite_product replaced, each point
-    stopping on its own: the bitwise reference.  A scalar eta runs as
-    [eta], as in q_infinite_product."""
+    """The product a factor at a time, each point multiplying its factors
+    0 .. K of qspecial._last_factors and 1 past them: the bitwise reference
+    for the blocks and their order.  A scalar eta runs as [eta], as in
+    q_infinite_product."""
     q, Jf = p.value, float(J)
     arr = np.atleast_1d(np.asarray(eta, dtype=complex))
     out = np.ones_like(arr)
-    done = np.zeros(arr.shape, dtype=bool)
-    ratio = q * q if q < 1.0 else q ** -2
-    for k in range(qspecial.PRODUCT_MAX_FACTORS):
+    last = qspecial._last_factors(q, Jf, np.abs(arr))
+    for k in range(int(last.max()) + 1):
         if q < 1.0:
             num = 1.0 + arr * q ** (2 * k)
             den = 1.0 + arr * q ** (-2 * Jf + 2 * k)
@@ -1313,14 +1331,32 @@ def per_factor_infinite_product(J, p, eta):
             den = 1.0 + arr * q ** (-2 * k - 2)
         if np.any(np.abs(den) < qspecial.POLE_TOL):
             raise ValueError(f"infinite-product pole in factor k={k}")
-        factor = num / den
-        out = out * np.where(done, 1.0, factor)  # a point's factors past its stop are 1
-        gap = np.abs(factor - 1.0)
-        done = done | ((gap < qspecial.PRODUCT_FACTOR_TOL)
-                       & (gap * ratio / (1.0 - ratio) < qspecial.PRODUCT_TAIL_TOL))
-        if done.all():
-            return out.item() if np.ndim(eta) == 0 else out
-    raise RuntimeError("infinite product did not converge within the factor cap")
+        out = out * np.where(k > last, 1.0, num / den)
+    return out.item() if np.ndim(eta) == 0 else out
+
+
+def stop_gap(q):
+    """The gap from 1 within which the product's factors count as 1: below
+    1e-18, with the geometric tail gap r / (1 - r), r = q^(+-2), below 1e-14."""
+    r = q * q if q < 1.0 else q ** -2
+    return min(1e-18, 1e-14 * (1.0 - r) / r) if r else 1e-18
+
+
+def mpmath_first_factor_within(q, J, eta, gap, limit):
+    """The first k < limit whose product factor is within gap of 1 at 40
+    digits, else limit; factor k - 1 is (rho - 1) b_k eta / (1 + b_k eta)
+    with b_k and rho as in _multipliers."""
+    with mpmath.workdps(40):
+        q, J, eta = mpmath.mpf(q), mpmath.mpf(J), mpmath.mpc(eta)
+        if q < 1:
+            rho, b, r = q ** (2 * J), q ** (-2 * J), q ** 2
+        else:
+            rho, b, r = q ** (-2 * J), q ** -2, q ** -2
+        for k in range(limit):
+            if abs((rho - 1) * b * eta / (1 + b * eta)) < gap:
+                return k
+            b *= r
+    return limit
 
 
 def mpmath_infinite_product(J, q, eta):
@@ -1449,7 +1485,50 @@ class TestInfiniteProductBlocks:
         out = q_infinite_product(0.5, P_HALF, np.zeros(shape))
         assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == complex
 
-    def test_q_near_one_reaches_the_factor_cap(self):
-        # 2(1e5)(1e-4) = 20 e-folds leave |factor - 1| near 1e-13 at the cap
-        with pytest.raises(RuntimeError, match="did not converge within the factor cap"):
+    def test_q_near_one_is_refused_before_any_factor(self, monkeypatch):
+        # 2(1e5)(1e-4) = 20 e-folds would leave |factor - 1| near 1e-13 at the cap
+        asked = []
+        multipliers = qspecial._multipliers
+
+        def recorded(q, Jf, ks):
+            asked.extend(ks)
+            return multipliers(q, Jf, ks)
+
+        monkeypatch.setattr(qspecial, "_multipliers", recorded)
+        with pytest.raises(ValueError, match=r"^infinite product needs 161189 factors "
+                                             r"at q = 1\.0001, past the cap of 100000$"):
             q_infinite_product(0.5, QParam.positive_real(1.0001), 1.0)
+        assert asked == [0]  # only the overflow test of factor 0
+
+
+class TestInfiniteProductCount:
+    """Each point's last factor K, fixed before the first block, against the
+    first factor within the stop gap of 1 at 40 digits."""
+
+    @given(log_q=st.one_of(st.floats(0.05, 1.5), st.just(math.log(1e200))),
+           above_one=st.booleans(), J=st.sampled_from([-1.5, -0.5, 0.5, 1, 1.5, 2.5, 3]),
+           abs_eta=st.one_of(st.floats(-40.0, 44.0).map(math.exp), st.just(1e308)),
+           phase=st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_count_is_the_first_factor_within_the_gap_or_one_past(self, log_q, above_one, J,
+                                                                  abs_eta, phase):
+        q = math.exp(log_q) if log_q < 400 else 1e200
+        q = q if above_one else 1.0 / q
+        eta = abs_eta * complex(math.cos(phase), math.sin(phase))
+        K = qspecial._last_factors(q, float(J), np.abs(np.array([eta])))
+        assert K.dtype == float and K.shape == (1,)
+        K = int(K[0])
+        first = mpmath_first_factor_within(q, J, eta, stop_gap(q), K + 2)
+        assert 0 <= K - first <= 1
+
+    @pytest.mark.parametrize("q", [1e-200, 1e200])
+    @pytest.mark.parametrize("J", [-1.5, 0.5, 3])
+    def test_extreme_q_and_eta(self, q, J):
+        # q^(+-2) underflows to 0, rho = q^(-+2J) and |eta| b_0 can leave
+        # the float range, and eta = 0 has no logarithm
+        eta = np.array([0.0, 1e-300, 1.0, 1e100 - 1e100j, 1e308, -2e307j])
+        K = qspecial._last_factors(q, J, np.abs(eta))
+        first = [mpmath_first_factor_within(q, J, e, stop_gap(q), int(k) + 2)
+                 for e, k in zip(eta, K)]
+        assert K[0] == first[0] == 0
+        assert all(0 <= k - f <= 1 for k, f in zip(K, first))
