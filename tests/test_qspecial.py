@@ -1344,8 +1344,8 @@ def stop_gap(q):
 
 def mpmath_first_factor_within(q, J, eta, gap, limit):
     """The first k < limit whose product factor is within gap of 1 at 40
-    digits, else limit; factor k - 1 is (rho - 1) b_k eta / (1 + b_k eta)
-    with b_k and rho as in _multipliers."""
+    digits, else limit; factor k less 1 is (rho - 1) b_k eta / (1 + b_k eta),
+    with b_k and rho = a_k / b_k as in _multipliers."""
     with mpmath.workdps(40):
         q, J, eta = mpmath.mpf(q), mpmath.mpf(J), mpmath.mpc(eta)
         if q < 1:
@@ -1505,15 +1505,14 @@ class TestInfiniteProductCount:
     """Each point's last factor K, fixed before the first block, against the
     first factor within the stop gap of 1 at 40 digits."""
 
-    @given(log_q=st.one_of(st.floats(0.05, 1.5), st.just(math.log(1e200))),
+    @given(q_above=st.one_of(st.floats(0.05, 1.5).map(math.exp), st.just(1e200)),
            above_one=st.booleans(), J=st.sampled_from([-1.5, -0.5, 0.5, 1, 1.5, 2.5, 3]),
            abs_eta=st.one_of(st.floats(-40.0, 44.0).map(math.exp), st.just(1e308)),
            phase=st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
-    def test_count_is_the_first_factor_within_the_gap_or_one_past(self, log_q, above_one, J,
+    def test_count_is_the_first_factor_within_the_gap_or_one_past(self, q_above, above_one, J,
                                                                   abs_eta, phase):
-        q = math.exp(log_q) if log_q < 400 else 1e200
-        q = q if above_one else 1.0 / q
+        q = q_above if above_one else 1.0 / q_above
         eta = abs_eta * complex(math.cos(phase), math.sin(phase))
         K = qspecial._last_factors(q, float(J), np.abs(np.array([eta])))
         assert K.dtype == float and K.shape == (1,)
