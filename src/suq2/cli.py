@@ -184,7 +184,7 @@ def cmd_gram(args) -> int:
         j_list = [_parse_half(str(args.J), "--J")]
     else:
         j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else HalfInt.of(2)
-        j_list = j_values(N, j_max)
+        j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
     rep = gram_matrix(N, j_list, p)
     labels = [f"{J}:{M}" for (J, M) in rep.labels]
     if args.format == "csv":

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -168,10 +168,25 @@ def m_values(J: HalfInt) -> list:
     return [HalfInt(J.twice - 2 * k) for k in range(J.twice + 1)]
 
 
-def j_values(N, j_max) -> list:
-    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order."""
+def j_values(N, j_max, p: Optional[QParam] = None) -> list:
+    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order; given
+    p, refused by check_tower before a label past the first it refuses is made."""
     N, j_max = HalfInt.of(N), HalfInt.of(j_max)
-    return [HalfInt(t) for t in range(abs(N.twice), j_max.twice + 1, 2)]
+    twice = range(abs(N.twice), j_max.twice + 1, 2)
+    if p is not None:
+        check_tower(N, map(HalfInt, twice), p)
+    return list(map(HalfInt, twice))
+
+
+def check_tower(N: HalfInt, J_list, p: QParam) -> None:
+    """Refuse the first J of J_list past psi's reach: J against N, so an error
+    names no M, then the rules of psi that read no M, the sector and [2J+1]!,
+    which refuse some J <= 102 at any q, so a lazy tower from |N| up of any
+    height is refused at once.  The errors name p."""
+    for J in J_list:
+        validate_tower(J, N)
+        _check_sector(J, p)
+        q_factorial(J.twice + 1, p)
 
 
 def q_number(x: float, p: QParam) -> float:

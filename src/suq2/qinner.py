@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, _check_sector, m_values, q_factorial, validate_tower
+from .qcore import HalfInt, QParam, Regime, check_tower, m_values
 from .qops import (
     PlaneFamily,
     apply_h_minus,
@@ -131,13 +131,10 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
 
     Entries are filled Hermitian from the upper triangle, whose pairs go
     on one _products call: one radial integral per like-mode block.  A
-    tower past psi's reach is refused before it is built, naming p.
+    tower past psi's reach is refused before it is built (check_tower).
     """
     N = HalfInt.of(N)
-    for J in sorted(map(HalfInt.of, J_list)):  # J against N first, so an error names no M,
-        validate_tower(J, N)
-        _check_sector(J, p)  # then psi's rules that read no M: the sector and [2J+1]!
-        q_factorial(J.twice + 1, p)
+    check_tower(N, sorted(map(HalfInt.of, J_list)), p)
     states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
     fams = [psi_family(J, M, N) for J, M in states]
     upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]

@@ -47,8 +47,8 @@ from .qcore import (
 
 L_ABS_TOL = 1e-12
 # l_function gives up after this many rounds of panel bisection (a singularity
-# 1e-9 off the contour needs about 30) or on a round of more panels (tiny
-# |tau|, where rounding keeps every panel above its share of L_ABS_TOL)
+# 1e-9 off the contour needs about 30) or on a round of more panels, which
+# bounds a round's memory
 L_MAX_ROUNDS = 16
 L_MAX_PANELS = 256
 PRODUCT_FACTOR_TOL = 1e-18
@@ -309,19 +309,6 @@ def _infinite_product(J, q, arr):
     return out.reshape(arr.shape)
 
 
-def _low_breaks(alpha, u_max):
-    """Panel breaks on (0, u_max): fixed ones up to 40, past which
-    1/(1 + e^(-u)) is 1 to within 5e-18, then steps of max(10, 5/alpha),
-    over which only the Log varies."""
-    pts = [b for b in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0) if b < u_max]
-    step = max(10.0, 5.0 / alpha)
-    x = pts[-1]
-    while x < u_max:
-        x = min(x + step, u_max)
-        pts.append(x)
-    return pts
-
-
 def l_function(p: QParam, eta):
     """Integral kernel L(eta) for unit-circle q = exp(i tau).
 
@@ -340,17 +327,21 @@ def l_function(p: QParam, eta):
     negative tau).  Substituting t = exp(-v) gives the integrand
     Log(1 + eta e^(-alpha v)) / (1 + e^(-v)), alpha = |tau|/pi, on the real
     line: analytic, with exponentially decaying tails, where the raw integral
-    keeps an algebraic t^(alpha - 1) endpoint singularity.  The line is cut
-    into fixed panels, each integrated by a 10-point Gauss / 21-point Kronrod
-    pair (GK21_NODES, GK21_WEIGHTS), with |K21 - G10| maximized over the
-    points as the panel's error.  The K21 sums are returned once the panel
-    errors add up to less than L_ABS_TOL.  Otherwise the panels within an
-    equal share of the tolerance left are kept and the others bisected, for
-    at most L_MAX_ROUNDS rounds of at most L_MAX_PANELS panels, past which
-    it raises RuntimeError.  A round evaluates and sums the points in blocks
-    of at most BLOCK_ELEMENTS (points x panels x 21) entries; the panels are
-    kept or bisected on the error maximized over all the points, so the
-    result is bit for bit that of one block.
+    keeps an algebraic t^(alpha - 1) endpoint singularity.  It is integrated
+    at z = eta where |eta| <= 1, else at z = 1/eta, by the inversion identity
+    L(eta) + L(1/eta) = sigma [(Log eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6]
+    / (2 pi i), sigma the sign of tau (Faddeev & Kashaev).  So |z| <= 1, and
+    the line is cut into 24 panels that depend on tau alone, each integrated
+    by a 10-point Gauss / 21-point Kronrod pair (GK21_NODES, GK21_WEIGHTS),
+    with |K21 - G10| maximized over the points as the panel's error.  The
+    K21 sums are returned once the panel errors add up to less than
+    L_ABS_TOL.  Otherwise the panels within an equal share of the tolerance
+    left are kept and the others bisected, for at most L_MAX_ROUNDS rounds
+    of at most L_MAX_PANELS panels, past which it raises RuntimeError.  A
+    round evaluates and sums the points in blocks of at most BLOCK_ELEMENTS
+    (points x panels x 21) entries; the panels are kept or bisected on the
+    error maximized over all the points, so the result is bit for bit that
+    of one block.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
@@ -365,17 +356,16 @@ def _l_quadrature(p: QParam, arr):
     """L on the complex array arr, in its shape."""
     global _branch_cut_warnings
     flat = arr.reshape(-1)
-    tau = p.value
-    alpha = abs(tau) / math.pi
-    sigma = 1.0 if tau > 0 else -1.0
-    amax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    if amax == 0.0:
-        return np.zeros_like(arr)
+    alpha = abs(p.value) / math.pi
+    sigma = math.copysign(1.0, p.value)
+    outer = np.abs(flat) > 1.0
+    z = flat.copy()
+    z[outer] = 1.0 / flat[outer]
 
-    # t = exp(-v): 11 equal panels on (-u_high, 0) for t > 1, _low_breaks for t < 1
-    u_low = max(30.0, (math.log(amax) + 40.0) / alpha)
-    u_high = 55.0 + math.log1p(amax)
-    breaks = np.concatenate((-np.linspace(0.0, u_high, 12)[:0:-1], _low_breaks(alpha, u_low)))
+    # t = exp(-v): 11 equal panels on (-56, 0), breaks to 40, past which 1/(1 + e^(-v))
+    # is 1 within 5e-18, and 8 equal ones to 40/alpha, past which |Log(1 + z t)| < 5e-18
+    breaks = np.concatenate((np.linspace(-56.0, 0.0, 12)[:-1], (0.0, 2.0, 5.0, 10.0, 20.0),
+                             np.linspace(40.0, 40.0 / alpha, 9)))
     lo, hi = breaks[:-1], breaks[1:]
     total = np.zeros(flat.shape, dtype=complex)
     error = 0.0
@@ -390,16 +380,19 @@ def _l_quadrature(p: QParam, arr):
         step = max(1, BLOCK_ELEMENTS // t.size)
         sums = np.empty((flat.size, lo.size, 2), dtype=complex)
         for i in range(0, flat.size, step):
-            sums[i:i + step], max_phase = _l_panel_sums(flat[i:i + step], t, g)
+            sums[i:i + step], max_phase = _l_panel_sums(z[i:i + step], t, g)
             if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
                 _branch_cut_warnings += 1
                 # frames: here, l_function, its caller
                 warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
                               RuntimeWarning, stacklevel=3)
                 warned = True
-        panel_error = np.max(np.abs(sums[..., 1]), axis=0) / (2.0 * math.pi)
+        panel_error = np.max(np.abs(sums[..., 1]), axis=0, initial=0.0) / (2.0 * math.pi)
         if error + float(np.sum(panel_error)) < L_ABS_TOL:
             total += np.sum(sums[..., 0], axis=1)
+            log = np.log(flat[outer])  # the inversion identity, times 2 pi i / sigma
+            total[outer] = (log * log / (2.0 * alpha) + math.pi ** 2 * (alpha + 1.0 / alpha) / 6.0
+                            - total[outer])
             return (sigma * total / (2j * math.pi)).reshape(arr.shape)
         ok = panel_error < (L_ABS_TOL - error) / panel_error.size
         total += np.sum(sums[:, ok, 0], axis=1)

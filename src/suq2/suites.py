@@ -131,12 +131,8 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
 
 
 def _valid_n(J: HalfInt) -> list:
-    out = []
-    for N in STENCIL_N_VALUES:
-        N = HalfInt.of(N)
-        if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
-            out.append(N)
-    return out
+    return [N for N in map(HalfInt.of, STENCIL_N_VALUES)
+            if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice]
 
 
 def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
@@ -239,8 +235,6 @@ def _span_pairs(j_max, N: HalfInt, seed):
 
 def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
                       tol: float = HERMITICITY_TOL) -> list:
-    if p.regime is Regime.CLASSICAL:
-        raise ValueError("hermiticity suite needs a deformed parameter (q != 1)")
     N_h = HalfInt.of(N)
     pairs = _span_pairs(j_max, N_h, seed)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
@@ -258,7 +252,7 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
 def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=2,
                tol: float = GRAM_TOL) -> list:
     if j_list is None:
-        j_list = j_values(N, j_max)
+        j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
     rep = gram(N, j_list, p)
     label = ",".join(str(HalfInt.of(J)) for J in j_list) or "(empty)"
     residual = max(rep.max_offdiag, rep.max_diag_dev) if rep.labels else 0.0

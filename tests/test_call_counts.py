@@ -195,6 +195,33 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
     assert quadratures + products == per_argument * len(set(keys))
 
 
+@pytest.mark.parametrize("tau", [0.2, -0.05, 0.01])
+def test_every_l_quadrature_starts_on_the_same_24_panels(monkeypatch, tau):
+    # points with |eta| > 1 are integrated at 1/eta, so the first round's
+    # panels are a function of tau alone, whatever |eta| the call holds
+    firsts = []
+    quadrature, panel_sums = qspecial._l_quadrature, qspecial._l_panel_sums
+
+    def recorded_quadrature(p, arr):
+        firsts.append(None)
+        return quadrature(p, arr)
+
+    def recorded_panel_sums(points, t, g):
+        if firsts[-1] is None:
+            firsts[-1] = (t, g)
+        return panel_sums(points, t, g)
+
+    monkeypatch.setattr(qspecial, "_l_quadrature", recorded_quadrature)
+    monkeypatch.setattr(qspecial, "_l_panel_sums", recorded_panel_sums)
+    p = QParam.unit_circle(tau)
+    for eta in (0.0, 1e-300, 0.5, 1.0, 1 + 1e-9, 30.0, 1e80 * np.exp(2.5j), 1e300,
+                np.array([1e-3, 2 + 5j, 1e250])):
+        qspecial.l_function(p, eta)
+    t, g = firsts[0]
+    assert t.shape == (24, 21)
+    assert all(np.array_equal(ti, t) and np.array_equal(gi, g) for ti, gi in firsts)
+
+
 def test_psi_errors_fire_on_every_call(monkeypatch):
     qspecial._psi_record.cache_clear()
     norm_constants = []

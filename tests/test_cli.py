@@ -253,6 +253,18 @@ class TestEvalErrors:
         assert code == 2 and out == ""
         assert err == "error: J=1 on the circle needs (2J+1)|tau| < pi, got tau=1.8\n"
 
+    @pytest.mark.parametrize("tau,eta", [("0.05", "1e80"), ("1", "1e230"), ("0.2", "1e300")])
+    def test_l_at_large_eta(self, tau, eta, capsys):
+        # L sized its panels by |eta|, and there raised "did not converge"
+        # after numpy's overflow warnings; within |L(1/eta)|, about 1/eta, it
+        # is sigma [(ln eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6] / (2 pi i)
+        code, out, err = run(["eval", "--fn", "L", "--tau", tau, "--eta", eta], capsys)
+        assert code == 0 and err == ""
+        ((_, re, im),) = csv_rows(out)
+        alpha, x = float(tau) / math.pi, math.log(float(eta))
+        want = -(x * x / (2 * alpha) + math.pi ** 2 * (alpha + 1 / alpha) / 6) / (2 * math.pi)
+        assert abs(float(re)) <= 1e-15 * abs(want) and abs(float(im) - want) <= 1e-15 * abs(want)
+
     def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
         # a RuntimeWarning on the way fails the test
         code, out, err = run(["eval", "--fn", "L", "--tau", "0.2", "--eta", "-1"], capsys)
@@ -352,6 +364,19 @@ class TestVerify:
     def test_small_tau_and_sector_edge_pass(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 0 and out and err == ""
+
+    # L sized its panels by the largest |eta| of a call: on the radial nodes
+    # times q^-1 and q^-2 it raised "did not converge" on each of these
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--tau", "0.01", "--N", "0.5"],
+        ["verify", "--suite", "all", "--tau", "0.015", "--N", "0.5"],
+        ["verify", "--suite", "hermiticity", "--tau", "0.01", "--N", "0.5"],
+    ], ids=["all-tau0.01", "all-tau0.015", "hermiticity-tau0.01"])
+    def test_small_tau_at_n_half_passes(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["pass"] and doc["cases"] and all(c["pass"] for c in doc["cases"])
 
     def test_tiny_tau_exits_two(self, capsys):
         code, out, err = run(["verify", "--suite", "all", "--tau", "0.0001"], capsys)
@@ -494,6 +519,29 @@ class TestGram:
         assert code == 2 and out == ""
         assert err == "error: q-factorial [401]! leaves the float range at q = 2.0\n"
 
+    def test_small_tau_at_n_half_is_orthonormal(self, capsys):
+        # L raised "did not converge" on the radial nodes at tau 0.01
+        code, out, err = run(["gram", "--tau", "0.01", "--N", "0.5", "--J-max", "1.5",
+                              "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_offdiag"] < 1e-6 and doc["max_diag_dev"] < 1e-6
+
+    @pytest.mark.parametrize("cmd", [["gram"], ["verify", "--suite", "gram"]], ids=["gram", "verify"])
+    def test_a_tall_tower_is_refused_before_its_labels_are_built(self, cmd):
+        # the 1e9 labels of --J-max 1e9 were built before gram checked the
+        # first J: under this 1 GiB address-space limit the child ended in a
+        # MemoryError and exit 1 after about 8 s
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                  "from suq2 import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        res = subprocess.run([sys.executable, "-c", script, *cmd, "--q", "2", "--J-max", "1e9"],
+                             env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: q-factorial [47]! leaves the float range at q = 2.0\n"
+
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
         assert code == 2 and "half-integers together" in err
@@ -631,8 +679,13 @@ def test_cli_imports_neither_numpy_random_nor_numpy_polynomial():
         "        assert cli.main(argv) == 0, argv\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.startswith(('numpy.random', 'numpy.polynomial')))))\n")
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=_child_env(),
                          capture_output=True, text=True, check=True)
     assert json.loads(res.stdout) == []
+
+
+def _child_env(**extra):
+    """The environment of a child interpreter that imports this checkout's suq2."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -639,6 +639,46 @@ class TestLAgainstMpQuad:
         assert abs(q_function(2.5, p, 3.0) - want) < 1e-12 * abs(want)
 
 
+L_INVERSION_TAU = (0.2, -0.05, 0.01)
+
+
+def l_oracle_error(tau, eta):
+    """|l_function - mp_quad_l| in units of 1e-15 |L| + 1e-14.  The oracle
+    integrates eta itself, whatever |eta|: its cuts reach (ln|eta| + 75)/alpha,
+    past the (ln|eta| + 60)/alpha where the integrand falls below 1e-26."""
+    want = mp_quad_l(tau, eta)
+    return abs(l_function(QParam.unit_circle(tau), eta) - want) / (1e-15 * abs(want) + 1e-14)
+
+
+class TestLInversion:
+    # l_function integrates 1/eta where |eta| > 1 and turns L(1/eta) into
+    # L(eta) by L(eta) + L(1/eta) = sigma [(Log eta)^2/(2 alpha)
+    # + pi^2 (alpha + 1/alpha)/6] / (2 pi i); where it integrated eta, the
+    # panels sized by |eta| gave up from |eta| 1e40 at tau 0.01, 1e80 at
+    # tau 0.05 and 1e150 at tau 0.2
+    @pytest.mark.parametrize("tau", L_INVERSION_TAU)
+    @pytest.mark.parametrize("eta", [1e10, 1e19, 1e40, 1e80, 1e150, 1e250])
+    def test_large_eta_matches_the_oracle(self, tau, eta):
+        assert l_oracle_error(tau, eta) < 1
+
+    @pytest.mark.parametrize("tau", L_INVERSION_TAU)
+    @pytest.mark.parametrize("eta", [1e6 * cmath.exp(3.1j), 1e40 * cmath.exp(-3.1j),
+                                     30 * cmath.exp(-3.1j), 0.5 * cmath.exp(3.1j)])
+    def test_complex_eta_near_the_cut_matches_the_oracle(self, tau, eta):
+        assert l_oracle_error(tau, eta) < 1
+
+    @pytest.mark.parametrize("tau", L_INVERSION_TAU)
+    @pytest.mark.parametrize("arg", [0.0, 2.5, -2.5, 3.1, -3.1])
+    def test_both_formulas_meet_at_the_unit_circle(self, tau, arg):
+        # |eta| = 1 - 1e-9 is integrated, 1 + 1e-9 inverted
+        for radius in (1 - 1e-9, 1 + 1e-9):
+            assert l_oracle_error(tau, radius * cmath.exp(1j * arg)) < 1
+
+    def test_empty_eta_gives_empty_result(self):
+        out = l_function(P_CIRC, np.zeros((0, 3)))
+        assert isinstance(out, np.ndarray) and out.shape == (0, 3) and out.dtype == complex
+
+
 def mp_log_sum_product(J, q, eta):
     """Q_J(eta) at real q as exp of the sum of the logs of the infinite
     product's factors at 30 digits, summed until |eta| q^(2k), shifted by
