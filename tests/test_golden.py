@@ -113,6 +113,11 @@ CASES = {
                                        "--N", "0", "--tau", "0.03", "--grid", "0.25:4:7"],
     "verify_gram_q1_N0_J30.json": ["verify", "--suite", "gram", "--q", "1", "--N", "0",
                                    "--J", "30"],
+    # the reach of L by its inversion identity: the radial nodes at tau 0.01,
+    # N 1/2, and |eta| up to 1e80 at tau 0.05, where L raised "did not converge"
+    "verify_all_tau0.01_N0.5_seed3.json": ["verify", "--suite", "all", "--tau", "0.01",
+                                           "--N", "0.5", "--seed", "3"],
+    "eval_L_tau0.05_far.csv": ["eval", "--fn", "L", "--tau", "0.05", "--grid", "1e79:1e80:3"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
