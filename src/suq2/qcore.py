@@ -179,10 +179,8 @@ def j_values(N, j_max, p: Optional[QParam] = None) -> list:
 
 
 def check_tower(N: HalfInt, J_list, p: QParam) -> None:
-    """Refuse the first J of J_list past psi's reach: J against N, so an error
-    names no M, then the rules of psi that read no M, the sector and [2J+1]!,
-    which refuse some J <= 102 at any q, so a lazy tower from |N| up of any
-    height is refused at once.  The errors name p."""
+    """Refuse the first J of J_list past psi's reach, naming p: J against N, then
+    the sector and [2J+1]!, which read no M and refuse some J <= 102 at any q."""
     for J in J_list:
         validate_tower(J, N)
         _check_sector(J, p)

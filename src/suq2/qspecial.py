@@ -327,21 +327,20 @@ def l_function(p: QParam, eta):
     negative tau).  Substituting t = exp(-v) gives the integrand
     Log(1 + eta e^(-alpha v)) / (1 + e^(-v)), alpha = |tau|/pi, on the real
     line: analytic, with exponentially decaying tails, where the raw integral
-    keeps an algebraic t^(alpha - 1) endpoint singularity.  It is integrated
-    at z = eta where |eta| <= 1, else at z = 1/eta, by the inversion identity
-    L(eta) + L(1/eta) = sigma [(Log eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6]
-    / (2 pi i), sigma the sign of tau (Faddeev & Kashaev).  So |z| <= 1, and
-    the line is cut into 24 panels that depend on tau alone, each integrated
-    by a 10-point Gauss / 21-point Kronrod pair (GK21_NODES, GK21_WEIGHTS),
-    with |K21 - G10| maximized over the points as the panel's error.  The
-    K21 sums are returned once the panel errors add up to less than
-    L_ABS_TOL.  Otherwise the panels within an equal share of the tolerance
-    left are kept and the others bisected, for at most L_MAX_ROUNDS rounds
-    of at most L_MAX_PANELS panels, past which it raises RuntimeError.  A
-    round evaluates and sums the points in blocks of at most BLOCK_ELEMENTS
-    (points x panels x 21) entries; the panels are kept or bisected on the
-    error maximized over all the points, so the result is bit for bit that
-    of one block.
+    keeps an algebraic t^(alpha - 1) endpoint singularity.  Where |eta| > 1
+    it integrates z = 1/eta instead, by the inversion identity L(eta) +
+    L(1/eta) = sigma [(Log eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6]/(2 pi i),
+    sigma the sign of tau (Faddeev & Kashaev), so 24 panels that depend on tau
+    alone serve every |z| <= 1, each integrated by a 10-point Gauss / 21-point
+    Kronrod pair (GK21_NODES, GK21_WEIGHTS), with |K21 - G10| maximized over
+    the points as the panel's error.  The K21 sums are returned once the
+    panel errors add up to less than L_ABS_TOL.  Otherwise the panels within
+    an equal share of the tolerance left are kept and the others bisected,
+    for at most L_MAX_ROUNDS rounds of at most L_MAX_PANELS panels, past
+    which it raises RuntimeError.  A round evaluates and sums the points in
+    blocks of at most BLOCK_ELEMENTS (points x panels x 21) entries; the
+    panels are kept or bisected on the error maximized over all the points,
+    so the result is bit for bit that of one block.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
@@ -357,7 +356,6 @@ def _l_quadrature(p: QParam, arr):
     global _branch_cut_warnings
     flat = arr.reshape(-1)
     alpha = abs(p.value) / math.pi
-    sigma = math.copysign(1.0, p.value)
     outer = np.abs(flat) > 1.0
     z = flat.copy()
     z[outer] = 1.0 / flat[outer]
@@ -393,7 +391,7 @@ def _l_quadrature(p: QParam, arr):
             log = np.log(flat[outer])  # the inversion identity, times 2 pi i / sigma
             total[outer] = (log * log / (2.0 * alpha) + math.pi ** 2 * (alpha + 1.0 / alpha) / 6.0
                             - total[outer])
-            return (sigma * total / (2j * math.pi)).reshape(arr.shape)
+            return (math.copysign(1.0, p.value) * total / (2j * math.pi)).reshape(arr.shape)
         ok = panel_error < (L_ABS_TOL - error) / panel_error.size
         total += np.sum(sums[:, ok, 0], axis=1)
         error += float(np.sum(panel_error[ok]))

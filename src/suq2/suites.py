@@ -131,8 +131,12 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
 
 
 def _valid_n(J: HalfInt) -> list:
-    return [N for N in map(HalfInt.of, STENCIL_N_VALUES)
-            if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice]
+    out = []
+    for N in STENCIL_N_VALUES:
+        N = HalfInt.of(N)
+        if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
+            out.append(N)
+    return out
 
 
 def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
