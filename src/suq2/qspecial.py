@@ -47,8 +47,8 @@ from .qcore import (
 
 L_ABS_TOL = 1e-12
 # l_function gives up after this many rounds of panel bisection (a singularity
-# 1e-9 off the contour needs about 30) or on a round of more panels, which
-# bounds a round's memory
+# 1e-9 off the contour needs about 30) or on a round of more panels (tiny
+# |tau|, where rounding keeps every panel above its share of L_ABS_TOL)
 L_MAX_ROUNDS = 16
 L_MAX_PANELS = 256
 PRODUCT_FACTOR_TOL = 1e-18
