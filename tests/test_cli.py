@@ -98,6 +98,18 @@ class TestEval:
         _, out, _ = run(["eval", "--fn", "qnum", "--x", "2", "--q", "2"], capsys)
         assert "\r" not in out and out.endswith("\n")
 
+    @pytest.mark.parametrize("tau,eta", [("0.05", "1e80"), ("1", "1e230"), ("0.2", "1e300")])
+    def test_l_at_large_eta(self, tau, eta, capsys):
+        # L sized its panels by |eta|, and here raised "did not converge"
+        # after numpy's overflow warnings; within |L(1/eta)|, about 1/eta, it
+        # is sigma [(ln eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6] / (2 pi i)
+        code, out, err = run(["eval", "--fn", "L", "--tau", tau, "--eta", eta], capsys)
+        assert code == 0 and err == ""
+        ((_, re, im),) = csv_rows(out)
+        alpha, x = float(tau) / math.pi, math.log(float(eta))
+        want = -(x * x / (2 * alpha) + math.pi ** 2 * (alpha + 1 / alpha) / 6) / (2 * math.pi)
+        assert abs(float(re)) <= 1e-15 * abs(want) and abs(float(im) - want) <= 1e-15 * abs(want)
+
 
 class TestEvalErrors:
     def test_missing_point_flag(self, capsys):
@@ -252,18 +264,6 @@ class TestEvalErrors:
                               "--tau", "1.8", flag, "0.5"], capsys)
         assert code == 2 and out == ""
         assert err == "error: J=1 on the circle needs (2J+1)|tau| < pi, got tau=1.8\n"
-
-    @pytest.mark.parametrize("tau,eta", [("0.05", "1e80"), ("1", "1e230"), ("0.2", "1e300")])
-    def test_l_at_large_eta(self, tau, eta, capsys):
-        # L sized its panels by |eta|, and there raised "did not converge"
-        # after numpy's overflow warnings; within |L(1/eta)|, about 1/eta, it
-        # is sigma [(ln eta)^2/(2 alpha) + pi^2 (alpha + 1/alpha)/6] / (2 pi i)
-        code, out, err = run(["eval", "--fn", "L", "--tau", tau, "--eta", eta], capsys)
-        assert code == 0 and err == ""
-        ((_, re, im),) = csv_rows(out)
-        alpha, x = float(tau) / math.pi, math.log(float(eta))
-        want = -(x * x / (2 * alpha) + math.pi ** 2 * (alpha + 1 / alpha) / 6) / (2 * math.pi)
-        assert abs(float(re)) <= 1e-15 * abs(want) and abs(float(im) - want) <= 1e-15 * abs(want)
 
     def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
         # a RuntimeWarning on the way fails the test
