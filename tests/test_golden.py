@@ -118,6 +118,12 @@ CASES = {
     "verify_all_tau0.01_N0.5_seed3.json": ["verify", "--suite", "all", "--tau", "0.01",
                                            "--N", "0.5", "--seed", "3"],
     "eval_L_tau0.05_far.csv": ["eval", "--fn", "L", "--tau", "0.05", "--grid", "1e79:1e80:3"],
+    # towers of several weights in each regime, where the unlike-M entries are
+    # exact zeros and the diagonal keeps its own value
+    "gram_N0_Jmax4_q1.csv": ["gram", "--q", "1", "--N", "0", "--J-max", "4"],
+    "gram_N0.5_Jmax3.5_tau0.05.json": ["gram", "--tau", "0.05", "--N", "0.5", "--J-max", "3.5",
+                                       "--format", "json"],
+    "gram_N0.5_Jmax3.5_q1.3.csv": ["gram", "--q", "1.3", "--N", "0.5", "--J-max", "3.5"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
