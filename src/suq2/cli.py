@@ -187,6 +187,7 @@ def cmd_gram(args) -> int:
         j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
     rep = gram_matrix(N, j_list, p)
     labels = [f"{J}:{M}" for (J, M) in rep.labels]
+    rows = rep.matrix.tolist()  # the one read of the matrix, for either writer
     if args.format == "csv":
         lines = [
             "# gram,N=" + str(N) + ",J=" + ("|".join(str(HalfInt.of(J)) for J in j_list) or "(empty)")
@@ -194,11 +195,8 @@ def cmd_gram(args) -> int:
             f"# max_offdiag={rep.max_offdiag:.17g},max_diag_dev={rep.max_diag_dev:.17g}",
             "i,j,bra,ket,re,im",
         ]
-        n = len(labels)
-        for i in range(n):
-            for j in range(n):
-                v = rep.matrix[i, j]
-                lines.append(f"{i},{j},{labels[i]},{labels[j]},{v.real:.17g},{v.imag:.17g}")
+        lines += [f"{i},{j},{labels[i]},{labels[j]},{v.real:.17g},{v.imag:.17g}"
+                  for i, row in enumerate(rows) for j, v in enumerate(row)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         _write_json({
@@ -206,8 +204,7 @@ def cmd_gram(args) -> int:
             "kind": kind,
             "N": str(N),
             "labels": labels,
-            "matrix": [[[rep.matrix[i, j].real, rep.matrix[i, j].imag]
-                        for j in range(len(labels))] for i in range(len(labels))],
+            "matrix": [[[v.real, v.imag] for v in row] for row in rows],
             "max_offdiag": rep.max_offdiag,
             "max_diag_dev": rep.max_diag_dev,
         })

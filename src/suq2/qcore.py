@@ -25,6 +25,9 @@ from typing import Optional, Union
 import numpy as np
 
 EPS_DEGENERACY = 1e-12
+# the most factors of one point's infinite product (qspecial), which also caps
+# the lists sized by J: Q's finite factors and R's recurrence steps
+PRODUCT_MAX_FACTORS = 100_000
 
 
 class Regime(Enum):
@@ -260,6 +263,13 @@ def _check_sector(J: HalfInt, p: QParam):
                          f"got tau={p.value!r}")
 
 
+def _check_cap(count: int, what: str) -> None:
+    """Refuse what, a list of count entries, past PRODUCT_MAX_FACTORS before
+    it is built."""
+    if count > PRODUCT_MAX_FACTORS:
+        raise ValueError(f"{what}, past the cap of {PRODUCT_MAX_FACTORS}")
+
+
 @functools.lru_cache(maxsize=1024)
 def _powers(J0: HalfInt, J: HalfInt, p: QParam, sign: int, offset: int):
     """The read-only column of q^(2 sign j + offset), j = J0 .. J-1."""
@@ -296,8 +306,10 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
     (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
     or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
-    normal range is refused."""
+    normal range is refused, as are more than PRODUCT_MAX_FACTORS steps."""
     J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
+    count = (J.twice - J0.twice) // 2
+    _check_cap(count, f"R for (J,M,N)=({J},{M},{N}) needs {count} recurrence steps")
     mn = (M + N).to_int()
     k0 = max(0, -mn)
     c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else

@@ -129,24 +129,23 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
     """Full cross-Gram of the basis tower {(J, M): J in J_list, |M| <= J}
     in the scalar product at p.
 
-    Entries are filled Hermitian from the upper triangle, whose pairs go
-    on one _products call: one radial integral per like-mode block.  A
-    tower past psi's reach is refused before it is built (check_tower).
+    psi_(J,M,N) has the one mode M+N, so only the upper pairs of equal M go on
+    one _products call; the matrix is filled Hermitian from them, 0 elsewhere.
+    A tower past psi's reach is refused before it is built (check_tower).
     """
     N = HalfInt.of(N)
     check_tower(N, sorted(map(HalfInt.of, J_list)), p)
     states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
     fams = [psi_family(J, M, N) for J, M in states]
-    upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]
+    twice_m = np.array([M.twice for _, M in states])
+    i, j = np.nonzero(np.triu(twice_m[:, None] == twice_m))  # like-M upper pairs, row order
+    vals = np.array(_products([(fams[a], fams[b]) for a, b in zip(i, j)], p), dtype=complex)
     mat = np.zeros((len(states), len(states)), dtype=complex)
-    for (i, j), val in zip(upper, _products([(fams[i], fams[j]) for i, j in upper], p)):
-        mat[i, j] = val
-        if j != i:
-            mat[j, i] = np.conj(val)
-    diag = np.diag(mat)
+    mat[j, i] = np.conj(vals)
+    mat[i, j] = vals  # after the conjugates: each diagonal entry keeps its own value
     return GramReport(labels=tuple(states), matrix=mat,
-                      max_offdiag=float(np.max(np.abs(mat - np.diag(diag)), initial=0.0)),
-                      max_diag_dev=float(np.max(np.abs(diag - 1.0), initial=0.0)))
+                      max_offdiag=float(np.max(np.abs(vals[i != j]), initial=0.0)),
+                      max_diag_dev=float(np.max(np.abs(vals[i == j] - 1.0), initial=0.0)))
 
 
 def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam, N) -> float:

@@ -35,6 +35,7 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
+    _check_cap,
     _check_sector,
     _named,
     _norm_constant,
@@ -53,7 +54,6 @@ L_MAX_ROUNDS = 16
 L_MAX_PANELS = 256
 PRODUCT_FACTOR_TOL = 1e-18
 PRODUCT_TAIL_TOL = 1e-14
-PRODUCT_MAX_FACTORS = 100_000
 POLE_TOL = 1e-300            # a product factor this small is a pole of Q
 # entries per block of the infinite product (factors x points) and of each L
 # quadrature round (points x panels x 21 nodes); keeps the temporaries in cache
@@ -217,6 +217,7 @@ def _finite_factors(J: HalfInt, p: QParam, arr):
     Q_J = Q_(J mod 1) / prod, for J >= 0, on eta's flattened array.  A
     vanishing factor, a pole of Q, raises and is named by k = J-1-j, as
     the factor 1 + q^(2k-2J) eta; the smallest such k is named."""
+    _check_cap(J.twice // 2, f"Q_J for J = {J} needs {J.twice // 2} finite factors")
     factors = 1.0 + _powers(HalfInt(J.twice % 2), J, p, -1, -2) * arr.reshape(-1)
     small = np.abs(factors) < POLE_TOL
     if small.any():
@@ -291,9 +292,7 @@ def _infinite_product(J, q, arr):
         raise ValueError(f"infinite-product factor k=0 overflows at |eta| = {amax:g}")
     last = _last_factors(q, Jf, abs_eta)
     count = int(last.max()) + 1
-    if count > PRODUCT_MAX_FACTORS:
-        raise ValueError(f"infinite product needs {count} factors at q = {q!r}, "
-                         f"past the cap of {PRODUCT_MAX_FACTORS}")
+    _check_cap(count, f"infinite product needs {count} factors at q = {q!r}")
     rows = max(1, BLOCK_ELEMENTS // flat.size)
     for start in range(0, count, rows):
         ks = range(start, min(start + rows, count))
@@ -340,7 +339,9 @@ def l_function(p: QParam, eta):
     which it raises RuntimeError.  A round evaluates and sums the points in
     blocks of at most BLOCK_ELEMENTS (points x panels x 21) entries; the
     panels are kept or bisected on the error maximized over all the points,
-    so the result is bit for bit that of one block.
+    so the result is bit for bit that of one block.  A call whose integrand
+    comes within BRANCH_CUT_MARGIN of the Log branch cut warns once; the
+    margin is taken at each point's first node, where |arg(1 + z t)| peaks.
     """
     if p.regime is not Regime.UNIT_CIRCLE:
         raise ValueError("l_function is defined for the unit-circle regime only")
@@ -405,11 +406,13 @@ def _l_panel_sums(points, t, g):
     """The K21 and K21 - G10 sums of the L integrand at each point on each
     panel, a (points, panels, 2) array, and the largest |arg(1 + eta t)|.
     t holds e^(-alpha v) and g the weight half / (1 + e^(-v)) at the
-    (panels, 21) nodes."""
+    (panels, 21) nodes.  |arg(1 + eta t)| grows with t, its t-derivative
+    having the sign of Im eta, and t is largest at the first node of the
+    first panel, both being in ascending v: the largest is read there."""
     re, im = points.real[:, None, None], points.imag[:, None, None]
     x, y = 1.0 + re * t, im * t           # 1 + eta e^(-alpha v): points x panels x 21
     phase = np.arctan2(y, x)
-    max_phase = float(np.max(np.abs(phase)))
+    max_phase = float(np.max(np.abs(phase[:, 0, 0])))
     log_abs = np.log(np.hypot(x, y, out=x), out=x)  # Log(1+z) = log|1+z| + i arg(1+z)
     log_abs *= g
     phase *= g

@@ -5,8 +5,9 @@ builds each (J, M, N, p) record once and evaluates each distinct input
 once; the stencil suites evaluate each (J, N) tower whole, in a few psi
 calls; the suite scalar products of one batch that share the same modes
 are one converged radial integral, and at least 95% of the products take
-one integrand call.  Each test empties the memos whose hits would hide the
-evaluations it counts."""
+one integrand call; gram hands over only the pairs of equal weight M.
+Each test empties the memos whose hits would hide the evaluations it
+counts."""
 from collections import Counter
 
 import numpy as np
@@ -274,6 +275,36 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     assert all(type(v) is float and v == 0.0
                for _, pairs in products for common, v in pairs if not common)
     assert max(errors) < quadrature.ABS_TOL
+
+
+def _record_pairs(monkeypatch, products):
+    """The pairs of every _products call, which products answers."""
+    calls = []
+
+    def recorded(pairs, p):
+        calls.append(pairs)
+        return products(pairs, p)
+
+    monkeypatch.setattr(qinner, "_products", recorded)
+    return calls
+
+
+def test_gram_hands_only_like_weight_pairs_to_the_products(monkeypatch):
+    # the 961 states of J <= 30 make 462,241 upper pairs, of which only the
+    # 10,416 of equal M share a mode; the products themselves are not run
+    calls = _record_pairs(monkeypatch, lambda pairs, p: [1.0] * len(pairs))
+    rep = qinner.gram(0, range(31), QParam.classical())
+    assert len(rep.labels) == 961 and [len(pairs) for pairs in calls] == [10416]
+    assert all({m for _, _, m in f.meta} == {m for _, _, m in g.meta} for f, g in calls[0])
+
+
+@pytest.mark.parametrize("N,pairs", [(0, 14), (0.5, 8)], ids=["N0", "N0.5"])
+def test_gram_suite_hands_its_like_weight_pairs_to_the_products(monkeypatch, N, pairs):
+    # the default tower, J up to 2: 45 upper pairs at N 0, 21 at N 1/2
+    calls = _record_pairs(monkeypatch, qinner._products)
+    cases = run_suite("gram", QParam.positive_real(1.2), N=N)
+    assert cases and all(c.passed for c in cases)
+    assert [len(c) for c in calls] == [pairs]
 
 
 @pytest.mark.parametrize("p,N", [(QParam.positive_real(0.39), 0), (QParam.positive_real(2.58), 0.5),

@@ -7,9 +7,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from suq2 import cli, qinner
+from suq2.qcore import HalfInt
 
 TAU_23 = math.pi / 23
 
@@ -264,6 +266,36 @@ class TestEvalErrors:
                               "--tau", "1.8", flag, "0.5"], capsys)
         assert code == 2 and out == ""
         assert err == "error: J=1 on the circle needs (2J+1)|tau| < pi, got tau=1.8\n"
+
+    @pytest.mark.parametrize("argv,msg", [
+        (["--fn", "Q", "--J", "1e9", "--q", "1.5", "--eta", "1"],
+         "Q_J for J = 1000000000 needs 1000000000 finite factors"),
+        (["--fn", "Q", "--J", "1e9", "--tau", "0.5", "--eta", "1"],
+         "Q_J for J = 1000000000 needs 1000000000 finite factors"),
+        (["--fn", "R", "--J", "1e9", "--M", "0", "--N", "0", "--q", "1", "--eta", "0.5"],
+         "R for (J,M,N)=(1000000000,0,0) needs 1000000000 recurrence steps"),
+    ], ids=["Q-real", "Q-circle", "R-classical"])
+    def test_a_list_sized_by_j_is_refused_before_it_is_built(self, argv, msg):
+        # Q's column of finite factors and R's recurrence steps, 1e9 entries
+        # each, ended in a MemoryError and exit 1 under this limit
+        res = _run_under_a_gib(["eval"] + argv)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: {msg}, past the cap of 100000\n"
+
+    def test_a_list_sized_by_j_at_the_cap_returns_its_value(self, capsys):
+        code, out, err = run(["eval", "--fn", "Q", "--J", "1e5", "--q", "1.5", "--eta", "1"],
+                             capsys)
+        assert code == 0 and err == "" and csv_rows(out) == [["1", "0.49586983565401904", "0"]]
+        # (1 + eta)^J P_J((1 - eta)/(1 + eta)) = 0.99002497174124344 (mpmath):
+        # 1e5 steps of the recurrence lose about 4.5e-7 of it
+        code, out, err = run(["eval", "--fn", "R", "--J", "1e5", "--M", "0", "--N", "0",
+                              "--q", "1", "--eta", "1e-12"], capsys)
+        assert code == 0 and err == ""
+        assert abs(float(csv_rows(out)[0][1]) / 0.99002497174124344 - 1) < 1e-6
+        code, out, err = run(["eval", "--fn", "Q", "--J", "100001", "--q", "1.5", "--eta", "1"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == "error: Q_J for J = 100001 needs 100001 finite factors, past the cap of 100000\n"
 
     def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
         # a RuntimeWarning on the way fails the test
@@ -532,15 +564,37 @@ class TestGram:
         # the 1e9 labels of --J-max 1e9 were built before gram checked the
         # first J: under this 1 GiB address-space limit the child ended in a
         # MemoryError and exit 1 after about 8 s
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
-                  "from suq2 import cli\n"
-                  "sys.exit(cli.main(sys.argv[1:]))\n")
-        res = subprocess.run([sys.executable, "-c", script, *cmd, "--q", "2", "--J-max", "1e9"],
-                             env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
-                             text=True, timeout=60)
+        res = _run_under_a_gib(cmd + ["--q", "2", "--J-max", "1e9"])
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == "error: q-factorial [47]! leaves the float range at q = 2.0\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writers_print_each_entry_as_its_numpy_scalar(self, fmt, monkeypatch, capsys):
+        # the writers read the matrix once; each entry must print as the numpy
+        # scalar rep.matrix[i, j] does, the sign of a zero included
+        rng = np.random.default_rng(5)
+        parts = rng.standard_normal((2, 6, 6)) * 10.0 ** rng.integers(-300, 300, (2, 6, 6))
+        zeros = rng.integers(0, 3, (2, 6, 6))  # a third 0.0, a third -0.0
+        parts[zeros == 1], parts[zeros == 2] = 0.0, -0.0
+        mat = np.empty((6, 6), dtype=complex)
+        mat.real, mat.imag = parts  # parts[0] + 1j * parts[1] would turn -0.0 into 0.0
+        labels = tuple((HalfInt(tj), HalfInt(tm)) for tj in (1, 3) for tm in range(tj, -tj - 1, -2))
+        rep = qinner.GramReport(labels=labels, matrix=mat, max_offdiag=0.25, max_diag_dev=-0.0)
+        monkeypatch.setattr(cli, "gram_matrix", lambda N, j_list, p: rep)
+        code, out, _ = run(["gram", "--q", "1.2", "--N", "0.5", "--J-max", "1.5",
+                            "--format", fmt], capsys)
+        assert code == 0
+        names = [f"{J}:{M}" for J, M in labels]
+        if fmt == "csv":
+            head = out.splitlines()[:3]
+            rows = [f"{i},{j},{names[i]},{names[j]},{mat[i, j].real:.17g},{mat[i, j].imag:.17g}"
+                    for i in range(6) for j in range(6)]
+            assert out == "\n".join(head + rows) + "\n"
+        else:
+            doc = json.loads(out)
+            doc["matrix"] = [[[mat[i, j].real, mat[i, j].imag] for j in range(6)]
+                             for i in range(6)]
+            assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_parity_violation_exits_two(self, capsys):
         code, _, err = run(["gram", "--J", "0.5", "--N", "0", "--q", "1.2"], capsys)
@@ -682,6 +736,18 @@ def test_cli_imports_neither_numpy_random_nor_numpy_polynomial():
     res = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=_child_env(),
                          capture_output=True, text=True, check=True)
     assert json.loads(res.stdout) == []
+
+
+def _run_under_a_gib(argv):
+    """The CLI on argv in a child interpreter whose address space is capped at
+    1 GiB, so that a list of a billion entries ends in a MemoryError."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+              "from suq2 import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=60)
 
 
 def _child_env(**extra):

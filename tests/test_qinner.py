@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from suq2 import qinner, qops, quadrature
-from suq2.qcore import HalfInt, QParam, Regime
+from suq2.qcore import HalfInt, QParam, Regime, j_values, m_values
 from suq2.qinner import (
     GramReport,
     adjoint_residual,
@@ -211,7 +211,7 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
 
 
 class TestGramBatch:
-    """gram hands its upper triangle to one batch of scalar products: one
+    """gram hands its like-M upper pairs to one batch of scalar products: one
     radial integral per like-mode block, each state's psi requested once per
     form term, side and level.  A block stops on its largest entry
     difference; on these towers every pair of a block converges on the same
@@ -260,6 +260,48 @@ class TestGramBatch:
                 if states[j][1] != Mi:  # unlike modes: the CLI prints 0, not -0
                     for v in (rep.matrix[i, j], rep.matrix[j, i]):
                         assert f"{v.real:.17g},{v.imag:.17g}" == "0,0"
+
+
+def _every_upper_pair_gram(N, J_list, p):
+    """gram's report as (labels, matrix, max_offdiag, max_diag_dev) from every
+    upper pair on one _products call, the matrix filled one pair at a time."""
+    N = HalfInt.of(N)
+    states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
+    fams = [psi_family(J, M, N) for J, M in states]
+    upper = [(i, j) for i in range(len(states)) for j in range(i, len(states))]
+    mat = np.zeros((len(states), len(states)), dtype=complex)
+    for (i, j), val in zip(upper, qinner._products([(fams[i], fams[j]) for i, j in upper], p)):
+        mat[i, j] = val
+        if j != i:
+            mat[j, i] = np.conj(val)
+    diag = np.diag(mat)
+    return (tuple(states), mat, float(np.max(np.abs(mat - np.diag(diag)), initial=0.0)),
+            float(np.max(np.abs(diag - 1.0), initial=0.0)))
+
+
+class TestGramLikeWeightPairs:
+    """gram integrates only the pairs of equal M; every other pair has no
+    common mode, so the report is that of all upper pairs, bit for bit."""
+
+    @pytest.mark.parametrize("p,N,js", [
+        (P_CLASS, 0, j_values(0, 8)),
+        (P_CLASS, 0.5, j_values(0.5, 4.5)),
+        (QParam.positive_real(1.3), 0.5, j_values(0.5, 5.5)),
+        (QParam.positive_real(0.7), 0, j_values(0, 6)),
+        (QParam.unit_circle(0.1), 0, j_values(0, 8)),
+        (QParam.unit_circle(0.2), 0.5, j_values(0.5, 3.5)),
+        (P_REAL, 0.5, [2.5]),
+        (P_CIRC, 0, [3]),
+        (P_REAL, 1, []),
+    ], ids=["classical-N0-J8", "classical-N0.5-J4.5", "q1.3-N0.5-J5.5", "q0.7-N0-J6",
+            "tau0.1-N0-J8", "tau0.2-N0.5-J3.5", "q1.2-J2.5-only", "circle-J3-only", "empty"])
+    def test_gram_is_every_upper_pair_bit_for_bit(self, p, N, js):
+        rep = gram(N, js, p)
+        labels, mat, max_offdiag, max_diag_dev = _every_upper_pair_gram(N, js, p)
+        assert rep.labels == labels
+        # bytes: the diagonal keeps its own value, an unlike-M zero prints 0, not -0
+        assert rep.matrix.shape == mat.shape and rep.matrix.tobytes() == mat.tobytes()
+        assert (rep.max_offdiag, rep.max_diag_dev) == (max_offdiag, max_diag_dev)
 
 
 class TestModeMatching:
