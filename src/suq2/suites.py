@@ -19,7 +19,6 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
 from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
 from .qops import (
-    _ladder_coeff,
     apply_casimir,
     apply_h_minus,
     apply_h_plus,
@@ -140,31 +139,25 @@ def _valid_n(J: HalfInt) -> list:
 
 
 def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
-    """H+ and H- on every member of each (J, N) tower: the neighbour times
-    the matrix element, or 0 at the top and at the bottom.  Each tower is
+    """H+ and H- on every member of each (J, N) tower against the transposed
+    irrep matrices acting on the tower's rows: the neighbour times the
+    matrix element, or 0 at the top and at the bottom.  Each tower is
     evaluated whole (psi_family with the tuple of its weights), so the
     members, their H+ and their H- are one psi call each."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
-        ms = tuple(m_values(J))  # descending: M + 1 sits one row up, M - 1 one down
         for N in _valid_n(J):
-            tower = psi_family(J, ms, N)
-            vals = tower(p, u, v)
-            up = apply_h_plus(tower, N)(p, u, v)
-            down = apply_h_minus(tower, N)(p, u, v)
+            tower = psi_family(J, tuple(m_values(J)), N)
+            vals = tower(p, u, v)  # before matrix_irrep: psi's sector refusal comes first
+            ir = matrix_irrep(J, p)
             worst = 0.0
-            for i, M in enumerate(ms):
-                if M.twice < J.twice:
-                    rhs = _ladder_coeff(J, M, +1, p) * vals[i - 1]
-                    worst = max(worst, _rel(up[i] - rhs, rhs))
-                else:
-                    worst = max(worst, float(np.max(np.abs(up[i]))))
-                if M.twice > -J.twice:
-                    rhs = _ladder_coeff(J, M, -1, p) * vals[i + 1]
-                    worst = max(worst, _rel(down[i] - rhs, rhs))
-                else:
-                    worst = max(worst, float(np.max(np.abs(down[i]))))
+            for op, mat in ((apply_h_plus, ir.Hplus), (apply_h_minus, ir.Hminus)):
+                # einsum, not @: a complex @ goes through BLAS, whose first call
+                # raises the process's peak memory
+                want = np.einsum("ki,kn->in", mat, vals)
+                got = op(tower, N)(p, u, v)
+                worst = max(worst, *(_rel(g - w, w) for g, w in zip(got, want)))
             cases.append(Case(f"ladder J={J} N={N}", worst, tol))
     return cases
 
