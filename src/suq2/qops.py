@@ -1,25 +1,24 @@
 """Generators as q-dilation stencils on plane families, and matrix irreps.
 
-The generators never differentiate: H3-dependent quantities go through the
-exact dilations q^(a H3): f -> q^(-a N) f(q^-a u, q^a v), and the ladder
-operators are finite q-difference stencils built from dilations of the two
-arguments.  Families keep (u, v) independent (physical slice v = conj(u))
-because circle-regime dilations move the arguments off that slice.
+The generators never differentiate.  H+, H-, [H3 + s]_q and the Casimir
+are tables {(a, b, i, j): c}, each the finite q-difference operator
+f -> sum c u^i v^j f(q^a u, q^b v), and q^(a H3): f -> q^(-a N) f(q^-a u,
+q^a v) is exact.  Families keep (u, v) independent (physical slice
+v = conj(u)) because circle-regime dilations move the arguments off it.
 
-A stencil calls its operand once, on the dilated arguments it needs stacked
-along a new leading axis (_at_dilations), so nested stencils stack further
-and a whole stencil tree reaches psi in one call: each Casimir ordering
-makes one call for its ladder product and one for its q-number brackets.
+One evaluator (_stencil) applies every table: it calls the operand once,
+on the table's distinct dilations stacked along a new leading axis.  The
+Casimir is composed from the ladder and bracket tables exactly, so each
+ordering reaches psi once, on the six dilations that both orderings share.
 On a tower (psi_family with a tuple of weights M) the same call carries
 every member of the irrep: they share the radial profile Q_J, which psi
-then evaluates once, and the stencils act on the stacked members row by row.
+then evaluates once, and the table acts on the members row by row.
 
 An operator is built from its operand and the weight N alone, as the
-plane realization is labelled by N alone.  Stencils are parameter-covariant:
-the deformation parameter is the one supplied at evaluation time.  The
-deformed scalar products evaluate bra-side families at the inverted
-parameter, and covariance is what makes an operator commute with that
-inversion.
+plane realization is labelled by N alone.  Its table is built from the
+parameter supplied at evaluation time, so operators are parameter-
+covariant: the deformed scalar products evaluate bra-side families at the
+inverted parameter, and covariance makes an operator commute with that.
 """
 from __future__ import annotations
 
@@ -116,64 +115,71 @@ def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> Plane
     return PlaneFamily(ev, meta)
 
 
-def _require_deformed(p: QParam):
-    if p.regime is Regime.CLASSICAL:
-        raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
+def _stencil(f: PlaneFamily, table: Callable, meta: Optional[tuple]) -> PlaneFamily:
+    """f under the operator of table(p), a dict {(a, b, i, j): c} standing
+    for f -> sum c u^i v^j f(q^a u, q^b v).  The dilation axis of f's one
+    call sits just before u's axes in its result (after a tower's rows)."""
+    def ev(p, u, v):
+        if p.regime is Regime.CLASSICAL:
+            raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
+        terms = table(p)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+        for x, k, name in ((u, 2, "h_plus stencil is singular at u"),
+                           (v, 3, "h_minus stencil is singular at v")):
+            if any(key[k] < 0 for key in terms) and np.any(x == 0):
+                raise ValueError(f"{name} = 0")
+        dil = sorted({key[:2] for key in terms})
+        out = f(p, np.stack([p.power(a) * u for a, _ in dil]),
+                np.stack([p.power(b) * v for _, b in dil]))
+        vals = dict(zip(dil, np.moveaxis(out, -u.ndim - 1, 0)))
+        return sum(c * u**i * v**j * vals[a, b] for (a, b, i, j), c in terms.items())
+    return PlaneFamily(ev, meta)
 
 
-def _at_dilations(f: PlaneFamily, p: QParam, u, v, scales):
-    """f at (a u, b v) for every (a, b) in scales, stacked along a new first
-    axis, from one call of f on the stacked dilated arguments.  A stencil
-    evaluated this way hands its operand one array, so nested stencils reach
-    psi once, on the stack of every dilation the tree needs; each dilated
-    argument is the product a * u (b * v) that separate calls would pass.
+def _h_plus(p: QParam, nf: float) -> dict:
+    d = p.power(1) - p.power(-1)
+    return {(1, 1, -1, 0): -p.power(-nf / 2) / d, (-1, 1, -1, 0): p.power(-nf / 2) / d,
+            (1, 1, 0, 1): -p.power(-nf / 2) / d, (1, -1, 0, 1): p.power(1.5 * nf) / d}
 
-    In f's result the dilation axis sits just before u's axes: first for a
-    single member, second for a tower (psi_family with a tuple M), whose
-    rows come first.  It is moved to the front, so a stencil unpacks the
-    dilations and acts on every row of a tower at once, each row with the
-    arithmetic of a single member."""
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-    out = f(p, np.stack([a * u for a, _ in scales]), np.stack([b * v for _, b in scales]))
-    return np.moveaxis(out, -u.ndim - 1, 0)
+
+def _h_minus(p: QParam, nf: float) -> dict:
+    d = p.power(1) - p.power(-1)
+    return {(1, 1, 1, 0): p.power(nf / 2) / d, (-1, 1, 1, 0): -p.power(-1.5 * nf) / d,
+            (1, 1, 0, -1): p.power(nf / 2) / d, (1, -1, 0, -1): -p.power(nf / 2) / d}
+
+
+def _bracket(p: QParam, nf: float, shift: int) -> dict:
+    """[H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1), with
+    q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
+    d = p.power(1) - p.power(-1)
+    return {(-1, 1, 0, 0): p.power(shift - nf) / d, (1, -1, 0, 0): -p.power(nf - shift) / d}
+
+
+def _compose(p: QParam, *products) -> dict:
+    """The table of the sum of the (outer, inner) products: (a, b, i, j)
+    after (a', b', i', j') is (a + a', b + b', i + i', j + j') with
+    coefficient c c' q^(a i' + b j'), and like terms add."""
+    out = {}
+    for outer, inner in products:
+        for (a, b, i, j), c in outer.items():
+            for (a2, b2, i2, j2), c2 in inner.items():
+                key = (a + a2, b + b2, i + i2, j + j2)
+                out[key] = out.get(key, 0) + c * c2 * p.power(a * i2 + b * j2)
+    return out
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
     nf = float(HalfInt.of(N))
-
-    def ev(p, u, v):
-        _require_deformed(p)
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        if np.any(u == 0):
-            raise ValueError("h_plus stencil is singular at u = 0")
-        q1, qm1 = p.power(1), p.power(-1)
-        d = q1 - qm1
-        f_pp, f_mp, f_pm = _at_dilations(f, p, u, v, ((q1, q1), (qm1, q1), (q1, qm1)))
-        t1 = -p.power(-nf / 2) * (f_pp - f_mp) / (d * u)
-        t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f_pm) / d
-        return t1 + t2
-    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_plus(comp, N), +1))
+    return _stencil(f, lambda p: _h_plus(p, nf),
+                    _map_modes(f, lambda comp: apply_h_plus(comp, N), +1))
 
 
 def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
     nf = float(HalfInt.of(N))
-
-    def ev(p, u, v):
-        _require_deformed(p)
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        if np.any(v == 0):
-            raise ValueError("h_minus stencil is singular at v = 0")
-        q1, qm1 = p.power(1), p.power(-1)
-        d = q1 - qm1
-        f_pp, f_mp, f_pm = _at_dilations(f, p, u, v, ((q1, q1), (qm1, q1), (q1, qm1)))
-        t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f_mp) / d
-        t2 = p.power(nf / 2) * (f_pp - f_pm) / (d * v)
-        return t1 + t2
-    return PlaneFamily(ev, _map_modes(f, lambda comp: apply_h_minus(comp, N), -1))
+    return _stencil(f, lambda p: _h_minus(p, nf),
+                    _map_modes(f, lambda comp: apply_h_minus(comp, N), -1))
 
 
 def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
@@ -185,32 +191,22 @@ def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
                        _map_modes(f, lambda comp: apply_q_h3_power(comp, N, a)))
 
 
-def _bracket_h3(f: PlaneFamily, N, shift: int) -> PlaneFamily:
-    """[H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1), with
-    q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
-    nf = float(HalfInt.of(N))
-
-    def ev(p, u, v):
-        _require_deformed(p)
-        q1, qm1 = p.power(1), p.power(-1)
-        f_up, f_dn = _at_dilations(f, p, u, v, ((qm1, q1), (q1, qm1)))
-        up, dn = p.power(-nf) * f_up, p.power(nf) * f_dn
-        return (p.power(shift) * up - p.power(-shift) * dn) / (q1 - qm1)
-    return PlaneFamily(ev, _map_modes(f, lambda comp: _bracket_h3(comp, N, shift)))
+def _casimir(p: QParam, nf: float, ordering: str) -> dict:
+    hp, hm = _h_plus(p, nf), _h_minus(p, nf)
+    if ordering == "plus_minus":
+        return _compose(p, (hp, hm), (_bracket(p, nf, 0), _bracket(p, nf, -1)))
+    return _compose(p, (hm, hp), (_bracket(p, nf, 0), _bracket(p, nf, +1)))
 
 
 def apply_casimir(f: PlaneFamily, N, ordering: str = "plus_minus") -> PlaneFamily:
-    """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering."""
-    if ordering == "plus_minus":
-        ladder = apply_h_plus(apply_h_minus(f, N), N)
-        diag = _bracket_h3(_bracket_h3(f, N, -1), N, 0)
-    elif ordering == "minus_plus":
-        ladder = apply_h_minus(apply_h_plus(f, N), N)
-        diag = _bracket_h3(_bracket_h3(f, N, +1), N, 0)
-    else:
+    """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering, as
+    one table on the six dilations (q^a u, q^b v), (a, b) in {(0, 0),
+    (0, 2), (2, 0), (2, 2), (-2, 2), (2, -2)}, which both orderings share."""
+    if ordering not in ("plus_minus", "minus_plus"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v),
-                       _map_modes(f, lambda comp: apply_casimir(comp, N, ordering)))
+    nf = float(HalfInt.of(N))
+    return _stencil(f, lambda p: _casimir(p, nf, ordering),
+                    _map_modes(f, lambda comp: apply_casimir(comp, N, ordering)))
 
 
 @dataclass(frozen=True)

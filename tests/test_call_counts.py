@@ -2,12 +2,12 @@
 and every distinct argument of Q_{1/2} is evaluated once, by two L
 quadratures on the circle and by one product at J = 1/2 at real q; psi
 builds each (J, M, N, p) record once and evaluates each distinct input
-once; the stencil suites evaluate each (J, N) tower whole, in a few psi
-calls; the suite scalar products of one batch that share the same modes
-are one converged radial integral, and at least 95% of the products take
-one integrand call; gram hands over only the pairs of equal weight M.
-Each test empties the memos whose hits would hide the evaluations it
-counts."""
+once; the stencil suites evaluate each (J, N) tower whole, in three psi
+calls, two of which evaluate; the suite scalar products of one batch that
+share the same modes are one converged radial integral, and at least 95%
+of the products take one integrand call; gram hands over only the pairs
+of equal weight M.  Each test empties the memos whose hits would hide the
+evaluations it counts."""
 from collections import Counter
 
 import numpy as np
@@ -158,10 +158,10 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     monkeypatch.setattr(qops, "psi", recorded_psi)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(evaluated) == len(set(evaluated)) == 126
-    # 122 of the 248 calls are repeats; gram's batch asks for each state
+    assert len(evaluated) == len(set(evaluated)) == 117
+    # 113 of the 230 calls are repeats; gram's batch asks for each state
     # once per form term and level, not once per pair
-    assert len(calls) == 248
+    assert len(calls) == 230
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
@@ -177,7 +177,7 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 36, 0), (QParam.positive_real(0.367879), None, 0, 18)],
+    (QParam.unit_circle(0.2), 3, 34, 0), (QParam.positive_real(0.367879), None, 0, 17)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
@@ -339,8 +339,7 @@ def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
                          ids=["tau0.2", "q0.8"])
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     # per (J, N), each call carrying the whole tower: the reference values,
-    # then one call for the H+H- or H-H+ tree and one for the bracket tree of
-    # each Casimir ordering
+    # then one call on the six dilations of each Casimir ordering
     calls = []
     psi = qspecial.psi
 
@@ -353,25 +352,33 @@ def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     assert cases and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
     per_pair = Counter((J, N) for J, _, N in calls)
-    assert len(per_pair) == len(cases) and max(per_pair.values()) <= 5
+    assert len(per_pair) == len(cases) and set(per_pair.values()) == {3}
 
 
-def test_ladder_and_casimir_call_psi_at_most_eight_times_per_tower(monkeypatch):
-    # the tower, its H+ and its H-; then the five calls of the Casimir suite
-    calls = []
-    psi = qspecial.psi
+@pytest.mark.parametrize("suite", ["ladder", "casimir"])
+def test_ladder_and_casimir_call_psi_three_times_per_tower(monkeypatch, suite):
+    # ladder: the tower, its H+ and its H-, whose three dilations are those
+    # of H+; casimir: the tower and its two orderings, whose six dilations
+    # are shared.  So each suite evaluates psi twice per tower: 27 calls and
+    # 18 evaluations for the 9 towers up to J 3
+    _empty(monkeypatch, qspecial._psi_memo)
+    calls, evaluated = [], []
+    psi, uncached = qspecial.psi, qspecial._psi_rows
 
     def recorded_psi(J, M, N, p, u, v):
         calls.append((HalfInt.of(J), M, HalfInt.of(N)))
         return psi(J, M, N, p, u, v)
 
+    def counted(*args):
+        evaluated.append(args)
+        return uncached(*args)
+
     monkeypatch.setattr(qops, "psi", recorded_psi)
-    p = QParam.positive_real(1.3)
-    cases = run_suite("ladder", p) + run_suite("casimir", p)
-    assert cases and all(c.passed for c in cases)
+    monkeypatch.setattr(qspecial, "_psi_rows", counted)
+    cases = run_suite(suite, QParam.positive_real(1.3), j_max=3)
+    assert len(cases) == 9 and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
-    per_pair = Counter((J, N) for J, _, N in calls)
-    assert len(per_pair) == len(cases) // 2 and max(per_pair.values()) <= 8
+    assert (len(calls), len(evaluated)) == (27, 18)
 
 
 # the L argument 1e-4 e^(i(pi - 9e-7)) at tau = 1 sits within the margin of
