@@ -123,11 +123,11 @@ def _stencil(f: PlaneFamily, table: Callable, meta: Optional[tuple]) -> PlaneFam
         if p.regime is Regime.CLASSICAL:
             raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
         terms = table(p)
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-        for x, k, name in ((u, 2, "h_plus stencil is singular at u"),
-                           (v, 3, "h_minus stencil is singular at v")):
-            if any(key[k] < 0 for key in terms) and np.any(x == 0):
-                raise ValueError(f"{name} = 0")
+        u, v = np.broadcast_arrays(np.asarray(u, complex), np.asarray(v, complex))
+        for x, k, msg in ((u, 2, "h_plus stencil is singular at u = 0"),
+                          (v, 3, "h_minus stencil is singular at v = 0")):
+            if np.any(x == 0) and min(key[k] for key in terms) < 0:
+                raise ValueError(msg)
         dil = sorted({key[:2] for key in terms})
         out = f(p, np.stack([p.power(a) * u for a, _ in dil]),
                 np.stack([p.power(b) * v for _, b in dil]))
