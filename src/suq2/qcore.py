@@ -306,12 +306,15 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
     (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
     or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
-    normal range is refused, as are more than PRODUCT_MAX_FACTORS steps."""
+    normal range is refused, as are more than PRODUCT_MAX_FACTORS steps or
+    start factors (past the cap the factors, each at least 1 and most at
+    least 2, leave the float range)."""
     J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
     count = (J.twice - J0.twice) // 2
     _check_cap(count, f"R for (J,M,N)=({J},{M},{N}) needs {count} recurrence steps")
     mn = (M + N).to_int()
     k0 = max(0, -mn)
+    _check_cap(k0, f"R for (J,M,N)=({J},{M},{N}) needs {k0} start factors")
     c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
          math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
     if not sys.float_info.min <= abs(c) < math.inf:

@@ -137,6 +137,17 @@ class TestEvalErrors:
                             "--grid", "1:2"], capsys)
         assert code == 2 and "lo:hi:n" in err
 
+    @pytest.mark.parametrize("grid,msg", [("a:b:3", "--grid must be lo:hi:n with numeric fields"),
+                                          ("0:1:0", "--grid needs n >= 1")])
+    def test_grid_fields_rejected(self, grid, msg, capsys):
+        code, out, err = run(["eval", "--fn", "qnum", "--q", "2", "--grid", grid], capsys)
+        assert code == 2 and out == "" and err == f"error: {msg}\n"
+
+    def test_r_without_n_rejected(self, capsys):
+        code, out, err = run(["eval", "--fn", "R", "--J", "1", "--M", "0", "--q", "1.5",
+                              "--eta", "0.5"], capsys)
+        assert code == 2 and out == "" and err == "error: --fn R requires --N\n"
+
     def test_qfact_non_integer_point(self, capsys):
         code, _, err = run(["eval", "--fn", "qfact", "--x", "1.5", "--q", "2"], capsys)
         assert code == 2 and "integer" in err
@@ -296,6 +307,20 @@ class TestEvalErrors:
                              capsys)
         assert code == 2 and out == ""
         assert err == "error: Q_J for J = 100001 needs 100001 finite factors, past the cap of 100000\n"
+
+    def test_r_start_past_the_cap_is_refused_before_its_product(self, capsys):
+        # M + N = -2e7: the start is a product of 2e7 q-numbers, each at
+        # least 1, which took seconds before it left the float range
+        code, out, err = run(["eval", "--fn", "R", "--J", "1e7", "--M=-1e7", "--N=-1e7",
+                              "--q", "1", "--eta", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: R for (J,M,N)=(10000000,-10000000,-10000000) needs 20000000 "
+                       "start factors, past the cap of 100000\n")
+        # at the cap the product runs, and leaves the float range
+        code, out, err = run(["eval", "--fn", "R", "--J", "5e4", "--M=-5e4", "--N=-5e4",
+                              "--q", "1", "--eta", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: R for (J,M,N)=(50000,-50000,-50000) leaves the float range at q = 1.0\n"
 
     def test_l_on_the_negative_real_axis_is_one_error_line(self, capsys):
         # a RuntimeWarning on the way fails the test

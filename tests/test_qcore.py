@@ -72,6 +72,10 @@ class TestHalfInt:
         assert str(a) == "3/2"
         assert str(HalfInt.of(2)) == "2"
 
+    def test_to_int_refuses_a_half_integer(self):
+        with pytest.raises(ValueError, match="^1/2 is not an integer$"):
+            HalfInt(1).to_int()
+
     def test_of_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             HalfInt.of(0.3)

@@ -258,6 +258,12 @@ class TestRRecurrence:
         with pytest.raises(ValueError, match=r"\[120\]! leaves the float range at q = 1.3"):
             r_polynomial(61, 60, 60, p, 0.5)
 
+    def test_a_start_out_of_the_float_range_is_refused(self):
+        # M + N < 0: the start c = [2 J0]!/[J0 + max(M, N)]! is 200! at q = 1
+        with pytest.raises(ValueError, match=re.escape(
+                "R for (J,M,N)=(200,-100,-100) leaves the float range at q = 1.0")):
+            r_polynomial(200, -100, -100, QParam.classical(), 0.5)
+
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -1559,6 +1565,12 @@ class TestInfiniteProductCount:
         K = int(K[0])
         first = mpmath_first_factor_within(q, J, eta, stop_gap(q), K + 2)
         assert 0 <= K - first <= 1
+
+    def test_a_multiplier_out_of_the_float_range_is_refused(self):
+        # at q < 1 the denominators' multipliers are q^(2k - 2J); q^-4
+        # overflows at q = 1e-200
+        with pytest.raises(ValueError, match="^infinite-product multiplier overflows at q = 1e-200$"):
+            q_infinite_product(2, QParam.positive_real(1e-200), 1.0)
 
     @pytest.mark.parametrize("q", [1e-200, 1e200])
     @pytest.mark.parametrize("J", [-1.5, 0.5, 3])
