@@ -285,8 +285,9 @@ class TestStackedStencils:
 
     @pytest.mark.parametrize("M,rows", [(0.5, ()), ((1.5, 0.5, -0.5, -1.5), (4,))],
                              ids=["member", "tower"])
-    @pytest.mark.parametrize("ordering", ["plus_minus", "minus_plus"])
-    def test_casimir_reaches_psi_once_on_six_dilations(self, M, rows, ordering):
+    @pytest.mark.parametrize("op,dilations", [("h_plus", 3), ("h_minus", 3),
+                                              ("casimir_plus_minus", 6), ("casimir_minus_plus", 6)])
+    def test_stencils_reach_psi_once_on_their_dilations(self, op, dilations, M, rows):
         shapes = []
         base = psi_family(1.5, M, 0.5)
 
@@ -294,8 +295,8 @@ class TestStackedStencils:
             shapes.append(np.shape(u))
             return base(p, u, v)
         u, v = sample_points()
-        got = apply_casimir(PlaneFamily(recorded), 0.5, ordering)(P_TWO, u, v)
-        assert shapes == [(6, u.size)]
+        got = STACKED_CASES[op][0](PlaneFamily(recorded), 0.5)(P_TWO, u, v)
+        assert shapes == [(dilations, u.size)]
         assert got.shape == rows + (u.size,)
 
     @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
@@ -305,18 +306,6 @@ class TestStackedStencils:
         for ordering in ("plus_minus", "minus_plus"):
             dilations = sorted({key[:2] for key in qops._casimir(p, N, ordering)})
             assert dilations == [(-2, 2), (0, 0), (0, 2), (2, -2), (2, 0), (2, 2)]
-
-    @pytest.mark.parametrize("apply_op", [apply_h_plus, apply_h_minus])
-    def test_ladders_reach_psi_once_on_three_dilations(self, apply_op):
-        shapes = []
-        base = psi_family(1.5, 0.5, 0.5)
-
-        def recorded(p, u, v):
-            shapes.append(np.shape(u))
-            return base(p, u, v)
-        u, v = sample_points()
-        apply_op(PlaneFamily(recorded), 0.5)(P_TWO, u, v)
-        assert shapes == [(3, u.size)]
 
 
 TOWER_STENCILS = {
