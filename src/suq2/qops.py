@@ -1,24 +1,25 @@
 """Generators as q-dilation stencils on plane families, and matrix irreps.
 
 The generators never differentiate.  H+, H-, [H3 + s]_q and the Casimir
-are tables {(a, b, i, j): c}, each the finite q-difference operator
-f -> sum c u^i v^j f(q^a u, q^b v), and q^(a H3): f -> q^(-a N) f(q^-a u,
-q^a v) is exact.  Families keep (u, v) independent (physical slice
-v = conj(u)) because circle-regime dilations move the arguments off it.
+are exact tables (n, {(a, b, i, j): {e: k}}), each the finite q-difference
+operator f -> (q - q^-1)^-n sum (sum k q^e) u^i v^j f(q^a u, q^b v) with
+integer counts k, and q^(a H3): f -> q^(-a N) f(q^-a u, q^a v) is exact.
+Families keep (u, v) independent (physical slice v = conj(u)) because
+circle-regime dilations move the arguments off it.
 
 One evaluator (_stencil) applies every table: it calls the operand once,
 on the table's distinct dilations stacked along a new leading axis.  The
-Casimir is composed from the ladder and bracket tables exactly, so each
-ordering reaches psi once, on the six dilations that both orderings share.
-On a tower (psi_family with a tuple of weights M) the same call carries
-every member of the irrep: they share the radial profile Q_J, which psi
-then evaluates once, and the table acts on the members row by row.
+Casimir is composed from the ladder and bracket tables once, in integers,
+and both orderings give one table on four dilations.  On a tower
+(psi_family with a tuple of weights M) the same call carries every member
+of the irrep: they share the radial profile Q_J, which psi then evaluates
+once, and the table acts on the members row by row.
 
-An operator is built from its operand and the weight N alone, as the
-plane realization is labelled by N alone.  Its table is built from the
-parameter supplied at evaluation time, so operators are parameter-
-covariant: the deformed scalar products evaluate bra-side families at the
-inverted parameter, and covariance makes an operator commute with that.
+An operator and its table are built from its operand and the weight N
+alone, as the plane realization is labelled by N alone; q enters only at
+evaluation, so operators are parameter-covariant: the deformed scalar
+products evaluate bra-side families at the inverted parameter, and
+covariance makes an operator commute with that.
 """
 from __future__ import annotations
 
@@ -115,70 +116,71 @@ def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> Plane
     return PlaneFamily(ev, meta)
 
 
-def _stencil(f: PlaneFamily, table: Callable, meta: Optional[tuple]) -> PlaneFamily:
-    """f under the operator of table(p), a dict {(a, b, i, j): c} standing
-    for f -> sum c u^i v^j f(q^a u, q^b v).  The dilation axis of f's one
-    call sits just before u's axes in its result (after a tower's rows)."""
+def _stencil(f: PlaneFamily, name: str, table: tuple, meta: Optional[tuple]) -> PlaneFamily:
+    """f under the operator name of table (see above); the dilation axis of
+    f's one call sits just before u's axes in its result (after a tower's rows)."""
+    order, terms = table
+    dil = sorted({key[:2] for key in terms})
+
     def ev(p, u, v):
         if p.regime is Regime.CLASSICAL:
             raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
-        terms = table(p)
         u, v = np.broadcast_arrays(np.asarray(u, complex), np.asarray(v, complex))
-        for x, k, msg in ((u, 2, "h_plus stencil is singular at u = 0"),
-                          (v, 3, "h_minus stencil is singular at v = 0")):
+        for x, k, axis in ((u, 2, "u"), (v, 3, "v")):
             if np.any(x == 0) and min(key[k] for key in terms) < 0:
-                raise ValueError(msg)
-        dil = sorted({key[:2] for key in terms})
+                raise ValueError(f"{name} stencil is singular at {axis} = 0")
+        d = (p.power(1) - p.power(-1)) ** order
         out = f(p, np.stack([p.power(a) * u for a, _ in dil]),
                 np.stack([p.power(b) * v for _, b in dil]))
         vals = dict(zip(dil, np.moveaxis(out, -u.ndim - 1, 0)))
-        return sum(c * u**i * v**j * vals[a, b] for (a, b, i, j), c in terms.items())
+        return sum(sum(k * p.power(e) for e, k in c.items()) / d * u**i * v**j * vals[a, b]
+                   for (a, b, i, j), c in terms.items())
     return PlaneFamily(ev, meta)
 
 
-def _h_plus(p: QParam, nf: float) -> dict:
-    d = p.power(1) - p.power(-1)
-    return {(1, 1, -1, 0): -p.power(-nf / 2) / d, (-1, 1, -1, 0): p.power(-nf / 2) / d,
-            (1, 1, 0, 1): -p.power(-nf / 2) / d, (1, -1, 0, 1): p.power(1.5 * nf) / d}
+def _h_plus(nf: float) -> tuple:
+    return 1, {(1, 1, -1, 0): {-nf / 2: -1}, (-1, 1, -1, 0): {-nf / 2: 1},
+               (1, 1, 0, 1): {-nf / 2: -1}, (1, -1, 0, 1): {1.5 * nf: 1}}
 
 
-def _h_minus(p: QParam, nf: float) -> dict:
-    d = p.power(1) - p.power(-1)
-    return {(1, 1, 1, 0): p.power(nf / 2) / d, (-1, 1, 1, 0): -p.power(-1.5 * nf) / d,
-            (1, 1, 0, -1): p.power(nf / 2) / d, (1, -1, 0, -1): -p.power(nf / 2) / d}
+def _h_minus(nf: float) -> tuple:
+    return 1, {(1, 1, 1, 0): {nf / 2: 1}, (-1, 1, 1, 0): {-1.5 * nf: -1},
+               (1, 1, 0, -1): {nf / 2: 1}, (1, -1, 0, -1): {nf / 2: -1}}
 
 
-def _bracket(p: QParam, nf: float, shift: int) -> dict:
+def _bracket(nf: float, shift: int) -> tuple:
     """[H3 + shift]_q = (q^shift q^H3 - q^-shift q^-H3) / (q - q^-1), with
     q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
-    d = p.power(1) - p.power(-1)
-    return {(-1, 1, 0, 0): p.power(shift - nf) / d, (1, -1, 0, 0): -p.power(nf - shift) / d}
+    return 1, {(-1, 1, 0, 0): {shift - nf: 1}, (1, -1, 0, 0): {nf - shift: -1}}
 
 
-def _compose(p: QParam, *products) -> dict:
-    """The table of the sum of the (outer, inner) products: (a, b, i, j)
-    after (a', b', i', j') is (a + a', b + b', i + i', j + j') with
-    coefficient c c' q^(a i' + b j'), and like terms add."""
+def _compose(*products) -> tuple:
+    """The sorted table of the sum of the (outer, inner) products, of one
+    order: orders add, (a, b, i, j) after (a', b', i', j') is (a + a', b + b',
+    i + i', j + j') and q^e after q^e' is q^(e + e' + a i' + b j'); counts of
+    like terms add, and zero counts, then empty coefficients, are dropped."""
     out = {}
-    for outer, inner in products:
+    for (n, outer), (n2, inner) in products:
         for (a, b, i, j), c in outer.items():
             for (a2, b2, i2, j2), c2 in inner.items():
-                key = (a + a2, b + b2, i + i2, j + j2)
-                out[key] = out.get(key, 0) + c * c2 * p.power(a * i2 + b * j2)
-    return out
+                coeff = out.setdefault((a + a2, b + b2, i + i2, j + j2), {})
+                for e, k in c.items():
+                    for e2, k2 in c2.items():
+                        x = e + e2 + a * i2 + b * j2
+                        coeff[x] = coeff.get(x, 0) + k * k2
+    terms = {key: {e: k for e, k in sorted(c.items()) if k} for key, c in sorted(out.items())}
+    return n + n2, {key: c for key, c in terms.items() if c}
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
-    nf = float(HalfInt.of(N))
-    return _stencil(f, lambda p: _h_plus(p, nf),
+    return _stencil(f, "h_plus", _h_plus(float(HalfInt.of(N))),
                     _map_modes(f, lambda comp: apply_h_plus(comp, N), +1))
 
 
 def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
-    nf = float(HalfInt.of(N))
-    return _stencil(f, lambda p: _h_minus(p, nf),
+    return _stencil(f, "h_minus", _h_minus(float(HalfInt.of(N))),
                     _map_modes(f, lambda comp: apply_h_minus(comp, N), -1))
 
 
@@ -191,21 +193,18 @@ def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
                        _map_modes(f, lambda comp: apply_q_h3_power(comp, N, a)))
 
 
-def _casimir(p: QParam, nf: float, ordering: str) -> dict:
-    hp, hm = _h_plus(p, nf), _h_minus(p, nf)
-    if ordering == "plus_minus":
-        return _compose(p, (hp, hm), (_bracket(p, nf, 0), _bracket(p, nf, -1)))
-    return _compose(p, (hm, hp), (_bracket(p, nf, 0), _bracket(p, nf, +1)))
-
-
 def apply_casimir(f: PlaneFamily, N, ordering: str = "plus_minus") -> PlaneFamily:
-    """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering, as
-    one table on the six dilations (q^a u, q^b v), (a, b) in {(0, 0),
-    (0, 2), (2, 0), (2, 2), (-2, 2), (2, -2)}, which both orderings share."""
+    """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering.
+    Both compose to one table, on the four dilations (q^a u, q^b v), (a, b)
+    in {0, 2}^2, i = j in every entry: that the tables are equal is
+    [H+, H-] = [2 H3]_q holding exactly on the realization."""
     if ordering not in ("plus_minus", "minus_plus"):
         raise ValueError(f"unknown ordering {ordering!r}")
     nf = float(HalfInt.of(N))
-    return _stencil(f, lambda p: _casimir(p, nf, ordering),
+    hp, hm = _h_plus(nf), _h_minus(nf)
+    table = (_compose((hp, hm), (_bracket(nf, 0), _bracket(nf, -1))) if ordering == "plus_minus"
+             else _compose((hm, hp), (_bracket(nf, 0), _bracket(nf, +1))))
+    return _stencil(f, "casimir", table,
                     _map_modes(f, lambda comp: apply_casimir(comp, N, ordering)))
 
 
