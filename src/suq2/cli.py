@@ -28,21 +28,12 @@ _FORM_NAMES = {
 }
 
 
-def _qfact(p, pts):
-    vals = []
-    for x in pts:
-        if abs(x - round(x)) > 1e-12:
-            raise SystemExit(_fail(f"qfact needs integer points, got {x}"))
-        vals.append(q_factorial(int(round(x)), p))
-    return vals
-
-
 # each function: the flags it reads, the one that supplies its evaluation
 # point (which --grid replaces) first and then its half-integer parameters,
 # and its values at (p, the points, the parameters)
 _EVAL = {
     "qnum": (("x",), lambda p, pts: [q_number(float(x), p) for x in pts]),
-    "qfact": (("x",), _qfact),
+    "qfact": (("x",), lambda p, pts: [q_factorial(x, p) for x in pts]),
     "R": (("eta", "J", "M", "N"), lambda p, pts, J, M, N: r_polynomial(J, M, N, p, pts)),
     "Q": (("eta", "J"), lambda p, pts, J: q_function(J, p, pts)),
     "L": (("eta",), lambda p, pts: l_function(p, pts)),

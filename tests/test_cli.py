@@ -152,6 +152,13 @@ class TestEvalErrors:
         code, _, err = run(["eval", "--fn", "qfact", "--x", "1.5", "--q", "2"], capsys)
         assert code == 2 and "integer" in err
 
+    def test_qfact_near_integer_point(self, capsys):
+        # within 1e-12 of 3 but not 3: q_factorial refuses it, so eval does
+        code, out, err = run(["eval", "--fn", "qfact", "--x", "3.0000000000001", "--q", "1.5"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert "error: q_factorial needs an integer, got 3.0000000000001" in err
+
     def test_l_real_regime_rejected(self, capsys):
         code, _, err = run(["eval", "--fn", "L", "--q", "2", "--eta", "1"], capsys)
         assert code == 2 and "unit-circle" in err
