@@ -263,11 +263,11 @@ def _check_sector(J: HalfInt, p: QParam):
                          f"got tau={p.value!r}")
 
 
-def _check_cap(count: int, what: str) -> None:
-    """Refuse what, a list of count entries, past PRODUCT_MAX_FACTORS before
-    it is built."""
+def _check_cap(count: int, what: str, *args) -> None:
+    """Refuse what.format(*args), a list of count entries, past
+    PRODUCT_MAX_FACTORS before it is built; only a refusal formats it."""
     if count > PRODUCT_MAX_FACTORS:
-        raise ValueError(f"{what}, past the cap of {PRODUCT_MAX_FACTORS}")
+        raise ValueError(f"{what.format(*args)}, past the cap of {PRODUCT_MAX_FACTORS}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -311,10 +311,10 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     least 2, leave the float range)."""
     J0 = HalfInt(max(abs(M.twice), abs(N.twice)))
     count = (J.twice - J0.twice) // 2
-    _check_cap(count, f"R for (J,M,N)=({J},{M},{N}) needs {count} recurrence steps")
+    _check_cap(count, "R for (J,M,N)=({},{},{}) needs {} recurrence steps", J, M, N, count)
     mn = (M + N).to_int()
     k0 = max(0, -mn)
-    _check_cap(k0, f"R for (J,M,N)=({J},{M},{N}) needs {k0} start factors")
+    _check_cap(k0, "R for (J,M,N)=({},{},{}) needs {} start factors", J, M, N, k0)
     c = (1.0 / _factorial(fact, mn, p) if mn >= 0 else
          math.prod(q_number(J0.twice - k0 + i, p) for i in range(1, k0 + 1)))
     if not sys.float_info.min <= abs(c) < math.inf:

@@ -217,7 +217,7 @@ def _finite_factors(J: HalfInt, p: QParam, arr):
     Q_J = Q_(J mod 1) / prod, for J >= 0, on eta's flattened array.  A
     vanishing factor, a pole of Q, raises and is named by k = J-1-j, as
     the factor 1 + q^(2k-2J) eta; the smallest such k is named."""
-    _check_cap(J.twice // 2, f"Q_J for J = {J} needs {J.twice // 2} finite factors")
+    _check_cap(J.twice // 2, "Q_J for J = {} needs {} finite factors", J, J.twice // 2)
     factors = 1.0 + _powers(HalfInt(J.twice % 2), J, p, -1, -2) * arr.reshape(-1)
     small = np.abs(factors) < POLE_TOL
     if small.any():
@@ -292,7 +292,7 @@ def _infinite_product(J, q, arr):
         raise ValueError(f"infinite-product factor k=0 overflows at |eta| = {amax:g}")
     last = _last_factors(q, Jf, abs_eta)
     count = int(last.max()) + 1
-    _check_cap(count, f"infinite product needs {count} factors at q = {q!r}")
+    _check_cap(count, "infinite product needs {} factors at q = {!r}", count, q)
     rows = max(1, BLOCK_ELEMENTS // flat.size)
     for start in range(0, count, rows):
         ks = range(start, min(start + rows, count))

@@ -244,6 +244,23 @@ def test_psi_errors_fire_on_every_call(monkeypatch):
     assert qspecial._psi_record.cache_info().currsize == 0
 
 
+def test_cap_checks_format_their_messages_only_on_refusal(monkeypatch):
+    # R's steps and start factors and Q's finite factors are checked against
+    # the cap on every evaluation; below it no label is formatted
+    qspecial._psi_record.cache_clear()
+    formatted = []
+    text = HalfInt.__str__
+    monkeypatch.setattr(HalfInt, "__str__", lambda self: formatted.append(self) or text(self))
+    p, eta = QParam.positive_real(1.3), np.array([0.5, 2.0])
+    qspecial.r_polynomial(3, -2, -1, p, eta)
+    qspecial.q_function(3, p, eta)
+    qspecial.psi(3, (2, -1), 1, p, eta, eta)
+    assert formatted == []
+    with pytest.raises(ValueError, match="^Q_J for J = 100001 needs 100001 finite factors, past"):
+        qspecial.q_function(100001, p, eta)
+    assert formatted
+
+
 @pytest.mark.parametrize("p,N", [(QParam.positive_real(0.8), 0.5), (QParam.unit_circle(0.2), 0)],
                          ids=["q0.8-N0.5", "tau0.2"])
 def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
