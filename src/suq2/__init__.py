@@ -29,6 +29,7 @@ from .qops import (
     combine,
     matrix_irrep,
     psi_family,
+    psi_tower,
     with_fixed_param,
 )
 from .qspecial import (
@@ -56,7 +57,8 @@ __all__ = [
     "PlaneIntegral", "radial_integral",
     "IrrepMatrices", "PlaneFamily", "apply_casimir",
     "apply_h_minus", "apply_h_plus", "apply_q_h3_power",
-    "casimir_matrix", "combine", "matrix_irrep", "psi_family", "with_fixed_param",
+    "casimir_matrix", "combine", "matrix_irrep", "psi_family", "psi_tower",
+    "with_fixed_param",
     "GramReport", "adjoint_residual", "b_one", "gram",
     "hermitian_symmetry_residual", "inner",
     "SUITE_NAMES", "Case", "run_suite",

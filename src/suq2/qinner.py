@@ -151,19 +151,21 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
 def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam, N) -> float:
     """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual, for
     the operators of weight N; the scalar products and the operators all
-    read the one parameter p.
+    read the one parameter p.  The four scalar products are one _products
+    call, so those that share modes share one radial integral.
 
     The H3 surrogate pairs q^(2H3) on the ket with its adjoint on the bra:
     itself in the real regime (the dilation is then symmetric), its inverse
     on the circle (the dilation is unitary there).
     """
-    r_plus = abs(inner(f, apply_h_plus(g, N), p) - inner(apply_h_minus(f, N), g, p))
     bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
-    r_h3 = abs(inner(f, apply_q_h3_power(g, N, 2.0), p)
-               - inner(apply_q_h3_power(f, N, bra_power), g, p))
-    return max(r_plus, r_h3)
+    plus, minus, h3_ket, h3_bra = _products(
+        [(f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
+         (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)], p)
+    return max(abs(plus - minus), abs(h3_ket - h3_bra))
 
 
 def hermitian_symmetry_residual(f: PlaneFamily, g: PlaneFamily, p: QParam) -> float:
-    """|conj(<f|g>) - <g|f>|."""
-    return abs(np.conj(inner(f, g, p)) - inner(g, f, p))
+    """|conj(<f|g>) - <g|f>|, from one _products call."""
+    fg, gf = _products([(f, g), (g, f)], p)
+    return abs(np.conj(fg) - gf)

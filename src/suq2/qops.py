@@ -7,13 +7,18 @@ integer counts k, and q^(a H3): f -> q^(-a N) f(q^-a u, q^a v) is exact.
 Families keep (u, v) independent (physical slice v = conj(u)) because
 circle-regime dilations move the arguments off it.
 
-One evaluator (_stencil) applies every table: it calls the operand once,
-on the table's distinct dilations stacked along a new leading axis.  The
-Casimir is composed from the ladder and bracket tables once, in integers,
-and both orderings give one table on four dilations.  On a tower
-(psi_family with a tuple of weights M) the same call carries every member
-of the irrep: they share the radial profile Q_J, which psi then evaluates
-once, and the table acts on the members row by row.
+One evaluator (_apply) applies every table, by the eta-shift of its
+operand: a family f of mode m is u^alpha v^beta G(uv) with beta - alpha =
+m, so f(q^a u, q^b v) = q^(-a m) f(u, q^(a+b) v).  It calls the operand
+once, on the stack (u, q^s v) of the distinct s = a + b of its tables and
+s = 0, which gives the operand's own values too: two rows for H+ or H-,
+three for the Casimir.  The operand's mode is read from the decomposition
+of the family a stencil acts on, so a family without one is refused.  The
+Casimir is composed from the ladder and bracket tables, in integers, and
+both orderings give one table.  Each table is built once per N and its
+coefficients are evaluated once per q.  psi_tower applies H+, H- and both
+Casimir orderings to a whole (J, N) tower from one psi call, whose rows
+have the modes M + N.
 
 An operator and its table are built from its operand and the weight N
 alone, as the plane realization is labelled by N alone; q enters only at
@@ -23,6 +28,7 @@ covariance makes an operator commute with that.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -36,8 +42,9 @@ from .qcore import (
     check_not_root_of_unity,
     m_values,
     q_number,
+    validate_triple,
 )
-from .qspecial import _weights, psi
+from .qspecial import psi
 
 
 @dataclass(frozen=True)
@@ -61,26 +68,19 @@ class PlaneFamily:
 
 
 def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> Optional[tuple]:
-    """The decomposition of a linear operator applied to f: op on each of
-    f's components, their modes shifted by shift; None if f has none."""
+    """The decomposition of a linear operator applied to f: op(component,
+    mode) on each of f's components, their modes shifted by shift; None if
+    f has none."""
     if f.meta is None:
         return None
-    return tuple((c, op(comp), m + shift) for c, comp, m in f.meta)
+    return tuple((c, op(comp, m), m + shift) for c, comp, m in f.meta)
 
 
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot.  It is
-    one component of mode M + N, with coefficient 1.
-
-    A tuple M gives the tower of those members instead, stacked along a new
-    first axis from one psi call (see psi).  Its rows have different modes,
-    so it carries no decomposition (meta = None), and inner rejects it.
-    """
-    J, N = HalfInt.of(J), HalfInt.of(N)
-    ms = _weights(J, M, N)
-    if isinstance(M, tuple):
-        return PlaneFamily(lambda p, u, v: psi(J, ms, N, p, u, v))
-    (M,) = ms
+    one component of mode M + N, with coefficient 1."""
+    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+    validate_triple(J, M, N)
     mode = PlaneFamily(lambda p, u, v: psi(J, M, N, p, u, v))
     return PlaneFamily(mode.evaluator, meta=((1, mode, (M + N).to_int()),))
 
@@ -94,7 +94,7 @@ def with_fixed_param(f: PlaneFamily, p0: QParam) -> PlaneFamily:
     does not depend on the parameter).
     """
     return PlaneFamily(lambda p, u, v: f(p0, u, v),
-                       meta=_map_modes(f, lambda comp: with_fixed_param(comp, p0)))
+                       meta=_map_modes(f, lambda comp, m: with_fixed_param(comp, p0)))
 
 
 def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> PlaneFamily:
@@ -113,28 +113,6 @@ def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> Plane
     meta = None
     if all(f.meta is not None for f in fs):
         meta = tuple((c * cf, comp, m) for c, f in zip(cs, fs) for cf, comp, m in f.meta)
-    return PlaneFamily(ev, meta)
-
-
-def _stencil(f: PlaneFamily, name: str, table: tuple, meta: Optional[tuple]) -> PlaneFamily:
-    """f under the operator name of table (see above); the dilation axis of
-    f's one call sits just before u's axes in its result (after a tower's rows)."""
-    order, terms = table
-    dil = sorted({key[:2] for key in terms})
-
-    def ev(p, u, v):
-        if p.regime is Regime.CLASSICAL:
-            raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
-        u, v = np.broadcast_arrays(np.asarray(u, complex), np.asarray(v, complex))
-        for x, k, axis in ((u, 2, "u"), (v, 3, "v")):
-            if np.any(x == 0) and min(key[k] for key in terms) < 0:
-                raise ValueError(f"{name} stencil is singular at {axis} = 0")
-        d = (p.power(1) - p.power(-1)) ** order
-        out = f(p, np.stack([p.power(a) * u for a, _ in dil]),
-                np.stack([p.power(b) * v for _, b in dil]))
-        vals = dict(zip(dil, np.moveaxis(out, -u.ndim - 1, 0)))
-        return sum(sum(k * p.power(e) for e, k in c.items()) / d * u**i * v**j * vals[a, b]
-                   for (a, b, i, j), c in terms.items())
     return PlaneFamily(ev, meta)
 
 
@@ -172,40 +150,145 @@ def _compose(*products) -> tuple:
     return n + n2, {key: c for key, c in terms.items() if c}
 
 
+@functools.lru_cache(maxsize=256)
+def _table(op: tuple, nf: float) -> tuple:
+    """The table of op at weight nf, built once per N: op is ("h_plus",),
+    ("h_minus",) or ("casimir", ordering), H+H- + [H3][H3-1] for the
+    ordering plus_minus, H-H+ + [H3][H3+1] for minus_plus."""
+    if op == ("h_plus",):
+        return _h_plus(nf)
+    if op == ("h_minus",):
+        return _h_minus(nf)
+    hp, hm = _h_plus(nf), _h_minus(nf)
+    if op == ("casimir", "plus_minus"):
+        return _compose((hp, hm), (_bracket(nf, 0), _bracket(nf, -1)))
+    return _compose((hm, hp), (_bracket(nf, 0), _bracket(nf, +1)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _coefficients(op: tuple, nf: float, p: QParam) -> tuple:
+    """op's table at weight nf evaluated at p, once per (table, p), its
+    terms grouped by eta-shift s = a + b and monomial u^i v^j: the groups
+    (s, i, j), the dilations a, and the (group, a) matrix of the sums
+    (sum k q^e) / (q - q^-1)^n of the group's terms of that a."""
+    order, terms = _table(op, nf)
+    d = (p.power(1) - p.power(-1)) ** order
+    groups = sorted({(a + b, i, j) for a, b, i, j in terms})
+    dilations = sorted({key[0] for key in terms})
+    coef = np.zeros((len(groups), len(dilations)), complex)
+    for (a, b, i, j), c in terms.items():
+        coef[groups.index((a + b, i, j)), dilations.index(a)] += \
+            sum(k * p.power(e) for e, k in c.items()) / d
+    return tuple(groups), tuple(dilations), coef
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(ops: tuple, nf: float, p: QParam, modes) -> tuple:
+    """What _apply reads for ops at weight nf and p on an operand of mode
+    modes, or of a tuple of modes by leading row: the eta-shifts, 0 first;
+    the shift index and the powers i, j of u^i v^j of each product term;
+    and for each table the slice of its terms and its coefficients, each
+    group's sum over a of its coefficient times q^(-a m) (a row array for a
+    tuple of modes; a member and a tower row take the same arithmetic)."""
+    tables = [_coefficients(op, nf, p) for op in ops]
+    rows = modes if isinstance(modes, tuple) else (modes,)
+    powers = {a: [p.power(-a * m) for m in rows] for _, dilations, _ in tables for a in dilations}
+    shifts = sorted({0}.union(*({s for s, _, _ in groups} for groups, _, _ in tables)))
+    terms, out = [], []
+    for groups, dilations, coef in tables:
+        c = (coef[:, :, None] * np.array([powers[a] for a in dilations])).sum(axis=1)
+        out.append((slice(len(terms), len(terms) + len(groups)),
+                    c if isinstance(modes, tuple) else c[:, 0]))
+        terms += [(shifts.index(s), i, j) for s, i, j in groups]
+    s_idx, i_pow, j_pow = (np.array(col) for col in zip(*terms))
+    return tuple(shifts), s_idx, i_pow, j_pow, tuple(out)
+
+
+def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
+    """f's own values, then each operator of ops at weight nf on f, from one
+    call of f on the stack (u, q^s v) of s = 0 and the eta-shifts of ops.
+    modes is f's mode, or a tuple of the modes of its leading rows; each
+    term's f(q^a u, q^b v) is q^(-a m) times the row s = a + b, and each
+    table's terms are summed in order."""
+    if p.regime is Regime.CLASSICAL:
+        raise ValueError("stencil evaluation needs a deformed parameter (q != 1)")
+    u, v = np.broadcast_arrays(np.asarray(u, complex), np.asarray(v, complex))
+    shifts, s_idx, i_pow, j_pow, tables = _plan(ops, nf, p, modes)
+    for x, k, axis in ((u, i_pow, "u"), (v, j_pow, "v")):
+        if k.min() < 0 and not x.all():
+            op = next(op for op, (terms, _) in zip(ops, tables) if k[terms].min() < 0)
+            raise ValueError(f"{op[0]} stencil is singular at {axis} = 0")
+    out = f(p, np.broadcast_to(u, (len(shifts),) + u.shape),
+            np.stack([p.power(s) * v if s else v for s in shifts]))
+    rows = np.moveaxis(out, -u.ndim - 1, 0)
+    by_term = (-1,) + (1,) * (rows.ndim - 1)
+    x = rows[s_idx] * (u ** i_pow.reshape(by_term) * v ** j_pow.reshape(by_term))
+    return [rows[0]] + [(c.reshape(c.shape + (1,) * (x.ndim - c.ndim)) * x[terms]).sum(axis=0)
+                        for terms, c in tables]
+
+
+def _stencil(f: PlaneFamily, op: tuple, N, shift: int) -> PlaneFamily:
+    """f under the operator op of weight N: each component of f's
+    decomposition, of mode m, under op from one call of it (_apply's
+    one-table case), of mode m + shift; the family is their sum."""
+    if f.meta is None:
+        raise ValueError(f"the {op[0]} stencil needs families with a Fourier decomposition")
+    nf = float(HalfInt.of(N))
+    meta = _map_modes(f, lambda comp, m: PlaneFamily(
+        lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1]), shift)
+
+    def ev(p, u, v):
+        acc = None
+        for c, comp, _ in meta:
+            val = comp(p, u, v) if c == 1 else c * comp(p, u, v)
+            acc = val if acc is None else acc + val
+        return acc
+    return PlaneFamily(ev, meta)
+
+
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
-    return _stencil(f, "h_plus", _h_plus(float(HalfInt.of(N))),
-                    _map_modes(f, lambda comp: apply_h_plus(comp, N), +1))
+    return _stencil(f, ("h_plus",), N, +1)
 
 
 def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
-    return _stencil(f, "h_minus", _h_minus(float(HalfInt.of(N))),
-                    _map_modes(f, lambda comp: apply_h_minus(comp, N), -1))
+    return _stencil(f, ("h_minus",), N, -1)
 
 
 def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
-    """q^(a H3): f -> q^(-a N) f(q^-a u, q^a v); exact, no differencing."""
+    """q^(a H3): f -> q^(-a N) f(q^-a u, q^a v); exact, no differencing.
+    It keeps its dilated arguments: its eta-shift is 0, so by the
+    eta-shift it would be a power of q times f's own values."""
     nf = float(HalfInt.of(N))
     return PlaneFamily(lambda p, u, v: p.power(-a * nf)
                        * f(p, p.power(-a) * np.asarray(u, complex),
                            p.power(a) * np.asarray(v, complex)),
-                       _map_modes(f, lambda comp: apply_q_h3_power(comp, N, a)))
+                       _map_modes(f, lambda comp, m: apply_q_h3_power(comp, N, a)))
 
 
 def apply_casimir(f: PlaneFamily, N, ordering: str = "plus_minus") -> PlaneFamily:
     """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering.
     Both compose to one table, on the four dilations (q^a u, q^b v), (a, b)
-    in {0, 2}^2, i = j in every entry: that the tables are equal is
-    [H+, H-] = [2 H3]_q holding exactly on the realization."""
+    in {0, 2}^2, i = j in every entry, so on the eta-shifts 0, 2 and 4:
+    that the tables are equal is [H+, H-] = [2 H3]_q holding exactly on
+    the realization."""
     if ordering not in ("plus_minus", "minus_plus"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    nf = float(HalfInt.of(N))
-    hp, hm = _h_plus(nf), _h_minus(nf)
-    table = (_compose((hp, hm), (_bracket(nf, 0), _bracket(nf, -1))) if ordering == "plus_minus"
-             else _compose((hm, hp), (_bracket(nf, 0), _bracket(nf, +1))))
-    return _stencil(f, "casimir", table,
-                    _map_modes(f, lambda comp: apply_casimir(comp, N, ordering)))
+    return _stencil(f, ("casimir", ordering), N, 0)
+
+
+def psi_tower(J, N, p: QParam, u, v) -> tuple:
+    """The (J, N) tower at (u, v): its members, their H+, their H-, and
+    their Casimir in the orderings plus_minus and minus_plus, each stacked
+    by M = J, J-1, ..., -J on a new first axis, from one psi call on the
+    tower's weights, whose rows have the modes M + N (see _apply)."""
+    J, N = HalfInt.of(J), HalfInt.of(N)
+    ms = tuple(m_values(J))
+    modes = tuple((m + N).to_int() for m in ms)
+    return tuple(_apply(lambda p, u, v: psi(J, ms, N, p, u, v), modes,
+                        (("h_plus",), ("h_minus",), ("casimir", "plus_minus"),
+                         ("casimir", "minus_plus")), float(N), p, u, v))
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
+from .qcore import HalfInt, QParam, Regime, j_values, q_number
 from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
 from .qops import (
-    apply_casimir,
-    apply_h_minus,
-    apply_h_plus,
+    PlaneFamily,
     casimir_matrix,
     combine,
     matrix_irrep,
     psi_family,
+    psi_tower,
     with_fixed_param,
 )
 from .qspecial import q_function, vilenkin
@@ -100,9 +99,18 @@ def _rel(diff, *terms) -> float:
     return float(np.max(np.abs(diff))) / scale
 
 
-def _half_range(j_max) -> list:
-    j_max = HalfInt.of(j_max)
-    return [HalfInt(t) for t in range(1, j_max.twice + 1)]
+def _rel_rows(diff, *terms) -> float:
+    """The largest over the leading rows of _rel of each row, in one pass."""
+    def row_max(x):
+        return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+    scale = np.maximum(1.0, np.max([row_max(t) for t in terms], axis=0))
+    return float(np.max(row_max(diff) / scale))
+
+
+def _half_range(j_max):
+    """J = 1/2, 1, ..., j_max, made one at a time: a suite that a J refuses
+    stops before the labels past it are made."""
+    return map(HalfInt, range(1, HalfInt.of(j_max).twice + 1))
 
 
 def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
@@ -142,22 +150,20 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
     """H+ and H- on every member of each (J, N) tower against the transposed
     irrep matrices acting on the tower's rows: the neighbour times the
     matrix element, or 0 at the top and at the bottom.  Each tower is
-    evaluated whole (psi_family with the tuple of its weights), so the
-    members, their H+ and their H- are one psi call each."""
+    evaluated whole, by psi_tower's one psi call."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
         for N in _valid_n(J):
-            tower = psi_family(J, tuple(m_values(J)), N)
-            vals = tower(p, u, v)  # before matrix_irrep: psi's sector refusal comes first
+            # before matrix_irrep: psi's sector refusal comes first
+            vals, h_plus, h_minus, _, _ = psi_tower(J, N, p, u, v)
             ir = matrix_irrep(J, p)
             worst = 0.0
-            for op, mat in ((apply_h_plus, ir.Hplus), (apply_h_minus, ir.Hminus)):
+            for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
                 # einsum, not @: a complex @ goes through BLAS, whose first call
                 # raises the process's peak memory
                 want = np.einsum("ki,kn->in", mat, vals)
-                got = op(tower, N)(p, u, v)
-                worst = max(worst, *(_rel(g - w, w) for g, w in zip(got, want)))
+                worst = max(worst, _rel_rows(got - want, want))
             cases.append(Case(f"ladder J={J} N={N}", worst, tol))
     return cases
 
@@ -165,19 +171,17 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
 def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -> list:
     """Both Casimir orderings on every member of each (J, N) tower against
     [J][J+1] times the member and against each other; each tower is
-    evaluated whole, as in suite_ladder."""
+    evaluated whole, as in suite_ladder, whose psi call it repeats, so
+    that call is a memo hit in an `all` run."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
         for N in _valid_n(J):
             want = q_number(J, p) * q_number(J + 1, p)
-            tower = psi_family(J, tuple(m_values(J)), N)
-            refs = want * tower(p, u, v)
-            pm = apply_casimir(tower, N, "plus_minus")(p, u, v)
-            mp = apply_casimir(tower, N, "minus_plus")(p, u, v)
-            worst = 0.0
-            for ref, a, b in zip(refs, pm, mp):
-                worst = max(worst, _rel(a - ref, ref), _rel(b - ref, ref), _rel(a - b, b))
+            vals, _, _, pm, mp = psi_tower(J, N, p, u, v)
+            refs = want * vals
+            worst = max(_rel_rows(pm - refs, refs), _rel_rows(mp - refs, refs),
+                        _rel_rows(pm - mp, mp))
             cases.append(Case(f"casimir J={J} N={N}", worst, tol))
     return cases
 
@@ -206,26 +210,38 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
     return cases
 
 
+def _state(k: int, N: HalfInt) -> PlaneFamily:
+    """Member k of the N tower, in the order J = |N|, |N|+1, ..., then
+    M = J, J-1, ..., -J: J is the smallest of N's class with more than k
+    states up to it, (J + 1)^2 - N^2 > k, and the J^2 - N^2 states below
+    J come before it."""
+    r = math.isqrt(4 * k + N.twice ** 2)  # 2J + 2 > r, and 2J has the parity of 2N
+    twice_j = r - 1 if (r - 1 - N.twice) % 2 == 0 else r
+    twice_m = twice_j - 2 * k + (twice_j ** 2 - N.twice ** 2) // 2
+    return psi_family(HalfInt(twice_j), HalfInt(twice_m), N)
+
+
 def _span_pairs(j_max, N: HalfInt, seed):
     """Three pairs of random combinations, of 3 and of 2 distinct members
-    of the N tower up to j_max; a tower of fewer than 3 members raises."""
-    rng = _rng(seed)
-    states = []
-    for J in j_values(N, j_max):
-        states.extend(psi_family(J, M, N) for M in m_values(J))
-    if len(states) < 3:
+    of the N tower up to j_max; a tower of fewer than 3 members raises.
+    The tower's ((2 J_top + 2)^2 - (2N)^2)/4 states are counted, not made:
+    only the drawn ones are built."""
+    rng, N = _rng(seed), HalfInt.of(N)
+    twice_top = abs(N.twice) + (HalfInt.of(j_max).twice - abs(N.twice)) // 2 * 2
+    count = max(0, ((twice_top + 2) ** 2 - N.twice ** 2) // 4)
+    if count < 3:
         raise ValueError(f"hermiticity span pairs need at least 3 basis states; the N={N} "
-                         f"tower up to --J-max {HalfInt.of(j_max)} has {len(states)}")
+                         f"tower up to --J-max {HalfInt.of(j_max)} has {count}")
 
     def gaussians(n):  # standard normal real and imaginary parts
         return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
 
     pairs = []
     for _ in range(3):
-        idx_f = rng.sample(range(len(states)), 3)
-        idx_g = rng.sample(range(len(states)), 2)
-        f = combine(gaussians(3), [states[i] for i in idx_f])
-        g = combine(gaussians(2), [states[i] for i in idx_g])
+        idx_f = rng.sample(range(count), 3)
+        idx_g = rng.sample(range(count), 2)
+        f = combine(gaussians(3), [_state(i, N) for i in idx_f])
+        g = combine(gaussians(2), [_state(i, N) for i in idx_g])
         pairs.append((f, g))
     return pairs
 

@@ -2,8 +2,8 @@
 and every distinct argument of Q_{1/2} is evaluated once, by two L
 quadratures on the circle and by one product at J = 1/2 at real q; psi
 builds each (J, M, N, p) record once and evaluates each distinct input
-once; the stencil suites evaluate each (J, N) tower whole, in three psi
-calls, two of which evaluate; the suite scalar products of one batch that
+once; the stencil suites evaluate each (J, N) tower whole, in one psi
+call, which the second of them finds in the memo; the suite scalar products of one batch that
 share the same modes are one converged radial integral, and at least 95%
 of the products take one integrand call; gram hands over only the pairs
 of equal weight M.  Each test empties the memos whose hits would hide the
@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from suq2 import qinner, qops, qspecial, quadrature
+from suq2 import qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam, Regime, m_values
 from suq2.suites import run_suite
 
@@ -80,8 +80,9 @@ def test_casimir_suite_evaluates_each_q_half_argument_once_and_no_leggauss(monke
     assert len(quadratures) == 2 * len(set(keys))  # L at q^-2 eta and at q^-1 eta
 
 
-@pytest.mark.parametrize("suite,q,N", [("casimir", 0.8, 0), ("hermiticity", 1.3, 0.5)])
-def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N):
+@pytest.mark.parametrize("suite,q,N,repeats", [("casimir", 0.8, 0, False),
+                                               ("hermiticity", 1.3, 0.5, True)])
+def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N, repeats):
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._q_half_memo)
     qspecial._psi_record.cache_clear()
@@ -121,7 +122,9 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     assert cases and all(c.passed for c in cases)
     assert len(keys) > len(set(keys))  # the stencils and the quadratures revisit arguments
     assert len(products) == len(set(products)) == len(set(keys))
-    assert len(records) > len(set(records))
+    # casimir reads each record in its one psi call per tower; the scalar
+    # products of hermiticity ask again
+    assert (len(records) > len(set(records))) is repeats
     assert len(norm_constants) == len(set(norm_constants)) == len(set(records))
 
 
@@ -158,10 +161,10 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     monkeypatch.setattr(qops, "psi", recorded_psi)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(evaluated) == len(set(evaluated)) == 117
-    # 113 of the 230 calls are repeats; gram's batch asks for each state
+    assert len(evaluated) == len(set(evaluated)) == 99
+    # 95 of the 194 calls are repeats; gram's batch asks for each state
     # once per form term and level, not once per pair
-    assert len(calls) == 230
+    assert len(calls) == 194
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
@@ -177,7 +180,7 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 34, 0), (QParam.positive_real(0.367879), None, 0, 17)],
+    (QParam.unit_circle(0.2), 3, 30, 0), (QParam.positive_real(0.367879), None, 0, 15)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
@@ -355,8 +358,8 @@ def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
 @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],
                          ids=["tau0.2", "q0.8"])
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
-    # per (J, N), each call carrying the whole tower: the reference values,
-    # then one call on the six dilations of each Casimir ordering
+    # per (J, N), one call carrying the whole tower on its three eta-shifts:
+    # the reference values and both Casimir orderings
     calls = []
     psi = qspecial.psi
 
@@ -369,15 +372,12 @@ def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     assert cases and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
     per_pair = Counter((J, N) for J, _, N in calls)
-    assert len(per_pair) == len(cases) and set(per_pair.values()) == {3}
+    assert len(per_pair) == len(cases) and set(per_pair.values()) == {1}
 
 
-@pytest.mark.parametrize("suite", ["ladder", "casimir"])
-def test_ladder_and_casimir_call_psi_three_times_per_tower(monkeypatch, suite):
-    # ladder: the tower, its H+ and its H-, whose three dilations are those
-    # of H+; casimir: the tower and its two orderings, whose six dilations
-    # are shared.  So each suite evaluates psi twice per tower: 27 calls and
-    # 18 evaluations for the 9 towers up to J 3
+def _count_psi(monkeypatch):
+    """The (J, M, N) of every psi call through qops, and the arguments of
+    every evaluation that the memo does not answer."""
     _empty(monkeypatch, qspecial._psi_memo)
     calls, evaluated = [], []
     psi, uncached = qspecial.psi, qspecial._psi_rows
@@ -392,10 +392,48 @@ def test_ladder_and_casimir_call_psi_three_times_per_tower(monkeypatch, suite):
 
     monkeypatch.setattr(qops, "psi", recorded_psi)
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
+    return calls, evaluated
+
+
+@pytest.mark.parametrize("suite", ["ladder", "casimir"])
+def test_ladder_and_casimir_call_psi_once_per_tower(monkeypatch, suite):
+    # the tower, its H+, its H- and both Casimir orderings from one call on
+    # the eta-shifts 0, 2 and 4: 9 calls and 9 evaluations for the 9
+    # towers up to J 3 (27 and 18 with a call per table)
+    calls, evaluated = _count_psi(monkeypatch)
     cases = run_suite(suite, QParam.positive_real(1.3), j_max=3)
     assert len(cases) == 9 and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
-    assert (len(calls), len(evaluated)) == (27, 18)
+    assert (len(calls), len(evaluated)) == (9, 9)
+
+
+def test_all_run_evaluates_psi_nine_times_for_ladder_and_casimir(monkeypatch):
+    # one evaluation per (J, N) tower: casimir repeats ladder's calls, which
+    # the memo answers (27 evaluations with a psi call per table)
+    _, evaluated = _count_psi(monkeypatch)
+    during = {}
+    for name in ("ladder", "casimir"):
+        def counted(*args, _suite=getattr(suites, f"suite_{name}"), _name=name, **kw):
+            before = len(evaluated)
+            try:
+                return _suite(*args, **kw)
+            finally:
+                during[_name] = len(evaluated) - before
+        monkeypatch.setattr(suites, f"suite_{name}", counted)
+    cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert during == {"ladder": 9, "casimir": 0}
+
+
+def test_all_run_at_tau_0_2_runs_l_on_220_points(monkeypatch):
+    # L point-quadratures: the points of every _l_quadrature call, 420 with
+    # a psi call per table of ladder and casimir
+    _empty(monkeypatch, qspecial._q_half_memo)
+    _empty(monkeypatch, qspecial._psi_memo)
+    runs = _count(monkeypatch, "_l_quadrature")
+    cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
+    assert cases and all(c.passed for c in cases)
+    assert sum(arr.size for _, arr in runs) == 220
 
 
 # the L argument 1e-4 e^(i(pi - 9e-7)) at tau = 1 sits within the margin of

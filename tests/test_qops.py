@@ -16,8 +16,11 @@ from suq2.qops import (
     combine,
     matrix_irrep,
     psi_family,
+    psi_tower,
     with_fixed_param,
 )
+from suq2.qcore import HalfInt
+from suq2.qspecial import psi
 
 LADDER_TOL = 1e-9
 MATRIX_COMM_TOL = 1e-13
@@ -42,12 +45,19 @@ def rel_residual(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
+def single_mode(ev, mode: int) -> PlaneFamily:
+    """The family of evaluator ev, declared as one component of mode mode."""
+    return PlaneFamily(ev, meta=((1, PlaneFamily(ev), mode),))
+
+
 def constant_family(c) -> PlaneFamily:
-    return PlaneFamily(lambda p, u, v: c * np.ones_like(np.asarray(u, dtype=complex) * np.asarray(v, dtype=complex)))
+    return single_mode(lambda p, u, v: c * np.ones_like(np.asarray(u, dtype=complex)
+                                                        * np.asarray(v, dtype=complex)), 0)
 
 
 def monomial_family(j: int, k: int) -> PlaneFamily:
-    return PlaneFamily(lambda p, u, v: np.asarray(u, complex) ** j * np.asarray(v, complex) ** k)
+    return single_mode(lambda p, u, v: np.asarray(u, complex) ** j * np.asarray(v, complex) ** k,
+                       k - j)
 
 
 class TestStencils:
@@ -78,6 +88,15 @@ class TestStencils:
         g = apply_h_plus(monomial_family(1, 1), 0)
         with pytest.raises(ValueError):
             g(QParam.classical(), 1.0, 1.0)
+
+    @pytest.mark.parametrize("op,name", [(apply_h_plus, "h_plus"), (apply_h_minus, "h_minus"),
+                                         (apply_casimir, "casimir")])
+    def test_reject_a_family_without_a_decomposition(self, op, name):
+        # the stencils read the operand's mode from its decomposition
+        raw = PlaneFamily(monomial_family(2, 1).evaluator)
+        with pytest.raises(ValueError, match=f"^the {name} stencil needs families with a "
+                                             "Fourier decomposition$"):
+            op(raw, 0)
 
 
 def ladder_coeff(J, M, sign, p):
@@ -217,132 +236,104 @@ def separate_call_casimir(f, N, ordering):
     return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
 
 
-def casimir_table(nf, ordering):
-    """H+H- + [H3][H3-1] or H-H+ + [H3][H3+1], composed from the ladder and
-    bracket tables."""
-    hp, hm = qops._h_plus(nf), qops._h_minus(nf)
-    if ordering == "plus_minus":
-        return qops._compose((hp, hm), (qops._bracket(nf, 0), qops._bracket(nf, -1)))
-    return qops._compose((hm, hp), (qops._bracket(nf, 0), qops._bracket(nf, +1)))
-
-
-def one_call_per_dilation(table, f, p, u, v):
-    """The operator of table on f, with one call of f per distinct dilation."""
-    order, terms = table
-    d = (p.power(1) - p.power(-1)) ** order
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    vals = {(a, b): f(p, p.power(a) * u, p.power(b) * v) for a, b, _, _ in terms}
-    return sum(sum(k * p.power(e) for e, k in c.items()) / d * u**i * v**j * vals[a, b]
-               for (a, b, i, j), c in terms.items())
-
-
-# each stencil: (the operator, its table at N, its definition with one call
-# of f per dilation of each nested stencil)
-STACKED_CASES = {
-    "h_plus": (apply_h_plus, qops._h_plus, three_call_h_plus),
-    "h_minus": (apply_h_minus, qops._h_minus, three_call_h_minus),
-    "casimir_plus_minus": (lambda f, N: apply_casimir(f, N, "plus_minus"),
-                           lambda nf: casimir_table(nf, "plus_minus"),
-                           lambda f, N: separate_call_casimir(f, N, "plus_minus")),
-    "casimir_minus_plus": (lambda f, N: apply_casimir(f, N, "minus_plus"),
-                           lambda nf: casimir_table(nf, "minus_plus"),
-                           lambda f, N: separate_call_casimir(f, N, "minus_plus")),
+# each stencil: (the operator, its row of psi_tower's result, its definition
+# with one call of f per dilation of each nested stencil, its eta-shifts)
+SHIFT_CASES = {
+    "h_plus": (apply_h_plus, 1, three_call_h_plus, 2),
+    "h_minus": (apply_h_minus, 2, three_call_h_minus, 2),
+    "casimir_plus_minus": (lambda f, N: apply_casimir(f, N, "plus_minus"), 3,
+                           lambda f, N: separate_call_casimir(f, N, "plus_minus"), 3),
+    "casimir_minus_plus": (lambda f, N: apply_casimir(f, N, "minus_plus"), 4,
+                           lambda f, N: separate_call_casimir(f, N, "minus_plus"), 3),
 }
-STACKED_PARAMS = pytest.mark.parametrize("op,q,J,N", [
-    (op, q, J, N) for op in sorted(STACKED_CASES) for q in (0.6, 2.5)
-    for J, N in ((1, 0), (2, 0), (1.5, 0.5), (2.5, 0.5))])
+SHIFT_PARAMS = [QParam.positive_real(2.5), QParam.positive_real(0.6), P_CIRC,
+                QParam.unit_circle(-0.25)]
 
 
-class TestStackedStencils:
-    """A stencil evaluates its operand once, on the stacked distinct
-    dilations of its table; the per-point arithmetic is that of the same
-    table with one call per dilation, and the values are those of the
-    definitions with one call per dilation of each nested stencil."""
+class TestShiftEvaluation:
+    """A stencil calls its operand once, at (u, q^s v) for the distinct
+    eta-shifts s = a + b of its table and s = 0, and takes f(q^a u, q^b v)
+    as q^(-a m) times the row s for an operand of mode m."""
 
-    @STACKED_PARAMS
-    def test_real_q_bits_match_one_call_per_dilation(self, op, q, J, N):
-        p = QParam.positive_real(q)
-        stacked, table, _ = STACKED_CASES[op]
+    @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
+    @pytest.mark.parametrize("p", SHIFT_PARAMS, ids=["q2.5", "q0.6", "tau_pi/17", "tau-0.25"])
+    @pytest.mark.parametrize("J,N", [(1, 0), (2, 0), (1.5, 0.5), (2.5, 0.5)])
+    def test_members_and_towers_match_the_nested_definitions(self, op, p, J, N):
+        # the tables add their terms in another order than the nested
+        # stencils, at other points; the worst difference seen is 3.1e-13,
+        # for H+ on the top member at q 2.5, J 5/2, whose value is rounding
+        # around 0
+        stencil, row, separate, _ = SHIFT_CASES[op]
         u, v = sample_points()
-        for M in np.arange(-J, J + 1, 1.0):
+        tower = psi_tower(J, N, p, u, v)[row]
+        for got_tower, M in zip(tower, np.arange(J, -J - 1, -1.0)):
             f = psi_family(J, M, N)
-            got = stacked(f, N)(p, u, v)
-            want = one_call_per_dilation(table(float(N)), f, p, u, v)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), M
-
-    @STACKED_PARAMS
-    def test_real_q_matches_the_nested_definitions(self, op, q, J, N):
-        # the table adds its terms in another order than the nested
-        # stencils; the worst difference seen is 1.7e-13, for H- on the bottom
-        # member at q 2.5, J 5/2, whose value is rounding around 0
-        p = QParam.positive_real(q)
-        stacked, _, separate = STACKED_CASES[op]
-        u, v = sample_points()
-        for M in np.arange(-J, J + 1, 1.0):
-            f = psi_family(J, M, N)
-            got = stacked(f, N)(p, u, v)
             want = separate(f, N)(p, u, v)
             scale = max(1.0, float(np.max(np.abs(want))))
-            assert got.shape == want.shape
-            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
+            for got in (stencil(f, N)(p, u, v), got_tower):
+                assert got.shape == want.shape
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
 
-    @pytest.mark.parametrize("op", sorted(STACKED_CASES))
-    @pytest.mark.parametrize("tau", [math.pi / 17, -0.25])
-    @pytest.mark.parametrize("J,N", [(1, 0), (1.5, 0.5)])
-    def test_circle_matches_separate_calls(self, op, tau, J, N):
-        # stacking changes the points L is refined over, so only last bits move
-        p = QParam.unit_circle(tau)
-        stacked, _, separate = STACKED_CASES[op]
-        u, v = sample_points()
-        for M in np.arange(-J, J + 1, 1.0):
-            f = psi_family(J, M, N)
-            got = stacked(f, N)(p, u, v)
-            want = separate(f, N)(p, u, v)
-            scale = float(np.max(np.abs(want)))
-            assert float(np.max(np.abs(got - want))) <= 1e-13 * max(scale, 1.0), M
-
-    @pytest.mark.parametrize("M,rows", [(0.5, ()), ((1.5, 0.5, -0.5, -1.5), (4,))],
-                             ids=["member", "tower"])
-    @pytest.mark.parametrize("op,dilations", [("h_plus", 3), ("h_minus", 3),
-                                              ("casimir_plus_minus", 4), ("casimir_minus_plus", 4)])
-    def test_stencils_reach_psi_once_on_their_dilations(self, op, dilations, M, rows):
+    @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
+    def test_a_stencil_calls_its_operand_once_on_its_shifts(self, op):
         shapes = []
-        base = psi_family(1.5, M, 0.5)
+        base = psi_family(1.5, 0.5, 0.5)
 
         def recorded(p, u, v):
-            shapes.append(np.shape(u))
+            shapes.append((np.shape(u), np.shape(v)))
             return base(p, u, v)
+        stencil, _, _, shifts = SHIFT_CASES[op]
         u, v = sample_points()
-        got = STACKED_CASES[op][0](PlaneFamily(recorded), 0.5)(P_TWO, u, v)
-        assert shapes == [(dilations, u.size)]
-        assert got.shape == rows + (u.size,)
+        got = stencil(single_mode(recorded, 1), 0.5)(P_TWO, u, v)
+        assert shapes == [((shifts, u.size), (shifts, u.size))]
+        assert got.shape == (u.size,)
+
+    def test_a_component_is_one_call(self):
+        # a family of two modes: each component is called once on its shifts
+        calls = []
+
+        def recorded(M):
+            base = psi_family(1, M, 0)
+            return single_mode(lambda p, u, v: calls.append(M) or base(p, u, v), M)
+        f = combine([1.0, 2j], [recorded(1), recorded(-1)])
+        u, v = sample_points()
+        got = apply_h_minus(f, 0)(P_TWO, u, v)
+        assert calls == [1, -1] and [m for _, _, m in apply_h_minus(f, 0).meta] == [0, -2]
+        want = three_call_h_minus(f, 0)(P_TWO, u, v)
+        assert rel_residual(got, want) < 1e-13
 
     @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
     def test_casimir_orderings_compose_to_one_table(self, N):
         # [H+, H-] = [2 H3]_q holds exactly on the realization, so the
         # orderings agree entry by entry, in the same sorted order, and the
         # dilations (-2, 2) and (2, -2) of the products cancel
-        pm, mp = (casimir_table(float(N), ordering) for ordering in ("plus_minus", "minus_plus"))
+        pm, mp = (qops._table(("casimir", ordering), float(N))
+                  for ordering in ("plus_minus", "minus_plus"))
         assert pm == mp and list(pm[1].items()) == list(mp[1].items())
         order, terms = pm
         assert order == 2 and len(terms) == 12
         assert {key[:2] for key in terms} == {(0, 0), (0, 2), (2, 0), (2, 2)}
+        assert {a + b for a, b, _, _ in terms} == {0, 2, 4}
         assert all(i == j for _, _, i, j in terms)
 
+    def test_tables_are_built_once_per_n_and_evaluated_once_per_q(self):
+        for cache in (qops._table, qops._coefficients, qops._plan):
+            cache.cache_clear()
+        f = psi_family(1, 0, 0)
+        u, v = sample_points(4)
+        for p in (P_TWO, P_TWO, P_CIRC, P_TWO):
+            apply_casimir(f, 0)(p, u, v)
+        assert qops._table.cache_info().misses == 1  # composed once, for N 0
+        assert qops._coefficients.cache_info().misses == 2  # evaluated once per q
+        assert qops._plan.cache_info().misses == 2
 
-TOWER_STENCILS = {
-    "h_plus": apply_h_plus,
-    "h_minus": apply_h_minus,
-    "casimir_plus_minus": lambda f, N: apply_casimir(f, N, "plus_minus"),
-    "casimir_minus_plus": lambda f, N: apply_casimir(f, N, "minus_plus"),
-}
 
+class TestPsiTower:
+    """psi_tower: a (J, N) tower's members, H+, H- and both Casimir
+    orderings from one psi call, each row with the bits of the operator on
+    its own member."""
 
-class TestTowerFamilies:
-    """psi_family with a tuple of weights: every stencil acts on the stacked
-    members row by row, with the bits of the per-member families."""
-
-    @pytest.mark.parametrize("op", sorted(TOWER_STENCILS))
+    @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
     @pytest.mark.parametrize("p", [QParam.positive_real(0.6), QParam.positive_real(2.5),
                                    QParam.unit_circle(0.2), QParam.unit_circle(-0.2)],
                              ids=["q0.6", "q2.5", "tau0.2", "tau-0.2"])
@@ -350,21 +341,30 @@ class TestTowerFamilies:
     def test_rows_have_the_bits_of_the_member_families(self, op, p, J, N):
         ms = tuple(np.arange(J, -J - 1, -1.0))
         u, v = sample_points()
-        got = TOWER_STENCILS[op](psi_family(J, ms, N), N)(p, u, v)
-        assert got.shape == (len(ms), u.size)
-        for row, M in zip(got, ms):
-            want = TOWER_STENCILS[op](psi_family(J, M, N), N)(p, u, v)
-            assert row.tobytes() == want.tobytes(), M
+        stencil, row, _, _ = SHIFT_CASES[op]
+        members, got = (psi_tower(J, N, p, u, v)[k] for k in (0, row))
+        assert got.shape == members.shape == (len(ms), u.size)
+        for got_row, member, M in zip(got, members, ms):
+            f = psi_family(J, M, N)
+            assert member.tobytes() == f(p, u, v).tobytes(), M
+            assert got_row.tobytes() == stencil(f, N)(p, u, v).tobytes(), M
 
-    def test_has_no_decomposition_and_inner_rejects_it(self):
-        tower = psi_family(1, (1, 0, -1), 0)
-        assert tower.meta is None
-        with pytest.raises(ValueError, match="Fourier decomposition"):
-            inner(tower, psi_family(1, 0, 0), P_TWO)
+    def test_one_psi_call_on_the_tower_and_its_three_shifts(self, monkeypatch):
+        calls = []
+
+        def recorded_psi(J, M, N, p, u, v):
+            calls.append((M, np.shape(u), np.shape(v)))
+            return psi(J, M, N, p, u, v)
+        monkeypatch.setattr(qops, "psi", recorded_psi)
+        u, v = sample_points()
+        out = psi_tower(1.5, 0.5, P_TWO, u, v)
+        ms = (1.5, 0.5, -0.5, -1.5)
+        assert calls == [(tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
+        assert len(out) == 5 and all(x.shape == (4, u.size) for x in out)
 
     @pytest.mark.parametrize("M", [(), (1, 2), (0, 0.5), (1, [0])],
                              ids=["empty", "above-J", "mixed-class", "list-weight"])
-    def test_bad_weights_rejected_when_built(self, M):
+    def test_psi_family_refuses_a_tuple_of_weights(self, M):
         with pytest.raises(ValueError):
             psi_family(1, M, 0)
 
@@ -525,13 +525,10 @@ class TestFourierDecomposition:
         assert psi_family(1.5, -0.5, 0.5).meta[0][0::2] == (1, 0)
 
     def test_unknown_decomposition_stays_unknown(self):
-        raw = monomial_family(2, 1)
-        for fam in (raw, apply_h_plus(raw, 0), apply_casimir(raw, 0), with_fixed_param(raw, P_TWO),
+        raw = PlaneFamily(monomial_family(2, 1).evaluator)
+        for fam in (raw, apply_q_h3_power(raw, 0, 2.0), with_fixed_param(raw, P_TWO),
                     combine([1.0, 1.0], [raw, psi_family(1, 0, 0)])):
             assert fam.meta is None
-        u, v = sample_points(6)
-        assert np.array_equal(apply_h_plus(raw, 0)(P_TWO, u, v),
-                              apply_h_plus(PlaneFamily(raw.evaluator), 0)(P_TWO, u, v))
 
 
 def test_every_public_family_builder_is_annotated():
@@ -539,8 +536,9 @@ def test_every_public_family_builder_is_annotated():
     # return annotation "PlaneFamily" alone, so a builder without it would
     # go untraced; each public function is called on sample arguments
     fam = psi_family(1, 0, 0)
+    u, v = sample_points(3)
     sample = {"f": fam, "J": 1, "M": 0, "N": 0, "p": P_TWO, "p0": P_TWO, "a": 1.0,
-              "coeffs": [1.0], "families": [fam], "ir": matrix_irrep(1, P_TWO)}
+              "coeffs": [1.0], "families": [fam], "ir": matrix_irrep(1, P_TWO), "u": u, "v": v}
     public = {name: fn for name, fn in vars(qops).items()
               if not name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == qops.__name__}

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from suq2 import qspecial, suites
-from suq2.qcore import HalfInt, QParam, Regime
+from suq2.qcore import HalfInt, QParam, Regime, j_values, m_values
+from suq2.qops import psi_family
 from suq2.suites import (
     MATRIX_TOL,
     FUNCEQ_TOL_INTEGRAL,
@@ -191,6 +192,16 @@ class TestHermiticitySuite:
     def test_three_states_suffice(self):
         cases = suite_hermiticity(P_REAL, j_max=1, N=1)
         assert len(cases) == 7 and all(c.passed for c in cases)
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
+    def test_state_k_is_member_k_of_the_tower(self, N):
+        # the span pairs draw indices into the tower, in the order J = |N|,
+        # |N|+1, ..., then M = J, J-1, ..., -J, and build only the drawn states
+        members = [(J, M) for J in j_values(N, 9) for M in m_values(J)]
+        for k, (J, M) in enumerate(members):
+            (_, comp, mode), = suites._state(k, HalfInt.of(N)).meta
+            assert mode == (M + HalfInt.of(N)).to_int()
+            assert comp(P_REAL, 0.7, 0.4) == psi_family(J, M, N)(P_REAL, 0.7, 0.4), k
 
 
 class TestGramSuite:
