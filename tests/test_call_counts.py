@@ -3,11 +3,11 @@ and every distinct argument of Q_{1/2} is evaluated once, by two L
 quadratures on the circle and by one product at J = 1/2 at real q; psi
 builds each (J, M, N, p) record once and evaluates each distinct input
 once; the stencil suites evaluate each (J, N) tower whole, in one psi
-call, which the second of them finds in the memo; the suite scalar products of one batch that
-share the same modes are one converged radial integral, and at least 95%
-of the products take one integrand call; gram hands over only the pairs
-of equal weight M.  Each test empties the memos whose hits would hide the
-evaluations it counts."""
+call, which the second of them finds in the memo; the suite scalar
+products of one batch that share the same modes are one converged radial
+integral, and at least 95% of the products take one integrand call; gram
+hands over only the pairs of equal weight M.  Each test empties the
+memos whose hits would hide the evaluations it counts."""
 from collections import Counter
 
 import numpy as np

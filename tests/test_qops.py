@@ -288,7 +288,7 @@ class TestShiftEvaluation:
         assert shapes == [((shifts, u.size), (shifts, u.size))]
         assert got.shape == (u.size,)
 
-    def test_a_component_is_one_call(self):
+    def test_each_component_is_called_once(self):
         # a family of two modes: each component is called once on its shifts
         calls = []
 
