@@ -42,6 +42,7 @@ from .qcore import (
     check_not_root_of_unity,
     m_values,
     q_number,
+    validate_tower,
     validate_triple,
 )
 from .qspecial import psi
@@ -192,7 +193,8 @@ def _plan(ops: tuple, nf: float, p: QParam, modes) -> tuple:
     tuple of modes; a member and a tower row take the same arithmetic)."""
     tables = [_coefficients(op, nf, p) for op in ops]
     rows = modes if isinstance(modes, tuple) else (modes,)
-    powers = {a: [p.power(-a * m) for m in rows] for _, dilations, _ in tables for a in dilations}
+    powers = {a: [p.power(-a * m) for m in rows]
+              for a in {a for _, dilations, _ in tables for a in dilations}}
     shifts = sorted({0}.union(*({s for s, _, _ in groups} for groups, _, _ in tables)))
     terms, out = [], []
     for groups, dilations, coef in tables:
@@ -284,6 +286,7 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
     by M = J, J-1, ..., -J on a new first axis, from one psi call on the
     tower's weights, whose rows have the modes M + N (see _apply)."""
     J, N = HalfInt.of(J), HalfInt.of(N)
+    validate_tower(J, N)
     ms = tuple(m_values(J))
     modes = tuple((m + N).to_int() for m in ms)
     return tuple(_apply(lambda p, u, v: psi(J, ms, N, p, u, v), modes,

@@ -362,6 +362,15 @@ class TestPsiTower:
         assert calls == [(tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
         assert len(out) == 5 and all(x.shape == (4, u.size) for x in out)
 
+    @pytest.mark.parametrize("J,N,message", [
+        (0.5, 0, r"^\(J,N\) = \(1/2,0\) must be integers or half-integers together$"),
+        (1, 2, r"^need \|N\| <= J, got \(J,N\) = \(1,2\)$"),
+        (-1, 0, r"^J = -1 must be >= 0$")])
+    def test_refuses_a_tower_that_psi_refuses(self, J, N, message):
+        u, v = sample_points(3)
+        with pytest.raises(ValueError, match=message):
+            psi_tower(J, N, P_TWO, u, v)
+
     @pytest.mark.parametrize("M", [(), (1, 2), (0, 0.5), (1, [0])],
                              ids=["empty", "above-J", "mixed-class", "list-weight"])
     def test_psi_family_refuses_a_tuple_of_weights(self, M):
