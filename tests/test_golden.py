@@ -124,6 +124,16 @@ CASES = {
     "gram_N0.5_Jmax3.5_tau0.05.json": ["gram", "--tau", "0.05", "--N", "0.5", "--J-max", "3.5",
                                        "--format", "json"],
     "gram_N0.5_Jmax3.5_q1.3.csv": ["gram", "--q", "1.3", "--N", "0.5", "--J-max", "3.5"],
+    # the span draw and the one Casimir table on towers past J-max 3, on the
+    # circle, and at negative N and tau
+    "verify_hermiticity_tau0.2_N1_Jmax4_seed2.json": ["verify", "--suite", "hermiticity",
+                                                      "--tau", "0.2", "--N", "1",
+                                                      "--J-max", "4", "--seed", "2"],
+    "verify_hermiticity_q0.7_N-0.5_Jmax3.5_seed4.json": ["verify", "--suite", "hermiticity",
+                                                         "--q", "0.7", "--N", "-0.5",
+                                                         "--J-max", "3.5", "--seed", "4"],
+    "verify_casimir_tau-0.15_Jmax4.5.json": ["verify", "--suite", "casimir", "--tau", "-0.15",
+                                             "--J-max", "4.5"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
