@@ -40,6 +40,7 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, check_tower, m_values
 from .qops import (
     PlaneFamily,
+    _sum_terms,
     apply_h_minus,
     apply_h_plus,
     apply_q_h3_power,
@@ -69,16 +70,13 @@ def _terms(p: QParam):
 
 def _mode_rows(fams, p: QParam, x, modes) -> dict:
     """{m: rows} for each m in modes, row k the sum of fams[k]'s components
-    of mode m at (x, x); each distinct family is evaluated once.  A component
-    with coefficient 1 (a basis member) enters unmultiplied."""
+    of mode m at (x, x), in decomposition order (qops._sum_terms); each
+    distinct family is evaluated once."""
     sums = {}
     for f in fams:
         if id(f) not in sums:
-            out = sums[id(f)] = {}
-            for c, comp, m in f.meta:
-                if m in modes:
-                    val = comp(p, x, x) if c == 1 else c * comp(p, x, x)
-                    out[m] = out[m] + val if m in out else val
+            sums[id(f)] = {m: _sum_terms([t for t in f.meta if t[2] == m], p, x, x)
+                           for m in modes}
     return {m: np.array([sums[id(f)][m] for f in fams]) for m in modes}
 
 

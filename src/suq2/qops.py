@@ -14,11 +14,11 @@ once, on the stack (u, q^s v) of the distinct s = a + b of its tables and
 s = 0, which gives the operand's own values too: two rows for H+ or H-,
 three for the Casimir.  The operand's mode is read from the decomposition
 of the family a stencil acts on, so a family without one is refused.  The
-Casimir is composed from the ladder and bracket tables, in integers, and
-both orderings give one table.  Each table is built once per N and its
-coefficients are evaluated once per q.  psi_tower applies H+, H- and both
-Casimir orderings to a whole (J, N) tower from one psi call, whose rows
-have the modes M + N.
+Casimir is composed once from the ladder and bracket tables, in integers,
+as H+H- + [H3][H3-1]: the ordering H-H+ + [H3][H3+1] gives the same table.
+Each table is built once per N, and each plan of tables once per q and
+operand modes.  psi_tower applies H+, H- and the Casimir to a whole (J, N)
+tower from one psi call, whose rows have the modes M + N.
 
 An operator and its table are built from its operand and the weight N
 alone, as the plane realization is labelled by N alone; q enters only at
@@ -152,35 +152,14 @@ def _compose(*products) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _table(op: tuple, nf: float) -> tuple:
-    """The table of op at weight nf, built once per N: op is ("h_plus",),
-    ("h_minus",) or ("casimir", ordering), H+H- + [H3][H3-1] for the
-    ordering plus_minus, H-H+ + [H3][H3+1] for minus_plus."""
-    if op == ("h_plus",):
+def _table(op: str, nf: float) -> tuple:
+    """The table of op at weight nf, built once per N: op is "h_plus",
+    "h_minus" or "casimir", composed as H+H- + [H3][H3-1]."""
+    if op == "h_plus":
         return _h_plus(nf)
-    if op == ("h_minus",):
+    if op == "h_minus":
         return _h_minus(nf)
-    hp, hm = _h_plus(nf), _h_minus(nf)
-    if op == ("casimir", "plus_minus"):
-        return _compose((hp, hm), (_bracket(nf, 0), _bracket(nf, -1)))
-    return _compose((hm, hp), (_bracket(nf, 0), _bracket(nf, +1)))
-
-
-@functools.lru_cache(maxsize=1024)
-def _coefficients(op: tuple, nf: float, p: QParam) -> tuple:
-    """op's table at weight nf evaluated at p, once per (table, p), its
-    terms grouped by eta-shift s = a + b and monomial u^i v^j: the groups
-    (s, i, j), the dilations a, and the (group, a) matrix of the sums
-    (sum k q^e) / (q - q^-1)^n of the group's terms of that a."""
-    order, terms = _table(op, nf)
-    d = (p.power(1) - p.power(-1)) ** order
-    groups = sorted({(a + b, i, j) for a, b, i, j in terms})
-    dilations = sorted({key[0] for key in terms})
-    coef = np.zeros((len(groups), len(dilations)), complex)
-    for (a, b, i, j), c in terms.items():
-        coef[groups.index((a + b, i, j)), dilations.index(a)] += \
-            sum(k * p.power(e) for e, k in c.items()) / d
-    return tuple(groups), tuple(dilations), coef
+    return _compose((_h_plus(nf), _h_minus(nf)), (_bracket(nf, 0), _bracket(nf, -1)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -188,10 +167,22 @@ def _plan(ops: tuple, nf: float, p: QParam, modes) -> tuple:
     """What _apply reads for ops at weight nf and p on an operand of mode
     modes, or of a tuple of modes by leading row: the eta-shifts, 0 first;
     the shift index and the powers i, j of u^i v^j of each product term;
-    and for each table the slice of its terms and its coefficients, each
-    group's sum over a of its coefficient times q^(-a m) (a row array for a
-    tuple of modes; a member and a tower row take the same arithmetic)."""
-    tables = [_coefficients(op, nf, p) for op in ops]
+    and for each table the slice of its terms and its coefficients.  A
+    table's terms are grouped by s = a + b and u^i v^j, and a group's
+    coefficient sums (sum k q^e) / (q - q^-1)^n over its terms of each a,
+    then those sums times q^(-a m) over a (a row array for a tuple of
+    modes; a member and a tower row take the same arithmetic)."""
+    tables = []
+    for op in ops:
+        order, terms = _table(op, nf)
+        d = (p.power(1) - p.power(-1)) ** order
+        groups = sorted({(a + b, i, j) for a, b, i, j in terms})
+        dilations = sorted({key[0] for key in terms})
+        coef = np.zeros((len(groups), len(dilations)), complex)
+        for (a, b, i, j), c in terms.items():
+            coef[groups.index((a + b, i, j)), dilations.index(a)] += \
+                sum(k * p.power(e) for e, k in c.items()) / d
+        tables.append((groups, dilations, coef))
     rows = modes if isinstance(modes, tuple) else (modes,)
     powers = {a: [p.power(-a * m) for m in rows]
               for a in {a for _, dilations, _ in tables for a in dilations}}
@@ -219,7 +210,7 @@ def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
     for x, k, axis in ((u, i_pow, "u"), (v, j_pow, "v")):
         if k.min() < 0 and not x.all():
             op = next(op for op, (terms, _) in zip(ops, tables) if k[terms].min() < 0)
-            raise ValueError(f"{op[0]} stencil is singular at {axis} = 0")
+            raise ValueError(f"{op} stencil is singular at {axis} = 0")
     out = f(p, np.broadcast_to(u, (len(shifts),) + u.shape),
             np.stack([p.power(s) * v if s else v for s in shifts]))
     rows = np.moveaxis(out, -u.ndim - 1, 0)
@@ -229,33 +220,37 @@ def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
                         for terms, c in tables]
 
 
-def _stencil(f: PlaneFamily, op: tuple, N, shift: int) -> PlaneFamily:
+def _sum_terms(terms, p: QParam, u, v):
+    """The sum over terms, in order, of each coefficient c times its family
+    at (p, u, v), from (c, family, ...) entries such as a decomposition's;
+    a term of coefficient 1 (a basis member) enters unmultiplied."""
+    acc = None
+    for c, f, *_ in terms:
+        val = f(p, u, v) if c == 1 else c * f(p, u, v)
+        acc = val if acc is None else acc + val
+    return acc
+
+
+def _stencil(f: PlaneFamily, op: str, N, shift: int) -> PlaneFamily:
     """f under the operator op of weight N: each component of f's
     decomposition, of mode m, under op from one call of it (_apply's
     one-table case), of mode m + shift; the family is their sum."""
     if f.meta is None:
-        raise ValueError(f"the {op[0]} stencil needs families with a Fourier decomposition")
+        raise ValueError(f"the {op} stencil needs families with a Fourier decomposition")
     nf = float(HalfInt.of(N))
     meta = _map_modes(f, lambda comp, m: PlaneFamily(
         lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1]), shift)
-
-    def ev(p, u, v):
-        acc = None
-        for c, comp, _ in meta:
-            val = comp(p, u, v) if c == 1 else c * comp(p, u, v)
-            acc = val if acc is None else acc + val
-        return acc
-    return PlaneFamily(ev, meta)
+    return PlaneFamily(lambda p, u, v: _sum_terms(meta, p, u, v), meta)
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
-    return _stencil(f, ("h_plus",), N, +1)
+    return _stencil(f, "h_plus", N, +1)
 
 
 def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
-    return _stencil(f, ("h_minus",), N, -1)
+    return _stencil(f, "h_minus", N, -1)
 
 
 def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
@@ -269,29 +264,25 @@ def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
                        _map_modes(f, lambda comp, m: apply_q_h3_power(comp, N, a)))
 
 
-def apply_casimir(f: PlaneFamily, N, ordering: str = "plus_minus") -> PlaneFamily:
-    """H+H- + [H3][H3-1], or the equivalent H-H+ + [H3][H3+1] ordering.
-    Both compose to one table, on the four dilations (q^a u, q^b v), (a, b)
-    in {0, 2}^2, i = j in every entry, so on the eta-shifts 0, 2 and 4:
-    that the tables are equal is [H+, H-] = [2 H3]_q holding exactly on
-    the realization."""
-    if ordering not in ("plus_minus", "minus_plus"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return _stencil(f, ("casimir", ordering), N, 0)
+def apply_casimir(f: PlaneFamily, N) -> PlaneFamily:
+    """H+H- + [H3][H3-1], equal to H-H+ + [H3][H3+1]: both orderings compose
+    to one table, on the four dilations (q^a u, q^b v), (a, b) in {0, 2}^2,
+    i = j in every entry, so on the eta-shifts 0, 2 and 4; that the tables
+    are equal is [H+, H-] = [2 H3]_q holding exactly on the realization."""
+    return _stencil(f, "casimir", N, 0)
 
 
 def psi_tower(J, N, p: QParam, u, v) -> tuple:
-    """The (J, N) tower at (u, v): its members, their H+, their H-, and
-    their Casimir in the orderings plus_minus and minus_plus, each stacked
-    by M = J, J-1, ..., -J on a new first axis, from one psi call on the
-    tower's weights, whose rows have the modes M + N (see _apply)."""
+    """The (J, N) tower at (u, v): its members, their H+, their H- and their
+    Casimir, each stacked by M = J, J-1, ..., -J on a new first axis, from
+    one psi call on the tower's weights, whose rows have the modes M + N
+    (see _apply)."""
     J, N = HalfInt.of(J), HalfInt.of(N)
     validate_tower(J, N)
     ms = tuple(m_values(J))
     modes = tuple((m + N).to_int() for m in ms)
     return tuple(_apply(lambda p, u, v: psi(J, ms, N, p, u, v), modes,
-                        (("h_plus",), ("h_minus",), ("casimir", "plus_minus"),
-                         ("casimir", "minus_plus")), float(N), p, u, v))
+                        ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
 
 
 @dataclass(frozen=True)

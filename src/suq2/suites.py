@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, j_values, q_number
+from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
 from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
 from .qops import (
-    PlaneFamily,
     casimir_matrix,
     combine,
     matrix_irrep,
@@ -156,7 +155,7 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
     for J in _half_range(j_max):
         for N in _valid_n(J):
             # before matrix_irrep: psi's sector refusal comes first
-            vals, h_plus, h_minus, _, _ = psi_tower(J, N, p, u, v)
+            vals, h_plus, h_minus, _ = psi_tower(J, N, p, u, v)
             ir = matrix_irrep(J, p)
             worst = 0.0
             for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
@@ -169,20 +168,17 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> 
 
 
 def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -> list:
-    """Both Casimir orderings on every member of each (J, N) tower against
-    [J][J+1] times the member and against each other; each tower is
-    evaluated whole, as in suite_ladder, whose psi call it repeats, so
-    that call is a memo hit in an `all` run."""
+    """The Casimir on every member of each (J, N) tower against [J][J+1]
+    times the member; each tower is evaluated whole, as in suite_ladder,
+    whose psi call it repeats, so that call is a memo hit in an `all` run."""
     u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
     for J in _half_range(j_max):
         for N in _valid_n(J):
             want = q_number(J, p) * q_number(J + 1, p)
-            vals, _, _, pm, mp = psi_tower(J, N, p, u, v)
+            vals, _, _, cas = psi_tower(J, N, p, u, v)
             refs = want * vals
-            worst = max(_rel_rows(pm - refs, refs), _rel_rows(mp - refs, refs),
-                        _rel_rows(pm - mp, mp))
-            cases.append(Case(f"casimir J={J} N={N}", worst, tol))
+            cases.append(Case(f"casimir J={J} N={N}", _rel_rows(cas - refs, refs), tol))
     return cases
 
 
@@ -210,38 +206,27 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
     return cases
 
 
-def _state(k: int, N: HalfInt) -> PlaneFamily:
-    """Member k of the N tower, in the order J = |N|, |N|+1, ..., then
-    M = J, J-1, ..., -J: J is the smallest of N's class with more than k
-    states up to it, (J + 1)^2 - N^2 > k, and the J^2 - N^2 states below
-    J come before it."""
-    r = math.isqrt(4 * k + N.twice ** 2)  # 2J + 2 > r, and 2J has the parity of 2N
-    twice_j = r - 1 if (r - 1 - N.twice) % 2 == 0 else r
-    twice_m = twice_j - 2 * k + (twice_j ** 2 - N.twice ** 2) // 2
-    return psi_family(HalfInt(twice_j), HalfInt(twice_m), N)
-
-
-def _span_pairs(j_max, N: HalfInt, seed):
+def _span_pairs(j_max, N: HalfInt, p: QParam, seed):
     """Three pairs of random combinations, of 3 and of 2 distinct members
-    of the N tower up to j_max; a tower of fewer than 3 members raises.
-    The tower's ((2 J_top + 2)^2 - (2N)^2)/4 states are counted, not made:
-    only the drawn ones are built."""
+    of the N tower up to j_max, drawn from its states in the order J = |N|,
+    |N|+1, ..., then M = J, J-1, ..., -J; a tower past psi's reach is
+    refused before its labels are made (j_values), and one of fewer than 3
+    states raises."""
     rng, N = _rng(seed), HalfInt.of(N)
-    twice_top = abs(N.twice) + (HalfInt.of(j_max).twice - abs(N.twice)) // 2 * 2
-    count = max(0, ((twice_top + 2) ** 2 - N.twice ** 2) // 4)
-    if count < 3:
+    states = [(J, M) for J in j_values(N, j_max, p) for M in m_values(J)]
+    if len(states) < 3:
         raise ValueError(f"hermiticity span pairs need at least 3 basis states; the N={N} "
-                         f"tower up to --J-max {HalfInt.of(j_max)} has {count}")
+                         f"tower up to --J-max {HalfInt.of(j_max)} has {len(states)}")
 
     def gaussians(n):  # standard normal real and imaginary parts
         return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
 
     pairs = []
     for _ in range(3):
-        idx_f = rng.sample(range(count), 3)
-        idx_g = rng.sample(range(count), 2)
-        f = combine(gaussians(3), [_state(i, N) for i in idx_f])
-        g = combine(gaussians(2), [_state(i, N) for i in idx_g])
+        idx_f = rng.sample(range(len(states)), 3)
+        idx_g = rng.sample(range(len(states)), 2)
+        f = combine(gaussians(3), [psi_family(*states[i], N) for i in idx_f])
+        g = combine(gaussians(2), [psi_family(*states[i], N) for i in idx_g])
         pairs.append((f, g))
     return pairs
 
@@ -249,7 +234,7 @@ def _span_pairs(j_max, N: HalfInt, seed):
 def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
                       tol: float = HERMITICITY_TOL) -> list:
     N_h = HalfInt.of(N)
-    pairs = _span_pairs(j_max, N_h, seed)
+    pairs = _span_pairs(j_max, N_h, p, seed)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),

@@ -359,7 +359,7 @@ def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
                          ids=["tau0.2", "q0.8"])
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     # per (J, N), one call carrying the whole tower on its three eta-shifts:
-    # the reference values and both Casimir orderings
+    # the reference values and the Casimir
     calls = []
     psi = qspecial.psi
 
@@ -397,7 +397,7 @@ def _count_psi(monkeypatch):
 
 @pytest.mark.parametrize("suite", ["ladder", "casimir"])
 def test_ladder_and_casimir_call_psi_once_per_tower(monkeypatch, suite):
-    # the tower, its H+, its H- and both Casimir orderings from one call on
+    # the tower, its H+, its H- and its Casimir from one call on
     # the eta-shifts 0, 2 and 4: 9 calls and 9 evaluations for the 9
     # towers up to J 3 (27 and 18 with a call per table)
     calls, evaluated = _count_psi(monkeypatch)

@@ -606,27 +606,21 @@ class TestGram:
         ("casimir", ["--q", "0.5"],
          "psi for (J,M,N)=(33/2,-31/2,1/2) leaves the float range at q = 0.5"),
         ("casimir", ["--tau", "0.3"], "J=5 on the circle needs (2J+1)|tau| < pi, got tau=0.3"),
-        ("hermiticity", ["--q", "2"], None),
-        ("hermiticity", ["--q", "0.5"], None),
-        ("hermiticity", ["--tau", "0.3"], None),
+        ("hermiticity", ["--q", "2"], "q-factorial [47]! leaves the float range at q = 2.0"),
+        ("hermiticity", ["--q", "0.5"], "q-factorial [47]! leaves the float range at q = 0.5"),
+        ("hermiticity", ["--tau", "0.3"], "J=5 on the circle needs (2J+1)|tau| < pi, got tau=0.3"),
     ], ids=["ladder-q2", "ladder-tau0.3", "casimir-q0.5", "casimir-tau0.3", "hermiticity-q2",
             "hermiticity-q0.5", "hermiticity-tau0.3"])
     def test_a_tall_stencil_or_span_tower_is_made_one_label_at_a_time(self, suite, param, error):
         # the labels J up to 1e9, and hermiticity's 1e18 span states, were
         # built first: the child ended in a MemoryError and exit 1 after 4-5 s.
-        # ladder and casimir now stop at the first J that psi refuses;
-        # hermiticity builds only its drawn states, whose products share no
-        # mode and so are exact zeros, as at --J-max 30
+        # ladder and casimir now stop at the first J that psi refuses, and
+        # hermiticity refuses its span tower at the first J past psi's reach,
+        # as gram does; it passed with exact-zero residuals before, its drawn
+        # states sharing no mode and none of them evaluated
         res = _run_under_a_gib(["verify", "--suite", suite, *param, "--J-max", "1e9"])
-        if error is not None:
-            assert res.returncode == 2 and res.stdout == ""
-            assert res.stderr == f"error: {error}\n"
-        else:
-            assert res.returncode == 0 and res.stderr == ""
-            cases = json.loads(res.stdout)["cases"]
-            assert len(cases) == 7 and all(c["pass"] for c in cases)
-            assert all(c["residual"] == 0.0 for c in cases if "span" in c["name"]
-                       or "symmetry" in c["name"])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: {error}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writers_print_each_entry_as_its_numpy_scalar(self, fmt, monkeypatch, capsys):

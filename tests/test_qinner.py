@@ -337,7 +337,7 @@ class TestRadialPathMatchesPlaneGrid:
     @pytest.mark.parametrize("N", [0, 0.5])
     def test_span_pairs_and_stencils(self, p, N):
         bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
-        f, g = _span_pairs(2, N, 3)[0]
+        f, g = _span_pairs(2, N, p, 3)[0]
         pairs = [(f, g), (g, f), (f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
                  (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)]
         for bra, ket in pairs:

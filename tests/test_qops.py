@@ -172,17 +172,14 @@ class TestCasimir:
         lhs = apply_casimir(f, 0.5)(P_TWO, u, v)
         assert rel_residual(lhs, want * f(P_TWO, u, v)) < 1e-10
 
-    def test_orderings_agree(self):
+    def test_agrees_with_both_separate_call_orderings(self):
         p = P_TWO
         f = psi_family(1.5, 0.5, 0.5)
         u, v = sample_points()
-        a = apply_casimir(f, 0.5, "plus_minus")(p, u, v)
-        b = apply_casimir(f, 0.5, "minus_plus")(p, u, v)
-        assert rel_residual(a, b) < 1e-9
-
-    def test_rejects_unknown_ordering(self):
-        with pytest.raises(ValueError):
-            apply_casimir(constant_family(1.0), 0, "sideways")
+        got = apply_casimir(f, 0.5)(p, u, v)
+        for ordering in ("plus_minus", "minus_plus"):
+            want = separate_call_casimir(f, 0.5, ordering)(p, u, v)
+            assert rel_residual(got, want) < 1e-9, ordering
 
 
 def three_call_h_plus(f, N):
@@ -236,15 +233,15 @@ def separate_call_casimir(f, N, ordering):
     return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
 
 
-# each stencil: (the operator, its row of psi_tower's result, its definition
-# with one call of f per dilation of each nested stencil, its eta-shifts)
+# each stencil: (the operator, its row of psi_tower's result, its definitions
+# with one call of f per dilation of each nested stencil, its eta-shifts);
+# the Casimir is checked against both orderings
 SHIFT_CASES = {
-    "h_plus": (apply_h_plus, 1, three_call_h_plus, 2),
-    "h_minus": (apply_h_minus, 2, three_call_h_minus, 2),
-    "casimir_plus_minus": (lambda f, N: apply_casimir(f, N, "plus_minus"), 3,
-                           lambda f, N: separate_call_casimir(f, N, "plus_minus"), 3),
-    "casimir_minus_plus": (lambda f, N: apply_casimir(f, N, "minus_plus"), 4,
-                           lambda f, N: separate_call_casimir(f, N, "minus_plus"), 3),
+    "h_plus": (apply_h_plus, 1, (three_call_h_plus,), 2),
+    "h_minus": (apply_h_minus, 2, (three_call_h_minus,), 2),
+    "casimir": (apply_casimir, 3,
+                tuple(lambda f, N, o=ordering: separate_call_casimir(f, N, o)
+                      for ordering in ("plus_minus", "minus_plus")), 3),
 }
 SHIFT_PARAMS = [QParam.positive_real(2.5), QParam.positive_real(0.6), P_CIRC,
                 QParam.unit_circle(-0.25)]
@@ -263,16 +260,17 @@ class TestShiftEvaluation:
         # stencils, at other points; the worst difference seen is 3.1e-13,
         # for H+ on the top member at q 2.5, J 5/2, whose value is rounding
         # around 0
-        stencil, row, separate, _ = SHIFT_CASES[op]
+        stencil, row, definitions, _ = SHIFT_CASES[op]
         u, v = sample_points()
         tower = psi_tower(J, N, p, u, v)[row]
         for got_tower, M in zip(tower, np.arange(J, -J - 1, -1.0)):
             f = psi_family(J, M, N)
-            want = separate(f, N)(p, u, v)
-            scale = max(1.0, float(np.max(np.abs(want))))
-            for got in (stencil(f, N)(p, u, v), got_tower):
-                assert got.shape == want.shape
-                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
+            for separate in definitions:
+                want = separate(f, N)(p, u, v)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                for got in (stencil(f, N)(p, u, v), got_tower):
+                    assert got.shape == want.shape
+                    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
 
     @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
     def test_a_stencil_calls_its_operand_once_on_its_shifts(self, op):
@@ -305,11 +303,15 @@ class TestShiftEvaluation:
     @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
     def test_casimir_orderings_compose_to_one_table(self, N):
         # [H+, H-] = [2 H3]_q holds exactly on the realization, so the
-        # orderings agree entry by entry, in the same sorted order, and the
-        # dilations (-2, 2) and (2, -2) of the products cancel
-        pm, mp = (qops._table(("casimir", ordering), float(N))
-                  for ordering in ("plus_minus", "minus_plus"))
+        # orderings H+H- + [H3][H3-1] and H-H+ + [H3][H3+1] agree entry by
+        # entry, in the same sorted order, with the one Casimir table, and
+        # the dilations (-2, 2) and (2, -2) of the products cancel
+        nf = float(N)
+        hp, hm = qops._h_plus(nf), qops._h_minus(nf)
+        pm = qops._compose((hp, hm), (qops._bracket(nf, 0), qops._bracket(nf, -1)))
+        mp = qops._compose((hm, hp), (qops._bracket(nf, 0), qops._bracket(nf, +1)))
         assert pm == mp and list(pm[1].items()) == list(mp[1].items())
+        assert list(qops._table("casimir", nf)[1].items()) == list(pm[1].items())
         order, terms = pm
         assert order == 2 and len(terms) == 12
         assert {key[:2] for key in terms} == {(0, 0), (0, 2), (2, 0), (2, 2)}
@@ -317,21 +319,19 @@ class TestShiftEvaluation:
         assert all(i == j for _, _, i, j in terms)
 
     def test_tables_are_built_once_per_n_and_evaluated_once_per_q(self):
-        for cache in (qops._table, qops._coefficients, qops._plan):
+        for cache in (qops._table, qops._plan):
             cache.cache_clear()
         f = psi_family(1, 0, 0)
         u, v = sample_points(4)
         for p in (P_TWO, P_TWO, P_CIRC, P_TWO):
             apply_casimir(f, 0)(p, u, v)
         assert qops._table.cache_info().misses == 1  # composed once, for N 0
-        assert qops._coefficients.cache_info().misses == 2  # evaluated once per q
-        assert qops._plan.cache_info().misses == 2
+        assert qops._plan.cache_info().misses == 2  # evaluated once per q
 
 
 class TestPsiTower:
-    """psi_tower: a (J, N) tower's members, H+, H- and both Casimir
-    orderings from one psi call, each row with the bits of the operator on
-    its own member."""
+    """psi_tower: a (J, N) tower's members, H+, H- and Casimir from one psi
+    call, each row with the bits of the operator on its own member."""
 
     @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
     @pytest.mark.parametrize("p", [QParam.positive_real(0.6), QParam.positive_real(2.5),
@@ -360,7 +360,7 @@ class TestPsiTower:
         out = psi_tower(1.5, 0.5, P_TWO, u, v)
         ms = (1.5, 0.5, -0.5, -1.5)
         assert calls == [(tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
-        assert len(out) == 5 and all(x.shape == (4, u.size) for x in out)
+        assert len(out) == 4 and all(x.shape == (4, u.size) for x in out)
 
     @pytest.mark.parametrize("J,N,message", [
         (0.5, 0, r"^\(J,N\) = \(1/2,0\) must be integers or half-integers together$"),
@@ -473,8 +473,7 @@ def _decomposed_families(p, N):
         "h_plus": apply_h_plus(span, N),
         "h_minus": apply_h_minus(span, N),
         "q_h3": apply_q_h3_power(span, N, 2.0),
-        "casimir_pm": apply_casimir(span, N, "plus_minus"),
-        "casimir_mp": apply_casimir(span, N, "minus_plus"),
+        "casimir": apply_casimir(span, N),
     }
     return {
         "psi": states[0],
@@ -485,7 +484,7 @@ def _decomposed_families(p, N):
         "h_plus_h_minus_q_h3": apply_h_plus(apply_h_minus(apply_q_h3_power(span, N, -1.0), N), N),
         "h_plus_twice": apply_h_plus(apply_h_plus(pair, N), N),
         "combine_of_stencils": combine([1.0, -2j, 0.5], [stencils["h_plus"], stencils["h_minus"],
-                                                         stencils["casimir_pm"]]),
+                                                         stencils["casimir"]]),
         "fixed_param_of_stencil": with_fixed_param(stencils["h_minus"], p_pin),
     }
 

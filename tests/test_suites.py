@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from suq2 import qspecial, suites
-from suq2.qcore import HalfInt, QParam, Regime, j_values, m_values
-from suq2.qops import psi_family
+from suq2.qcore import HalfInt, QParam, Regime
 from suq2.suites import (
     MATRIX_TOL,
     FUNCEQ_TOL_INTEGRAL,
@@ -70,7 +69,7 @@ class TestSamplePoints:
         assert set(np.round(turns).astype(int) % 8) == set(range(8))
 
     @pytest.mark.parametrize("call", [lambda: sample_points(20, seed=-1),
-                                      lambda: suites._span_pairs(2, HalfInt.of(0), -1)],
+                                      lambda: suites._span_pairs(2, HalfInt.of(0), P_REAL, -1)],
                              ids=["sample-points", "span-pairs"])
     def test_negative_seed_rejected(self, call):
         # random.Random would draw for seed 1 instead
@@ -193,15 +192,25 @@ class TestHermiticitySuite:
         cases = suite_hermiticity(P_REAL, j_max=1, N=1)
         assert len(cases) == 7 and all(c.passed for c in cases)
 
-    @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
-    def test_state_k_is_member_k_of_the_tower(self, N):
-        # the span pairs draw indices into the tower, in the order J = |N|,
-        # |N|+1, ..., then M = J, J-1, ..., -J, and build only the drawn states
-        members = [(J, M) for J in j_values(N, 9) for M in m_values(J)]
-        for k, (J, M) in enumerate(members):
-            (_, comp, mode), = suites._state(k, HalfInt.of(N)).meta
-            assert mode == (M + HalfInt.of(N)).to_int()
-            assert comp(P_REAL, 0.7, 0.4) == psi_family(J, M, N)(P_REAL, 0.7, 0.4), k
+    @pytest.mark.parametrize("j_max,N,seed,labels", [
+        (4, 1, 2, "1,0 1,-1 3,0 2,0 4,-4 4,3 3,0 4,2 3,-3 4,3 1,1 2,0 3,1 2,0 2,1"),
+        (3.5, -0.5, 4, "5/2,3/2 5/2,-1/2 3/2,1/2 7/2,7/2 7/2,1/2 3/2,1/2 5/2,1/2 5/2,5/2 "
+                       "1/2,1/2 5/2,1/2 7/2,-1/2 5/2,3/2 3/2,-3/2 5/2,3/2 7/2,1/2"),
+    ], ids=["J4-N1-seed2", "J3.5-N-0.5-seed4"])
+    def test_span_pairs_draw_the_recorded_members(self, j_max, N, seed, labels, monkeypatch):
+        # the (J, M) of each member the span pairs build, in order, as the
+        # draw from the closed-form count of the tower's states gave them;
+        # only the drawn members are built
+        built = []
+        family = suites.psi_family
+
+        def recorded(J, M, N):
+            built.append(f"{HalfInt.of(J)},{HalfInt.of(M)}")
+            return family(J, M, N)
+        monkeypatch.setattr(suites, "psi_family", recorded)
+        pairs = suites._span_pairs(j_max, HalfInt.of(N), P_REAL, seed)
+        assert " ".join(built) == labels
+        assert [len(f.meta) for pair in pairs for f in pair] == [3, 2] * 3
 
 
 class TestGramSuite:
