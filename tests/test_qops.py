@@ -172,14 +172,14 @@ class TestCasimir:
         lhs = apply_casimir(f, 0.5)(P_TWO, u, v)
         assert rel_residual(lhs, want * f(P_TWO, u, v)) < 1e-10
 
-    def test_agrees_with_both_separate_call_orderings(self):
+    @pytest.mark.parametrize("ordering", ["plus_minus", "minus_plus"])
+    def test_agrees_with_each_separate_call_ordering(self, ordering):
         p = P_TWO
         f = psi_family(1.5, 0.5, 0.5)
         u, v = sample_points()
         got = apply_casimir(f, 0.5)(p, u, v)
-        for ordering in ("plus_minus", "minus_plus"):
-            want = separate_call_casimir(f, 0.5, ordering)(p, u, v)
-            assert rel_residual(got, want) < 1e-9, ordering
+        want = separate_call_casimir(f, 0.5, ordering)(p, u, v)
+        assert rel_residual(got, want) < 1e-9
 
 
 def three_call_h_plus(f, N):
@@ -233,15 +233,20 @@ def separate_call_casimir(f, N, ordering):
     return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
 
 
-# each stencil: (the operator, its row of psi_tower's result, its definitions
-# with one call of f per dilation of each nested stencil, its eta-shifts);
-# the Casimir is checked against both orderings
+# each stencil: (the operator, its row of psi_tower's result, its eta-shifts)
 SHIFT_CASES = {
-    "h_plus": (apply_h_plus, 1, (three_call_h_plus,), 2),
-    "h_minus": (apply_h_minus, 2, (three_call_h_minus,), 2),
-    "casimir": (apply_casimir, 3,
-                tuple(lambda f, N, o=ordering: separate_call_casimir(f, N, o)
-                      for ordering in ("plus_minus", "minus_plus")), 3),
+    "h_plus": (apply_h_plus, 1, 2),
+    "h_minus": (apply_h_minus, 2, 2),
+    "casimir": (apply_casimir, 3, 3),
+}
+# each definition with one call of f per dilation of each nested stencil:
+# (the stencil it defines, the definition); the one Casimir table is checked
+# against both orderings
+NESTED_DEFINITIONS = {
+    "h_plus": ("h_plus", three_call_h_plus),
+    "h_minus": ("h_minus", three_call_h_minus),
+    "casimir_plus_minus": ("casimir", lambda f, N: separate_call_casimir(f, N, "plus_minus")),
+    "casimir_minus_plus": ("casimir", lambda f, N: separate_call_casimir(f, N, "minus_plus")),
 }
 SHIFT_PARAMS = [QParam.positive_real(2.5), QParam.positive_real(0.6), P_CIRC,
                 QParam.unit_circle(-0.25)]
@@ -252,7 +257,7 @@ class TestShiftEvaluation:
     eta-shifts s = a + b of its table and s = 0, and takes f(q^a u, q^b v)
     as q^(-a m) times the row s for an operand of mode m."""
 
-    @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
+    @pytest.mark.parametrize("op", sorted(NESTED_DEFINITIONS))
     @pytest.mark.parametrize("p", SHIFT_PARAMS, ids=["q2.5", "q0.6", "tau_pi/17", "tau-0.25"])
     @pytest.mark.parametrize("J,N", [(1, 0), (2, 0), (1.5, 0.5), (2.5, 0.5)])
     def test_members_and_towers_match_the_nested_definitions(self, op, p, J, N):
@@ -260,17 +265,17 @@ class TestShiftEvaluation:
         # stencils, at other points; the worst difference seen is 3.1e-13,
         # for H+ on the top member at q 2.5, J 5/2, whose value is rounding
         # around 0
-        stencil, row, definitions, _ = SHIFT_CASES[op]
+        name, separate = NESTED_DEFINITIONS[op]
+        stencil, row, _ = SHIFT_CASES[name]
         u, v = sample_points()
         tower = psi_tower(J, N, p, u, v)[row]
         for got_tower, M in zip(tower, np.arange(J, -J - 1, -1.0)):
             f = psi_family(J, M, N)
-            for separate in definitions:
-                want = separate(f, N)(p, u, v)
-                scale = max(1.0, float(np.max(np.abs(want))))
-                for got in (stencil(f, N)(p, u, v), got_tower):
-                    assert got.shape == want.shape
-                    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
+            want = separate(f, N)(p, u, v)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            for got in (stencil(f, N)(p, u, v), got_tower):
+                assert got.shape == want.shape
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, M
 
     @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
     def test_a_stencil_calls_its_operand_once_on_its_shifts(self, op):
@@ -280,11 +285,23 @@ class TestShiftEvaluation:
         def recorded(p, u, v):
             shapes.append((np.shape(u), np.shape(v)))
             return base(p, u, v)
-        stencil, _, _, shifts = SHIFT_CASES[op]
+        stencil, _, shifts = SHIFT_CASES[op]
         u, v = sample_points()
         got = stencil(single_mode(recorded, 1), 0.5)(P_TWO, u, v)
         assert shapes == [((shifts, u.size), (shifts, u.size))]
         assert got.shape == (u.size,)
+
+    def test_a_coefficient_one_term_enters_the_sum_unmultiplied(self):
+        # (1+0j) * (-0-0j) is 0-0j: a basis member multiplied by its
+        # coefficient 1 would lose the sign of a zero real part
+        zeros = PlaneFamily(lambda p, u, v: np.full(2, complex(-0.0, -0.0)))
+        f = psi_family(1, 0, 0)
+        u, v = sample_points(2)
+        for c in (1, 1.0, 1 + 0j):
+            got = qops._sum_terms([(c, zeros, 0)], P_TWO, u, v)
+            assert got.tobytes() == zeros(P_TWO, u, v).tobytes(), c
+        got = qops._sum_terms([(2j, f, 0), (1, zeros, 0)], P_TWO, u, v)
+        assert got.tobytes() == (2j * f(P_TWO, u, v) + zeros(P_TWO, u, v)).tobytes()
 
     def test_each_component_is_called_once(self):
         # a family of two modes: each component is called once on its shifts
@@ -341,7 +358,7 @@ class TestPsiTower:
     def test_rows_have_the_bits_of_the_member_families(self, op, p, J, N):
         ms = tuple(np.arange(J, -J - 1, -1.0))
         u, v = sample_points()
-        stencil, row, _, _ = SHIFT_CASES[op]
+        stencil, row, _ = SHIFT_CASES[op]
         members, got = (psi_tower(J, N, p, u, v)[k] for k in (0, row))
         assert got.shape == members.shape == (len(ms), u.size)
         for got_row, member, M in zip(got, members, ms):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from suq2 import qspecial, suites
-from suq2.qcore import HalfInt, QParam, Regime
+from suq2.qcore import HalfInt, QParam, Regime, j_values, m_values
+from suq2.qops import psi_family
 from suq2.suites import (
     MATRIX_TOL,
     FUNCEQ_TOL_INTEGRAL,
@@ -211,6 +212,36 @@ class TestHermiticitySuite:
         pairs = suites._span_pairs(j_max, HalfInt.of(N), P_REAL, seed)
         assert " ".join(built) == labels
         assert [len(f.meta) for pair in pairs for f in pair] == [3, 2] * 3
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
+    def test_span_pairs_combine_members_of_the_tower(self, N):
+        # each drawn state is a member (J, M) of the N tower up to J-max 4,
+        # of mode M + N, with the bits of its own family
+        N_h = HalfInt.of(N)
+        members = {(J, M) for J in j_values(N_h, 4) for M in m_values(J)}
+        u, v = sample_points(5)
+        for pair in suites._span_pairs(4, N_h, P_REAL, 3):
+            for f in pair:
+                for _, member, mode in f.meta:
+                    got = member(P_REAL, u, v).tobytes()
+                    assert any((M + N_h).to_int() == mode
+                               and psi_family(J, M, N_h)(P_REAL, u, v).tobytes() == got
+                               for J, M in members), mode
+
+    @pytest.mark.parametrize("p,error", [
+        (P_BIG, r"^q-factorial \[47\]! leaves the float range at q = 2\.0$"),
+        (QParam.positive_real(0.5), r"^q-factorial \[47\]! leaves the float range at q = 0\.5$"),
+        (QParam.unit_circle(0.3), r"^J=5 on the circle needs \(2J\+1\)\|tau\| < pi, got tau=0\.3$"),
+    ], ids=["q2", "q0.5", "tau0.3"])
+    def test_span_pairs_refuse_a_tower_past_psi_reach_unbuilt(self, p, error, monkeypatch):
+        # the tower's labels up to J-max 1e9 are refused at the first J past
+        # psi's reach, before any member is built
+        def unbuilt(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(suites, "psi_family", unbuilt)
+        with pytest.raises(ValueError, match=error):
+            suites._span_pairs(1e9, HalfInt.of(0), p, 0)
 
 
 class TestGramSuite:
