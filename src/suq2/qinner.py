@@ -18,16 +18,17 @@ v = conj(u).  B1 is real in both deformed regimes (sin(tau)/tau on the
 circle, principal log) -- the Hermiticity constraint B2 = conj(B1) leaves
 no other choice.
 
-Every family that qops builds from basis members records its Fourier
-decomposition (PlaneFamily.meta): components of exact modes, psi_(J,M,N)
-being one of mode M+N.  On the physical slice a component of mode m is
-e^{-i m phi} times its value at phi = 0, so the angular integral keeps only
-the products of like modes and <f|g> is the radial integral of
+Every family is its Fourier decomposition (PlaneFamily.meta): components
+of exact modes, psi_(J,M,N) being one of mode M+N.  On the physical slice a
+component of mode m is e^{-i m phi} times its value at phi = 0, so the
+angular integral keeps only the products of like modes and <f|g> is the
+radial integral of
 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's components of mode m
 at (rho, rho); a pair with no common mode is an exact 0.0.  The pairs of one
 call that share the same modes share one radial integral, on which each
 distinct family of a side is evaluated once per form term.  That is the
-only scalar product: a family without a decomposition is rejected.
+only scalar product, and it takes every family, since every family has a
+decomposition.
 """
 from __future__ import annotations
 
@@ -84,8 +85,6 @@ def _products(pairs: Sequence, p: QParam) -> list:
     """<f|g> at p for each pair (f, g) in pairs, in order (see above)."""
     blocks = {}
     for k, (f, g) in enumerate(pairs):
-        if f.meta is None or g.meta is None:
-            raise ValueError("the scalar product needs families with a Fourier decomposition")
         common = tuple(sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta}))
         if common:
             blocks.setdefault(common, []).append(k)

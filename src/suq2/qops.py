@@ -12,10 +12,10 @@ operand: a family f of mode m is u^alpha v^beta G(uv) with beta - alpha =
 m, so f(q^a u, q^b v) = q^(-a m) f(u, q^(a+b) v).  It calls the operand
 once, on the stack (u, q^s v) of the distinct s = a + b of its tables and
 s = 0, which gives the operand's own values too: two rows for H+ or H-,
-three for the Casimir.  The operand's mode is read from the decomposition
-of the family a stencil acts on, so a family without one is refused.  The
-Casimir is composed once from the ladder and bracket tables, in integers,
-as H+H- + [H3][H3-1]: the ordering H-H+ + [H3][H3+1] gives the same table.
+three for the Casimir.  A stencil acts on each component of its family's
+decomposition, of the mode recorded there.  The Casimir is composed once
+from the ladder and bracket tables, in integers, as H+H- + [H3][H3-1]: the
+ordering H-H+ + [H3][H3+1] gives the same table.
 Each table is built once per N, and each plan of tables once per q and
 operand modes.  psi_tower applies H+, H- and the Casimir to a whole (J, N)
 tower from one psi call, whose rows have the modes M + N.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,29 +52,29 @@ from .qspecial import psi
 class PlaneFamily:
     """A function of (u, v) parametrized by p, evaluated as family(p, u, v).
 
-    meta is the family's Fourier decomposition when it is known, else None:
-    a tuple of (coefficient, single-mode family, mode) whose terms
-    coefficient * family(p, u, v) add up to this family.  A single-mode
-    family f of mode m satisfies f(p, rho e^(i phi), rho e^(-i phi)) =
-    e^(-i m phi) f(p, rho, rho): each of its terms is u^a v^b times a
-    function of u v, with b - a = m.  The families the constructors below
-    build from tagged families are tagged; the single-mode families
-    themselves carry meta = None.
+    meta is the family's Fourier decomposition: a tuple of (coefficient,
+    component, mode) whose terms coefficient * component(p, u, v) add up to
+    this family, and evaluator is their sum (_family).  A component is a
+    callable (p, u, v) of one mode m: f(p, rho e^(i phi), rho e^(-i phi)) =
+    e^(-i m phi) f(p, rho, rho), each of its terms being u^a v^b times a
+    function of u v, with b - a = m.  Every family has a decomposition.
     """
     evaluator: Callable
-    meta: Optional[tuple] = None
+    meta: tuple
 
     def __call__(self, p: QParam, u, v):
         return self.evaluator(p, u, v)
 
 
-def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> Optional[tuple]:
-    """The decomposition of a linear operator applied to f: op(component,
-    mode) on each of f's components, their modes shifted by shift; None if
-    f has none."""
-    if f.meta is None:
-        return None
-    return tuple((c, op(comp, m), m + shift) for c, comp, m in f.meta)
+def _family(meta: tuple) -> PlaneFamily:
+    """The family of decomposition meta: the sum of its terms."""
+    return PlaneFamily(functools.partial(_sum_terms, meta), meta)
+
+
+def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> PlaneFamily:
+    """A linear operator applied to f: op(component, mode) on each of f's
+    components, their modes shifted by shift."""
+    return _family(tuple((c, op(comp, m), m + shift) for c, comp, m in f.meta))
 
 
 def psi_family(J, M, N) -> PlaneFamily:
@@ -82,8 +82,7 @@ def psi_family(J, M, N) -> PlaneFamily:
     one component of mode M + N, with coefficient 1."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_triple(J, M, N)
-    mode = PlaneFamily(lambda p, u, v: psi(J, M, N, p, u, v))
-    return PlaneFamily(mode.evaluator, meta=((1, mode, (M + N).to_int()),))
+    return _family(((1, lambda p, u, v: psi(J, M, N, p, u, v), (M + N).to_int()),))
 
 
 def with_fixed_param(f: PlaneFamily, p0: QParam) -> PlaneFamily:
@@ -91,30 +90,19 @@ def with_fixed_param(f: PlaneFamily, p0: QParam) -> PlaneFamily:
 
     Used for limit studies: a family frozen at q = 1 fed through a deformed
     form probes the form itself rather than the covariant family.  Each
-    component is pinned as well, and keeps its mode (the angular structure
-    does not depend on the parameter).
+    component is pinned, and keeps its mode (the angular structure does not
+    depend on the parameter).
     """
-    return PlaneFamily(lambda p, u, v: f(p0, u, v),
-                       meta=_map_modes(f, lambda comp, m: with_fixed_param(comp, p0)))
+    return _map_modes(f, lambda comp, m: lambda p, u, v: comp(p0, u, v))
 
 
 def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> PlaneFamily:
     """sum_i coeffs[i] * families[i]; its decomposition concatenates the
-    families' components, if all of them have one."""
+    families' components, each coefficient times coeffs[i]."""
     if len(coeffs) != len(families):
         raise ValueError("coefficient/family length mismatch")
-    cs = [complex(c) for c in coeffs]
-    fs = list(families)
-
-    def ev(p, u, v):
-        acc = 0
-        for c, f in zip(cs, fs):
-            acc = acc + c * f(p, u, v)
-        return acc
-    meta = None
-    if all(f.meta is not None for f in fs):
-        meta = tuple((c * cf, comp, m) for c, f in zip(cs, fs) for cf, comp, m in f.meta)
-    return PlaneFamily(ev, meta)
+    return _family(tuple((complex(c) * cf, comp, m)
+                         for c, f in zip(coeffs, families) for cf, comp, m in f.meta))
 
 
 def _h_plus(nf: float) -> tuple:
@@ -234,13 +222,10 @@ def _sum_terms(terms, p: QParam, u, v):
 def _stencil(f: PlaneFamily, op: str, N, shift: int) -> PlaneFamily:
     """f under the operator op of weight N: each component of f's
     decomposition, of mode m, under op from one call of it (_apply's
-    one-table case), of mode m + shift; the family is their sum."""
-    if f.meta is None:
-        raise ValueError(f"the {op} stencil needs families with a Fourier decomposition")
+    one-table case), of mode m + shift."""
     nf = float(HalfInt.of(N))
-    meta = _map_modes(f, lambda comp, m: PlaneFamily(
-        lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1]), shift)
-    return PlaneFamily(lambda p, u, v: _sum_terms(meta, p, u, v), meta)
+    return _map_modes(f, lambda comp, m: lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1],
+                      shift)
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
@@ -258,10 +243,9 @@ def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
     It keeps its dilated arguments: its eta-shift is 0, so by the
     eta-shift it would be a power of q times f's own values."""
     nf = float(HalfInt.of(N))
-    return PlaneFamily(lambda p, u, v: p.power(-a * nf)
-                       * f(p, p.power(-a) * np.asarray(u, complex),
-                           p.power(a) * np.asarray(v, complex)),
-                       _map_modes(f, lambda comp, m: apply_q_h3_power(comp, N, a)))
+    return _map_modes(f, lambda comp, m: lambda p, u, v: p.power(-a * nf)
+                      * comp(p, p.power(-a) * np.asarray(u, complex),
+                             p.power(a) * np.asarray(v, complex)))
 
 
 def apply_casimir(f: PlaneFamily, N) -> PlaneFamily:

@@ -320,13 +320,6 @@ class TestModeMatching:
         b = polar_grid_inner(f1, f3, P_REAL)
         assert abs(a - b) < 1e-9
 
-    def test_family_without_decomposition_rejected(self):
-        f = psi_family(1, 0, 0)
-        with pytest.raises(ValueError, match="Fourier decomposition"):
-            inner(PlaneFamily(f.evaluator), f, P_REAL)
-        with pytest.raises(ValueError, match="Fourier decomposition"):
-            inner(f, PlaneFamily(f.evaluator), P_REAL)
-
 
 class TestRadialPathMatchesPlaneGrid:
     """The mode-matched radial path against the polar-grid reference, on

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from suq2 import QParam, inner, q_number, qops
+from suq2 import QParam, inner, q_number, qcore, qinner, qops
 from suq2.qops import (
     IrrepMatrices,
     PlaneFamily,
@@ -46,8 +46,8 @@ def rel_residual(lhs, rhs):
 
 
 def single_mode(ev, mode: int) -> PlaneFamily:
-    """The family of evaluator ev, declared as one component of mode mode."""
-    return PlaneFamily(ev, meta=((1, PlaneFamily(ev), mode),))
+    """The family of the one component ev, of mode mode."""
+    return qops._family(((1, ev, mode),))
 
 
 def constant_family(c) -> PlaneFamily:
@@ -88,15 +88,6 @@ class TestStencils:
         g = apply_h_plus(monomial_family(1, 1), 0)
         with pytest.raises(ValueError):
             g(QParam.classical(), 1.0, 1.0)
-
-    @pytest.mark.parametrize("op,name", [(apply_h_plus, "h_plus"), (apply_h_minus, "h_minus"),
-                                         (apply_casimir, "casimir")])
-    def test_reject_a_family_without_a_decomposition(self, op, name):
-        # the stencils read the operand's mode from its decomposition
-        raw = PlaneFamily(monomial_family(2, 1).evaluator)
-        with pytest.raises(ValueError, match=f"^the {name} stencil needs families with a "
-                                             "Fourier decomposition$"):
-            op(raw, 0)
 
 
 def ladder_coeff(J, M, sign, p):
@@ -194,7 +185,7 @@ def three_call_h_plus(f, N):
         t1 = -p.power(-nf / 2) * (f_pp - f(p, qm1 * u, q1 * v)) / (d * u)
         t2 = -p.power(nf / 2) * v * (p.power(-nf) * f_pp - p.power(nf) * f(p, q1 * u, qm1 * v)) / d
         return t1 + t2
-    return PlaneFamily(ev)
+    return ev
 
 
 def three_call_h_minus(f, N):
@@ -209,18 +200,21 @@ def three_call_h_minus(f, N):
         t1 = u * p.power(-nf / 2) * (p.power(nf) * f_pp - p.power(-nf) * f(p, qm1 * u, q1 * v)) / d
         t2 = p.power(nf / 2) * (f_pp - f(p, q1 * u, qm1 * v)) / (d * v)
         return t1 + t2
-    return PlaneFamily(ev)
+    return ev
 
 
 def two_call_bracket_h3(f, N, shift):
-    """[H3 + shift]_q from separate q^H3 and q^-H3 evaluations."""
-    up = apply_q_h3_power(f, N, 1.0)
-    dn = apply_q_h3_power(f, N, -1.0)
+    """[H3 + shift]_q from one call of f for each of q^H3 and q^-H3, where
+    q^(+-H3) f = q^(-+N) f(q^-+1 u, q^+-1 v)."""
+    nf = float(N)
 
     def ev(p, u, v):
-        d = p.power(1) - p.power(-1)
-        return (p.power(shift) * up(p, u, v) - p.power(-shift) * dn(p, u, v)) / d
-    return PlaneFamily(ev)
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        q1, qm1 = p.power(1), p.power(-1)
+        up = p.power(-nf) * f(p, qm1 * u, q1 * v)
+        dn = p.power(nf) * f(p, q1 * u, qm1 * v)
+        return (p.power(shift) * up - p.power(-shift) * dn) / (q1 - qm1)
+    return ev
 
 
 def separate_call_casimir(f, N, ordering):
@@ -230,7 +224,7 @@ def separate_call_casimir(f, N, ordering):
     else:
         ladder = three_call_h_minus(three_call_h_plus(f, N), N)
         diag = two_call_bracket_h3(two_call_bracket_h3(f, N, +1), N, 0)
-    return PlaneFamily(lambda p, u, v: ladder(p, u, v) + diag(p, u, v))
+    return lambda p, u, v: ladder(p, u, v) + diag(p, u, v)
 
 
 # each stencil: (the operator, its row of psi_tower's result, its eta-shifts)
@@ -294,7 +288,8 @@ class TestShiftEvaluation:
     def test_a_coefficient_one_term_enters_the_sum_unmultiplied(self):
         # (1+0j) * (-0-0j) is 0-0j: a basis member multiplied by its
         # coefficient 1 would lose the sign of a zero real part
-        zeros = PlaneFamily(lambda p, u, v: np.full(2, complex(-0.0, -0.0)))
+        def zeros(p, u, v):
+            return np.full(2, complex(-0.0, -0.0))
         f = psi_family(1, 0, 0)
         u, v = sample_points(2)
         for c in (1, 1.0, 1 + 0j):
@@ -525,7 +520,7 @@ class TestFourierDecomposition:
                 scale = max(1.0, float(np.max(np.abs(whole))))
                 resum = 0
                 for c, comp, m in fam.meta:
-                    assert comp.meta is None and isinstance(m, int), name
+                    assert not isinstance(comp, PlaneFamily) and isinstance(m, int), name
                     vals = np.asarray(comp(p, u, v))
                     radial = comp(p, rho, rho) * np.exp(-1j * m * phi)
                     assert np.max(np.abs(vals - radial)) < FOURIER_TOL * scale, (name, m)
@@ -549,11 +544,34 @@ class TestFourierDecomposition:
             assert [m for _, _, m in same.meta] == [1, -2]
         assert psi_family(1.5, -0.5, 0.5).meta[0][0::2] == (1, 0)
 
-    def test_unknown_decomposition_stays_unknown(self):
-        raw = PlaneFamily(monomial_family(2, 1).evaluator)
-        for fam in (raw, apply_q_h3_power(raw, 0, 2.0), with_fixed_param(raw, P_TWO),
-                    combine([1.0, 1.0], [raw, psi_family(1, 0, 0)])):
-            assert fam.meta is None
+
+SESQUILINEAR_TOL = 1e-14
+
+
+class TestSesquilinearity:
+    """<c f|g> = conj(c) <f|g> and <g|c f> = c <g|f> for every family
+    builder: a form that mirrored one term into the other, or applied a
+    component's coefficient on the wrong side, would break it.  The four
+    products of one family are one qinner._products call, so they share
+    their radial nodes."""
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1])
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2),
+                                   QParam.unit_circle(-0.15)],
+                             ids=["q1.3", "tau0.2", "tau-0.15"])
+    def test_scalar_product_is_sesquilinear(self, p, N):
+        # g spans the two towers, J and J + 1, that _decomposed_families draws on
+        J = HalfInt.of(1.5 if N == 0.5 else 1)
+        rng = np.random.default_rng(5)
+        members = [psi_family(Jt, M, N) for Jt in (J, J + 1) for M in qcore.m_values(Jt)]
+        g = combine(rng.normal(size=len(members)) + 1j * rng.normal(size=len(members)), members)
+        for name, f in _decomposed_families(p, N).items():
+            for c in (1j, 0.6 - 1.7j):
+                cf = combine([c], [f])
+                cf_g, f_g, g_cf, g_f = qinner._products([(cf, g), (f, g), (g, cf), (g, f)], p)
+                assert abs(f_g) > 1e-6 and abs(g_f) > 1e-6, name
+                for got, want in ((cf_g, np.conj(c) * f_g), (g_cf, c * g_f)):
+                    assert abs(got - want) <= SESQUILINEAR_TOL * abs(want), (name, c)
 
 
 def test_every_public_family_builder_is_annotated():
