@@ -301,10 +301,14 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
         R_(j+1) = (a_j + b_j eta) R_j + (1 - a_j)(1 + q^(2j) eta)(1 + q^(-2j) eta) R_(j-1),
         a_j = [2j+1] ([j+1] {M+N} + t_j) / ([j+1+M][j+1+N] {j}),
         b_j = -[2j+1] ([j+1] {M-N} - t_j) / ([j+1+M][j+1+N] {j}),
+        1 - a_j = -{j+1}[j+1][j-M][j-N] / ({j}[j][j+1+M][j+1+N]),
 
     {x} = q^x + q^-x, t_j = [2][M][N]/[j] (0 if MN = 0), denominators > 0
     in the circle's sector (2J+1)|tau| < pi; steps holds a, b and 1 - a as
-    (J - J0, 1) columns.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
+    (J - J0, 1) columns.  1 - a_j is taken as that product, of ratios near
+    1 each, not as 1.0 - a_j, which loses its digits where a_j is near 1 (at
+    large |ln q|); it is 0 at j = M or N, and at j = 0, where it is 0/0 and
+    multiplies R_(-1) = 0.  c is 1/[M+N]!, read from fact (a _q_factorials table at p),
     or for M+N < 0 [2 J0]!/[J0 + max(M, N)]!, k0 q-numbers; a c out of the
     normal range is refused, as are more than PRODUCT_MAX_FACTORS steps or
     start factors (past the cap the factors, each at least 1 and most at
@@ -322,16 +326,20 @@ def _r_steps(J: HalfInt, M: HalfInt, N: HalfInt, p: QParam, fact: list):
     mf, nf = float(M), float(N)
     bsum, bdiff = ((p.power(x) + p.power(-x)).real for x in (mf + nf, mf - nf))
     cross = q_number(2, p) * q_number(mf, p) * q_number(nf, p) if M.twice and N.twice else 0.0
-    a, b = [], []
+    a, b, rest = [], [], []
     for t in range(J0.twice, J.twice, 2):
         j = t / 2.0
-        t_j = cross / q_number(j, p) if cross else 0.0
+        q_j, q_j1 = q_number(j, p), q_number(j + 1, p)
+        t_j = cross / q_j if cross else 0.0
         brace = (p.power(j) + p.power(-j)).real
-        w = q_number(t + 1, p) / (q_number(j + 1 + mf, p) * q_number(j + 1 + nf, p) * brace)
-        a.append(w * (q_number(j + 1, p) * bsum + t_j))
-        b.append(-w * (q_number(j + 1, p) * bdiff - t_j))
+        up_m, up_n = q_number(j + 1 + mf, p), q_number(j + 1 + nf, p)
+        w = q_number(t + 1, p) / (up_m * up_n * brace)
+        a.append(w * (q_j1 * bsum + t_j))
+        b.append(-w * (q_j1 * bdiff - t_j))
+        rest.append(-((p.power(j + 1) + p.power(-j - 1)).real / brace) * (q_j1 / q_j)
+                    * (q_number(j - mf, p) / up_m) * (q_number(j - nf, p) / up_n) if t else 0.0)
     # a copy, not a view: one array object per record in psi's cache, which
     # hands it to every caller read-only
-    steps = np.array([a, b, [1.0 - x for x in a]]).reshape(3, -1, 1).copy()
+    steps = np.array([a, b, rest]).reshape(3, -1, 1).copy()
     steps.flags.writeable = False
     return J0, k0, c, steps

@@ -1092,6 +1092,75 @@ class TestPsiOracle:
         assert worst < 1e-11 and accepted >= 40
 
 
+# the large-|ln q| grid of R and psi: |ln q| up to 1.39 on both sides of 1,
+# J <= 12, eta over fourteen decades
+LN_Q_PARAMS = [QParam.positive_real(q) for q in (0.25, 0.5, 0.7, 1.3, 4.0)]
+LN_Q_TRIPLES = [(8, 6, 5), (12, 0, 0), (12, 3, -2), (10, -4, -6), (11.5, 2.5, -0.5),
+                (9.5, -1.5, -3.5), (6, 2, 2), (12, -5, 7)]
+LN_Q_ETAS = [1e-6, 1e-4, 1e-2, 0.5, 1.0, 7.0, 1e2, 1e4, 1e6, 1e8]
+LN_Q_TOL = 64  # times eps times the k-sum's condition number
+STEP_ULPS = 6
+
+
+class TestLargeLogQ:
+    """R and psi where a_j is within 1e-14 of 1 or closer: R's coefficient
+    1 - a_j is a product of q-numbers (_r_steps), so nothing cancels in it.
+    Taken as 1.0 - a_j, it put R(1e5) at (8, 6, 5), q 0.25, 1.0% off."""
+
+    @pytest.mark.parametrize("p", LN_Q_PARAMS + [QParam.unit_circle(0.2), QParam.unit_circle(-0.15),
+                                                 P_CLASS],
+                             ids=["q0.25", "q0.5", "q0.7", "q1.3", "q4", "tau0.2", "tau-0.15", "q1"])
+    def test_one_minus_a_against_mpmath(self, p):
+        # steps[2] against 1 - a_j in 50 digits, for |M|, |N| <= 6 and
+        # j up to 11 1/2 (inside the circle's sector): a few ulps, and
+        # exactly 0 at j = M or N, where R_(j-1) is 0; the worst seen is
+        # 4.3 ulps, at tau 0.2
+        eps = sys.float_info.epsilon
+        with mpmath.workdps(50):
+            for mt, nt in itertools.product(range(-12, 13), repeat=2):
+                if (mt - nt) % 2:
+                    continue
+                M, N = HalfInt(mt), HalfInt(nt)
+                J = HalfInt(24 - mt % 2)
+                while p.regime is qcore.Regime.UNIT_CIRCLE and (J.twice + 1) * abs(p.value) >= math.pi:
+                    J = HalfInt(J.twice - 2)
+                J0 = max(abs(mt), abs(nt))
+                _, _, _, steps = qspecial._r_steps(J, M, N, p,
+                                                   qcore._q_factorials(max(0, (mt + nt) // 2), p))
+                for i, got in enumerate(steps[2, :, 0]):
+                    j = mpmath.mpf(J0 + 2 * i) / 2
+                    if 2 * j in (0, mt, nt):
+                        assert got == 0.0, (M, N, j)
+                        continue
+                    want = 1 - mp_steps(j, M, N, p)[0]
+                    assert abs(got - want) <= STEP_ULPS * eps * abs(want), (M, N, j)
+
+    @pytest.mark.parametrize("p", LN_Q_PARAMS, ids=["q0.25", "q0.5", "q0.7", "q1.3", "q4"])
+    def test_r_and_psi_against_mpmath_sums(self, p):
+        # relative to eps times cond = sum |c_k eta^k| / |R|; the worst seen
+        # is 36, at q 0.7, where R(12, 0, 0) near eta = 0 is the recurrence's
+        # own floor (R is about 1 there)
+        eps = sys.float_info.epsilon
+        for J, M, N in LN_Q_TRIPLES:
+            J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+            with mpmath.workdps(60):
+                k0, coeffs = mp_r_coefficients(J, M, N, p)
+                for eta in LN_Q_ETAS:
+                    want = mp_r(J, M, N, p, eta)
+                    cond = float(sum(abs(c) * mpmath.mpf(eta) ** (k0 + i)
+                                     for i, c in enumerate(coeffs)) / abs(want))
+                    got = r_polynomial(J, M, N, p, eta)
+                    assert abs(got - complex(want)) <= LN_Q_TOL * eps * cond * abs(want), (J, M, N, eta)
+                    u = math.sqrt(eta) * cmath.exp(0.3j)
+                    got = psi(J, M, N, p, u, u.conjugate())
+                    want = complex(mp_psi(J, M, N, p, u, u.conjugate()))
+                    assert abs(got - want) <= LN_Q_TOL * eps * cond * abs(want), (J, M, N, eta)
+
+    def test_the_printed_example(self):
+        got = r_polynomial(8, 6, 5, QParam.positive_real(0.25), 1e5)
+        assert abs(got - -2.4821662455895520e-34) <= 1e-13 * 2.4821662455895520e-34
+
+
 class TestPsi:
     def test_origin_regular(self):
         # negative M+N would naively put v^{M+N} poles at v=0; the combined
