@@ -21,14 +21,13 @@ no other choice.
 Every family is its Fourier decomposition (PlaneFamily.meta): components
 of exact modes, psi_(J,M,N) being one of mode M+N.  On the physical slice a
 component of mode m is e^{-i m phi} times its value at phi = 0, so the
-angular integral keeps only the products of like modes and <f|g> is the
-radial integral of
-2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's components of mode m
-at (rho, rho); a pair with no common mode is an exact 0.0.  The pairs of one
-call that share the same modes share one radial integral, on which each
-distinct family of a side is evaluated once per form term.  That is the
-only scalar product, and it takes every family, since every family has a
-decomposition.
+angular integral keeps only the products of like modes, and <f|g> is the
+radial integral of 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's
+components of mode m at (rho, rho); a pair with no common mode is an exact
+0.0.  The pairs of one call that share the same modes share one radial
+integral, on which each distinct family of a side is evaluated once per
+form term.  That is the only scalar product, and it takes every family,
+since every family has a decomposition.
 """
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ from suq2.qinner import (
     inner,
 )
 from suq2.qops import (
-    PlaneFamily,
     apply_h_minus,
     apply_h_plus,
     apply_q_h3_power,

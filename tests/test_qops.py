@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from suq2 import QParam, inner, q_number, qcore, qinner, qops
+from suq2 import QParam, q_number, qcore, qinner, qops
 from suq2.qops import (
     IrrepMatrices,
     PlaneFamily,
