@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -171,13 +171,12 @@ def m_values(J: HalfInt) -> list:
     return [HalfInt(J.twice - 2 * k) for k in range(J.twice + 1)]
 
 
-def j_values(N, j_max, p: Optional[QParam] = None) -> list:
-    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order; given
-    p, refused by check_tower before a label past the first it refuses is made."""
+def j_values(N, j_max, p: QParam) -> list:
+    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order,
+    refused by check_tower at p before a label past the first it refuses is made."""
     N, j_max = HalfInt.of(N), HalfInt.of(j_max)
     twice = range(abs(N.twice), j_max.twice + 1, 2)
-    if p is not None:
-        check_tower(N, map(HalfInt, twice), p)
+    check_tower(N, map(HalfInt, twice), p)
     return list(map(HalfInt, twice))
 
 

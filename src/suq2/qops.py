@@ -29,7 +29,6 @@ covariance makes an operator commute with that.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,15 +84,17 @@ def psi_family(J, M, N) -> PlaneFamily:
     return _family(((1, lambda p, u, v: psi(J, M, N, p, u, v), (M + N).to_int()),))
 
 
-def with_fixed_param(f: PlaneFamily, p0: QParam) -> PlaneFamily:
-    """Pin f to parameter p0, ignoring the evaluation-time slot.
+def with_fixed_param(f: PlaneFamily) -> PlaneFamily:
+    """Pin f at q = 1, ignoring the evaluation-time slot.
 
     Used for limit studies: a family frozen at q = 1 fed through a deformed
     form probes the form itself rather than the covariant family.  Each
     component is pinned, and keeps its mode (the angular structure does not
-    depend on the parameter).
+    depend on the parameter).  As q^-1 = q at q = 1, a pinned component
+    mirrors on the circle as every other family does: comp(q^-1; conj u,
+    conj v) = conj comp(q; u, v), which a pin at a circle q would break.
     """
-    return _map_modes(f, lambda comp, m: lambda p, u, v: comp(p0, u, v))
+    return _map_modes(f, lambda comp, m: lambda p, u, v: comp(QParam.classical(), u, v))
 
 
 def combine(coeffs: Sequence[complex], families: Sequence[PlaneFamily]) -> PlaneFamily:
@@ -280,40 +281,28 @@ class IrrepMatrices:
     Hminus: np.ndarray
 
 
-def _ladder_coeff(J: HalfInt, M: HalfInt, sign: int, p: QParam) -> float:
-    """Matrix element of H+ (sign = +1) or H- (sign = -1) from M to M + sign:
-    sqrt([J - sign M][J + sign M + 1])."""
-    if sign > 0:
-        rad = q_number((J - M).to_int(), p) * q_number((J + M).to_int() + 1, p)
-    else:
-        rad = q_number((J + M).to_int(), p) * q_number((J - M).to_int() + 1, p)
-    if rad < 0:
-        raise ValueError(f"negative ladder radicand at M={M}")
-    return math.sqrt(rad)
-
-
 def matrix_irrep(J, p: QParam) -> IrrepMatrices:
     """Exact (2J+1)-dimensional ladder matrices, basis M = J, J-1, ..., -J.
 
     The parameter is screened against [n]_q = 0 degeneracies up to n = 2J+1
     (the largest q-number entering the ladder radicands), and circle-regime
     radicands must be nonnegative, else the square roots leave the reals.
+    One column of radicands [J - M][J + M + 1], M = J-1, ..., -J, fills H+
+    from M to M + 1; H- from M + 1 to M is the same two q-numbers in the
+    other order, so H- is H+'s transpose bitwise (a copy, not a view).
     """
     J = HalfInt.of(J)
     if J.twice < 0:
         raise ValueError("J must be >= 0")
     check_not_root_of_unity(p, J.twice + 1)
     ms = m_values(J)
-    dim = len(ms)
-    h3 = np.diag([float(m) for m in ms])
-    hplus = np.zeros((dim, dim))
-    hminus = np.zeros((dim, dim))
-    for i, m in enumerate(ms):
-        if i > 0:  # raising: M -> M+1 lives one row up
-            hplus[i - 1, i] = _ladder_coeff(J, m, +1, p)
-        if i < dim - 1:
-            hminus[i + 1, i] = _ladder_coeff(J, m, -1, p)
-    return IrrepMatrices(J, p, dim, tuple(ms), h3, hplus, hminus)
+    rad = [q_number((J - m).to_int(), p) * q_number((J + m).to_int() + 1, p) for m in ms[1:]]
+    for m, r in zip(ms[1:], rad):
+        if r < 0:
+            raise ValueError(f"negative ladder radicand at M={m + 1}")
+    hplus = np.diag(np.sqrt(rad), 1)
+    return IrrepMatrices(J, p, len(ms), tuple(ms), np.diag([float(m) for m in ms]),
+                         hplus, hplus.T.copy())
 
 
 def casimir_matrix(ir: IrrepMatrices) -> np.ndarray:

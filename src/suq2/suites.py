@@ -290,7 +290,7 @@ def suite_limit() -> list:
     p_cl = QParam.classical()
     cases = []
     for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
-        fam = with_fixed_param(psi_family(J, M, N), p_cl)
+        fam = with_fixed_param(psi_family(J, M, N))
         cl = inner(fam, fam, p_cl)
         d1 = abs(inner(fam, fam, QParam.positive_real(1 + h1)) - cl)
         d2 = abs(inner(fam, fam, QParam.positive_real(1 + h2)) - cl)

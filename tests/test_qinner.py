@@ -278,17 +278,22 @@ def _every_upper_pair_gram(N, J_list, p):
             float(np.max(np.abs(diag - 1.0), initial=0.0)))
 
 
+def _tower(p, N, j_max):
+    """A parametrize row: p, N and the labels of the N tower up to j_max at p."""
+    return p, N, j_values(N, j_max, p)
+
+
 class TestGramLikeWeightPairs:
     """gram integrates only the pairs of equal M; every other pair has no
     common mode, so the report is that of all upper pairs, bit for bit."""
 
     @pytest.mark.parametrize("p,N,js", [
-        (P_CLASS, 0, j_values(0, 8)),
-        (P_CLASS, 0.5, j_values(0.5, 4.5)),
-        (QParam.positive_real(1.3), 0.5, j_values(0.5, 5.5)),
-        (QParam.positive_real(0.7), 0, j_values(0, 6)),
-        (QParam.unit_circle(0.1), 0, j_values(0, 8)),
-        (QParam.unit_circle(0.2), 0.5, j_values(0.5, 3.5)),
+        _tower(P_CLASS, 0, 8),
+        _tower(P_CLASS, 0.5, 4.5),
+        _tower(QParam.positive_real(1.3), 0.5, 5.5),
+        _tower(QParam.positive_real(0.7), 0, 6),
+        _tower(QParam.unit_circle(0.1), 0, 8),
+        _tower(QParam.unit_circle(0.2), 0.5, 3.5),
         (P_REAL, 0.5, [2.5]),
         (P_CIRC, 0, [3]),
         (P_REAL, 1, []),
@@ -389,7 +394,7 @@ class TestClassicalLimit:
     def test_deformed_real_approaches_classical(self):
         # families pinned at q = 1: the limit probes the form, not the family
         for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
-            fam = with_fixed_param(psi_family(J, M, N), P_CLASS)
+            fam = with_fixed_param(psi_family(J, M, N))
             cl = inner(fam, fam, P_CLASS)
             d1 = abs(inner(fam, fam, QParam.positive_real(1 + 1e-3)) - cl)
             d2 = abs(inner(fam, fam, QParam.positive_real(1 + 1e-4)) - cl)

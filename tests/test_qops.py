@@ -451,10 +451,35 @@ class TestMatrixIrrep:
 
     def test_negative_radicand_rejected(self):
         # tau = 2pi/5: [3]_q = sin(6pi/5)/sin(2pi/5) < 0 while |[4]_q| = 1
-        # passes the degeneracy screen, so J = 3/2 hits [1][3] < 0
-        p = QParam.unit_circle(2 * math.pi / 5)
-        with pytest.raises(ValueError, match="radicand"):
-            matrix_irrep(1.5, p)
+        # passes the degeneracy screen, so J = 3/2 hits [1][3] < 0; tau = 1
+        # makes [6]_q < 0, so J = 3 hits [1][6] < 0 at M = 2.  The refusal
+        # names M + 1 of the first negative radicand [J - M][J + M + 1]
+        for J, tau, M in ((1.5, 2 * math.pi / 5, "3/2"), (3, 1.0, "3")):
+            with pytest.raises(ValueError, match=f"^negative ladder radicand at M={M}$"):
+                matrix_irrep(J, QParam.unit_circle(tau))
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(0.3), QParam.positive_real(2.718282),
+                                   QParam.unit_circle(0.2), QParam.unit_circle(-0.2),
+                                   QParam.classical()],
+                             ids=["q0.3", "q2.718282", "tau0.2", "tau-0.2", "q1"])
+    def test_h_minus_is_a_copy_of_the_transpose_of_h_plus(self, p):
+        # each entry of H- is the radicand of its H+ entry, the same two
+        # q-numbers in the other order; H- owns its memory, so writing into
+        # one ladder leaves the other as built
+        for twice in range(14):
+            ir = matrix_irrep(twice / 2, p)
+            assert ir.Hminus.tobytes() == np.ascontiguousarray(ir.Hplus.T).tobytes(), twice
+            assert not np.shares_memory(ir.Hminus, ir.Hplus), twice
+
+
+class TestWithFixedParam:
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
+                             ids=["q1.3", "tau0.2"])
+    def test_pins_every_component_at_q_1(self, p):
+        f = combine([0.3 - 1.1j, 2.0], [psi_family(1.5, 0.5, 0.5), psi_family(2.5, -0.5, 0.5)])
+        u, v = sample_points(6)
+        got = with_fixed_param(f)(p, u, v)
+        assert got.tobytes() == f(QParam.classical(), u, v).tobytes()
 
 
 class TestCombine:
@@ -480,7 +505,6 @@ def _decomposed_families(p, N):
     rng = np.random.default_rng(7)
     span = combine(rng.normal(size=4) + 1j * rng.normal(size=4), states)
     pair = combine([0.3 - 1.1j, 2.0], [states[1], states[3]])  # one mode, two components
-    p_pin = QParam.positive_real(1.1) if p.regime is P_TWO.regime else QParam.unit_circle(0.05)
     stencils = {
         "h_plus": apply_h_plus(span, N),
         "h_minus": apply_h_minus(span, N),
@@ -489,7 +513,7 @@ def _decomposed_families(p, N):
     }
     return {
         "psi": states[0],
-        "fixed_param": with_fixed_param(states[1], p_pin),
+        "fixed_param": with_fixed_param(states[1]),
         "combine": span,
         "combine_one_mode": pair,
         **stencils,
@@ -497,7 +521,7 @@ def _decomposed_families(p, N):
         "h_plus_twice": apply_h_plus(apply_h_plus(pair, N), N),
         "combine_of_stencils": combine([1.0, -2j, 0.5], [stencils["h_plus"], stencils["h_minus"],
                                                          stencils["casimir"]]),
-        "fixed_param_of_stencil": with_fixed_param(stencils["h_minus"], p_pin),
+        "stencil_of_fixed_param": apply_h_minus(with_fixed_param(span), N),
     }
 
 
@@ -540,7 +564,7 @@ class TestFourierDecomposition:
         assert [m for _, _, m in apply_h_plus(f, 0).meta] == [2, -1]
         assert [m for _, _, m in apply_h_minus(f, 0).meta] == [0, -3]
         for same in (apply_q_h3_power(f, 0, 2.0), apply_casimir(f, 0),
-                     with_fixed_param(f, P_CIRC)):
+                     with_fixed_param(f)):
             assert [m for _, _, m in same.meta] == [1, -2]
         assert psi_family(1.5, -0.5, 0.5).meta[0][0::2] == (1, 0)
 
@@ -574,24 +598,75 @@ class TestSesquilinearity:
                     assert abs(got - want) <= SESQUILINEAR_TOL * abs(want), (name, c)
 
 
+MIRROR_RADII = np.exp(np.arange(-20.0, 21.0))  # rho = e^-20, ..., e^20
+
+
+class TestCircleMirror:
+    """On the circle q^-1 = conj(q), and every component mirrors exactly:
+    comp(q^-1; conj x, conj y) = conj comp(q; x, y).  That makes the circle
+    form's second term the conjugate of its first (B2 = conj(B1)).  It is
+    checked off the slice at (u, 1.7 v) and on the points where the form
+    evaluates, (rho, rho) and (q^-1 rho, q^-1 rho).  array_equal, not bytes:
+    the two sides may differ in the sign of a zero."""
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1])
+    @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.unit_circle(-0.15)],
+                             ids=["tau0.2", "tau-0.15"])
+    def test_every_component_mirrors(self, p, N):
+        u, v = sample_points(6)
+        shrunk = p.power(-1) * MIRROR_RADII
+        points = [(u, 1.7 * v), (MIRROR_RADII, MIRROR_RADII), (shrunk, shrunk)]
+        for name, fam in _decomposed_families(p, N).items():
+            for k, (_, comp, _) in enumerate(fam.meta):
+                for x, y in points:
+                    mirrored = comp(p.inverse(), np.conj(x), np.conj(y))
+                    assert np.array_equal(mirrored, np.conj(comp(p, x, y))), (name, k)
+
+
+def _public_functions() -> dict:
+    """qops' own public functions by name."""
+    return {name: fn for name, fn in vars(qops).items()
+            if not name.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == qops.__name__}
+
+
+def _annotated_builders() -> set:
+    """The public qops functions annotated to return a PlaneFamily."""
+    return {name for name, fn in _public_functions().items()
+            if fn.__annotations__.get("return") == "PlaneFamily"}
+
+
 def test_every_public_family_builder_is_annotated():
     # a benchmark tracer finds the builders whose families it wraps by the
     # return annotation "PlaneFamily" alone, so a builder without it would
     # go untraced; each public function is called on sample arguments
     fam = psi_family(1, 0, 0)
     u, v = sample_points(3)
-    sample = {"f": fam, "J": 1, "M": 0, "N": 0, "p": P_TWO, "p0": P_TWO, "a": 1.0,
+    sample = {"f": fam, "J": 1, "M": 0, "N": 0, "p": P_TWO, "a": 1.0,
               "coeffs": [1.0], "families": [fam], "ir": matrix_irrep(1, P_TWO), "u": u, "v": v}
-    public = {name: fn for name, fn in vars(qops).items()
-              if not name.startswith("_") and inspect.isfunction(fn)
-              and fn.__module__ == qops.__name__}
     builders = set()
-    for name, fn in public.items():
+    for name, fn in _public_functions().items():
         params = inspect.signature(fn).parameters.values()
         args = [sample[prm.name] for prm in params if prm.default is inspect.Parameter.empty]
         if isinstance(fn(*args), PlaneFamily):
             builders.add(name)
-    annotated = {name for name, fn in public.items()
-                 if fn.__annotations__.get("return") == "PlaneFamily"}
-    assert builders == annotated
+    assert builders == _annotated_builders()
     assert {"psi_family", "apply_h_plus", "apply_h_minus", "apply_casimir"} <= builders
+
+
+def test_the_family_catalogue_calls_every_builder(monkeypatch):
+    # the Fourier, sesquilinearity and mirror checks run over
+    # _decomposed_families, so a builder it never calls would go unchecked
+    called = set()
+
+    def recorded(name):
+        builder = getattr(qops, name)
+
+        def wrapper(*args):
+            called.add(name)
+            return builder(*args)
+        return wrapper
+    for name in _annotated_builders():
+        monkeypatch.setitem(globals(), name, recorded(name))
+    _decomposed_families(QParam.unit_circle(0.2), 0.5)
+    assert called == _annotated_builders()

@@ -218,7 +218,7 @@ class TestHermiticitySuite:
         # each drawn state is a member (J, M) of the N tower up to J-max 4,
         # of mode M + N, with the bits of its own family
         N_h = HalfInt.of(N)
-        members = {(J, M) for J in j_values(N_h, 4) for M in m_values(J)}
+        members = {(J, M) for J in j_values(N_h, 4, P_REAL) for M in m_values(J)}
         u, v = sample_points(5)
         for pair in suites._span_pairs(4, N_h, P_REAL, 3):
             for f in pair:

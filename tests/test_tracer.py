@@ -49,7 +49,7 @@ span = qops.combine([0.3 - 1.1j, 2.0], [member, qops.psi_family(2.5, -0.5, N)])
 families = {
     "psi_family": member,
     "combine": span,
-    "with_fixed_param": qops.with_fixed_param(span, QParam.positive_real(1.1)),
+    "with_fixed_param": qops.with_fixed_param(span),
     "apply_h_plus": qops.apply_h_plus(span, N),
     "apply_h_minus": qops.apply_h_minus(span, N),
     "apply_q_h3_power": qops.apply_q_h3_power(span, N, 2.0),
