@@ -154,15 +154,16 @@ def validate_tower(J: HalfInt, N: HalfInt) -> None:
         raise ValueError(f"need |N| <= J, got (J,N) = ({J},{N})")
 
 
-def validate_triple(J: HalfInt, M: HalfInt, N: HalfInt) -> None:
-    """Irrep triple: the tower (J, N) of validate_tower, then M of J's
-    integrality class with |M| <= J."""
+def validate_triple(J, M, N) -> tuple:
+    """The irrep triple as HalfInt, made in the order J, M, N and returned:
+    the tower (J, N) of validate_tower, then M of J's class with |M| <= J."""
     J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
     validate_tower(J, N)
     if (J.twice - M.twice) % 2:
         raise ValueError(f"(J,M,N) = ({J},{M},{N}) must be integers or half-integers together")
     if abs(M.twice) > J.twice:
         raise ValueError(f"need |M| <= J, got (J,M,N) = ({J},{M},{N})")
+    return J, M, N
 
 
 def m_values(J: HalfInt) -> list:

@@ -79,8 +79,7 @@ def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> PlaneFamily:
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot.  It is
     one component of mode M + N, with coefficient 1."""
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    J, M, N = validate_triple(J, M, N)
     return _family(((1, lambda p, u, v: psi(J, M, N, p, u, v), (M + N).to_int()),))
 
 
@@ -220,23 +219,23 @@ def _sum_terms(terms, p: QParam, u, v):
     return acc
 
 
-def _stencil(f: PlaneFamily, op: str, N, shift: int) -> PlaneFamily:
+def _stencil(f: PlaneFamily, op: str, N) -> PlaneFamily:
     """f under the operator op of weight N: each component of f's
     decomposition, of mode m, under op from one call of it (_apply's
-    one-table case), of mode m + shift."""
+    one-table case), of mode m + j - i, the j - i of every term of op."""
     nf = float(HalfInt.of(N))
     return _map_modes(f, lambda comp, m: lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1],
-                      shift)
+                      next(j - i for _, _, i, j in _table(op, nf)[1]))
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
     """Raising stencil; evaluation at u = 0 is excluded (division by u)."""
-    return _stencil(f, "h_plus", N, +1)
+    return _stencil(f, "h_plus", N)
 
 
 def apply_h_minus(f: PlaneFamily, N) -> PlaneFamily:
     """Lowering stencil; evaluation at v = 0 is excluded (division by v)."""
-    return _stencil(f, "h_minus", N, -1)
+    return _stencil(f, "h_minus", N)
 
 
 def apply_q_h3_power(f: PlaneFamily, N, a: float) -> PlaneFamily:
@@ -254,7 +253,7 @@ def apply_casimir(f: PlaneFamily, N) -> PlaneFamily:
     to one table, on the four dilations (q^a u, q^b v), (a, b) in {0, 2}^2,
     i = j in every entry, so on the eta-shifts 0, 2 and 4; that the tables
     are equal is [H+, H-] = [2 H3]_q holding exactly on the realization."""
-    return _stencil(f, "casimir", N, 0)
+    return _stencil(f, "casimir", N)
 
 
 def psi_tower(J, N, p: QParam, u, v) -> tuple:

@@ -188,8 +188,7 @@ def r_polynomial(J, M, N, p: QParam, eta):
     """R(eta) = sum_k c_k (-eta)^k, c_k = [J-N]![J-M]!/([k]![J-M-k]![J-N-k]![M+N+k]!),
     by the recurrence in J of _r_steps, where the alternating sum cancels.
     On the circle J needs (2J+1)|tau| < pi; a value out of range is refused."""
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    J, M, N = validate_triple(J, M, N)
     _check_sector(J, p)
     arr, scalar = _as_complex(eta)
     J0, k0, c, steps = _r_steps(J, M, N, p, _q_factorials(max(0, (M + N).to_int()), p))
@@ -481,8 +480,7 @@ def norm_constant(J, M, N, p: QParam) -> float:
     continued into complex square roots.  A value out of the normal float
     range, as where a radicand's factorials overflow mid-formula, is refused.
     """
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    J, M, N = validate_triple(J, M, N)
     norm = _norm_constant(J, M, N, p, _q_factorials(J.twice + 1, p))
     if not sys.float_info.min <= norm < math.inf:
         _float_range_error(J, M, N, p, "norm_constant")
@@ -619,8 +617,7 @@ def vilenkin(J, M, N, p: QParam, xi):
     fixed phase i^(2J-M-N).  At positive real q the rest is real, at q = 1,
     N = 0 these are Legendre-type functions, and on the circle every J needs
     (2J+1)|tau| < pi."""
-    J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
-    validate_triple(J, M, N)
+    J, M, N = validate_triple(J, M, N)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     if scalar:  # as in _as_complex: xi and [xi] give the same bits

@@ -31,8 +31,7 @@ from .qspecial import q_function, vilenkin
 MATRIX_TOL = 1e-12
 FUNCEQ_TOL_PRODUCT = 1e-12
 FUNCEQ_TOL_INTEGRAL = 1e-10
-LADDER_TOL = 1e-8
-CASIMIR_TOL = 1e-8
+STENCIL_TOL = 1e-8
 HERMITICITY_TOL = 1e-7
 CONJ_SYMMETRY_TOL = 1e-8
 GRAM_TOL = 1e-6
@@ -136,49 +135,43 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
     return cases
 
 
-def _valid_n(J: HalfInt) -> list:
-    out = []
-    for N in STENCIL_N_VALUES:
-        N = HalfInt.of(N)
-        if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
-            out.append(N)
-    return out
+def _towers(p: QParam, j_max, seed: int):
+    """(J, N, *psi_tower) at the seeded sample points, for J = 1/2, 1, ...,
+    j_max made one at a time, so a J that psi refuses stops the suite there,
+    and each N of STENCIL_N_VALUES in J's class with |N| <= J."""
+    u, v = sample_points(STENCIL_POINTS, seed)
+    for J in _half_range(j_max):
+        for N in map(HalfInt.of, STENCIL_N_VALUES):
+            if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
+                yield (J, N, *psi_tower(J, N, p, u, v))
 
 
-def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = LADDER_TOL) -> list:
+def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
     """H+ and H- on every member of each (J, N) tower against the transposed
     irrep matrices acting on the tower's rows: the neighbour times the
     matrix element, or 0 at the top and at the bottom.  Each tower is
     evaluated whole, by psi_tower's one psi call."""
-    u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
-    for J in _half_range(j_max):
-        for N in _valid_n(J):
-            # before matrix_irrep: psi's sector refusal comes first
-            vals, h_plus, h_minus, _ = psi_tower(J, N, p, u, v)
-            ir = matrix_irrep(J, p)
-            worst = 0.0
-            for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
-                # einsum, not @: a complex @ goes through BLAS, whose first call
-                # raises the process's peak memory
-                want = np.einsum("ki,kn->in", mat, vals)
-                worst = max(worst, _rel_rows(got - want, want))
-            cases.append(Case(f"ladder J={J} N={N}", worst, tol))
+    for J, N, vals, h_plus, h_minus, _ in _towers(p, j_max, seed):
+        ir = matrix_irrep(J, p)  # after psi_tower: psi's sector refusal comes first
+        worst = 0.0
+        for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
+            # einsum, not @: a complex @ goes through BLAS, whose first call
+            # raises the process's peak memory
+            want = np.einsum("ki,kn->in", mat, vals)
+            worst = max(worst, _rel_rows(got - want, want))
+        cases.append(Case(f"ladder J={J} N={N}", worst, tol))
     return cases
 
 
-def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = CASIMIR_TOL) -> list:
+def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
     """The Casimir on every member of each (J, N) tower against [J][J+1]
     times the member; each tower is evaluated whole, as in suite_ladder,
     whose psi call it repeats, so that call is a memo hit in an `all` run."""
-    u, v = sample_points(STENCIL_POINTS, seed)
     cases = []
-    for J in _half_range(j_max):
-        for N in _valid_n(J):
-            want = q_number(J, p) * q_number(J + 1, p)
-            vals, _, _, cas = psi_tower(J, N, p, u, v)
-            refs = want * vals
-            cases.append(Case(f"casimir J={J} N={N}", _rel_rows(cas - refs, refs), tol))
+    for J, N, vals, _, _, cas in _towers(p, j_max, seed):
+        refs = q_number(J, p) * q_number(J + 1, p) * vals
+        cases.append(Case(f"casimir J={J} N={N}", _rel_rows(cas - refs, refs), tol))
     return cases
 
 
@@ -249,12 +242,17 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
 
 def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=2,
                tol: float = GRAM_TOL) -> list:
+    """The Gram matrix of the N tower up to j_max, or of the levels j_list,
+    against the identity; a tower of no state raises, as in _span_pairs."""
     if j_list is None:
         j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
+    if not j_list:
+        raise ValueError(f"gram needs at least 1 basis state; the N={HalfInt.of(N)} "
+                         f"tower up to --J-max {HalfInt.of(j_max)} has 0")
     rep = gram(N, j_list, p)
-    label = ",".join(str(HalfInt.of(J)) for J in j_list) or "(empty)"
-    residual = max(rep.max_offdiag, rep.max_diag_dev) if rep.labels else 0.0
-    return [Case(f"gram N={HalfInt.of(N)} J={{{label}}}", residual, tol)]
+    label = ",".join(str(HalfInt.of(J)) for J in j_list)
+    return [Case(f"gram N={HalfInt.of(N)} J={{{label}}}",
+                 max(rep.max_offdiag, rep.max_diag_dev), tol)]
 
 
 # classical Legendre-type references for the q -> 1 check: value is
@@ -339,9 +337,9 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
     """Run a named suite; each argument left None takes the suite's default.
 
     A suite applies in every regime but the one _SUITES skips it in: `all`
-    runs those that apply, without j_list or tol, and a single suite that
-    does not apply raises ValueError, as does a single suite with no case
-    (a --J-max below the first J of its range).
+    runs those that apply, without j_list or tol.  A single suite that does
+    not apply raises ValueError, as does one with no case (a --J-max below
+    its first J), and gram and hermiticity raise on a tower too small to test.
     """
     if name == "all":
         cases = []
@@ -354,7 +352,7 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
     if p.regime is _SUITES[name][2]:
         raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
     cases = _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)
-    if not cases:  # a J range with no member; the empty gram tower still has its case
+    if not cases:  # a J range with no member
         at = "" if j_max is None else f" at --J-max {HalfInt.of(j_max)}"
         raise ValueError(f"suite {name} has no case to run{at}")
     return cases

@@ -772,6 +772,16 @@ class TestParser:
         assert "--J-max" in err and "N=" in err and f"has {states}" in err
         assert "larger sample" not in err
 
+    @pytest.mark.parametrize("suite", ["gram", "all"])
+    def test_gram_on_an_empty_tower_exits_two(self, suite, capsys):
+        # a case on no state would compare nothing, and could not fail
+        code, out, err = run(["verify", "--suite", suite, "--q", "1.3", "--N", "2",
+                              "--J-max", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: gram needs at least 1 basis state; "
+                       "the N=2 tower up to --J-max 1 has 0\n")
+
+
 
 def test_cli_imports_neither_numpy_random_nor_numpy_polynomial():
     # importing the two took about a fifth of a verify call; a fresh

@@ -100,7 +100,11 @@ class TestHalfInt:
         assert HalfInt.of(x) == HalfInt(twice)
 
     def test_validate_triple(self):
-        validate_triple(HalfInt.of(1), HalfInt.of(0), HalfInt.of(-1))
+        labels = validate_triple(HalfInt.of(1), HalfInt.of(0), HalfInt.of(-1))
+        assert labels == (HalfInt(2), HalfInt(0), HalfInt(-2))
+        assert isinstance(labels, tuple) and all(type(x) is HalfInt for x in labels)
+        # raw numbers come back converted, as its callers read them
+        assert validate_triple(2, -1.0, np.int64(1)) == (HalfInt(4), HalfInt(-2), HalfInt(2))
         with pytest.raises(ValueError):
             validate_triple(HalfInt.of(1), HalfInt.of(0.5), HalfInt.of(0))  # parity
         with pytest.raises(ValueError):

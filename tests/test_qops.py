@@ -340,6 +340,14 @@ class TestShiftEvaluation:
         assert qops._table.cache_info().misses == 1  # composed once, for N 0
         assert qops._plan.cache_info().misses == 2  # evaluated once per q
 
+    @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
+    def test_every_term_of_a_table_shifts_the_mode_alike(self, N):
+        # a stencil reads its mode shift from its table's first term, so
+        # every u^i v^j term of the table must carry the same j - i
+        for op, shift in (("h_plus", 1), ("h_minus", -1), ("casimir", 0)):
+            terms = qops._table(op, float(N))[1]
+            assert terms and {j - i for _, _, i, j in terms} == {shift}, op
+
 
 class TestPsiTower:
     """psi_tower: a (J, N) tower's members, H+, H- and Casimir from one psi

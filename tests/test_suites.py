@@ -1,6 +1,7 @@
 """Named verification suites: case bookkeeping, tolerance routing, and the
 dispatcher's composition rules."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,10 +256,11 @@ class TestGramSuite:
         assert case.name == "gram N=1/2 J={1/2,3/2}"
         assert case.passed
 
-    def test_empty_tower_reports_zero(self):
-        (case,) = suite_gram(P_REAL, N=1, j_max=0.5)
-        assert case.name == "gram N=1 J={(empty)}"
-        assert case.residual == 0.0 and case.passed
+    def test_empty_tower_is_refused(self):
+        # a case on no state would compare nothing, and could not fail
+        with pytest.raises(ValueError, match=re.escape(
+                "gram needs at least 1 basis state; the N=1 tower up to --J-max 1/2 has 0")):
+            suite_gram(P_REAL, N=1, j_max=0.5)
 
 
 class TestLimitSuite:
@@ -303,9 +305,10 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=f"suite {name} has no case to run"):
             run_suite(name, P_REAL, j_max=j_max)
 
-    def test_empty_gram_tower_keeps_its_case(self):
-        (case,) = run_suite("gram", P_REAL, N=1, j_max=0.5)
-        assert case.name == "gram N=1 J={(empty)}" and case.passed
+    @pytest.mark.parametrize("name", ["gram", "all"])
+    def test_empty_gram_tower_is_refused(self, name):
+        with pytest.raises(ValueError, match=re.escape("the N=1 tower up to --J-max 1/2 has 0")):
+            run_suite(name, P_REAL, N=1, j_max=0.5)
 
     def test_suite_names_constant(self):
         assert SUITE_NAMES == ("matrix", "funceq", "ladder", "casimir",
