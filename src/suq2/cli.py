@@ -1,8 +1,8 @@
 """Command-line front end: eval (function tables), verify (suites), gram.
 
-Exit codes: 0 success / all cases pass; 1 verification failure; 2 argument
-or evaluation errors.  Output is assembled in full before printing, so a
-failure never leaves a partial table on stdout.
+Exit codes: 0 success / all cases pass; 1 verification failure; 2 argument,
+evaluation or out-of-memory errors.  Output is assembled in full before
+printing, so a failure never leaves a partial table on stdout.
 """
 from __future__ import annotations
 
@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
         _reject_unread(f"--suite {args.suite} with --J", {"--J-max": args.J_max})
     if args.seed is not None and args.seed < 0:
         raise SystemExit(_fail(f"--seed must be a non-negative integer, got {args.seed}"))
+    if args.tol is not None and not 0 < args.tol < np.inf:  # nan too
+        raise SystemExit(_fail(f"--tol must be a positive finite number, got {args.tol}"))
     j_max = None if args.J_max is None else _parse_half(str(args.J_max), "--J-max")
     j_list = None if args.J is None else [_parse_half(str(args.J), "--J")]
     N = None if args.N is None else _parse_half(str(args.N), "--N")
@@ -260,6 +262,8 @@ def main(argv=None) -> int:
         raise
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

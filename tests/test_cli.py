@@ -300,6 +300,20 @@ class TestEvalErrors:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"error: {msg}, past the cap of 100000\n"
 
+    @pytest.mark.parametrize("argv,msg", [
+        (["--fn", "qnum", "--q", "1.3", "--grid", "0:1:2000000000"],
+         "Unable to allocate 14.9 GiB"),
+        (["--fn", "psi", "--J", "1", "--M", "0", "--N", "0", "--q", "1.3",
+          "--grid", "0.1:1:20000000"], "out of memory"),
+    ], ids=["qnum-grid", "psi-grid"])
+    def test_running_out_of_memory_exits_two(self, argv, msg):
+        # exit 1 means a failed verification, not a traceback; under this
+        # limit numpy names the 2e9-point grid's allocation, while psi's
+        # MemoryError has no message of its own
+        res = _run_under_a_gib(["eval"] + argv)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith(f"error: {msg}") and res.stderr.count("\n") == 1
+
     def test_a_list_sized_by_j_at_the_cap_returns_its_value(self, capsys):
         code, out, err = run(["eval", "--fn", "Q", "--J", "1e5", "--q", "1.5", "--eta", "1"],
                              capsys)
@@ -781,6 +795,13 @@ class TestParser:
         assert err == ("error: gram needs at least 1 basis state; "
                        "the N=2 tower up to --J-max 1 has 0\n")
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, tol, capsys):
+        # -1, 0 and nan would fail every case with exit 1, and inf would
+        # pass every finite residual; each is refused before any suite runs
+        code, out, err = run(["verify", "--suite", "ladder", "--q", "1.3", "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --tol must be a positive finite number, got {float(tol)}\n"
 
 
 def test_cli_imports_neither_numpy_random_nor_numpy_polynomial():
