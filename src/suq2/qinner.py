@@ -26,8 +26,12 @@ radial integral of 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's
 components of mode m at (rho, rho); a pair with no common mode is an exact
 0.0.  The pairs of one call that share the same modes share one radial
 integral, on which each distinct family of a side is evaluated once per
-form term.  That is the only scalar product, and it takes every family,
-since every family has a decomposition.
+level, at real q once per form term.  On the circle every component
+mirrors, comp(q^-1; conj x, conj y) = conj comp(q; x, y), so the second
+term sums the conjugates of the first term's component values with their
+coefficients: the mirror holds per component, not for a weighted sum.
+That is the only scalar product, and it takes every family, since every
+family has a decomposition.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, check_tower, m_values
 from .qops import (
     PlaneFamily,
-    _sum_terms,
+    _weighted_sum,
     apply_h_minus,
     apply_h_plus,
     apply_q_h3_power,
@@ -68,16 +72,23 @@ def _terms(p: QParam):
     return ((pinv, p, qm1), (p, pinv, qp1))
 
 
-def _mode_rows(fams, p: QParam, x, modes) -> dict:
-    """{m: rows} for each m in modes, row k the sum of fams[k]'s components
-    of mode m at (x, x), in decomposition order (qops._sum_terms); each
-    distinct family is evaluated once."""
-    sums = {}
+def _components(fams, p: QParam, x, modes) -> dict:
+    """{(id(f), m): [(c, value), ...]} for each distinct family f of fams and
+    m in modes: the coefficient and the value at (x, x) of each of f's
+    components of mode m, in decomposition order."""
+    vals = {}
     for f in fams:
-        if id(f) not in sums:
-            sums[id(f)] = {m: _sum_terms([t for t in f.meta if t[2] == m], p, x, x)
-                           for m in modes}
-    return {m: np.array([sums[id(f)][m] for f in fams]) for m in modes}
+        for m in modes:
+            if (id(f), m) not in vals:
+                vals[id(f), m] = [(c, comp(p, x, x)) for c, comp, mode in f.meta if mode == m]
+    return vals
+
+
+def _mode_rows(fams, vals: dict, modes) -> dict:
+    """{m: rows} for each m in modes, row k the sum of fams[k]'s component
+    values of mode m in vals, in decomposition order (qops._weighted_sum)."""
+    sums = {key: _weighted_sum(entries) for key, entries in vals.items()}
+    return {m: np.array([sums[id(f), m] for f in fams]) for m in modes}
 
 
 def _products(pairs: Sequence, p: QParam) -> list:
@@ -89,16 +100,25 @@ def _products(pairs: Sequence, p: QParam) -> list:
             blocks.setdefault(common, []).append(k)
     out = [0.0] * len(pairs)
     terms, scale = _terms(p), b_one(p) * 2.0 * math.pi  # read by every block
+    mirror = p.regime is Regime.UNIT_CIRCLE
     for common, ks in blocks.items():
         bras, kets = [pairs[k][0] for k in ks], [pairs[k][1] for k in ks]
 
         def profile(rho):
             eta = rho ** 2
-            acc = 0
+            acc, sides = 0, None
             for bra_p, ket_p, s in terms:
-                # the sides of a term may share the parameter, not the argument
-                bra = _mode_rows(bras, bra_p, rho, common)
-                ket = _mode_rows(kets, ket_p, s * rho, common)
+                if mirror and sides:
+                    # the second term, at p^-1 on rho and q rho, mirrors the
+                    # first (see above), as conj(q rho) = q^-1 rho
+                    sides = [{key: [(c, np.conj(val)) for c, val in entries]
+                              for key, entries in vals.items()} for vals in sides]
+                else:
+                    # the sides of a term may share the parameter, not the argument
+                    sides = [_components(bras, bra_p, rho, common),
+                             _components(kets, ket_p, s * rho, common)]
+                bra, ket = (_mode_rows(fams, vals, common)
+                            for fams, vals in zip((bras, kets), sides))
                 w = s / ((1.0 + eta) * (1.0 + s * s * eta))
                 for m in common:
                     acc = acc + np.conj(bra[m]) * w * ket[m]

@@ -210,11 +210,17 @@ def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
 
 def _sum_terms(terms, p: QParam, u, v):
     """The sum over terms, in order, of each coefficient c times its family
-    at (p, u, v), from (c, family, ...) entries such as a decomposition's;
+    at (p, u, v), from (c, family, ...) entries such as a decomposition's
+    (_weighted_sum)."""
+    return _weighted_sum((c, f(p, u, v)) for c, f, *_ in terms)
+
+
+def _weighted_sum(terms):
+    """The sum, in order, of c * value over the (c, value) pairs of terms;
     a term of coefficient 1 (a basis member) enters unmultiplied."""
     acc = None
-    for c, f, *_ in terms:
-        val = f(p, u, v) if c == 1 else c * f(p, u, v)
+    for c, val in terms:
+        val = val if c == 1 else c * val
         acc = val if acc is None else acc + val
     return acc
 

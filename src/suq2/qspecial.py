@@ -118,7 +118,8 @@ class _ExactMemo:
     the branch-cut warning of l_function is never stored, even where the
     caller silenced the warning, so the warning and the errors recur on
     every call.  The stored keys and values stay under max_bytes, evicting
-    the oldest entry first; a larger result is not stored at all.
+    the oldest entry first; a larger result is not stored at all, and an
+    input whose bytes alone pass max_bytes makes no key and no lookup.
     """
 
     def __init__(self, max_bytes):
@@ -126,8 +127,12 @@ class _ExactMemo:
         self.entries: dict = {}
         self.nbytes = 0
 
-    def lookup(self, key, compute):
-        """The value for key; on a miss, the value compute() returns."""
+    def lookup(self, params: tuple, arrays: tuple, compute):
+        """The value for the key (params, the arrays' shapes, their bytes); on
+        a miss, the value compute() returns."""
+        if sum(a.nbytes for a in arrays) > self.max_bytes:
+            return compute()  # never stored: see _store
+        key = (*params, *(a.shape for a in arrays), b"".join(a.tobytes() for a in arrays))
         val = self.entries.get(key)
         if val is None:
             warnings_before = _branch_cut_warnings
@@ -469,7 +474,7 @@ def _q_half(J: HalfInt, p: QParam, arr):
     """
     _check_sector(J, p)
     evaluate = q_infinite_product if p.regime is Regime.POSITIVE_REAL else q_integral_exp
-    return _q_half_memo.lookup((p, arr.shape, arr.tobytes()), lambda: evaluate(0.5, p, arr))
+    return _q_half_memo.lookup((p,), (arr,), lambda: evaluate(0.5, p, arr))
 
 
 def norm_constant(J, M, N, p: QParam) -> float:
@@ -509,8 +514,8 @@ def psi(J, M, N, p: QParam, u, v):
     _check_sector(J, p)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    key = (J, ms, N, p, u_arr.shape, v_arr.shape, u_arr.tobytes() + v_arr.tobytes())
-    out = _psi_memo.lookup(key, lambda: _psi_rows(J, ms, N, p, u_arr, v_arr))
+    out = _psi_memo.lookup((J, ms, N, p), (u_arr, v_arr),
+                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr))
     scalar = u_scalar and v_scalar
     if not isinstance(M, tuple):
         return _ret(out[0], scalar)

@@ -180,12 +180,14 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 30, 0), (QParam.positive_real(0.367879), None, 0, 15)],
+    (QParam.unit_circle(0.2), 3, 18, 0), (QParam.positive_real(0.367879), None, 0, 15)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
     # keyed on Q_{1/2}'s argument loses none of their repeats.  Each distinct
-    # argument is evaluated once, by two quadratures or by one product
+    # argument is evaluated once, by two quadratures or by one product.  On
+    # the circle the scalar products evaluate psi at q alone, their second
+    # form term mirroring the first (30 quadratures when both terms ran)
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
     runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
@@ -197,6 +199,30 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
     assert len(runs["_infinite_product"]) == products
     per_argument = 2 if p.regime is Regime.UNIT_CIRCLE else 1
     assert quadratures + products == per_argument * len(set(keys))
+
+
+def test_circle_all_run_evaluates_no_psi_at_the_inverse_parameter(monkeypatch):
+    # the scalar products' second form term, at q^-1, reads the conjugates
+    # of the first term's component values; every psi is asked for at q
+    params, evaluated = [], []
+    psi, uncached = qspecial.psi, qspecial._psi_rows
+
+    def recorded_psi(J, M, N, p, u, v):
+        params.append(p)
+        return psi(J, M, N, p, u, v)
+
+    def counted(J, ms, N, p, u, v):
+        evaluated.append(p)
+        return uncached(J, ms, N, p, u, v)
+
+    _empty(monkeypatch, qspecial._psi_memo)
+    monkeypatch.setattr(qops, "psi", recorded_psi)
+    monkeypatch.setattr(qspecial, "_psi_rows", counted)
+    p = QParam.unit_circle(0.2)
+    cases = run_suite("all", p)
+    assert cases and all(c.passed for c in cases)
+    assert any(c.name.startswith("adjoint span pair") for c in cases)
+    assert set(params) == set(evaluated) == {p}
 
 
 @pytest.mark.parametrize("tau", [0.2, -0.05, 0.01])

@@ -304,15 +304,24 @@ class TestEvalErrors:
         (["--fn", "qnum", "--q", "1.3", "--grid", "0:1:2000000000"],
          "Unable to allocate 14.9 GiB"),
         (["--fn", "psi", "--J", "1", "--M", "0", "--N", "0", "--q", "1.3",
-          "--grid", "0.1:1:20000000"], "out of memory"),
+          "--grid", "0.1:1:20000000"], "Unable to allocate "),
     ], ids=["qnum-grid", "psi-grid"])
     def test_running_out_of_memory_exits_two(self, argv, msg):
         # exit 1 means a failed verification, not a traceback; under this
-        # limit numpy names the 2e9-point grid's allocation, while psi's
-        # MemoryError has no message of its own
+        # limit numpy names the allocation of the 2e9-point grid, and of
+        # psi's work on the 2e7-point grid, whose memo key is not built
         res = _run_under_a_gib(["eval"] + argv)
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith(f"error: {msg}") and res.stderr.count("\n") == 1
+
+    def test_a_memory_error_without_a_message_says_out_of_memory(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "psi", exhausted)
+        code, out, err = run(["eval", "--fn", "psi", "--J", "1", "--M", "0", "--N", "0",
+                              "--q", "1.3", "--grid", "0.1:1:3"], capsys)
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_a_list_sized_by_j_at_the_cap_returns_its_value(self, capsys):
         code, out, err = run(["eval", "--fn", "Q", "--J", "1e5", "--q", "1.5", "--eta", "1"],

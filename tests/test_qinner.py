@@ -212,16 +212,17 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
 class TestGramBatch:
     """gram hands its like-M upper pairs to one batch of scalar products: one
     radial integral per like-mode block, each state's psi requested once per
-    form term, side and level.  A block stops on its largest entry
+    side and level, and at real q once per form term too: on the circle
+    the second term mirrors the first.  A block stops on its largest entry
     difference; on these towers every pair of a block converges on the same
     level, so the batch changes no bit of any entry."""
 
-    @pytest.mark.parametrize("p,N,js", [
-        (P_REAL, 0, [0, 1, 2]),
-        (P_CIRC, 0.5, [0.5, 1.5]),
-        (P_CLASS, 0, [0, 1, 2]),
+    @pytest.mark.parametrize("p,N,js,asks", [
+        (P_REAL, 0, [0, 1, 2], 4),
+        (P_CIRC, 0.5, [0.5, 1.5], 2),
+        (P_CLASS, 0, [0, 1, 2], 4),
     ], ids=["real", "circle-N0.5", "classical"])
-    def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js):
+    def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js, asks):
         levels = []
         radial_integral, psi = qinner.radial_integral, qops.psi
 
@@ -244,11 +245,12 @@ class TestGramBatch:
 
         states = rep.labels
         # one integral per M (5 for J up to 2), which asks for the psi of each
-        # state of mode M once per form term, side and integrand call
+        # state of mode M once per side and integrand call, and off the
+        # circle once per form term too
         by_m = {next(iter(asked))[1]: (calls, asked) for calls, asked in levels}
         assert len(levels) == len(by_m) == len({M for _, M in states})
         for M, (calls, asked) in by_m.items():
-            assert asked == {s: 2 * len(qinner._terms(p)) * calls for s in states if s[1] == M}
+            assert asked == {s: asks * calls for s in states if s[1] == M}
         fams = [psi_family(J, M, N) for J, M in states]
         for i, (_, Mi) in enumerate(states):
             for j in range(i, len(states)):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import types
 
 import numpy as np
 import pytest
@@ -629,6 +630,51 @@ class TestCircleMirror:
                 for x, y in points:
                     mirrored = comp(p.inverse(), np.conj(x), np.conj(y))
                     assert np.array_equal(mirrored, np.conj(comp(p, x, y))), (name, k)
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1])
+    @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.unit_circle(-0.15)],
+                             ids=["tau0.2", "tau-0.15"])
+    def test_products_equal_both_terms_evaluated_in_full(self, monkeypatch, p, N):
+        # _products mirrors the first term's component values into the
+        # second; here each block's integrand at the first radial level is
+        # redone with both terms evaluated at their own parameters, as at
+        # real q.  A mirror of the coefficient-weighted sum would fail it.
+        fams = list(_decomposed_families(p, N).values())
+        pairs = [(f, g) for f in fams for g in fams]
+        blocks = {}
+        for f, g in pairs:
+            common = tuple(sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta}))
+            if common:  # else an exact 0.0, with no integral
+                blocks.setdefault(common, []).append((f, g))
+        firsts = []
+        radial_integral = qinner.radial_integral
+
+        class FirstLevel(Exception):
+            pass
+
+        def first_level(F):
+            def recorded(rho):
+                firsts.append((rho, F(rho)))
+                raise FirstLevel
+            try:
+                radial_integral(recorded)
+            except FirstLevel:
+                return types.SimpleNamespace(value=np.zeros(len(firsts[-1][1])))
+
+        monkeypatch.setattr(qinner, "radial_integral", first_level)
+        qinner._products(pairs, p)
+        assert len(firsts) == len(blocks) > 1
+        for (common, block), (rho, got) in zip(blocks.items(), firsts):
+            eta, want = rho ** 2, 0
+            for bra_p, ket_p, s in qinner._terms(p):
+                w = s / ((1.0 + eta) * (1.0 + s * s * eta))
+                for m in common:
+                    bra, ket = (np.array([qops._sum_terms([t for t in h.meta if t[2] == m],
+                                                          hp, x, x) for h in side])
+                                for side, hp, x in (([f for f, _ in block], bra_p, rho),
+                                                    ([g for _, g in block], ket_p, s * rho)))
+                    want = want + np.conj(bra) * w * ket
+            assert np.array_equal(got, want), common
 
 
 def _public_functions() -> dict:

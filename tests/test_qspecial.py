@@ -727,6 +727,13 @@ class TestHalfIntegerQAgainstOracles:
         assert np.max(np.abs(got - want) / np.abs(want)) < self.TOL
 
 
+class _NoLookup(dict):
+    """A memo's entries that refuse every lookup."""
+
+    def get(self, key, default=None):
+        raise AssertionError(f"looked up {key!r}")
+
+
 class _ExactMemoCases:
     """The _ExactMemo rules, run against one evaluator's memo: evaluate(eta)
     goes through the memo, UNCACHED names the function it calls on a miss."""
@@ -796,6 +803,17 @@ class _ExactMemoCases:
         self.evaluate(self.ETA)
         self.evaluate(self.ETA)
         assert len(misses) == 2
+        assert memo.entries == {} and memo.nbytes == 0
+
+    def test_input_past_the_bound_makes_no_key_and_no_lookup(self, memo, misses, monkeypatch):
+        # ETA holds 48 bytes: past a bound of 47 its entry is never stored
+        want = self.evaluate(self.ETA)
+        monkeypatch.setattr(memo, "entries", _NoLookup())
+        monkeypatch.setattr(memo, "nbytes", 0)
+        monkeypatch.setattr(memo, "max_bytes", 47)
+        for _ in range(2):
+            assert self.evaluate(self.ETA).tobytes() == want.tobytes()
+        assert len(misses) == 3
         assert memo.entries == {} and memo.nbytes == 0
 
 
@@ -1304,6 +1322,19 @@ class TestPsiMemo:
         assert len(misses) == 1
         fresh = qspecial._psi_rows(*misses[0])
         assert fresh.reshape(want.shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", [0.5, (1.5, 0.5, -0.5)], ids=["member", "tower"])
+    def test_input_past_the_bound_makes_no_key_and_no_lookup(self, memo, misses, monkeypatch, M):
+        # u and v hold 96 bytes: past a bound of 95 their entry is never stored
+        u, v = self.U, np.conj(self.U)
+        want = psi(1.5, M, 0.5, P_TWO, u, v)
+        monkeypatch.setattr(memo, "entries", _NoLookup())
+        monkeypatch.setattr(memo, "nbytes", 0)
+        monkeypatch.setattr(memo, "max_bytes", 95)
+        for _ in range(2):
+            assert psi(1.5, M, 0.5, P_TWO, u, v).tobytes() == want.tobytes()
+        assert len(misses) == 3
+        assert memo.entries == {} and memo.nbytes == 0
 
     def test_scalar_and_one_element_array_share_an_entry(self, misses):
         u, v = 0.7 * np.exp(0.4j), 0.7 * np.exp(-0.4j)
