@@ -117,8 +117,7 @@ def _products(pairs: Sequence, p: QParam) -> list:
                     # the sides of a term may share the parameter, not the argument
                     sides = [_components(bras, bra_p, rho, common),
                              _components(kets, ket_p, s * rho, common)]
-                bra, ket = (_mode_rows(fams, vals, common)
-                            for fams, vals in zip((bras, kets), sides))
+                bra, ket = _mode_rows(bras, sides[0], common), _mode_rows(kets, sides[1], common)
                 w = s / ((1.0 + eta) * (1.0 + s * s * eta))
                 for m in common:
                     acc = acc + np.conj(bra[m]) * w * ket[m]
