@@ -134,6 +134,14 @@ CASES = {
                                                          "--J-max", "3.5", "--seed", "4"],
     "verify_casimir_tau-0.15_Jmax4.5.json": ["verify", "--suite", "casimir", "--tau", "-0.15",
                                              "--J-max", "4.5"],
+    # psi's start where |eta|^J leaves the square root of the float range:
+    # a tall circle tower, and rows at small and at large eta
+    "gram_N0_J30_tau0.03.csv": ["gram", "--tau", "0.03", "--N", "0", "--J", "30"],
+    "eval_psi_J12_M5_N3_q0.7_near.csv": ["eval", "--fn", "psi", "--J", "12", "--M", "5",
+                                         "--N", "3", "--q", "0.7", "--grid", "1e-5:1e-2:40"],
+    "eval_psi_J12.5_M-3.5_N0.5_tau0.05_far.csv": ["eval", "--fn", "psi", "--J", "12.5",
+                                                  "--M", "-3.5", "--N", "0.5", "--tau", "0.05",
+                                                  "--grid", "1e4:1e9:40"],
 }
 
 _RUNTIME = re.compile(r'"runtime_ms": \d+')
