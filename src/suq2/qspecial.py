@@ -59,13 +59,15 @@ POLE_TOL = 1e-300            # a product factor this small is a pole of Q
 # quadrature round (points x panels x 21 nodes); keeps the temporaries in cache
 BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
-# The byte bound of each exact-input memo.  Over ten batches of each
-# benchmark workload (verify --suite all on the circle and at real q, gram
-# and eval on the circle) one operation stores at most 0.095 MB of Q_{1/2}
-# (0.067 MB on the circle), so nothing is evicted; an unbounded psi memo
-# holds up to 1.07 MiB (real q) and 0.97 MiB (circle), and what the bound
-# evicts there is not asked for again
+# The byte bound of each exact-input memo.  With both memos unbounded, one
+# operation of the benchmark's batches (seeds 1-10 of verify --suite all at
+# real q, 18 operations a batch, and on the circle, 7) stores at most 0.070 MB
+# of Q_{1/2} (0.004 MB on the circle) and 0.68 MiB of psi (0.32 MiB), so
+# nothing is evicted
 MEMO_MAX_BYTES = 2**20
+# a third of the normal range's binary exponents: psi's start is its lead times
+# Q_J0 times the monomial, the last two within |uv|^(+-J0) of 1 on |u| = |v|
+START_BITS = (1 - sys.float_info.min_exp) / 3
 
 
 # The 10-point Gauss / 21-point Kronrod pair on [-1, 1], as published with
@@ -527,17 +529,18 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
     from X_J0 = Q_J0 (-u)^k0 v^(k0+M+N), X_j = Q_j R_j v^(M+N), eta = uv,
     whose steps stay bounded as eta -> 0 and as eta -> inf.  Every Q_J0
     comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j.
-    At a point where |eta|^floor(J0) passes e^230, Q_J0 and the monomial
-    may lie near opposite ends of the float range, so that point starts
-    from (Q_J0 eta^floor(J0)) (monomial / eta^floor(J0)), a tower of the
-    same factors times eta; each point takes its start on its own |eta|.
-    A value out of the float range is refused."""
+    Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
+    v' = v 2^-b in [1/2, 1) and on the factors times 2^c, c = max(a + b, 0);
+    ldexp takes each row back by e = k0 a + (k0+M+N) b - floor(J0) c, which
+    is exact: a start that stays normal keeps its bits.  A value out of the
+    float range is refused."""
     records = [_psi_record(J, m, N, p) for m in ms]
     base = HalfInt(J.twice % 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = u_arr * v_arr
         shape, flat = eta.shape, eta.reshape(-1)
-        amax = float(np.abs(flat).max(initial=1.0))
+        amax = np.maximum.reduce(size := np.abs(flat), initial=1.0)
+        amin = np.minimum.reduce(size, initial=1.0)
         # uv, or a factor 1 + q^(-2j-2) uv of Q, is not a float: |q^(-2j-2)|
         # is largest at an end of j = J mod 1 .. J-1
         if not (amax < 1e100 or math.isfinite(
@@ -546,36 +549,36 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
         inv = 1.0 / _finite_factors(J, p, flat) if J.twice > 1 else None  # Q_(j+1)/Q_j
         uf, vf = (w.reshape(-1) if w.shape == shape else np.broadcast_to(w, shape).reshape(-1)
                   for w in (u_arr, v_arr))
-        qs = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)]
-        fars, log_abs, ratio = qs[:1], None, None  # fars[i] = Q eta^i
+        bits = max(math.frexp(amax)[1], -math.frexp(amin)[1])  # |uv|'s range, in binary
+        top = max(r[1] for r in records) if float(J) * bits >= START_BITS else base  # J0 <= J
+        if scaled := float(top) * bits >= START_BITS:
+            a, b = (np.frexp(np.abs(w))[1] for w in (uf, vf))
+            c, uf, vf = np.maximum(a + b, 0), _ldexp(uf, -a), _ldexp(vf, -b)
+        start = _ldexp(inv[:(top - base).to_int()], c) if scaled and inv is not None else inv
+        qs, ratio = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)], None
         out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
         for row, (lead, J0, k0, mn, steps) in zip(out.reshape(len(ms), -1), records):
             i = (J0 - base).to_int()  # floor(J0)
             while len(qs) <= i:
-                qs.append(qs[-1] * inv[len(qs) - 1])
-            x = _monomial(lead * qs[i], uf, vf, k0, k0 + mn)
-            if i * math.log(amax) > 230.0:  # some point takes the far start
-                log_abs = np.log(np.abs(flat)) if log_abs is None else log_abs
-                while len(fars) <= i:
-                    fars.append(fars[-1] * (flat * inv[len(fars) - 1]))
-                far = _monomial(lead * (-1) ** i * fars[i], uf, vf, k0 - i, k0 + mn - i)
-                x = np.where(i * log_abs > 230.0, far, x)
+                qs.append(qs[-1] * start[len(qs) - 1])
+            x = lead * qs[i] * ((-uf) ** k0 if k0 else vf ** mn) if k0 or mn else lead * qs[i]
             if len(steps[0]) > 1 and ratio is None:  # (1 + q^(2j) eta) Q_(j+1)/Q_j
                 ratio = (1.0 + _powers(base, J, p, 1, 0) * flat) * inv
             if len(steps[0]):
                 x = _recur(x, steps, flat, ratio if ratio is None else ratio[i:], inv[i:])
-            row[:] = x
+            row[:] = _ldexp(x, k0 * a + (k0 + mn) * b - i * c) if scaled else x
     if np.count_nonzero(np.isfinite(out)) != out.size:
         bad = ~np.isfinite(out).reshape(len(ms), -1).all(axis=1)
         _float_range_error(J, ms[int(np.argmax(bad))], N, p)
     return out
 
 
-def _monomial(x, u, v, ku: int, kv: int):
-    """x (-u)^ku v^kv on flat arrays, skipping a zero exponent."""
-    if ku:
-        x = x * (-u) ** ku
-    return x * v ** kv if kv else x
+def _ldexp(x, k):
+    """x 2^k on a complex array, part by part: exact where it is normal, the
+    sign of a zero included, as a complex product by 2^k is not."""
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, k), np.ldexp(x.imag, k)
+    return out
 
 
 def _float_range_error(J, M, N, p: QParam, what="psi"):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from suq2 import cli, qinner
+from suq2 import cli, qinner, suites
 from suq2.qcore import HalfInt
 
 TAU_23 = math.pi / 23
@@ -583,6 +583,31 @@ class TestGram:
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["max_offdiag"] < tol and doc["max_diag_dev"] < tol
+
+    @pytest.mark.parametrize("argv", [
+        ["--tau", "0.03", "--N", "0", "--J", "35"],
+        ["--tau", "0.03", "--N", "0", "--J", "40"],
+        ["--q", "1", "--N", "32.5", "--J", "32.5"],
+    ], ids=["tau0.03-J35", "tau0.03-J40", "q1-N32.5-J32.5"])
+    def test_towers_whose_plain_start_leaves_the_range_are_orthonormal(self, argv, capsys):
+        # psi's plain start overflows or underflows at the radial rule's
+        # nodes here, and the tower exited 2; the scaled start keeps them
+        code, out, err = run(["gram"] + argv + ["--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_offdiag"] < suites.GRAM_TOL and doc["max_diag_dev"] < suites.GRAM_TOL
+
+    @pytest.mark.parametrize("argv,msg", [
+        (["--q", "1", "--N", "0", "--J", "50"],
+         "psi for (J,M,N)=(50,-47,0) leaves the float range at q = 1.0"),
+        (["--q", "0.7", "--N", "0", "--J", "25"],
+         "psi for (J,M,N)=(25,-11,0) leaves the float range at q = 1.4285714285714286"),
+    ], ids=["q1-J50", "q0.7-J25"])
+    def test_towers_whose_lead_leaves_the_range_are_one_error_line(self, argv, msg, capsys):
+        # the lead of psi, its norm's radicand [J-M]![2J]! past the float
+        # range, is still refused (the bra side runs at 1/q)
+        code, out, err = run(["gram"] + argv, capsys)
+        assert code == 2 and out == "" and err == f"error: {msg}\n"
 
     @pytest.mark.parametrize("argv,msg", [
         (["--q", "1.05", "--N", "0", "--J-max", "20"],

@@ -1037,10 +1037,12 @@ def mp_psi(J, M, N, p, u, v):
         return lead * q_j * mp_r(J, M, N, p, eta) * vv ** (M + N).to_int()
 
 
-class TestPsiFarForm:
-    """Where |eta|^floor(J0) may pass 1e100, as at the radial rule's far
-    nodes from J0 = 6 on, a row starts from Q_J0 eta^floor(J0) times the
-    monomial over eta^floor(J0) at |eta| > 1."""
+class TestPsiScaledStart:
+    """Where |eta|^J0 may pass 2^START_BITS, as at the radial rule's nodes
+    from J0 = 6 on, every start of a call runs on u, v and the factors of Q
+    scaled by powers of 2, and an exact ldexp takes each row back: a point
+    whose plain start stays normal keeps its bits, and one whose plain start
+    leaves the range gets its value."""
 
     @pytest.mark.parametrize("J,M,N", [(17, 0, 0), (20, -20, -20), (20, 20, 20), (20, 20, -20),
                                        (20, 3, -7), (20.5, 0.5, -0.5), (30, -30, -30)])
@@ -1053,10 +1055,10 @@ class TestPsiFarForm:
 
     @pytest.mark.parametrize("p", [P_CLASS, QParam.positive_real(1.3), QParam.positive_real(0.7),
                                    QParam.unit_circle(0.2)], ids=["q1", "q1.3", "q0.7", "tau0.2"])
-    def test_far_start_is_the_plain_start_where_both_are_in_range(self, p):
+    def test_scaled_start_is_the_plain_start_where_both_are_in_range(self, p):
         # off the diagonal, |u| != |v|, at |uv| from 6 to 2000: alone, every
-        # row starts plain; beside a point at uv = 1e60 the rows from
-        # floor(J0) = 2 on take the far start there
+        # call starts plain; beside a point at uv = 1e60 the calls from
+        # J = 2 on take the scaled start at every point
         u = np.linspace(2.0, 40.0, 7) * np.exp(0.3j)
         v = np.linspace(3.0, 50.0, 7) * np.exp(-0.1j)
         for twice in range(9):  # J <= 4
@@ -1071,9 +1073,9 @@ class TestPsiFarForm:
     @pytest.mark.parametrize("p", [P_CLASS, QParam.positive_real(1.3)], ids=["q1", "q1.3"])
     @pytest.mark.parametrize("J,M,N", [(8, 6, 0), (8.5, -6.5, 0.5), (12, 7, -7)])
     def test_a_point_has_the_bits_of_its_own_call(self, p, J, M, N):
-        # each point takes the far start on its own |eta|, so a row from
-        # floor(J0) >= 6 has at 1 .. 1e12 the bits of a call on those alone,
-        # beside points at 1e19 and 1e25 that take the far start
+        # beside points at 1e19 and 1e25 the call takes the scaled start,
+        # so a row from J0 >= 6 has at 1 .. 1e12 the bits of a call on those
+        # alone, which starts plain
         eta = np.array([1.0, 1e6, 1e12, 1e19, 1e25])
         u, v = np.sqrt(eta) * np.exp(0.2j), np.sqrt(eta) * np.exp(-0.5j)
         got = psi(J, M, N, p, u, v)
@@ -1083,6 +1085,47 @@ class TestPsiFarForm:
         want = [complex(mp_psi(HalfInt.of(J), HalfInt.of(M), HalfInt.of(N), p, a, b))
                 for a, b in zip(u, v)]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("J,M,N,p,rho", [
+        (33, 33, 0, P_CLASS, 3121832373.7),
+        (19, 16, 19, QParam.positive_real(0.7), 3.203246940555058e-10),
+    ], ids=["last-node-q1", "first-node-q0.7"])
+    def test_the_rule_end_values_against_mpmath(self, J, M, N, p, rho):
+        # at the radial rule's last and first nodes the plain start leaves
+        # the range ((-u)^33 overflows, v^35 underflows) and psi printed 0;
+        # the values, 4.24e-304 and 1.98e-298, are normal floats
+        J, M, N = HalfInt.of(J), HalfInt.of(M), HalfInt.of(N)
+        got = psi(J, M, N, p, rho, rho)
+        want = complex(mp_psi(J, M, N, p, rho, rho))
+        assert want != 0 and abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("p,j_max", [(P_CLASS, 12), (QParam.positive_real(1.3), 12),
+                                         (QParam.positive_real(0.7), 12),
+                                         (QParam.unit_circle(0.2), 7)],
+                             ids=["q1", "q1.3", "q0.7", "tau0.2"])
+    def test_a_plain_start_has_the_bits_of_the_scaled_start(self, p, j_max, monkeypatch):
+        # the gate skips the scaled start only where it changes no bit: at
+        # |eta| from 1e-12 to 1e12, on |u| = |v| and on the real diagonal
+        # beside its conjugate (v = rho - 0j), each row has the bits, signs
+        # of zeros included, of the same call beside eta = 1e30, which
+        # scales the calls from J = 7/2 on, and of the call made with
+        # START_BITS = 0, which scales every call
+        root = np.sqrt(np.geomspace(1e-12, 1e12, 9))
+        u = np.concatenate((root * np.exp(0.3j), root + 0j))
+        v = np.concatenate((root * np.exp(-0.1j), np.conj(root + 0j)))
+        plain, beside = {}, {}
+        for twice in range(2 * j_max + 1):
+            J = HalfInt(twice)
+            ms = tuple(m_values(J))
+            for N in m_values(J):
+                plain[J, N] = qspecial._psi_rows(J, ms, N, p, u, v)
+                beside[J, N] = qspecial._psi_rows(J, ms, N, p, np.append(u, 1e15),
+                                                  np.append(v, 1e15))[:, :-1]
+        monkeypatch.setattr(qspecial, "START_BITS", 0.0)
+        for (J, N), rows in plain.items():
+            assert beside[J, N].tobytes() == rows.tobytes(), (J, N)
+            scaled = qspecial._psi_rows(J, tuple(m_values(J)), N, p, u, v)
+            assert scaled.tobytes() == rows.tobytes(), (J, N)
 
 
 class TestPsiOracle:
