@@ -561,7 +561,9 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
             i = (J0 - base).to_int()  # floor(J0)
             while len(qs) <= i:
                 qs.append(qs[-1] * start[len(qs) - 1])
-            x = lead * qs[i] * ((-uf) ** k0 if k0 else vf ** mn) if k0 or mn else lead * qs[i]
+            x = lead * qs[i]  # times (-u)^k0 v^(k0+M+N), one of whose powers is 1
+            if k0 or mn:
+                x = x * ((-uf) ** k0 if k0 else vf ** mn)
             if len(steps[0]) > 1 and ratio is None:  # (1 + q^(2j) eta) Q_(j+1)/Q_j
                 ratio = (1.0 + _powers(base, J, p, 1, 0) * flat) * inv
             if len(steps[0]):
