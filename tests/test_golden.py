@@ -134,8 +134,8 @@ CASES = {
                                                          "--J-max", "3.5", "--seed", "4"],
     "verify_casimir_tau-0.15_Jmax4.5.json": ["verify", "--suite", "casimir", "--tau", "-0.15",
                                              "--J-max", "4.5"],
-    # psi's start where |eta|^J leaves the square root of the float range:
-    # a tall circle tower, and rows at small and at large eta
+    # psi's start at the ends of eta: a J-30 circle tower, whose starts run
+    # scaled by powers of 2, and J-12 rows at small and at large eta
     "gram_N0_J30_tau0.03.csv": ["gram", "--tau", "0.03", "--N", "0", "--J", "30"],
     "eval_psi_J12_M5_N3_q0.7_near.csv": ["eval", "--fn", "psi", "--J", "12", "--M", "5",
                                          "--N", "3", "--q", "0.7", "--grid", "1e-5:1e-2:40"],
