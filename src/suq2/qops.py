@@ -11,14 +11,20 @@ One evaluator (_apply) applies every table, by the eta-shift of its
 operand: a family f of mode m is u^alpha v^beta G(uv) with beta - alpha =
 m, so f(q^a u, q^b v) = q^(-a m) f(u, q^(a+b) v).  It calls the operand
 once, on the stack (u, q^s v) of the distinct s = a + b of its tables and
-s = 0, which gives the operand's own values too: two rows for H+ or H-,
-three for the Casimir.  A stencil acts on each component of its family's
+s = 0, which gives the operand's own values too: two rows for H+ or H-
+(s = 0, 2), three for the Casimir (s = 0, 2, 4).  A basis member hands
+_apply its rows at those shifts itself (_Member.rows): it takes Q_{1/2}
+once, at s = 0, and each later row from the one before by Q's equation,
+Q_{1/2}(q^2 eta) = Q_{1/2}(eta) (1 + q^-1 eta)/(1 + eta).  Any other
+component, a pinned one or a stencil image among them, is called on the
+stack.  A stencil acts on each component of its family's
 decomposition, of the mode recorded there.  The Casimir is composed once
 from the ladder and bracket tables, in integers, as H+H- + [H3][H3-1]: the
 ordering H-H+ + [H3][H3+1] gives the same table.
 Each table is built once per N, and each plan of tables once per q and
-operand modes.  psi_tower applies H+, H- and the Casimir to a whole (J, N)
-tower from one psi call, whose rows have the modes M + N.
+operand modes.  psi_tower applies H+, H- and the Casimir to the (J, N)
+towers of one N, a J or a tuple of J, in one _apply, whose rows have the
+modes M + N.
 
 An operator and its table are built from its operand and the weight N
 alone, as the plane realization is labelled by N alone; q enters only at
@@ -44,7 +50,7 @@ from .qcore import (
     validate_tower,
     validate_triple,
 )
-from .qspecial import psi
+from .qspecial import _psi_labels, _psi_steps, psi
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,38 @@ def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> PlaneFamily:
     return _family(tuple((c, op(comp, m), m + shift) for c, comp, m in f.meta))
 
 
+@dataclass(frozen=True)
+class _Member:
+    """psi of (J, M, N), M a weight or a tuple of weights, as a component:
+    called at (p, u, v) it is psi.  _apply reads its rows on a stack of
+    eta-shifts 0, 2, ... from rows instead, which takes Q_{1/2} once, at
+    shift 0 (qspecial._psi_steps); psi keeps its six arguments."""
+    J: HalfInt
+    M: object
+    N: HalfInt
+
+    def __call__(self, p: QParam, u, v):
+        return psi(self.J, self.M, self.N, p, u, v)
+
+    def rows(self, p: QParam, u, v):
+        return _psi_steps(self.J, self.M, self.N, p, u, v)
+
+
+@dataclass(frozen=True)
+class _Tower:
+    """The members of a tuple of towers, stacked J by J, as one operand of
+    _apply; it has rows only."""
+    members: tuple
+
+    def rows(self, p: QParam, u, v):
+        return np.concatenate([m.rows(p, u, v) for m in self.members])
+
+
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot.  It is
     one component of mode M + N, with coefficient 1."""
     J, M, N = validate_triple(J, M, N)
-    return _family(((1, lambda p, u, v: psi(J, M, N, p, u, v), (M + N).to_int()),))
+    return _family(((1, _Member(J, M, N), (M + N).to_int()),))
 
 
 def with_fixed_param(f: PlaneFamily) -> PlaneFamily:
@@ -187,7 +220,9 @@ def _plan(ops: tuple, nf: float, p: QParam, modes) -> tuple:
 
 def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
     """f's own values, then each operator of ops at weight nf on f, from one
-    call of f on the stack (u, q^s v) of s = 0 and the eta-shifts of ops.
+    call of f on the stack (u, q^s v) of s = 0 and the eta-shifts of ops,
+    or of f.rows where f has it (a basis member or a tower), which the
+    shifts 0, 2, ... of every plan let step from row to row by q^2.
     modes is f's mode, or a tuple of the modes of its leading rows; each
     term's f(q^a u, q^b v) is q^(-a m) times the row s = a + b, and each
     table's terms are summed in order."""
@@ -199,8 +234,9 @@ def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
         if k.min() < 0 and not x.all():
             op = next(op for op, (terms, _) in zip(ops, tables) if k[terms].min() < 0)
             raise ValueError(f"{op} stencil is singular at {axis} = 0")
-    out = f(p, np.broadcast_to(u, (len(shifts),) + u.shape),
-            np.stack([p.power(s) * v if s else v for s in shifts]))
+    stack = (np.broadcast_to(u, (len(shifts),) + u.shape),
+             np.stack([p.power(s) * v if s else v for s in shifts]))
+    out = f.rows(p, *stack) if hasattr(f, "rows") else f(p, *stack)
     rows = np.moveaxis(out, -u.ndim - 1, 0)
     by_term = (-1,) + (1,) * (rows.ndim - 1)
     x = rows[s_idx] * (u ** i_pow.reshape(by_term) * v ** j_pow.reshape(by_term))
@@ -265,14 +301,28 @@ def apply_casimir(f: PlaneFamily, N) -> PlaneFamily:
 def psi_tower(J, N, p: QParam, u, v) -> tuple:
     """The (J, N) tower at (u, v): its members, their H+, their H- and their
     Casimir, each stacked by M = J, J-1, ..., -J on a new first axis, from
-    one psi call on the tower's weights, whose rows have the modes M + N
-    (see _apply)."""
+    one _apply whose rows have the modes M + N.  J may be a tuple: the
+    towers of its J come stacked J by J in its order, each from its own
+    rows (_Member.rows), and each row has the bits of its one-J tower."""
+    js = tuple(map(HalfInt.of, J)) if isinstance(J, tuple) else (HalfInt.of(J),)
+    N = HalfInt.of(N)
+    if not js:
+        raise ValueError("psi_tower needs at least one J")
+    towers = []
+    for j in js:
+        validate_tower(j, N)
+        towers.append(_Member(j, tuple(m_values(j)), N))
+    modes = tuple((m + N).to_int() for t in towers for m in t.M)
+    operand = towers[0] if len(towers) == 1 else _Tower(tuple(towers))
+    return tuple(_apply(operand, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
+
+
+def _check_tower(J, N, p: QParam) -> None:
+    """Refuse the (J, N) tower as psi_tower would before it evaluates: the
+    labels, then psi's own refusals for its weights (qspecial._psi_labels)."""
     J, N = HalfInt.of(J), HalfInt.of(N)
     validate_tower(J, N)
-    ms = tuple(m_values(J))
-    modes = tuple((m + N).to_int() for m in ms)
-    return tuple(_apply(lambda p, u, v: psi(J, ms, N, p, u, v), modes,
-                        ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
+    _psi_labels(J, tuple(m_values(J)), N, p)
 
 
 @dataclass(frozen=True)

@@ -524,12 +524,54 @@ def psi(J, M, N, p: QParam, u, v):
     return out.reshape(len(ms)) if scalar else out
 
 
-def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
+def _psi_labels(J, M, N, p: QParam) -> tuple:
+    """(J, the weights, N) of a psi call, after the refusals that psi makes
+    before it reads u and v, in its order: the labels, the circle's sector,
+    then the record of each weight."""
+    J, N = HalfInt.of(J), HalfInt.of(N)
+    ms = _weights(J, M, N)
+    _check_sector(J, p)
+    for m in ms:
+        _psi_record(J, m, N, p)
+    return J, ms, N
+
+
+def _psi_steps(J, M, N, p: QParam, u, v):
+    """psi(J, M, N, p, u, v) on a stack of q^2 steps: row k of the first
+    axis of u and v is (u_0, q^(2k) v_0), as qops._apply builds it for the
+    eta-shifts 0, 2, ...  It has the bits of psi on the stack, except that
+    Q_{1/2} (half-integer J) is evaluated at row 0 alone, through its memo:
+    row k takes it from row k-1 by Q's equation at J = 1/2,
+    Q(q^2 eta) = Q(eta) (1 + q^-1 eta)/(1 + eta), on the rows' own eta.
+    q_function, and so funceq, keeps evaluating Q at q^2 eta itself.
+    Results are memoized as psi's are, under keys of their own."""
+    J, ms, N = _psi_labels(J, M, N, p)
+    u_arr, v_arr = _as_complex(u)[0], _as_complex(v)[0]
+    out = _psi_memo.lookup((J, ms, N, p, "q^2 steps"), (u_arr, v_arr),
+                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, steps=True))
+    return out if isinstance(M, tuple) else out[0]
+
+
+def _q_half_steps(p: QParam, eta):
+    """Q_{1/2} on eta's flattened array, whose rows along the first axis are
+    q^2 steps apart (see _psi_steps): row 0 by _q_half, each later row from
+    the one before."""
+    rows = eta.reshape(len(eta), -1)
+    out = np.empty_like(rows)
+    out[0] = _q_half(HalfInt(1), p, rows[0])
+    q_inv = p.power(-1)
+    for k in range(1, len(rows)):
+        out[k] = out[k - 1] * (1.0 + q_inv * rows[k - 1]) / (1.0 + rows[k - 1])
+    return out.reshape(-1)
+
+
+def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, steps=False):
     """The uncached psi of each weight in ms, stacked: lead X_J, by _recur
     from X_J0 = Q_J0 (-u)^k0 v^(k0+M+N), X_j = Q_j R_j v^(M+N), eta = uv,
     whose steps stay bounded as eta -> 0 and as eta -> inf.  Every Q_J0
-    comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j.
-    Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
+    comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j;
+    with steps, u and v are a stack of q^2 steps and Q_{1/2} is
+    _q_half_steps'.  Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
     v' = v 2^-b in [1/2, 1) and on the factors times 2^c, c = max(a + b, 0);
     ldexp takes each row back by e = k0 a + (k0+M+N) b - floor(J0) c, which
     is exact: a start that stays normal keeps its bits.  A value out of the
@@ -555,7 +597,11 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr):
             a, b = (np.frexp(np.abs(w))[1] for w in (uf, vf))
             c, uf, vf = np.maximum(a + b, 0), _ldexp(uf, -a), _ldexp(vf, -b)
         start = _ldexp(inv[:(top - base).to_int()], c) if scaled and inv is not None else inv
-        qs, ratio = [_q_values(base, p, flat) if base.twice else np.ones_like(flat)], None
+        if not base.twice:
+            qs = [np.ones_like(flat)]
+        else:
+            qs = [_q_half_steps(p, eta) if steps else _q_values(base, p, flat)]
+        ratio = None
         out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
         for row, (lead, J0, k0, mn, steps) in zip(out.reshape(len(ms), -1), records):
             i = (J0 - base).to_int()  # floor(J0)
@@ -626,8 +672,16 @@ def vilenkin(J, M, N, p: QParam, xi):
     sqrt([J+M]![J+N]!/([J-M]![J-N]!)) eta^((M+N)/2) Q_J(eta) R(eta) under the
     fixed phase i^(2J-M-N).  At positive real q the rest is real, at q = 1,
     N = 0 these are Legendre-type functions, and on the circle every J needs
-    (2J+1)|tau| < pi."""
-    J, M, N = validate_triple(J, M, N)
+    (2J+1)|tau| < pi.
+
+    M may also be a tuple of weights, as in psi: the rows come back stacked
+    from one psi call, each with the bits of vilenkin(J, M[i], N, p, xi)."""
+    if isinstance(M, tuple):
+        J, N = HalfInt.of(J), HalfInt.of(N)
+        ms = _weights(J, M, N)
+    else:
+        J, M, N = validate_triple(J, M, N)
+        ms = (M,)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     if scalar:  # as in _as_complex: xi and [xi] give the same bits
@@ -635,8 +689,11 @@ def vilenkin(J, M, N, p: QParam, xi):
     if np.any(xi_arr <= -1.0) or np.any(xi_arr >= 1.0):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
     root = np.sqrt((1.0 + xi_arr) / (1.0 - xi_arr))
-    values = psi(J, M, N, p, root, root)  # which checks the circle's sector first
-    scale = (1j ** ((2 * J.twice - M.twice - N.twice) // 2)
+    values = psi(J, ms, N, p, root, root)  # which checks the circle's sector first
+    rows = [(1j ** ((2 * J.twice - m.twice - N.twice) // 2)
              * math.sqrt(2.0 * math.pi / q_number(J.twice + 1, p))
-             * p.power(float(N) * float(M) / 2.0))
-    return _ret(scale * values, scalar)
+             * p.power(float(N) * float(m) / 2.0)) * row for m, row in zip(ms, values)]
+    if not isinstance(M, tuple):
+        return _ret(rows[0], scalar)
+    out = np.stack(rows)
+    return out.reshape(len(ms)) if scalar else out

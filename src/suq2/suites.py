@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
-from .qinner import adjoint_residual, gram, hermitian_symmetry_residual, inner
+from .qinner import _products, adjoint_residual, gram, hermitian_symmetry_residual
 from .qops import (
+    _check_tower,
     casimir_matrix,
     combine,
     matrix_irrep,
@@ -135,24 +136,48 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
     return cases
 
 
-def _towers(p: QParam, j_max, seed: int):
+def _towers(p: QParam, j_max, seed: int, store: Optional[dict] = None) -> list:
     """(J, N, *psi_tower) at the seeded sample points, for J = 1/2, 1, ...,
-    j_max made one at a time, so a J that psi refuses stops the suite there,
-    and each N of STENCIL_N_VALUES in J's class with |N| <= J."""
-    u, v = sample_points(STENCIL_POINTS, seed)
+    j_max and each N of STENCIL_N_VALUES in J's class with |N| <= J, in that
+    order.  The towers are made and checked one at a time, so the first that
+    psi refuses stops the suite before a label past it is made; then each N
+    takes one psi_tower call on all its J.  A store shares the evaluation
+    between the suites of one run, under (p, j_max, seed), read-only."""
+    key = (p, HalfInt.of(j_max), seed)
+    if store is not None and key in store:
+        return store[key]
+    labels = []
     for J in _half_range(j_max):
         for N in map(HalfInt.of, STENCIL_N_VALUES):
             if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
-                yield (J, N, *psi_tower(J, N, p, u, v))
+                _check_tower(J, N, p)
+                labels.append((J, N))
+    u, v = sample_points(STENCIL_POINTS, seed)
+    rows = {}  # (J, N) -> its slice of the stacked rows of its N
+    for N in dict.fromkeys(N for _, N in labels):
+        js = tuple(J for J, n in labels if n == N)
+        batch = psi_tower(js, N, p, u, v)
+        for arr in batch:
+            arr.flags.writeable = False
+        start = 0
+        for J in js:
+            rows[J, N] = [arr[start:start + J.twice + 1] for arr in batch]
+            start += J.twice + 1
+    towers = [(J, N, *rows[J, N]) for J, N in labels]
+    if store is not None:
+        store[key] = towers
+    return towers
 
 
-def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
+def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
+                 towers: Optional[dict] = None) -> list:
     """H+ and H- on every member of each (J, N) tower against the transposed
     irrep matrices acting on the tower's rows: the neighbour times the
-    matrix element, or 0 at the top and at the bottom.  Each tower is
-    evaluated whole, by psi_tower's one psi call."""
+    matrix element, or 0 at the top and at the bottom.  The towers of each
+    N are evaluated by one psi_tower call (_towers, which the store towers
+    shares with suite_casimir)."""
     cases = []
-    for J, N, vals, h_plus, h_minus, _ in _towers(p, j_max, seed):
+    for J, N, vals, h_plus, h_minus, _ in _towers(p, j_max, seed, towers):
         ir = matrix_irrep(J, p)  # after psi_tower: psi's sector refusal comes first
         worst = 0.0
         for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
@@ -164,12 +189,13 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) ->
     return cases
 
 
-def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
+def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
+                  towers: Optional[dict] = None) -> list:
     """The Casimir on every member of each (J, N) tower against [J][J+1]
-    times the member; each tower is evaluated whole, as in suite_ladder,
-    whose psi call it repeats, so that call is a memo hit in an `all` run."""
+    times the member; the towers are evaluated as in suite_ladder, and in
+    an `all` run read from the store towers that suite_ladder filled."""
     cases = []
-    for J, N, vals, _, _, cas in _towers(p, j_max, seed):
+    for J, N, vals, _, _, cas in _towers(p, j_max, seed, towers):
         refs = q_number(J, p) * q_number(J + 1, p) * vals
         cases.append(Case(f"casimir J={J} N={N}", _rel_rows(cas - refs, refs), tol))
     return cases
@@ -285,13 +311,15 @@ def suite_limit() -> list:
     references.  The Vilenkin deviation really is O(q-1): the factor
     products are not symmetric under q -> 1/q, so odd powers survive."""
     h1, h2 = LIMIT_STEPS[:2]
-    p_cl = QParam.classical()
+    labels = [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]
+    fams = [with_fixed_param(psi_family(J, M, N)) for J, M, N in labels]
+    # the three pinned pairs of one q are one scalar-product call
+    cl, at_h1, at_h2 = (_products([(f, f) for f in fams], p)
+                        for p in (QParam.classical(), QParam.positive_real(1 + h1),
+                                  QParam.positive_real(1 + h2)))
     cases = []
-    for (J, M, N) in [(1, 0, 0), (1, 1, 0), (1.5, 0.5, 0.5)]:
-        fam = with_fixed_param(psi_family(J, M, N))
-        cl = inner(fam, fam, p_cl)
-        d1 = abs(inner(fam, fam, QParam.positive_real(1 + h1)) - cl)
-        d2 = abs(inner(fam, fam, QParam.positive_real(1 + h2)) - cl)
+    for (J, M, N), c, x1, x2 in zip(labels, cl, at_h1, at_h2):
+        d1, d2 = abs(x1 - c), abs(x2 - c)
         tag = f"(J={HalfInt.of(J)},M={HalfInt.of(M)},N={HalfInt.of(N)})"
         cases.append(Case(f"inner limit {tag} deviation", d1, LIMIT_DEVIATION_TOL))
         cases.append(Case(f"inner limit {tag} shrink", 8.0 * d2 / d1, LIMIT_SHRINK_TOL))
@@ -300,18 +328,21 @@ def suite_limit() -> list:
     # the Lagrange weights of the value at h = 0
     weights = [math.prod(hj / (hj - hi) for hj in LIMIT_STEPS if hj != hi)
                for hi in LIMIT_STEPS]
-    for (J, M) in [(1, 0), (1, 1), (2, 1), (2, 2)]:
-        extrap = sum(w * np.asarray(vilenkin(J, M, 0, QParam.positive_real(1 + h), xi))
+    # one vilenkin call per (J, q), on the weights of J that a case reads
+    for J, ms in ((1, (0, 1)), (2, (1, 2))):
+        extrap = sum(w * vilenkin(J, ms, 0, QParam.positive_real(1 + h), xi)
                      for w, h in zip(weights, LIMIT_STEPS))
-        residual = float(np.max(np.abs(extrap - _legendre_reference(J, M, xi))))
-        cases.append(Case(f"vilenkin limit (J={J},M={M})", residual, VILENKIN_LIMIT_TOL))
+        for M, row in zip(ms, extrap):
+            residual = float(np.max(np.abs(row - _legendre_reference(J, M, xi))))
+            cases.append(Case(f"vilenkin limit (J={J},M={M})", residual, VILENKIN_LIMIT_TOL))
     # at q = 1 exactly the values must hit the references at full precision,
     # on every row of the table, not only the four extrapolated above
-    for (J, M) in sorted(_LEGENDRE):
-        v = np.asarray(vilenkin(J, M, 0, p_cl, xi))
-        residual = float(np.max(np.abs(v - _legendre_reference(J, M, xi))))
-        cases.append(Case(f"vilenkin classical (J={J},M={M})", residual,
-                          VILENKIN_CLASSICAL_TOL))
+    for J in sorted({J for J, _ in _LEGENDRE}):
+        ms = tuple(M for j, M in sorted(_LEGENDRE) if j == J)
+        for M, v in zip(ms, vilenkin(J, ms, 0, QParam.classical(), xi)):
+            residual = float(np.max(np.abs(v - _legendre_reference(J, M, xi))))
+            cases.append(Case(f"vilenkin classical (J={J},M={M})", residual,
+                              VILENKIN_CLASSICAL_TOL))
     return cases
 
 
@@ -325,11 +356,15 @@ def suite_args(name: str, regime: Regime) -> tuple:
                                for arg in args if arg not in ("j_list", "tol")))
 
 
-def _dispatch(name: str, **given) -> list:
+def _dispatch(name: str, towers: Optional[dict] = None, **given) -> list:
     # looked up by name at call time, so a rebound suite function is the one
-    # that runs; a None argument leaves the suite's own default in place
+    # that runs; a None argument leaves the suite's own default in place, and
+    # towers, the stencil suites' store, goes to them alone
     fn = globals()[f"suite_{name}"]
-    return fn(**{k: given[k] for k in _SUITES[name][0] if given.get(k) is not None})
+    kw = {k: given[k] for k in _SUITES[name][0] if given.get(k) is not None}
+    if towers is not None and name in ("ladder", "casimir"):
+        kw["towers"] = towers
+    return fn(**kw)
 
 
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
@@ -342,10 +377,10 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
     its first J), and gram and hermiticity raise on a tower too small to test.
     """
     if name == "all":
-        cases = []
+        cases, towers = [], {}  # ladder and casimir share one tower evaluation
         for sub, (_, pinned, skip) in _SUITES.items():
             if p.regime is not skip:
-                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed)
+                cases += _dispatch(sub, towers, p=p, j_max=pinned or j_max, N=N, seed=seed)
         return cases
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

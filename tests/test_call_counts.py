@@ -2,8 +2,9 @@
 and every distinct argument of Q_{1/2} is evaluated once, by two L
 quadratures on the circle and by one product at J = 1/2 at real q; psi
 builds each (J, M, N, p) record once and evaluates each distinct input
-once; the stencil suites evaluate each (J, N) tower whole, in one psi
-call, which the second of them finds in the memo; the suite scalar
+once; the stencil suites evaluate the towers of each N in one stencil
+evaluation, each tower whole and its shifted rows from one Q_{1/2} per
+point, and the second of them reads the first one's evaluation; the suite scalar
 products of one batch that share the same modes are one converged radial
 integral, and at least 95% of the products take one integrand call; gram
 hands over only the pairs of equal weight M.  Each test empties the
@@ -15,7 +16,7 @@ import pytest
 
 from suq2 import qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam, Regime, m_values
-from suq2.suites import run_suite
+from suq2.suites import STENCIL_N_VALUES, run_suite
 
 
 def _empty(monkeypatch, memo):
@@ -35,6 +36,16 @@ def _record_q_half(monkeypatch):
 
     monkeypatch.setattr(qspecial, "_q_half", recorded)
     return keys
+
+
+def _record_members(monkeypatch, record):
+    """Call record(J, M, N, p) on every basis-member evaluation through qops:
+    psi, and the rows on the eta-shifts that the stencils read (_psi_steps)."""
+    for name in ("psi", "_psi_steps"):
+        def recorded(J, M, N, p, u, v, _fn=getattr(qops, name)):
+            record(J, M, N, p)
+            return _fn(J, M, N, p, u, v)
+        monkeypatch.setattr(qops, name, recorded)
 
 
 def _count(monkeypatch, name):
@@ -96,13 +107,11 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
 
     keys = _record_q_half(monkeypatch)
     records = []
-    psi = qspecial.psi
 
-    def recorded_psi(J, M, N, p, u, v):
+    def record(J, M, N, p):
         # a tower call (tuple M) reads the record of each of its weights
         for m in M if isinstance(M, tuple) else (M,):
             records.append((HalfInt.of(J), HalfInt.of(m), HalfInt.of(N), p))
-        return psi(J, M, N, p, u, v)
 
     norm_constants = []
     norm_constant = qspecial._norm_constant  # what _psi_record reads
@@ -112,7 +121,7 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
         return norm_constant(J, M, N, p, fact)
 
     monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
-    monkeypatch.setattr(qops, "psi", recorded_psi)  # the basis families call it there
+    _record_members(monkeypatch, record)  # the basis families call them there
     monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
     try:
         cases = run_suite(suite, QParam.positive_real(q), N=N)
@@ -122,8 +131,8 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     assert cases and all(c.passed for c in cases)
     assert len(keys) > len(set(keys))  # the stencils and the quadratures revisit arguments
     assert len(products) == len(set(products)) == len(set(keys))
-    # casimir reads each record in its one psi call per tower; the scalar
-    # products of hermiticity ask again
+    # casimir reads each record in its one call per tower on the shifts; the
+    # scalar products of hermiticity ask again
     assert (len(records) > len(set(records))) is repeats
     assert len(norm_constants) == len(set(norm_constants)) == len(set(records))
 
@@ -147,24 +156,22 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     # more than one suite asks for
     _empty(monkeypatch, qspecial._psi_memo)
     evaluated, calls = [], []
-    uncached, psi = qspecial._psi_rows, qspecial.psi
+    uncached = qspecial._psi_rows
 
-    def counted(J, ms, N, p, u, v):
-        evaluated.append((J, ms, N, p, u.shape, v.shape, u.tobytes() + v.tobytes()))
-        return uncached(J, ms, N, p, u, v)
-
-    def recorded_psi(*args):
-        calls.append(args)
-        return psi(*args)
+    def counted(J, ms, N, p, u, v, steps=False):
+        evaluated.append((J, ms, N, p, steps, u.shape, v.shape, u.tobytes() + v.tobytes()))
+        return uncached(J, ms, N, p, u, v, steps)
 
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
-    monkeypatch.setattr(qops, "psi", recorded_psi)
+    _record_members(monkeypatch, lambda *args: calls.append(args))
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(evaluated) == len(set(evaluated)) == 99
-    # 95 of the 194 calls are repeats; gram's batch asks for each state
-    # once per form term and level, not once per pair
-    assert len(calls) == 194
+    assert len(evaluated) == len(set(evaluated)) == 88
+    # 97 of the 185 calls (158 of psi, 27 on the stencils' shifts) are
+    # repeats; gram's batch asks for each state once per form term and
+    # level, not once per pair (99 evaluations of 194 calls when every
+    # shifted row took its own Q_{1/2} and casimir redid ladder's towers)
+    assert len(calls) == 185
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
@@ -180,14 +187,16 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 18, 0), (QParam.positive_real(0.367879), None, 0, 15)],
+    (QParam.unit_circle(0.2), 3, 14, 0), (QParam.positive_real(0.367879), None, 0, 11)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
     # keyed on Q_{1/2}'s argument loses none of their repeats.  Each distinct
     # argument is evaluated once, by two quadratures or by one product.  On
     # the circle the scalar products evaluate psi at q alone, their second
-    # form term mirroring the first (30 quadratures when both terms ran)
+    # form term mirroring the first (30 quadratures when both terms ran).
+    # The stencils' shifted rows take Q_{1/2} from their shift-0 row: 18
+    # quadratures and 15 products when each row took its own
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
     runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
@@ -205,18 +214,14 @@ def test_circle_all_run_evaluates_no_psi_at_the_inverse_parameter(monkeypatch):
     # the scalar products' second form term, at q^-1, reads the conjugates
     # of the first term's component values; every psi is asked for at q
     params, evaluated = [], []
-    psi, uncached = qspecial.psi, qspecial._psi_rows
+    uncached = qspecial._psi_rows
 
-    def recorded_psi(J, M, N, p, u, v):
-        params.append(p)
-        return psi(J, M, N, p, u, v)
-
-    def counted(J, ms, N, p, u, v):
+    def counted(J, ms, N, p, *rest, **kw):
         evaluated.append(p)
-        return uncached(J, ms, N, p, u, v)
+        return uncached(J, ms, N, p, *rest, **kw)
 
     _empty(monkeypatch, qspecial._psi_memo)
-    monkeypatch.setattr(qops, "psi", recorded_psi)
+    _record_members(monkeypatch, lambda J, M, N, p: params.append(p))
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
     p = QParam.unit_circle(0.2)
     cases = run_suite("all", p)
@@ -310,6 +315,7 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
 
     monkeypatch.setattr(qinner, "radial_integral", recorded_radial_integral)
     monkeypatch.setattr(qinner, "_products", recorded_products)
+    monkeypatch.setattr(suites, "_products", recorded_products)  # the limit suite's
     cases = run_suite("all", p, N=N)
     assert cases and all(c.passed for c in cases)
     assert any(c.name.startswith("adjoint span pair") for c in cases)
@@ -381,85 +387,101 @@ def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
     assert len(calls) > 20 and calls.count(1) >= 0.95 * len(calls)
 
 
+def _count_applies(monkeypatch):
+    """The modes of every stencil evaluation (qops._apply)."""
+    modes = []
+    apply = qops._apply
+
+    def counted(f, m, *rest):
+        modes.append(m)
+        return apply(f, m, *rest)
+
+    monkeypatch.setattr(qops, "_apply", counted)
+    return modes
+
+
 @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],
                          ids=["tau0.2", "q0.8"])
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
-    # per (J, N), one call carrying the whole tower on its three eta-shifts:
-    # the reference values and the Casimir
+    # per (J, N), one call carrying the whole tower on its three eta-shifts,
+    # the reference values and the Casimir, and per N one stencil evaluation
     calls = []
-    psi = qspecial.psi
-
-    def recorded_psi(J, M, N, p, u, v):
-        calls.append((HalfInt.of(J), M, HalfInt.of(N)))
-        return psi(J, M, N, p, u, v)
-
-    monkeypatch.setattr(qops, "psi", recorded_psi)
+    _record_members(monkeypatch, lambda J, M, N, p: calls.append((HalfInt.of(J), M,
+                                                                 HalfInt.of(N))))
+    applies = _count_applies(monkeypatch)
     cases = run_suite("casimir", p)
     assert cases and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
     per_pair = Counter((J, N) for J, _, N in calls)
     assert len(per_pair) == len(cases) and set(per_pair.values()) == {1}
+    assert len(applies) == len(STENCIL_N_VALUES)
 
 
 def _count_psi(monkeypatch):
-    """The (J, M, N) of every psi call through qops, and the arguments of
-    every evaluation that the memo does not answer."""
+    """The (J, M, N) of every basis-member call through qops, and the
+    arguments of every evaluation that the memo does not answer."""
     _empty(monkeypatch, qspecial._psi_memo)
     calls, evaluated = [], []
-    psi, uncached = qspecial.psi, qspecial._psi_rows
+    uncached = qspecial._psi_rows
 
-    def recorded_psi(J, M, N, p, u, v):
-        calls.append((HalfInt.of(J), M, HalfInt.of(N)))
-        return psi(J, M, N, p, u, v)
-
-    def counted(*args):
+    def counted(*args, **kw):
         evaluated.append(args)
-        return uncached(*args)
+        return uncached(*args, **kw)
 
-    monkeypatch.setattr(qops, "psi", recorded_psi)
+    _record_members(monkeypatch, lambda J, M, N, p: calls.append((HalfInt.of(J), M,
+                                                                 HalfInt.of(N))))
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
     return calls, evaluated
 
 
 @pytest.mark.parametrize("suite", ["ladder", "casimir"])
 def test_ladder_and_casimir_call_psi_once_per_tower(monkeypatch, suite):
-    # the tower, its H+, its H- and its Casimir from one call on
-    # the eta-shifts 0, 2 and 4: 9 calls and 9 evaluations for the 9
-    # towers up to J 3 (27 and 18 with a call per table)
+    # the tower, its H+, its H- and its Casimir from one call on the
+    # eta-shifts 0, 2 and 4: 9 calls and 9 evaluations for the 9 towers up
+    # to J 3 (27 and 18 with a call per table), in 3 stencil evaluations,
+    # one per N, whose rows hold its towers J by J (9 with one per tower)
     calls, evaluated = _count_psi(monkeypatch)
+    applies = _count_applies(monkeypatch)
     cases = run_suite(suite, QParam.positive_real(1.3), j_max=3)
     assert len(cases) == 9 and all(c.passed for c in cases)
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
     assert (len(calls), len(evaluated)) == (9, 9)
+    assert [len(m) for m in applies] == [2 + 4 + 6, 3 + 5 + 7, 3 + 5 + 7]  # N 1/2, 0, 1
 
 
 def test_all_run_evaluates_psi_nine_times_for_ladder_and_casimir(monkeypatch):
-    # one evaluation per (J, N) tower: casimir repeats ladder's calls, which
-    # the memo answers (27 evaluations with a psi call per table)
-    _, evaluated = _count_psi(monkeypatch)
+    # one evaluation per (J, N) tower: casimir reads the towers that ladder
+    # evaluated in the same run, calling nothing (27 evaluations with a psi
+    # call per table); the run's 11 stencil evaluations are ladder's 3 and
+    # hermiticity's 8 (26 with one per tower and casimir's 9 again)
+    calls, evaluated = _count_psi(monkeypatch)
+    applies = _count_applies(monkeypatch)
     during = {}
     for name in ("ladder", "casimir"):
         def counted(*args, _suite=getattr(suites, f"suite_{name}"), _name=name, **kw):
-            before = len(evaluated)
+            before = len(calls), len(evaluated), len(applies)
             try:
                 return _suite(*args, **kw)
             finally:
-                during[_name] = len(evaluated) - before
+                during[_name] = (len(calls) - before[0], len(evaluated) - before[1],
+                                 len(applies) - before[2])
         monkeypatch.setattr(suites, f"suite_{name}", counted)
     cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
     assert cases and all(c.passed for c in cases)
-    assert during == {"ladder": 9, "casimir": 0}
+    assert during == {"ladder": (9, 9, 3), "casimir": (0, 0, 0)}
+    assert len(applies) == 11
 
 
-def test_all_run_at_tau_0_2_runs_l_on_220_points(monkeypatch):
-    # L point-quadratures: the points of every _l_quadrature call, 420 with
-    # a psi call per table of ladder and casimir
+def test_all_run_at_tau_0_2_runs_l_on_140_points(monkeypatch):
+    # L point-quadratures: the points of every _l_quadrature call, 220 when
+    # each stencil row took its own Q_{1/2} and 420 with a psi call per
+    # table of ladder and casimir
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
     runs = _count(monkeypatch, "_l_quadrature")
     cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
     assert cases and all(c.passed for c in cases)
-    assert sum(arr.size for _, arr in runs) == 220
+    assert sum(arr.size for _, arr in runs) == 140
 
 
 # the L argument 1e-4 e^(i(pi - 9e-7)) at tau = 1 sits within the margin of
@@ -488,3 +510,39 @@ def test_l_function_bits_do_not_depend_on_point_blocks(monkeypatch, tau, eta):
     monkeypatch.setattr(qspecial, "BLOCK_ELEMENTS", 2**30)
     one_block = evaluate()
     assert blocked.tobytes() == one_block.tobytes()
+
+
+@pytest.mark.parametrize("p,quadratures,products", [
+    (QParam.unit_circle(0.2), 4, 0), (QParam.positive_real(1.3), 0, 2)], ids=["tau0.2", "q1.3"])
+def test_funceq_evaluates_q_at_q2_eta_itself(monkeypatch, p, quadratures, products):
+    # funceq referees Q's equation, so it takes no step by it: Q_{1/2} at
+    # the grid eta and at q^2 eta, each by two quadratures or one product,
+    # which every half-integer J of its list shares
+    _empty(monkeypatch, qspecial._q_half_memo)
+    _empty(monkeypatch, qspecial._psi_memo)
+    runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
+    keys = _record_q_half(monkeypatch)
+    cases = run_suite("funceq", p)
+    assert cases and all(c.passed for c in cases)
+    eta = np.logspace(-2, 2, suites.FUNCEQ_ETA_POINTS)
+    assert set(keys) == {(p, eta.shape, np.asarray(x, complex).tobytes())
+                         for x in (eta, p.power(2) * eta)}
+    assert len(runs["_l_quadrature"]) == quadratures
+    assert len(runs["_infinite_product"]) == products
+
+
+def test_limit_suite_makes_one_call_per_j_and_q(monkeypatch):
+    # one vilenkin call per (J, q) on the weights it reads, 10 (21 with one
+    # per (J, M, q)); one scalar-product call per q for the three pinned
+    # pairs, 3 (9 with one per pair)
+    vilenkins, products = [], []
+    vilenkin, batch = suites.vilenkin, suites._products
+    monkeypatch.setattr(suites, "vilenkin",
+                        lambda J, M, *rest: vilenkins.append((J, M)) or vilenkin(J, M, *rest))
+    monkeypatch.setattr(suites, "_products",
+                        lambda pairs, p: products.append(len(pairs)) or batch(pairs, p))
+    cases = run_suite("limit", QParam.positive_real(1.2))
+    assert len(cases) == 6 + 4 + 9 and all(c.passed for c in cases)
+    assert vilenkins == [(1, (0, 1))] * 3 + [(2, (1, 2))] * 3 + [
+        (0, (0,)), (1, (0, 1)), (2, (0, 1, 2)), (3, (0, 2, 3))]
+    assert products == [3, 3, 3]

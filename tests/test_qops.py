@@ -286,6 +286,35 @@ class TestShiftEvaluation:
         assert shapes == [((shifts, u.size), (shifts, u.size))]
         assert got.shape == (u.size,)
 
+    def test_only_a_member_hands_over_its_rows(self, monkeypatch):
+        # a member under a stencil reads its rows from _psi_steps; a pinned
+        # member and a q^(aH3) image are called on the stack, and their
+        # members through psi; a stencil image is called on the stack too,
+        # and its own stencil's member reads its rows
+        calls = []
+
+        def recorded(name, fn):
+            def call(J, M, N, p, u, v):
+                calls.append((name, p, np.shape(u)))
+                return fn(J, M, N, p, u, v)
+            return call
+        for name in ("psi", "_psi_steps"):
+            monkeypatch.setattr(qops, name, recorded(name, getattr(qops, name)))
+        f = psi_family(1.5, 0.5, 0.5)
+        u, v = sample_points(4)
+        routes = {
+            "member": (apply_h_plus(f, 0.5), [("_psi_steps", P_TWO, (2, 4))]),
+            "pinned": (apply_h_plus(with_fixed_param(f), 0.5),
+                       [("psi", QParam.classical(), (2, 4))]),
+            "q_h3": (apply_h_plus(apply_q_h3_power(f, 0.5, 2.0), 0.5), [("psi", P_TWO, (2, 4))]),
+            "nested": (apply_h_plus(apply_h_minus(f, 0.5), 0.5),
+                       [("_psi_steps", P_TWO, (2, 2, 4))]),
+        }
+        for route, (g, want) in routes.items():
+            calls.clear()
+            g(P_TWO, u, v)
+            assert calls == want, route
+
     def test_a_coefficient_one_term_enters_the_sum_unmultiplied(self):
         # (1+0j) * (-0-0j) is 0-0j: a basis member multiplied by its
         # coefficient 1 would lose the sign of a zero real part
@@ -342,6 +371,14 @@ class TestShiftEvaluation:
         assert qops._plan.cache_info().misses == 2  # evaluated once per q
 
     @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
+    @pytest.mark.parametrize("p", [P_TWO, P_CIRC], ids=["real", "circle"])
+    def test_every_plan_steps_by_q_squared(self, N, p):
+        # a member steps its rows from one shift to the next by q^2 (_apply)
+        for ops in (("h_plus",), ("h_minus",), ("casimir",), ("h_plus", "h_minus", "casimir")):
+            shifts = qops._plan(ops, float(N), p, 0)[0]
+            assert shifts == tuple(range(0, 2 * len(shifts), 2)) and len(shifts) > 1, ops
+
+    @pytest.mark.parametrize("N", [0, 0.5, 1, -1.5])
     def test_every_term_of_a_table_shifts_the_mode_alike(self, N):
         # a stencil reads its mode shift from its table's first term, so
         # every u^i v^j term of the table must carry the same j - i
@@ -351,42 +388,57 @@ class TestShiftEvaluation:
 
 
 class TestPsiTower:
-    """psi_tower: a (J, N) tower's members, H+, H- and Casimir from one psi
-    call, each row with the bits of the operator on its own member."""
+    """psi_tower: a (J, N) tower's members, H+, H- and Casimir from one call
+    on its eta-shifts, each row with the bits of the operator on its own
+    member; a tuple of J stacks its towers, each row with the same bits."""
 
     @pytest.mark.parametrize("op", sorted(SHIFT_CASES))
     @pytest.mark.parametrize("p", [QParam.positive_real(0.6), QParam.positive_real(2.5),
                                    QParam.unit_circle(0.2), QParam.unit_circle(-0.2)],
                              ids=["q0.6", "q2.5", "tau0.2", "tau-0.2"])
-    @pytest.mark.parametrize("J,N", [(2, 0), (1.5, 0.5)])
+    @pytest.mark.parametrize("J,N", [(2, 0), (1.5, 0.5), ((0.5, 1.5, 2.5), 0.5), ((1, 2), 1)],
+                             ids=["J2-N0", "J1.5-N0.5", "J-tuple-N0.5", "J-tuple-N1"])
     def test_rows_have_the_bits_of_the_member_families(self, op, p, J, N):
-        ms = tuple(np.arange(J, -J - 1, -1.0))
+        labels = [(j, M) for j in (J if isinstance(J, tuple) else (J,))
+                  for M in np.arange(j, -j - 1, -1.0)]
         u, v = sample_points()
         stencil, row, _ = SHIFT_CASES[op]
         members, got = (psi_tower(J, N, p, u, v)[k] for k in (0, row))
-        assert got.shape == members.shape == (len(ms), u.size)
-        for got_row, member, M in zip(got, members, ms):
-            f = psi_family(J, M, N)
-            assert member.tobytes() == f(p, u, v).tobytes(), M
-            assert got_row.tobytes() == stencil(f, N)(p, u, v).tobytes(), M
+        assert got.shape == members.shape == (len(labels), u.size)
+        for got_row, member, (j, M) in zip(got, members, labels):
+            f = psi_family(j, M, N)
+            assert member.tobytes() == f(p, u, v).tobytes(), (j, M)
+            assert got_row.tobytes() == stencil(f, N)(p, u, v).tobytes(), (j, M)
 
     def test_one_psi_call_on_the_tower_and_its_three_shifts(self, monkeypatch):
+        # the rows on the shifts come from _psi_steps, which psi's tracer-
+        # facing six arguments cannot carry; psi itself is not called
         calls = []
 
-        def recorded_psi(J, M, N, p, u, v):
-            calls.append((M, np.shape(u), np.shape(v)))
-            return psi(J, M, N, p, u, v)
-        monkeypatch.setattr(qops, "psi", recorded_psi)
+        def recorded(name, fn):
+            def call(J, M, N, p, u, v):
+                calls.append((name, M, np.shape(u), np.shape(v)))
+                return fn(J, M, N, p, u, v)
+            return call
+        for name in ("psi", "_psi_steps"):
+            monkeypatch.setattr(qops, name, recorded(name, getattr(qops, name)))
         u, v = sample_points()
         out = psi_tower(1.5, 0.5, P_TWO, u, v)
         ms = (1.5, 0.5, -0.5, -1.5)
-        assert calls == [(tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
+        assert calls == [("_psi_steps", tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
         assert len(out) == 4 and all(x.shape == (4, u.size) for x in out)
+        calls.clear()
+        out = psi_tower((0.5, 1.5), 0.5, P_TWO, u, v)
+        assert [M for _, M, _, _ in calls] == [(HalfInt.of(0.5), HalfInt.of(-0.5)),
+                                               tuple(map(HalfInt.of, ms))]
+        assert len(out) == 4 and all(x.shape == (6, u.size) for x in out)
 
     @pytest.mark.parametrize("J,N,message", [
         (0.5, 0, r"^\(J,N\) = \(1/2,0\) must be integers or half-integers together$"),
         (1, 2, r"^need \|N\| <= J, got \(J,N\) = \(1,2\)$"),
-        (-1, 0, r"^J = -1 must be >= 0$")])
+        (-1, 0, r"^J = -1 must be >= 0$"),
+        ((0.5, 1), 0.5, r"^\(J,N\) = \(1,1/2\) must be integers or half-integers together$"),
+        ((), 0, r"^psi_tower needs at least one J$")])
     def test_refuses_a_tower_that_psi_refuses(self, J, N, message):
         u, v = sample_points(3)
         with pytest.raises(ValueError, match=message):

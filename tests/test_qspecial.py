@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suq2 import qcore, qspecial
+from suq2 import qcore, qspecial, quadrature, suites
 from suq2 import (
     HalfInt,
     QParam,
@@ -29,6 +29,7 @@ from suq2 import (
     r_polynomial,
     vilenkin,
 )
+from suq2.qcore import Regime
 
 FUNCEQ_TOL_PRODUCT = 1e-12
 FUNCEQ_TOL_INTEGRAL = 1e-10
@@ -725,6 +726,87 @@ class TestHalfIntegerQAgainstOracles:
         want = np.array([cmath.exp(mp_quad_l(tau, p.power(-(2 * J + 1)) * e)
                                    - mp_quad_l(tau, p.power(-1) * e)) for e in self.ETA])
         assert np.max(np.abs(got - want) / np.abs(want)) < self.TOL
+
+
+def mp_q_half(p, eta):
+    """Q_{1/2}(eta) by its regime's oracle: the log-sum at real q, the
+    difference of the two mp_quad_l at q^-2 eta and q^-1 eta on the circle."""
+    if p.regime is Regime.POSITIVE_REAL:
+        return complex(mp_log_sum_product(0.5, p.value, eta))
+    return cmath.exp(mp_quad_l(p.value, p.power(-2) * eta) - mp_quad_l(p.value, p.power(-1) * eta))
+
+
+def _radial_nodes(stride):
+    """Every stride-th node rho of the radial rule's first level."""
+    n = round(quadrature.T_MAX / quadrature.STEP)
+    t = quadrature.STEP * np.arange(-n, n + 1, stride)
+    return np.exp(0.5 * quadrature.SCALE * np.sinh(t))
+
+
+class TestQHalfSteps:
+    """psi's rows on the eta-shifts 0, 2, 4 (_psi_steps) take Q_{1/2} at
+    shift 0 and each later row from the one before, by Q's equation at
+    J = 1/2; funceq and q_function keep evaluating Q at q^2 eta."""
+
+    @staticmethod
+    def stack(p, u, v):
+        """u v on the stack (u, q^s v), s = 0, 2, 4, as qops._apply builds it."""
+        return u * np.stack([v, p.power(2) * v, p.power(4) * v])
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(0.7), QParam.positive_real(1.3),
+                                   QParam.positive_real(2.5), QParam.unit_circle(0.2),
+                                   QParam.unit_circle(-0.12), QParam.unit_circle(0.01)],
+                             ids=["q0.7", "q1.3", "q2.5", "tau0.2", "tau-0.12", "tau0.01"])
+    def test_derived_rows_are_no_worse_than_direct_evaluation(self, p):
+        # against the oracle at the rows' own eta, on the stencil suites'
+        # sample points and on radial nodes as the ket side scales them by
+        # q^-1; where L's error dominates (the circle's nodes, up to 1.5e-11
+        # at tau 0.01) the derived rows inherit the shift-0 row's, which the
+        # direct evaluation also has.  Two q^2 steps add at most 8 roundings.
+        circle = p.regime is Regime.UNIT_CIRCLE
+        u, v = suites.sample_points(3 if circle else 20, 0)
+        rho = _radial_nodes(40 if circle else 8) * p.power(-1)
+        for x, y in ((u, v), (rho, rho)):
+            eta = self.stack(p, x, y)
+            derived = qspecial._q_half_steps(p, eta).reshape(eta.shape)
+            direct = np.asarray(q_function(0.5, p, eta))
+            assert derived[0].tobytes() == direct[0].tobytes()
+            want = np.array([[mp_q_half(p, e) for e in row] for row in eta])
+            errors = [float(np.max(np.abs(got - want) / np.abs(want))) for got in (derived, direct)]
+            assert errors[0] <= errors[1] + 8 * sys.float_info.epsilon, errors
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(math.exp(-1.0)), QParam.unit_circle(0.2)],
+                             ids=["real", "circle"])
+    def test_psi_steps_take_q_half_once_and_keep_psi_apart(self, monkeypatch, p):
+        # one Q_{1/2} request, on the shift-0 row, whose values are psi's at
+        # (u, v); psi on the same stack evaluates every row itself, under its
+        # own memo key
+        monkeypatch.setattr(qspecial, "_psi_memo", qspecial._ExactMemo(2**20))
+        requests = []
+        q_half = qspecial._q_half
+
+        def recorded(J, p, arr):
+            requests.append(arr.shape)
+            return q_half(J, p, arr)
+        monkeypatch.setattr(qspecial, "_q_half", recorded)
+        u, v = suites.sample_points(5, 1)
+        U, V = np.broadcast_to(u, (3, 5)), np.stack([v, p.power(2) * v, p.power(4) * v])
+        ms = (1.5, 0.5, -0.5, -1.5)
+        stepped = qspecial._psi_steps(1.5, ms, 0.5, p, U, V)
+        assert requests == [(5,)] and stepped.shape == (4, 3, 5)
+        assert stepped[:, 0].tobytes() == psi(1.5, ms, 0.5, p, u, v).tobytes()
+        direct = psi(1.5, ms, 0.5, p, U, V)
+        assert requests == [(5,), (5,), (15,)]
+        assert np.max(np.abs(direct - stepped)) <= 1e-13 * np.max(np.abs(direct))
+        assert qspecial._psi_steps(1.5, 0.5, 0.5, p, U, V).tobytes() == stepped[1].tobytes()
+        assert len(qspecial._psi_memo.entries) == 4
+
+    def test_integer_j_rows_are_psi_on_the_stack(self):
+        u, v = suites.sample_points(5, 1)
+        p = QParam.unit_circle(0.2)
+        U, V = np.broadcast_to(u, (2, 5)), np.stack([v, p.power(2) * v])
+        got = qspecial._psi_steps(2, (1, 0), 1, p, U, V)
+        assert got.tobytes() == psi(2, (1, 0), 1, p, U, V).tobytes()
 
 
 class _NoLookup(dict):
@@ -1482,6 +1564,23 @@ class TestVilenkin:
                 got = np.asarray(vilenkin(J, M, N, p, xi))
                 want = radicand_vilenkin(J, M, N, p, xi)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (J, M, N)
+
+    @pytest.mark.parametrize("p", [QParam.positive_real(1.001), P_CLASS, QParam.unit_circle(0.2)],
+                             ids=["q1.001", "q1", "tau0.2"])
+    def test_a_tuple_of_weights_keeps_the_bits_of_each_call(self, p):
+        xi = np.linspace(-0.8, 0.8, 9)
+        ms = (1.5, -0.5, 0.5)
+        rows = vilenkin(1.5, ms, 0.5, p, xi)
+        assert rows.shape == (3, 9)
+        for M, row in zip(ms, rows):
+            assert row.tobytes() == vilenkin(1.5, M, 0.5, p, xi).tobytes(), M
+        one = vilenkin(1.5, ms, 0.5, p, 0.3)
+        assert one.shape == (3,)
+        assert [complex(x) for x in one] == [vilenkin(1.5, M, 0.5, p, 0.3) for M in ms]
+        with pytest.raises(ValueError):
+            vilenkin(1.5, (), 0.5, p, xi)
+        with pytest.raises(ValueError, match=r"\|M\| <= J"):
+            vilenkin(1.5, (0.5, 2.5), 0.5, p, xi)
 
     def test_the_circle_needs_the_sector_for_every_j(self):
         xi = np.linspace(-0.9, 0.9, 7)

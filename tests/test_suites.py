@@ -361,3 +361,34 @@ class TestRunSuite:
     def test_regime_attribute_consistency(self):
         assert P_CLASS.regime is Regime.CLASSICAL
         assert P_CIRC.regime is Regime.UNIT_CIRCLE
+
+
+# Q's independent rounding at the three dilations of a stencil row, which
+# the Casimir amplifies by 1/(q - q^-1)^2, failed these runs while every
+# shifted row took its own Q_{1/2}; each case keeps its tolerance
+NEAR_ONE_RUNS = [("casimir", QParam.positive_real(1.001), 0), ("all", QParam.unit_circle(0.005), 0),
+                 ("all", QParam.unit_circle(0.003), 0), ("all", QParam.unit_circle(0.001), 0),
+                 ("all", QParam.positive_real(1.001), 0.5)]
+
+
+@pytest.mark.parametrize("suite,p,N", NEAR_ONE_RUNS,
+                         ids=["casimir-q1.001", "tau0.005", "tau0.003", "tau0.001", "q1.001-N0.5"])
+def test_near_one_runs_pass_under_their_tolerances(suite, p, N):
+    cases = run_suite(suite, p, N=N)
+    assert cases and all(c.passed for c in cases)
+    stencil = [c for c in cases if c.name.startswith(("ladder", "casimir"))]
+    assert len(stencil) >= 9 and {c.tol for c in stencil} == {suites.STENCIL_TOL}
+
+
+@pytest.mark.parametrize("p", [P_REAL, P_CIRC], ids=["real", "circle"])
+def test_stencil_suites_share_one_read_only_tower_evaluation(p):
+    store = {}
+    ladder = suite_ladder(p, seed=2, towers=store)
+    assert list(store) == [(p, HalfInt.of(3), 2)]
+    towers = store[p, HalfInt.of(3), 2]
+    labels = [(0.5, 0.5), (1, 0), (1, 1), (1.5, 0.5), (2, 0), (2, 1), (2.5, 0.5), (3, 0), (3, 1)]
+    assert [(J, N) for J, N, *_ in towers] == [tuple(map(HalfInt.of, x)) for x in labels]
+    assert all(not arr.flags.writeable for _, _, *arrays in towers for arr in arrays)
+    assert suite_ladder(p, seed=2) == ladder
+    assert suite_casimir(p, seed=2, towers=store) == suite_casimir(p, seed=2)
+    assert store[p, HalfInt.of(3), 2] is towers
