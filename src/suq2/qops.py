@@ -13,7 +13,7 @@ m, so f(q^a u, q^b v) = q^(-a m) f(u, q^(a+b) v).  It calls the operand
 once, on the stack (u, q^s v) of the distinct s = a + b of its tables and
 s = 0, which gives the operand's own values too: two rows for H+ or H-
 (s = 0, 2), three for the Casimir (s = 0, 2, 4).  A basis member hands
-_apply its rows at those shifts itself (_Member.rows): it takes Q_{1/2}
+_apply its rows at those shifts itself (_member's rows): it takes Q_{1/2}
 once, at s = 0, and each later row from the one before by Q's equation,
 Q_{1/2}(q^2 eta) = Q_{1/2}(eta) (1 + q^-1 eta)/(1 + eta).  Any other
 component, a pinned one or a stencil image among them, is called on the
@@ -35,6 +35,7 @@ covariance makes an operator commute with that.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,38 +83,22 @@ def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> PlaneFamily:
     return _family(tuple((c, op(comp, m), m + shift) for c, comp, m in f.meta))
 
 
-@dataclass(frozen=True)
-class _Member:
+def _member(J, M, N) -> Callable:
     """psi of (J, M, N), M a weight or a tuple of weights, as a component:
-    called at (p, u, v) it is psi.  _apply reads its rows on a stack of
-    eta-shifts 0, 2, ... from rows instead, which takes Q_{1/2} once, at
-    shift 0 (qspecial._psi_steps); psi keeps its six arguments."""
-    J: HalfInt
-    M: object
-    N: HalfInt
-
-    def __call__(self, p: QParam, u, v):
-        return psi(self.J, self.M, self.N, p, u, v)
-
-    def rows(self, p: QParam, u, v):
-        return _psi_steps(self.J, self.M, self.N, p, u, v)
-
-
-@dataclass(frozen=True)
-class _Tower:
-    """The members of a tuple of towers, stacked J by J, as one operand of
-    _apply; it has rows only."""
-    members: tuple
-
-    def rows(self, p: QParam, u, v):
-        return np.concatenate([m.rows(p, u, v) for m in self.members])
+    called at (p, u, v) it is psi.  Its rows give _apply its values on a
+    stack of eta-shifts 0, 2, ... instead, from one Q_{1/2} at shift 0
+    (qspecial._psi_steps), so psi keeps its six arguments."""
+    def component(p: QParam, u, v):
+        return psi(J, M, N, p, u, v)
+    component.rows = lambda p, u, v: _psi_steps(J, M, N, p, u, v)
+    return component
 
 
 def psi_family(J, M, N) -> PlaneFamily:
     """Basis member as a family; the parameter stays a free slot.  It is
     one component of mode M + N, with coefficient 1."""
     J, M, N = validate_triple(J, M, N)
-    return _family(((1, _Member(J, M, N), (M + N).to_int()),))
+    return _family(((1, _member(J, M, N), (M + N).to_int()),))
 
 
 def with_fixed_param(f: PlaneFamily) -> PlaneFamily:
@@ -303,17 +288,17 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
     Casimir, each stacked by M = J, J-1, ..., -J on a new first axis, from
     one _apply whose rows have the modes M + N.  J may be a tuple: the
     towers of its J come stacked J by J in its order, each from its own
-    rows (_Member.rows), and each row has the bits of its one-J tower."""
+    rows (see _member), and each row has the bits of its one-J tower."""
     js = tuple(map(HalfInt.of, J)) if isinstance(J, tuple) else (HalfInt.of(J),)
     N = HalfInt.of(N)
     if not js:
         raise ValueError("psi_tower needs at least one J")
-    towers = []
     for j in js:
         validate_tower(j, N)
-        towers.append(_Member(j, tuple(m_values(j)), N))
-    modes = tuple((m + N).to_int() for t in towers for m in t.M)
-    operand = towers[0] if len(towers) == 1 else _Tower(tuple(towers))
+    towers = [_member(j, tuple(m_values(j)), N) for j in js]
+    modes = tuple((m + N).to_int() for j in js for m in m_values(j))
+    operand = towers[0] if len(towers) == 1 else types.SimpleNamespace(
+        rows=lambda p, u, v: np.concatenate([t.rows(p, u, v) for t in towers]))
     return tuple(_apply(operand, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
 
 

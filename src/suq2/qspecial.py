@@ -61,8 +61,8 @@ BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  With both memos unbounded, one
 # operation of the benchmark's batches (seeds 1-10 of verify --suite all at
-# real q, 18 operations a batch, and on the circle, 7) stores at most 0.070 MB
-# of Q_{1/2} (0.004 MB on the circle) and 0.68 MiB of psi (0.32 MiB), so
+# real q, 18 operations a batch, and on the circle, 7) stores at most 0.035 MB
+# of Q_{1/2} (0.002 MB on the circle) and 0.68 MiB of psi (0.32 MiB), so
 # nothing is evicted
 MEMO_MAX_BYTES = 2**20
 # a third of the normal range's binary exponents: psi's start is its lead times
@@ -310,7 +310,8 @@ def _infinite_product(J, q, arr):
         factor = (1.0 + flat * np.array(a)[:, None]) / den
         factor[np.arange(start, ks.stop, dtype=float)[:, None] > last] = 1.0
         for row in factor:  # out of place: numpy's complex multiply rounds
-            out = out * row  # differently in place and on scalars
+            out = out * row  # differently in place and on scalars,
+            # and np.multiply.reduce(factor, axis=0) differently again
     return out.reshape(arr.shape)
 
 
@@ -548,7 +549,7 @@ def _psi_steps(J, M, N, p: QParam, u, v):
     J, ms, N = _psi_labels(J, M, N, p)
     u_arr, v_arr = _as_complex(u)[0], _as_complex(v)[0]
     out = _psi_memo.lookup((J, ms, N, p, "q^2 steps"), (u_arr, v_arr),
-                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, steps=True))
+                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, stepped=True))
     return out if isinstance(M, tuple) else out[0]
 
 
@@ -565,13 +566,13 @@ def _q_half_steps(p: QParam, eta):
     return out.reshape(-1)
 
 
-def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, steps=False):
+def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, stepped=False):
     """The uncached psi of each weight in ms, stacked: lead X_J, by _recur
     from X_J0 = Q_J0 (-u)^k0 v^(k0+M+N), X_j = Q_j R_j v^(M+N), eta = uv,
     whose steps stay bounded as eta -> 0 and as eta -> inf.  Every Q_J0
     comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j;
-    with steps, u and v are a stack of q^2 steps and Q_{1/2} is
-    _q_half_steps'.  Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
+    stepped, u and v are a stack of q^2 steps and Q_{1/2} is _q_half_steps'.
+    Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
     v' = v 2^-b in [1/2, 1) and on the factors times 2^c, c = max(a + b, 0);
     ldexp takes each row back by e = k0 a + (k0+M+N) b - floor(J0) c, which
     is exact: a start that stays normal keeps its bits.  A value out of the
@@ -600,7 +601,7 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, steps=
         if not base.twice:
             qs = [np.ones_like(flat)]
         else:
-            qs = [_q_half_steps(p, eta) if steps else _q_values(base, p, flat)]
+            qs = [_q_half_steps(p, eta) if stepped else _q_values(base, p, flat)]
         ratio = None
         out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
         for row, (lead, J0, k0, mn, steps) in zip(out.reshape(len(ms), -1), records):

@@ -158,9 +158,9 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     evaluated, calls = [], []
     uncached = qspecial._psi_rows
 
-    def counted(J, ms, N, p, u, v, steps=False):
-        evaluated.append((J, ms, N, p, steps, u.shape, v.shape, u.tobytes() + v.tobytes()))
-        return uncached(J, ms, N, p, u, v, steps)
+    def counted(J, ms, N, p, u, v, stepped=False):
+        evaluated.append((J, ms, N, p, stepped, u.shape, v.shape, u.tobytes() + v.tobytes()))
+        return uncached(J, ms, N, p, u, v, stepped)
 
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
     _record_members(monkeypatch, lambda *args: calls.append(args))
