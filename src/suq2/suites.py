@@ -174,8 +174,9 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
     """H+ and H- on every member of each (J, N) tower against the transposed
     irrep matrices acting on the tower's rows: the neighbour times the
     matrix element, or 0 at the top and at the bottom.  The towers of each
-    N are evaluated by one psi_tower call (_towers, which the store towers
-    shares with suite_casimir)."""
+    N are evaluated by one psi_tower call (_towers); the store towers, which
+    run_suite passes in an `all` run, shares that evaluation with
+    suite_casimir."""
     cases = []
     for J, N, vals, h_plus, h_minus, _ in _towers(p, j_max, seed, towers):
         ir = matrix_irrep(J, p)  # after psi_tower: psi's sector refusal comes first

@@ -169,8 +169,9 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     assert len(evaluated) == len(set(evaluated)) == 88
     # 97 of the 185 calls (158 of psi, 27 on the stencils' shifts) are
     # repeats; gram's batch asks for each state once per form term and
-    # level, not once per pair (99 evaluations of 194 calls when every
-    # shifted row took its own Q_{1/2} and casimir redid ladder's towers)
+    # level, not once per pair.  194 calls when casimir repeated ladder's 9
+    # tower calls, and 99 evaluations when the limit suite's vilenkin took
+    # one weight a call
     assert len(calls) == 185
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
