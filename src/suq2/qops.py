@@ -35,7 +35,6 @@ covariance makes an operator commute with that.
 from __future__ import annotations
 
 import functools
-import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,13 +44,14 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
+    _check_sector,
     check_not_root_of_unity,
     m_values,
     q_number,
     validate_tower,
     validate_triple,
 )
-from .qspecial import _psi_labels, _psi_steps, psi
+from .qspecial import _psi, _psi_record, _ret
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,16 @@ def _map_modes(f: PlaneFamily, op: Callable, shift: int = 0) -> PlaneFamily:
 
 
 def _member(J, M, N) -> Callable:
-    """psi of (J, M, N), M a weight or a tuple of weights, as a component:
+    """psi of the labels (J, M, N), checked by psi_family, as a component:
     called at (p, u, v) it is psi.  Its rows give _apply its values on a
-    stack of eta-shifts 0, 2, ... instead, from one Q_{1/2} at shift 0
-    (qspecial._psi_steps), so psi keeps its six arguments."""
+    stack of eta-shifts 0, 2, ... instead, from one Q_{1/2} at shift 0.
+    Both go through qspecial._psi, which checks no label again."""
+    ms = (M,)
+
     def component(p: QParam, u, v):
-        return psi(J, M, N, p, u, v)
-    component.rows = lambda p, u, v: _psi_steps(J, M, N, p, u, v)
+        out = _psi(J, ms, N, p, u, v)
+        return _ret(out[0], out.ndim == 1)  # as psi returns it
+    component.rows = lambda p, u, v: _psi(J, ms, N, p, u, v, stepped=True)[0]
     return component
 
 
@@ -206,8 +209,8 @@ def _plan(ops: tuple, nf: float, p: QParam, modes) -> tuple:
 def _apply(f: Callable, modes, ops: tuple, nf: float, p: QParam, u, v) -> list:
     """f's own values, then each operator of ops at weight nf on f, from one
     call of f on the stack (u, q^s v) of s = 0 and the eta-shifts of ops,
-    or of f.rows where f has it (a basis member or a tower), which the
-    shifts 0, 2, ... of every plan let step from row to row by q^2.
+    or of f.rows where f has it (a basis member), which the shifts 0, 2,
+    ... of every plan let step from row to row by q^2.
     modes is f's mode, or a tuple of the modes of its leading rows; each
     term's f(q^a u, q^b v) is q^(-a m) times the row s = a + b, and each
     table's terms are summed in order."""
@@ -288,26 +291,31 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
     Casimir, each stacked by M = J, J-1, ..., -J on a new first axis, from
     one _apply whose rows have the modes M + N.  J may be a tuple: the
     towers of its J come stacked J by J in its order, each from its own
-    rows (see _member), and each row has the bits of its one-J tower."""
+    stepped rows (qspecial._psi, as a member's), and each row has the bits
+    of its one-J tower.  The labels are checked here, once."""
     js = tuple(map(HalfInt.of, J)) if isinstance(J, tuple) else (HalfInt.of(J),)
     N = HalfInt.of(N)
     if not js:
         raise ValueError("psi_tower needs at least one J")
     for j in js:
         validate_tower(j, N)
-    towers = [_member(j, tuple(m_values(j)), N) for j in js]
-    modes = tuple((m + N).to_int() for j in js for m in m_values(j))
-    operand = towers[0] if len(towers) == 1 else types.SimpleNamespace(
-        rows=lambda p, u, v: np.concatenate([t.rows(p, u, v) for t in towers]))
-    return tuple(_apply(operand, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
+    towers = [(j, tuple(m_values(j))) for j in js]
+    modes = tuple((m + N).to_int() for _, ms in towers for m in ms)
+
+    def rows(p: QParam, u, v):  # _apply's stack, whose shifts are 0, 2, 4
+        return np.concatenate([_psi(j, ms, N, p, u, v, stepped=True) for j, ms in towers])
+    return tuple(_apply(rows, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
 
 
 def _check_tower(J, N, p: QParam) -> None:
     """Refuse the (J, N) tower as psi_tower would before it evaluates: the
-    labels, then psi's own refusals for its weights (qspecial._psi_labels)."""
+    labels, then psi's own refusals that read no point: the circle's
+    sector, then the record of each weight."""
     J, N = HalfInt.of(J), HalfInt.of(N)
     validate_tower(J, N)
-    _psi_labels(J, tuple(m_values(J)), N, p)
+    _check_sector(J, p)
+    for m in m_values(J):
+        _psi_record(J, m, N, p)
 
 
 @dataclass(frozen=True)

@@ -508,54 +508,39 @@ def psi(J, M, N, p: QParam, u, v):
     takes the arithmetic of its own M, so it has the bits of psi(J, M[i],
     N, p, u, v); at scalar u and v the result has shape (len(M),).
 
-    Results are memoized on (J, the weights, N, p, the shapes and the
-    complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo for the
-    rules.
+    The labels are checked here (_weights), the rest in _psi, whose memo
+    keeps the results.
     """
-    J, N = HalfInt.of(J), HalfInt.of(N)
-    ms = _weights(J, M, N)
+    J, ms, N = _weights(J, M, N)
+    out = _psi(J, ms, N, p, u, v)
+    return out if isinstance(M, tuple) else _ret(out[0], out.ndim == 1)  # 1-D at scalar u, v
+
+
+def _psi(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u, v, stepped=False):
+    """psi of (J, each weight of ms, N), stacked on a new first axis, of
+    shape (len(ms),) at scalar u and v.  The labels come checked, by
+    _weights or by qops when it built the basis family or tower; past them
+    it refuses as psi does: the circle's sector, points not finite, then
+    each record.
+    Stepped, row k of u and v is (u_0, q^(2k) v_0), as qops._apply stacks
+    the eta-shifts 0, 2, ...: the bits of psi there, except that Q_{1/2}
+    is evaluated at row 0 alone and each later row takes it from the one
+    before by Q(q^2 eta) = Q(eta) (1 + q^-1 eta)/(1 + eta) (_q_half_steps);
+    q_function, and so funceq, keeps evaluating Q at q^2 eta itself.
+    Results are memoized on (J, ms, N, p, stepped, the shapes and the
+    complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo.
+    """
     _check_sector(J, p)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    out = _psi_memo.lookup((J, ms, N, p), (u_arr, v_arr),
-                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr))
-    scalar = u_scalar and v_scalar
-    if not isinstance(M, tuple):
-        return _ret(out[0], scalar)
-    return out.reshape(len(ms)) if scalar else out
-
-
-def _psi_labels(J, M, N, p: QParam) -> tuple:
-    """(J, the weights, N) of a psi call, after the refusals that psi makes
-    before it reads u and v, in its order: the labels, the circle's sector,
-    then the record of each weight."""
-    J, N = HalfInt.of(J), HalfInt.of(N)
-    ms = _weights(J, M, N)
-    _check_sector(J, p)
-    for m in ms:
-        _psi_record(J, m, N, p)
-    return J, ms, N
-
-
-def _psi_steps(J, M, N, p: QParam, u, v):
-    """psi(J, M, N, p, u, v) on a stack of q^2 steps: row k of the first
-    axis of u and v is (u_0, q^(2k) v_0), as qops._apply builds it for the
-    eta-shifts 0, 2, ...  It has the bits of psi on the stack, except that
-    Q_{1/2} (half-integer J) is evaluated at row 0 alone, through its memo:
-    row k takes it from row k-1 by Q's equation at J = 1/2,
-    Q(q^2 eta) = Q(eta) (1 + q^-1 eta)/(1 + eta), on the rows' own eta.
-    q_function, and so funceq, keeps evaluating Q at q^2 eta itself.
-    Results are memoized as psi's are, under keys of their own."""
-    J, ms, N = _psi_labels(J, M, N, p)
-    u_arr, v_arr = _as_complex(u)[0], _as_complex(v)[0]
-    out = _psi_memo.lookup((J, ms, N, p, "q^2 steps"), (u_arr, v_arr),
-                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, stepped=True))
-    return out if isinstance(M, tuple) else out[0]
+    out = _psi_memo.lookup((J, ms, N, p, stepped), (u_arr, v_arr),
+                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, stepped))
+    return out.reshape(len(ms)) if u_scalar and v_scalar else out
 
 
 def _q_half_steps(p: QParam, eta):
     """Q_{1/2} on eta's flattened array, whose rows along the first axis are
-    q^2 steps apart (see _psi_steps): row 0 by _q_half, each later row from
+    q^2 steps apart (see _psi): row 0 by _q_half, each later row from
     the one before."""
     rows = eta.reshape(len(eta), -1)
     out = np.empty_like(rows)
@@ -640,15 +625,20 @@ def _point_error(what: str, arr, bad, p: QParam):
     raise ValueError(f"{what} at eta = {(x.real if x.imag == 0 else x)!r}, {_named(p)}")
 
 
-def _weights(J: HalfInt, M, N: HalfInt) -> tuple:
-    """The weights a psi call evaluates, each checked against (J, N): those
-    of a tuple M, which must not be empty, else (M,)."""
-    ms = tuple(HalfInt.of(m) for m in M) if isinstance(M, tuple) else (HalfInt.of(M),)
+def _weights(J, M, N) -> tuple:
+    """(J, the weights, N) of a psi or vilenkin call, checked: (M,), made
+    in validate_triple's order J, M, N, or each weight of a tuple M, which
+    must not be empty, made after J and N."""
+    if not isinstance(M, tuple):
+        J, M, N = validate_triple(J, M, N)
+        return J, (M,), N
+    J, N = HalfInt.of(J), HalfInt.of(N)
+    ms = tuple(map(HalfInt.of, M))
     if not ms:
         raise ValueError("psi needs at least one weight M")
     for m in ms:
         validate_triple(J, m, N)
-    return ms
+    return J, ms, N
 
 
 @functools.lru_cache(maxsize=1024)
@@ -677,12 +667,7 @@ def vilenkin(J, M, N, p: QParam, xi):
 
     M may also be a tuple of weights, as in psi: the rows come back stacked
     from one psi call, each with the bits of vilenkin(J, M[i], N, p, xi)."""
-    if isinstance(M, tuple):
-        J, N = HalfInt.of(J), HalfInt.of(N)
-        ms = _weights(J, M, N)
-    else:
-        J, M, N = validate_triple(J, M, N)
-        ms = (M,)
+    J, ms, N = _weights(J, M, N)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     if scalar:  # as in _as_complex: xi and [xi] give the same bits
@@ -690,7 +675,7 @@ def vilenkin(J, M, N, p: QParam, xi):
     if np.any(xi_arr <= -1.0) or np.any(xi_arr >= 1.0):
         raise ValueError("vilenkin argument xi must lie in (-1, 1)")
     root = np.sqrt((1.0 + xi_arr) / (1.0 - xi_arr))
-    values = psi(J, ms, N, p, root, root)  # which checks the circle's sector first
+    values = _psi(J, ms, N, p, root, root)  # which checks the circle's sector first
     rows = [(1j ** ((2 * J.twice - m.twice - N.twice) // 2)
              * math.sqrt(2.0 * math.pi / q_number(J.twice + 1, p))
              * p.power(float(N) * float(m) / 2.0)) * row for m, row in zip(ms, values)]

@@ -2,7 +2,8 @@
 and every distinct argument of Q_{1/2} is evaluated once, by two L
 quadratures on the circle and by one product at J = 1/2 at real q; psi
 builds each (J, M, N, p) record once and evaluates each distinct input
-once; the stencil suites evaluate the towers of each N in one stencil
+once, and a built basis family or tower checks no label again; the
+stencil suites evaluate the towers of each N in one stencil
 evaluation, each tower whole and its shifted rows from one Q_{1/2} per
 point, and the second of them reads the first one's evaluation; the suite scalar
 products of one batch that share the same modes are one converged radial
@@ -14,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from suq2 import qinner, qops, qspecial, quadrature, suites
+from suq2 import qcore, qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam, Regime, m_values
 from suq2.suites import STENCIL_N_VALUES, run_suite
 
@@ -39,13 +40,15 @@ def _record_q_half(monkeypatch):
 
 
 def _record_members(monkeypatch, record):
-    """Call record(J, M, N, p) on every basis-member evaluation through qops:
-    psi, and the rows on the eta-shifts that the stencils read (_psi_steps)."""
-    for name in ("psi", "_psi_steps"):
-        def recorded(J, M, N, p, u, v, _fn=getattr(qops, name)):
-            record(J, M, N, p)
-            return _fn(J, M, N, p, u, v)
-        monkeypatch.setattr(qops, name, recorded)
+    """Call record(J, ms, N, p) on every basis-member evaluation through qops:
+    its values and the rows on the eta-shifts that the stencils read, both
+    through qspecial's one psi entry (_psi), whose weights ms are a tuple."""
+    entry = qops._psi
+
+    def recorded(J, ms, N, p, u, v, stepped=False):
+        record(J, ms, N, p)
+        return entry(J, ms, N, p, u, v, stepped)
+    monkeypatch.setattr(qops, "_psi", recorded)
 
 
 def _count(monkeypatch, name):
@@ -108,10 +111,10 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     keys = _record_q_half(monkeypatch)
     records = []
 
-    def record(J, M, N, p):
-        # a tower call (tuple M) reads the record of each of its weights
-        for m in M if isinstance(M, tuple) else (M,):
-            records.append((HalfInt.of(J), HalfInt.of(m), HalfInt.of(N), p))
+    def record(J, ms, N, p):
+        # a tower call reads the record of each of its weights
+        for m in ms:
+            records.append((J, m, N, p))
 
     norm_constants = []
     norm_constant = qspecial._norm_constant  # what _psi_record reads
@@ -167,9 +170,9 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
     assert len(evaluated) == len(set(evaluated)) == 88
-    # 97 of the 185 calls (158 of psi, 27 on the stencils' shifts) are
-    # repeats; gram's batch asks for each state once per form term and
-    # level, not once per pair.  194 calls when casimir repeated ladder's 9
+    # 97 of the 185 calls (158 for members' values, 27 on the stencils'
+    # shifts) are repeats; gram's batch asks for each state once per form
+    # term and level, not once per pair.  194 calls when casimir repeated ladder's 9
     # tower calls, and 99 evaluations when the limit suite's vilenkin took
     # one weight a call
     assert len(calls) == 185
@@ -222,7 +225,7 @@ def test_circle_all_run_evaluates_no_psi_at_the_inverse_parameter(monkeypatch):
         return uncached(J, ms, N, p, *rest, **kw)
 
     _empty(monkeypatch, qspecial._psi_memo)
-    _record_members(monkeypatch, lambda J, M, N, p: params.append(p))
+    _record_members(monkeypatch, lambda J, ms, N, p: params.append(p))
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
     p = QParam.unit_circle(0.2)
     cases = run_suite("all", p)
@@ -407,8 +410,7 @@ def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     # per (J, N), one call carrying the whole tower on its three eta-shifts,
     # the reference values and the Casimir, and per N one stencil evaluation
     calls = []
-    _record_members(monkeypatch, lambda J, M, N, p: calls.append((HalfInt.of(J), M,
-                                                                 HalfInt.of(N))))
+    _record_members(monkeypatch, lambda J, ms, N, p: calls.append((J, ms, N)))
     applies = _count_applies(monkeypatch)
     cases = run_suite("casimir", p)
     assert cases and all(c.passed for c in cases)
@@ -419,7 +421,7 @@ def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
 
 
 def _count_psi(monkeypatch):
-    """The (J, M, N) of every basis-member call through qops, and the
+    """The (J, ms, N) of every basis-member call through qops, and the
     arguments of every evaluation that the memo does not answer."""
     _empty(monkeypatch, qspecial._psi_memo)
     calls, evaluated = [], []
@@ -429,8 +431,7 @@ def _count_psi(monkeypatch):
         evaluated.append(args)
         return uncached(*args, **kw)
 
-    _record_members(monkeypatch, lambda J, M, N, p: calls.append((HalfInt.of(J), M,
-                                                                 HalfInt.of(N))))
+    _record_members(monkeypatch, lambda J, ms, N, p: calls.append((J, ms, N)))
     monkeypatch.setattr(qspecial, "_psi_rows", counted)
     return calls, evaluated
 
@@ -547,3 +548,33 @@ def test_limit_suite_makes_one_call_per_j_and_q(monkeypatch):
     assert vilenkins == [(1, (0, 1))] * 3 + [(2, (1, 2))] * 3 + [
         (0, (0,)), (1, (0, 1)), (2, (0, 1, 2)), (3, (0, 2, 3))]
     assert products == [3, 3, 3]
+
+
+@pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
+                         ids=["q1.3", "tau0.2"])
+def test_built_members_and_towers_check_no_label_again(monkeypatch, p):
+    # psi_family and psi_tower check their labels when they are built; a
+    # family on the radial rule's 129 first nodes and a tower batch at the
+    # stencil suites' sample points check none again.  Public psi does.
+    _empty(monkeypatch, qspecial._psi_memo)
+    family = qops.psi_family(1.5, 0.5, 0.5)
+    checks = []
+
+    def counted(name, fn):
+        def call(*args):
+            checks.append(name)
+            return fn(*args)
+        return call
+    for module, name in ((qcore, "validate_triple"), (qspecial, "validate_triple"),
+                         (qops, "validate_triple"), (qspecial, "_weights")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    n = round(quadrature.T_MAX / quadrature.STEP)
+    rho = np.exp(0.5 * quadrature.SCALE * np.sinh(quadrature.STEP * np.arange(-n, n + 1)))
+    u, v = suites.sample_points(suites.STENCIL_POINTS, 0)
+    assert rho.size == 129
+    family(p, rho, rho)
+    qops.apply_h_plus(family, 0.5)(p, u, v)
+    qops.psi_tower((0.5, 1.5, 2.5), 0.5, p, u, v)
+    assert checks == []
+    qspecial.psi(1.5, 0.5, 0.5, p, rho, rho)
+    assert checks == ["_weights", "validate_triple"]

@@ -224,7 +224,7 @@ class TestGramBatch:
     ], ids=["real", "circle-N0.5", "classical"])
     def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js, asks):
         levels = []
-        radial_integral, psi = qinner.radial_integral, qops.psi
+        radial_integral, entry = qinner.radial_integral, qops._psi
 
         def counted_radial_integral(F):
             levels.append([0, Counter()])
@@ -234,12 +234,13 @@ class TestGramBatch:
                 return F(rho)
             return radial_integral(counted)
 
-        def recorded_psi(J, M, N, p, u, v):
-            levels[-1][1][HalfInt.of(J), HalfInt.of(M)] += 1
-            return psi(J, M, N, p, u, v)
+        def recorded_psi(J, ms, N, p, u, v, stepped=False):
+            # a member's values, through qspecial's one psi entry
+            levels[-1][1][J, ms[0]] += 1
+            return entry(J, ms, N, p, u, v, stepped)
 
         monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
-        monkeypatch.setattr(qops, "psi", recorded_psi)
+        monkeypatch.setattr(qops, "_psi", recorded_psi)
         rep = gram(N, js, p)
         monkeypatch.undo()
 

@@ -286,29 +286,43 @@ class TestShiftEvaluation:
         assert shapes == [((shifts, u.size), (shifts, u.size))]
         assert got.shape == (u.size,)
 
-    def test_only_a_member_hands_over_its_rows(self, monkeypatch):
-        # a member under a stencil reads its rows from _psi_steps; a pinned
-        # member and a q^(aH3) image are called on the stack, and their
-        # members through psi; a stencil image is called on the stack too,
-        # and its own stencil's member reads its rows
-        calls = []
+    @pytest.mark.parametrize("p", SHIFT_PARAMS, ids=["q2.5", "q0.6", "tau_pi/17", "tau-0.25"])
+    @pytest.mark.parametrize("N", [0, 0.5, 1])
+    def test_every_plan_steps_its_rows_by_q_squared(self, p, N):
+        # a member's and a tower's stepped rows take row k from row k - 1
+        # by one q^2 step, so every plan they meet must put its rows on the
+        # shifts 0, 2, ..., 2k: each stencil alone, and the tower's three
+        N = HalfInt.of(N)
+        nf, member_mode = float(N), (N + N).to_int()  # the member M = N
+        tower_modes = tuple((m + N).to_int() for m in qcore.m_values(N + HalfInt(2)))
+        for ops, want in ((("h_plus",), (0, 2)), (("h_minus",), (0, 2)),
+                          (("casimir",), (0, 2, 4))):
+            assert qops._plan(ops, nf, p, member_mode)[0] == want, ops
+        assert qops._plan(("h_plus", "h_minus", "casimir"), nf, p, tower_modes)[0] == (0, 2, 4)
 
-        def recorded(name, fn):
-            def call(J, M, N, p, u, v):
-                calls.append((name, p, np.shape(u)))
-                return fn(J, M, N, p, u, v)
-            return call
-        for name in ("psi", "_psi_steps"):
-            monkeypatch.setattr(qops, name, recorded(name, getattr(qops, name)))
+    def test_only_a_member_hands_over_its_rows(self, monkeypatch):
+        # a member under a stencil reads its stepped rows from qspecial's
+        # psi entry; a pinned member and a q^(aH3) image are called on the
+        # stack, and their members take psi's values there; a stencil image
+        # is called on the stack too, and its own stencil's member reads its
+        # stepped rows
+        calls = []
+        entry = qops._psi
+
+        def recorded(J, ms, N, p, u, v, stepped=False):
+            calls.append(("rows" if stepped else "values", p, np.shape(u)))
+            return entry(J, ms, N, p, u, v, stepped)
+        monkeypatch.setattr(qops, "_psi", recorded)
         f = psi_family(1.5, 0.5, 0.5)
         u, v = sample_points(4)
         routes = {
-            "member": (apply_h_plus(f, 0.5), [("_psi_steps", P_TWO, (2, 4))]),
+            "member": (apply_h_plus(f, 0.5), [("rows", P_TWO, (2, 4))]),
             "pinned": (apply_h_plus(with_fixed_param(f), 0.5),
-                       [("psi", QParam.classical(), (2, 4))]),
-            "q_h3": (apply_h_plus(apply_q_h3_power(f, 0.5, 2.0), 0.5), [("psi", P_TWO, (2, 4))]),
+                       [("values", QParam.classical(), (2, 4))]),
+            "q_h3": (apply_h_plus(apply_q_h3_power(f, 0.5, 2.0), 0.5),
+                     [("values", P_TWO, (2, 4))]),
             "nested": (apply_h_plus(apply_h_minus(f, 0.5), 0.5),
-                       [("_psi_steps", P_TWO, (2, 2, 4))]),
+                       [("rows", P_TWO, (2, 2, 4))]),
         }
         for route, (g, want) in routes.items():
             calls.clear()
@@ -411,21 +425,19 @@ class TestPsiTower:
             assert got_row.tobytes() == stencil(f, N)(p, u, v).tobytes(), (j, M)
 
     def test_one_psi_call_on_the_tower_and_its_three_shifts(self, monkeypatch):
-        # the rows on the shifts come from _psi_steps, which psi's tracer-
-        # facing six arguments cannot carry; psi itself is not called
+        # the rows on the shifts are stepped rows from qspecial's psi entry,
+        # one call per J
         calls = []
+        entry = qops._psi
 
-        def recorded(name, fn):
-            def call(J, M, N, p, u, v):
-                calls.append((name, M, np.shape(u), np.shape(v)))
-                return fn(J, M, N, p, u, v)
-            return call
-        for name in ("psi", "_psi_steps"):
-            monkeypatch.setattr(qops, name, recorded(name, getattr(qops, name)))
+        def recorded(J, ms, N, p, u, v, stepped=False):
+            calls.append(("rows" if stepped else "values", ms, np.shape(u), np.shape(v)))
+            return entry(J, ms, N, p, u, v, stepped)
+        monkeypatch.setattr(qops, "_psi", recorded)
         u, v = sample_points()
         out = psi_tower(1.5, 0.5, P_TWO, u, v)
         ms = (1.5, 0.5, -0.5, -1.5)
-        assert calls == [("_psi_steps", tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
+        assert calls == [("rows", tuple(map(HalfInt.of, ms)), (3, u.size), (3, u.size))]
         assert len(out) == 4 and all(x.shape == (4, u.size) for x in out)
         calls.clear()
         out = psi_tower((0.5, 1.5), 0.5, P_TWO, u, v)

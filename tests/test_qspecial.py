@@ -743,8 +743,15 @@ def _radial_nodes(stride):
     return np.exp(0.5 * quadrature.SCALE * np.sinh(t))
 
 
+def _stepped(J, M, N, p, u, v):
+    """psi's rows on a stack of q^2 steps, through qspecial's psi entry."""
+    J, ms, N = qspecial._weights(J, M, N)
+    out = qspecial._psi(J, ms, N, p, u, v, stepped=True)
+    return out if isinstance(M, tuple) else out[0]
+
+
 class TestQHalfSteps:
-    """psi's rows on the eta-shifts 0, 2, 4 (_psi_steps) take Q_{1/2} at
+    """psi's rows on the eta-shifts 0, 2, 4 (_psi, stepped) take Q_{1/2} at
     shift 0 and each later row from the one before, by Q's equation at
     J = 1/2; funceq and q_function keep evaluating Q at q^2 eta."""
 
@@ -792,20 +799,20 @@ class TestQHalfSteps:
         u, v = suites.sample_points(5, 1)
         U, V = np.broadcast_to(u, (3, 5)), np.stack([v, p.power(2) * v, p.power(4) * v])
         ms = (1.5, 0.5, -0.5, -1.5)
-        stepped = qspecial._psi_steps(1.5, ms, 0.5, p, U, V)
+        stepped = _stepped(1.5, ms, 0.5, p, U, V)
         assert requests == [(5,)] and stepped.shape == (4, 3, 5)
         assert stepped[:, 0].tobytes() == psi(1.5, ms, 0.5, p, u, v).tobytes()
         direct = psi(1.5, ms, 0.5, p, U, V)
         assert requests == [(5,), (5,), (15,)]
         assert np.max(np.abs(direct - stepped)) <= 1e-13 * np.max(np.abs(direct))
-        assert qspecial._psi_steps(1.5, 0.5, 0.5, p, U, V).tobytes() == stepped[1].tobytes()
+        assert _stepped(1.5, 0.5, 0.5, p, U, V).tobytes() == stepped[1].tobytes()
         assert len(qspecial._psi_memo.entries) == 4
 
     def test_integer_j_rows_are_psi_on_the_stack(self):
         u, v = suites.sample_points(5, 1)
         p = QParam.unit_circle(0.2)
         U, V = np.broadcast_to(u, (2, 5)), np.stack([v, p.power(2) * v])
-        got = qspecial._psi_steps(2, (1, 0), 1, p, U, V)
+        got = _stepped(2, (1, 0), 1, p, U, V)
         assert got.tobytes() == psi(2, (1, 0), 1, p, U, V).tobytes()
 
 
@@ -1406,6 +1413,28 @@ class TestPsiTower:
     def test_bad_weights_rejected(self, M):
         with pytest.raises(ValueError):
             psi(1, M, 0, P_TWO, 0.5, 0.5)
+
+    @pytest.mark.parametrize("J,M,N,message", [
+        (-1, 0, 0, r"J = -1 must be >= 0"),
+        (1, 2, 2, r"need \|N\| <= J, got \(J,N\) = \(1,2\)"),  # the tower before M
+        (1, 0.5, 0, r"\(J,M,N\) = \(1,1/2,0\) must be integers or half-integers together"),
+        (1, 2, 0, r"need \|M\| <= J, got \(J,M,N\) = \(1,2,0\)"),
+        (1, (0, 2), 0, r"need \|M\| <= J, got \(J,M,N\) = \(1,2,0\)"),
+        (1, (), 0, r"psi needs at least one weight M"),
+        (0.3, 0, 0, r"0.3 is not a half-integer"),
+        (6, 7, 0, r"need \|M\| <= J, got \(J,M,N\) = \(6,7,0\)"),  # the labels before the sector
+    ])
+    def test_psi_and_vilenkin_refuse_a_bad_label_in_their_words(self, J, M, N, message):
+        # the labels come first, before the circle's sector and the points
+        p = QParam.unit_circle(0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            psi(J, M, N, p, math.nan, 0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vilenkin(J, M, N, p, 2.0)
+
+    def test_vilenkin_makes_a_scalar_m_before_n(self):
+        with pytest.raises(ValueError, match=r"^0.3 is not a half-integer$"):
+            vilenkin(1, 0.3, 0.2, P_TWO, 0.5)
 
 
 class TestPsiMemo:
