@@ -44,14 +44,13 @@ from .qcore import (
     HalfInt,
     QParam,
     Regime,
-    _check_sector,
     check_not_root_of_unity,
     m_values,
     q_number,
     validate_tower,
     validate_triple,
 )
-from .qspecial import _psi, _psi_record, _ret
+from .qspecial import _psi, _ret
 
 
 @dataclass(frozen=True)
@@ -305,17 +304,6 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
     def rows(p: QParam, u, v):  # _apply's stack, whose shifts are 0, 2, 4
         return np.concatenate([_psi(j, ms, N, p, u, v, stepped=True) for j, ms in towers])
     return tuple(_apply(rows, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
-
-
-def _check_tower(J, N, p: QParam) -> None:
-    """Refuse the (J, N) tower as psi_tower would before it evaluates: the
-    labels, then psi's own refusals that read no point: the circle's
-    sector, then the record of each weight."""
-    J, N = HalfInt.of(J), HalfInt.of(N)
-    validate_tower(J, N)
-    _check_sector(J, p)
-    for m in m_values(J):
-        _psi_record(J, m, N, p)
 
 
 @dataclass(frozen=True)

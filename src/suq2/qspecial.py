@@ -443,8 +443,10 @@ def q_integral_exp(J, p: QParam, eta):
 def q_function(J, p: QParam, eta):
     """Q_J: (1+eta)^(-J) classically; else, for J >= 0, 1 divided by floor(J)
     linear factors for integer J, and for half-integer J the regime's Q_{1/2}
-    divided by the same factors, which on the circle needs (2J+1)|tau| < pi.  Q_J has no zero, so
-    a 0 has underflowed: it is refused, as is a value that is not finite."""
+    divided by the same factors, which on the circle needs (2J+1)|tau| < pi.
+    A 0 is refused as an underflow, as is a value that is not finite.  Off
+    the negative real axis Q_J has no zero; on it the same refusal also
+    catches Q's true zeros (Q_{1/2}(-1) = 0 at q < 1)."""
     J = HalfInt.of(J)
     arr, scalar = _as_complex(eta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below

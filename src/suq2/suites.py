@@ -9,6 +9,7 @@ call.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -16,10 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, j_values, m_values, q_number
+from .qcore import HalfInt, QParam, Regime, check_tower, j_values, m_values, q_number
 from .qinner import _products, adjoint_residual, gram, hermitian_symmetry_residual
 from .qops import (
-    _check_tower,
     casimir_matrix,
     combine,
     matrix_irrep,
@@ -27,7 +27,7 @@ from .qops import (
     psi_tower,
     with_fixed_param,
 )
-from .qspecial import q_function, vilenkin
+from .qspecial import _psi_record, q_function, vilenkin
 
 MATRIX_TOL = 1e-12
 FUNCEQ_TOL_PRODUCT = 1e-12
@@ -136,21 +136,24 @@ def suite_matrix(p: QParam, j_max=4.5, tol: float = MATRIX_TOL) -> list:
     return cases
 
 
-def _towers(p: QParam, j_max, seed: int, store: Optional[dict] = None) -> list:
+@functools.lru_cache(maxsize=1)
+def _towers(p: QParam, j_max: HalfInt, seed: int) -> tuple:
     """(J, N, *psi_tower) at the seeded sample points, for J = 1/2, 1, ...,
     j_max and each N of STENCIL_N_VALUES in J's class with |N| <= J, in that
-    order.  The towers are made and checked one at a time, so the first that
-    psi refuses stops the suite before a label past it is made; then each N
-    takes one psi_tower call on all its J.  A store shares the evaluation
-    between the suites of one run, under (p, j_max, seed), read-only."""
-    key = (p, HalfInt.of(j_max), seed)
-    if store is not None and key in store:
-        return store[key]
+    order.  The towers are checked one at a time, as psi would refuse them
+    before it evaluates (the labels, the circle's sector and [2J+1]!, then
+    the record of each weight), so the first that psi refuses stops the suite
+    before a label past it is made; then each N takes one psi_tower call on
+    all its J.  The last evaluation is kept, read-only, so the second
+    stencil suite of an `all` run reads the first one's; a refusal is not
+    kept and recurs on every call."""
     labels = []
     for J in _half_range(j_max):
         for N in map(HalfInt.of, STENCIL_N_VALUES):
             if (J.twice - N.twice) % 2 == 0 and abs(N.twice) <= J.twice:
-                _check_tower(J, N, p)
+                check_tower(N, (J,), p)
+                for M in m_values(J):
+                    _psi_record(J, M, N, p)
                 labels.append((J, N))
     u, v = sample_points(STENCIL_POINTS, seed)
     rows = {}  # (J, N) -> its slice of the stacked rows of its N
@@ -163,22 +166,17 @@ def _towers(p: QParam, j_max, seed: int, store: Optional[dict] = None) -> list:
         for J in js:
             rows[J, N] = [arr[start:start + J.twice + 1] for arr in batch]
             start += J.twice + 1
-    towers = [(J, N, *rows[J, N]) for J, N in labels]
-    if store is not None:
-        store[key] = towers
-    return towers
+    return tuple((J, N, *rows[J, N]) for J, N in labels)
 
 
-def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
-                 towers: Optional[dict] = None) -> list:
+def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
     """H+ and H- on every member of each (J, N) tower against the transposed
     irrep matrices acting on the tower's rows: the neighbour times the
     matrix element, or 0 at the top and at the bottom.  The towers of each
-    N are evaluated by one psi_tower call (_towers); the store towers, which
-    run_suite passes in an `all` run, shares that evaluation with
-    suite_casimir."""
+    N are evaluated by one psi_tower call (_towers), which keeps that
+    evaluation for suite_casimir at the same (p, j_max, seed)."""
     cases = []
-    for J, N, vals, h_plus, h_minus, _ in _towers(p, j_max, seed, towers):
+    for J, N, vals, h_plus, h_minus, _ in _towers(p, HalfInt.of(j_max), seed):
         ir = matrix_irrep(J, p)  # after psi_tower: psi's sector refusal comes first
         worst = 0.0
         for got, mat in ((h_plus, ir.Hplus), (h_minus, ir.Hminus)):
@@ -190,13 +188,12 @@ def suite_ladder(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
     return cases
 
 
-def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL,
-                  towers: Optional[dict] = None) -> list:
+def suite_casimir(p: QParam, j_max=3, seed: int = 0, tol: float = STENCIL_TOL) -> list:
     """The Casimir on every member of each (J, N) tower against [J][J+1]
     times the member; the towers are evaluated as in suite_ladder, and in
-    an `all` run read from the store towers that suite_ladder filled."""
+    an `all` run are the evaluation that suite_ladder left in _towers."""
     cases = []
-    for J, N, vals, _, _, cas in _towers(p, j_max, seed, towers):
+    for J, N, vals, _, _, cas in _towers(p, HalfInt.of(j_max), seed):
         refs = q_number(J, p) * q_number(J + 1, p) * vals
         cases.append(Case(f"casimir J={J} N={N}", _rel_rows(cas - refs, refs), tol))
     return cases
@@ -209,7 +206,8 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
     Each point's |lhs - rhs| is divided by the larger of |lhs| and |rhs|,
     the size of the terms compared: rounding at their last bit is all a
     correct Q leaves.  The terms fall to about 1e-3 at eta = 1e2 (J = 2),
-    so no floor at 1 is taken; they never vanish, as Q has no zero.
+    so no floor at 1 is taken; on this positive grid they never vanish, as
+    Q has no zero off the negative real axis.
     """
     eta = np.logspace(-2, 2, FUNCEQ_ETA_POINTS)
     cases = []
@@ -357,15 +355,11 @@ def suite_args(name: str, regime: Regime) -> tuple:
                                for arg in args if arg not in ("j_list", "tol")))
 
 
-def _dispatch(name: str, towers: Optional[dict] = None, **given) -> list:
+def _dispatch(name: str, **given) -> list:
     # looked up by name at call time, so a rebound suite function is the one
-    # that runs; a None argument leaves the suite's own default in place, and
-    # towers, the stencil suites' store, goes to them alone
+    # that runs; a None argument leaves the suite's own default in place
     fn = globals()[f"suite_{name}"]
-    kw = {k: given[k] for k in _SUITES[name][0] if given.get(k) is not None}
-    if towers is not None and name in ("ladder", "casimir"):
-        kw["towers"] = towers
-    return fn(**kw)
+    return fn(**{k: given[k] for k in _SUITES[name][0] if given.get(k) is not None})
 
 
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
@@ -378,10 +372,10 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
     its first J), and gram and hermiticity raise on a tower too small to test.
     """
     if name == "all":
-        cases, towers = [], {}  # ladder and casimir share one tower evaluation
+        cases = []
         for sub, (_, pinned, skip) in _SUITES.items():
             if p.regime is not skip:
-                cases += _dispatch(sub, towers, p=p, j_max=pinned or j_max, N=N, seed=seed)
+                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed)
         return cases
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -9,7 +9,8 @@ point, and the second of them reads the first one's evaluation; the suite scalar
 products of one batch that share the same modes are one converged radial
 integral, and at least 95% of the products take one integrand call; gram
 hands over only the pairs of equal weight M.  Each test empties the
-memos whose hits would hide the evaluations it counts."""
+memos whose hits would hide the evaluations it counts, and starts without
+the tower evaluation that the stencil suites keep."""
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,12 @@ import pytest
 from suq2 import qcore, qinner, qops, qspecial, quadrature, suites
 from suq2.qcore import HalfInt, QParam, Regime, m_values
 from suq2.suites import STENCIL_N_VALUES, run_suite
+
+
+@pytest.fixture(autouse=True)
+def _cold_towers():
+    """No test reads a tower evaluation that an earlier one left in _towers."""
+    suites._towers.cache_clear()
 
 
 def _empty(monkeypatch, memo):

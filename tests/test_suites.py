@@ -380,15 +380,45 @@ def test_near_one_runs_pass_under_their_tolerances(suite, p, N):
     assert len(stencil) >= 9 and {c.tol for c in stencil} == {suites.STENCIL_TOL}
 
 
+def _count_tower_batches(monkeypatch):
+    """The N of every psi_tower call that _towers makes, after emptying its
+    kept evaluation."""
+    suites._towers.cache_clear()
+    batches = []
+    psi_tower = suites.psi_tower
+
+    def counted(js, N, *rest):
+        batches.append(N)
+        return psi_tower(js, N, *rest)
+    monkeypatch.setattr(suites, "psi_tower", counted)
+    return batches
+
+
 @pytest.mark.parametrize("p", [P_REAL, P_CIRC], ids=["real", "circle"])
-def test_stencil_suites_share_one_read_only_tower_evaluation(p):
-    store = {}
-    ladder = suite_ladder(p, seed=2, towers=store)
-    assert list(store) == [(p, HalfInt.of(3), 2)]
-    towers = store[p, HalfInt.of(3), 2]
+def test_stencil_suites_share_one_read_only_tower_evaluation(monkeypatch, p):
+    batches = _count_tower_batches(monkeypatch)
+    ladder = suite_ladder(p, seed=2)
+    casimir = suite_casimir(p, seed=2)
+    # one psi_tower batch per N (1/2, 0, 1), which casimir reads again
+    assert batches == [HalfInt.of(0.5), HalfInt.of(0), HalfInt.of(1)]
+    towers = suites._towers(p, HalfInt.of(3), 2)
     labels = [(0.5, 0.5), (1, 0), (1, 1), (1.5, 0.5), (2, 0), (2, 1), (2.5, 0.5), (3, 0), (3, 1)]
     assert [(J, N) for J, N, *_ in towers] == [tuple(map(HalfInt.of, x)) for x in labels]
     assert all(not arr.flags.writeable for _, _, *arrays in towers for arr in arrays)
-    assert suite_ladder(p, seed=2) == ladder
-    assert suite_casimir(p, seed=2, towers=store) == suite_casimir(p, seed=2)
-    assert store[p, HalfInt.of(3), 2] is towers
+    assert len(batches) == 3
+    # a second key replaces the first, which is then evaluated again
+    suite_ladder(p, seed=3)
+    assert len(batches) == 6 and suites._towers.cache_info().currsize == 1
+    assert suite_casimir(p, seed=2) == casimir and suite_ladder(p, seed=2) == ladder
+    assert len(batches) == 9
+
+
+def test_refused_tower_evaluation_is_not_kept(monkeypatch):
+    batches = _count_tower_batches(monkeypatch)
+    msg = r"^psi for \(J,M,N\)=\(33/2,-31/2,1/2\) leaves the float range at q = 2\.0$"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=msg):
+            run_suite("ladder", P_BIG, j_max=1e9)
+    assert batches == [] and suites._towers.cache_info().currsize == 0
+    cases = run_suite("ladder", P_BIG)
+    assert len(cases) == 9 and len(batches) == 3
