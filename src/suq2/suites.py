@@ -47,17 +47,16 @@ FUNCEQ_ETA_POINTS = 25           # log grid eta in [1e-2, 1e2]
 LIMIT_STEPS = (1e-3, 1e-4, 1e-5)  # q = 1 + h for the q -> 1 limit; inner takes the first two
 
 # each suite in report order: (the run_suite arguments its suite_<name>
-# takes, the j_max that `all` pins whatever --J-max says or None, the
-# regime the suite does not apply in or None; run_suite reads it for a
-# single suite too).  Names, not functions: see _dispatch.
+# takes, the regime the suite does not apply in or None).  Names, not
+# functions: run_suite looks each suite function up when it runs it.
 _SUITES = {
-    "matrix": (("p", "j_max", "tol"), None, None),
-    "funceq": (("p", "j_list", "tol"), None, Regime.CLASSICAL),
-    "ladder": (("p", "j_max", "seed", "tol"), 3, Regime.CLASSICAL),
-    "casimir": (("p", "j_max", "seed", "tol"), 3, Regime.CLASSICAL),
-    "hermiticity": (("p", "j_max", "N", "seed", "tol"), 2, Regime.CLASSICAL),
-    "gram": (("p", "N", "j_list", "j_max", "tol"), None, None),
-    "limit": ((), None, Regime.UNIT_CIRCLE),
+    "matrix": (("p", "j_max", "tol"), None),
+    "funceq": (("p", "j_list", "tol"), Regime.CLASSICAL),
+    "ladder": (("p", "j_max", "seed", "tol"), Regime.CLASSICAL),
+    "casimir": (("p", "j_max", "seed", "tol"), Regime.CLASSICAL),
+    "hermiticity": (("p", "j_max", "N", "seed", "tol"), Regime.CLASSICAL),
+    "gram": (("p", "N", "j_list", "j_max", "tol"), None),
+    "limit": ((), Regime.UNIT_CIRCLE),
 }
 SUITE_NAMES = (*_SUITES, "all")
 
@@ -351,15 +350,8 @@ def suite_args(name: str, regime: Regime) -> tuple:
     less j_list and tol, which `all` does not pass on."""
     if name != "all":
         return _SUITES[name][0]
-    return tuple(dict.fromkeys(arg for args, _, skip in _SUITES.values() if regime is not skip
+    return tuple(dict.fromkeys(arg for args, skip in _SUITES.values() if regime is not skip
                                for arg in args if arg not in ("j_list", "tol")))
-
-
-def _dispatch(name: str, **given) -> list:
-    # looked up by name at call time, so a rebound suite function is the one
-    # that runs; a None argument leaves the suite's own default in place
-    fn = globals()[f"suite_{name}"]
-    return fn(**{k: given[k] for k in _SUITES[name][0] if given.get(k) is not None})
 
 
 def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
@@ -367,21 +359,24 @@ def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
     """Run a named suite; each argument left None takes the suite's default.
 
     A suite applies in every regime but the one _SUITES skips it in: `all`
-    runs those that apply, without j_list or tol.  A single suite that does
-    not apply raises ValueError, as does one with no case (a --J-max below
-    its first J), and gram and hermiticity raise on a tower too small to test.
+    runs each that applies as a single suite, with the same j_max, N and
+    seed and without j_list or tol, so it raises where one of them would.  A
+    single suite that does not apply raises ValueError, as does one with no
+    case (a --J-max below its first J), and gram and hermiticity raise on a
+    tower too small to test.
     """
     if name == "all":
-        cases = []
-        for sub, (_, pinned, skip) in _SUITES.items():
-            if p.regime is not skip:
-                cases += _dispatch(sub, p=p, j_max=pinned or j_max, N=N, seed=seed)
-        return cases
+        return [case for sub, (_, skip) in _SUITES.items() if p.regime is not skip
+                for case in run_suite(sub, p, j_max=j_max, N=N, seed=seed)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if p.regime is _SUITES[name][2]:
+    args, skip = _SUITES[name]
+    if p.regime is skip:
         raise ValueError(f"suite {name} does not apply in the {p.regime.value} regime")
-    cases = _dispatch(name, p=p, j_max=j_max, j_list=j_list, N=N, seed=seed, tol=tol)
+    given = {"p": p, "j_max": j_max, "j_list": j_list, "N": N, "seed": seed, "tol": tol}
+    # looked up by name at call time, so a rebound suite function is the one
+    # that runs; a None argument leaves the suite's own default in place
+    cases = globals()[f"suite_{name}"](**{k: given[k] for k in args if given[k] is not None})
     if not cases:  # a J range with no member
         at = "" if j_max is None else f" at --J-max {HalfInt.of(j_max)}"
         raise ValueError(f"suite {name} has no case to run{at}")

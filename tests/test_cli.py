@@ -820,14 +820,41 @@ class TestParser:
         assert "--J-max" in err and "N=" in err and f"has {states}" in err
         assert "larger sample" not in err
 
-    @pytest.mark.parametrize("suite", ["gram", "all"])
-    def test_gram_on_an_empty_tower_exits_two(self, suite, capsys):
+    @pytest.mark.parametrize("suite,msg", [
+        ("gram", "gram needs at least 1 basis state"),
+        # `all` runs hermiticity at the same --J-max before gram
+        ("all", "hermiticity span pairs need at least 3 basis states"),
+    ], ids=["gram", "all"])
+    def test_gram_on_an_empty_tower_exits_two(self, suite, msg, capsys):
         # a case on no state would compare nothing, and could not fail
         code, out, err = run(["verify", "--suite", suite, "--q", "1.3", "--N", "2",
                               "--J-max", "1"], capsys)
         assert code == 2 and out == ""
-        assert err == ("error: gram needs at least 1 basis state; "
-                       "the N=2 tower up to --J-max 1 has 0\n")
+        assert err == f"error: {msg}; the N=2 tower up to --J-max 1 has 0\n"
+
+    @pytest.mark.parametrize("argv,counts", [
+        # ladder and casimir ran their 9 towers up to J 3 whatever --J-max said
+        (["--q", "1.2", "--J-max", "1"],
+         {"matrix": 2, "funceq": 5, "ladder": 3, "casimir": 3, "adjoint": 4, "conjugate": 3,
+          "gram": 1, "inner": 6, "vilenkin": 13}),
+        # exited 2 on "J=3 on the circle needs (2J+1)|tau| < pi"
+        (["--tau", "0.5", "--J-max", "2"],
+         {"matrix": 4, "funceq": 5, "ladder": 6, "casimir": 6, "adjoint": 4, "conjugate": 3,
+          "gram": 1}),
+    ], ids=["q1.2-J-max-1", "tau0.5-J-max-2"])
+    def test_all_runs_every_tower_to_the_given_j_max(self, argv, counts, capsys):
+        code, out, err = run(["verify", "--suite", "all"] + argv, capsys)
+        assert code == 0 and err == ""
+        cases = json.loads(out)["cases"]
+        assert all(c["pass"] for c in cases)
+        names = [c["name"].split()[0] for c in cases]
+        assert {name: names.count(name) for name in names} == counts
+
+    def test_all_without_a_matrix_case_exits_two(self, capsys):
+        # as `--suite matrix --J-max 0` does; it ran the other suites, exit 0
+        code, out, err = run(["verify", "--suite", "all", "--q", "1", "--J-max", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: suite matrix has no case to run at --J-max 0\n"
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_tol_must_be_positive_and_finite(self, tol, capsys):

@@ -344,6 +344,26 @@ class TestRunSuite:
         assert "vilenkin" not in names and "inner limit" not in names
         assert "matrix" in names and "funceq" in names
 
+    @pytest.mark.parametrize("N", [0, 0.5])
+    @pytest.mark.parametrize("j_max", [1, 2.5])
+    @pytest.mark.parametrize("p,names", [
+        (P_REAL, ("matrix", "funceq", "ladder", "casimir", "hermiticity", "gram", "limit")),
+        (P_CIRC, ("matrix", "funceq", "ladder", "casimir", "hermiticity", "gram")),
+        (P_CLASS, ("matrix", "gram", "limit")),
+    ], ids=["real", "circle", "classical"])
+    def test_all_is_the_single_suites_it_runs(self, p, names, j_max, N):
+        # each at the same j_max, N and seed: `all` pins no J-max, and
+        # refuses with the first of them that refuses
+        want = []
+        for name in names:
+            try:
+                want += run_suite(name, p, j_max=j_max, N=N, seed=4)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    run_suite("all", p, j_max=j_max, N=N, seed=4)
+                return
+        assert run_suite("all", p, j_max=j_max, N=N, seed=4) == want
+
     def test_dispatch_resolves_suites_at_call_time(self, monkeypatch):
         # a profiler that rebinds suites.suite_* must see every dispatched
         # call, from a single suite and from `all` alike
