@@ -173,11 +173,12 @@ def m_values(J: HalfInt) -> list:
 
 
 def j_values(N, j_max, p: QParam) -> list:
-    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order,
-    refused by check_tower at p before a label past the first it refuses is made."""
+    """Tower labels J = |N|, |N|+1, ..., up to j_max in ascending order, of a
+    tower for the scalar product: refused by check_form_tower at p before a
+    label past the first it refuses is made."""
     N, j_max = HalfInt.of(N), HalfInt.of(j_max)
     twice = range(abs(N.twice), j_max.twice + 1, 2)
-    check_tower(N, map(HalfInt, twice), p)
+    check_form_tower(N, map(HalfInt, twice), p)
     return list(map(HalfInt, twice))
 
 
@@ -188,6 +189,15 @@ def check_tower(N: HalfInt, J_list, p: QParam) -> None:
         validate_tower(J, N)
         _check_sector(J, p)
         q_factorial(J.twice + 1, p)
+
+
+def check_form_tower(N: HalfInt, J_list, p: QParam) -> None:
+    """check_tower's rules for each J of J_list, then the scalar product's
+    bound on the circle (_check_form), J by J, so the first J that either
+    refuses is the one named."""
+    for J in J_list:
+        check_tower(N, (J,), p)
+        _check_form(J, p)
 
 
 def q_number(x: float, p: QParam) -> float:
@@ -261,6 +271,19 @@ def _check_sector(J: HalfInt, p: QParam):
     if p.regime is Regime.UNIT_CIRCLE and (J.twice + 1) * abs(p.value) >= math.pi:
         raise ValueError(f"J={J} on the circle needs (2J+1)|tau| < pi, "
                          f"got tau={p.value!r}")
+
+
+def _check_form(J: HalfInt, p: QParam):
+    """Refuse a circle q outside (2J+2)|tau| < pi, where the scalar product
+    of a tower up to J no longer holds; any other q passes.  The bound is
+    measured and derived, not taken from the paper: Q_J's last finite
+    factor 1 + q^(-2J) eta has its pole on the ray at angle -(pi - 2J tau),
+    the form reads the ket at eta = q^(-+2) rho^2, on the rays at angle
+    -+2 tau, and the two meet at (2J+2)|tau| = pi.  Past it the radial
+    integral crosses the pole's ray and no longer continues the form."""
+    if p.regime is Regime.UNIT_CIRCLE and (J.twice + 2) * abs(p.value) >= math.pi:
+        raise ValueError(f"the scalar product on the circle needs (2J+2)|tau| < pi, "
+                         f"got J={J}, tau={p.value!r}")
 
 
 def _check_cap(count: int, what: str, *args) -> None:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, check_tower, m_values
+from .qcore import HalfInt, QParam, Regime, check_form_tower, m_values
 from .qops import (
     PlaneFamily,
     _weighted_sum,
@@ -146,10 +146,11 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
 
     psi_(J,M,N) has the one mode M+N, so only the upper pairs of equal M go on
     one _products call; the matrix is filled Hermitian from them, 0 elsewhere.
-    A tower past psi's reach is refused before it is built (check_tower).
+    A tower past psi's reach, or on the circle past the scalar product's,
+    is refused before it is built (check_form_tower).
     """
     N = HalfInt.of(N)
-    check_tower(N, sorted(map(HalfInt.of, J_list)), p)
+    check_form_tower(N, sorted(map(HalfInt.of, J_list)), p)
     states = [(J, M) for J in map(HalfInt.of, J_list) for M in m_values(J)]
     fams = [psi_family(J, M, N) for J, M in states]
     twice_m = np.array([M.twice for _, M in states])

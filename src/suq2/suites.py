@@ -17,7 +17,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, check_tower, j_values, m_values, q_number
+from .qcore import (
+    HalfInt,
+    QParam,
+    Regime,
+    check_form_tower,
+    check_tower,
+    j_values,
+    m_values,
+    q_number,
+)
 from .qinner import _products, adjoint_residual, gram, hermitian_symmetry_residual
 from .qops import (
     casimir_matrix,
@@ -253,6 +262,7 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
     N_h = HalfInt.of(N)
     pairs = _span_pairs(j_max, N_h, p, seed)
     j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
+    check_form_tower(N_h, (j0,), p)  # j0 may lie above the span tower's j_max
     cases = [Case("adjoint basis pair",
                   adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
                                    p, N_h),

@@ -612,12 +612,42 @@ class TestGram:
     @pytest.mark.parametrize("argv,msg", [
         (["--q", "1.05", "--N", "0", "--J-max", "20"],
          "radial integral did not converge within max_refinements"),
+        # J 15 is inside Q_15's sector, not inside the scalar product's bound
         (["--tau", "0.1", "--N", "0", "--J-max", "17"],
-         "J=16 on the circle needs (2J+1)|tau| < pi, got tau=0.1"),
+         "the scalar product on the circle needs (2J+2)|tau| < pi, got J=15, tau=0.1"),
     ], ids=["q1.05-J20", "tau0.1-J17"])
     def test_high_towers_past_their_reach_are_one_error_line(self, argv, msg, capsys):
         code, out, err = run(["gram"] + argv, capsys)
         assert code == 2 and out == "" and err == f"error: {msg}\n"
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["tau+", "tau-"])
+    @pytest.mark.parametrize("J,N", [(0.5, 0.5), (1, 0), (1, 1), (1.5, 0.5), (2, 0), (2, 1),
+                                     (2.5, 0.5), (3, 0), (3, 1)])
+    def test_the_circle_form_bound_is_refused_at_the_entry(self, J, N, sign, capsys):
+        # between (2J+2)|tau| = pi and Q_J's sector edge (2J+1)|tau| = pi,
+        # gram printed matrices off by 1.0-1.9 with exit 0; J 1/2 is tested
+        # at tau 0.75, as its radial rule gives up from about 0.8 below pi/3
+        bound = math.pi / (2 * J + 2)
+        tau = sign * (0.75 if J == 0.5 else 0.9 * bound)
+        code, out, err = run(["gram", "--J", str(J), "--N", str(N), "--tau", repr(tau),
+                              "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["max_offdiag"] < suites.GRAM_TOL and doc["max_diag_dev"] < suites.GRAM_TOL
+        tau = sign * 1.02 * bound
+        msg = (f"error: the scalar product on the circle needs (2J+2)|tau| < pi, "
+               f"got J={HalfInt.of(J)}, tau={tau!r}\n")
+        for cmd in (["gram", "--J", str(J)], ["verify", "--suite", "gram", "--J-max", str(J)]):
+            assert run(cmd + ["--N", str(N), "--tau", repr(tau)], capsys) == (2, "", msg)
+
+    def test_the_adjoint_basis_pair_is_held_to_the_form_bound(self, capsys):
+        # the pair's J = |N| + 1 = 2 lies above --J-max, and its residual
+        # read 7.0e-2 with exit 1
+        code, out, err = run(["verify", "--suite", "hermiticity", "--N", "1", "--J-max", "1",
+                              "--tau", "0.6"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: the scalar product on the circle needs (2J+2)|tau| < pi, "
+                       "got J=2, tau=0.6\n")
 
     @pytest.mark.parametrize("cmd", [["gram"], ["verify", "--suite", "gram"]], ids=["gram", "verify"])
     def test_a_tower_past_psi_reach_is_refused_unbuilt(self, cmd, monkeypatch, capsys):
