@@ -8,10 +8,10 @@ regime evaluates [x] = sin(x*tau)/sin(tau) directly so realness is exact
 by construction.
 
 The scalar q-arithmetic of the special functions at fixed labels lives
-here too, apart from their arguments: the circle's sector rule, columns
-of powers of q, the normalization constant of psi, and the start and
-step constants of R's three-term recurrence in J.  qspecial applies them
-to eta.
+here too, apart from their arguments: the circle's sector rule and its
+scalar product's bound, columns of powers of q, the normalization
+constant of psi, and the start and step constants of R's three-term
+recurrence in J.  qspecial applies them to eta.
 """
 from __future__ import annotations
 
