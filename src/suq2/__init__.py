@@ -36,7 +36,6 @@ from .qspecial import (
     l_function,
     norm_constant,
     psi,
-    q_finite_product,
     q_function,
     q_infinite_product,
     q_integral_exp,
@@ -52,7 +51,7 @@ from .suites import SUITE_NAMES, Case, run_suite
 __all__ = [
     "HalfInt", "QParam", "Regime", "check_not_root_of_unity",
     "j_values", "m_values", "q_factorial", "q_number", "validate_triple",
-    "l_function", "norm_constant", "psi", "q_finite_product", "q_function",
+    "l_function", "norm_constant", "psi", "q_function",
     "q_infinite_product", "q_integral_exp", "r_polynomial", "vilenkin",
     "PlaneIntegral", "radial_integral",
     "IrrepMatrices", "PlaneFamily", "apply_casimir",

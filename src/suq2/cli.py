@@ -16,7 +16,7 @@ import numpy as np
 from .qcore import HalfInt, QParam, Regime, j_values, q_factorial, q_number
 from .qinner import gram as gram_matrix
 from .qspecial import l_function, psi, q_function, r_polynomial, vilenkin
-from .suites import SUITE_NAMES, run_suite, suite_args
+from .suites import GRAM_J_MAX, SUITE_NAMES, run_suite, suite_args
 
 SCHEMA_VERSION = 1  # of every JSON document the CLI prints
 
@@ -176,7 +176,7 @@ def cmd_gram(args) -> int:
         _reject_unread("gram with --J", {"--J-max": args.J_max})
         j_list = [_parse_half(str(args.J), "--J")]
     else:
-        j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else HalfInt.of(2)
+        j_max = _parse_half(str(args.J_max), "--J-max") if args.J_max is not None else GRAM_J_MAX
         j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
     rep = gram_matrix(N, j_list, p)
     labels = [f"{J}:{M}" for (J, M) in rep.labels]

@@ -209,15 +209,6 @@ def r_polynomial(J, M, N, p: QParam, eta):
     return _ret(out, scalar)
 
 
-def q_finite_product(J, p: QParam, eta):
-    """Q for integer J: product of J reciprocal linear factors (1 for J = 0),
-    which is q_function at integer J >= 0."""
-    J = HalfInt.of(J)
-    if not J.is_integer() or J.twice < 0:
-        raise ValueError(f"finite product needs integer J >= 0, got {J}")
-    return q_function(J, p, eta)
-
-
 def _finite_factors(J: HalfInt, p: QParam, arr):
     """The factors 1 + q^(-2j-2) eta, j = J mod 1 .. J-1, one row per j, of
     Q_J = Q_(J mod 1) / prod, for J >= 0, on eta's flattened array.  A
@@ -390,8 +381,8 @@ def _l_quadrature(p: QParam, arr):
             if not warned and math.pi - max_phase < BRANCH_CUT_MARGIN:
                 _branch_cut_warnings += 1
                 # frames: here, l_function, its caller
-                warnings.warn("l_function integrand within 1e-6 of the Log branch cut",
-                              RuntimeWarning, stacklevel=3)
+                warnings.warn(f"l_function integrand within {BRANCH_CUT_MARGIN} of the Log "
+                              "branch cut", RuntimeWarning, stacklevel=3)
                 warned = True
         panel_error = np.max(np.abs(sums[..., 1]), axis=0, initial=0.0) / (2.0 * math.pi)
         if error + float(np.sum(panel_error)) < L_ABS_TOL:

@@ -52,6 +52,7 @@ VILENKIN_CLASSICAL_TOL = 1e-12
 
 STENCIL_N_VALUES = (0, 0.5, 1)   # the N of each ladder and casimir case
 STENCIL_POINTS = 20              # off-axis sample points per ladder/casimir case
+GRAM_J_MAX = 2                   # the top of gram's tower when no J is given
 FUNCEQ_ETA_POINTS = 25           # log grid eta in [1e-2, 1e2]
 LIMIT_STEPS = (1e-3, 1e-4, 1e-5)  # q = 1 + h for the q -> 1 limit; inner takes the first two
 
@@ -89,7 +90,7 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def sample_points(n: int = 20, seed: int = 0):
+def sample_points(n: int = STENCIL_POINTS, seed: int = 0):
     """Off-axis sample points: radii uniform in [0.3, 3], then phases
     uniform over the eight eighth-turns."""
     rng = _rng(seed)
@@ -274,7 +275,7 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
     return cases
 
 
-def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=2,
+def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=GRAM_J_MAX,
                tol: float = GRAM_TOL) -> list:
     """The Gram matrix of the N tower up to j_max, or of the levels j_list,
     against the identity; a tower of no state raises, as in _span_pairs."""
@@ -364,8 +365,8 @@ def suite_args(name: str, regime: Regime) -> tuple:
                                for arg in args if arg not in ("j_list", "tol")))
 
 
-def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=0,
-              seed: int = 0, tol: Optional[float] = None) -> list:
+def run_suite(name: str, p: QParam, j_max=None, j_list=None, N=None, seed=None,
+              tol: Optional[float] = None) -> list:
     """Run a named suite; each argument left None takes the suite's default.
 
     A suite applies in every regime but the one _SUITES skips it in: `all`

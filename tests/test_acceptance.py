@@ -24,7 +24,6 @@ from suq2.qops import (
 )
 from suq2.qspecial import (
     l_function,
-    q_finite_product,
     q_function,
     q_infinite_product,
     q_integral_exp,
@@ -206,15 +205,15 @@ def test_criterion_8_cross_construction():
     worst_real = 0.0
     for p in (P_HALF, P_TWO):
         for J in (1, 2, 3):
-            a = np.asarray(q_finite_product(J, p, ETA_GRID))
+            a = np.asarray(q_function(J, p, ETA_GRID))
             b = np.asarray(q_infinite_product(J, p, ETA_GRID))
             worst_real = max(worst_real, float(np.max(np.abs(a - b) / np.abs(a))))
     worst_circle = 0.0
     for J in (1, 2, 3):
-        r0 = (np.asarray(q_finite_product(J, P_CIRC, ETA_GRID))
+        r0 = (np.asarray(q_function(J, P_CIRC, ETA_GRID))
               / np.asarray(q_integral_exp(J, P_CIRC, ETA_GRID)))
         shifted = P_CIRC.power(2) * ETA_GRID
-        r2 = (np.asarray(q_finite_product(J, P_CIRC, shifted))
+        r2 = (np.asarray(q_function(J, P_CIRC, shifted))
               / np.asarray(q_integral_exp(J, P_CIRC, shifted)))
         worst_circle = max(worst_circle, float(np.max(np.abs(r0 - r2))))
     ok = worst_real < CROSS_REAL_TOL and worst_circle < CROSS_CIRCLE_TOL

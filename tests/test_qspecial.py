@@ -21,7 +21,6 @@ from suq2 import (
     norm_constant,
     psi,
     q_factorial,
-    q_finite_product,
     q_function,
     q_infinite_product,
     q_integral_exp,
@@ -353,16 +352,12 @@ def test_one_factorial_table_keeps_every_bit(p):
 class TestQConstructions:
     def test_finite_oracle(self):
         # J=2, q=2: 1/((1+eta/16)(1+eta/4)) at eta=1 -> 64/85
-        assert q_finite_product(2, P_TWO, 1.0) == pytest.approx(64 / 85, rel=1e-15)
-        assert q_finite_product(0, P_TWO, 123.0) == 1.0
-
-    def test_finite_rejects_half_integer(self):
-        with pytest.raises(ValueError):
-            q_finite_product(1.5, P_TWO, 1.0)
+        assert q_function(2, P_TWO, 1.0) == pytest.approx(64 / 85, rel=1e-15)
+        assert q_function(0, P_TWO, 123.0) == 1.0
 
     def test_finite_pole_reported(self):
         with pytest.raises(ValueError, match="k=0"):
-            q_finite_product(1, P_TWO, -4.0)  # 1 + eta q^{-2} = 0
+            q_function(1, P_TWO, -4.0)  # 1 + eta q^{-2} = 0
 
     @pytest.mark.parametrize("p", [P_TWO, P_TWO.inverse()], ids=["q2", "q0.5"])
     def test_finite_pole_names_the_first_vanishing_factor(self, p):
@@ -370,7 +365,7 @@ class TestQConstructions:
         # eta = -4 and factor 1 at -16, at q = 1/2 factor 1 at -1/16
         eta = np.array([-4.0, 0.5, -16.0]) if p is P_TWO else np.array([-1 / 16, 2.0])
         with pytest.raises(ValueError, match="^finite-product pole: factor k=1 vanishes$"):
-            q_finite_product(3, p, eta)
+            q_function(3, p, eta)
 
     @pytest.mark.parametrize("J", [1, 2.5, 4])
     @pytest.mark.parametrize("p", [P_TWO, QParam.unit_circle(0.2)], ids=["q2", "tau0.2"])
@@ -399,7 +394,7 @@ class TestQConstructions:
     @pytest.mark.parametrize("J", [1, 2, 3])
     @pytest.mark.parametrize("p", [P_HALF, P_TWO])
     def test_finite_vs_infinite(self, J, p):
-        a = np.asarray(q_finite_product(J, p, ETA_GRID))
+        a = np.asarray(q_function(J, p, ETA_GRID))
         b = np.asarray(q_infinite_product(J, p, ETA_GRID))
         assert np.max(np.abs(a - b)) < CROSS_METHOD_TOL
 
@@ -408,7 +403,7 @@ class TestQConstructions:
         # (2J+1) tau must stay below pi or the integral construction's
         # L argument lands on the log branch cut; pi/23 is safe through J=11
         p = QParam.unit_circle(math.pi / 23)
-        a = np.asarray(q_finite_product(J, p, ETA_GRID))
+        a = np.asarray(q_function(J, p, ETA_GRID))
         b = np.asarray(q_integral_exp(J, p, ETA_GRID))
         assert np.max(np.abs(a - b)) < 1e-8
 
@@ -419,9 +414,9 @@ class TestQConstructions:
         p = QParam.unit_circle(math.pi / 23)
         for J in (1, 2):
             eta = np.logspace(-1, 1, 9)
-            r0 = np.asarray(q_finite_product(J, p, eta)) / np.asarray(q_integral_exp(J, p, eta))
+            r0 = np.asarray(q_function(J, p, eta)) / np.asarray(q_integral_exp(J, p, eta))
             e2 = p.power(2) * eta
-            r2 = np.asarray(q_finite_product(J, p, e2)) / np.asarray(q_integral_exp(J, p, e2))
+            r2 = np.asarray(q_function(J, p, e2)) / np.asarray(q_integral_exp(J, p, e2))
             assert np.max(np.abs(r0 - r2)) < 1e-8
 
     @pytest.mark.parametrize("J", [0, 0.5, 1, 1.5, 2])
@@ -446,7 +441,7 @@ class TestQConstructions:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: q_finite_product(1, P_TWO, np.nan),
+    lambda: q_function(1, P_TWO, np.nan),
     lambda: q_function(0.5, P_TWO, np.nan),
     lambda: q_function(1, P_CLASS, np.inf),
     lambda: r_polynomial(1, 0, 0, P_TWO, np.inf),
@@ -499,7 +494,7 @@ class TestCircleSector:
                                        (1, 1.0), (2, 0.6), (2, -0.6)])
     def test_forced_integral_matches_finite_inside(self, J, tau):
         p = QParam.unit_circle(tau)
-        a = np.asarray(q_finite_product(J, p, ETA_GRID))
+        a = np.asarray(q_function(J, p, ETA_GRID))
         b = np.asarray(q_integral_exp(J, p, ETA_GRID))
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
 
