@@ -208,10 +208,13 @@ def q_number(x: float, p: QParam) -> float:
     if p.regime is Regime.UNIT_CIRCLE:
         return math.sin(x * p.value) / math.sin(p.value)
     q = p.value
-    try:
-        return (q ** x - q ** (-x)) / (q - 1.0 / q)
+    try:  # near q = 1 the quotient can overflow where the powers do not
+        out = (q ** x - q ** (-x)) / (q - 1.0 / q)
     except OverflowError:
-        raise ValueError(f"q-number [{x:g}] overflows at q = {q!r}") from None
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"q-number [{x:g}] overflows at q = {q!r}")
+    return out
 
 
 def _q_factorials(n_max: int, p: QParam) -> list:

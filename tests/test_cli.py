@@ -223,6 +223,18 @@ class TestEvalErrors:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "overflows at q = 1e" in err
 
+    def test_qnum_quotient_overflow_near_one_exits_two(self, capsys):
+        # refused by q_number itself, not by the backstop below
+        code, out, err = run(["eval", "--fn", "qnum", "--q", "1.00000001", "--x", "7e10"], capsys)
+        assert code == 2 and out == "" and err == (
+            "error: q-number [7e+10] overflows at q = 1.00000001\n")
+
+    def test_a_non_finite_value_is_refused_at_its_point(self, capsys, monkeypatch):
+        # the backstop behind every evaluator's own refusals
+        monkeypatch.setitem(cli._EVAL, "qnum", (("x",), lambda p, pts: [1.0, math.inf]))
+        code, out, err = run(["eval", "--fn", "qnum", "--q", "2", "--grid", "0:1:2"], capsys)
+        assert code == 2 and out == "" and err == "error: --fn qnum leaves the float range at 1\n"
+
     @pytest.mark.parametrize("argv,msg", [
         (["--fn", "qfact", "--x", "1000", "--q", "1.2"], "[1000]! leaves the float range at q = 1.2"),
         (["--fn", "qfact", "--x", "2000", "--tau", "0.2"],

@@ -156,6 +156,15 @@ class TestQNumber:
         with pytest.raises(ValueError, match=r"overflows at q = 1e[+-]200"):
             p.power(3 if q > 1 else -3)
 
+    @pytest.mark.parametrize("q", [1.00000001, 1 / 1.00000001])
+    def test_quotient_overflow_near_one_is_the_power_refusal(self, q):
+        # q^(+-x) = e^(+-700) stay finite, but 1/(q - q^-1) = 5e7 takes the
+        # quotient past the float range; a smaller x is still returned
+        p = QParam.positive_real(q)
+        with pytest.raises(ValueError, match=rf"^q-number \[7e\+10\] overflows at q = {q!r}$"):
+            q_number(7e10, p)
+        assert math.isfinite(q_number(6e10, p))
+
     def test_circle_result_is_float(self):
         # computed as a sine ratio, not via complex division
         v = q_number(1.5, QParam.unit_circle(0.4))
