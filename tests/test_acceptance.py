@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 
-from suq2 import quadrature
 from suq2.qcore import HalfInt, QParam, m_values, q_number
 from suq2.qinner import gram, inner
 from suq2.qops import (
@@ -29,6 +28,7 @@ from suq2.qspecial import (
     q_integral_exp,
 )
 from suq2.suites import suite_casimir, suite_ladder, suite_limit
+from test_qinner import fixed_level_gram
 
 MATRIX_TOL = 1e-12
 FUNCEQ_PRODUCT_TOL = 1e-12
@@ -121,16 +121,6 @@ def test_criterion_4_ladder_casimir_pointwise():
     report(4, "ladder/Casimir pointwise", ok,
            f"max residual {worst:.3e} (tol {LADDER_TOL:g})")
     assert ok, f"ladder/Casimir residual {worst:.3e} >= {LADDER_TOL:g}"
-
-
-def fixed_level_gram(N, js, p, step):
-    """gram with every scalar product the trapezoid sum of the radial rule
-    at one step, with no refinement: the coarse and fine grams of the
-    step-halving check."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "STEP", step)
-        mp.setattr(quadrature, "ABS_TOL", math.inf)
-        return gram(N, js, p)
 
 
 def test_criterion_5_orthonormality():

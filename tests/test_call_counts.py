@@ -33,42 +33,36 @@ def _empty(monkeypatch, memo):
     monkeypatch.setattr(memo, "nbytes", 0)
 
 
+def _spy(monkeypatch, owner, name, key=lambda *args, **kw: args, calls=None):
+    """Rebind owner.name to append key(*args, **kw) to calls (a new list by
+    default) on every call and then call through; return calls."""
+    calls = [] if calls is None else calls
+    fn = getattr(owner, name)
+
+    def spied(*args, **kw):
+        calls.append(key(*args, **kw))
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
+
+
 def _record_q_half(monkeypatch):
     """The exact arguments of every request for Q_{1/2}, hit or miss."""
-    keys = []
-    q_half = qspecial._q_half
-
-    def recorded(J, p, arr):
-        keys.append((p, arr.shape, arr.tobytes()))
-        return q_half(J, p, arr)
-
-    monkeypatch.setattr(qspecial, "_q_half", recorded)
-    return keys
+    return _spy(monkeypatch, qspecial, "_q_half",
+                key=lambda J, p, arr: (p, arr.shape, arr.tobytes()))
 
 
-def _record_members(monkeypatch, record):
-    """Call record(J, ms, N, p) on every basis-member evaluation through qops:
-    its values and the rows on the eta-shifts that the stencils read, both
+def _record_members(monkeypatch):
+    """The (J, ms, N, p) of every basis-member evaluation through qops: its
+    values and the rows on the eta-shifts that the stencils read, both
     through qspecial's one psi entry (_psi), whose weights ms are a tuple."""
-    entry = qops._psi
-
-    def recorded(J, ms, N, p, u, v, stepped=False):
-        record(J, ms, N, p)
-        return entry(J, ms, N, p, u, v, stepped)
-    monkeypatch.setattr(qops, "_psi", recorded)
+    return _spy(monkeypatch, qops, "_psi", key=lambda J, ms, N, p, *rest, **kw: (J, ms, N, p))
 
 
-def _count(monkeypatch, name):
-    """The arguments of every call of qspecial's function name."""
-    calls = []
-    fn = getattr(qspecial, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(qspecial, name, counted)
-    return calls
+def _count_norm_constants(monkeypatch):
+    """The (J, M, N, p) of every normalization constant, which _psi_record reads."""
+    return _spy(monkeypatch, qspecial, "_norm_constant", key=lambda J, M, N, p, fact: (J, M, N, p))
 
 
 def test_casimir_suite_evaluates_each_q_half_argument_once_and_no_leggauss(monkeypatch):
@@ -78,20 +72,12 @@ def test_casimir_suite_evaluates_each_q_half_argument_once_and_no_leggauss(monke
     # a Gauss rule is built by numpy's leggauss or from the eigenvalues of
     # its Jacobi matrix; count both
     built = []
-
-    def counted(name, fn):
-        def call(*args, **kw):
-            built.append(name)
-            return fn(*args, **kw)
-        return call
-
-    quadratures = _count(monkeypatch, "_l_quadrature")
-    evaluations = _count(monkeypatch, "q_integral_exp")
+    quadratures = _spy(monkeypatch, qspecial, "_l_quadrature")
+    evaluations = _spy(monkeypatch, qspecial, "q_integral_exp")
     keys = _record_q_half(monkeypatch)
-    legendre = np.polynomial.legendre
-    monkeypatch.setattr(legendre, "leggauss", counted("leggauss", legendre.leggauss))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for owner, name in ((np.polynomial.legendre, "leggauss"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "eigh")):
+        _spy(monkeypatch, owner, name, key=lambda *args, name=name, **kw: name, calls=built)
     cases = run_suite("casimir", QParam.unit_circle(0.2))
 
     assert cases and all(c.passed for c in cases)
@@ -108,37 +94,19 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     _empty(monkeypatch, qspecial._q_half_memo)
     qspecial._psi_record.cache_clear()
 
-    products = []
-    uncached = qspecial._infinite_product
-
-    def counted_product(J, q, arr):
-        products.append((J, q, arr.shape, arr.tobytes()))
-        return uncached(J, q, arr)
-
+    products = _spy(monkeypatch, qspecial, "_infinite_product",
+                    key=lambda J, q, arr: (J, q, arr.shape, arr.tobytes()))
     keys = _record_q_half(monkeypatch)
-    records = []
-
-    def record(J, ms, N, p):
-        # a tower call reads the record of each of its weights
-        for m in ms:
-            records.append((J, m, N, p))
-
-    norm_constants = []
-    norm_constant = qspecial._norm_constant  # what _psi_record reads
-
-    def counted_norm_constant(J, M, N, p, fact):
-        norm_constants.append((J, M, N, p))
-        return norm_constant(J, M, N, p, fact)
-
-    monkeypatch.setattr(qspecial, "_infinite_product", counted_product)
-    _record_members(monkeypatch, record)  # the basis families call them there
-    monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
+    members = _record_members(monkeypatch)
+    norm_constants = _count_norm_constants(monkeypatch)
     try:
         cases = run_suite(suite, QParam.positive_real(q), N=N)
     finally:
         qspecial._psi_record.cache_clear()
 
     assert cases and all(c.passed for c in cases)
+    # a tower call reads the record of each of its weights
+    records = [(J, m, N, p) for J, ms, N, p in members for m in ms]
     assert len(keys) > len(set(keys))  # the stencils and the quadratures revisit arguments
     assert len(products) == len(set(products)) == len(set(keys))
     # casimir reads each record in its one call per tower on the shifts; the
@@ -152,7 +120,7 @@ def test_memo_bound_evicts_nothing_in_a_real_q_all_run(monkeypatch):
     # largest real-q run recorded in the golden gate
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-    products = _count(monkeypatch, "_infinite_product")
+    products = _spy(monkeypatch, qspecial, "_infinite_product")
     keys = _record_q_half(monkeypatch)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
@@ -165,15 +133,10 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     # recurs: the stencils' dilations and the scalar products' nodes that
     # more than one suite asks for
     _empty(monkeypatch, qspecial._psi_memo)
-    evaluated, calls = [], []
-    uncached = qspecial._psi_rows
-
-    def counted(J, ms, N, p, u, v, stepped=False):
-        evaluated.append((J, ms, N, p, stepped, u.shape, v.shape, u.tobytes() + v.tobytes()))
-        return uncached(J, ms, N, p, u, v, stepped)
-
-    monkeypatch.setattr(qspecial, "_psi_rows", counted)
-    _record_members(monkeypatch, lambda *args: calls.append(args))
+    evaluated = _spy(monkeypatch, qspecial, "_psi_rows",
+                     key=lambda J, ms, N, p, u, v, stepped=False: (
+                         J, ms, N, p, stepped, u.shape, v.shape, u.tobytes() + v.tobytes()))
+    calls = _record_members(monkeypatch)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
     assert len(evaluated) == len(set(evaluated)) == 88
@@ -191,7 +154,7 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
     # half-integer J >= 3/2 divides Q_{1/2} by finite-product factors
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-    products = _count(monkeypatch, "_infinite_product")
+    products = _spy(monkeypatch, qspecial, "_infinite_product")
     cases = run_suite("all", QParam.positive_real(q), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
     assert products and {J for J, _, _ in products} == {HalfInt.of(0.5)}
@@ -210,7 +173,8 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
     # quadratures and 15 products when each row took its own
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-    runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
+    runs = {name: _spy(monkeypatch, qspecial, name)
+            for name in ("_l_quadrature", "_infinite_product")}
     keys = _record_q_half(monkeypatch)
     cases = run_suite("all", p, N=0.5, seed=seed)
     assert cases and all(c.passed for c in cases)
@@ -224,20 +188,14 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
 def test_circle_all_run_evaluates_no_psi_at_the_inverse_parameter(monkeypatch):
     # the scalar products' second form term, at q^-1, reads the conjugates
     # of the first term's component values; every psi is asked for at q
-    params, evaluated = [], []
-    uncached = qspecial._psi_rows
-
-    def counted(J, ms, N, p, *rest, **kw):
-        evaluated.append(p)
-        return uncached(J, ms, N, p, *rest, **kw)
-
     _empty(monkeypatch, qspecial._psi_memo)
-    _record_members(monkeypatch, lambda J, ms, N, p: params.append(p))
-    monkeypatch.setattr(qspecial, "_psi_rows", counted)
+    members = _record_members(monkeypatch)
+    evaluated = _spy(monkeypatch, qspecial, "_psi_rows", key=lambda J, ms, N, p, *rest, **kw: p)
     p = QParam.unit_circle(0.2)
     cases = run_suite("all", p)
     assert cases and all(c.passed for c in cases)
     assert any(c.name.startswith("adjoint span pair") for c in cases)
+    params = [param for *_, param in members]
     assert set(params) == set(evaluated) == {p}
 
 
@@ -270,14 +228,7 @@ def test_every_l_quadrature_starts_on_the_same_24_panels(monkeypatch, tau):
 
 def test_psi_errors_fire_on_every_call(monkeypatch):
     qspecial._psi_record.cache_clear()
-    norm_constants = []
-    norm_constant = qspecial._norm_constant  # what _psi_record reads
-
-    def counted_norm_constant(J, M, N, p, fact):
-        norm_constants.append((J, M, N, p))
-        return norm_constant(J, M, N, p, fact)
-
-    monkeypatch.setattr(qspecial, "_norm_constant", counted_norm_constant)
+    norm_constants = _count_norm_constants(monkeypatch)
     # at tau = 0.01 the norm of (50, -49, 0) underflows to 0
     p = QParam.unit_circle(0.01)
     for _ in range(3):
@@ -340,22 +291,11 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     assert max(errors) < quadrature.ABS_TOL
 
 
-def _record_pairs(monkeypatch, products):
-    """The pairs of every _products call, which products answers."""
-    calls = []
-
-    def recorded(pairs, p):
-        calls.append(pairs)
-        return products(pairs, p)
-
-    monkeypatch.setattr(qinner, "_products", recorded)
-    return calls
-
-
 def test_gram_hands_only_like_weight_pairs_to_the_products(monkeypatch):
     # the 961 states of J <= 30 make 462,241 upper pairs, of which only the
     # 10,416 of equal M share a mode; the products themselves are not run
-    calls = _record_pairs(monkeypatch, lambda pairs, p: [1.0] * len(pairs))
+    monkeypatch.setattr(qinner, "_products", lambda pairs, p: [1.0] * len(pairs))
+    calls = _spy(monkeypatch, qinner, "_products", key=lambda pairs, p: pairs)
     rep = qinner.gram(0, range(31), QParam.classical())
     assert len(rep.labels) == 961 and [len(pairs) for pairs in calls] == [10416]
     assert all({m for _, _, m in f.meta} == {m for _, _, m in g.meta} for f, g in calls[0])
@@ -364,7 +304,7 @@ def test_gram_hands_only_like_weight_pairs_to_the_products(monkeypatch):
 @pytest.mark.parametrize("N,pairs", [(0, 14), (0.5, 8)], ids=["N0", "N0.5"])
 def test_gram_suite_hands_its_like_weight_pairs_to_the_products(monkeypatch, N, pairs):
     # the default tower, J up to 2: 45 upper pairs at N 0, 21 at N 1/2
-    calls = _record_pairs(monkeypatch, qinner._products)
+    calls = _spy(monkeypatch, qinner, "_products", key=lambda pairs, p: pairs)
     cases = run_suite("gram", QParam.positive_real(1.2), N=N)
     assert cases and all(c.passed for c in cases)
     assert [len(c) for c in calls] == [pairs]
@@ -400,15 +340,7 @@ def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
 
 def _count_applies(monkeypatch):
     """The modes of every stencil evaluation (qops._apply)."""
-    modes = []
-    apply = qops._apply
-
-    def counted(f, m, *rest):
-        modes.append(m)
-        return apply(f, m, *rest)
-
-    monkeypatch.setattr(qops, "_apply", counted)
-    return modes
+    return _spy(monkeypatch, qops, "_apply", key=lambda f, m, *rest: m)
 
 
 @pytest.mark.parametrize("p", [QParam.unit_circle(0.2), QParam.positive_real(0.8)],
@@ -416,11 +348,11 @@ def _count_applies(monkeypatch):
 def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
     # per (J, N), one call carrying the whole tower on its three eta-shifts,
     # the reference values and the Casimir, and per N one stencil evaluation
-    calls = []
-    _record_members(monkeypatch, lambda J, ms, N, p: calls.append((J, ms, N)))
+    members = _record_members(monkeypatch)
     applies = _count_applies(monkeypatch)
     cases = run_suite("casimir", p)
     assert cases and all(c.passed for c in cases)
+    calls = [(J, ms, N) for J, ms, N, _ in members]
     assert all(M == tuple(m_values(J)) for J, M, _ in calls)
     per_pair = Counter((J, N) for J, _, N in calls)
     assert len(per_pair) == len(cases) and set(per_pair.values()) == {1}
@@ -428,19 +360,10 @@ def test_casimir_suite_calls_psi_once_per_stencil_tree(monkeypatch, p):
 
 
 def _count_psi(monkeypatch):
-    """The (J, ms, N) of every basis-member call through qops, and the
+    """The (J, ms, N, p) of every basis-member call through qops, and the
     arguments of every evaluation that the memo does not answer."""
     _empty(monkeypatch, qspecial._psi_memo)
-    calls, evaluated = [], []
-    uncached = qspecial._psi_rows
-
-    def counted(*args, **kw):
-        evaluated.append(args)
-        return uncached(*args, **kw)
-
-    _record_members(monkeypatch, lambda J, ms, N, p: calls.append((J, ms, N)))
-    monkeypatch.setattr(qspecial, "_psi_rows", counted)
-    return calls, evaluated
+    return _record_members(monkeypatch), _spy(monkeypatch, qspecial, "_psi_rows")
 
 
 @pytest.mark.parametrize("suite", ["ladder", "casimir"])
@@ -453,7 +376,7 @@ def test_ladder_and_casimir_call_psi_once_per_tower(monkeypatch, suite):
     applies = _count_applies(monkeypatch)
     cases = run_suite(suite, QParam.positive_real(1.3), j_max=3)
     assert len(cases) == 9 and all(c.passed for c in cases)
-    assert all(M == tuple(m_values(J)) for J, M, _ in calls)
+    assert all(M == tuple(m_values(J)) for J, M, *_ in calls)
     assert (len(calls), len(evaluated)) == (9, 9)
     assert [len(m) for m in applies] == [2 + 4 + 6, 3 + 5 + 7, 3 + 5 + 7]  # N 1/2, 0, 1
 
@@ -487,7 +410,7 @@ def test_all_run_at_tau_0_2_runs_l_on_140_points(monkeypatch):
     # table of ladder and casimir
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-    runs = _count(monkeypatch, "_l_quadrature")
+    runs = _spy(monkeypatch, qspecial, "_l_quadrature")
     cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
     assert cases and all(c.passed for c in cases)
     assert sum(arr.size for _, arr in runs) == 140
@@ -529,7 +452,8 @@ def test_funceq_evaluates_q_at_q2_eta_itself(monkeypatch, p, quadratures, produc
     # which every half-integer J of its list shares
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
-    runs = {name: _count(monkeypatch, name) for name in ("_l_quadrature", "_infinite_product")}
+    runs = {name: _spy(monkeypatch, qspecial, name)
+            for name in ("_l_quadrature", "_infinite_product")}
     keys = _record_q_half(monkeypatch)
     cases = run_suite("funceq", p)
     assert cases and all(c.passed for c in cases)
@@ -544,12 +468,8 @@ def test_limit_suite_makes_one_call_per_j_and_q(monkeypatch):
     # one vilenkin call per (J, q) on the weights it reads, 10 (21 with one
     # per (J, M, q)); one scalar-product call per q for the three pinned
     # pairs, 3 (9 with one per pair)
-    vilenkins, products = [], []
-    vilenkin, batch = suites.vilenkin, suites._products
-    monkeypatch.setattr(suites, "vilenkin",
-                        lambda J, M, *rest: vilenkins.append((J, M)) or vilenkin(J, M, *rest))
-    monkeypatch.setattr(suites, "_products",
-                        lambda pairs, p: products.append(len(pairs)) or batch(pairs, p))
+    vilenkins = _spy(monkeypatch, suites, "vilenkin", key=lambda J, M, *rest: (J, M))
+    products = _spy(monkeypatch, suites, "_products", key=lambda pairs, p: len(pairs))
     cases = run_suite("limit", QParam.positive_real(1.2))
     assert len(cases) == 6 + 4 + 9 and all(c.passed for c in cases)
     assert vilenkins == [(1, (0, 1))] * 3 + [(2, (1, 2))] * 3 + [
@@ -566,15 +486,9 @@ def test_built_members_and_towers_check_no_label_again(monkeypatch, p):
     _empty(monkeypatch, qspecial._psi_memo)
     family = qops.psi_family(1.5, 0.5, 0.5)
     checks = []
-
-    def counted(name, fn):
-        def call(*args):
-            checks.append(name)
-            return fn(*args)
-        return call
     for module, name in ((qcore, "validate_triple"), (qspecial, "validate_triple"),
                          (qops, "validate_triple"), (qspecial, "_weights")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        _spy(monkeypatch, module, name, key=lambda *args, name=name: name, calls=checks)
     n = round(quadrature.T_MAX / quadrature.STEP)
     rho = np.exp(0.5 * quadrature.SCALE * np.sinh(quadrature.STEP * np.arange(-n, n + 1)))
     u, v = suites.sample_points(suites.STENCIL_POINTS, 0)

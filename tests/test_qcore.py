@@ -156,7 +156,7 @@ class TestQNumber:
         with pytest.raises(ValueError, match=r"overflows at q = 1e[+-]200"):
             p.power(3 if q > 1 else -3)
 
-    @pytest.mark.parametrize("q", [1.00000001, 1 / 1.00000001])
+    @pytest.mark.parametrize("q", [1.00000001, 1 / 1.00000001], ids=["above-1", "below-1"])
     def test_quotient_overflow_near_one_is_the_power_refusal(self, q):
         # q^(+-x) = e^(+-700) stay finite, but 1/(q - q^-1) = 5e7 takes the
         # quotient past the float range; a smaller x is still returned

@@ -1,5 +1,6 @@
 """Named verification suites: case bookkeeping, tolerance routing, and the
 dispatcher's composition rules."""
+import inspect
 import math
 import re
 
@@ -377,6 +378,17 @@ class TestRunSuite:
         run_suite("matrix", P_CLASS, j_max=HalfInt.of(1), tol=0.5)
         run_suite("all", P_CLASS, j_max=HalfInt.of(0))
         assert seen == [(HalfInt.of(1), 0.5), (HalfInt.of(0), 1e-12)]
+
+    @pytest.mark.parametrize("name", SUITE_NAMES[:-1])
+    def test_each_suite_reads_the_arguments_its_table_entry_names(self, name):
+        # run_suite passes a suite the arguments of its _SUITES entry, so the
+        # entry must name the suite function's own parameters, in order
+        params = inspect.signature(getattr(suites, f"suite_{name}")).parameters
+        assert suites._SUITES[name][0] == tuple(params)
+
+    @pytest.mark.parametrize("name", ["hermiticity", "ladder"])
+    def test_n_and_seed_left_out_take_the_suites_defaults(self, name):
+        assert run_suite(name, P_REAL) == run_suite(name, P_REAL, N=0, seed=0)
 
     def test_regime_attribute_consistency(self):
         assert P_CLASS.regime is Regime.CLASSICAL
