@@ -25,8 +25,17 @@ angular integral keeps only the products of like modes, and <f|g> is the
 radial integral of 2 pi sum_terms w sum_m conj(F_m) G_m, where F_m sums f's
 components of mode m at (rho, rho); a pair with no common mode is an exact
 0.0.  The pairs of one call that share the same modes share one radial
-integral, on which each distinct family of a side is evaluated once per
-level, at real q once per form term.  On the circle every component
+integral.  A basis member and its H+, H- and Casimir images carry their
+labels (J, M, N, operator): one pass over the pairs collects, per (J, N),
+the weights and operators that the call asks for, and holds each labelled
+component to the circle's bound (2J+2)|tau| < pi before any is evaluated.
+At each (parameter, node set) of the call, every block then reads one
+evaluation of each such tower: one plain psi call on all its weights where
+only members are asked for, which gives each member the bits of its own
+call, else one stencil evaluation on their stepped rows (qops).  Any other
+component, a pinned one, a q^(aH3) image or an image of an image, is
+called once per distinct family, side and level, at real q once per form
+term.  On the circle every component
 mirrors, comp(q^-1; conj x, conj y) = conj comp(q; x, y), so the second
 term sums the conjugates of the first term's component values with their
 coefficients: the mirror holds per component, not for a weighted sum.
@@ -41,13 +50,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HalfInt, QParam, Regime, check_form_tower, m_values
+from .qcore import HalfInt, QParam, Regime, _check_form, check_form_tower, m_values
 from .qops import (
     PlaneFamily,
+    _tower_values,
     _weighted_sum,
     apply_h_minus,
     apply_h_plus,
-    apply_q_h3_power,
     psi_family,
 )
 from .quadrature import radial_integral
@@ -72,15 +81,18 @@ def _terms(p: QParam):
     return ((pinv, p, qm1), (p, pinv, qp1))
 
 
-def _components(fams, p: QParam, x, modes) -> dict:
+def _components(fams, p: QParam, x, modes, tower) -> dict:
     """{(id(f), m): [(c, value), ...]} for each distinct family f of fams and
     m in modes: the coefficient and the value at (x, x) of each of f's
-    components of mode m, in decomposition order."""
+    components of mode m, in decomposition order.  A labelled component
+    (a basis member or its H+, H- or Casimir image) takes its value from
+    tower(labels, p, x), any other from its own call."""
     vals = {}
     for f in fams:
         for m in modes:
             if (id(f), m) not in vals:
-                vals[id(f), m] = [(c, comp(p, x, x)) for c, comp, mode in f.meta if mode == m]
+                vals[id(f), m] = [(c, tower(comp.labels, p, x) if hasattr(comp, "labels")
+                                   else comp(p, x, x)) for c, comp, mode in f.meta if mode == m]
     return vals
 
 
@@ -91,13 +103,44 @@ def _mode_rows(fams, vals: dict, modes) -> dict:
     return {m: np.array([sums[id(f), m] for f in fams]) for m in modes}
 
 
-def _products(pairs: Sequence, p: QParam) -> list:
-    """<f|g> at p for each pair (f, g) in pairs, in order (see above)."""
-    blocks = {}
+def _scan(pairs: Sequence, p: QParam) -> tuple:
+    """One pass over pairs: the pair indices of each tuple of common modes,
+    and {(J, N): (weights, operators)} that the labelled components ask
+    for on their pair's common modes, after holding every labelled
+    component of pairs to the form's bound at p (_check_form)."""
+    blocks, towers = {}, {}
     for k, (f, g) in enumerate(pairs):
         common = tuple(sorted({m for _, _, m in f.meta} & {m for _, _, m in g.meta}))
         if common:
             blocks.setdefault(common, []).append(k)
+        for _, comp, m in f.meta + g.meta:
+            if hasattr(comp, "labels"):
+                J, M, N, op = comp.labels
+                _check_form(J, p)
+                if m in common:
+                    ms, ops = towers.setdefault((J, N), (set(), set()))
+                    ms.add(M)
+                    ops.add(op)
+    return blocks, {key: (tuple(sorted(ms, reverse=True)), tuple(sorted(ops - {None})))
+                    for key, (ms, ops) in towers.items()}
+
+
+def _products(pairs: Sequence, p: QParam) -> list:
+    """<f|g> at p for each pair (f, g) in pairs, in order (see above)."""
+    blocks, plan = _scan(pairs, p)
+    evaluated = {}
+
+    def tower(labels, param, x):
+        # one evaluation per tower, parameter and node set, read by every block
+        J, M, N, op = labels
+        key = (J, N, param, x.dtype.char, x.tobytes())
+        if key not in evaluated:
+            ms, ops = plan[J, N]
+            evaluated[key] = {(m, name): row for name, rows in
+                              zip((None, *ops), _tower_values(((J, ms),), N, ops, param, x, x))
+                              for m, row in zip(ms, rows)}
+        return evaluated[key][M, op]
+
     out = [0.0] * len(pairs)
     terms, scale = _terms(p), b_one(p) * 2.0 * math.pi  # read by every block
     mirror = p.regime is Regime.UNIT_CIRCLE
@@ -115,8 +158,8 @@ def _products(pairs: Sequence, p: QParam) -> list:
                               for key, entries in vals.items()} for vals in sides]
                 else:
                     # the sides of a term may share the parameter, not the argument
-                    sides = [_components(bras, bra_p, rho, common),
-                             _components(kets, ket_p, s * rho, common)]
+                    sides = [_components(bras, bra_p, rho, common, tower),
+                             _components(kets, ket_p, s * rho, common, tower)]
                 bra, ket = _mode_rows(bras, sides[0], common), _mode_rows(kets, sides[1], common)
                 w = s / ((1.0 + eta) * (1.0 + s * s * eta))
                 for m in common:
@@ -165,20 +208,11 @@ def gram(N, J_list: Sequence, p: QParam) -> GramReport:
 
 
 def adjoint_residual(f: PlaneFamily, g: PlaneFamily, p: QParam, N) -> float:
-    """max of |<f|H+ g> - <H- f|g>| and the q^(2H3) surrogate residual, for
-    the operators of weight N; the scalar products and the operators all
-    read the one parameter p.  The four scalar products are one _products
-    call, so those that share modes share one radial integral.
-
-    The H3 surrogate pairs q^(2H3) on the ket with its adjoint on the bra:
-    itself in the real regime (the dilation is then symmetric), its inverse
-    on the circle (the dilation is unitary there).
-    """
-    bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
-    plus, minus, h3_ket, h3_bra = _products(
-        [(f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
-         (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)], p)
-    return max(abs(plus - minus), abs(h3_ket - h3_bra))
+    """|<f|H+ g> - <H- f|g>| for the operators of weight N; the scalar
+    products and the operators all read the one parameter p.  The two
+    scalar products are one _products call."""
+    plus, minus = _products([(f, apply_h_plus(g, N)), (apply_h_minus(f, N), g)], p)
+    return abs(plus - minus)
 
 
 def hermitian_symmetry_residual(f: PlaneFamily, g: PlaneFamily, p: QParam) -> float:

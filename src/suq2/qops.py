@@ -86,13 +86,16 @@ def _member(J, M, N) -> Callable:
     """psi of the labels (J, M, N), checked by psi_family, as a component:
     called at (p, u, v) it is psi.  Its rows give _apply its values on a
     stack of eta-shifts 0, 2, ... instead, from one Q_{1/2} at shift 0.
-    Both go through qspecial._psi, which checks no label again."""
+    Both go through qspecial._psi, which checks no label again.  Its labels
+    are (J, M, N, None), by which the scalar products evaluate it with its
+    tower (_tower_values)."""
     ms = (M,)
 
     def component(p: QParam, u, v):
         out = _psi(J, ms, N, p, u, v)
         return _ret(out[0], out.ndim == 1)  # as psi returns it
     component.rows = lambda p, u, v: _psi(J, ms, N, p, u, v, stepped=True)[0]
+    component.labels = (J, M, N, None)
     return component
 
 
@@ -248,13 +251,28 @@ def _weighted_sum(terms):
     return acc
 
 
+def _image(comp: Callable, m: int, op: str, N: HalfInt) -> Callable:
+    """The component comp, of mode m, under the operator op of weight N,
+    from one call of it (_apply's one-table case).  The image of a basis
+    member of weight N carries the member's labels with op in place of
+    None; any other image carries none."""
+    nf = float(N)
+
+    def image(p: QParam, u, v):
+        return _apply(comp, m, (op,), nf, p, u, v)[1]
+    labels = getattr(comp, "labels", None)
+    if labels is not None and labels[3] is None and labels[2] == N:
+        image.labels = labels[:3] + (op,)
+    return image
+
+
 def _stencil(f: PlaneFamily, op: str, N) -> PlaneFamily:
     """f under the operator op of weight N: each component of f's
-    decomposition, of mode m, under op from one call of it (_apply's
-    one-table case), of mode m + j - i, the j - i of every term of op."""
-    nf = float(HalfInt.of(N))
-    return _map_modes(f, lambda comp, m: lambda p, u, v: _apply(comp, m, (op,), nf, p, u, v)[1],
-                      next(j - i for _, _, i, j in _table(op, nf)[1]))
+    decomposition, of mode m, under op (_image), of mode m + j - i, the
+    j - i of every term of op."""
+    N = HalfInt.of(N)
+    return _map_modes(f, lambda comp, m: _image(comp, m, op, N),
+                      next(j - i for _, _, i, j in _table(op, float(N))[1]))
 
 
 def apply_h_plus(f: PlaneFamily, N) -> PlaneFamily:
@@ -298,12 +316,24 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
         raise ValueError("psi_tower needs at least one J")
     for j in js:
         validate_tower(j, N)
-    towers = [(j, tuple(m_values(j))) for j in js]
+    towers = tuple((j, tuple(m_values(j))) for j in js)
+    return tuple(_tower_values(towers, N, ("h_plus", "h_minus", "casimir"), p, u, v))
+
+
+def _tower_values(towers: tuple, N: HalfInt, ops: tuple, p: QParam, u, v) -> list:
+    """The members (J, M, N) of the towers ((J, weights), ...) of one N at
+    (u, v), stacked tower by tower in their weights' order, then their
+    images under each operator of ops, stacked alike.  With no ops, one
+    plain _psi call per tower, which gives each row the bits of its
+    member's own call; else one _apply on all their stepped rows, whose
+    modes are M + N.  The labels come checked."""
+    if not ops:
+        return [np.concatenate([_psi(j, ms, N, p, u, v) for j, ms in towers])]
     modes = tuple((m + N).to_int() for _, ms in towers for m in ms)
 
-    def rows(p: QParam, u, v):  # _apply's stack, whose shifts are 0, 2, 4
+    def rows(p: QParam, u, v):  # _apply's stack, whose shifts are 0, 2, ...
         return np.concatenate([_psi(j, ms, N, p, u, v, stepped=True) for j, ms in towers])
-    return tuple(_apply(rows, modes, ("h_plus", "h_minus", "casimir"), float(N), p, u, v))
+    return _apply(rows, modes, ops, float(N), p, u, v)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,11 @@ from .qcore import (
     m_values,
     q_number,
 )
-from .qinner import _products, adjoint_residual, gram, hermitian_symmetry_residual
+from .qinner import _products, gram
 from .qops import (
+    apply_h_minus,
+    apply_h_plus,
     casimir_matrix,
-    combine,
     matrix_irrep,
     psi_family,
     psi_tower,
@@ -64,7 +65,7 @@ _SUITES = {
     "funceq": (("p", "j_list", "tol"), Regime.CLASSICAL),
     "ladder": (("p", "j_max", "seed", "tol"), Regime.CLASSICAL),
     "casimir": (("p", "j_max", "seed", "tol"), Regime.CLASSICAL),
-    "hermiticity": (("p", "j_max", "N", "seed", "tol"), Regime.CLASSICAL),
+    "hermiticity": (("p", "j_max", "N", "tol"), Regime.CLASSICAL),
     "gram": (("p", "N", "j_list", "j_max", "tol"), None),
     "limit": ((), Regime.UNIT_CIRCLE),
 }
@@ -233,52 +234,73 @@ def suite_funceq(p: QParam, j_list=(0, 0.5, 1, 1.5, 2), tol: Optional[float] = N
     return cases
 
 
-def _span_pairs(j_max, N: HalfInt, p: QParam, seed):
-    """Three pairs of random combinations, of 3 and of 2 distinct members
-    of the N tower up to j_max, drawn from its states in the order J = |N|,
-    |N|+1, ..., then M = J, J-1, ..., -J; a tower past psi's reach is
-    refused before its labels are made (j_values), and one of fewer than 3
-    states raises."""
-    rng, N = _rng(seed), HalfInt.of(N)
+def suite_hermiticity(p: QParam, j_max=2, N=0, tol: float = HERMITICITY_TOL) -> list:
+    """H+ against the adjoint of H- on the whole N tower up to j_max, in one
+    _products call.  For every pair of members with M_a = M_b + 1 it takes
+    A+_ab = <psi_a|H+ psi_b> and A-_ab = <H- psi_a|psi_b>: for f = sum c_a psi_a
+    and g = sum d_b psi_b, <f|H+ g> - <H- f|g> = c^dagger (A+ - A-) d, and the
+    pairs of any other M share no mode.  The cases:
+
+      adjoint tower       max |A+ - A-|
+      irrep elements      max |A+_ab - delta_(J_a J_b) <M_a|H+|M_b>|, the
+                          element of matrix_irrep, as the basis is orthonormal
+      conjugate symmetry  max |<psi_a|psi_b> - conj <psi_b|psi_a>| over the
+                          pairs of equal M, each product computed on its own
+      adjoint basis pair  |A+ - A-| for psi_(j0, j0) and psi_(j0, j0 - 1),
+                          j0 = |N| + 1, which may lie above j_max
+
+    A tower past psi's reach is refused before its labels are made
+    (j_values), one of fewer than 3 states raises, and j0 is held to the
+    scalar product's bound."""
+    N, j_max = HalfInt.of(N), HalfInt.of(j_max)
     states = [(J, M) for J in j_values(N, j_max, p) for M in m_values(J)]
     if len(states) < 3:
         raise ValueError(f"hermiticity span pairs need at least 3 basis states; the N={N} "
-                         f"tower up to --J-max {HalfInt.of(j_max)} has {len(states)}")
+                         f"tower up to --J-max {j_max} has {len(states)}")
+    j0 = HalfInt(abs(N.twice) + 2)  # smallest tower member with >= 2 states
+    check_form_tower(N, (j0,), p)  # j0 may lie above the tower's j_max
+    by_m = {}
+    for s in states:
+        by_m.setdefault(s[1], []).append(s)
+    ladder = [(a, b) for a in states for b in by_m.get(a[1] - 1, ())]
+    basis = ((j0, j0), (j0, j0 - 1))
+    members, plus, minus = {}, {}, {}
+    for s in {s for pair in (*ladder, basis) for s in pair} | set(states):
+        members[s] = psi_family(*s, N)
+        plus[s], minus[s] = apply_h_plus(members[s], N), apply_h_minus(members[s], N)
+    # A+ and A- of each ladder pair and of the basis pair, then each like-M
+    # product; a pair asked for twice is one product
+    keys = list(dict.fromkeys(
+        [(kind, a, b) for a, b in (*ladder, basis) for kind in ("plus", "minus")]
+        + [("like", a, b) for a in states for b in by_m[a[1]]]))
+    fams = {"plus": lambda a, b: (members[a], plus[b]),
+            "minus": lambda a, b: (minus[a], members[b]),
+            "like": lambda a, b: (members[a], members[b])}
+    vals = dict(zip(keys, _products([fams[kind](a, b) for kind, a, b in keys], p)))
+    irreps = {J: matrix_irrep(J, p) for J in dict.fromkeys(J for J, _ in states)}
 
-    def gaussians(n):  # standard normal real and imaginary parts
-        return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)]
+    def element(a, b):  # <M_a|H+|M_b> of J_a's irrep, 0 across J
+        if a[0] != b[0]:
+            return 0.0
+        return irreps[a[0]].Hplus[(a[0] - a[1]).to_int(), (b[0] - b[1]).to_int()]
 
-    pairs = []
-    for _ in range(3):
-        idx_f = rng.sample(range(len(states)), 3)
-        idx_g = rng.sample(range(len(states)), 2)
-        f = combine(gaussians(3), [psi_family(*states[i], N) for i in idx_f])
-        g = combine(gaussians(2), [psi_family(*states[i], N) for i in idx_g])
-        pairs.append((f, g))
-    return pairs
+    def adjoint(a, b):
+        return abs(vals["plus", a, b] - vals["minus", a, b])
 
-
-def suite_hermiticity(p: QParam, j_max=2, N=0, seed: int = 0,
-                      tol: float = HERMITICITY_TOL) -> list:
-    N_h = HalfInt.of(N)
-    pairs = _span_pairs(j_max, N_h, p, seed)
-    j0 = HalfInt(abs(N_h.twice) + 2)  # smallest tower member with >= 2 states
-    check_form_tower(N_h, (j0,), p)  # j0 may lie above the span tower's j_max
-    cases = [Case("adjoint basis pair",
-                  adjoint_residual(psi_family(j0, j0, N_h), psi_family(j0, j0 - 1, N_h),
-                                   p, N_h),
-                  tol)]
-    for i, (f, g) in enumerate(pairs, 1):
-        cases.append(Case(f"adjoint span pair {i}", adjoint_residual(f, g, p, N_h), tol))
-        cases.append(Case(f"conjugate symmetry pair {i}",
-                          hermitian_symmetry_residual(f, g, p), CONJ_SYMMETRY_TOL))
-    return cases
+    return [
+        Case("adjoint tower", max(adjoint(a, b) for a, b in ladder), tol),
+        Case("irrep elements", max(abs(vals["plus", a, b] - element(a, b)) for a, b in ladder),
+             tol),
+        Case("conjugate symmetry", max(abs(vals[k] - np.conj(vals["like", k[2], k[1]]))
+                                       for k in keys if k[0] == "like"), CONJ_SYMMETRY_TOL),
+        Case("adjoint basis pair", adjoint(*basis), tol),
+    ]
 
 
 def suite_gram(p: QParam, N=0, j_list: Optional[Sequence] = None, j_max=GRAM_J_MAX,
                tol: float = GRAM_TOL) -> list:
     """The Gram matrix of the N tower up to j_max, or of the levels j_list,
-    against the identity; a tower of no state raises, as in _span_pairs."""
+    against the identity; a tower of no state raises, as in suite_hermiticity."""
     if j_list is None:
         j_list = j_values(N, j_max, p)  # refused before a tall tower's labels are made
     if not j_list:

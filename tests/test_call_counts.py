@@ -139,13 +139,13 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     calls = _record_members(monkeypatch)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(evaluated) == len(set(evaluated)) == 88
-    # 97 of the 185 calls (158 for members' values, 27 on the stencils'
-    # shifts) are repeats; gram's batch asks for each state once per form
-    # term and level, not once per pair.  194 calls when casimir repeated ladder's 9
-    # tower calls, and 99 evaluations when the limit suite's vilenkin took
-    # one weight a call
-    assert len(calls) == 185
+    assert len(evaluated) == len(set(evaluated)) == 50
+    # 11 of the 61 calls are repeats; a scalar-product call asks for each
+    # tower once per parameter and node set, not once per member, pair or
+    # block (185 calls and 88 evaluations when each member was asked for on
+    # its own).  194 calls when casimir repeated ladder's 9 tower calls, and
+    # 99 evaluations when the limit suite's vilenkin took one weight a call
+    assert len(calls) == 61
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
@@ -161,7 +161,7 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 14, 0), (QParam.positive_real(0.367879), None, 0, 11)],
+    (QParam.unit_circle(0.2), 3, 10, 0), (QParam.positive_real(0.367879), None, 0, 7)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
@@ -170,7 +170,8 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
     # the circle the scalar products evaluate psi at q alone, their second
     # form term mirroring the first (30 quadratures when both terms ran).
     # The stencils' shifted rows take Q_{1/2} from their shift-0 row: 18
-    # quadratures and 15 products when each row took its own
+    # quadratures and 15 products when each row took its own.  hermiticity
+    # evaluates no q^(2H3) image: 14 quadratures and 11 products with them
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
     runs = {name: _spy(monkeypatch, qspecial, name)
@@ -194,7 +195,7 @@ def test_circle_all_run_evaluates_no_psi_at_the_inverse_parameter(monkeypatch):
     p = QParam.unit_circle(0.2)
     cases = run_suite("all", p)
     assert cases and all(c.passed for c in cases)
-    assert any(c.name.startswith("adjoint span pair") for c in cases)
+    assert any(c.name == "adjoint tower" for c in cases)
     params = [param for *_, param in members]
     assert set(params) == set(evaluated) == {p}
 
@@ -280,7 +281,7 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     monkeypatch.setattr(suites, "_products", recorded_products)  # the limit suite's
     cases = run_suite("all", p, N=N)
     assert cases and all(c.passed for c in cases)
-    assert any(c.name.startswith("adjoint span pair") for c in cases)
+    assert any(c.name == "adjoint tower" for c in cases)
     # one converged radial integral per set of common modes of a batch (a
     # lone product with a common mode is its own batch); a pair with none
     # is an exact float 0.0 with no integral
@@ -384,8 +385,10 @@ def test_ladder_and_casimir_call_psi_once_per_tower(monkeypatch, suite):
 def test_all_run_evaluates_psi_nine_times_for_ladder_and_casimir(monkeypatch):
     # one evaluation per (J, N) tower: casimir reads the towers that ladder
     # evaluated in the same run, calling nothing (27 evaluations with a psi
-    # call per table); the run's 11 stencil evaluations are ladder's 3 and
-    # hermiticity's 8 (26 with one per tower and casimir's 9 again)
+    # call per table); the run's 9 stencil evaluations are ladder's 3 and
+    # hermiticity's 6, one per tower of J 0, 1 and 2 and per side of the
+    # form's one term on the circle (11 with hermiticity's span pairs, 26
+    # with one per tower and casimir's 9 again)
     calls, evaluated = _count_psi(monkeypatch)
     applies = _count_applies(monkeypatch)
     during = {}
@@ -401,7 +404,7 @@ def test_all_run_evaluates_psi_nine_times_for_ladder_and_casimir(monkeypatch):
     cases = run_suite("all", QParam.unit_circle(0.2), seed=3)
     assert cases and all(c.passed for c in cases)
     assert during == {"ladder": (9, 9, 3), "casimir": (0, 0, 0)}
-    assert len(applies) == 11
+    assert len(applies) == 9
 
 
 def test_all_run_at_tau_0_2_runs_l_on_140_points(monkeypatch):
@@ -499,3 +502,36 @@ def test_built_members_and_towers_check_no_label_again(monkeypatch, p):
     assert checks == []
     qspecial.psi(1.5, 0.5, 0.5, p, rho, rho)
     assert checks == ["_weights", "validate_triple"]
+
+
+@pytest.mark.parametrize("p,evaluations", [(QParam.positive_real(1.105171), 8),
+                                           (QParam.unit_circle(0.2), 4)], ids=["q1.105171", "tau0.2"])
+def test_hermiticity_evaluates_each_tower_once_per_parameter_and_node_set(monkeypatch, p, evaluations):
+    # the N 1/2 tower up to J 2, J 1/2 and 3/2, in one scalar-product call of
+    # one radial integral per mode M + N = -1 ... 2, each converged on its
+    # first integrand call: per tower one _apply on the stepped rows of all
+    # its weights at each (parameter, node set) that a side of the form
+    # reads, four at real q and two on the circle, whose second term
+    # mirrors the first.  Q_{1/2} takes 516 points, by the product at real q
+    # and by L on the circle (two quadratures per argument); the span pairs
+    # and the q^(2H3) surrogate took 20 evaluations and 1032 points at q
+    # 1.105171, and 1032 L points at tau 0.2
+    _empty(monkeypatch, qspecial._psi_memo)
+    _empty(monkeypatch, qspecial._q_half_memo)
+    products = _spy(monkeypatch, suites, "_products", key=lambda pairs, p: len(pairs))
+    integrals = _spy(monkeypatch, qinner, "radial_integral")
+    evaluated = _spy(monkeypatch, qspecial, "_psi_rows",
+                     key=lambda J, ms, N, p, u, v, stepped=False: (J, ms, p, stepped, u.shape,
+                                                                 u[0].tobytes() + v[0].tobytes()))
+    points = [_spy(monkeypatch, qspecial, "_infinite_product", key=lambda J, q, arr: arr.size),
+              _spy(monkeypatch, qspecial, "_l_quadrature", key=lambda p, arr: arr.size)]
+    applies = _count_applies(monkeypatch)
+    cases = run_suite("hermiticity", p, N=0.5)
+    assert [c.name for c in cases] == ["adjoint tower", "irrep elements", "conjugate symmetry",
+                                       "adjoint basis pair"]
+    assert all(c.passed for c in cases)
+    assert len(products) == 1 and len(integrals) == 4
+    assert len(evaluated) == len(set(evaluated)) == len(applies) == evaluations
+    assert all(stepped and ms == tuple(m_values(J)) and shape == (2, 129)
+               for J, ms, _, stepped, shape, _ in evaluated)
+    assert sum(map(sum, points)) == 516

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from suq2 import cli, qinner, suites
+from suq2 import cli, qinner, qops, suites
 from suq2.qcore import HalfInt
 
 TAU_23 = math.pi / 23
@@ -431,22 +431,42 @@ class TestVerify:
         d1["runtime_ms"] = d2["runtime_ms"] = 0
         assert d1 == d2
 
-    def test_seed_changes_hermiticity_samples_but_passes(self, capsys):
-        outs = []
-        for seed in ("0", "3"):
-            code, out, _ = run(["verify", "--suite", "hermiticity", "--q", "1.2",
-                                "--seed", seed], capsys)
-            assert code == 0
-            outs.append(json.loads(out))
-        r0 = [c["residual"] for c in outs[0]["cases"]]
-        r1 = [c["residual"] for c in outs[1]["cases"]]
-        assert r0 != r1
+    def test_hermiticity_reads_no_seed(self, capsys):
+        # it checks the whole tower, so no draw is left for a seed to pick;
+        # `all` still passes --seed to ladder and casimir
+        code, out, err = run(["verify", "--suite", "hermiticity", "--q", "1.2", "--seed", "3"],
+                             capsys)
+        assert (code, out, err) == (2, "", "error: --suite hermiticity does not read --seed\n")
+        code, out, _ = run(["verify", "--suite", "hermiticity", "--q", "1.2"], capsys)
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["cases"]] == [
+            "adjoint tower", "irrep elements", "conjugate symmetry", "adjoint basis pair"]
+        code, _, _ = run(["verify", "--suite", "all", "--q", "1.2", "--seed", "3"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("param", [["--q", "1.2"], ["--tau", "0.2"]], ids=["q1.2", "tau0.2"])
+    def test_swapped_ladder_tables_fail_hermiticity(self, param, monkeypatch, capsys):
+        # H+ and H- each built from the other's table: the images change
+        # mode, A+ and A- vanish together, and only the irrep's elements
+        # see it
+        table = qops._table
+        swap = {"h_plus": "h_minus", "h_minus": "h_plus"}
+        monkeypatch.setattr(qops, "_table", lambda op, nf: table(swap.get(op, op), nf))
+        qops._plan.cache_clear()
+        try:
+            code, out, _ = run(["verify", "--suite", "hermiticity", *param], capsys)
+        finally:
+            qops._plan.cache_clear()
+        assert code == 1
+        cases = {c["name"]: c["pass"] for c in json.loads(out)["cases"]}
+        assert cases == {"adjoint tower": True, "irrep elements": False,
+                         "conjugate symmetry": True, "adjoint basis pair": True}
 
     # random.Random would take a negative seed for its absolute value
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "all", "--q", "1.2", "--seed", "-1"],
-        ["verify", "--suite", "hermiticity", "--tau", "0.2", "--seed", "-3"],
-    ], ids=["all", "hermiticity"])
+        ["verify", "--suite", "casimir", "--tau", "0.2", "--seed", "-3"],
+    ], ids=["all", "casimir"])
     def test_negative_seed_exits_two(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
@@ -673,6 +693,24 @@ class TestGram:
         assert code == 2 and out == ""
         assert err == "error: q-factorial [401]! leaves the float range at q = 2.0\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("q", ["1e10", "1e-5"])
+    def test_a_gram_off_the_identity_exits_one_and_still_prints_it(self, q, fmt, capsys):
+        # the one-state Gram at |ln q| ~ 11.5 misses its norm (max_diag_dev
+        # 0.26 at 1e10, 1.6e-6 at 1e-5), which printed with exit 0
+        code, out, err = run(["gram", "--q", q, "--J", "0.5", "--N", "0.5", "--format", fmt],
+                             capsys)
+        assert code == 1 and err == ""
+        if fmt == "csv":
+            lines = out.splitlines()
+            dev = float(lines[1].split("max_diag_dev=")[1])
+            assert len(lines) == 3 + 4 and lines[2] == "i,j,bra,ket,re,im"
+        else:
+            doc = json.loads(out)
+            dev = doc["max_diag_dev"]
+            assert len(doc["matrix"]) == 2
+        assert dev >= suites.GRAM_TOL
+
     def test_small_tau_at_n_half_is_orthonormal(self, capsys):
         # L raised "did not converge" on the radial nodes at tau 0.01
         code, out, err = run(["gram", "--tau", "0.01", "--N", "0.5", "--J-max", "1.5",
@@ -727,7 +765,7 @@ class TestGram:
         monkeypatch.setattr(cli, "gram_matrix", lambda N, j_list, p: rep)
         code, out, _ = run(["gram", "--q", "1.2", "--N", "0.5", "--J-max", "1.5",
                             "--format", fmt], capsys)
-        assert code == 0
+        assert code == 1  # its max_offdiag 0.25 misses the identity
         names = [f"{J}:{M}" for J, M in labels]
         if fmt == "csv":
             head = out.splitlines()[:3]
@@ -877,12 +915,12 @@ class TestParser:
     @pytest.mark.parametrize("argv,counts", [
         # ladder and casimir ran their 9 towers up to J 3 whatever --J-max said
         (["--q", "1.2", "--J-max", "1"],
-         {"matrix": 2, "funceq": 5, "ladder": 3, "casimir": 3, "adjoint": 4, "conjugate": 3,
-          "gram": 1, "inner": 6, "vilenkin": 13}),
+         {"matrix": 2, "funceq": 5, "ladder": 3, "casimir": 3, "adjoint": 2, "irrep": 1,
+          "conjugate": 1, "gram": 1, "inner": 6, "vilenkin": 13}),
         # exited 2 on "J=3 on the circle needs (2J+1)|tau| < pi"
         (["--tau", "0.5", "--J-max", "2"],
-         {"matrix": 4, "funceq": 5, "ladder": 6, "casimir": 6, "adjoint": 4, "conjugate": 3,
-          "gram": 1}),
+         {"matrix": 4, "funceq": 5, "ladder": 6, "casimir": 6, "adjoint": 2, "irrep": 1,
+          "conjugate": 1, "gram": 1}),
     ], ids=["q1.2-J-max-1", "tau0.5-J-max-2"])
     def test_all_runs_every_tower_to_the_given_j_max(self, argv, counts, capsys):
         code, out, err = run(["verify", "--suite", "all"] + argv, capsys)

@@ -148,10 +148,14 @@ _RUNTIME = re.compile(r'"runtime_ms": \d+')
 
 
 def render(argv) -> str:
-    """Exit code plus stdout of one CLI call, runtime_ms masked."""
+    """Exit code plus stdout of one CLI call, runtime_ms masked; a flag the
+    CLI refuses before it runs (its SystemExit) is its exit code too."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"exit={code}\n" + _RUNTIME.sub('"runtime_ms": 0', out.getvalue())
 
 

@@ -23,7 +23,6 @@ from suq2.qops import (
     psi_family,
     with_fixed_param,
 )
-from suq2.suites import _span_pairs
 
 NORM_TOL = 1e-8
 GRAM_TOL = 1e-6
@@ -211,32 +210,34 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
 
 class TestGramBatch:
     """gram hands its like-M upper pairs to one batch of scalar products: one
-    radial integral per like-mode block, each state's psi requested once per
-    side and level, and at real q once per form term too: on the circle
-    the second term mirrors the first.  A block stops on its largest entry
+    radial integral per like-mode block, and each (J, N) tower's psi
+    requested whole, once per parameter and node set that a side of the
+    form reads, for every block: at real q once per form term too, on the
+    circle not, as the second term mirrors the first, and at q = 1 not, as
+    its two terms read the same.  A block stops on its largest entry
     difference; on these towers every pair of a block converges on the same
     level, so the batch changes no bit of any entry."""
 
     @pytest.mark.parametrize("p,N,js,asks", [
         (P_REAL, 0, [0, 1, 2], 4),
         (P_CIRC, 0.5, [0.5, 1.5], 2),
-        (P_CLASS, 0, [0, 1, 2], 4),
+        (P_CLASS, 0, [0, 1, 2], 2),
     ], ids=["real", "circle-N0.5", "classical"])
     def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js, asks):
-        levels = []
+        levels, asked = [], []
         radial_integral, entry = qinner.radial_integral, qops._psi
 
         def counted_radial_integral(F):
-            levels.append([0, Counter()])
+            levels.append(0)
 
             def counted(rho):
-                levels[-1][0] += 1
+                levels[-1] += 1
                 return F(rho)
             return radial_integral(counted)
 
         def recorded_psi(J, ms, N, p, u, v, stepped=False):
-            # a member's values, through qspecial's one psi entry
-            levels[-1][1][J, ms[0]] += 1
+            # a tower's values, through qspecial's one psi entry
+            asked.append((J, ms, p, np.asarray(u).tobytes()))
             return entry(J, ms, N, p, u, v, stepped)
 
         monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
@@ -245,13 +246,14 @@ class TestGramBatch:
         monkeypatch.undo()
 
         states = rep.labels
-        # one integral per M (5 for J up to 2), which asks for the psi of each
-        # state of mode M once per side and integrand call, and off the
-        # circle once per form term too
-        by_m = {next(iter(asked))[1]: (calls, asked) for calls, asked in levels}
-        assert len(levels) == len(by_m) == len({M for _, M in states})
-        for M, (calls, asked) in by_m.items():
-            assert asked == {s: asks * calls for s in states if s[1] == M}
+        # one integral per M (5 for J up to 2), all on the first integrand
+        # call here, which asks for each tower whole (all its weights) once
+        # per parameter and side: the blocks after the first ask for nothing
+        # (at real q each asked for its own states once per side and form term)
+        assert len(levels) == len({M for _, M in states}) and set(levels) == {1}
+        assert len(asked) == len(set(asked))
+        assert all(ms == tuple(m_values(J)) for J, ms, *_ in asked)
+        assert Counter(J for J, *_ in asked) == {HalfInt.of(J): asks for J in js}
         fams = [psi_family(J, M, N) for J, M in states]
         for i, (_, Mi) in enumerate(states):
             for j in range(i, len(states)):
@@ -328,16 +330,31 @@ class TestModeMatching:
         assert abs(a - b) < 1e-9
 
 
+# members (J, M) of the N tower up to J 2 that tower_span_pair combines,
+# 3 in the bra and 2 in the ket; they share the modes M + N = 0 and 1
+SPAN_LABELS = {0: ([(1, 0), (2, 1), (1, -1)], [(2, 0), (1, 1)]),
+               0.5: ([(0.5, -0.5), (1.5, 0.5), (1.5, 1.5)], [(1.5, -0.5), (0.5, 0.5)])}
+
+
+def tower_span_pair(N, seed=3):
+    """Random combinations of the SPAN_LABELS members of the N tower, whose
+    stencil images and scalar products the tower's labels carry."""
+    rng = np.random.default_rng(seed)
+    return tuple(combine(rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels)),
+                         [psi_family(J, M, N) for J, M in labels])
+                 for labels in SPAN_LABELS[N])
+
+
 class TestRadialPathMatchesPlaneGrid:
     """The mode-matched radial path against the polar-grid reference, on
-    the hermiticity suite's span pairs and every stencil family it pairs."""
+    span pairs of tower members and every stencil family of them."""
 
     @pytest.mark.parametrize("p", [QParam.positive_real(1.3), QParam.unit_circle(0.2)],
                              ids=["real", "circle"])
     @pytest.mark.parametrize("N", [0, 0.5])
     def test_span_pairs_and_stencils(self, p, N):
         bra_power = 2.0 if p.regime is Regime.POSITIVE_REAL else -2.0
-        f, g = _span_pairs(2, N, p, 3)[0]
+        f, g = tower_span_pair(N)
         pairs = [(f, g), (g, f), (f, apply_h_plus(g, N)), (apply_h_minus(f, N), g),
                  (f, apply_q_h3_power(g, N, 2.0)), (apply_q_h3_power(f, N, bra_power), g)]
         for bra, ket in pairs:
@@ -391,6 +408,33 @@ class TestAdjointness:
         f, g = span_families(9)
         assert hermitian_symmetry_residual(f, g, P_REAL) < SYM_TOL
         assert hermitian_symmetry_residual(f, g, P_CIRC) < SYM_TOL
+
+
+class TestFormBound:
+    """Every basis member and member image in a scalar product is held to
+    the circle's bound (2J+2)|tau| < pi before any value is evaluated; a
+    normalized member past it read -0.0283."""
+
+    FORM = (r"^the scalar product on the circle needs \(2J\+2\)\|tau\| < pi, "
+            r"got J=5/2, tau=0\.5$")
+
+    @pytest.mark.parametrize("pair", [
+        lambda f: (f, f),
+        lambda f: (psi_family(0.5, 0.5, 0.5), apply_h_plus(f, 0.5)),
+        lambda f: (combine([1.0, 2.0], [psi_family(0.5, 0.5, 0.5), f]), psi_family(0.5, 0.5, 0.5)),
+    ], ids=["member", "image", "combination"])
+    def test_a_member_past_the_form_bound_is_refused_unevaluated(self, pair, monkeypatch):
+        def unevaluated(F):
+            raise AssertionError("a radial integral ran")
+
+        monkeypatch.setattr(qinner, "radial_integral", unevaluated)
+        with pytest.raises(ValueError, match=self.FORM):
+            inner(*pair(psi_family(2.5, 0.5, 0.5)), QParam.unit_circle(0.5))
+
+    def test_a_pinned_member_carries_no_labels(self):
+        # pinned at q = 1, its values are the form's to probe at any tau
+        f = with_fixed_param(psi_family(2.5, 0.5, 0.5))
+        assert math.isfinite(abs(inner(f, f, QParam.unit_circle(0.5))))
 
 
 class TestClassicalLimit:
