@@ -132,6 +132,15 @@ CASES = {
     "verify_hermiticity_q0.7_N-0.5_Jmax3.5_seed4.json": ["verify", "--suite", "hermiticity",
                                                          "--q", "0.7", "--N", "-0.5",
                                                          "--J-max", "3.5", "--seed", "4"],
+    # the whole-tower adjoint identity: half-integer N at real q, a tower past
+    # J-max 3 on the circle, and negative N
+    "verify_hermiticity_q1.3_N0.5.json": ["verify", "--suite", "hermiticity", "--q", "1.3",
+                                          "--N", "0.5"],
+    "verify_hermiticity_tau0.2_N1_Jmax4.json": ["verify", "--suite", "hermiticity", "--tau", "0.2",
+                                                "--N", "1", "--J-max", "4"],
+    "verify_hermiticity_q0.7_N-0.5_Jmax3.5.json": ["verify", "--suite", "hermiticity",
+                                                   "--q", "0.7", "--N", "-0.5",
+                                                   "--J-max", "3.5"],
     "verify_casimir_tau-0.15_Jmax4.5.json": ["verify", "--suite", "casimir", "--tau", "-0.15",
                                              "--J-max", "4.5"],
     # psi's start at the ends of eta: a J-30 circle tower, whose starts run
