@@ -53,8 +53,6 @@ CASES = {
     "verify_ladder_tau0.2_Jmax1.5_tol1e-9.json": ["verify", "--suite", "ladder", "--tau", "0.2",
                                                   "--J-max", "1.5", "--tol", "1e-9"],
     "verify_funceq_q0.8_J1.5.json": ["verify", "--suite", "funceq", "--q", "0.8", "--J", "1.5"],
-    "verify_hermiticity_q1.3_N0.5_seed3.json": ["verify", "--suite", "hermiticity", "--q", "1.3",
-                                                "--N", "0.5", "--seed", "3"],
     "eval_R_J2_M1_N0_q1.5.csv": ["eval", "--fn", "R", "--J", "2", "--M", "1", "--N", "0",
                                  "--q", "1.5", "--grid", "0.25:4:7"],
     "eval_psi_J1.5_M0.5_N0.5_tau0.2.csv": ["eval", "--fn", "psi", "--J", "1.5", "--M", "0.5",
@@ -124,14 +122,6 @@ CASES = {
     "gram_N0.5_Jmax3.5_tau0.05.json": ["gram", "--tau", "0.05", "--N", "0.5", "--J-max", "3.5",
                                        "--format", "json"],
     "gram_N0.5_Jmax3.5_q1.3.csv": ["gram", "--q", "1.3", "--N", "0.5", "--J-max", "3.5"],
-    # the span draw and the one Casimir table on towers past J-max 3, on the
-    # circle, and at negative N and tau
-    "verify_hermiticity_tau0.2_N1_Jmax4_seed2.json": ["verify", "--suite", "hermiticity",
-                                                      "--tau", "0.2", "--N", "1",
-                                                      "--J-max", "4", "--seed", "2"],
-    "verify_hermiticity_q0.7_N-0.5_Jmax3.5_seed4.json": ["verify", "--suite", "hermiticity",
-                                                         "--q", "0.7", "--N", "-0.5",
-                                                         "--J-max", "3.5", "--seed", "4"],
     # the whole-tower adjoint identity: half-integer N at real q, a tower past
     # J-max 3 on the circle, and negative N
     "verify_hermiticity_q1.3_N0.5.json": ["verify", "--suite", "hermiticity", "--q", "1.3",
@@ -141,6 +131,7 @@ CASES = {
     "verify_hermiticity_q0.7_N-0.5_Jmax3.5.json": ["verify", "--suite", "hermiticity",
                                                    "--q", "0.7", "--N", "-0.5",
                                                    "--J-max", "3.5"],
+    # the one Casimir table on a tower past J-max 3, at negative tau
     "verify_casimir_tau-0.15_Jmax4.5.json": ["verify", "--suite", "casimir", "--tau", "-0.15",
                                              "--J-max", "4.5"],
     # psi's start at the ends of eta: a J-30 circle tower, whose starts run
