@@ -264,19 +264,16 @@ def suite_hermiticity(p: QParam, j_max=2, N=0, tol: float = HERMITICITY_TOL) -> 
         by_m.setdefault(s[1], []).append(s)
     ladder = [(a, b) for a in states for b in by_m.get(a[1] - 1, ())]
     basis = ((j0, j0), (j0, j0 - 1))
-    members, plus, minus = {}, {}, {}
-    for s in {s for pair in (*ladder, basis) for s in pair} | set(states):
-        members[s] = psi_family(*s, N)
-        plus[s], minus[s] = apply_h_plus(members[s], N), apply_h_minus(members[s], N)
+    members = {s: psi_family(*s, N) for s in dict.fromkeys((*states, *basis))}
+    plus = {s: apply_h_plus(f, N) for s, f in members.items()}
+    minus = {s: apply_h_minus(f, N) for s, f in members.items()}
+    sides = {"plus": (members, plus), "minus": (minus, members), "like": (members, members)}
     # A+ and A- of each ladder pair and of the basis pair, then each like-M
     # product; a pair asked for twice is one product
     keys = list(dict.fromkeys(
         [(kind, a, b) for a, b in (*ladder, basis) for kind in ("plus", "minus")]
         + [("like", a, b) for a in states for b in by_m[a[1]]]))
-    fams = {"plus": lambda a, b: (members[a], plus[b]),
-            "minus": lambda a, b: (minus[a], members[b]),
-            "like": lambda a, b: (members[a], members[b])}
-    vals = dict(zip(keys, _products([fams[kind](a, b) for kind, a, b in keys], p)))
+    vals = dict(zip(keys, _products([(sides[k][0][a], sides[k][1][b]) for k, a, b in keys], p)))
     irreps = {J: matrix_irrep(J, p) for J in dict.fromkeys(J for J, _ in states)}
 
     def element(a, b):  # <M_a|H+|M_b> of J_a's irrep, 0 across J
