@@ -61,8 +61,8 @@ BLOCK_ELEMENTS = 2**12
 BRANCH_CUT_MARGIN = 1e-6
 # The byte bound of each exact-input memo.  With both memos unbounded, one
 # operation of the benchmark's batches (seeds 1-10 of verify --suite all at
-# real q, 18 operations a batch, and on the circle, 7) stores at most 0.035 MB
-# of Q_{1/2} (0.002 MB on the circle) and 0.68 MiB of psi (0.32 MiB), so
+# real q, 18 operations a batch, and on the circle, 7) stores at most 0.019 MB
+# of Q_{1/2} (0.002 MB on the circle) and 0.50 MiB of psi (0.23 MiB), so
 # nothing is evicted
 MEMO_MAX_BYTES = 2**20
 # a third of the normal range's binary exponents: psi's start is its lead times
