@@ -320,19 +320,23 @@ def psi_tower(J, N, p: QParam, u, v) -> tuple:
     return tuple(_tower_values(towers, N, ("h_plus", "h_minus", "casimir"), p, u, v))
 
 
-def _tower_values(towers: tuple, N: HalfInt, ops: tuple, p: QParam, u, v) -> list:
+def _tower_values(towers: tuple, N: HalfInt, ops: tuple, p: QParam, u, v,
+                  lattice=0) -> list:
     """The members (J, M, N) of the towers ((J, weights), ...) of one N at
     (u, v), stacked tower by tower in their weights' order, then their
     images under each operator of ops, stacked alike.  With no ops, one
     plain _psi call per tower, which gives each row the bits of its
     member's own call; else one _apply on all their stepped rows, whose
-    modes are M + N.  The labels come checked."""
+    modes are M + N.  lattice = +-1 names uv a q^2 lattice in that
+    direction (qspecial._psi).
+    The labels come checked."""
+    entry = functools.partial(_psi, lattice=lattice) if lattice else _psi
     if not ops:
-        return [np.concatenate([_psi(j, ms, N, p, u, v) for j, ms in towers])]
+        return [np.concatenate([entry(j, ms, N, p, u, v) for j, ms in towers])]
     modes = tuple((m + N).to_int() for _, ms in towers for m in ms)
 
     def rows(p: QParam, u, v):  # _apply's stack, whose shifts are 0, 2, ...
-        return np.concatenate([_psi(j, ms, N, p, u, v, stepped=True) for j, ms in towers])
+        return np.concatenate([entry(j, ms, N, p, u, v, stepped=True) for j, ms in towers])
     return _apply(rows, modes, ops, float(N), p, u, v)
 
 

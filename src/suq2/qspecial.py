@@ -464,13 +464,34 @@ def _q_half(J: HalfInt, p: QParam, arr):
     """The regime's Q_{1/2} on eta's complex array, for a half-integer J >= 1/2,
     which on the circle needs (2J+1)|tau| < pi.
 
-    Results are memoized on (p, eta's shape, eta's complex bytes) under
-    MEMO_MAX_BYTES; see _ExactMemo for the rules.  Every half-integer J
-    shares the entry, so the sector of J is checked before the lookup.
+    Results are memoized on (p, the route "product", eta's shape, eta's
+    complex bytes) under MEMO_MAX_BYTES; see _ExactMemo for the rules.
+    Every half-integer J shares the entry, so the sector of J is checked
+    before the lookup.
     """
     _check_sector(J, p)
     evaluate = q_infinite_product if p.regime is Regime.POSITIVE_REAL else q_integral_exp
-    return _q_half_memo.lookup((p,), (arr,), lambda: evaluate(0.5, p, arr))
+    return _q_half_memo.lookup((p, "product"), (arr,), lambda: evaluate(0.5, p, arr))
+
+
+def _q_half_lattice(p: QParam, eta, step: int):
+    """Q_{1/2} on eta's 1-D array, which the caller names a q^2 lattice in
+    the direction step = +-1: eta[k + 1] = q^(2 step) eta[k].  One _q_half
+    at the entry nearest 1, and each other entry from its neighbour by
+    Q(q^2 eta) = Q(eta) (1 + q^-1 eta)/(1 + eta), outwards.  Memoized under
+    the route ("lattice", step), so no call of another route on the same
+    bytes reads a stepped value."""
+    def evaluate():
+        c = int(np.argmin(np.abs(np.log(np.abs(eta)))))
+        low = eta[:-1] if step > 0 else eta[1:]  # the lower end of each q^2 step
+        num, den = 1.0 + p.power(-1) * low, 1.0 + low
+        ratio = num / den if step > 0 else den / num  # Q(eta[k + 1]) / Q(eta[k])
+        out = np.empty_like(eta)
+        out[c] = _q_half(HalfInt(1), p, eta[c:c + 1])[0]
+        out[c + 1:] = out[c] * np.cumprod(ratio[c:])
+        out[:c] = out[c] / np.cumprod(ratio[:c][::-1])[::-1]
+        return out
+    return _q_half_memo.lookup((p, "lattice", step), (eta,), evaluate)
 
 
 def norm_constant(J, M, N, p: QParam) -> float:
@@ -509,7 +530,7 @@ def psi(J, M, N, p: QParam, u, v):
     return out if isinstance(M, tuple) else _ret(out[0], out.ndim == 1)  # 1-D at scalar u, v
 
 
-def _psi(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u, v, stepped=False):
+def _psi(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u, v, stepped=False, lattice=0):
     """psi of (J, each weight of ms, N), stacked on a new first axis, of
     shape (len(ms),) at scalar u and v.  The labels come checked, by
     _weights or by qops when it built the basis family or tower; past them
@@ -520,36 +541,43 @@ def _psi(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u, v, stepped=False):
     is evaluated at row 0 alone and each later row takes it from the one
     before by Q(q^2 eta) = Q(eta) (1 + q^-1 eta)/(1 + eta) (_q_half_steps);
     q_function, and so funceq, keeps evaluating Q at q^2 eta itself.
-    Results are memoized on (J, ms, N, p, stepped, the shapes and the
-    complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo.
+    On a lattice, which the caller names by its direction lattice = +-1
+    (the scalar products' q^2 lattice, quadrature.lattice), uv along the
+    last axis of u and v (of row 0 when stepped) steps by q^(2 lattice),
+    and Q_{1/2} takes it from one product (_q_half_lattice).
+    Results are memoized on (J, ms, N, p, stepped, lattice, the shapes and
+    the complex bytes of u and v) under MEMO_MAX_BYTES; see _ExactMemo.
     """
     _check_sector(J, p)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    out = _psi_memo.lookup((J, ms, N, p, stepped), (u_arr, v_arr),
-                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, stepped))
+    rows = functools.partial(_psi_rows, lattice=lattice) if lattice else _psi_rows
+    out = _psi_memo.lookup((J, ms, N, p, stepped, lattice), (u_arr, v_arr),
+                           lambda: rows(J, ms, N, p, u_arr, v_arr, stepped))
     return out.reshape(len(ms)) if u_scalar and v_scalar else out
 
 
-def _q_half_steps(p: QParam, eta):
+def _q_half_steps(p: QParam, eta, lattice=0):
     """Q_{1/2} on eta's flattened array, whose rows along the first axis are
-    q^2 steps apart (see _psi): row 0 by _q_half, each later row from
-    the one before."""
+    q^2 steps apart (see _psi): row 0 by _q_half, or on a lattice by
+    _q_half_lattice, each later row from the one before."""
     rows = eta.reshape(len(eta), -1)
     out = np.empty_like(rows)
-    out[0] = _q_half(HalfInt(1), p, rows[0])
+    out[0] = _q_half_lattice(p, rows[0], lattice) if lattice else _q_half(HalfInt(1), p, rows[0])
     q_inv = p.power(-1)
     for k in range(1, len(rows)):
         out[k] = out[k - 1] * (1.0 + q_inv * rows[k - 1]) / (1.0 + rows[k - 1])
     return out.reshape(-1)
 
 
-def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, stepped=False):
+def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, stepped=False,
+              lattice=0):
     """The uncached psi of each weight in ms, stacked: lead X_J, by _recur
     from X_J0 = Q_J0 (-u)^k0 v^(k0+M+N), X_j = Q_j R_j v^(M+N), eta = uv,
     whose steps stay bounded as eta -> 0 and as eta -> inf.  Every Q_J0
     comes from the call's one Q, at J mod 1, by the factors Q_(j+1)/Q_j;
-    stepped, u and v are a stack of q^2 steps and Q_{1/2} is _q_half_steps'.
+    stepped, u and v are a stack of q^2 steps and Q_{1/2} is _q_half_steps';
+    on a lattice (see _psi) it steps along the lattice too.
     Where |eta|^J0 may pass 2^START_BITS, the starts run on u' = u 2^-a and
     v' = v 2^-b in [1/2, 1) and on the factors times 2^c, c = max(a + b, 0);
     ldexp takes each row back by e = k0 a + (k0+M+N) b - floor(J0) c, which
@@ -579,7 +607,8 @@ def _psi_rows(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u_arr, v_arr, steppe
         if not base.twice:
             qs = [np.ones_like(flat)]
         else:
-            qs = [_q_half_steps(p, eta) if stepped else _q_values(base, p, flat)]
+            qs = [_q_half_steps(p, eta, lattice) if stepped
+                  else _q_half_lattice(p, flat, lattice) if lattice else _q_values(base, p, flat)]
         ratio = None
         out = np.empty((len(ms),) + shape, dtype=complex)  # one object for the memo to keep
         for row, (lead, J0, k0, mn, steps) in zip(out.reshape(len(ms), -1), records):

@@ -20,9 +20,29 @@ comparison.  Each refinement then evaluates the new midpoints only.  The
 rule's settings are the module constants below, the one place they are
 set.  The angular integral never reaches this module: qinner resolves it
 exactly by pairing like Fourier modes.
+
+At real q the integrands of the scalar products on the representation
+space have a second, exact rule: the Jackson sum on the q^2 lattice
+(Gasper & Rahman, Basic Hypergeometric Series, 2004, sec. 1.11),
+
+    int G dx = 2 |ln q| sum_k G(x0 + 2k ln q)    for every offset x0,
+
+so int_0^inf F(rho) rho drho = |ln q| sum_k eta_k F(rho_k) on the nodes
+rho_k = e^(x_k / 2), x_k = x0 + 2k ln q, eta_k = rho_k^2.  Its nodes are q
+apart, rho_(k+-1) = q^(+-1) rho_k, so a side of the form read at q^(+-1)
+rho is the lattice shifted by one node.  The sum covers the
+double-exponential rule's x-range, |x| <= SCALE sinh T_MAX, widened by the
+shift 2|ln q| on each side; it has no refinement and no error estimate,
+only its rounding floor eps sum_k |eta_k F(rho_k)|.  It has more nodes
+than the rule's first level below |ln q| ~ 0.35, but it evaluates each
+family once per parameter where the rule evaluates it once per side and
+term, twice per parameter, at every level; LATTICE_SWITCH is where the two
+cost the same, measured on the suites that take scalar products.  qinner
+takes it from there, on the integrands where it is exact.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,11 +52,13 @@ STEP = 1 / 18          # h of the first level: 2 T_MAX / STEP + 1 = 129 nodes
 T_MAX = 64 * STEP      # the rule covers |t| <= T_MAX, |x| <= C sinh T_MAX ~ 44
 ABS_TOL = 1e-10        # successive levels closer than this have converged
 MAX_REFINEMENTS = 6    # halvings of h after the coarsest level, 2 STEP, before giving up
+LATTICE_SWITCH = 0.08  # |ln q| from which the real-q scalar products take the lattice
+LATTICE_FLOOR_FACTOR = 2  # a lattice sum's first-order error over its rounding floor
 
 
 class PlaneIntegral(NamedTuple):
     value: complex | np.ndarray
-    error: float
+    error: float | np.ndarray  # the rule's estimate, or the lattice's floor per entry
 
 
 def _weighted(F: Callable, t):
@@ -66,3 +88,39 @@ def radial_integral(F: Callable) -> PlaneIntegral:
         calls += 1
         prev, est = est, h * total
     return PlaneIntegral(est, err)
+
+
+class Lattice(NamedTuple):
+    """The nodes rho_k = e^(x_k / 2), x_k = x0 + 2k ln q, for |k| <= K + 1:
+    the sum's nodes, |k| <= K, and one more on each side for the sides of
+    the form read at q^(+-1) rho (window)."""
+    rho: np.ndarray
+    log_q: float
+
+    def window(self, s) -> slice:
+        """The nodes s rho_j of the sum's nodes rho_j, for s = q^k, k in
+        {-1, 0, 1}: the sum's nodes shifted by k."""
+        k = round(math.log(abs(s)) / self.log_q)
+        return slice(1 + k, len(self.rho) - 1 + k)
+
+
+def lattice(q: float, x0: float = 0.0) -> Lattice | None:
+    """The q^2 lattice at offset x0 (see above), whose sum's nodes cover
+    |x| <= SCALE sinh T_MAX + 2|ln q|; None where |ln q| < LATTICE_SWITCH,
+    where the double-exponential rule costs less."""
+    log_q = math.log(q)
+    if abs(log_q) < LATTICE_SWITCH:
+        return None
+    K = math.ceil((SCALE * math.sinh(T_MAX) + abs(x0)) / (2.0 * abs(log_q))) + 1
+    return Lattice(np.exp(0.5 * x0 + log_q * np.arange(-K - 1, K + 2)), log_q)
+
+
+def lattice_integral(F: Callable, lat: Lattice) -> PlaneIntegral:
+    """int_0^inf F(rho) rho drho as the lattice's Jackson sum, from one call
+    F(rho, lat.window(1), lat.window) on the sum's nodes rho, whose last
+    axis runs over the nodes; the error is the sum's rounding floor, per
+    entry of F."""
+    bra = lat.window(1)
+    rho = lat.rho[bra]
+    terms = np.asarray(F(rho, bra, lat.window), dtype=complex) * (abs(lat.log_q) * rho * rho)
+    return PlaneIntegral(terms.sum(-1), np.finfo(float).eps * np.abs(terms).sum(-1))

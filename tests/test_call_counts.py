@@ -7,7 +7,8 @@ stencil suites evaluate the towers of each N in one stencil
 evaluation, each tower whole and its shifted rows from one Q_{1/2} per
 point, and the second of them reads the first one's evaluation; the suite scalar
 products of one batch that share the same modes are one converged radial
-integral, and at least 95% of the products take one integrand call; gram
+integral or, at real q, one sum on the q^2 lattice, and at least 95% of
+the products take one integrand call; gram
 hands over only the pairs of equal weight M.  Each test empties the
 memos whose hits would hide the evaluations it counts, and starts without
 the tower evaluation that the stencil suites keep."""
@@ -87,9 +88,10 @@ def test_casimir_suite_evaluates_each_q_half_argument_once_and_no_leggauss(monke
     assert len(quadratures) == 2 * len(set(keys))  # L at q^-2 eta and at q^-1 eta
 
 
-@pytest.mark.parametrize("suite,q,N,repeats", [("casimir", 0.8, 0, False),
-                                               ("hermiticity", 1.3, 0.5, True)])
-def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N, repeats):
+@pytest.mark.parametrize("suite,q,N,revisits", [("casimir", 0.8, 0, True),
+                                                ("hermiticity", 1.3, 0.5, False)],
+                         ids=["casimir-q0.8-N0", "hermiticity-q1.3-N0.5"])
+def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, suite, q, N, revisits):
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._q_half_memo)
     qspecial._psi_record.cache_clear()
@@ -107,11 +109,15 @@ def test_real_q_suite_runs_each_product_and_each_psi_record_once(monkeypatch, su
     assert cases and all(c.passed for c in cases)
     # a tower call reads the record of each of its weights
     records = [(J, m, N, p) for J, ms, N, p in members for m in ms]
-    assert len(keys) > len(set(keys))  # the stencils and the quadratures revisit arguments
+    # the stencils revisit arguments; the scalar products on the q^2 lattice
+    # ask for one argument per parameter, the lattice's node nearest 1 (the
+    # radial rule's nodes were asked for again, once per form term)
+    assert (len(keys) > len(set(keys))) is revisits
     assert len(products) == len(set(products)) == len(set(keys))
-    # casimir reads each record in its one call per tower on the shifts; the
-    # scalar products of hermiticity ask again
-    assert (len(records) > len(set(records))) is repeats
+    # casimir reads each record in its one call per tower on the shifts, and
+    # hermiticity's scalar products in one call per tower and parameter on
+    # the lattice (the radial rule asked again, once per form term)
+    assert len(records) == len(set(records))
     assert len(norm_constants) == len(set(norm_constants)) == len(set(records))
 
 
@@ -134,18 +140,21 @@ def test_real_q_all_run_evaluates_each_distinct_psi_input_once(monkeypatch):
     # more than one suite asks for
     _empty(monkeypatch, qspecial._psi_memo)
     evaluated = _spy(monkeypatch, qspecial, "_psi_rows",
-                     key=lambda J, ms, N, p, u, v, stepped=False: (
-                         J, ms, N, p, stepped, u.shape, v.shape, u.tobytes() + v.tobytes()))
+                     key=lambda J, ms, N, p, u, v, stepped=False, lattice=0: (
+                         J, ms, N, p, stepped, lattice, u.shape, v.shape,
+                         u.tobytes() + v.tobytes()))
     calls = _record_members(monkeypatch)
     cases = run_suite("all", QParam.positive_real(2.5), N=0.5, seed=3)
     assert cases and all(c.passed for c in cases)
-    assert len(evaluated) == len(set(evaluated)) == 50
-    # 11 of the 61 calls are repeats; a scalar-product call asks for each
-    # tower once per parameter and node set, not once per member, pair or
-    # block (185 calls and 88 evaluations when each member was asked for on
-    # its own).  194 calls when casimir repeated ladder's 9 tower calls, and
-    # 99 evaluations when the limit suite's vilenkin took one weight a call
-    assert len(calls) == 61
+    assert len(evaluated) == len(set(evaluated)) == 42
+    # 11 of the 53 calls are repeats; a scalar-product call asks for each
+    # tower once per parameter on the q^2 lattice (61 calls and 50
+    # evaluations on the radial rule, which asked once per parameter and
+    # node set), not once per member, pair or block (185 calls and 88
+    # evaluations when each member was asked for on its own).  194 calls
+    # when casimir repeated ladder's 9 tower calls, and 99 evaluations when
+    # the limit suite's vilenkin took one weight a call
+    assert len(calls) == 53
     assert qspecial._psi_memo.nbytes <= qspecial.MEMO_MAX_BYTES
 
 
@@ -161,7 +170,7 @@ def test_real_q_all_run_runs_the_product_at_j_half_only(monkeypatch, q):
 
 
 @pytest.mark.parametrize("p,seed,quadratures,products", [
-    (QParam.unit_circle(0.2), 3, 10, 0), (QParam.positive_real(0.367879), None, 0, 7)],
+    (QParam.unit_circle(0.2), 3, 10, 0), (QParam.positive_real(0.367879), None, 0, 5)],
     ids=["tau0.2-seed3", "q0.367879"])
 def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, products):
     # the runs that separate memos of L and of the product made: a memo
@@ -171,7 +180,9 @@ def test_all_run_at_n_half_evaluation_count(monkeypatch, p, seed, quadratures, p
     # form term mirroring the first (30 quadratures when both terms ran).
     # The stencils' shifted rows take Q_{1/2} from their shift-0 row: 18
     # quadratures and 15 products when each row took its own.  hermiticity
-    # evaluates no q^(2H3) image: 14 quadratures and 11 products with them
+    # evaluates no q^(2H3) image: 14 quadratures and 11 products with them.
+    # At real q the scalar products take Q_{1/2} on the q^2 lattice from one
+    # product per parameter: 7 products on the radial rule's nodes
     _empty(monkeypatch, qspecial._q_half_memo)
     _empty(monkeypatch, qspecial._psi_memo)
     runs = {name: _spy(monkeypatch, qspecial, name)
@@ -262,11 +273,17 @@ def test_cap_checks_format_their_messages_only_on_refusal(monkeypatch):
                          ids=["q0.8-N0.5", "tau0.2"])
 def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
     errors, products = [], []
-    radial_integral, batch = qinner.radial_integral, qinner._products
+    radial_integral, lattice_integral, batch = (
+        qinner.radial_integral, qinner.lattice_integral, qinner._products)
 
     def recorded_radial_integral(F):
         res = radial_integral(F)
         errors.append(res.error)
+        return res
+
+    def recorded_lattice_integral(F, lat):  # the error is the largest floor
+        res = lattice_integral(F, lat)
+        errors.append(float(res.error.max()))
         return res
 
     def recorded_products(pairs, p):
@@ -277,14 +294,15 @@ def test_suite_scalar_products_stay_on_the_radial_path(monkeypatch, p, N):
         return vals
 
     monkeypatch.setattr(qinner, "radial_integral", recorded_radial_integral)
+    monkeypatch.setattr(qinner, "lattice_integral", recorded_lattice_integral)
     monkeypatch.setattr(qinner, "_products", recorded_products)
     monkeypatch.setattr(suites, "_products", recorded_products)  # the limit suite's
     cases = run_suite("all", p, N=N)
     assert cases and all(c.passed for c in cases)
     assert any(c.name == "adjoint tower" for c in cases)
-    # one converged radial integral per set of common modes of a batch (a
-    # lone product with a common mode is its own batch); a pair with none
-    # is an exact float 0.0 with no integral
+    # one converged radial integral, or at real q one lattice sum, per set
+    # of common modes of a batch (a lone product with a common mode is its
+    # own batch); a pair with none is an exact float 0.0 with no integral
     assert len(errors) == sum(len(blocks) for blocks, _ in products) > 0
     assert any(len(pairs) > len(blocks) > 0 for blocks, pairs in products)  # gram's batch
     assert all(type(v) is float and v == 0.0
@@ -316,24 +334,28 @@ def test_gram_suite_hands_its_like_weight_pairs_to_the_products(monkeypatch, N, 
 def test_suite_scalar_products_take_one_integrand_call(monkeypatch, p, N):
     # the first call carries the rule of step h and, in its even nodes, that
     # of step 2h; at |ln q| ~ 0.95 the two agree for nearly every product.
-    # A radial integral carries one product per row of its integrand.
+    # At real q the lattice sums take one call each, and only the limit
+    # suite's pinned families take the radial rule.  An integral carries
+    # one product per row of its integrand.
     calls = []
-    radial_integral = qinner.radial_integral
 
-    def counted_radial_integral(F):
-        count, rows = [0], [0]
+    def counted_integral(integral):
+        def counted_integral(F, *lat):
+            count, rows = [0], [0]
 
-        def counted(rho):
-            count[0] += 1
-            out = F(rho)
-            rows[0] = len(out)
-            return out
-        try:
-            return radial_integral(counted)
-        finally:
-            calls.extend([count[0]] * rows[0])
+            def counted(*args):
+                count[0] += 1
+                out = F(*args)
+                rows[0] = len(out)
+                return out
+            try:
+                return integral(counted, *lat)
+            finally:
+                calls.extend([count[0]] * rows[0])
+        return counted_integral
 
-    monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
+    for name in ("radial_integral", "lattice_integral"):
+        monkeypatch.setattr(qinner, name, counted_integral(getattr(qinner, name)))
     cases = run_suite("all", p, N=N)
     assert cases and all(c.passed for c in cases)
     assert len(calls) > 20 and calls.count(1) >= 0.95 * len(calls)
@@ -504,27 +526,34 @@ def test_built_members_and_towers_check_no_label_again(monkeypatch, p):
     assert checks == ["_weights", "validate_triple"]
 
 
-@pytest.mark.parametrize("p,evaluations", [(QParam.positive_real(1.105171), 8),
-                                           (QParam.unit_circle(0.2), 4)], ids=["q1.105171", "tau0.2"])
-def test_hermiticity_evaluates_each_tower_once_per_parameter_and_node_set(monkeypatch, p, evaluations):
+@pytest.mark.parametrize("p,evaluations,nodes,points", [
+    (QParam.positive_real(1.105171), 4, 443, 2), (QParam.unit_circle(0.2), 4, 129, 516)],
+    ids=["q1.105171", "tau0.2"])
+def test_hermiticity_evaluates_each_tower_once_per_parameter_and_node_set(monkeypatch, p, evaluations,
+                                                                          nodes, points):
     # the N 1/2 tower up to J 2, J 1/2 and 3/2, in one scalar-product call of
-    # one radial integral per mode M + N = -1 ... 2, each converged on its
-    # first integrand call: per tower one _apply on the stepped rows of all
-    # its weights at each (parameter, node set) that a side of the form
-    # reads, four at real q and two on the circle, whose second term
-    # mirrors the first.  Q_{1/2} takes 516 points, by the product at real q
-    # and by L on the circle (two quadratures per argument); the span pairs
-    # and the q^(2H3) surrogate took 20 evaluations and 1032 points at q
-    # 1.105171, and 1032 L points at tau 0.2
+    # one integral per mode M + N = -1 ... 2: per tower one _apply on the
+    # stepped rows of all its weights at each (parameter, node set) that a
+    # side of the form reads.  At real q that is the q^2 lattice's 443
+    # nodes at q and at q^-1, each sum one integrand call, and Q_{1/2} takes
+    # one product per parameter, at the node nearest 1: 8 evaluations and
+    # 516 product points on the radial rule, which read four node sets.  On
+    # the circle, two evaluations per tower on the radial rule's first 129
+    # nodes, whose second term mirrors the first, and 516 L points (two
+    # quadratures per argument); the span pairs and the q^(2H3) surrogate
+    # took 20 evaluations and 1032 points at q 1.105171, and 1032 L points
+    # at tau 0.2
     _empty(monkeypatch, qspecial._psi_memo)
     _empty(monkeypatch, qspecial._q_half_memo)
     products = _spy(monkeypatch, suites, "_products", key=lambda pairs, p: len(pairs))
-    integrals = _spy(monkeypatch, qinner, "radial_integral")
+    integrals = []
+    for name in ("radial_integral", "lattice_integral"):
+        _spy(monkeypatch, qinner, name, key=lambda *args: None, calls=integrals)
     evaluated = _spy(monkeypatch, qspecial, "_psi_rows",
-                     key=lambda J, ms, N, p, u, v, stepped=False: (J, ms, p, stepped, u.shape,
-                                                                 u[0].tobytes() + v[0].tobytes()))
-    points = [_spy(monkeypatch, qspecial, "_infinite_product", key=lambda J, q, arr: arr.size),
-              _spy(monkeypatch, qspecial, "_l_quadrature", key=lambda p, arr: arr.size)]
+                     key=lambda J, ms, N, p, u, v, stepped=False, lattice=0: (
+                         J, ms, p, stepped, u.shape, u[0].tobytes() + v[0].tobytes()))
+    points_of = [_spy(monkeypatch, qspecial, "_infinite_product", key=lambda J, q, arr: arr.size),
+                 _spy(monkeypatch, qspecial, "_l_quadrature", key=lambda p, arr: arr.size)]
     applies = _count_applies(monkeypatch)
     cases = run_suite("hermiticity", p, N=0.5)
     assert [c.name for c in cases] == ["adjoint tower", "irrep elements", "conjugate symmetry",
@@ -532,6 +561,6 @@ def test_hermiticity_evaluates_each_tower_once_per_parameter_and_node_set(monkey
     assert all(c.passed for c in cases)
     assert len(products) == 1 and len(integrals) == 4
     assert len(evaluated) == len(set(evaluated)) == len(applies) == evaluations
-    assert all(stepped and ms == tuple(m_values(J)) and shape == (2, 129)
+    assert all(stepped and ms == tuple(m_values(J)) and shape == (2, nodes)
                for J, ms, _, stepped, shape, _ in evaluated)
-    assert sum(map(sum, points)) == 516
+    assert sum(map(sum, points_of)) == points

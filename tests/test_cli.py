@@ -4,13 +4,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from suq2 import cli, qinner, qops, suites
+from suq2 import cli, qinner, qops, quadrature, suites
 from suq2.qcore import HalfInt
 
 TAU_23 = math.pi / 23
@@ -693,14 +694,12 @@ class TestGram:
         assert code == 2 and out == ""
         assert err == "error: q-factorial [401]! leaves the float range at q = 2.0\n"
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("q", ["1e10", "1e-5"])
-    def test_a_gram_off_the_identity_exits_one_and_still_prints_it(self, q, fmt, capsys):
-        # the one-state Gram at |ln q| ~ 11.5 misses its norm (max_diag_dev
-        # 0.26 at 1e10, 1.6e-6 at 1e-5), which printed with exit 0
+    @staticmethod
+    def _one_state_gram(q, fmt, capsys):
+        """The exit, the max_diag_dev and the stderr of the one-state gram of
+        J 1/2, N 1/2 at q, after checking that its matrix was printed."""
         code, out, err = run(["gram", "--q", q, "--J", "0.5", "--N", "0.5", "--format", fmt],
                              capsys)
-        assert code == 1 and err == ""
         if fmt == "csv":
             lines = out.splitlines()
             dev = float(lines[1].split("max_diag_dev=")[1])
@@ -709,7 +708,52 @@ class TestGram:
             doc = json.loads(out)
             dev = doc["max_diag_dev"]
             assert len(doc["matrix"]) == 2
+        return code, dev, err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("q", ["1e10", "1e-5"])
+    def test_a_gram_at_extreme_q_is_orthonormal(self, q, fmt, capsys):
+        # at |ln q| ~ 11.5 the radial rule missed the norm (max_diag_dev 0.26
+        # at 1e10, 1.6e-6 at 1e-5, exit 1): its nodes end at |x| ~ 44, and
+        # the mass sits at x ~ +-46; the q^2 lattice's nodes reach past it
+        code, dev, err = self._one_state_gram(q, fmt, capsys)
+        assert code == 0 and err == "" and dev < 1e-12
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("q", ["1e10", "1e-5"])
+    def test_a_gram_off_the_identity_exits_one_and_still_prints_it(self, q, fmt, capsys,
+                                                                   monkeypatch):
+        # B1 pushed off by 1e-3 moves the diagonal by as much, which gram
+        # reports with exit 1 and the matrix printed in full
+        b_one = qinner.b_one
+        monkeypatch.setattr(qinner, "b_one", lambda p: b_one(p) * (1 + 1e-3))
+        code, dev, err = self._one_state_gram(q, fmt, capsys)
+        assert code == 1 and err == ""
         assert dev >= suites.GRAM_TOL
+
+    @pytest.mark.parametrize("cmd,tower", [
+        (["gram", "--q", "0.05", "--N", "0", "--J-max", "4"], "J=4, N=0"),
+        (["gram", "--q", "2", "--N", "0", "--J-max", "10"], "J=10, N=0"),
+        (["gram", "--q", "1.3", "--N", "0", "--J-max", "10"], "J=10, N=0"),
+        (["gram", "--q", "0.8", "--N", "0.5", "--J-max", "12.5"], "J=25/2, N=1/2"),
+        (["gram", "--q", "0.7", "--N", "0", "--J-max", "8"], "J=8, N=0"),
+        (["gram", "--q", "0.3", "--N", "0", "--J-max", "4"], "J=4, N=0"),
+        (["gram", "--q", "1.3", "--N", "0.5", "--J-max", "8.5"], "J=17/2, N=1/2"),
+        (["verify", "--suite", "hermiticity", "--q", "2", "--N", "0", "--J-max", "10"],
+         "J=10, N=0"),
+    ], ids=["q0.05-J4", "q2-J10", "q1.3-J10", "q0.8-N0.5-J12.5", "q0.7-J8", "q0.3-J4",
+            "q1.3-N0.5-J8.5", "hermiticity-q2-J10"])
+    def test_a_tall_tower_past_the_lattice_floor_is_one_error_line(self, cmd, tower, capsys):
+        # the radial rule gave up on these ("did not converge"); without a
+        # refusal the lattice printed matrices off the identity by 1.3e-5 to
+        # 4e16 (exit 1), as its rounding floor eps sum |terms| passed 1e-8
+        code, out, err = run(cmd, capsys)
+        bound = quadrature.ABS_TOL / quadrature.LATTICE_FLOOR_FACTOR
+        q = float(cmd[cmd.index("--q") + 1])
+        assert code == 2 and out == ""
+        assert re.fullmatch(rf"error: the scalar products of the {re.escape(tower)} tower on the "
+                            rf"q\^2 lattice have rounding floor \S+, at or past the bound "
+                            rf"{bound:g} at q = {re.escape(repr(q))}\n", err), err
 
     def test_small_tau_at_n_half_is_orthonormal(self, capsys):
         # L raised "did not converge" on the radial nodes at tau 0.01

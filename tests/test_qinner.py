@@ -88,8 +88,10 @@ def rational_gauss_rule(n):
 def fixed_level_gram(N, js, p, step):
     """gram with every scalar product the trapezoid sum of the radial rule
     at one step, with no refinement: the coarse and fine grams of the
-    step-halving check."""
+    step-halving check.  The radial rule is forced at every q, as the
+    lattice would take the products from |ln q| = LATTICE_SWITCH."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "LATTICE_SWITCH", math.inf)
         mp.setattr(quadrature, "STEP", step)
         mp.setattr(quadrature, "ABS_TOL", math.inf)
         return gram(N, js, p)
@@ -97,9 +99,11 @@ def fixed_level_gram(N, js, p, step):
 
 def rule_gram(N, js, p, n):
     """gram with every scalar product one rational_gauss_rule(n) sum; F
-    returns one row of node values per product of a like-mode block."""
+    returns one row of node values per product of a like-mode block.  It
+    takes the radial rule's place at every q (see fixed_level_gram)."""
     rho, w = rational_gauss_rule(n)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "LATTICE_SWITCH", math.inf)
         mp.setattr(qinner, "radial_integral", lambda F: quadrature.PlaneIntegral(
             np.asarray(F(rho), dtype=complex) @ w, math.inf))
         return gram(N, js, p)
@@ -210,37 +214,41 @@ def polar_grid_inner(f, g, p, radial_nodes=64, angles=16):
 
 class TestGramBatch:
     """gram hands its like-M upper pairs to one batch of scalar products: one
-    radial integral per like-mode block, and each (J, N) tower's psi
-    requested whole, once per parameter and node set that a side of the
-    form reads, for every block: at real q once per form term too, on the
-    circle not, as the second term mirrors the first, and at q = 1 not, as
-    its two terms read the same.  A block stops on its largest entry
+    integral per like-mode block, and each (J, N) tower's psi requested
+    whole, once per parameter and node set that a side of the form reads,
+    for every block: at real q on the lattice, once per parameter, as each
+    side reads the lattice's nodes shifted; on the circle once, as the
+    second term mirrors the first, and at q = 1 once per side, as its two
+    terms read the same.  A radial integral stops on its largest entry
     difference; on these towers every pair of a block converges on the same
     level, so the batch changes no bit of any entry."""
 
     @pytest.mark.parametrize("p,N,js,asks", [
-        (P_REAL, 0, [0, 1, 2], 4),
+        (P_REAL, 0, [0, 1, 2], 2),
         (P_CIRC, 0.5, [0.5, 1.5], 2),
         (P_CLASS, 0, [0, 1, 2], 2),
     ], ids=["real", "circle-N0.5", "classical"])
     def test_gram_is_inner_of_each_pair(self, monkeypatch, p, N, js, asks):
         levels, asked = [], []
-        radial_integral, entry = qinner.radial_integral, qops._psi
+        radial_integral, lattice_integral, entry = (
+            qinner.radial_integral, qinner.lattice_integral, qops._psi)
 
-        def counted_radial_integral(F):
+        def counted(F):
             levels.append(0)
 
-            def counted(rho):
+            def counted_F(*args):
                 levels[-1] += 1
-                return F(rho)
-            return radial_integral(counted)
+                return F(*args)
+            return counted_F
 
-        def recorded_psi(J, ms, N, p, u, v, stepped=False):
+        def recorded_psi(J, ms, N, p, u, v, stepped=False, lattice=0):
             # a tower's values, through qspecial's one psi entry
             asked.append((J, ms, p, np.asarray(u).tobytes()))
-            return entry(J, ms, N, p, u, v, stepped)
+            return entry(J, ms, N, p, u, v, stepped, lattice)
 
-        monkeypatch.setattr(qinner, "radial_integral", counted_radial_integral)
+        monkeypatch.setattr(qinner, "radial_integral", lambda F: radial_integral(counted(F)))
+        monkeypatch.setattr(qinner, "lattice_integral",
+                            lambda F, lat: lattice_integral(counted(F), lat))
         monkeypatch.setattr(qops, "_psi", recorded_psi)
         rep = gram(N, js, p)
         monkeypatch.undo()
@@ -248,8 +256,9 @@ class TestGramBatch:
         states = rep.labels
         # one integral per M (5 for J up to 2), all on the first integrand
         # call here, which asks for each tower whole (all its weights) once
-        # per parameter and side: the blocks after the first ask for nothing
-        # (at real q each asked for its own states once per side and form term)
+        # per parameter and node set: the blocks after the first ask for
+        # nothing (at real q each asked for its own states once per side and
+        # form term; on the radial rule, each tower was asked for 4 times)
         assert len(levels) == len({M for _, M in states}) and set(levels) == {1}
         assert len(asked) == len(set(asked))
         assert all(ms == tuple(m_values(J)) for J, ms, *_ in asked)
