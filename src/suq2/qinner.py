@@ -167,8 +167,8 @@ def _products(pairs: Sequence, p: QParam) -> list:
 
     def tower(labels, param, x):
         # one evaluation per tower, parameter and node set, read by every
-        # block; on the lattice, of its nodes, of which x is a window, and
-        # whose q^2 steps are param's q^-2 at p^-1
+        # block.  On the lattice the node set is the lattice's, x is a window
+        # of it, and its nodes step by q^2 of p: by q^-2 of param at p^-1
         J, M, N, op = labels
         nodes = x if lat is None else lat.rho
         key = (J, N, param, nodes.dtype.char, nodes.tobytes())

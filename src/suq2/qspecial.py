@@ -551,9 +551,8 @@ def _psi(J: HalfInt, ms: tuple, N: HalfInt, p: QParam, u, v, stepped=False, latt
     _check_sector(J, p)
     u_arr, u_scalar = _as_complex(u)
     v_arr, v_scalar = _as_complex(v)
-    rows = functools.partial(_psi_rows, lattice=lattice) if lattice else _psi_rows
     out = _psi_memo.lookup((J, ms, N, p, stepped, lattice), (u_arr, v_arr),
-                           lambda: rows(J, ms, N, p, u_arr, v_arr, stepped))
+                           lambda: _psi_rows(J, ms, N, p, u_arr, v_arr, stepped, lattice))
     return out.reshape(len(ms)) if u_scalar and v_scalar else out
 
 
