@@ -170,10 +170,10 @@ def _products(pairs: Sequence, p: QParam) -> list:
         # block.  On the lattice the node set is the lattice's, x is a window
         # of it, and its nodes step by q^2 of p: by q^-2 of param at p^-1
         J, M, N, op = labels
-        nodes = x if lat is None else lat.rho
-        key = (J, N, param, nodes.dtype.char, nodes.tobytes())
+        key = (J, N, param) if lat else (J, N, param, x.dtype.char, x.tobytes())
         if key not in evaluated:
             ms, ops = plan[J, N]
+            nodes = x if lat is None else lat.rho
             step = 0 if lat is None else 1 if param == p else -1
             evaluated[key] = {(m, name): row for name, rows in
                               zip((None, *ops), _tower_values(((J, ms),), N, ops, param, nodes,
