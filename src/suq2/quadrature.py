@@ -35,10 +35,10 @@ double-exponential rule's x-range, |x| <= SCALE sinh T_MAX, widened by the
 shift 2|ln q| on each side; it has no refinement and no error estimate,
 only its rounding floor eps sum_k |eta_k F(rho_k)|.  It has more nodes
 than the rule's first level below |ln q| ~ 0.35, but it evaluates each
-family once per parameter where the rule evaluates it once per side and
-term, twice per parameter, at every level; LATTICE_SWITCH is where the two
-cost the same, measured on the suites that take scalar products.  qinner
-takes it from there, on the integrands where it is exact.
+family on one node set per parameter, where the rule evaluates it on two
+(rho and q^-+1 rho) per parameter at every level; LATTICE_SWITCH is where
+the two cost the same, measured on the suites that take scalar products.
+qinner takes it from there, on the integrands where it is exact.
 """
 from __future__ import annotations
 
